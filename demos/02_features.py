@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from vtapred import FeatureConfig, detect_ectopic, extract, load_dataset, prepare_records
+from vtapred import FeatureConfig, build_cohort, detect_ectopic, load_dataset, prepare_records
 from vtapred.synthetic import write_tachogram_dataset
 
 
@@ -23,19 +23,22 @@ def main() -> None:
 
     with tempfile.TemporaryDirectory() as tmp:
         tacho_dir, metadata = write_tachogram_dataset(Path(tmp), n_event=3, n_control=3, seed=4)
-        records, _ = load_dataset(tacho_dir, metadata)
-        record = prepare_records(records)[0]
+        records, patients = load_dataset(tacho_dir, metadata)
+        records = prepare_records(records)
 
-        recent = extract(record, FeatureConfig())
-        panel = extract(record, FeatureConfig(feature_set="baseline11", include_windowed=False))
+        # one cohort per feature family: a row per record, a column per feature
+        recent = build_cohort(records, patients, FeatureConfig())
+        panel = build_cohort(records, patients, FeatureConfig(feature_set="baseline11", include_windowed=False))
 
+        record = records[0]
         print(f"record {record.record_id} ({record.label}, {len(record)} beats kept)\n")
         print("recent-beat features:")
-        for name, value in zip(recent.names, recent.values):
+        for name, value in zip(recent.names, recent.X[0]):
             print(f"  {name:<22}{value:>12.4f}")
         print("\nreference panel:")
-        for name, value in zip(panel.names, panel.values):
+        for name, value in zip(panel.names, panel.X[0]):
             print(f"  {name:<22}{value:>12.4f}")
+        print(f"\nfeature matrices: recent {recent.X.shape}, reference panel {panel.X.shape}")
 
 
 if __name__ == "__main__":

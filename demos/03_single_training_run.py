@@ -1,8 +1,9 @@
 """Train one multi-task model end to end on the separable synthetic task.
 
-Builds standardized examples (features, birth-decade index, event label,
-optional functional-class and body-mass targets), trains with AdaDelta under
-dropout, and prints the loss trajectory and final training accuracy.
+Standardizes the cohort's feature matrix into one batch (features,
+birth-decade index, event label, optional functional-class and body-mass
+targets), trains with AdaDelta under dropout, and prints the loss trajectory
+and final training accuracy.
 """
 
 import numpy as np
@@ -15,25 +16,22 @@ from vtapred import (
     predict,
     train,
 )
-from vtapred.evaluation import DROPOUT_STREAM, INIT_STREAM, build_examples, decade_vocabulary
+from vtapred.evaluation import DROPOUT_STREAM, INIT_STREAM, build_examples
 from vtapred.synthetic import gaussian_task
 
 
 def main() -> None:
     seed = 0
-    records, patients, vectors = gaussian_task(200, seed=11)
+    cohort = gaussian_task(200, seed=11)
 
-    standardizer = fit_standardizer(list(vectors.values()))
-    bmis = [patients[r.patient_id].bmi for r in records if patients[r.patient_id].bmi is not None]
-    bmi_standardizer = fit_standardizer(np.array(bmis)) if bmis else None
-    vocab = decade_vocabulary(patients)
-    vocab_index = {decade: i for i, decade in enumerate(vocab)}
-    examples = build_examples(records, vectors, patients, standardizer, bmi_standardizer, vocab_index)
+    standardizer = fit_standardizer(cohort.X)
+    bmi_standardizer = fit_standardizer(cohort.bmi[cohort.bmi_mask])
+    batch = build_examples(cohort, np.arange(len(cohort)), standardizer, bmi_standardizer)
 
-    config = NetworkConfig(num_features=7, num_decades=len(vocab), use_embedding=True)
+    config = NetworkConfig(num_features=cohort.X.shape[1], num_decades=cohort.num_decades, use_embedding=True)
     params = init_params(config, np.random.default_rng([seed, INIT_STREAM, 0]))
     params, history = train(
-        examples,
+        batch,
         TrainConfig(epochs=300),
         params,
         np.random.default_rng([seed, DROPOUT_STREAM, 0]),
@@ -44,8 +42,7 @@ def main() -> None:
         print(f"{int(row['epoch']):>5}  {row['loss']:7.4f}  {row['vta_loss']:7.4f}"
               f"  {row['nyhac_loss']:9.4f}  {row['bmi_loss']:9.4f}")
 
-    labels = np.array([e.y_vta for e in examples])
-    accuracy = np.mean((predict(params, examples) >= 0.5).astype(int) == labels)
+    accuracy = np.mean((predict(params, batch) >= 0.5).astype(int) == batch.y_vta)
     print(f"\ntraining accuracy after {len(history)} epochs: {accuracy:.3f}")
 
 

@@ -28,14 +28,16 @@ from .features import (
     RECENT_NAMES,
     VLF_BAND,
     WINDOWED_NAMES,
+    Cohort,
     FeatureConfig,
     FeatureError,
-    FeatureVector,
     Standardizer,
     band_power,
     baseline11,
+    build_cohort,
     detect_ectopic,
     extract,
+    feature_names,
     fit_standardizer,
     sample_entropy,
     standardize,
@@ -46,7 +48,6 @@ from .features import (
 from .network import (
     Batch,
     CheckpointError,
-    Example,
     NetworkConfig,
     NetworkError,
     NetworkParams,

@@ -15,36 +15,33 @@ import hashlib
 import json
 import logging
 import sys
-from dataclasses import asdict
+from dataclasses import MISSING, asdict, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .dataset import DatasetError, load_dataset, prepare_records
+from .dataset import (
+    DEFAULT_HORIZON_MS,
+    DEFAULT_MIN_BEATS,
+    DatasetError,
+    load_dataset,
+    prepare_records,
+)
 from .evaluation import (
     CVConfig,
-    DROPOUT_STREAM,
-    INIT_STREAM,
     EvaluationError,
-    build_examples,
-    decade_vocabulary,
+    fit_model,
     format_report_table,
     run_ablation,
     write_per_seed_csv,
     write_predictions_csv,
     write_report_csv,
 )
-from .features import (
-    FeatureConfig,
-    FeatureError,
-    extract,
-    fit_standardizer,
-    write_feature_matrix,
-)
-from .network import CheckpointError, NetworkConfig, init_params, save_checkpoint
-from .optim import TrainConfig, TrainingError, train, write_loss_history
+from .features import FeatureConfig, FeatureError, build_cohort, write_feature_matrix
+from .network import CheckpointError, save_checkpoint
+from .optim import TrainConfig, TrainingError, write_loss_history
 
 log = logging.getLogger(__name__)
 
@@ -62,38 +59,34 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
+def _field_defaults(cls) -> dict:
+    """Defaults of a config dataclass's scalar fields; a band splits into ``<x>_lo``/``<x>_hi``."""
+    defaults = {}
+    for f in fields(cls):
+        if isinstance(f.default, tuple):
+            prefix = f.name.removesuffix("_band")
+            defaults[f"{prefix}_lo"], defaults[f"{prefix}_hi"] = f.default
+        elif f.default is not MISSING:  # skips the nested feature and train configs
+            defaults[f.name] = f.default
+    return defaults
+
+
 # key -> (parser, default); this one table drives the config file, the
-# mirrored command-line flags, and the manifest echo.
+# mirrored command-line flags, and the manifest echo.  The parser follows the
+# default's type, bool first because bool is a subclass of int.
 SETTINGS: dict[str, tuple] = {
-    "feature_set": (str, FeatureConfig().feature_set),
-    "include_windowed": (_parse_bool, True),
-    "recent_beats": (int, 30),
-    "window_beats": (int, 250),
-    "ectopic_threshold": (float, 0.2),
-    "ectopic_ref_beats": (int, 5),
-    "lf_lo": (float, 0.04),
-    "lf_hi": (float, 0.15),
-    "hf_lo": (float, 0.15),
-    "hf_hi": (float, 0.40),
-    "use_embedding": (_parse_bool, True),
-    "epochs": (int, 1000),
-    "clip": (float, 0.1),
-    "clip_mode": (str, "element"),
-    "keep_prob": (float, 0.75),
-    "lr": (float, 1.0),
-    "rho": (float, 0.95),
-    "eps": (float, 1e-6),
-    "lam_nyhac": (float, 1.0),
-    "lam_bmi": (float, 1.0),
-    "horizon_ms": (float, 60000.0),
-    "min_beats": (int, 250),
-    "truncate_controls": (_parse_bool, True),
-    "k_folds": (int, 10),
-    "threshold": (float, 0.5),
-    "patient_grouped": (_parse_bool, False),
-    "seed": (int, 0),
-    "seeds": (int, 10),
-    "jobs": (int, 1),
+    key: (_parse_bool if isinstance(default, bool) else type(default), default)
+    for key, default in {
+        **_field_defaults(FeatureConfig),
+        **_field_defaults(TrainConfig),
+        **_field_defaults(CVConfig),
+        "horizon_ms": DEFAULT_HORIZON_MS,
+        "min_beats": DEFAULT_MIN_BEATS,
+        "truncate_controls": True,
+        "seed": 0,
+        "seeds": 10,
+        "jobs": 1,
+    }.items()
 }
 
 
@@ -138,37 +131,23 @@ def resolve_settings(args: argparse.Namespace) -> dict:
     return settings
 
 
+def _build(cls, settings: dict, **nested):
+    """Instantiate a config dataclass from the settings keys of its fields."""
+    kwargs = dict(nested)
+    for f in fields(cls):
+        if isinstance(f.default, tuple):
+            prefix = f.name.removesuffix("_band")
+            kwargs[f.name] = (settings[f"{prefix}_lo"], settings[f"{prefix}_hi"])
+        elif f.name not in nested:
+            kwargs[f.name] = settings[f.name]
+    return cls(**kwargs)
+
+
 def build_configs(settings: dict) -> CVConfig:
     try:
-        features = FeatureConfig(
-            feature_set=settings["feature_set"],
-            include_windowed=settings["include_windowed"],
-            recent_beats=settings["recent_beats"],
-            window_beats=settings["window_beats"],
-            lf_band=(settings["lf_lo"], settings["lf_hi"]),
-            hf_band=(settings["hf_lo"], settings["hf_hi"]),
-            ectopic_threshold=settings["ectopic_threshold"],
-            ectopic_ref_beats=settings["ectopic_ref_beats"],
-        )
-        train_config = TrainConfig(
-            epochs=settings["epochs"],
-            clip=settings["clip"],
-            clip_mode=settings["clip_mode"],
-            keep_prob=settings["keep_prob"],
-            lr=settings["lr"],
-            rho=settings["rho"],
-            eps=settings["eps"],
-            lam_nyhac=settings["lam_nyhac"],
-            lam_bmi=settings["lam_bmi"],
-        )
-        return CVConfig(
-            features=features,
-            train=train_config,
-            use_embedding=settings["use_embedding"],
-            k_folds=settings["k_folds"],
-            threshold=settings["threshold"],
-            patient_grouped=settings["patient_grouped"],
-        )
+        return _build(CVConfig, settings,
+                      features=_build(FeatureConfig, settings),
+                      train=_build(TrainConfig, settings))
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -224,9 +203,8 @@ def write_manifest(path, args, settings: dict, cv: CVConfig, seed_list, n_record
 def cmd_features(args: argparse.Namespace) -> int:
     settings = resolve_settings(args)
     cv = build_configs(settings)
-    records, _ = _load_prepared(args, settings)
-    vectors = [extract(rec, cv.features) for rec in records]
-    write_feature_matrix(args.out, records, vectors)
+    records, patients = _load_prepared(args, settings)
+    write_feature_matrix(args.out, build_cohort(records, patients, cv.features))
     log.info("wrote %d feature rows to %s", len(records), args.out)
     return 0
 
@@ -237,22 +215,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     records, patients = _load_prepared(args, settings)
     seed = settings["seed"]
 
-    vectors = {rec.record_id: extract(rec, cv.features) for rec in records}
-    standardizer = fit_standardizer(list(vectors.values()))
-    bmis = [patients[r.patient_id].bmi for r in records if patients[r.patient_id].bmi is not None]
-    bmi_standardizer = fit_standardizer(np.array(bmis)) if bmis else None
-    vocab = decade_vocabulary(patients)
-    vocab_index = {decade: i for i, decade in enumerate(vocab)}
-    examples = build_examples(records, vectors, patients, standardizer, bmi_standardizer, vocab_index)
-
-    net_config = NetworkConfig(
-        num_features=vectors[records[0].record_id].values.size,
-        num_decades=max(len(vocab), 1),
-        use_embedding=cv.use_embedding,
-    )
-    params = init_params(net_config, np.random.default_rng([seed, INIT_STREAM, 0]))
-    params, history = train(examples, cv.train, params,
-                            np.random.default_rng([seed, DROPOUT_STREAM, 0]))
+    cohort = build_cohort(records, patients, cv.features)
+    params, history, _ = fit_model(cohort, np.arange(len(cohort)), cv, seed, fold=0)
     save_checkpoint(args.out, params, extra={"settings": settings, "seed": seed})
     loss_path = f"{args.out}.loss.csv"
     write_loss_history(loss_path, history)

@@ -260,8 +260,9 @@ def load_dataset(tachogram_dir, metadata_file) -> tuple[list[RRRecord], dict[str
 
     Returns:
         (records, patients): records sorted by record id, and a mapping from
-        patient id to PatientMeta.  A tachogram without a metadata row, or any
-        malformed line, raises DatasetError naming the offending location.
+        patient id to PatientMeta.  A tachogram without a metadata row, two
+        files with one stem, or any malformed line, raises DatasetError
+        naming the offending location.
     """
     dir_path = Path(tachogram_dir)
     if not dir_path.is_dir():
@@ -276,8 +277,10 @@ def load_dataset(tachogram_dir, metadata_file) -> tuple[list[RRRecord], dict[str
         raise DatasetError(f"no tachogram files in {dir_path}")
 
     records = []
-    for path in files:
+    for prev, path in zip([None, *files], files):
         rid = path.stem
+        if prev is not None and prev.stem == rid:
+            raise DatasetError(f"{prev} and {path}: two tachogram files for record {rid!r}")
         row = rows.get(rid)
         if row is None:
             raise DatasetError(f"{path}: no metadata row for record {rid!r}")

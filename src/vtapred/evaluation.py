@@ -19,13 +19,13 @@ from .dataset import LABEL_CONTROL, LABEL_VTA, PatientMeta, RRRecord
 from .features import (
     FEATURE_SET_BASELINE11,
     FEATURE_SET_RECENT,
+    Cohort,
     FeatureConfig,
-    FeatureVector,
-    extract,
+    build_cohort,
     fit_standardizer,
     standardize,
 )
-from .network import Example, NetworkConfig, init_params, predict
+from .network import Batch, NetworkConfig, NetworkParams, init_params, predict
 from .optim import TrainConfig, TrainingError, train
 
 # Stream labels mixed into the seed so each consumer of randomness gets an
@@ -159,105 +159,78 @@ def auc(labels, probs) -> float:
     return u / (n_pos * n_neg)
 
 
-def decade_vocabulary(patients: dict[str, PatientMeta]) -> list[int]:
-    """Sorted known birth decades; the embedding reserves one extra unknown row."""
-    return sorted({p.birth_decade for p in patients.values() if p.birth_decade is not None})
+def build_examples(cohort: Cohort, idx, standardizer, bmi_standardizer) -> Batch:
+    """The cohort rows ``idx`` as a standardized batch.
 
-
-def _decade_index(meta: PatientMeta, vocab_index: dict[int, int]) -> int:
-    if meta.birth_decade is None:
-        return len(vocab_index)
-    return vocab_index.get(meta.birth_decade, len(vocab_index))
-
-
-def build_examples(
-    records: list[RRRecord],
-    vectors: dict[str, FeatureVector],
-    patients: dict[str, PatientMeta],
-    standardizer,
-    bmi_standardizer,
-    vocab_index: dict[int, int],
-) -> list[Example]:
-    examples = []
-    for rec in records:
-        meta = patients[rec.patient_id]
-        y_bmi = None
-        if bmi_standardizer is not None and meta.bmi is not None:
-            y_bmi = float(standardize(bmi_standardizer, np.array([meta.bmi]))[0])
-        examples.append(Example(
-            features=standardize(standardizer, vectors[rec.record_id]),
-            decade_index=_decade_index(meta, vocab_index),
-            y_vta=1 if rec.label == LABEL_VTA else 0,
-            y_nyhac=None if meta.nyhac is None else meta.nyhac - 1,
-            y_bmi=y_bmi,
-        ))
-    return examples
-
-
-def run_cv(
-    records: list[RRRecord],
-    patients: dict[str, PatientMeta],
-    config: CVConfig,
-    seed: int,
-    vectors: dict[str, FeatureVector] | None = None,
-) -> Predictions:
-    """One cross-validated evaluation: returns pooled held-out predictions.
-
-    Per fold, the standardizers (features and the BMI target) are fitted on
-    the training folds only, a fresh network is initialized and trained, and
-    the held-out records are scored.  ``vectors`` may carry precomputed
-    features to avoid re-extraction across seeds; when omitted they are
-    extracted here.
+    Both standardizers come from training rows only.  Without a BMI
+    standardizer (no training row knows its BMI) every BMI target is masked.
     """
-    if not records:
-        raise EvaluationError("no records to evaluate")
-    if vectors is None:
-        vectors = {rec.record_id: extract(rec, config.features) for rec in records}
-
-    labels = np.array([1 if rec.label == LABEL_VTA else 0 for rec in records], dtype=int)
-    fold_rng = np.random.default_rng([seed, FOLD_STREAM])
-    if config.patient_grouped:
-        folds = make_patient_folds([rec.patient_id for rec in records], config.k_folds, fold_rng)
-    else:
-        folds = make_folds([rec.label for rec in records], config.k_folds, fold_rng)
-
-    vocab = decade_vocabulary(patients)
-    vocab_index = {decade: i for i, decade in enumerate(vocab)}
-    num_features = vectors[records[0].record_id].values.size
-    net_config = NetworkConfig(
-        num_features=num_features,
-        num_decades=max(len(vocab), 1),
-        use_embedding=config.use_embedding,
+    bmi_mask = cohort.bmi_mask[idx] & (bmi_standardizer is not None)
+    y_bmi = np.zeros(bmi_mask.shape)
+    if bmi_standardizer is not None:
+        y_bmi[bmi_mask] = standardize(bmi_standardizer, cohort.bmi[idx][bmi_mask])
+    return Batch(
+        features=standardize(standardizer, cohort.X[idx]),
+        decade_index=cohort.decade_index[idx],
+        y_vta=cohort.y_vta[idx],
+        y_nyhac=cohort.y_nyhac[idx],
+        y_bmi=y_bmi,
+        bmi_mask=bmi_mask,
     )
 
-    probs = np.full(len(records), np.nan)
+
+def fit_model(
+    cohort: Cohort, train_idx, config: CVConfig, seed: int, fold: int,
+) -> tuple[NetworkParams, list[dict[str, float]], tuple]:
+    """Fit the standardizers on rows ``train_idx`` and train a fresh network there.
+
+    Initialization and dropout draw from ``seed`` and ``fold`` through their
+    stream labels.  Returns (params, history, (standardizer,
+    bmi_standardizer)); the standardizers map any other rows the same way.
+    """
+    train_bmi = cohort.bmi[train_idx][cohort.bmi_mask[train_idx]]
+    standardizers = (
+        fit_standardizer(cohort.X[train_idx]),
+        fit_standardizer(train_bmi) if train_bmi.size else None,
+    )
+    batch = build_examples(cohort, train_idx, *standardizers)
+    net_config = NetworkConfig(
+        num_features=cohort.X.shape[1],
+        num_decades=cohort.num_decades,
+        use_embedding=config.use_embedding,
+    )
+    params = init_params(net_config, np.random.default_rng([seed, INIT_STREAM, fold]))
+    params, history = train(batch, config.train, params,
+                            np.random.default_rng([seed, DROPOUT_STREAM, fold]))
+    return params, history, standardizers
+
+
+def run_cv(cohort: Cohort, config: CVConfig, seed: int) -> Predictions:
+    """One cross-validated evaluation: returns pooled held-out predictions.
+
+    ``cohort`` must be built with ``config.features``.  Per fold, the
+    standardizers (features and the BMI target) are fitted on the training
+    rows only, a fresh network is initialized and trained, and the held-out
+    rows are scored.
+    """
+    if not len(cohort):
+        raise EvaluationError("no records to evaluate")
+    fold_rng = np.random.default_rng([seed, FOLD_STREAM])
+    if config.patient_grouped:
+        folds = make_patient_folds(cohort.patient_ids, config.k_folds, fold_rng)
+    else:
+        folds = make_folds(np.array([LABEL_CONTROL, LABEL_VTA])[cohort.y_vta], config.k_folds, fold_rng)
+
+    probs = np.full(len(cohort), np.nan)
     for fold_i, test_idx in enumerate(folds):
-        test_set = set(test_idx.tolist())
-        train_records = [rec for i, rec in enumerate(records) if i not in test_set]
-        test_records = [records[i] for i in test_idx]
-
-        standardizer = fit_standardizer([vectors[rec.record_id] for rec in train_records])
-        train_bmis = [
-            patients[rec.patient_id].bmi
-            for rec in train_records
-            if patients[rec.patient_id].bmi is not None
-        ]
-        bmi_standardizer = fit_standardizer(np.array(train_bmis)) if train_bmis else None
-
-        train_examples = build_examples(
-            train_records, vectors, patients, standardizer, bmi_standardizer, vocab_index)
-        test_examples = build_examples(
-            test_records, vectors, patients, standardizer, bmi_standardizer, vocab_index)
-
-        params = init_params(net_config, np.random.default_rng([seed, INIT_STREAM, fold_i]))
+        train_idx = np.setdiff1d(np.arange(len(cohort)), test_idx)
         try:
-            train(train_examples, config.train, params,
-                  np.random.default_rng([seed, DROPOUT_STREAM, fold_i]))
+            params, _, standardizers = fit_model(cohort, train_idx, config, seed, fold_i)
         except TrainingError as exc:
             raise TrainingError(f"fold {fold_i}: {exc}") from None
-        probs[test_idx] = predict(params, test_examples)
+        probs[test_idx] = predict(params, build_examples(cohort, test_idx, *standardizers))
 
-    return Predictions([rec.record_id for rec in records], labels, probs)
+    return Predictions(list(cohort.record_ids), cohort.y_vta, probs)
 
 
 def ablation_config(row: str, base: CVConfig) -> CVConfig:
@@ -294,9 +267,8 @@ class EvalReport:
 
 
 def _run_item(payload):
-    row, seed, records, patients, config, vectors = payload
-    preds = run_cv(records, patients, config, seed, vectors=vectors)
-    return row, seed, preds
+    row, seed, cohort, config = payload
+    return row, seed, run_cv(cohort, config, seed)
 
 
 def run_ablation(
@@ -309,25 +281,22 @@ def run_ablation(
     """Evaluate every grid row over the given seeds.
 
     ``seeds`` is either a count (meaning range(count)) or an explicit list.
-    Feature vectors are extracted once per distinct feature configuration and
-    shared across seeds and workers.  With ``jobs > 1`` the (row, seed) items
-    run in a process pool; results are merged in fixed order, so the output
-    is identical to a serial run.
+    One cohort is built per distinct feature configuration and shared
+    across seeds and workers.  With ``jobs > 1`` the (row, seed) items run
+    in a process pool; results are merged in fixed order, so the output is
+    identical to a serial run.
     """
     seed_list = tuple(range(seeds)) if isinstance(seeds, int) else tuple(int(s) for s in seeds)
     if not seed_list:
         raise EvaluationError("need at least one seed")
     configs = {row: ablation_config(row, base) for row in ABLATION_ROWS}
-
-    vectors_by_features: dict[FeatureConfig, dict[str, FeatureVector]] = {}
-    for row, config in configs.items():
-        if config.features not in vectors_by_features:
-            vectors_by_features[config.features] = {
-                rec.record_id: extract(rec, config.features) for rec in records
-            }
+    cohorts = {
+        features: build_cohort(records, patients, features)
+        for features in dict.fromkeys(config.features for config in configs.values())
+    }
 
     items = [
-        (row, seed, records, patients, configs[row], vectors_by_features[configs[row].features])
+        (row, seed, cohorts[configs[row].features], configs[row])
         for row in ABLATION_ROWS
         for seed in seed_list
     ]

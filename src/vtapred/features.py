@@ -9,7 +9,9 @@ Two feature families are supported:
   frequency-domain, and nonlinear statistics, used as a reference point.
 
 Ectopic beats are detected with a running-mean rule and removed before any
-statistic other than the windowed ectopic count is computed.
+statistic other than the windowed ectopic count is computed.  A
+:class:`Cohort` gathers one feature config's values for a whole record set
+into one matrix, with the training targets aligned to its rows.
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import trapezoid
 from scipy.signal import lombscargle
+
+from .dataset import LABEL_CONTROL, LABEL_VTA
 
 FEATURE_SET_RECENT = "recent"
 FEATURE_SET_BASELINE11 = "baseline11"
@@ -69,28 +73,6 @@ class FeatureConfig:
             raise ValueError("ectopic_threshold must be positive")
         if self.ectopic_ref_beats < 1:
             raise ValueError("ectopic_ref_beats must be >= 1")
-
-
-@dataclass(frozen=True, eq=False)
-class FeatureVector:
-    """Named feature values for one record; values are always finite."""
-
-    record_id: str
-    names: tuple[str, ...]
-    values: np.ndarray
-
-    def __post_init__(self):
-        arr = np.array(self.values, dtype=float)
-        if arr.ndim != 1 or arr.size != len(self.names):
-            raise FeatureError(f"record {self.record_id!r}: names/values length mismatch")
-        if len(set(self.names)) != len(self.names):
-            raise FeatureError(f"record {self.record_id!r}: duplicate feature names")
-        bad = np.flatnonzero(~np.isfinite(arr))
-        if bad.size:
-            raise FeatureError(
-                f"record {self.record_id!r}: non-finite value for feature {self.names[bad[0]]!r}"
-            )
-        object.__setattr__(self, "values", arr)
 
 
 def detect_ectopic(intervals_ms, threshold: float = 0.2, ref_beats: int = 5) -> np.ndarray:
@@ -271,11 +253,18 @@ def baseline11(intervals_ms, config: FeatureConfig = FeatureConfig()) -> dict[st
     }
 
 
-def extract(record, config: FeatureConfig = FeatureConfig()) -> FeatureVector:
-    """Compute the configured feature vector for one truncated record.
+def feature_names(config: FeatureConfig = FeatureConfig()) -> tuple[str, ...]:
+    """Names of the columns that :func:`extract` returns for ``config``, in order."""
+    names = BASELINE11_NAMES if config.feature_set == FEATURE_SET_BASELINE11 else RECENT_NAMES
+    return names + (WINDOWED_NAMES if config.include_windowed else ())
 
-    Pure function of (record, config): no caching, no mutation, so results
-    can be computed once and shared across folds and seeds.
+
+def extract(record, config: FeatureConfig = FeatureConfig()) -> np.ndarray:
+    """Compute the configured feature values for one truncated record.
+
+    Returns a 1-D array ordered as :func:`feature_names`; every value is
+    finite.  Pure function of (record, config): no caching, no mutation, so
+    results can be computed once and shared across folds and seeds.
     """
     raw = record.intervals_ms
     try:
@@ -283,22 +272,81 @@ def extract(record, config: FeatureConfig = FeatureConfig()) -> FeatureVector:
         filtered = raw[~mask]
         if config.feature_set == FEATURE_SET_BASELINE11:
             panel = baseline11(filtered, config)
-            names = BASELINE11_NAMES
-            values = [panel[name] for name in names]
+            values = [panel[name] for name in BASELINE11_NAMES]
         else:
             mean_rr, min_rr, max_rr = time_stats(filtered, config.recent_beats)
             recent = filtered[-config.recent_beats:]
             lf = band_power(recent, config.lf_band)
             hf = band_power(recent, config.hf_band)
-            names = RECENT_NAMES
             values = [mean_rr, lf, hf, min_rr, max_rr]
         if config.include_windowed:
             delta_mean, delta_count = windowed_diff(raw, mask, config.window_beats)
-            names = names + WINDOWED_NAMES
-            values = values + [delta_mean, float(delta_count)]
+            values += [delta_mean, float(delta_count)]
     except FeatureError as exc:
         raise FeatureError(f"record {record.record_id!r}: {exc}") from None
-    return FeatureVector(record.record_id, names, np.asarray(values, dtype=float))
+    values = np.array(values, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise FeatureError(
+            f"record {record.record_id!r}: non-finite value for feature {feature_names(config)[bad[0]]!r}"
+        )
+    return values
+
+
+@dataclass(frozen=True, eq=False)
+class Cohort:
+    """A record set under one feature config: one row per record, in record order.
+
+    ``X`` holds the raw (unstandardized) features; standardizers are fitted
+    per fold on training rows.  Unknown metadata is encoded in place:
+    ``y_nyhac`` is -1, ``bmi_mask`` is False (``bmi`` then holds 0), and an
+    unknown birth decade gets the embedding's last row.
+    """
+
+    X: np.ndarray                  # (n, f) raw feature values
+    names: tuple[str, ...]         # f column names
+    record_ids: tuple[str, ...]
+    patient_ids: tuple[str, ...]
+    y_vta: np.ndarray              # (n,) int, 1 = event class
+    decade_index: np.ndarray       # (n,) int embedding row
+    num_decades: int               # known decades in the vocabulary (at least 1)
+    y_nyhac: np.ndarray            # (n,) int in {-1 (missing), 0..3}
+    bmi: np.ndarray                # (n,) float kg/m^2, 0 where missing
+    bmi_mask: np.ndarray           # (n,) bool
+
+    def __post_init__(self):
+        n = len(self.record_ids)
+        per_row = (self.patient_ids, self.y_vta, self.decade_index, self.y_nyhac, self.bmi, self.bmi_mask)
+        if self.X.shape != (n, len(self.names)) or any(len(column) != n for column in per_row):
+            raise FeatureError("cohort arrays must be aligned: one row per record, one column per name")
+
+    def __len__(self) -> int:
+        return len(self.record_ids)
+
+
+def build_cohort(records, patients, config: FeatureConfig = FeatureConfig()) -> Cohort:
+    """Extract every record's features once and gather its targets into arrays.
+
+    The birth-decade vocabulary is every known decade in ``patients``, so the
+    embedding width does not depend on which records survive ingestion.
+    """
+    names = feature_names(config)
+    X = np.array([extract(rec, config) for rec in records], dtype=float).reshape(len(records), len(names))
+    vocab = sorted({p.birth_decade for p in patients.values() if p.birth_decade is not None})
+    vocab_index = {decade: i for i, decade in enumerate(vocab)}
+    metas = [patients[rec.patient_id] for rec in records]
+    return Cohort(
+        X=X,
+        names=names,
+        record_ids=tuple(rec.record_id for rec in records),
+        patient_ids=tuple(rec.patient_id for rec in records),
+        y_vta=np.array([rec.label == LABEL_VTA for rec in records], dtype=int),
+        decade_index=np.array([vocab_index.get(m.birth_decade, len(vocab)) for m in metas], dtype=int),
+        num_decades=max(len(vocab), 1),
+        y_nyhac=np.array([-1 if m.nyhac is None else m.nyhac - 1 for m in metas], dtype=int),
+        bmi=np.array([0.0 if m.bmi is None else m.bmi for m in metas], dtype=float),
+        bmi_mask=np.array([m.bmi is not None for m in metas], dtype=bool),
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -309,17 +357,11 @@ class Standardizer:
     maxima: np.ndarray
 
 
-def fit_standardizer(vectors) -> Standardizer:
-    """Fit per-feature minima/maxima from vectors or a plain (n, f) array."""
-    if isinstance(vectors, np.ndarray):
-        matrix = np.asarray(vectors, dtype=float)
-        if matrix.ndim == 1:
-            matrix = matrix[:, None]
-    else:
-        rows = list(vectors)
-        if not rows:
-            raise FeatureError("cannot fit a standardizer on an empty collection")
-        matrix = np.stack([np.asarray(v.values if isinstance(v, FeatureVector) else v, float) for v in rows])
+def fit_standardizer(values) -> Standardizer:
+    """Fit per-feature minima/maxima from an (n, f) array (1-D means one feature)."""
+    matrix = np.asarray(values, dtype=float)
+    if matrix.ndim == 1:
+        matrix = matrix[:, None]
     if matrix.size == 0:
         raise FeatureError("cannot fit a standardizer on an empty collection")
     return Standardizer(matrix.min(axis=0), matrix.max(axis=0))
@@ -328,9 +370,10 @@ def fit_standardizer(vectors) -> Standardizer:
 def standardize(standardizer: Standardizer, values) -> np.ndarray:
     """Map values into [0, 1] by the fitted ranges, clamping out-of-range input.
 
-    A degenerate feature (min == max on the training data) maps to 0.5.
+    ``values`` is one row or an (n, f) array of rows.  A degenerate feature
+    (min == max on the training data) maps to 0.5.
     """
-    x = np.asarray(values.values if isinstance(values, FeatureVector) else values, dtype=float)
+    x = np.asarray(values, dtype=float)
     span = standardizer.maxima - standardizer.minima
     degenerate = span == 0
     safe_span = np.where(degenerate, 1.0, span)
@@ -339,20 +382,12 @@ def standardize(standardizer: Standardizer, values) -> np.ndarray:
     return np.clip(scaled, 0.0, 1.0)
 
 
-def write_feature_matrix(path, records, vectors) -> None:
+def write_feature_matrix(path, cohort: Cohort) -> None:
     """Write features as CSV: ``record_id,label,<names>``, 6 significant digits."""
-    vectors = list(vectors)
-    records = list(records)
-    if len(records) != len(vectors):
-        raise FeatureError("records and vectors must be aligned")
-    if not vectors:
+    if not len(cohort):
         raise FeatureError("nothing to write")
-    names = vectors[0].names
-    for vec in vectors:
-        if vec.names != names:
-            raise FeatureError("all vectors must share one feature set")
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("record_id,label," + ",".join(names) + "\n")
-        for rec, vec in zip(records, vectors):
-            cells = ",".join(f"{v:.6g}" for v in vec.values)
-            fh.write(f"{rec.record_id},{rec.label},{cells}\n")
+        fh.write("record_id,label," + ",".join(cohort.names) + "\n")
+        for rid, y, row in zip(cohort.record_ids, cohort.y_vta, cohort.X):
+            cells = ",".join(f"{v:.6g}" for v in row)
+            fh.write(f"{rid},{LABEL_VTA if y else LABEL_CONTROL},{cells}\n")

@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -105,25 +104,14 @@ def init_params(config: NetworkConfig, rng: np.random.Generator) -> NetworkParam
     return NetworkParams(config, tensors)
 
 
-@dataclass(frozen=True, eq=False)
-class Example:
-    """One training/evaluation example with optional auxiliary targets.
+@dataclass(eq=False)
+class Batch:
+    """One full batch as arrays; missing auxiliary targets are masked.
 
     ``features`` must already be standardized to [0, 1]; ``y_bmi`` is the
     range-standardized body-mass index.  ``decade_index`` indexes the
     embedding table (num_decades means "unknown").
     """
-
-    features: np.ndarray
-    decade_index: int = 0
-    y_vta: int = 0
-    y_nyhac: int | None = None  # 0..3
-    y_bmi: float | None = None
-
-
-@dataclass(eq=False)
-class Batch:
-    """Examples stacked into arrays; missing targets become masks."""
 
     features: np.ndarray       # (n, f)
     decade_index: np.ndarray   # (n,) int
@@ -132,17 +120,9 @@ class Batch:
     y_bmi: np.ndarray          # (n,) float, 0 where missing
     bmi_mask: np.ndarray       # (n,) bool
 
-    @classmethod
-    def from_examples(cls, examples: Sequence[Example]) -> "Batch":
-        if not examples:
+    def __post_init__(self):
+        if len(self) == 0:
             raise NetworkError("cannot build a batch from zero examples")
-        features = np.stack([np.asarray(e.features, float) for e in examples])
-        decade = np.array([e.decade_index for e in examples], dtype=int)
-        y_vta = np.array([e.y_vta for e in examples], dtype=int)
-        y_nyhac = np.array([-1 if e.y_nyhac is None else e.y_nyhac for e in examples], dtype=int)
-        bmi_mask = np.array([e.y_bmi is not None for e in examples], dtype=bool)
-        y_bmi = np.array([0.0 if e.y_bmi is None else e.y_bmi for e in examples], dtype=float)
-        return cls(features, decade, y_vta, y_nyhac, y_bmi, bmi_mask)
 
     def __len__(self) -> int:
         return int(self.features.shape[0])
@@ -372,9 +352,8 @@ def backward(
     return grads
 
 
-def predict(params: NetworkParams, examples: Sequence[Example]) -> np.ndarray:
-    """Event-class probabilities for a list of examples (inference mode)."""
-    batch = Batch.from_examples(examples)
+def predict(params: NetworkParams, batch: Batch) -> np.ndarray:
+    """Event-class probabilities for every row of a batch (inference mode)."""
     outputs, _ = forward(params, batch.features, batch.decade_index)
     return outputs["vta_probs"][:, 1]
 

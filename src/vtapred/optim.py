@@ -103,23 +103,24 @@ def adadelta_step(state: AdaDeltaState, params: NetworkParams, grads: dict[str, 
 
 
 def train(
-    examples,
+    batch: Batch,
     config: TrainConfig,
     params: NetworkParams,
     rng: np.random.Generator,
 ) -> tuple[NetworkParams, list[dict[str, float]]]:
     """Full-batch training for ``config.epochs`` epochs.
 
-    Every epoch draws fresh dropout masks (one per example per layer), runs
-    one forward/backward pass over the whole batch, clips the mean-loss
-    gradients, and applies one AdaDelta step.  Params are updated in place
-    and also returned.  The history holds one dict per epoch with the total
-    loss, its three components, and the largest post-clip gradient magnitude.
+    ``batch`` holds every training row, already standardized (as
+    ``evaluation.build_examples`` returns it).  Every epoch draws fresh
+    dropout masks (one per row per layer), runs one forward/backward pass
+    over the whole batch, clips the mean-loss gradients, and applies one
+    AdaDelta step.  Params are updated in place and also returned.  The
+    history holds one dict per epoch with the total loss, its three
+    components, and the largest post-clip gradient magnitude.
 
     With ``epochs == 0`` the parameters are returned untouched and the
     history is empty.
     """
-    batch = examples if isinstance(examples, Batch) else Batch.from_examples(examples)
     state = AdaDeltaState(params, rho=config.rho, eps=config.eps, lr=config.lr)
     history: list[dict[str, float]] = []
     for epoch in range(config.epochs):

@@ -4,8 +4,9 @@ Two generators:
 
 * :func:`gaussian_task` builds a cleanly separable two-class feature task
   (class means at +1 and -1 in every dimension) with auxiliary targets that
-  correlate with the class.  It bypasses feature extraction by returning
-  ready-made feature vectors, so it isolates the model and trainer.
+  correlate with the class.  It bypasses ingestion and feature extraction by
+  returning a ready-made :class:`~vtapred.features.Cohort`, so it isolates
+  the model and trainer.
 * :func:`write_tachogram_dataset` writes a fake tachogram directory plus
   metadata CSV to disk so the full ingest -> features -> training pipeline
   can be exercised end to end without patient data.
@@ -18,8 +19,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import LABEL_CONTROL, LABEL_VTA, PatientMeta, RRRecord
-from .features import FeatureVector
+from .dataset import LABEL_CONTROL, LABEL_VTA
+from .features import Cohort
+
+DECADES = 6  # birth decades 1930..1980, assigned round-robin
 
 
 def gaussian_task(
@@ -27,39 +30,39 @@ def gaussian_task(
     num_features: int = 7,
     sigma: float = 0.3,
     seed: int = 0,
-) -> tuple[list[RRRecord], dict[str, PatientMeta], dict[str, FeatureVector]]:
+) -> Cohort:
     """Two well-separated Gaussian classes with class-correlated auxiliaries.
 
-    Event-class examples sit at +1 in every feature, controls at -1, with
-    noise ``sigma``; any competent trainer should reach near-perfect accuracy.
-    Records alternate classes and carry short constant tachograms that exist
-    only to satisfy the record type; use the returned vectors directly.
-
-    Returns (records, patients, vectors-by-record-id).
+    Event-class rows sit at +1 in every feature, controls at -1, with noise
+    ``sigma``; any competent trainer should reach near-perfect accuracy.
+    Rows alternate classes, starting with the event class; row i belongs to
+    patient i, whose birth decade is the (i mod 6)-th of 1930..1980.
     """
     rng = np.random.default_rng(seed)
-    records: list[RRRecord] = []
-    patients: dict[str, PatientMeta] = {}
-    vectors: dict[str, FeatureVector] = {}
-    names = tuple(f"x{j}" for j in range(num_features))
-    placeholder = np.full(16, 800.0)
+    X = np.empty((n, num_features))
+    y_nyhac = np.full(n, -1)
+    bmi = np.zeros(n)
+    bmi_mask = np.zeros(n, dtype=bool)
     for i in range(n):
         is_event = i % 2 == 0
-        rid = f"s{i:03d}"
-        pid = f"p{i:03d}"
-        center = 1.0 if is_event else -1.0
-        values = center + sigma * rng.standard_normal(num_features)
-
-        nyhac = None
+        X[i] = (1.0 if is_event else -1.0) + sigma * rng.standard_normal(num_features)
         if rng.random() < 0.85:
-            nyhac = int(rng.choice([3, 4] if is_event else [1, 2]))
-        bmi = None
+            y_nyhac[i] = rng.choice([2, 3] if is_event else [0, 1])  # 0-based: classes 3-4 vs 1-2
         if rng.random() < 0.9:
-            bmi = float(np.clip(26.0 + (2.5 if is_event else -2.5) + rng.normal(0, 1.2), 12, 60))
-        patients[pid] = PatientMeta(pid, 1930 + 10 * (i % 6), nyhac, bmi)
-        records.append(RRRecord(rid, placeholder, LABEL_VTA if is_event else LABEL_CONTROL, pid))
-        vectors[rid] = FeatureVector(rid, names, values)
-    return records, patients, vectors
+            bmi[i] = float(np.clip(26.0 + (2.5 if is_event else -2.5) + rng.normal(0, 1.2), 12, 60))
+            bmi_mask[i] = True
+    return Cohort(
+        X=X,
+        names=tuple(f"x{j}" for j in range(num_features)),
+        record_ids=tuple(f"s{i:03d}" for i in range(n)),
+        patient_ids=tuple(f"p{i:03d}" for i in range(n)),
+        y_vta=(np.arange(n) % 2 == 0).astype(int),
+        decade_index=np.arange(n) % DECADES,
+        num_decades=max(min(n, DECADES), 1),
+        y_nyhac=y_nyhac,
+        bmi=bmi,
+        bmi_mask=bmi_mask,
+    )
 
 
 def _control_intervals(n_beats: int, rng: np.random.Generator) -> np.ndarray:

@@ -21,7 +21,7 @@ def prepared_records(tacho_dataset):
 
 @pytest.fixture(scope="session")
 def gaussian200():
-    """The separable two-class benchmark: (records, patients, vectors)."""
+    """The separable two-class benchmark as a cohort."""
     return gaussian_task(200, seed=11)
 
 

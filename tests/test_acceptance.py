@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from batches import random_batch
 from oracles import (
     adadelta_scalar_step,
     finite_difference_grads,
@@ -24,9 +25,7 @@ from oracles import (
 from vtapred import (
     ABLATION_ROWS,
     AdaDeltaState,
-    Batch,
     CVConfig,
-    Example,
     NetworkConfig,
     NetworkParams,
     TrainConfig,
@@ -47,7 +46,7 @@ from vtapred import (
     train,
 )
 from vtapred.cli import main as cli_main
-from vtapred.evaluation import DROPOUT_STREAM, INIT_STREAM, build_examples, decade_vocabulary
+from vtapred.evaluation import DROPOUT_STREAM, INIT_STREAM, build_examples
 from vtapred.synthetic import gaussian_task
 
 
@@ -62,17 +61,7 @@ def test_criterion_1_gradient_correctness():
     config = NetworkConfig(num_features=7, num_decades=6, use_embedding=True)
     assert config.hidden == (150, 100, 10)
     params = init_params(config, rng)
-    examples = [
-        Example(
-            features=rng.random(7),
-            decade_index=int(rng.integers(0, config.embedding_rows)),
-            y_vta=int(rng.integers(0, 2)),
-            y_nyhac=int(rng.integers(0, 4)) if rng.random() < 0.7 else None,
-            y_bmi=float(rng.random()) if rng.random() < 0.7 else None,
-        )
-        for _ in range(50)
-    ]
-    batch = Batch.from_examples(examples)
+    batch = random_batch(rng, config, 50)
 
     def loss_fn():
         outputs, _ = forward(params, batch.features, batch.decade_index)
@@ -184,24 +173,20 @@ def test_criterion_4_metric_oracles():
 def test_criterion_5_separable_task_learnability():
     """Full default recipe fits the synthetic two-Gaussian task."""
     started = time.perf_counter()
-    records, patients, vectors = gaussian_task(200, seed=11)
+    cohort = gaussian_task(200, seed=11)
     config = CVConfig()  # full defaults: 1000 epochs, dropout, embedding, aux tasks
     assert config.train.epochs == 1000
 
     # training accuracy with the exact single-run recipe
-    standardizer = fit_standardizer(list(vectors.values()))
-    bmis = [patients[r.patient_id].bmi for r in records if patients[r.patient_id].bmi is not None]
-    bmi_standardizer = fit_standardizer(np.array(bmis)) if bmis else None
-    vocab = decade_vocabulary(patients)
-    vocab_index = {decade: i for i, decade in enumerate(vocab)}
-    examples = build_examples(records, vectors, patients, standardizer, bmi_standardizer, vocab_index)
-    net_config = NetworkConfig(num_features=7, num_decades=max(len(vocab), 1), use_embedding=True)
+    standardizer = fit_standardizer(cohort.X)
+    bmi_standardizer = fit_standardizer(cohort.bmi[cohort.bmi_mask])
+    batch = build_examples(cohort, np.arange(len(cohort)), standardizer, bmi_standardizer)
+    net_config = NetworkConfig(num_features=7, num_decades=cohort.num_decades, use_embedding=True)
     params = init_params(net_config, np.random.default_rng([0, INIT_STREAM, 0]))
-    train(examples, config.train, params, np.random.default_rng([0, DROPOUT_STREAM, 0]))
-    y = np.array([e.y_vta for e in examples])
-    train_acc = float(np.mean((predict(params, examples) >= 0.5).astype(int) == y))
+    train(batch, config.train, params, np.random.default_rng([0, DROPOUT_STREAM, 0]))
+    train_acc = float(np.mean((predict(params, batch) >= 0.5).astype(int) == batch.y_vta))
 
-    preds = run_cv(records, patients, config, seed=0, vectors=vectors)
+    preds = run_cv(cohort, config, seed=0)
     cv_acc = metrics(preds.labels, preds.probs)["accuracy"]
     elapsed = time.perf_counter() - started
     ok = train_acc >= 0.95 and cv_acc >= 0.90 and elapsed < 300.0
@@ -214,14 +199,13 @@ def test_criterion_5_separable_task_learnability():
 
 def test_criterion_6_label_shuffle_null():
     """Shuffled labels must not be learnable: mean AUC near chance."""
-    records, patients, vectors = gaussian_task(200, seed=11)
-    labels = [rec.label for rec in records]
+    cohort = gaussian_task(200, seed=11)
     config = CVConfig(train=TrainConfig(epochs=60))
     aucs = []
     for seed in range(10):
-        perm = np.random.default_rng([seed, 101]).permutation(len(records))
-        shuffled = [replace(rec, label=labels[perm[i]]) for i, rec in enumerate(records)]
-        preds = run_cv(shuffled, patients, config, seed=seed, vectors=vectors)
+        perm = np.random.default_rng([seed, 101]).permutation(len(cohort))
+        shuffled = replace(cohort, y_vta=cohort.y_vta[perm])
+        preds = run_cv(shuffled, config, seed=seed)
         aucs.append(auc(preds.labels, preds.probs))
     mean_auc = float(np.mean(aucs))
     ok = 0.40 <= mean_auc <= 0.60

@@ -1,0 +1,40 @@
+"""The traced benchmark child still binds into the package and runs each command.
+
+``bench/tracing.py`` wraps functions by name, so renaming or removing one of
+them breaks every traced benchmark run; this runs the child as the benchmark
+does, in a fresh interpreter, on the small synthetic dataset.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# command -> (extra arguments, spans its traced run must contain)
+COMMANDS = {
+    "features": ([], {"cli.cmd_features", "features.extract", "features.write_feature_matrix"}),
+    "train": (["--epochs", "2"], {"cli.cmd_train", "evaluation.build_examples", "optim.train"}),
+    "ablate": (["--epochs", "2", "--k-folds", "3", "--seeds", "1"],
+               {"cli.cmd_ablate", "evaluation.build_examples", "network.predict"}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_traced_child_runs(command, tacho_dataset, tmp_path):
+    tacho_dir, metadata = tacho_dataset
+    extra, expected_spans = COMMANDS[command]
+    result = tmp_path / "result.json"
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "child.py"), str(ROOT / "src"), str(result), "trace",
+         "--", command, "--data-dir", str(tacho_dir), "--metadata", str(metadata),
+         "--out", str(tmp_path / "out"), *extra],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(result.read_text())["exit_code"] == 0
+    spans = Path(f"{result}.spans.jsonl").read_text().splitlines()[1:]  # line 1 holds the counters
+    assert expected_spans <= {json.loads(line)["name"] for line in spans}

@@ -1,14 +1,15 @@
 """End-to-end command-line tests driven through cli.main in-process."""
 
+import inspect
 import json
 
 import numpy as np
 import pytest
 
 import vtapred
-from vtapred import load_dataset, load_checkpoint, prepare_records
-from vtapred.cli import main, parse_config_file, ConfigError
-from vtapred.evaluation import INIT_STREAM, decade_vocabulary
+from vtapred import CVConfig, load_dataset, load_checkpoint, prepare_records
+from vtapred.cli import build_configs, build_parser, main, parse_config_file, resolve_settings, ConfigError
+from vtapred.evaluation import INIT_STREAM
 from vtapred.network import NetworkConfig, init_params
 
 RECENT_HEADER = (
@@ -116,6 +117,17 @@ class TestFeaturesCommand:
         assert ctl_a != ctl_b
 
 
+class TestSettings:
+    def test_defaults_match_the_library(self):
+        args = build_parser().parse_args(["features", "--data-dir", "d", "--metadata", "m", "--out", "o"])
+        settings = resolve_settings(args)
+        assert build_configs(settings) == CVConfig()
+        ingest = inspect.signature(prepare_records).parameters
+        for key in ("horizon_ms", "min_beats", "truncate_controls"):
+            assert settings[key] == ingest[key].default
+            assert type(settings[key]) is type(ingest[key].default)
+
+
 class TestParseConfigFile:
     def test_reads_flat_key_values(self, tmp_path):
         path = tmp_path / "a.conf"
@@ -156,10 +168,10 @@ class TestTrainCommand:
                    "--out", str(out), "--epochs", "0", "--seed", "5") == 0
         params, header = load_checkpoint(out)
 
-        records, patients = load_dataset(data[0], data[1])
-        vocab = decade_vocabulary(patients)
+        _, patients = load_dataset(data[0], data[1])
+        decades = {p.birth_decade for p in patients.values()} - {None}
         expected = init_params(
-            NetworkConfig(num_features=7, num_decades=max(len(vocab), 1), use_embedding=True),
+            NetworkConfig(num_features=7, num_decades=max(len(decades), 1), use_embedding=True),
             np.random.default_rng([5, INIT_STREAM, 0]),
         )
         assert params.config == expected.config

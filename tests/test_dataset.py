@@ -120,6 +120,14 @@ class TestLoadDataset:
         with pytest.raises(DatasetError, match="duplicate"):
             load_dataset(tacho, meta)
 
+    def test_two_files_with_one_stem(self, tmp_path):
+        tacho, meta = write_dataset(tmp_path, {"a": [800.0] * 4}, ["a,p,VTA,,,"])
+        (tacho / "a.rr").write_text("700.0\n" * 4)
+        with pytest.raises(DatasetError, match="two tachogram files for record 'a'") as info:
+            load_dataset(tacho, meta)
+        assert str(tacho / "a.txt") in str(info.value)
+        assert str(tacho / "a.rr") in str(info.value)
+
     @pytest.mark.parametrize("row,complaint", [
         ("a,p,Maybe,,,", "label"),
         ("a,p,VTA,,7,", "nyhac"),

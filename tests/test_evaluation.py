@@ -1,5 +1,7 @@
 """Cross-validation, metric, and ablation-grid tests."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from vtapred import (
     TrainConfig,
     ablation_config,
     auc,
+    build_cohort,
     format_report_table,
     make_folds,
     make_patient_folds,
@@ -173,27 +176,23 @@ class TestAuc:
 
 class TestRunCV:
     def test_every_record_scored_exactly_once(self, gaussian200):
-        records, patients, vectors = gaussian200
-        preds = run_cv(records, patients, quick_config(), seed=0, vectors=vectors)
-        assert len(preds.record_ids) == len(records)
+        preds = run_cv(gaussian200, quick_config(), seed=0)
+        assert len(preds.record_ids) == len(gaussian200)
         assert np.isfinite(preds.probs).all()
-        assert preds.record_ids == [rec.record_id for rec in records]
+        assert preds.record_ids == list(gaussian200.record_ids)
 
     def test_same_seed_is_bit_identical(self, gaussian200):
-        records, patients, vectors = gaussian200
-        a = run_cv(records, patients, quick_config(), seed=3, vectors=vectors)
-        b = run_cv(records, patients, quick_config(), seed=3, vectors=vectors)
+        a = run_cv(gaussian200, quick_config(), seed=3)
+        b = run_cv(gaussian200, quick_config(), seed=3)
         np.testing.assert_array_equal(a.probs, b.probs)
 
     def test_different_seeds_differ(self, gaussian200):
-        records, patients, vectors = gaussian200
-        a = run_cv(records, patients, quick_config(), seed=0, vectors=vectors)
-        b = run_cv(records, patients, quick_config(), seed=1, vectors=vectors)
+        a = run_cv(gaussian200, quick_config(), seed=0)
+        b = run_cv(gaussian200, quick_config(), seed=1)
         assert not np.array_equal(a.probs, b.probs)
 
     def test_learns_the_separable_task(self, gaussian200):
-        records, patients, vectors = gaussian200
-        preds = run_cv(records, patients, quick_config(), seed=0, vectors=vectors)
+        preds = run_cv(gaussian200, quick_config(), seed=0)
         assert metrics(preds.labels, preds.probs)["accuracy"] >= 0.9
 
     def test_no_leakage_from_held_out_records(self, gaussian200):
@@ -202,38 +201,32 @@ class TestRunCV:
         The poisoned record is training data for every other fold, so only
         its own fold (where it is held out) is expected to stay put.
         """
-        records, patients, vectors = gaussian200
         config = quick_config()
-        labels = [rec.label for rec in records]
-        folds = make_folds(labels, config.k_folds, np.random.default_rng([5, FOLD_STREAM]))
+        folds = make_folds(gaussian200.y_vta, config.k_folds, np.random.default_rng([5, FOLD_STREAM]))
         victim_fold = folds[0]
         victim = int(victim_fold[0])
 
-        clean = run_cv(records, patients, config, seed=5, vectors=vectors)
-        poisoned = dict(vectors)
-        vec = vectors[records[victim].record_id]
-        poisoned[records[victim].record_id] = type(vec)(
-            vec.record_id, vec.names, vec.values * 977.0 + 13.0)
-        dirty = run_cv(records, patients, config, seed=5, vectors=poisoned)
+        clean = run_cv(gaussian200, config, seed=5)
+        X = gaussian200.X.copy()
+        X[victim] = X[victim] * 977.0 + 13.0
+        dirty = run_cv(replace(gaussian200, X=X), config, seed=5)
 
         siblings = [i for i in victim_fold.tolist() if i != victim]
         np.testing.assert_array_equal(clean.probs[siblings], dirty.probs[siblings])
         assert clean.probs[victim] != dirty.probs[victim]
 
     def test_runs_without_embedding(self, gaussian200):
-        records, patients, vectors = gaussian200
-        preds = run_cv(records, patients, quick_config(use_embedding=False), seed=0, vectors=vectors)
+        preds = run_cv(gaussian200, quick_config(use_embedding=False), seed=0)
         assert np.isfinite(preds.probs).all()
 
     def test_patient_grouped_mode(self, gaussian200):
-        records, patients, vectors = gaussian200
         config = quick_config(patient_grouped=True, k_folds=5)
-        preds = run_cv(records, patients, config, seed=0, vectors=vectors)
+        preds = run_cv(gaussian200, config, seed=0)
         assert np.isfinite(preds.probs).all()
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(EvaluationError, match="no records"):
-            run_cv([], {}, quick_config(), seed=0)
+            run_cv(build_cohort([], {}, FeatureConfig()), quick_config(), seed=0)
 
 
 class TestAblationConfig:
@@ -294,7 +287,7 @@ class TestRunAblation:
         base = CVConfig(train=TrainConfig(epochs=25), k_folds=5)
         report = run_ablation(records, patients, base, seeds=1)
         row_cfg = ablation_config(ROW_MULTI_TASK, base)
-        direct = run_cv(records, patients, row_cfg, seed=0)
+        direct = run_cv(build_cohort(records, patients, row_cfg.features), row_cfg, seed=0)
         np.testing.assert_array_equal(
             report.predictions[(ROW_MULTI_TASK, 0)].probs, direct.probs)
         direct_stats = metrics(direct.labels, direct.probs, base.threshold)

@@ -17,14 +17,18 @@ from vtapred import (
     RECENT_NAMES,
     VLF_BAND,
     WINDOWED_NAMES,
+    Cohort,
     FeatureConfig,
     FeatureError,
-    FeatureVector,
+    PatientMeta,
     RRRecord,
     band_power,
     baseline11,
+    build_cohort,
     detect_ectopic,
     extract,
+    feature_names,
+    features,
     fit_standardizer,
     sample_entropy,
     standardize,
@@ -278,27 +282,25 @@ class TestExtract:
         return RRRecord("rec", rng.normal(800.0, 35.0, n), "VTA", "p")
 
     def test_recent_with_windowed_has_seven_features(self):
-        vec = extract(self._record(), FeatureConfig())
-        assert vec.names == RECENT_NAMES + WINDOWED_NAMES
-        assert vec.values.shape == (7,)
+        values = extract(self._record(), FeatureConfig())
+        assert feature_names(FeatureConfig()) == RECENT_NAMES + WINDOWED_NAMES
+        assert values.shape == (7,)
 
     def test_recent_without_windowed_has_five(self):
-        vec = extract(self._record(), FeatureConfig(include_windowed=False))
-        assert vec.names == RECENT_NAMES
+        cfg = FeatureConfig(include_windowed=False)
+        assert feature_names(cfg) == RECENT_NAMES
+        assert extract(self._record(), cfg).shape == (5,)
 
     def test_baseline_panel_has_eleven(self):
         cfg = FeatureConfig(feature_set="baseline11", include_windowed=False)
-        vec = extract(self._record(), cfg)
-        assert vec.names == BASELINE11_NAMES
-        assert vec.values.shape == (11,)
+        values = extract(self._record(), cfg)
+        assert feature_names(cfg) == BASELINE11_NAMES
+        assert values.shape == (11,)
 
     def test_pure_function(self):
         rec = self._record()
         cfg = FeatureConfig()
-        a = extract(rec, cfg)
-        b = extract(rec, cfg)
-        np.testing.assert_array_equal(a.values, b.values)
-        assert a.names == b.names
+        np.testing.assert_array_equal(extract(rec, cfg), extract(rec, cfg))
 
     def test_error_names_the_record(self):
         rec = RRRecord("tiny", np.full(40, 800.0), "Control", "p")
@@ -311,23 +313,45 @@ class TestExtract:
         x = rng.normal(800.0, 10.0, 300)
         x[-20] = 1500.0
         rec = RRRecord("r", x, "VTA", "p")
-        vec = extract(rec, FeatureConfig())
-        by_name = dict(zip(vec.names, vec.values))
+        cfg = FeatureConfig()
+        by_name = dict(zip(feature_names(cfg), extract(rec, cfg)))
         assert by_name["delta_ectopic_count"] >= 1.0
 
+    def test_rejects_nan_naming_the_feature(self, monkeypatch):
+        monkeypatch.setattr(features, "band_power", lambda *args, **kwargs: float("nan"))
+        with pytest.raises(FeatureError, match="record 'rec': non-finite value for feature 'lf_power'"):
+            extract(self._record(), FeatureConfig())
 
-class TestFeatureVector:
-    def test_rejects_nan_naming_the_feature(self):
-        with pytest.raises(FeatureError, match="non-finite value for feature 'b'"):
-            FeatureVector("r", ("a", "b"), np.array([1.0, np.nan]))
 
-    def test_rejects_length_mismatch(self):
-        with pytest.raises(FeatureError, match="length mismatch"):
-            FeatureVector("r", ("a", "b"), np.array([1.0]))
+class TestBuildCohort:
+    def test_rows_follow_records_and_encode_unknowns(self):
+        rng = np.random.default_rng(3)
+        records = [
+            RRRecord("r1", rng.normal(800.0, 35.0, 300), "VTA", "p1"),
+            RRRecord("r2", rng.normal(800.0, 35.0, 300), "Control", "p2"),
+        ]
+        patients = {
+            "p1": PatientMeta("p1", 1950, 3, 25.0),
+            "p2": PatientMeta("p2"),
+            "p3": PatientMeta("p3", 1970),  # no record, but its decade is in the vocabulary
+        }
+        cohort = build_cohort(records, patients, FeatureConfig())
+        np.testing.assert_array_equal(cohort.X, np.stack([extract(rec) for rec in records]))
+        assert cohort.names == feature_names(FeatureConfig())
+        assert cohort.record_ids == ("r1", "r2")
+        assert cohort.patient_ids == ("p1", "p2")
+        assert cohort.y_vta.tolist() == [1, 0]
+        assert cohort.decade_index.tolist() == [0, 2]
+        assert cohort.num_decades == 2
+        assert cohort.y_nyhac.tolist() == [2, -1]
+        assert cohort.bmi.tolist() == [25.0, 0.0]
+        assert cohort.bmi_mask.tolist() == [True, False]
 
-    def test_rejects_duplicate_names(self):
-        with pytest.raises(FeatureError, match="duplicate"):
-            FeatureVector("r", ("a", "a"), np.array([1.0, 2.0]))
+    def test_empty_record_list(self):
+        cohort = build_cohort([], {}, FeatureConfig(include_windowed=False))
+        assert len(cohort) == 0
+        assert cohort.X.shape == (0, 5)
+        assert cohort.num_decades == 1
 
 
 class TestStandardizer:
@@ -364,45 +388,30 @@ class TestStandardizer:
             out = standardize(std, row)
             assert np.all(out >= 0.0) and np.all(out <= 1.0)
 
-    def test_fit_accepts_feature_vectors(self):
-        vecs = [FeatureVector("a", ("x",), np.array([1.0])), FeatureVector("b", ("x",), np.array([3.0]))]
-        std = fit_standardizer(vecs)
-        assert standardize(std, np.array([2.0]))[0] == 0.5
+
+def small_cohort(X, names, record_ids, y_vta) -> Cohort:
+    """A cohort with the given features and labels and no auxiliary targets."""
+    n = len(record_ids)
+    return Cohort(
+        X=np.array(X, dtype=float), names=names, record_ids=record_ids, patient_ids=record_ids,
+        y_vta=np.array(y_vta), decade_index=np.zeros(n, dtype=int), num_decades=1,
+        y_nyhac=np.full(n, -1), bmi=np.zeros(n), bmi_mask=np.zeros(n, dtype=bool),
+    )
 
 
 class TestFeatureMatrixExport:
     def test_round_trip_format(self, tmp_path):
-        recs = [
-            RRRecord("r1", np.full(10, 800.0), "VTA", "p1"),
-            RRRecord("r2", np.full(10, 700.0), "Control", "p2"),
-        ]
-        vecs = [
-            FeatureVector("r1", ("f1", "f2"), np.array([1.0, 0.123456789])),
-            FeatureVector("r2", ("f1", "f2"), np.array([2.0, 1e-7])),
-        ]
+        cohort = small_cohort([[1.0, 0.123456789], [2.0, 1e-7]], ("f1", "f2"), ("r1", "r2"), [1, 0])
         out = tmp_path / "features.csv"
-        write_feature_matrix(out, recs, vecs)
+        write_feature_matrix(out, cohort)
         lines = out.read_text().splitlines()
         assert lines[0] == "record_id,label,f1,f2"
         assert lines[1] == "r1,VTA,1,0.123457"
         assert lines[2] == "r2,Control,2,1e-07"
 
-    def test_mismatched_lengths_rejected(self, tmp_path):
-        rec = RRRecord("r1", np.full(10, 800.0), "VTA", "p1")
+    def test_mismatched_lengths_rejected(self):
         with pytest.raises(FeatureError, match="aligned"):
-            write_feature_matrix(tmp_path / "x.csv", [rec], [])
-
-    def test_mixed_feature_sets_rejected(self, tmp_path):
-        recs = [
-            RRRecord("r1", np.full(10, 800.0), "VTA", "p1"),
-            RRRecord("r2", np.full(10, 700.0), "Control", "p2"),
-        ]
-        vecs = [
-            FeatureVector("r1", ("f1",), np.array([1.0])),
-            FeatureVector("r2", ("f2",), np.array([2.0])),
-        ]
-        with pytest.raises(FeatureError, match="one feature set"):
-            write_feature_matrix(tmp_path / "x.csv", recs, vecs)
+            small_cohort(np.empty((0, 1)), ("f1",), ("r1",), [1])
 
 
 class TestFeatureConfigValidation:

@@ -5,17 +5,18 @@ import math
 import numpy as np
 import pytest
 
+from batches import make_batch, random_batch
 from oracles import finite_difference_grads, max_relative_error
 from vtapred import (
-    Batch,
     CheckpointError,
-    Example,
+    Cohort,
     NetworkConfig,
     NetworkError,
     NetworkParams,
     TrainConfig,
     backward,
     draw_dropout_masks,
+    fit_standardizer,
     forward,
     init_params,
     load_checkpoint,
@@ -24,6 +25,7 @@ from vtapred import (
     save_checkpoint,
     train,
 )
+from vtapred.evaluation import build_examples
 from vtapred.network import CHECKPOINT_MAGIC, tensor_shapes
 
 
@@ -35,16 +37,6 @@ def small_config(**overrides) -> NetworkConfig:
 
 def zero_params(config: NetworkConfig) -> NetworkParams:
     return NetworkParams(config, {k: np.zeros(s) for k, s in tensor_shapes(config).items()})
-
-
-def random_example(rng, config: NetworkConfig, with_aux: bool = True) -> Example:
-    return Example(
-        features=rng.random(config.num_features),
-        decade_index=int(rng.integers(0, config.embedding_rows)),
-        y_vta=int(rng.integers(0, 2)),
-        y_nyhac=int(rng.integers(0, 4)) if with_aux and rng.random() < 0.7 else None,
-        y_bmi=float(rng.random()) if with_aux and rng.random() < 0.7 else None,
-    )
 
 
 class TestForward:
@@ -147,7 +139,7 @@ class TestInit:
 class TestLoss:
     def test_uniform_probs_cost_log_two(self):
         params = zero_params(small_config())
-        batch = Batch.from_examples([Example(np.zeros(4), 0, y_vta=1)])
+        batch = make_batch([np.zeros(4)], [0], [1])
         outputs, _ = forward(params, batch.features, batch.decade_index)
         total, parts = loss(outputs, batch)
         assert parts["vta"] == pytest.approx(math.log(2.0), rel=1e-12)
@@ -155,7 +147,7 @@ class TestLoss:
 
     def test_absent_auxiliaries_leave_pure_event_loss(self, rng):
         params = init_params(small_config(), rng)
-        batch = Batch.from_examples([Example(rng.random(4), 1, y_vta=0)])
+        batch = make_batch([rng.random(4)], [1], [0])
         outputs, _ = forward(params, batch.features, batch.decade_index)
         total, parts = loss(outputs, batch)
         assert parts["nyhac"] == 0.0
@@ -165,22 +157,21 @@ class TestLoss:
     def test_exact_bmi_prediction_costs_nothing(self):
         # zero network predicts 0; a 0 target makes the squared error vanish
         params = zero_params(small_config())
-        batch = Batch.from_examples([Example(np.zeros(4), 0, y_vta=0, y_bmi=0.0)])
+        batch = make_batch([np.zeros(4)], [0], [0], y_bmi=[0.0])
         outputs, _ = forward(params, batch.features, batch.decade_index)
         _, parts = loss(outputs, batch)
         assert parts["bmi"] == 0.0
 
     def test_parts_always_sum_to_total(self, rng):
         params = init_params(small_config(), rng)
-        examples = [random_example(rng, params.config) for _ in range(12)]
-        batch = Batch.from_examples(examples)
+        batch = random_batch(rng, params.config, 12)
         outputs, _ = forward(params, batch.features, batch.decade_index)
         total, parts = loss(outputs, batch, lam_nyhac=0.7, lam_bmi=1.3)
         assert total == parts["vta"] + parts["nyhac"] + parts["bmi"]
 
     def test_lambda_scales_linearly(self, rng):
         params = init_params(small_config(), rng)
-        batch = Batch.from_examples([Example(rng.random(4), 0, 1, y_nyhac=2, y_bmi=0.4)])
+        batch = make_batch([rng.random(4)], [0], [1], [2], [0.4])
         outputs, _ = forward(params, batch.features, batch.decade_index)
         _, base = loss(outputs, batch, lam_nyhac=1.0, lam_bmi=1.0)
         _, doubled = loss(outputs, batch, lam_nyhac=2.0, lam_bmi=2.0)
@@ -190,7 +181,7 @@ class TestLoss:
 
     def test_zero_lambda_removes_terms(self, rng):
         params = init_params(small_config(), rng)
-        batch = Batch.from_examples([Example(rng.random(4), 0, 1, y_nyhac=2, y_bmi=0.4)])
+        batch = make_batch([rng.random(4)], [0], [1], [2], [0.4])
         outputs, _ = forward(params, batch.features, batch.decade_index)
         total, parts = loss(outputs, batch, lam_nyhac=0.0, lam_bmi=0.0)
         assert parts["nyhac"] == 0.0 and parts["bmi"] == 0.0
@@ -200,7 +191,7 @@ class TestLoss:
 class TestBackward:
     def test_event_head_delta_is_probs_minus_onehot(self, rng):
         params = init_params(small_config(), rng)
-        batch = Batch.from_examples([Example(rng.random(4), 1, y_vta=1)])
+        batch = make_batch([rng.random(4)], [1], [1])
         outputs, cache = forward(params, batch.features, batch.decade_index)
         grads = backward(params, cache, batch)
         expected = outputs["vta_probs"][0] - np.array([0.0, 1.0])
@@ -214,7 +205,7 @@ class TestBackward:
             cfg = small_config()
             params = init_params(cfg, rng)
             n = int(rng.integers(1, 4))
-            batch = Batch.from_examples([random_example(rng, cfg) for _ in range(n)])
+            batch = random_batch(rng, cfg, n)
             masks = draw_dropout_masks(cfg, n, 0.75, rng) if trial % 3 == 0 else None
             lam_n = float(rng.choice([0.0, 0.5, 1.0]))
             lam_b = float(rng.choice([0.0, 1.0, 2.0]))
@@ -232,7 +223,7 @@ class TestBackward:
     def test_masked_input_feature_kills_its_weight_rows(self, rng):
         cfg = small_config()
         params = init_params(cfg, rng)
-        batch = Batch.from_examples([random_example(rng, cfg) for _ in range(3)])
+        batch = random_batch(rng, cfg, 3)
         masks = draw_dropout_masks(cfg, 3, 0.75, rng)
         j = 2
         masks["input"][:, j] = 0.0
@@ -243,9 +234,7 @@ class TestBackward:
     def test_absent_auxiliaries_match_single_task_gradients(self, rng):
         cfg = small_config()
         params = init_params(cfg, rng)
-        batch = Batch.from_examples(
-            [Example(rng.random(4), int(rng.integers(0, 3)), int(rng.integers(0, 2))) for _ in range(5)]
-        )
+        batch = make_batch(rng.random((5, 4)), rng.integers(0, 3, 5), rng.integers(0, 2, 5))
         _, cache = forward(params, batch.features, batch.decade_index)
         multi = backward(params, cache, batch, lam_nyhac=1.0, lam_bmi=1.0)
         single = backward(params, cache, batch, lam_nyhac=0.0, lam_bmi=0.0)
@@ -258,7 +247,7 @@ class TestBackward:
     def test_embedding_gradient_is_local_to_used_rows(self, rng):
         cfg = small_config()
         params = init_params(cfg, rng)
-        batch = Batch.from_examples([Example(rng.random(4), 1, 1) for _ in range(4)])
+        batch = make_batch(rng.random((4, 4)), [1] * 4, [1] * 4)
         _, cache = forward(params, batch.features, batch.decade_index)
         grads = backward(params, cache, batch)
         assert grads["embedding"][1].any()
@@ -269,8 +258,8 @@ class TestBackward:
         cfg = small_config()
         params = init_params(cfg, rng)
         before = params.tensors["embedding"].copy()
-        examples = [Example(rng.random(4), 2, int(rng.integers(0, 2))) for _ in range(8)]
-        train(examples, TrainConfig(epochs=30, keep_prob=1.0), params, np.random.default_rng(5))
+        batch = make_batch(rng.random((8, 4)), [2] * 8, rng.integers(0, 2, 8))
+        train(batch, TrainConfig(epochs=30, keep_prob=1.0), params, np.random.default_rng(5))
         after = params.tensors["embedding"]
         np.testing.assert_array_equal(after[0], before[0])
         np.testing.assert_array_equal(after[1], before[1])
@@ -308,27 +297,36 @@ class TestDropoutMasks:
             draw_dropout_masks(small_config(), 4, 0.0, rng)
 
 
+def two_row_cohort() -> Cohort:
+    """Row r1 knows every target; row r2 has no functional class and no BMI."""
+    return Cohort(
+        X=np.zeros((2, 4)), names=("a", "b", "c", "d"), record_ids=("r1", "r2"),
+        patient_ids=("p1", "p2"), y_vta=np.array([1, 0]), decade_index=np.array([0, 1]),
+        num_decades=1, y_nyhac=np.array([3, -1]), bmi=np.array([25.0, 0.0]),
+        bmi_mask=np.array([True, False]),
+    )
+
+
 class TestBatch:
     def test_missing_targets_become_masks(self):
-        batch = Batch.from_examples([
-            Example(np.zeros(4), 0, 1, y_nyhac=3, y_bmi=0.5),
-            Example(np.zeros(4), 1, 0),
-        ])
+        cohort = two_row_cohort()
+        bmi_standardizer = fit_standardizer(np.array([20.0, 30.0]))
+        batch = build_examples(cohort, np.arange(2), fit_standardizer(cohort.X), bmi_standardizer)
         assert batch.y_nyhac.tolist() == [3, -1]
         assert batch.bmi_mask.tolist() == [True, False]
         assert batch.y_bmi.tolist() == [0.5, 0.0]
         assert len(batch) == 2
 
     def test_empty_batch_rejected(self):
+        cohort = two_row_cohort()
         with pytest.raises(NetworkError, match="zero examples"):
-            Batch.from_examples([])
+            build_examples(cohort, np.array([], dtype=int), fit_standardizer(cohort.X), None)
 
 
 class TestPredict:
     def test_returns_event_probabilities(self, rng):
         params = init_params(small_config(), rng)
-        examples = [random_example(rng, params.config, with_aux=False) for _ in range(7)]
-        probs = predict(params, examples)
+        probs = predict(params, random_batch(rng, params.config, 7, with_aux=False))
         assert probs.shape == (7,)
         assert np.all((probs > 0.0) & (probs < 1.0))
 

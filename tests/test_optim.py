@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
+from batches import make_batch
 from oracles import adadelta_scalar_step
 from vtapred import (
     AdaDeltaState,
-    Example,
+    Batch,
     NetworkConfig,
     NetworkParams,
     TrainConfig,
@@ -18,7 +19,7 @@ from vtapred import (
     train,
     write_loss_history,
 )
-from vtapred.network import forward, loss, Batch
+from vtapred.network import forward
 
 
 def tiny_params(values: dict[str, np.ndarray]) -> NetworkParams:
@@ -117,14 +118,11 @@ class TestAdaDeltaStep:
             assert (state.sq_delta["w"] >= 0.0).all()
 
 
-def separable_examples(n: int = 60, seed: int = 4) -> list[Example]:
+def separable_batch(n: int = 60, seed: int = 4) -> Batch:
     rng = np.random.default_rng(seed)
-    out = []
-    for i in range(n):
-        y = i % 2
-        center = 0.75 if y else 0.25
-        out.append(Example(np.clip(rng.normal(center, 0.06, 5), 0.0, 1.0), 0, y_vta=y))
-    return out
+    y = np.arange(n) % 2
+    features = [np.clip(rng.normal(0.75 if label else 0.25, 0.06, 5), 0.0, 1.0) for label in y]
+    return make_batch(features, np.zeros(n), y)
 
 
 class TestTrain:
@@ -132,12 +130,12 @@ class TestTrain:
         return NetworkConfig(num_features=5, use_embedding=False, hidden=(12, 8, 4))
 
     def test_bit_identical_given_same_seed(self):
-        examples = separable_examples()
+        batch = separable_batch()
         cfg = TrainConfig(epochs=40)
         runs = []
         for _ in range(2):
             params = init_params(self._config(), np.random.default_rng(21))
-            trained, history = train(examples, cfg, params, np.random.default_rng(9))
+            trained, history = train(batch, cfg, params, np.random.default_rng(9))
             runs.append((trained, history))
         a, b = runs
         for name in a[0].tensors:
@@ -147,7 +145,7 @@ class TestTrain:
     def test_zero_epochs_is_identity(self, rng):
         params = init_params(self._config(), rng)
         before = {k: v.copy() for k, v in params.tensors.items()}
-        trained, history = train(separable_examples(), TrainConfig(epochs=0), params, rng)
+        trained, history = train(separable_batch(), TrainConfig(epochs=0), params, rng)
         assert history == []
         for name, tensor in trained.tensors.items():
             np.testing.assert_array_equal(tensor, before[name])
@@ -155,13 +153,13 @@ class TestTrain:
     def test_loss_decreases_end_to_end(self, rng):
         params = init_params(self._config(), rng)
         _, history = train(
-            separable_examples(), TrainConfig(epochs=250, keep_prob=1.0), params, rng
+            separable_batch(), TrainConfig(epochs=250, keep_prob=1.0), params, rng
         )
         assert history[-1]["loss"] < history[0]["loss"]
 
     def test_history_is_finite_and_clipped(self, rng):
         params = init_params(self._config(), rng)
-        _, history = train(separable_examples(), TrainConfig(epochs=60), params, rng)
+        _, history = train(separable_batch(), TrainConfig(epochs=60), params, rng)
         assert len(history) == 60
         for row in history:
             assert np.isfinite(row["loss"])
@@ -171,7 +169,7 @@ class TestTrain:
     def test_norm_clipping_mode_also_bounds_gradients(self, rng):
         params = init_params(self._config(), rng)
         _, history = train(
-            separable_examples(), TrainConfig(epochs=20, clip_mode="norm"), params, rng
+            separable_batch(), TrainConfig(epochs=20, clip_mode="norm"), params, rng
         )
         for row in history:
             assert row["max_grad"] <= 0.1 + 1e-15
@@ -180,19 +178,18 @@ class TestTrain:
         params = init_params(self._config(), rng)
         params.tensors["W1"][0, 0] = np.nan
         with pytest.raises(TrainingError, match="non-finite loss at epoch 0"):
-            train(separable_examples(), TrainConfig(epochs=5), params, rng)
+            train(separable_batch(), TrainConfig(epochs=5), params, rng)
 
     def test_accepts_prebuilt_batch(self, rng):
         params = init_params(self._config(), rng)
-        batch = Batch.from_examples(separable_examples())
+        batch = separable_batch()
         _, history = train(batch, TrainConfig(epochs=3), params, rng)
         assert len(history) == 3
 
     def test_training_accuracy_on_easy_task(self, rng):
-        examples = separable_examples(n=80)
+        batch = separable_batch(n=80)
         params = init_params(self._config(), rng)
-        train(examples, TrainConfig(epochs=300), params, np.random.default_rng(2))
-        batch = Batch.from_examples(examples)
+        train(batch, TrainConfig(epochs=300), params, np.random.default_rng(2))
         outputs, _ = forward(params, batch.features)
         predicted = (outputs["vta_probs"][:, 1] >= 0.5).astype(int)
         assert (predicted == batch.y_vta).mean() >= 0.95
@@ -224,7 +221,7 @@ class TestTrainConfigValidation:
 class TestLossHistoryExport:
     def test_csv_layout(self, tmp_path, rng):
         params = init_params(NetworkConfig(num_features=5, use_embedding=False, hidden=(6, 4, 3)), rng)
-        _, history = train(separable_examples(n=20), TrainConfig(epochs=4), params, rng)
+        _, history = train(separable_batch(n=20), TrainConfig(epochs=4), params, rng)
         out = tmp_path / "loss.csv"
         write_loss_history(out, history)
         lines = out.read_text().splitlines()

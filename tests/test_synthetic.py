@@ -8,27 +8,24 @@ from vtapred.synthetic import gaussian_task, write_tachogram_dataset
 
 class TestGaussianTask:
     def test_shapes_and_alternating_classes(self):
-        records, patients, vectors = gaussian_task(50, seed=0)
-        assert len(records) == 50
-        assert len(vectors) == 50
-        labels = [rec.label for rec in records]
-        assert labels[0::2] == ["VTA"] * 25
-        assert labels[1::2] == ["Control"] * 25
-        for rec in records:
-            assert rec.patient_id in patients
+        cohort = gaussian_task(50, seed=0)
+        assert len(cohort) == 50
+        assert cohort.X.shape == (50, 7)
+        assert cohort.y_vta[0::2].tolist() == [1] * 25
+        assert cohort.y_vta[1::2].tolist() == [0] * 25
+        assert len(set(cohort.patient_ids)) == 50
+        assert cohort.decade_index.max() < cohort.num_decades
 
     def test_deterministic(self):
-        a = gaussian_task(30, seed=7)[2]
-        b = gaussian_task(30, seed=7)[2]
-        for rid in a:
-            np.testing.assert_array_equal(a[rid].values, b[rid].values)
+        a = gaussian_task(30, seed=7)
+        b = gaussian_task(30, seed=7)
+        np.testing.assert_array_equal(a.X, b.X)
 
     def test_classes_are_separable_in_feature_space(self):
-        records, _, vectors = gaussian_task(100, seed=1)
-        means = {"VTA": [], "Control": []}
-        for rec in records:
-            means[rec.label].append(vectors[rec.record_id].values)
-        gap = np.abs(np.mean(means["VTA"], axis=0) - np.mean(means["Control"], axis=0))
+        cohort = gaussian_task(100, seed=1)
+        events = cohort.X[cohort.y_vta == 1]
+        controls = cohort.X[cohort.y_vta == 0]
+        gap = np.abs(events.mean(axis=0) - controls.mean(axis=0))
         assert gap.min() > 1.0  # centers sit at +-1 with sigma well below 1
 
 
