@@ -30,6 +30,7 @@ FEATURE_SETS = (FEATURE_SET_RECENT, FEATURE_SET_BASELINE11)
 
 FREQ_GRID_STEP_HZ = 0.005
 VLF_BAND = (0.003, 0.04)
+SAMPEN_OFFSET_BLOCK = 16  # sorted partner offsets that sample_entropy checks per step
 
 RECENT_NAMES = ("mean_rr", "lf_power", "hf_power", "min_rr", "max_rr")
 WINDOWED_NAMES = ("delta_mean_rr", "delta_ectopic_count")
@@ -174,29 +175,52 @@ def windowed_diff(intervals_ms, ectopic_mask, window_beats: int = 250) -> tuple[
 def sample_entropy(intervals_ms, m: int = 2, r: float | None = None) -> float:
     """Sample entropy with Chebyshev distance and self-matches excluded.
 
-    ``r`` defaults to 0.2 * sample standard deviation.  Degenerate counts get
+    ``m`` must be at least 1 and ``r`` finite and non-negative; ``r``
+    defaults to 0.2 * sample standard deviation.  Degenerate counts get
     the usual conventions: no template matches at length m returns 0, and no
     matches at length m+1 returns the maximum resolvable value
-    ``log(n*(n-1)/2)`` for n = N - m template pairs.
+    ``log(N*(N-1)/2)`` for the N = n - m templates.
+
+    The pair counts are exact (Richman & Moorman 2000), found by a
+    sort-and-sweep as in Pan et al. 2011.  The template start values are
+    sorted once; a pair can match only if its first coordinates lie within
+    ``r``, and such pairs sit at small offsets in sorted order.  Offsets are
+    swept in blocks of ``SAMPEN_OFFSET_BLOCK``, checking every coordinate of
+    each pair with the same ``abs(x_i - x_j) <= r`` test, until a block
+    admits no pair.  Memory is O(n); time is O(n * w) for w the most start
+    values within ``r`` of one of them, so O(n^2) when all lie within ``r``.
     """
     x = np.asarray(intervals_ms, dtype=float)
     n = x.size
+    if m < 1:
+        raise FeatureError(f"sample entropy needs m >= 1, got m={m}")
     if n < m + 2:
         raise FeatureError(f"need at least {m + 2} beats for sample entropy with m={m}")
     if r is None:
         r = 0.2 * float(np.std(x, ddof=1))
-    # Chebyshev distances between templates, built from the pairwise
-    # point distances by taking maxima along the diagonal offsets.
-    point = np.abs(x[:, None] - x[None, :])
-    cheb = point
-    for k in range(1, m):
-        cheb = np.maximum(cheb[:-1, :-1], point[k:, k:])
+    if not (np.isfinite(r) and r >= 0):
+        raise FeatureError(f"sample entropy needs a finite radius r >= 0, got r={r}")
     n_templates = n - m
-    cheb_m = cheb[:n_templates, :n_templates]
-    cheb_m1 = np.maximum(cheb[: n - m, : n - m], point[m:, m:])
-    # Pair counts over i < j; the diagonal always matches itself, drop it.
-    matches_m = (np.count_nonzero(cheb_m <= r) - n_templates) // 2
-    matches_m1 = (np.count_nonzero(cheb_m1 <= r) - n_templates) // 2
+    block = SAMPEN_OFFSET_BLOCK
+    order = np.argsort(x[:n_templates], kind="stable")
+    # coords[k, p]: coordinate k of the template at sorted position p; the
+    # +inf tail keeps partners past the last template from ever matching
+    coords = np.full((m + 1, n_templates + block), np.inf)
+    coords[:, :n_templates] = x[order + np.arange(m + 1)[:, None]]
+    # partners[k, p, t] is coords[k, p + t], a view
+    partners = np.lib.stride_tricks.sliding_window_view(coords, block, axis=1)
+    matches_m = matches_m1 = 0
+    for offset in range(1, n_templates, block):
+        rows = n_templates - offset
+        # the sorted gap is non-negative, so it equals abs(x_i - x_j) exactly
+        close = partners[0, offset:n_templates] - coords[0, :rows, None] <= r
+        if not close.any():
+            break  # sorted gaps only grow with the offset
+        for k in range(1, m):
+            close &= np.abs(partners[k, offset:n_templates] - coords[k, :rows, None]) <= r
+        matches_m += np.count_nonzero(close)
+        close &= np.abs(partners[m, offset:n_templates] - coords[m, :rows, None]) <= r
+        matches_m1 += np.count_nonzero(close)
     if matches_m == 0:
         return 0.0
     if matches_m1 == 0:

@@ -1,6 +1,7 @@
 """Feature extraction tests: ectopic filtering, spectra, windows, panels."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -128,7 +129,10 @@ class TestBandPower:
             in_band = lomb_periodogram(t, y, np.arange(widest[0] + 0.0005, widest[1], 0.0005))
             other = (0.15, 0.40) if widest == (0.04, 0.15) else (0.04, 0.15)
             out_band = lomb_periodogram(t, y, np.arange(other[0] + 0.0005, other[1], 0.0005))
-            assert np.trapezoid(in_band) > 10.0 * np.trapezoid(out_band)
+            # unit-spaced trapezoid sums; both grids share one step
+            in_power = np.sum((in_band[1:] + in_band[:-1]) / 2.0)
+            out_power = np.sum((out_band[1:] + out_band[:-1]) / 2.0)
+            assert in_power > 10.0 * out_power
 
     def test_matches_direct_formula_on_shared_grid(self, rng):
         for _ in range(8):
@@ -222,6 +226,12 @@ class TestWindowedDiff:
             windowed_diff(x, mask, 250)
 
 
+def _entropy_inputs(rng, n):
+    """Continuous, integer-ms and coarsely quantized RR values of length n."""
+    x = rng.normal(800.0, 50.0, n)
+    return {"continuous": x, "integer_ms": np.round(x), "quantized": np.round(x / 40.0) * 40.0}
+
+
 class TestBaseline11:
     def test_names_and_length(self):
         panel = baseline11(np.random.default_rng(0).normal(800.0, 40.0, 120))
@@ -259,17 +269,80 @@ class TestBaseline11:
             assert panel["poincare_sd2"] == pytest.approx(sd2, rel=1e-12)
 
     def test_sample_entropy_matches_loop_oracle(self, rng):
-        for _ in range(25):
-            x = rng.normal(800.0, 50.0, rng.integers(12, 40))
-            assert sample_entropy(x) == pytest.approx(sample_entropy_loops(x), rel=1e-12)
+        # the match counts are integers, so the values agree exactly
+        for m in (1, 2, 3):
+            for n in (m + 2, m + 3, m + 5, 17, 40, 95, 200):
+                for kind, x in _entropy_inputs(rng, n).items():
+                    for r in (None, 0.0, 20.0):
+                        assert sample_entropy(x, m=m, r=r) == sample_entropy_loops(x, m=m, r=r), (m, n, kind, r)
 
     def test_sample_entropy_custom_radius(self, rng):
         x = rng.normal(800.0, 50.0, 30)
-        assert sample_entropy(x, r=25.0) == pytest.approx(sample_entropy_loops(x, r=25.0), rel=1e-12)
+        assert sample_entropy(x, r=25.0) == sample_entropy_loops(x, r=25.0)
 
     def test_sample_entropy_too_short(self):
         with pytest.raises(FeatureError, match="sample entropy"):
             sample_entropy([800.0, 810.0, 790.0])
+
+    @pytest.mark.parametrize("block", [1, 2, 3])
+    def test_sample_entropy_block_size_does_not_change_counts(self, rng, monkeypatch, block):
+        # blocks narrower than the r-window force many sweep steps and a
+        # ragged last block
+        monkeypatch.setattr(features, "SAMPEN_OFFSET_BLOCK", block)
+        for n in (4, 5, 33, 120):
+            for x in _entropy_inputs(rng, n).values():
+                for m in range(1, min(3, n - 2) + 1):
+                    assert sample_entropy(x, m=m) == sample_entropy_loops(x, m=m)
+
+    def test_sample_entropy_constant_sequence(self):
+        # r = 0 and every pair matches at both lengths: -log(1)
+        x = np.full(150, 800.0)
+        assert sample_entropy(x) == sample_entropy_loops(x) == 0.0
+
+    def test_sample_entropy_without_template_match_is_zero(self):
+        x = 800.0 + 10.0 * np.arange(60)
+        assert sample_entropy(x, r=0.0) == sample_entropy_loops(x, r=0.0) == 0.0
+        assert sample_entropy(x, m=1, r=5.0) == sample_entropy_loops(x, m=1, r=5.0) == 0.0
+
+    def test_sample_entropy_without_longer_match_is_log_pair_count(self):
+        # templates (1, 2) at 0 and 2 match; (1, 2, 1) and (1, 2, 9) do not
+        x = [1.0, 2.0, 1.0, 2.0, 9.0]
+        expected = math.log(3 * 2 / 2.0)
+        assert sample_entropy(x, r=0.0) == sample_entropy_loops(x, r=0.0) == expected
+
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_sample_entropy_rejects_template_length_below_one(self, m):
+        with pytest.raises(FeatureError, match="m >= 1"):
+            sample_entropy(np.linspace(700.0, 900.0, 20), m=m)
+
+    @pytest.mark.parametrize("r", [-1.0, -1e-12, float("nan"), float("inf")])
+    def test_sample_entropy_rejects_negative_or_non_finite_radius(self, r):
+        with pytest.raises(FeatureError, match="radius r"):
+            sample_entropy(np.linspace(700.0, 900.0, 20), r=r)
+
+    def test_sample_entropy_holter_length_in_linear_memory(self):
+        # an n x n distance matrix at this length would take about 3 GB
+        x = np.random.default_rng(7).normal(800.0, 40.0, 20_000)
+        tracemalloc.start()
+        try:
+            value = sample_entropy(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert math.isfinite(value) and value > 0.0
+        assert peak < 64 * 2**20
+
+    def test_panel_holter_length_in_linear_memory(self):
+        record = RRRecord("holter", np.random.default_rng(8).normal(800.0, 40.0, 20_000), "Control", "p")
+        cfg = FeatureConfig(feature_set="baseline11", include_windowed=False)
+        tracemalloc.start()
+        try:
+            values = extract(record, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert values.shape == (11,) and np.isfinite(values).all()
+        assert peak < 64 * 2**20
 
     def test_panel_too_short(self):
         with pytest.raises(FeatureError, match="too short for the baseline"):
