@@ -8,6 +8,13 @@ branches of two tanh layers each.  The branches predict the event class
 body-mass index (linear).  Inverted dropout is applied to the input and to
 every hidden layer at training time only.
 
+The parameters live in one flat float64 buffer with the named tensors as
+views (:class:`FlatTensors`), and backward() writes the gradients into a
+buffer of the same layout.  forward() and backward() walk only the branches
+they are asked for (the heads the loss reads, :func:`active_tasks`), and
+write their activations and temporaries into a :class:`Workspace` that a
+caller can keep from one epoch to the next.
+
 Everything here is plain numpy; training lives in ``optim``.
 """
 
@@ -15,6 +22,7 @@ from __future__ import annotations
 
 import json
 import struct
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,13 +86,62 @@ def tensor_shapes(config: NetworkConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
+class FlatTensors(Mapping):
+    """Named float64 tensors that are views into one flat buffer, ``flat``.
+
+    Construction copies the given arrays into a fresh buffer in the given
+    order.  The mapping itself is read-only; write into a tensor in place
+    (``tensors[name][...] = value``) so that view and buffer stay one datum.
+    A whole-buffer operation on ``flat`` touches every tensor in one pass.
+    """
+
+    def __init__(self, tensors: Mapping[str, np.ndarray]):
+        arrays = {name: np.asarray(value, dtype=float) for name, value in tensors.items()}
+        self.flat = np.empty(sum(a.size for a in arrays.values()))
+        self.layout = tuple((name, a.shape) for name, a in arrays.items())
+        self._views: dict[str, np.ndarray] = {}
+        self._ends: dict[str, int] = {}
+        offset = 0
+        for name, a in arrays.items():
+            view = self.flat[offset:offset + a.size].reshape(a.shape)
+            view[...] = a
+            self._views[name] = view
+            offset += a.size
+            self._ends[name] = offset
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self._views[name]
+
+    def __iter__(self):
+        return iter(self._views)
+
+    def __len__(self) -> int:
+        return len(self._views)
+
+    def zeros_like(self) -> "FlatTensors":
+        return FlatTensors({name: np.zeros(shape) for name, shape in self.layout})
+
+    def span(self, names) -> int:
+        """Length of the shortest prefix of ``flat`` that holds every tensor in ``names``."""
+        return max(self._ends[name] for name in names)
+
+
 @dataclass(eq=False)
 class NetworkParams:
+    """The network's tensors, in declared order, as one :class:`FlatTensors`.
+
+    ``tensors`` may be given as any mapping of arrays; it is copied into one
+    flat buffer, so every tensor is a view of ``tensors.flat``.
+    """
+
     config: NetworkConfig
-    tensors: dict[str, np.ndarray]
+    tensors: FlatTensors
+
+    def __post_init__(self):
+        self.tensors = FlatTensors(self.tensors)
 
     def copy(self) -> "NetworkParams":
-        return NetworkParams(self.config, {k: v.copy() for k, v in self.tensors.items()})
+        return NetworkParams(self.config, self.tensors)
 
 
 def init_params(config: NetworkConfig, rng: np.random.Generator) -> NetworkParams:
@@ -131,6 +188,12 @@ class Batch:
 DROPOUT_LAYERS = ("input", "h1") + tuple(f"{t}_{layer}" for t in TASKS for layer in ("h2", "h3"))
 
 
+def branch_of(name: str) -> str | None:
+    """The task whose branch owns a tensor or dropout layer; None when it is shared."""
+    task = name.partition("_")[0]
+    return task if task in TASKS else None
+
+
 def dropout_layout(config: NetworkConfig) -> list[tuple[str, int]]:
     h1, h2, h3 = config.hidden
     widths = {"input": config.input_dim, "h1": h1}
@@ -140,24 +203,72 @@ def dropout_layout(config: NetworkConfig) -> list[tuple[str, int]]:
     return [(name, widths[name]) for name in DROPOUT_LAYERS]
 
 
+class Workspace:
+    """Scratch arrays reused from call to call, one per name.
+
+    ``work(name, shape)`` returns the array kept under ``name``, or a new
+    uninitialized one when there is none of that shape yet.  A fresh
+    Workspace allocates exactly what one call needs; one that the caller
+    keeps (``optim.train`` keeps one per fit) makes later calls with the same
+    batch size write into the same memory.
+    """
+
+    def __init__(self):
+        self._arrays: dict[str, np.ndarray] = {}
+
+    def __call__(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
+        array = self._arrays.get(name)
+        if array is None or array.shape != shape:
+            array = self._arrays[name] = np.empty(shape)
+        return array
+
+
+def active_tasks(batch: Batch, lam_nyhac: float = 1.0, lam_bmi: float = 1.0) -> tuple[str, ...]:
+    """The heads the loss reads, in TASKS order.
+
+    The event head always counts; an auxiliary head counts when its weight
+    is nonzero and at least one row of the batch has its target.  Every
+    other head adds exactly zero to the loss and to every gradient.
+    """
+    tasks = ["vta"]
+    if lam_nyhac != 0.0 and (batch.y_nyhac >= 0).any():
+        tasks.append("nyhac")
+    if lam_bmi != 0.0 and batch.bmi_mask.any():
+        tasks.append("bmi")
+    return tuple(tasks)
+
+
 def draw_dropout_masks(
-    config: NetworkConfig, n: int, keep_prob: float, rng: np.random.Generator
+    config: NetworkConfig,
+    n: int,
+    keep_prob: float,
+    rng: np.random.Generator,
+    tasks: tuple[str, ...] = TASKS,
+    work: Workspace | None = None,
 ) -> dict[str, np.ndarray] | None:
     """Fresh inverted-dropout masks for a batch: entries are 0 or 1/keep_prob.
 
     One mask row per example per layer; with keep_prob == 1 no masking is
-    needed and None is returned.
+    needed and None is returned.  The uniform block behind all eight layers
+    is drawn whole, so the random stream does not depend on ``tasks``; only
+    the masks of the shared layers and of the branches in ``tasks`` are
+    built, each C-contiguous, in ``work`` when one is given.
     """
     if not 0.0 < keep_prob <= 1.0:
         raise NetworkError("keep_prob must be in (0, 1]")
     if keep_prob == 1.0:
         return None
+    work = Workspace() if work is None else work
     layout = dropout_layout(config)
-    block = rng.random((n, sum(width for _, width in layout)))
+    block = rng.random(out=work("dropout_block", (n, sum(width for _, width in layout))))
+    scale = 1.0 / keep_prob  # keep * fl(1/p) equals the division keep / p exactly
     masks: dict[str, np.ndarray] = {}
     offset = 0
     for name, width in layout:
-        masks[name] = (block[:, offset:offset + width] < keep_prob) / keep_prob
+        if branch_of(name) in (None, *tasks):
+            mask = np.less(block[:, offset:offset + width], keep_prob, out=work(f"mask_{name}", (n, width)))
+            mask *= scale
+            masks[name] = mask
         offset += width
     return masks
 
@@ -178,6 +289,8 @@ def forward(
     features,
     decade_index=None,
     masks: dict[str, np.ndarray] | None = None,
+    tasks: tuple[str, ...] = TASKS,
+    work: Workspace | None = None,
 ) -> tuple[dict, dict]:
     """Run the network on a batch.
 
@@ -188,45 +301,66 @@ def forward(
             embedding, ignored otherwise.
         masks: dropout masks from :func:`draw_dropout_masks`, or None for
             inference.
+        tasks: the branches to compute; the others are skipped and absent
+            from outputs and cache.  Skipping a branch changes no value of
+            the branches that are computed.
+        work: a :class:`Workspace` for the activations.  With one, the
+            arrays in outputs and cache are overwritten by the next call that
+            uses the same workspace.
 
     Returns:
-        (outputs, cache) where outputs has ``vta_probs``, ``vta_logits``,
-        ``nyhac_probs``, ``nyhac_logits`` and ``bmi``, and cache holds the
-        activations backward() needs.
+        (outputs, cache) where outputs has ``vta_probs`` and ``vta_logits``,
+        ``nyhac_probs`` and ``nyhac_logits``, and ``bmi`` for the computed
+        branches, and cache holds the activations backward() needs.
     """
     cfg = params.config
     t = params.tensors
+    work = Workspace() if work is None else work
     x = np.atleast_2d(np.asarray(features, dtype=float))
     if x.shape[1] != cfg.num_features:
         raise NetworkError(f"expected {cfg.num_features} features, got {x.shape[1]}")
+    n = x.shape[0]
     if cfg.use_embedding:
         if decade_index is None:
             raise NetworkError("decade_index is required when the embedding is enabled")
         idx = np.atleast_1d(np.asarray(decade_index, dtype=int))
-        if idx.shape[0] != x.shape[0]:
+        if idx.shape[0] != n:
             raise NetworkError("decade_index length must match the batch")
         if idx.min() < 0 or idx.max() >= cfg.embedding_rows:
             raise NetworkError(f"decade_index outside [0, {cfg.embedding_rows})")
-        x0 = np.concatenate([x, t["embedding"][idx]], axis=1)
+        x0 = work("x0", (n, cfg.input_dim))
+        x0[:, :cfg.num_features] = x
+        x0[:, cfg.num_features:] = t["embedding"][idx]
     else:
         idx = None
         x0 = x
 
     def masked(name: str, value: np.ndarray) -> np.ndarray:
-        return value * masks[name] if masks is not None else value
+        if masks is None:
+            return value
+        return np.multiply(value, masks[name], out=work(f"{name}_dropped", value.shape))
+
+    def dense(name: str, inputs: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
+        out = np.matmul(inputs, weights, out=work(name, (n, weights.shape[1])))
+        out += bias
+        return out
+
+    def tanh_layer(name: str, inputs: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
+        out = dense(name, inputs, weights, bias)
+        return np.tanh(out, out=out)
 
     x0d = masked("input", x0)
-    h1 = np.tanh(x0d @ t["W1"] + t["b1"])
+    h1 = tanh_layer("h1", x0d, t["W1"], t["b1"])
     h1d = masked("h1", h1)
 
     outputs: dict = {}
-    cache: dict = {"x0d": x0d, "h1": h1, "h1d": h1d, "masks": masks, "decade_index": idx}
-    for task in TASKS:
-        h2 = np.tanh(h1d @ t[f"{task}_W2"] + t[f"{task}_b2"])
+    cache: dict = {"x0d": x0d, "h1": h1, "h1d": h1d, "masks": masks, "decade_index": idx, "work": work}
+    for task in tasks:
+        h2 = tanh_layer(f"{task}_h2", h1d, t[f"{task}_W2"], t[f"{task}_b2"])
         h2d = masked(f"{task}_h2", h2)
-        h3 = np.tanh(h2d @ t[f"{task}_W3"] + t[f"{task}_b3"])
+        h3 = tanh_layer(f"{task}_h3", h2d, t[f"{task}_W3"], t[f"{task}_b3"])
         h3d = masked(f"{task}_h3", h3)
-        logits = h3d @ t[f"{task}_Wout"] + t[f"{task}_bout"]
+        logits = dense(f"{task}_logits", h3d, t[f"{task}_Wout"], t[f"{task}_bout"])
         cache[task] = {"h2": h2, "h2d": h2d, "h3": h3, "h3d": h3d}
         if task == "bmi":
             outputs["bmi"] = logits[:, 0]
@@ -256,20 +390,22 @@ def loss(
     the functional-class cross entropy when that target is present, plus
     ``lam_bmi`` times the squared BMI error when that target is present.
     Returns (total, parts) where parts are the three contributions to the
-    mean and always sum to the total.
+    mean and always sum to the total.  Only the heads of
+    :func:`active_tasks` are read from ``outputs``.
     """
     n = len(batch)
+    tasks = active_tasks(batch, lam_nyhac, lam_bmi)
     vta_part = float(np.mean(_cross_entropy_rows(outputs["vta_logits"], batch.y_vta)))
 
     nyhac_part = 0.0
-    present = batch.y_nyhac >= 0
-    if lam_nyhac != 0.0 and present.any():
+    if "nyhac" in tasks:
+        present = batch.y_nyhac >= 0
         safe_targets = np.where(present, batch.y_nyhac, 0)
         ce = _cross_entropy_rows(outputs["nyhac_logits"], safe_targets)
         nyhac_part = float(lam_nyhac * ce[present].sum() / n)
 
     bmi_part = 0.0
-    if lam_bmi != 0.0 and batch.bmi_mask.any():
+    if "bmi" in tasks:
         err = outputs["bmi"] - batch.y_bmi
         bmi_part = float(lam_bmi * (err[batch.bmi_mask] ** 2).sum() / n)
 
@@ -283,78 +419,98 @@ def _one_hot(targets: np.ndarray, width: int) -> np.ndarray:
     return out
 
 
+def _output_delta(task: str, cache: dict, batch: Batch, lam_nyhac: float, lam_bmi: float) -> np.ndarray:
+    """d(mean loss)/d(head output) of one active head."""
+    n = len(batch)
+    if task == "vta":
+        return (cache["vta"]["probs"] - _one_hot(batch.y_vta, TASK_UNITS["vta"])) / n
+    if task == "nyhac":
+        present = batch.y_nyhac >= 0
+        safe_targets = np.where(present, batch.y_nyhac, 0)
+        d = cache["nyhac"]["probs"] - _one_hot(safe_targets, TASK_UNITS["nyhac"])
+        return lam_nyhac * d * present[:, None] / n
+    err = (cache["bmi"]["pred"] - batch.y_bmi) * batch.bmi_mask
+    return (2.0 * lam_bmi * err / n)[:, None]
+
+
 def backward(
     params: NetworkParams,
     cache: dict,
     batch: Batch,
     lam_nyhac: float = 1.0,
     lam_bmi: float = 1.0,
-) -> dict[str, np.ndarray]:
+    out: FlatTensors | None = None,
+) -> FlatTensors:
     """Gradients of the mean batch loss for every tensor.
 
     Softmax + cross entropy collapse to (probs - one_hot) at each head.
-    Branches whose targets are absent (or whose weight is zero) contribute
-    exactly zero, so their tensors receive zero gradient and the shared
-    tensors see only the event-head signal.
+    Only the branches of :func:`active_tasks` are walked: the tensors of
+    every other branch get exactly zero gradient, and the shared tensors see
+    only the active heads' signal.  The gradients are written into ``out``
+    (a :class:`FlatTensors` laid out like ``params.tensors``, which
+    ``optim.train`` allocates once per fit) or into a new one, and the
+    temporaries go to the workspace that forward() used.
     """
     cfg = params.config
     t = params.tensors
-    masks = cache["masks"]
-    n = len(batch)
-    grads = {name: np.zeros_like(tensor) for name, tensor in t.items()}
+    masks, work = cache["masks"], cache["work"]
+    tasks = active_tasks(batch, lam_nyhac, lam_bmi)
+    skipped = [task for task in tasks if task not in cache]
+    if skipped:
+        raise NetworkError(f"forward did not compute the {skipped[0]!r} branch the loss reads")
+    grads = t.zeros_like() if out is None else out
 
-    # Output-layer deltas per task, already scaled for the batch mean.
-    deltas: dict[str, np.ndarray | None] = {}
-    deltas["vta"] = (cache["vta"]["probs"] - _one_hot(batch.y_vta, TASK_UNITS["vta"])) / n
+    def masked(name: str, value: np.ndarray) -> np.ndarray:
+        if masks is not None:
+            value *= masks[name]
+        return value
 
-    present = batch.y_nyhac >= 0
-    if lam_nyhac != 0.0 and present.any():
-        safe_targets = np.where(present, batch.y_nyhac, 0)
-        d = cache["nyhac"]["probs"] - _one_hot(safe_targets, TASK_UNITS["nyhac"])
-        deltas["nyhac"] = lam_nyhac * d * present[:, None] / n
-    else:
-        deltas["nyhac"] = None
+    def through_tanh(name: str, d_h: np.ndarray, h: np.ndarray) -> np.ndarray:
+        """d_h * (1 - h**2), into the workspace array ``name``."""
+        slope = np.square(h, out=work(name, h.shape))
+        np.subtract(1.0, slope, out=slope)
+        return np.multiply(d_h, slope, out=slope)
 
-    if lam_bmi != 0.0 and batch.bmi_mask.any():
-        err = (cache["bmi"]["pred"] - batch.y_bmi) * batch.bmi_mask
-        deltas["bmi"] = (2.0 * lam_bmi * err / n)[:, None]
-    else:
-        deltas["bmi"] = None
+    def matmul(name: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return np.matmul(a, b, out=work(name, (a.shape[0], b.shape[1])))
 
-    d_h1d = np.zeros_like(cache["h1d"])
-    for task in TASKS:
-        d_out = deltas[task]
-        if d_out is None:
-            continue
+    for name, grad in grads.items():
+        if branch_of(name) not in (None, *tasks):
+            grad.fill(0.0)
+    d_h1d = work("d_h1d", cache["h1d"].shape)
+    d_h1d.fill(0.0)
+    for task in tasks:
         c = cache[task]
-        grads[f"{task}_Wout"] = c["h3d"].T @ d_out
-        grads[f"{task}_bout"] = d_out.sum(axis=0)
-        d_h3d = d_out @ t[f"{task}_Wout"].T
-        d_h3 = d_h3d * masks[f"{task}_h3"] if masks is not None else d_h3d
-        d_z3 = d_h3 * (1.0 - c["h3"] ** 2)
-        grads[f"{task}_W3"] = c["h2d"].T @ d_z3
-        grads[f"{task}_b3"] = d_z3.sum(axis=0)
-        d_h2d = d_z3 @ t[f"{task}_W3"].T
-        d_h2 = d_h2d * masks[f"{task}_h2"] if masks is not None else d_h2d
-        d_z2 = d_h2 * (1.0 - c["h2"] ** 2)
-        grads[f"{task}_W2"] = cache["h1d"].T @ d_z2
-        grads[f"{task}_b2"] = d_z2.sum(axis=0)
-        d_h1d += d_z2 @ t[f"{task}_W2"].T
+        d_out = _output_delta(task, cache, batch, lam_nyhac, lam_bmi)
+        np.matmul(c["h3d"].T, d_out, out=grads[f"{task}_Wout"])
+        np.sum(d_out, axis=0, out=grads[f"{task}_bout"])
+        d_h3 = masked(f"{task}_h3", matmul("d_h3", d_out, t[f"{task}_Wout"].T))
+        d_z3 = through_tanh("d_z3", d_h3, c["h3"])
+        np.matmul(c["h2d"].T, d_z3, out=grads[f"{task}_W3"])
+        np.sum(d_z3, axis=0, out=grads[f"{task}_b3"])
+        d_h2 = masked(f"{task}_h2", matmul("d_h2", d_z3, t[f"{task}_W3"].T))
+        d_z2 = through_tanh("d_z2", d_h2, c["h2"])
+        np.matmul(cache["h1d"].T, d_z2, out=grads[f"{task}_W2"])
+        np.sum(d_z2, axis=0, out=grads[f"{task}_b2"])
+        d_h1d += matmul("d_h1d_part", d_z2, t[f"{task}_W2"].T)
 
-    d_h1 = d_h1d * masks["h1"] if masks is not None else d_h1d
-    d_z1 = d_h1 * (1.0 - cache["h1"] ** 2)
-    grads["W1"] = cache["x0d"].T @ d_z1
-    grads["b1"] = d_z1.sum(axis=0)
+    d_h1 = masked("h1", d_h1d)
+    d_z1 = through_tanh("d_z1", d_h1, cache["h1"])
+    np.matmul(cache["x0d"].T, d_z1, out=grads["W1"])
+    np.sum(d_z1, axis=0, out=grads["b1"])
     if cfg.use_embedding:
-        d_x0d = d_z1 @ t["W1"].T
-        d_x0 = d_x0d * masks["input"] if masks is not None else d_x0d
+        d_x0 = masked("input", matmul("d_x0", d_z1, t["W1"].T))
+        grads["embedding"].fill(0.0)
         np.add.at(grads["embedding"], cache["decade_index"], d_x0[:, cfg.num_features:])
     return grads
 
 
 def predict(params: NetworkParams, batch: Batch) -> np.ndarray:
-    """Event-class probabilities for every row of a batch (inference mode)."""
-    outputs, _ = forward(params, batch.features, batch.decade_index)
+    """Event-class probabilities for every row of a batch (inference mode).
+
+    Only the event branch is computed.
+    """
+    outputs, _ = forward(params, batch.features, batch.decade_index, tasks=("vta",))
     return outputs["vta_probs"][:, 1]
 
 
@@ -362,8 +518,8 @@ def save_checkpoint(path, params: NetworkParams, extra: dict | None = None) -> N
     """Serialize parameters: magic, version byte, JSON config echo, tensors.
 
     Layout: 4-byte magic, 1 version byte, little-endian uint32 header length,
-    UTF-8 JSON header, then every tensor as float64 little-endian C-order in
-    declared order.  The header echoes the network config (plus any ``extra``
+    UTF-8 JSON header, then the flat parameter buffer: every tensor as
+    float64 little-endian C-order in declared order.  The header echoes the network config (plus any ``extra``
     run settings) so a reader can rebuild the shapes.
     """
     cfg = params.config
@@ -384,8 +540,7 @@ def save_checkpoint(path, params: NetworkParams, extra: dict | None = None) -> N
         fh.write(bytes([CHECKPOINT_VERSION]))
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
-        for tensor in params.tensors.values():
-            fh.write(np.ascontiguousarray(tensor, dtype="<f8").tobytes())
+        fh.write(params.tensors.flat.astype("<f8", copy=False).tobytes())
 
 
 def load_checkpoint(path, expect_input_dim: int | None = None) -> tuple[NetworkParams, dict]:

@@ -1,22 +1,36 @@
 """Gradient clipping, the AdaDelta update, and the full-batch training loop.
 
-AdaDelta keeps two exponential moving averages per tensor (squared gradients
-and squared updates) and needs no hand-tuned step size; the learning rate is
-a plain multiplier that defaults to 1.  Gradients are clipped element-wise
-before the update so a single wild component cannot derail training.
+AdaDelta keeps two exponential moving averages per parameter (squared
+gradients and squared updates) and needs no hand-tuned step size; the
+learning rate is a plain multiplier that defaults to 1.  Gradients are
+clipped element-wise before the update so a single wild component cannot
+derail training.
+
+The parameters, the gradients and both accumulators are each one flat
+float64 buffer with the named tensors as views (``network.FlatTensors``).
+Clipping, the finite check, the largest gradient and the AdaDelta update are
+therefore one vectorised pass each, element by element in the same operation
+order as a per-tensor loop, and ``train`` stops each pass at the end of the
+last tensor its loss reads.
 """
 
 from __future__ import annotations
 
 import csv
+import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
 
 from .network import (
     Batch,
+    FlatTensors,
     NetworkParams,
+    Workspace,
+    active_tasks,
     backward,
+    branch_of,
     draw_dropout_masks,
     forward,
     loss,
@@ -42,7 +56,7 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
-        if self.clip <= 0:
+        if not self.clip > 0:
             raise ValueError("clip must be positive")
         if self.clip_mode not in ("element", "norm"):
             raise ValueError("clip_mode must be 'element' or 'norm'")
@@ -50,56 +64,101 @@ class TrainConfig:
             raise ValueError("keep_prob must be in (0, 1]")
         if not 0.0 <= self.rho < 1.0:
             raise ValueError("rho must be in [0, 1)")
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
+        if not (self.eps > 0 and math.isfinite(self.eps)):
+            raise ValueError("eps must be positive and finite")
+        if not (self.lr > 0 and math.isfinite(self.lr)):
+            raise ValueError("lr must be positive and finite")
+        for name in ("lam_nyhac", "lam_bmi"):
+            value = getattr(self, name)
+            if not (value >= 0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be finite and >= 0")
 
 
-def clip(gradient: np.ndarray, limit: float) -> np.ndarray:
-    """Clamp every component to [-limit, limit]."""
-    return np.clip(gradient, -limit, limit)
+def clip(gradient: np.ndarray, limit: float, out: np.ndarray | None = None) -> np.ndarray:
+    """Clamp every component to [-limit, limit] (into ``out`` when given)."""
+    return np.clip(gradient, -limit, limit, out=out)
 
 
-def clip_global_norm(grads: dict[str, np.ndarray], limit: float) -> dict[str, np.ndarray]:
-    """Rescale all gradients together so their joint L2 norm is <= limit."""
+def clip_global_norm(grads: Mapping[str, np.ndarray], limit: float) -> Mapping[str, np.ndarray]:
+    """Rescale all gradients together, in place, so their joint L2 norm is <= limit.
+
+    The norm sums each tensor's squares first, then the per-tensor sums in
+    order.  Returns ``grads``.
+    """
     total = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
     if total <= limit or total == 0.0:
         return grads
     scale = limit / total
-    return {name: g * scale for name, g in grads.items()}
+    for g in grads.values():
+        g *= scale
+    return grads
 
 
 class AdaDeltaState:
-    """Per-tensor moving averages of squared gradients and squared updates."""
+    """Moving averages of squared gradients and squared updates, one flat buffer each.
+
+    ``sq_grad`` and ``sq_delta`` are :class:`network.FlatTensors` laid out
+    like the parameters; ``scratch`` holds the two parameter-sized buffers
+    the update works in.
+    """
 
     def __init__(self, params: NetworkParams, rho: float = 0.95, eps: float = 1e-6, lr: float = 1.0):
         self.rho = rho
         self.eps = eps
         self.lr = lr
-        self.sq_grad = {name: np.zeros_like(t) for name, t in params.tensors.items()}
-        self.sq_delta = {name: np.zeros_like(t) for name, t in params.tensors.items()}
+        self.sq_grad = params.tensors.zeros_like()
+        self.sq_delta = params.tensors.zeros_like()
+        self.scratch = (np.empty_like(self.sq_grad.flat), np.empty_like(self.sq_grad.flat))
 
 
-def adadelta_step(state: AdaDeltaState, params: NetworkParams, grads: dict[str, np.ndarray]) -> None:
-    """One in-place AdaDelta update.
+def adadelta_step(
+    state: AdaDeltaState,
+    params: NetworkParams,
+    grads: Mapping[str, np.ndarray],
+    size: int | None = None,
+) -> None:
+    """One in-place AdaDelta update of every parameter.
 
-    For each tensor: accumulate the squared gradient, scale the gradient by
-    the ratio of RMS(previous updates) to RMS(gradients), apply, and then
+    Per element: accumulate the squared gradient, scale the gradient by the
+    ratio of RMS(previous updates) to RMS(gradients), apply, and then
     accumulate the squared update.  Accumulators stay non-negative by
-    construction.  A NaN gradient is a hard error naming the tensor.
+    construction.  A non-finite gradient is a hard error naming the first
+    tensor that holds one, and nothing is updated.  ``grads`` laid out like
+    ``params.tensors`` (as train's are) is used in place; any other mapping
+    is first copied into that layout.
+
+    ``size`` limits the update to the first ``size`` entries of the flat
+    buffers.  It is for a caller whose gradient past them has been zero since
+    ``state`` was created: such a step would leave those parameters and their
+    zero accumulators exactly as they are.
     """
+    if not (isinstance(grads, FlatTensors) and grads.layout == params.tensors.layout):
+        grads = FlatTensors({name: grads[name] for name in params.tensors})
+    live = slice(0, size)
+    g = grads.flat[live]
+    if not np.isfinite(g).all():
+        name = next(name for name, value in grads.items() if not np.isfinite(value).all())
+        raise TrainingError(f"non-finite gradient in tensor {name!r}")
     rho, eps, lr = state.rho, state.eps, state.lr
-    for name, tensor in params.tensors.items():
-        g = grads[name]
-        if not np.all(np.isfinite(g)):
-            raise TrainingError(f"non-finite gradient in tensor {name!r}")
-        sq_g = state.sq_grad[name]
-        sq_d = state.sq_delta[name]
-        sq_g *= rho
-        sq_g += (1.0 - rho) * g * g
-        delta = -(np.sqrt(sq_d + eps) / np.sqrt(sq_g + eps)) * g * lr
-        sq_d *= rho
-        sq_d += (1.0 - rho) * delta * delta
-        tensor += delta
+    sq_g, sq_d = state.sq_grad.flat[live], state.sq_delta.flat[live]
+    delta, tmp = (buffer[live] for buffer in state.scratch)
+    sq_g *= rho
+    np.multiply(g, 1.0 - rho, out=tmp)          # (1 - rho) * g * g
+    tmp *= g
+    sq_g += tmp
+    np.add(sq_d, eps, out=delta)                # -(sqrt(sq_d + eps) / sqrt(sq_g + eps)) * g * lr
+    np.sqrt(delta, out=delta)
+    np.add(sq_g, eps, out=tmp)
+    np.sqrt(tmp, out=tmp)
+    delta /= tmp
+    np.negative(delta, out=delta)
+    delta *= g
+    delta *= lr
+    sq_d *= rho
+    np.multiply(delta, 1.0 - rho, out=tmp)      # (1 - rho) * delta * delta
+    tmp *= delta
+    sq_d += tmp
+    params.tensors.flat[live] += delta
 
 
 def train(
@@ -118,24 +177,35 @@ def train(
     history holds one dict per epoch with the total loss, its three
     components, and the largest post-clip gradient magnitude.
 
+    Only the branches the loss reads (``network.active_tasks``) are
+    computed; the others keep zero gradient.  The gradient buffer and the
+    activation workspace are allocated once and reused by every epoch.
+
     With ``epochs == 0`` the parameters are returned untouched and the
     history is empty.
     """
     state = AdaDeltaState(params, rho=config.rho, eps=config.eps, lr=config.lr)
+    tasks = active_tasks(batch, config.lam_nyhac, config.lam_bmi)
+    grads = params.tensors.zeros_like()
+    # Past the last tensor the loss reads, every gradient stays exactly zero,
+    # so the per-parameter passes below stop there.
+    live = grads.span(name for name in grads if branch_of(name) in (None, *tasks))
+    g = grads.flat[:live]
+    work = Workspace()
     history: list[dict[str, float]] = []
     for epoch in range(config.epochs):
-        masks = draw_dropout_masks(params.config, len(batch), config.keep_prob, rng)
-        outputs, cache = forward(params, batch.features, batch.decade_index, masks)
+        masks = draw_dropout_masks(params.config, len(batch), config.keep_prob, rng, tasks, work)
+        outputs, cache = forward(params, batch.features, batch.decade_index, masks, tasks, work)
         total, parts = loss(outputs, batch, config.lam_nyhac, config.lam_bmi)
         if not np.isfinite(total):
             raise TrainingError(f"non-finite loss at epoch {epoch}")
-        grads = backward(params, cache, batch, config.lam_nyhac, config.lam_bmi)
+        backward(params, cache, batch, config.lam_nyhac, config.lam_bmi, out=grads)
         if config.clip_mode == "element":
-            grads = {name: clip(g, config.clip) for name, g in grads.items()}
+            clip(g, config.clip, out=g)
         else:
-            grads = clip_global_norm(grads, config.clip)
-        max_grad = max(float(np.max(np.abs(g))) if g.size else 0.0 for g in grads.values())
-        adadelta_step(state, params, grads)
+            clip_global_norm(grads, config.clip)
+        max_grad = float(np.abs(g, out=work("abs_grad", g.shape)).max())
+        adadelta_step(state, params, grads, live)
         history.append({
             "epoch": float(epoch),
             "loss": total,

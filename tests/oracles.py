@@ -4,7 +4,9 @@ Everything here is written from the textbook definitions, deliberately
 sharing no code with the package: a direct Lomb periodogram (two-sum form
 with the tau offset), a threshold-sweep trapezoidal ROC area, a scalar
 AdaDelta recursion, Poincare widths from the geometric projections,
-a quadratic-loop sample entropy, and a central finite-difference gradienter.
+a quadratic-loop sample entropy, a central finite-difference gradienter,
+and a reference trainer that computes all three branches every epoch and
+steps the optimizer one tensor at a time.
 """
 
 from __future__ import annotations
@@ -144,3 +146,126 @@ def max_relative_error(analytic: dict, numeric: dict, floor: float = 1e-5) -> fl
         denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), floor)
         worst = max(worst, float(np.max(np.abs(a - n) / denom)))
     return worst
+
+
+TASK_UNITS = {"vta": 2, "nyhac": 4, "bmi": 1}
+
+
+def _reference_masks(net, n, keep_prob, rng):
+    """All eight inverted-dropout masks, cut from one uniform block in layer order."""
+    h1, h2, h3 = net.hidden
+    widths = [("input", net.input_dim), ("h1", h1)]
+    for task in TASK_UNITS:
+        widths += [(f"{task}_h2", h2), (f"{task}_h3", h3)]
+    if keep_prob == 1.0:
+        return None
+    block = rng.random((n, sum(w for _, w in widths)))
+    masks, offset = {}, 0
+    for name, width in widths:
+        masks[name] = (block[:, offset:offset + width] < keep_prob) / keep_prob
+        offset += width
+    return masks
+
+
+def _reference_log_softmax(logits):
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+
+
+def _reference_epoch(net, t, batch, masks, lam_nyhac, lam_bmi):
+    """Loss parts and gradients of one full-batch pass through every branch."""
+    n = batch.features.shape[0]
+    idx = batch.decade_index
+    x0 = np.concatenate([batch.features, t["embedding"][idx]], axis=1) if net.use_embedding else batch.features
+
+    def masked(name, value):
+        return value * masks[name] if masks is not None else value
+
+    x0d = masked("input", x0)
+    h1 = np.tanh(x0d @ t["W1"] + t["b1"])
+    h1d = masked("h1", h1)
+    acts, heads = {}, {}
+    for task in TASK_UNITS:
+        h2 = np.tanh(h1d @ t[f"{task}_W2"] + t[f"{task}_b2"])
+        h2d = masked(f"{task}_h2", h2)
+        h3 = np.tanh(h2d @ t[f"{task}_W3"] + t[f"{task}_b3"])
+        h3d = masked(f"{task}_h3", h3)
+        acts[task] = (h2, h2d, h3, h3d)
+        heads[task] = h3d @ t[f"{task}_Wout"] + t[f"{task}_bout"]
+
+    rows = np.arange(n)
+    one_hot = lambda y, w: np.eye(w)[y]  # noqa: E731
+    parts = {"vta": float(np.mean(-_reference_log_softmax(heads["vta"])[rows, batch.y_vta])),
+             "nyhac": 0.0, "bmi": 0.0}
+    probs = {}
+    for task in ("vta", "nyhac"):
+        e = np.exp(heads[task] - heads[task].max(axis=1, keepdims=True))
+        probs[task] = e / e.sum(axis=1, keepdims=True)
+    deltas = {"vta": (probs["vta"] - one_hot(batch.y_vta, 2)) / n}
+    present = batch.y_nyhac >= 0
+    if lam_nyhac != 0.0 and present.any():
+        safe = np.where(present, batch.y_nyhac, 0)
+        ce = -_reference_log_softmax(heads["nyhac"])[rows, safe]
+        parts["nyhac"] = float(lam_nyhac * ce[present].sum() / n)
+        deltas["nyhac"] = lam_nyhac * (probs["nyhac"] - one_hot(safe, 4)) * present[:, None] / n
+    if lam_bmi != 0.0 and batch.bmi_mask.any():
+        err = heads["bmi"][:, 0] - batch.y_bmi
+        parts["bmi"] = float(lam_bmi * (err[batch.bmi_mask] ** 2).sum() / n)
+        err = (heads["bmi"][:, 0] - batch.y_bmi) * batch.bmi_mask
+        deltas["bmi"] = (2.0 * lam_bmi * err / n)[:, None]
+
+    grads = {name: np.zeros_like(tensor) for name, tensor in t.items()}
+    d_h1d = np.zeros_like(h1d)
+    for task, d_out in deltas.items():
+        h2, h2d, h3, h3d = acts[task]
+        grads[f"{task}_Wout"] = h3d.T @ d_out
+        grads[f"{task}_bout"] = d_out.sum(axis=0)
+        d_z3 = masked(f"{task}_h3", d_out @ t[f"{task}_Wout"].T) * (1.0 - h3 ** 2)
+        grads[f"{task}_W3"] = h2d.T @ d_z3
+        grads[f"{task}_b3"] = d_z3.sum(axis=0)
+        d_z2 = masked(f"{task}_h2", d_z3 @ t[f"{task}_W3"].T) * (1.0 - h2 ** 2)
+        grads[f"{task}_W2"] = h1d.T @ d_z2
+        grads[f"{task}_b2"] = d_z2.sum(axis=0)
+        d_h1d += d_z2 @ t[f"{task}_W2"].T
+    d_z1 = masked("h1", d_h1d) * (1.0 - h1 ** 2)
+    grads["W1"] = x0d.T @ d_z1
+    grads["b1"] = d_z1.sum(axis=0)
+    if net.use_embedding:
+        d_x0 = masked("input", d_z1 @ t["W1"].T)
+        np.add.at(grads["embedding"], idx, d_x0[:, net.num_features:])
+    return parts, grads
+
+
+def train_reference(batch, config, net, tensors: dict, rng) -> tuple[dict, list[dict]]:
+    """Full-batch AdaDelta training, one tensor at a time, every branch every epoch.
+
+    ``config`` is a TrainConfig and ``net`` a NetworkConfig; ``tensors`` are
+    copied, trained and returned with the per-epoch history.
+    """
+    t = {name: np.array(value, dtype=float) for name, value in tensors.items()}
+    sq_grad = {name: np.zeros_like(v) for name, v in t.items()}
+    sq_delta = {name: np.zeros_like(v) for name, v in t.items()}
+    rho, eps, lr = config.rho, config.eps, config.lr
+    history = []
+    for epoch in range(config.epochs):
+        masks = _reference_masks(net, batch.features.shape[0], config.keep_prob, rng)
+        parts, grads = _reference_epoch(net, t, batch, masks, config.lam_nyhac, config.lam_bmi)
+        if config.clip_mode == "element":
+            grads = {name: np.clip(g, -config.clip, config.clip) for name, g in grads.items()}
+        else:
+            norm = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+            if norm > config.clip and norm != 0.0:
+                grads = {name: g * (config.clip / norm) for name, g in grads.items()}
+        max_grad = max(float(np.max(np.abs(g))) for g in grads.values())
+        for name, tensor in t.items():
+            g = grads[name]
+            sq_grad[name] *= rho
+            sq_grad[name] += (1.0 - rho) * g * g
+            delta = -(np.sqrt(sq_delta[name] + eps) / np.sqrt(sq_grad[name] + eps)) * g * lr
+            sq_delta[name] *= rho
+            sq_delta[name] += (1.0 - rho) * delta * delta
+            tensor += delta
+        history.append({"epoch": float(epoch), "loss": parts["vta"] + parts["nyhac"] + parts["bmi"],
+                        "vta_loss": parts["vta"], "nyhac_loss": parts["nyhac"], "bmi_loss": parts["bmi"],
+                        "max_grad": max_grad})
+    return t, history

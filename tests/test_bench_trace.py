@@ -15,11 +15,13 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 # command -> (extra arguments, spans its traced run must contain)
+# the spans of one training epoch; their tracer counters bind these functions' arguments by name
+EPOCH_SPANS = {"network.draw_dropout_masks", "network.forward", "network.backward", "optim.adadelta_step"}
 COMMANDS = {
     "features": ([], {"cli.cmd_features", "features.extract", "features.write_feature_matrix"}),
-    "train": (["--epochs", "2"], {"cli.cmd_train", "evaluation.build_examples", "optim.train"}),
+    "train": (["--epochs", "2"], {"cli.cmd_train", "evaluation.build_examples", "optim.train", *EPOCH_SPANS}),
     "ablate": (["--epochs", "2", "--k-folds", "3", "--seeds", "1"],
-               {"cli.cmd_ablate", "evaluation.build_examples", "network.predict"}),
+               {"cli.cmd_ablate", "evaluation.build_examples", "network.predict", *EPOCH_SPANS}),
 }
 
 

@@ -26,7 +26,7 @@ from vtapred import (
     train,
 )
 from vtapred.evaluation import build_examples
-from vtapred.network import CHECKPOINT_MAGIC, tensor_shapes
+from vtapred.network import CHECKPOINT_MAGIC, TASKS, active_tasks, tensor_shapes
 
 
 def small_config(**overrides) -> NetworkConfig:
@@ -88,6 +88,19 @@ class TestForward:
         with pytest.raises(NetworkError, match="length must match"):
             forward(params, np.zeros((2, 4)), decade_index=np.array([0]))
 
+    @pytest.mark.parametrize("tasks", [("vta",), ("vta", "nyhac"), ("vta", "bmi")])
+    def test_skipped_branches_leave_event_head_unchanged(self, rng, tasks):
+        cfg = small_config()
+        params = init_params(cfg, rng)
+        x = rng.random((9, 4))
+        idx = rng.integers(0, 3, 9)
+        masks = draw_dropout_masks(cfg, 9, 0.75, np.random.default_rng(4))
+        full, _ = forward(params, x, idx, masks)
+        part, cache = forward(params, x, idx, masks, tasks)
+        for key in ("vta_probs", "vta_logits"):
+            assert np.array_equal(part[key], full[key])
+        assert set(TASKS) - set(tasks) == {task for task in TASKS if task not in cache}
+
     def test_no_embedding_ignores_decades(self, rng):
         cfg = small_config(use_embedding=False, num_decades=0)
         params = init_params(cfg, rng)
@@ -130,6 +143,21 @@ class TestInit:
             if len(shape) == 2 and name != "embedding":
                 bound = math.sqrt(6.0 / (shape[0] + shape[1]))
                 assert np.abs(params.tensors[name]).max() <= bound
+
+    def test_tensors_are_views_of_one_buffer_that_copy_detaches(self, rng):
+        params = init_params(small_config(), rng)
+        flat = params.tensors.flat
+        assert flat.size == sum(t.size for t in params.tensors.values())
+        for tensor in params.tensors.values():
+            assert np.shares_memory(tensor, flat)
+        params.tensors["W1"][0, 0] = 7.0
+        assert 7.0 in flat
+        twin = params.copy()
+        assert not np.shares_memory(twin.tensors.flat, flat)
+        twin.tensors["W1"][0, 0] = -7.0
+        assert params.tensors["W1"][0, 0] == 7.0
+        for name in params.tensors:
+            assert np.shares_memory(twin.tensors[name], twin.tensors.flat)
 
     def test_embedding_needs_vocabulary(self):
         with pytest.raises(NetworkError, match="no decades"):
@@ -188,6 +216,21 @@ class TestLoss:
         assert total == parts["vta"]
 
 
+class TestActiveTasks:
+    @pytest.mark.parametrize("lam_nyhac", [0.0, 0.5])
+    @pytest.mark.parametrize("lam_bmi", [0.0, 2.0])
+    @pytest.mark.parametrize("nyhac, bmi", [(None, None), (2, None), (None, 0.4), (1, 0.3)])
+    def test_inactive_exactly_when_loss_gives_zero(self, rng, lam_nyhac, lam_bmi, nyhac, bmi):
+        params = init_params(small_config(), rng)
+        batch = make_batch(rng.random((2, 4)), [0, 1], [1, 0], [nyhac, None], [bmi, None])
+        outputs, _ = forward(params, batch.features, batch.decade_index)
+        _, parts = loss(outputs, batch, lam_nyhac, lam_bmi)
+        tasks = active_tasks(batch, lam_nyhac, lam_bmi)
+        assert tasks[0] == "vta"
+        for task in ("nyhac", "bmi"):
+            assert (task in tasks) == (parts[task] != 0.0)
+
+
 class TestBackward:
     def test_event_head_delta_is_probs_minus_onehot(self, rng):
         params = init_params(small_config(), rng)
@@ -230,6 +273,13 @@ class TestBackward:
         _, cache = forward(params, batch.features, batch.decade_index, masks)
         grads = backward(params, cache, batch)
         assert not grads["W1"][j, :].any()
+
+    def test_branch_the_loss_reads_must_be_computed(self, rng):
+        params = init_params(small_config(), rng)
+        batch = random_batch(rng, params.config, 6)
+        _, cache = forward(params, batch.features, batch.decade_index, tasks=("vta",))
+        with pytest.raises(NetworkError, match="'nyhac' branch"):
+            backward(params, cache, batch)
 
     def test_absent_auxiliaries_match_single_task_gradients(self, rng):
         cfg = small_config()

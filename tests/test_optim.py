@@ -3,15 +3,18 @@
 import numpy as np
 import pytest
 
-from batches import make_batch
-from oracles import adadelta_scalar_step
+from batches import make_batch, random_batch
+from oracles import adadelta_scalar_step, train_reference
 from vtapred import (
+    ABLATION_ROWS,
     AdaDeltaState,
     Batch,
+    CVConfig,
     NetworkConfig,
     NetworkParams,
     TrainConfig,
     TrainingError,
+    ablation_config,
     adadelta_step,
     clip,
     clip_global_norm,
@@ -109,6 +112,18 @@ class TestAdaDeltaStep:
         with pytest.raises(TrainingError, match="non-finite gradient in tensor 'v'"):
             adadelta_step(state, params, grads)
 
+    def test_prefix_step_equals_full_step_when_the_tail_gradient_is_zero(self, rng):
+        start = {"w": rng.normal(0.0, 1.0, 6), "v": rng.normal(0.0, 1.0, 4)}
+        full, prefix = tiny_params(start), tiny_params(start)
+        full_state, prefix_state = AdaDeltaState(full), AdaDeltaState(prefix)
+        for _ in range(5):
+            grads = {"w": rng.normal(0.0, 0.3, 6), "v": np.zeros(4)}
+            adadelta_step(full_state, full, grads)
+            adadelta_step(prefix_state, prefix, grads, size=6)
+        assert np.array_equal(prefix.tensors.flat, full.tensors.flat)
+        assert np.array_equal(prefix_state.sq_grad.flat, full_state.sq_grad.flat)
+        assert np.array_equal(prefix_state.sq_delta.flat, full_state.sq_delta.flat)
+
     def test_accumulators_stay_non_negative(self, rng):
         params = tiny_params({"w": np.zeros(6)})
         state = AdaDeltaState(params)
@@ -195,6 +210,26 @@ class TestTrain:
         assert (predicted == batch.y_vta).mean() >= 0.95
 
 
+class TestTrainMatchesReference:
+    """The flat-buffer trainer reproduces the tensor-by-tensor reference to the bit."""
+
+    @pytest.mark.parametrize("clip_mode", ["element", "norm"])
+    @pytest.mark.parametrize("keep_prob", [0.75, 1.0])
+    @pytest.mark.parametrize("row", ABLATION_ROWS)
+    def test_bit_identical(self, row, keep_prob, clip_mode):
+        cv = ablation_config(row, CVConfig(train=TrainConfig(epochs=12, keep_prob=keep_prob, clip_mode=clip_mode)))
+        net = NetworkConfig(num_features=9, num_decades=5, use_embedding=cv.use_embedding)
+        rng = np.random.default_rng(31)
+        batch = random_batch(rng, net, 40)
+        params = init_params(net, rng)
+        want, want_history = train_reference(batch, cv.train, net, dict(params.tensors), np.random.default_rng(8))
+        got, history = train(batch, cv.train, params, np.random.default_rng(8))
+        assert history == want_history
+        assert list(got.tensors) == list(want)
+        for name, tensor in want.items():
+            assert np.array_equal(got.tensors[name], tensor), name
+
+
 class TestTrainConfigValidation:
     def test_defaults_are_the_published_recipe(self):
         cfg = TrainConfig()
@@ -216,6 +251,24 @@ class TestTrainConfigValidation:
     def test_bad_values_rejected(self, kwargs):
         with pytest.raises(ValueError):
             TrainConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("lr", 0.0),
+            ("lr", -1.0),
+            ("lr", float("nan")),
+            ("eps", float("nan")),
+            ("clip", float("nan")),
+            ("lam_nyhac", -1.0),
+            ("lam_nyhac", float("nan")),
+            ("lam_bmi", -1.0),
+            ("lam_bmi", float("nan")),
+        ],
+    )
+    def test_impossible_values_name_the_field(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: value})
 
 
 class TestLossHistoryExport:
