@@ -28,6 +28,7 @@ from .dataset import (
     DatasetError,
     load_dataset,
     prepare_records,
+    tachogram_files,
 )
 from .evaluation import (
     CVConfig,
@@ -152,7 +153,10 @@ def build_configs(settings: dict) -> CVConfig:
         raise ConfigError(str(exc)) from None
 
 
-def _load_prepared(args: argparse.Namespace, settings: dict):
+def _prepare(args: argparse.Namespace):
+    """Settings and configs, checked before any data is read, then the usable records."""
+    settings = resolve_settings(args)
+    cv = build_configs(settings)
     records, patients = load_dataset(args.data_dir, args.metadata)
     prepared = prepare_records(
         records,
@@ -162,18 +166,14 @@ def _load_prepared(args: argparse.Namespace, settings: dict):
     )
     if not prepared:
         raise DatasetError("no usable records after the decision boundary")
-    return prepared, patients
+    return settings, cv, prepared, patients
 
 
 def dataset_checksum(tachogram_dir, metadata_file) -> str:
-    """SHA-256 over the metadata and every tachogram file, in sorted order."""
+    """SHA-256 over the metadata and every file of :func:`tachogram_files`, in its order."""
     digest = hashlib.sha256()
     digest.update(Path(metadata_file).read_bytes())
-    files = sorted(
-        (p for p in Path(tachogram_dir).iterdir() if p.is_file() and not p.name.startswith(".")),
-        key=lambda p: p.stem,
-    )
-    for path in files:
+    for path in tachogram_files(tachogram_dir):
         digest.update(path.name.encode("utf-8"))
         digest.update(path.read_bytes())
     return digest.hexdigest()
@@ -201,18 +201,14 @@ def write_manifest(path, args, settings: dict, cv: CVConfig, seed_list, n_record
 
 
 def cmd_features(args: argparse.Namespace) -> int:
-    settings = resolve_settings(args)
-    cv = build_configs(settings)
-    records, patients = _load_prepared(args, settings)
+    _, cv, records, patients = _prepare(args)
     write_feature_matrix(args.out, build_cohort(records, patients, cv.features))
     log.info("wrote %d feature rows to %s", len(records), args.out)
     return 0
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    settings = resolve_settings(args)
-    cv = build_configs(settings)
-    records, patients = _load_prepared(args, settings)
+    settings, cv, records, patients = _prepare(args)
     seed = settings["seed"]
 
     cohort = build_cohort(records, patients, cv.features)
@@ -225,9 +221,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_ablate(args: argparse.Namespace) -> int:
-    settings = resolve_settings(args)
-    cv = build_configs(settings)
-    records, patients = _load_prepared(args, settings)
+    settings, cv, records, patients = _prepare(args)
     seed_list = list(range(settings["seeds"]))
 
     report = run_ablation(records, patients, cv, seeds=seed_list, jobs=settings["jobs"])

@@ -185,32 +185,24 @@ def _parse_metadata_row(row: list[str], lineno: int, path: Path) -> dict:
     if label not in LABELS:
         raise DatasetError(f"{path}, line {lineno}: label must be one of {LABELS}, got {label!r}")
 
-    decade = None
-    if birth_year:
+    def optional(column: str, text: str, parse):
+        """None for an empty cell, else the parsed value; a bad value names its column."""
+        if not text:
+            return None
         try:
-            decade = round_to_decade(int(birth_year))
+            return parse(text)
         except ValueError:
-            raise DatasetError(f"{path}, line {lineno}: bad birth_year {birth_year!r}") from None
+            raise DatasetError(f"{path}, line {lineno}: bad {column} {text!r}") from None
 
-    nyhac_val = None
-    if nyhac:
-        try:
-            nyhac_val = int(nyhac)
-        except ValueError:
-            raise DatasetError(f"{path}, line {lineno}: bad nyhac {nyhac!r}") from None
-        if nyhac_val not in NYHAC_CLASSES:
-            raise DatasetError(f"{path}, line {lineno}: nyhac must be in {NYHAC_CLASSES}")
-
-    bmi_val = None
-    if bmi:
-        try:
-            bmi_val = float(bmi)
-        except ValueError:
-            raise DatasetError(f"{path}, line {lineno}: bad bmi {bmi!r}") from None
-        if not (BMI_RANGE[0] <= bmi_val <= BMI_RANGE[1]):
-            raise DatasetError(
-                f"{path}, line {lineno}: bmi {bmi_val:g} outside [{BMI_RANGE[0]:g}, {BMI_RANGE[1]:g}]"
-            )
+    decade = optional("birth_year", birth_year, lambda text: round_to_decade(int(text)))
+    nyhac_val = optional("nyhac", nyhac, int)
+    if nyhac_val is not None and nyhac_val not in NYHAC_CLASSES:
+        raise DatasetError(f"{path}, line {lineno}: nyhac must be in {NYHAC_CLASSES}")
+    bmi_val = optional("bmi", bmi, float)
+    if bmi_val is not None and not (BMI_RANGE[0] <= bmi_val <= BMI_RANGE[1]):
+        raise DatasetError(
+            f"{path}, line {lineno}: bmi {bmi_val:g} outside [{BMI_RANGE[0]:g}, {BMI_RANGE[1]:g}]"
+        )
 
     return {
         "record_id": record_id,
@@ -250,6 +242,14 @@ def _read_metadata(path: Path) -> tuple[dict, dict]:
     return rows, patients
 
 
+def tachogram_files(tachogram_dir) -> list[Path]:
+    """Every regular file of a directory whose name does not start with a dot, by stem."""
+    return sorted(
+        (p for p in Path(tachogram_dir).iterdir() if p.is_file() and not p.name.startswith(".")),
+        key=lambda p: p.stem,
+    )
+
+
 def load_dataset(tachogram_dir, metadata_file) -> tuple[list[RRRecord], dict[str, PatientMeta]]:
     """Load every tachogram in a directory along with its metadata.
 
@@ -269,10 +269,7 @@ def load_dataset(tachogram_dir, metadata_file) -> tuple[list[RRRecord], dict[str
         raise DatasetError(f"tachogram directory not found: {dir_path}")
     rows, patients = _read_metadata(Path(metadata_file))
 
-    files = sorted(
-        (p for p in dir_path.iterdir() if p.is_file() and not p.name.startswith(".")),
-        key=lambda p: p.stem,
-    )
+    files = tachogram_files(dir_path)
     if not files:
         raise DatasetError(f"no tachogram files in {dir_path}")
 

@@ -34,17 +34,17 @@ FOLD_STREAM = 11
 INIT_STREAM = 23
 DROPOUT_STREAM = 37
 
-ROW_BASELINE = "baseline"
-ROW_WINDOWED = "windowed"
-ROW_EMBEDDING = "age_embedding"
-ROW_MULTI_TASK = "multi_task"
-ABLATION_ROWS = (ROW_BASELINE, ROW_WINDOWED, ROW_EMBEDDING, ROW_MULTI_TASK)
-ROW_LABELS = {
-    ROW_BASELINE: "Baseline",
-    ROW_WINDOWED: "+ windowed features",
-    ROW_EMBEDDING: "+ age embedding",
-    ROW_MULTI_TASK: "+ multi-task optimization",
+# row -> (label, feature set, windowed trends, age embedding, auxiliary targets);
+# each row adds one step to the one before it.
+ROW_RECIPES = {
+    "baseline": ("Baseline", FEATURE_SET_BASELINE11, False, False, False),
+    "windowed": ("+ windowed features", FEATURE_SET_RECENT, True, False, False),
+    "age_embedding": ("+ age embedding", FEATURE_SET_RECENT, True, True, False),
+    "multi_task": ("+ multi-task optimization", FEATURE_SET_RECENT, True, True, True),
 }
+ABLATION_ROWS = tuple(ROW_RECIPES)
+ROW_BASELINE, ROW_WINDOWED, ROW_EMBEDDING, ROW_MULTI_TASK = ABLATION_ROWS
+ROW_LABELS = {row: recipe[0] for row, recipe in ROW_RECIPES.items()}
 METRIC_NAMES = ("accuracy", "sensitivity", "specificity", "precision", "auc")
 
 
@@ -62,6 +62,12 @@ class CVConfig:
     k_folds: int = 10
     threshold: float = 0.5
     patient_grouped: bool = False
+
+    def __post_init__(self):
+        if not 0.0 <= self.threshold <= 1.0:  # also rejects NaN
+            raise ValueError(f"threshold must be in [0, 1], got {self.threshold!r}")
+        if self.k_folds < 2:
+            raise ValueError(f"k_folds must be >= 2, got {self.k_folds!r}")
 
 
 @dataclass(eq=False)
@@ -219,7 +225,7 @@ def run_cv(cohort: Cohort, config: CVConfig, seed: int) -> Predictions:
     if config.patient_grouped:
         folds = make_patient_folds(cohort.patient_ids, config.k_folds, fold_rng)
     else:
-        folds = make_folds(np.array([LABEL_CONTROL, LABEL_VTA])[cohort.y_vta], config.k_folds, fold_rng)
+        folds = make_folds(cohort.y_vta, config.k_folds, fold_rng)
 
     probs = np.full(len(cohort), np.nan)
     for fold_i, test_idx in enumerate(folds):
@@ -234,27 +240,20 @@ def run_cv(cohort: Cohort, config: CVConfig, seed: int) -> Predictions:
 
 
 def ablation_config(row: str, base: CVConfig) -> CVConfig:
-    """Resolve one grid row into a concrete configuration.
+    """Resolve one grid row of ``ROW_RECIPES`` into a concrete configuration.
 
-    Rows build on each other: the reference panel first, then the recent-beat
-    features plus windowed trends, then the age embedding, and finally the
-    auxiliary training targets (whose weights come from ``base.train``).
+    Without auxiliary targets both auxiliary weights are 0; with them they
+    come from ``base.train``.
     """
-    if row not in ABLATION_ROWS:
+    if row not in ROW_RECIPES:
         raise EvaluationError(f"unknown ablation row {row!r}")
-    single = {"lam_nyhac": 0.0, "lam_bmi": 0.0}
-    if row == ROW_BASELINE:
-        features = replace(base.features, feature_set=FEATURE_SET_BASELINE11, include_windowed=False)
-        return replace(base, features=features, use_embedding=False,
-                       train=replace(base.train, **single))
-    features = replace(base.features, feature_set=FEATURE_SET_RECENT, include_windowed=True)
-    if row == ROW_WINDOWED:
-        return replace(base, features=features, use_embedding=False,
-                       train=replace(base.train, **single))
-    if row == ROW_EMBEDDING:
-        return replace(base, features=features, use_embedding=True,
-                       train=replace(base.train, **single))
-    return replace(base, features=features, use_embedding=True)
+    _, feature_set, windowed, embedding, auxiliary = ROW_RECIPES[row]
+    return replace(
+        base,
+        features=replace(base.features, feature_set=feature_set, include_windowed=windowed),
+        use_embedding=embedding,
+        train=base.train if auxiliary else replace(base.train, lam_nyhac=0.0, lam_bmi=0.0),
+    )
 
 
 @dataclass(eq=False)

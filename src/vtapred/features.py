@@ -70,8 +70,8 @@ class FeatureConfig:
                 raise ValueError(f"degenerate frequency band ({lo:g}, {hi:g})")
         if self.lf_band[1] != self.hf_band[0]:
             raise ValueError("lf and hf bands must be adjacent (lf high edge == hf low edge)")
-        if self.ectopic_threshold <= 0:
-            raise ValueError("ectopic_threshold must be positive")
+        if not 0 < self.ectopic_threshold < np.inf:  # also rejects NaN
+            raise ValueError("ectopic_threshold must be positive and finite")
         if self.ectopic_ref_beats < 1:
             raise ValueError("ectopic_ref_beats must be >= 1")
 

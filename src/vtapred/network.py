@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import struct
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -311,7 +311,7 @@ def forward(
     Returns:
         (outputs, cache) where outputs has ``vta_probs`` and ``vta_logits``,
         ``nyhac_probs`` and ``nyhac_logits``, and ``bmi`` for the computed
-        branches, and cache holds the activations backward() needs.
+        branches, and cache holds them and the activations backward() needs.
     """
     cfg = params.config
     t = params.tensors
@@ -354,7 +354,8 @@ def forward(
     h1d = masked("h1", h1)
 
     outputs: dict = {}
-    cache: dict = {"x0d": x0d, "h1": h1, "h1d": h1d, "masks": masks, "decade_index": idx, "work": work}
+    cache: dict = {"x0d": x0d, "h1": h1, "h1d": h1d, "masks": masks, "decade_index": idx, "work": work,
+                   "outputs": outputs}
     for task in tasks:
         h2 = tanh_layer(f"{task}_h2", h1d, t[f"{task}_W2"], t[f"{task}_b2"])
         h2d = masked(f"{task}_h2", h2)
@@ -364,12 +365,9 @@ def forward(
         cache[task] = {"h2": h2, "h2d": h2d, "h3": h3, "h3d": h3d}
         if task == "bmi":
             outputs["bmi"] = logits[:, 0]
-            cache["bmi"]["pred"] = logits[:, 0]
         else:
             outputs[f"{task}_logits"] = logits
             outputs[f"{task}_probs"] = _softmax(logits)
-            cache[task]["logits"] = logits
-            cache[task]["probs"] = outputs[f"{task}_probs"]
     return outputs, cache
 
 
@@ -419,17 +417,17 @@ def _one_hot(targets: np.ndarray, width: int) -> np.ndarray:
     return out
 
 
-def _output_delta(task: str, cache: dict, batch: Batch, lam_nyhac: float, lam_bmi: float) -> np.ndarray:
+def _output_delta(task: str, outputs: dict, batch: Batch, lam_nyhac: float, lam_bmi: float) -> np.ndarray:
     """d(mean loss)/d(head output) of one active head."""
     n = len(batch)
     if task == "vta":
-        return (cache["vta"]["probs"] - _one_hot(batch.y_vta, TASK_UNITS["vta"])) / n
+        return (outputs["vta_probs"] - _one_hot(batch.y_vta, TASK_UNITS["vta"])) / n
     if task == "nyhac":
         present = batch.y_nyhac >= 0
         safe_targets = np.where(present, batch.y_nyhac, 0)
-        d = cache["nyhac"]["probs"] - _one_hot(safe_targets, TASK_UNITS["nyhac"])
+        d = outputs["nyhac_probs"] - _one_hot(safe_targets, TASK_UNITS["nyhac"])
         return lam_nyhac * d * present[:, None] / n
-    err = (cache["bmi"]["pred"] - batch.y_bmi) * batch.bmi_mask
+    err = (outputs["bmi"] - batch.y_bmi) * batch.bmi_mask
     return (2.0 * lam_bmi * err / n)[:, None]
 
 
@@ -481,7 +479,7 @@ def backward(
     d_h1d.fill(0.0)
     for task in tasks:
         c = cache[task]
-        d_out = _output_delta(task, cache, batch, lam_nyhac, lam_bmi)
+        d_out = _output_delta(task, cache["outputs"], batch, lam_nyhac, lam_bmi)
         np.matmul(c["h3d"].T, d_out, out=grads[f"{task}_Wout"])
         np.sum(d_out, axis=0, out=grads[f"{task}_bout"])
         d_h3 = masked(f"{task}_h3", matmul("d_h3", d_out, t[f"{task}_Wout"].T))
@@ -522,16 +520,7 @@ def save_checkpoint(path, params: NetworkParams, extra: dict | None = None) -> N
     float64 little-endian C-order in declared order.  The header echoes the network config (plus any ``extra``
     run settings) so a reader can rebuild the shapes.
     """
-    cfg = params.config
-    header = {
-        "network": {
-            "num_features": cfg.num_features,
-            "num_decades": cfg.num_decades,
-            "use_embedding": cfg.use_embedding,
-            "embed_dim": cfg.embed_dim,
-            "hidden": list(cfg.hidden),
-        },
-    }
+    header = {"network": asdict(params.config)}
     if extra:
         header["extra"] = extra
     blob = json.dumps(header, sort_keys=True).encode("utf-8")

@@ -219,14 +219,9 @@ def train(
 
 def write_loss_history(path, history: list[dict[str, float]]) -> None:
     """CSV export of the per-epoch losses: epoch,loss,vta_loss,nyhac_loss,bmi_loss."""
+    columns = ("loss", "vta_loss", "nyhac_loss", "bmi_loss")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["epoch", "loss", "vta_loss", "nyhac_loss", "bmi_loss"])
+        writer.writerow(["epoch", *columns])
         for row in history:
-            writer.writerow([
-                int(row["epoch"]),
-                f"{row['loss']:.12g}",
-                f"{row['vta_loss']:.12g}",
-                f"{row['nyhac_loss']:.12g}",
-                f"{row['bmi_loss']:.12g}",
-            ])
+            writer.writerow([int(row["epoch"]), *(f"{row[name]:.12g}" for name in columns)])

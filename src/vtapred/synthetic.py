@@ -65,35 +65,23 @@ def gaussian_task(
     )
 
 
-def _control_intervals(n_beats: int, rng: np.random.Generator) -> np.ndarray:
-    """Stable rhythm: slow sinusoidal modulation, sparse ectopy."""
-    out = np.empty(n_beats)
-    t = 0.0
-    compensate = False
-    for i in range(n_beats):
-        base = 850.0
-        rr = base + 60.0 * np.sin(2 * np.pi * 0.095 * t) + rng.normal(0.0, 14.0)
-        if compensate:
-            rr = base * 1.3
-            compensate = False
-        elif rng.random() < 0.02:
-            rr = base * 0.55
-            compensate = True
-        out[i] = min(max(rr, 200.0), 2500.0)
-        t += out[i] / 1000.0
-    return out
+# Per class: start baseline RR and its drop by the end, sine amplitude (all ms),
+# sine frequency (Hz), noise SD (ms), and the added ectopic probability at the end.
+_RHYTHM_CONTROL = (850.0, 0.0, 60.0, 0.095, 14.0, 0.0)
+_RHYTHM_EVENT = (820.0, 170.0, 35.0, 0.11, 12.0, 0.10)
 
 
-def _event_intervals(n_beats: int, rng: np.random.Generator) -> np.ndarray:
-    """Deteriorating rhythm: accelerating baseline and ectopy ramping up."""
+def _intervals(n_beats: int, rng: np.random.Generator, is_event: bool) -> np.ndarray:
+    """Events accelerate and ramp up ectopy over their last 40%; controls stay stable."""
+    base0, drop, amp, freq, noise, ramp = _RHYTHM_EVENT if is_event else _RHYTHM_CONTROL
     out = np.empty(n_beats)
     t = 0.0
     compensate = False
     for i in range(n_beats):
         frac = i / max(n_beats - 1, 1)
-        base = 820.0 - 170.0 * frac
-        rr = base + 35.0 * np.sin(2 * np.pi * 0.11 * t) + rng.normal(0.0, 12.0)
-        ectopic_p = 0.02 + (0.10 * max(0.0, frac - 0.6) / 0.4)
+        base = base0 - drop * frac
+        rr = base + amp * np.sin(2 * np.pi * freq * t) + rng.normal(0.0, noise)
+        ectopic_p = 0.02 + (ramp * max(0.0, frac - 0.6) / 0.4)
         if compensate:
             rr = base * 1.3
             compensate = False
@@ -131,7 +119,7 @@ def write_tachogram_dataset(
         is_event = i < n_event
         rid = f"r{i:03d}"
         pid = f"pat{i // max(records_per_patient, 1):03d}"
-        intervals = (_event_intervals if is_event else _control_intervals)(n_beats, rng)
+        intervals = _intervals(n_beats, rng, is_event)
         with open(tacho_dir / f"{rid}.txt", "w", encoding="utf-8") as fh:
             fh.writelines(f"{v:.1f}\n" for v in intervals)
         birth_year = "" if rng.random() < 0.1 else str(int(rng.integers(1925, 1985)))

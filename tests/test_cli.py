@@ -8,9 +8,12 @@ import pytest
 
 import vtapred
 from vtapred import CVConfig, load_dataset, load_checkpoint, prepare_records
-from vtapred.cli import build_configs, build_parser, main, parse_config_file, resolve_settings, ConfigError
+from vtapred.cli import (
+    ConfigError, build_configs, build_parser, dataset_checksum, main, parse_config_file, resolve_settings,
+)
 from vtapred.evaluation import INIT_STREAM
 from vtapred.network import NetworkConfig, init_params
+from vtapred.synthetic import write_tachogram_dataset
 
 RECENT_HEADER = (
     "record_id,label,mean_rr,lf_power,hf_power,min_rr,max_rr,"
@@ -293,3 +296,26 @@ class TestTopLevel:
 
     def test_unknown_command_exits_one(self):
         assert run("explode") == 1
+
+    def test_nan_threshold_exits_one_before_any_fit(self, data, tmp_path, capsys):
+        out = tmp_path / "grid"
+        rc = run("ablate", "--data-dir", data[0], "--metadata", data[1], "--out", str(out),
+                 "--threshold", "nan", "--epochs", "1", "--k-folds", "3", "--seeds", "1")
+        assert rc == 1
+        assert "threshold must be in" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestDatasetChecksum:
+    def test_covers_exactly_the_files_load_dataset_reads(self, tmp_path):
+        tacho_dir, metadata = write_tachogram_dataset(tmp_path, n_event=2, n_control=2, seed=1)
+        before = dataset_checksum(tacho_dir, metadata)
+        (tacho_dir / ".notes.txt").write_text("not a tachogram\n")
+        (tacho_dir / "archive").mkdir()
+        (tacho_dir / "archive" / "r000.txt").write_text("800.0\n")
+        assert [rec.record_id for rec in load_dataset(tacho_dir, metadata)[0]] == ["r000", "r001", "r002", "r003"]
+        assert dataset_checksum(tacho_dir, metadata) == before
+
+        tachogram = tacho_dir / "r002.txt"
+        tachogram.write_bytes(tachogram.read_bytes() + b"800.0\n")
+        assert dataset_checksum(tacho_dir, metadata) != before

@@ -8,6 +8,8 @@ import pytest
 from oracles import roc_auc_trapezoid
 from vtapred import (
     ABLATION_ROWS,
+    LABEL_CONTROL,
+    LABEL_VTA,
     CVConfig,
     EvaluationError,
     FeatureConfig,
@@ -77,6 +79,29 @@ class TestMakeFolds:
         labels = [1] * 3 + [0] * 30
         with pytest.raises(EvaluationError, match="has 3 records but 10 folds"):
             make_folds(labels, 10, rng)
+
+    @pytest.mark.parametrize("n_event, n_control", [(20, 20), (13, 31), (45, 12)])
+    def test_class_column_gives_the_label_string_plan(self, n_event, n_control):
+        # run_cv passes the 0/1 class column; the label strings sort the same way
+        y = np.random.default_rng(n_event).permutation([1] * n_event + [0] * n_control)
+        names = np.where(y == 1, LABEL_VTA, LABEL_CONTROL)
+        for seed in range(5):
+            by_class = make_folds(y, 10, np.random.default_rng([seed, FOLD_STREAM]))
+            by_name = make_folds(names, 10, np.random.default_rng([seed, FOLD_STREAM]))
+            for a, b in zip(by_class, by_name, strict=True):
+                np.testing.assert_array_equal(a, b)
+
+
+class TestCVConfigValidation:
+    @pytest.mark.parametrize("threshold", [float("nan"), 1.5, -0.1])
+    def test_threshold_outside_the_unit_interval(self, threshold):
+        with pytest.raises(ValueError, match="threshold must be in"):
+            CVConfig(threshold=threshold)
+
+    @pytest.mark.parametrize("k_folds", [1, 0])
+    def test_fewer_than_two_folds(self, k_folds):
+        with pytest.raises(ValueError, match="k_folds must be >= 2"):
+            CVConfig(k_folds=k_folds)
 
 
 class TestPatientFolds:

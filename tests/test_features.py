@@ -503,3 +503,9 @@ class TestFeatureConfigValidation:
     def test_degenerate_band(self):
         with pytest.raises(ValueError, match="degenerate"):
             FeatureConfig(lf_band=(0.15, 0.04), hf_band=(0.04, 0.40))
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_ectopic_threshold(self, value):
+        # detect_ectopic would flag no beat at all with either value
+        with pytest.raises(ValueError, match="ectopic_threshold must be positive and finite"):
+            FeatureConfig(ectopic_threshold=value)

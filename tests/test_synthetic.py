@@ -1,6 +1,11 @@
 """Contracts of the synthetic data generators used across the test suite."""
 
+import importlib
+import json
+from pathlib import Path
+
 import numpy as np
+import pytest
 
 from vtapred import load_dataset
 from vtapred.synthetic import gaussian_task, write_tachogram_dataset
@@ -52,3 +57,17 @@ class TestTachogramDataset:
         for rec in records:
             assert rec.intervals_ms.min() > 0.0
             assert rec.intervals_ms.max() < 5000.0
+
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+@pytest.mark.parametrize("workload", ["cv_grid", "extract_long", "train_large"])
+def test_benchmark_cohort_matches_its_recorded_digest(workload, tmp_path, monkeypatch):
+    # The benchmark rejects a run whose cohort digest differs from the recorded
+    # one, so a change to the generator's draws must show up here first.
+    monkeypatch.syspath_prepend(str(BENCH))
+    run_bench = importlib.import_module("run_bench")
+    recorded = json.loads((BENCH / "cohort_digests.json").read_text())[workload]["0"]
+    _, _, digest = run_bench.write_cohort(workload, 0, tmp_path)
+    assert digest == recorded
