@@ -157,6 +157,11 @@ def _prepare(args: argparse.Namespace):
     """Settings and configs, checked before any data is read, then the usable records."""
     settings = resolve_settings(args)
     cv = build_configs(settings)
+    # a non-positive horizon is the documented no-op, so only NaN and inf are impossible
+    if not np.isfinite(settings["horizon_ms"]):
+        raise ConfigError(f"horizon_ms must be finite, got {settings['horizon_ms']!r}")
+    if settings["min_beats"] < 0:
+        raise ConfigError(f"min_beats must be >= 0, got {settings['min_beats']!r}")
     records, patients = load_dataset(args.data_dir, args.metadata)
     prepared = prepare_records(
         records,

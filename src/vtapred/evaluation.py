@@ -13,7 +13,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .dataset import LABEL_CONTROL, LABEL_VTA, PatientMeta, RRRecord
 from .features import (
@@ -94,7 +93,7 @@ def make_folds(labels, k: int, rng: np.random.Generator) -> list[np.ndarray]:
         idx = np.flatnonzero(labels == cls)
         if idx.size < k:
             raise EvaluationError(
-                f"class {cls!r} has {idx.size} records but {k} folds were requested"
+                f"class {cls.item()!r} has {idx.size} records but {k} folds were requested"
             )
         rng.shuffle(idx)
         for j in range(k):
@@ -160,9 +159,24 @@ def auc(labels, probs) -> float:
     n_neg = int(np.sum(labels == 0))
     if n_pos == 0 or n_neg == 0:
         raise EvaluationError("AUC needs at least one record of each class")
-    ranks = rankdata(probs, method="average")
+    if np.isnan(probs).any():
+        raise EvaluationError("AUC needs probabilities that are not NaN")
+    ranks = _average_ranks(probs)
     u = float(ranks[labels == 1].sum()) - n_pos * (n_pos + 1) / 2.0
     return u / (n_pos * n_neg)
+
+
+def _average_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks of ``values``, each run of ties sharing its mean rank."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    run_start = np.r_[True, ordered[1:] != ordered[:-1]]
+    starts = np.flatnonzero(run_start)
+    ends = np.r_[starts[1:], values.size]  # one past each run's last position
+    run = np.cumsum(run_start) - 1
+    ranks = np.empty(values.size)
+    ranks[order] = (starts[run] + 1 + ends[run]) / 2.0
+    return ranks
 
 
 def build_examples(cohort: Cohort, idx, standardizer, bmi_standardizer) -> Batch:
@@ -225,7 +239,10 @@ def run_cv(cohort: Cohort, config: CVConfig, seed: int) -> Predictions:
     if config.patient_grouped:
         folds = make_patient_folds(cohort.patient_ids, config.k_folds, fold_rng)
     else:
-        folds = make_folds(cohort.y_vta, config.k_folds, fold_rng)
+        try:
+            folds = make_folds(cohort.y_vta, config.k_folds, fold_rng)
+        except EvaluationError as exc:
+            raise EvaluationError(f"{exc} (class 1 is {LABEL_VTA}, class 0 is {LABEL_CONTROL})") from None
 
     probs = np.full(len(cohort), np.nan)
     for fold_i, test_idx in enumerate(folds):

@@ -19,8 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import trapezoid
-from scipy.signal import lombscargle
 
 from .dataset import LABEL_CONTROL, LABEL_VTA
 
@@ -135,13 +133,46 @@ def band_power(intervals_ms, band: tuple[float, float], grid_step: float = FREQ_
     if np.ptp(x) == 0:
         return 0.0
     n_freqs = int(np.floor((hi - lo) / grid_step + 1e-9))
-    if n_freqs < 1:
-        raise FeatureError(f"band ({lo:g}, {hi:g}) narrower than the {grid_step:g} Hz grid step")
+    if n_freqs < 2:  # the trapezoid of a single point is 0
+        raise FeatureError(f"band ({lo:g}, {hi:g}) holds fewer than 2 points of the {grid_step:g} Hz grid")
     freqs = lo + grid_step * np.arange(1, n_freqs + 1)
     times_s = np.cumsum(x) / 1000.0
     centred = x - x.mean()
-    pgram = lombscargle(times_s, centred, 2.0 * np.pi * freqs)
-    return float(trapezoid(pgram, freqs))
+    pgram = _lomb_scargle(times_s, centred, 2.0 * np.pi * freqs)
+    return float((np.diff(freqs) * (pgram[1:] + pgram[:-1]) / 2.0).sum())
+
+
+def _lomb_scargle(times_s: np.ndarray, centred: np.ndarray, omegas: np.ndarray) -> np.ndarray:
+    """Lomb-Scargle power of ``centred`` at the angular frequencies ``omegas``.
+
+    Unit weights, no floating mean, power in the classic ``n / 4`` units.  The
+    steps follow SciPy 1.17's ``signal.lombscargle`` one for one (weights of
+    ``1/n``, every sum as a dot with them, ``ss = 1 - cc``, the same ``epsneg``
+    floor), so the result equals it bit for bit.
+    """
+    n = times_s.size
+    weights = (np.ones(n) * (1.0 / n)).reshape(-1, 1)
+    weights_y = weights * centred.reshape(-1, 1)
+    freqst = omegas.reshape(1, -1) * times_s.reshape(-1, 1)
+    coswt = np.cos(freqst)
+    sinwt = np.sin(freqst)
+    cc = np.dot(weights.T, coswt * coswt)
+    ss = 1.0 - cc
+    cs = np.dot(weights.T, coswt * sinwt)
+    # tau is the phase offset that makes the cosine and sine terms orthogonal
+    tau = 0.5 * np.arctan2(2.0 * cs, cc - ss)
+    freqst_tau = freqst - tau
+    coswt_tau = np.cos(freqst_tau)
+    sinwt_tau = np.sin(freqst_tau)
+    yc = np.dot(weights_y.T, coswt_tau)
+    ys = np.dot(weights_y.T, sinwt_tau)
+    cc = np.dot(weights.T, coswt_tau * coswt_tau)
+    ss = 1.0 - cc
+    epsneg = np.finfo(np.float64).epsneg
+    cc[cc < epsneg] = epsneg
+    ss[ss < epsneg] = epsneg
+    pgram = 2.0 * ((yc / cc) * yc + (ys / ss) * ys)
+    return pgram.ravel() * (float(n) / 4.0)
 
 
 def windowed_diff(intervals_ms, ectopic_mask, window_beats: int = 250) -> tuple[float, int]:

@@ -28,3 +28,16 @@ def gaussian200():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(42)
+
+
+@pytest.fixture()
+def scipy_reference():
+    """scipy at 1.15 or later, whose ``lombscargle`` is plain numpy; skips otherwise.
+
+    The package does not depend on scipy; these tests pin its numpy
+    periodogram and ranks to scipy's bit for bit where scipy is installed.
+    """
+    scipy = pytest.importorskip("scipy")
+    if tuple(int(part) for part in scipy.__version__.split(".")[:2]) < (1, 15):
+        pytest.skip(f"scipy {scipy.__version__} predates the numpy lombscargle")
+    return scipy

@@ -2,6 +2,10 @@
 
 import inspect
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -297,6 +301,22 @@ class TestTopLevel:
     def test_unknown_command_exits_one(self):
         assert run("explode") == 1
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--horizon-ms", "nan", "horizon_ms must be finite"),
+        ("--horizon-ms", "inf", "horizon_ms must be finite"),
+        ("--min-beats", "-1", "min_beats must be >= 0"),
+    ], ids=["nan-horizon", "inf-horizon", "negative-min-beats"])
+    def test_impossible_ingest_setting_exits_one_before_reading_data(
+        self, data, tmp_path, capsys, flag, value, message,
+    ):
+        # a missing data dir would fail at load time, so reaching the check proves nothing was read
+        rc = run("features", "--data-dir", str(tmp_path / "nowhere"), "--metadata", data[1],
+                 "--out", str(tmp_path / "x.csv"), flag, value)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert message in err
+        assert "nowhere" not in err
+
     def test_nan_threshold_exits_one_before_any_fit(self, data, tmp_path, capsys):
         out = tmp_path / "grid"
         rc = run("ablate", "--data-dir", data[0], "--metadata", data[1], "--out", str(out),
@@ -304,6 +324,15 @@ class TestTopLevel:
         assert rc == 1
         assert "threshold must be in" in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # scipy's import was most of every CLI call's start-up time
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import sys, vtapred.cli; print(any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules))"
+    result = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+                            capture_output=True, text=True, timeout=60, check=True)
+    assert result.stdout.strip() == "False"
 
 
 class TestDatasetChecksum:

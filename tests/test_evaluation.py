@@ -32,6 +32,7 @@ from vtapred.evaluation import (
     ROW_LABELS,
     ROW_MULTI_TASK,
     ROW_WINDOWED,
+    _average_ranks,
     write_per_seed_csv,
     write_predictions_csv,
     write_report_csv,
@@ -198,6 +199,23 @@ class TestAuc:
         with pytest.raises(EvaluationError, match="each class"):
             auc([1, 1], [0.3, 0.4])
 
+    def test_nan_probability_rejected(self):
+        with pytest.raises(EvaluationError, match="not NaN"):
+            auc([1, 0, 1], [0.3, float("nan"), 0.4])
+
+    def test_average_ranks_bit_identical_to_scipy(self, rng, scipy_reference):
+        from scipy.stats import rankdata
+
+        for i in range(300):
+            n = int(rng.integers(1, 300))
+            values = rng.integers(0, int(rng.integers(1, 20)), n) / 7.0  # heavy ties
+            if i % 4 == 0:
+                values = rng.random(n)
+            if i % 5 == 0:
+                values[::3] = -0.0  # ties with 0.0
+            ranks = _average_ranks(values)
+            assert np.array_equal(ranks, rankdata(values, method="average"))
+
 
 class TestRunCV:
     def test_every_record_scored_exactly_once(self, gaussian200):
@@ -248,6 +266,15 @@ class TestRunCV:
         config = quick_config(patient_grouped=True, k_folds=5)
         preds = run_cv(gaussian200, config, seed=0)
         assert np.isfinite(preds.probs).all()
+
+    def test_undersized_class_named_by_value_and_label(self, gaussian200):
+        y_vta = np.zeros(len(gaussian200), dtype=int)
+        y_vta[[0, 2, 4]] = 1
+        message = ("class 1 has 3 records but 10 folds were requested "
+                   f"(class 1 is {LABEL_VTA}, class 0 is {LABEL_CONTROL})")
+        with pytest.raises(EvaluationError) as caught:
+            run_cv(replace(gaussian200, y_vta=y_vta), quick_config(), seed=0)
+        assert str(caught.value) == message
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(EvaluationError, match="no records"):

@@ -37,6 +37,7 @@ from vtapred import (
     windowed_diff,
     write_feature_matrix,
 )
+from vtapred.features import FREQ_GRID_STEP_HZ, _lomb_scargle
 
 
 class TestDetectEctopic:
@@ -142,6 +143,32 @@ class TestBandPower:
                 want = lomb_band_power(x, band)
                 assert got == pytest.approx(want, rel=1e-8)
 
+    def test_vendored_periodogram_matches_the_direct_oracle(self, rng):
+        for n in (2, 3, 30, 250, 1000):
+            x = rng.normal(820.0, 45.0, n)
+            t = np.cumsum(x) / 1000.0
+            y = x - x.mean()
+            for freqs in (np.arange(0.003, 0.4, 0.0005), 0.15 + 0.005 * np.arange(1, 51), np.array([0.1])):
+                got = _lomb_scargle(t, y, 2.0 * np.pi * freqs)
+                want = lomb_periodogram(t, y, freqs)
+                assert got.shape == want.shape
+                np.testing.assert_allclose(got, want, rtol=1e-8, atol=1e-10 * float(np.sum(y * y)))
+
+    def test_bit_identical_to_scipy(self, rng, scipy_reference):
+        from scipy.integrate import trapezoid
+        from scipy.signal import lombscargle
+
+        for i in range(50):
+            x = rng.normal(820.0, float(rng.uniform(5.0, 120.0)), int(rng.integers(3, 2000)))
+            if i % 3 == 0:
+                x = np.round(x)  # integer-ms recordings
+            times_s = np.cumsum(x) / 1000.0
+            for lo, hi in (VLF_BAND, (0.04, 0.15), (0.15, 0.40)):
+                n_freqs = int(np.floor((hi - lo) / FREQ_GRID_STEP_HZ + 1e-9))
+                freqs = lo + FREQ_GRID_STEP_HZ * np.arange(1, n_freqs + 1)
+                pgram = lombscargle(times_s, x - x.mean(), 2.0 * np.pi * freqs)
+                assert band_power(x, (lo, hi)) == float(trapezoid(pgram, freqs))
+
     def test_non_negative(self, rng):
         for _ in range(10):
             x = rng.normal(800.0, 60.0, 50)
@@ -157,6 +184,11 @@ class TestBandPower:
     def test_degenerate_band_rejected(self):
         with pytest.raises(FeatureError, match="degenerate frequency band"):
             band_power(np.full(30, 800.0), (0.15, 0.15))
+
+    @pytest.mark.parametrize("band", [(0.04, 0.044), (0.04, 0.047)])
+    def test_band_with_fewer_than_two_grid_points_rejected(self, band):
+        with pytest.raises(FeatureError, match="fewer than 2 points"):
+            band_power(np.arange(30, dtype=float) + 800.0, band)
 
     def test_needs_two_beats(self):
         with pytest.raises(FeatureError, match="at least 2 intervals"):
