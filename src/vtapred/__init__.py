@@ -66,7 +66,6 @@ from .optim import (
     TrainingError,
     adadelta_step,
     clip,
-    clip_global_norm,
     train,
     write_loss_history,
 )

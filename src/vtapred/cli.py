@@ -15,7 +15,7 @@ import hashlib
 import json
 import logging
 import sys
-from dataclasses import MISSING, asdict, fields
+from dataclasses import MISSING, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -61,15 +61,8 @@ def _parse_bool(text: str) -> bool:
 
 
 def _field_defaults(cls) -> dict:
-    """Defaults of a config dataclass's scalar fields; a band splits into ``<x>_lo``/``<x>_hi``."""
-    defaults = {}
-    for f in fields(cls):
-        if isinstance(f.default, tuple):
-            prefix = f.name.removesuffix("_band")
-            defaults[f"{prefix}_lo"], defaults[f"{prefix}_hi"] = f.default
-        elif f.default is not MISSING:  # skips the nested feature and train configs
-            defaults[f.name] = f.default
-    return defaults
+    """Defaults of a config dataclass's scalar fields (the nested configs have none)."""
+    return {f.name: f.default for f in fields(cls) if f.default is not MISSING}
 
 
 # key -> (parser, default); this one table drives the config file, the
@@ -126,22 +119,12 @@ def resolve_settings(args: argparse.Namespace) -> dict:
             settings[key] = from_file[key]
         else:
             settings[key] = default
-    if getattr(args, "single_task", False):
-        settings["lam_nyhac"] = 0.0
-        settings["lam_bmi"] = 0.0
     return settings
 
 
 def _build(cls, settings: dict, **nested):
     """Instantiate a config dataclass from the settings keys of its fields."""
-    kwargs = dict(nested)
-    for f in fields(cls):
-        if isinstance(f.default, tuple):
-            prefix = f.name.removesuffix("_band")
-            kwargs[f.name] = (settings[f"{prefix}_lo"], settings[f"{prefix}_hi"])
-        elif f.name not in nested:
-            kwargs[f.name] = settings[f.name]
-    return cls(**kwargs)
+    return cls(**{f.name: settings[f.name] for f in fields(cls) if f.name not in nested}, **nested)
 
 
 def build_configs(settings: dict) -> CVConfig:
@@ -160,8 +143,9 @@ def _prepare(args: argparse.Namespace):
     # a non-positive horizon is the documented no-op, so only NaN and inf are impossible
     if not np.isfinite(settings["horizon_ms"]):
         raise ConfigError(f"horizon_ms must be finite, got {settings['horizon_ms']!r}")
-    if settings["min_beats"] < 0:
-        raise ConfigError(f"min_beats must be >= 0, got {settings['min_beats']!r}")
+    for key, least in (("min_beats", 0), ("seed", 0), ("seeds", 1), ("jobs", 1)):
+        if settings[key] < least:
+            raise ConfigError(f"{key} must be >= {least}, got {settings[key]!r}")
     records, patients = load_dataset(args.data_dir, args.metadata)
     prepared = prepare_records(
         records,
@@ -184,7 +168,7 @@ def dataset_checksum(tachogram_dir, metadata_file) -> str:
     return digest.hexdigest()
 
 
-def write_manifest(path, args, settings: dict, cv: CVConfig, seed_list, n_records: int) -> None:
+def write_manifest(path, args, settings: dict, seed_list, n_records: int) -> None:
     manifest = {
         "tool": "vtapred",
         "version": __version__,
@@ -197,8 +181,6 @@ def write_manifest(path, args, settings: dict, cv: CVConfig, seed_list, n_record
         },
         "seeds": list(seed_list),
         "settings": settings,
-        "feature_config": asdict(cv.features),
-        "train_config": asdict(cv.train),
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -241,7 +223,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     predictions_dir.mkdir(exist_ok=True)
     for (row, seed), preds in report.predictions.items():
         write_predictions_csv(predictions_dir / f"{row}_seed{seed}.csv", preds)
-    write_manifest(out_dir / "manifest.json", args, settings, cv, seed_list, len(records))
+    write_manifest(out_dir / "manifest.json", args, settings, seed_list, len(records))
     sys.stdout.write(table)
     return 0
 
@@ -251,8 +233,6 @@ def _add_common_arguments(sub: argparse.ArgumentParser, io_out: str) -> None:
     sub.add_argument("--metadata", required=True, help="metadata CSV path")
     sub.add_argument("--config", help="flat key=value configuration file")
     sub.add_argument("--out", required=True, help=io_out)
-    sub.add_argument("--single-task", action="store_true",
-                     help="disable the auxiliary training targets (sets both weights to 0)")
     # Mirror every config key as a flag; bools get --key/--no-key pairs.
     for key, (parser, default) in SETTINGS.items():
         flag = "--" + key.replace("_", "-")

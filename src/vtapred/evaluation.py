@@ -9,7 +9,6 @@ number bit-for-bit, no matter how many worker processes are used.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -317,6 +316,8 @@ def run_ablation(
         for seed in seed_list
     ]
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only pooled runs pay for its import
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_run_item, items))
     else:

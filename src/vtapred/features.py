@@ -51,8 +51,9 @@ class FeatureConfig:
     include_windowed: bool = True
     recent_beats: int = 30
     window_beats: int = 250
-    lf_band: tuple[float, float] = (0.04, 0.15)
-    hf_band: tuple[float, float] = (0.15, 0.40)
+    lf_lo: float = 0.04
+    lf_hi: float = 0.15  # the LF/HF edge: HF starts where LF ends
+    hf_hi: float = 0.40
     ectopic_threshold: float = 0.2
     ectopic_ref_beats: int = 5
 
@@ -63,11 +64,12 @@ class FeatureConfig:
             raise ValueError("recent_beats must be >= 2")
         if self.window_beats < 2 or self.window_beats % 2:
             raise ValueError("window_beats must be an even number >= 2")
-        for lo, hi in (self.lf_band, self.hf_band):
-            if not lo < hi:
+        for lo, hi in ((self.lf_lo, self.lf_hi), (self.lf_hi, self.hf_hi)):
+            if not (lo < hi and np.isfinite(hi - lo)):  # also rejects NaN and inf
                 raise ValueError(f"degenerate frequency band ({lo:g}, {hi:g})")
-        if self.lf_band[1] != self.hf_band[0]:
-            raise ValueError("lf and hf bands must be adjacent (lf high edge == hf low edge)")
+            if _grid_points(lo, hi) < 2:
+                raise ValueError(f"band ({lo:g}, {hi:g}) holds fewer than 2 points of the "
+                                 f"{FREQ_GRID_STEP_HZ:g} Hz grid")
         if not 0 < self.ectopic_threshold < np.inf:  # also rejects NaN
             raise ValueError("ectopic_threshold must be positive and finite")
         if self.ectopic_ref_beats < 1:
@@ -115,6 +117,11 @@ def time_stats(intervals_ms, recent_beats: int = 30) -> tuple[float, float, floa
     return float(tail.mean()), float(tail.min()), float(tail.max())
 
 
+def _grid_points(lo: float, hi: float, step: float = FREQ_GRID_STEP_HZ) -> int:
+    """How many points of the grid ``lo + step, lo + 2 step, ...`` lie in ``(lo, hi]``; edges finite."""
+    return int(np.floor((hi - lo) / step + 1e-9))
+
+
 def band_power(intervals_ms, band: tuple[float, float], grid_step: float = FREQ_GRID_STEP_HZ) -> float:
     """Spectral power of an RR sequence inside a frequency band.
 
@@ -125,14 +132,14 @@ def band_power(intervals_ms, band: tuple[float, float], grid_step: float = FREQ_
     rule.  An all-equal sequence has no power anywhere and returns 0.
     """
     lo, hi = band
-    if not lo < hi:
+    if not (lo < hi and np.isfinite(hi - lo)):
         raise FeatureError(f"degenerate frequency band ({lo:g}, {hi:g})")
     x = np.asarray(intervals_ms, dtype=float)
     if x.size < 2:
         raise FeatureError("need at least 2 intervals for band power")
     if np.ptp(x) == 0:
         return 0.0
-    n_freqs = int(np.floor((hi - lo) / grid_step + 1e-9))
+    n_freqs = _grid_points(lo, hi, grid_step)
     if n_freqs < 2:  # the trapezoid of a single point is 0
         raise FeatureError(f"band ({lo:g}, {hi:g}) holds fewer than 2 points of the {grid_step:g} Hz grid")
     freqs = lo + grid_step * np.arange(1, n_freqs + 1)
@@ -290,8 +297,8 @@ def baseline11(intervals_ms, config: FeatureConfig = FeatureConfig()) -> dict[st
     rmssd = float(np.sqrt(np.mean(diffs**2)))
     pnn50 = float(np.mean(np.abs(diffs) > 50.0))
     vlf = band_power(x, VLF_BAND)
-    lf = band_power(x, config.lf_band)
-    hf = band_power(x, config.hf_band)
+    lf = band_power(x, (config.lf_lo, config.lf_hi))
+    hf = band_power(x, (config.lf_hi, config.hf_hi))
     sd1, sd2 = _poincare(x)
     return {
         "mean_nn": float(x.mean()),
@@ -331,8 +338,8 @@ def extract(record, config: FeatureConfig = FeatureConfig()) -> np.ndarray:
         else:
             mean_rr, min_rr, max_rr = time_stats(filtered, config.recent_beats)
             recent = filtered[-config.recent_beats:]
-            lf = band_power(recent, config.lf_band)
-            hf = band_power(recent, config.hf_band)
+            lf = band_power(recent, (config.lf_lo, config.lf_hi))
+            hf = band_power(recent, (config.lf_hi, config.hf_hi))
             values = [mean_rr, lf, hf, min_rr, max_rr]
         if config.include_windowed:
             delta_mean, delta_count = windowed_diff(raw, mask, config.window_beats)

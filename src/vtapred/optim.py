@@ -45,7 +45,6 @@ class TrainingError(Exception):
 class TrainConfig:
     epochs: int = 1000
     clip: float = 0.1
-    clip_mode: str = "element"   # "element" or "norm" (global L2)
     keep_prob: float = 0.75
     lr: float = 1.0
     rho: float = 0.95
@@ -58,8 +57,6 @@ class TrainConfig:
             raise ValueError("epochs must be >= 0")
         if not self.clip > 0:
             raise ValueError("clip must be positive")
-        if self.clip_mode not in ("element", "norm"):
-            raise ValueError("clip_mode must be 'element' or 'norm'")
         if not 0.0 < self.keep_prob <= 1.0:
             raise ValueError("keep_prob must be in (0, 1]")
         if not 0.0 <= self.rho < 1.0:
@@ -77,21 +74,6 @@ class TrainConfig:
 def clip(gradient: np.ndarray, limit: float, out: np.ndarray | None = None) -> np.ndarray:
     """Clamp every component to [-limit, limit] (into ``out`` when given)."""
     return np.clip(gradient, -limit, limit, out=out)
-
-
-def clip_global_norm(grads: Mapping[str, np.ndarray], limit: float) -> Mapping[str, np.ndarray]:
-    """Rescale all gradients together, in place, so their joint L2 norm is <= limit.
-
-    The norm sums each tensor's squares first, then the per-tensor sums in
-    order.  Returns ``grads``.
-    """
-    total = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
-    if total <= limit or total == 0.0:
-        return grads
-    scale = limit / total
-    for g in grads.values():
-        g *= scale
-    return grads
 
 
 class AdaDeltaState:
@@ -200,10 +182,7 @@ def train(
         if not np.isfinite(total):
             raise TrainingError(f"non-finite loss at epoch {epoch}")
         backward(params, cache, batch, config.lam_nyhac, config.lam_bmi, out=grads)
-        if config.clip_mode == "element":
-            clip(g, config.clip, out=g)
-        else:
-            clip_global_norm(grads, config.clip)
+        clip(g, config.clip, out=g)
         max_grad = float(np.abs(g, out=work("abs_grad", g.shape)).max())
         adadelta_step(state, params, grads, live)
         history.append({

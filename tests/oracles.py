@@ -250,12 +250,7 @@ def train_reference(batch, config, net, tensors: dict, rng) -> tuple[dict, list[
     for epoch in range(config.epochs):
         masks = _reference_masks(net, batch.features.shape[0], config.keep_prob, rng)
         parts, grads = _reference_epoch(net, t, batch, masks, config.lam_nyhac, config.lam_bmi)
-        if config.clip_mode == "element":
-            grads = {name: np.clip(g, -config.clip, config.clip) for name, g in grads.items()}
-        else:
-            norm = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
-            if norm > config.clip and norm != 0.0:
-                grads = {name: g * (config.clip / norm) for name, g in grads.items()}
+        grads = {name: np.clip(g, -config.clip, config.clip) for name, g in grads.items()}
         max_grad = max(float(np.max(np.abs(g))) for g in grads.values())
         for name, tensor in t.items():
             g = grads[name]

@@ -83,12 +83,31 @@ class TestFeaturesCommand:
         assert default_out.read_bytes() == overridden.read_bytes()
 
     def test_unknown_config_key_rejected(self, data, tmp_path, capsys):
+        # a file that still sets the dropped clip_mode or hf_lo must fail, not be ignored
         config = tmp_path / "bad.conf"
-        config.write_text("learning_rate_warmup = 5\n")
-        rc = run("features", "--data-dir", data[0], "--metadata", data[1],
-                 "--out", str(tmp_path / "x.csv"), "--config", str(config))
-        assert rc == 1
-        assert "unknown key" in capsys.readouterr().err
+        for line in ("learning_rate_warmup = 5", "clip_mode = norm", "hf_lo = 0.15"):
+            config.write_text(line + "\n")
+            rc = run("features", "--data-dir", data[0], "--metadata", data[1],
+                     "--out", str(tmp_path / "x.csv"), "--config", str(config))
+            assert rc == 1
+            assert "unknown key" in capsys.readouterr().err
+
+    def test_lf_edge_moves_both_band_columns(self, data, tmp_path):
+        default_out = tmp_path / "default.csv"
+        moved_out = tmp_path / "moved.csv"
+        assert run("features", "--data-dir", data[0], "--metadata", data[1],
+                   "--out", str(default_out)) == 0
+        assert run("features", "--data-dir", data[0], "--metadata", data[1],
+                   "--out", str(moved_out), "--lf-hi", "0.2") == 0
+
+        def column(path, name):
+            lines = path.read_text().splitlines()
+            index = lines[0].split(",").index(name)
+            return [line.split(",")[index] for line in lines[1:]]
+
+        for name in ("lf_power", "hf_power"):
+            assert column(default_out, name) != column(moved_out, name)
+        assert column(default_out, "mean_rr") == column(moved_out, "mean_rr")
 
     def test_bad_config_value_rejected(self, data, tmp_path, capsys):
         config = tmp_path / "bad.conf"
@@ -197,7 +216,7 @@ class TestTrainCommand:
     def test_single_task_zeroes_auxiliary_losses(self, data, tmp_path):
         out = tmp_path / "single.ckpt"
         assert run("train", "--data-dir", data[0], "--metadata", data[1],
-                   "--out", str(out), "--epochs", "10", "--single-task") == 0
+                   "--out", str(out), "--epochs", "10", "--lam-nyhac", "0", "--lam-bmi", "0") == 0
         lines = (tmp_path / "single.ckpt.loss.csv").read_text().splitlines()[1:]
         for line in lines:
             epoch, total, vta, nyhac, bmi = line.split(",")
@@ -263,7 +282,8 @@ class TestAblateCommand:
         assert manifest["settings"]["epochs"] == 25
         assert manifest["dataset"]["records_used"] == 24
         assert len(manifest["dataset"]["checksum_sha256"]) == 64
-        assert manifest["train_config"]["epochs"] == 25
+        # the settings are echoed once
+        assert sorted(manifest) == ["created", "dataset", "seeds", "settings", "tool", "version"]
 
     def test_rerun_reproduces_every_artifact(self, ablate_run, data, tmp_path):
         _, first, config = ablate_run
@@ -305,7 +325,15 @@ class TestTopLevel:
         ("--horizon-ms", "nan", "horizon_ms must be finite"),
         ("--horizon-ms", "inf", "horizon_ms must be finite"),
         ("--min-beats", "-1", "min_beats must be >= 0"),
-    ], ids=["nan-horizon", "inf-horizon", "negative-min-beats"])
+        ("--seeds", "0", "seeds must be >= 1"),
+        ("--seeds", "-2", "seeds must be >= 1"),
+        ("--jobs", "0", "jobs must be >= 1"),
+        ("--jobs", "-5", "jobs must be >= 1"),
+        ("--seed", "-1", "seed must be >= 0"),
+        ("--lf-hi", "0.047", "fewer than 2 points"),
+        ("--hf-hi", "inf", "degenerate frequency band (0.15, inf)"),
+    ], ids=["nan-horizon", "inf-horizon", "negative-min-beats", "zero-seeds", "negative-seeds",
+            "zero-jobs", "negative-jobs", "negative-seed", "one-point-lf-band", "unbounded-hf-band"])
     def test_impossible_ingest_setting_exits_one_before_reading_data(
         self, data, tmp_path, capsys, flag, value, message,
     ):
@@ -330,6 +358,15 @@ def test_importing_the_cli_loads_no_scipy():
     # scipy's import was most of every CLI call's start-up time
     src = Path(__file__).resolve().parents[1] / "src"
     code = "import sys, vtapred.cli; print(any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules))"
+    result = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+                            capture_output=True, text=True, timeout=60, check=True)
+    assert result.stdout.strip() == "False"
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # only ablate with jobs > 1 needs the pool, so plain calls skip its import
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import sys, vtapred.cli; print('concurrent.futures.process' in sys.modules)"
     result = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
                             capture_output=True, text=True, timeout=60, check=True)
     assert result.stdout.strip() == "False"

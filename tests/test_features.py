@@ -185,6 +185,11 @@ class TestBandPower:
         with pytest.raises(FeatureError, match="degenerate frequency band"):
             band_power(np.full(30, 800.0), (0.15, 0.15))
 
+    @pytest.mark.parametrize("band", [(0.15, math.inf), (-math.inf, 0.15)])
+    def test_unbounded_band_rejected(self, band):
+        with pytest.raises(FeatureError, match="degenerate frequency band"):
+            band_power(np.arange(30, dtype=float) + 800.0, band)
+
     @pytest.mark.parametrize("band", [(0.04, 0.044), (0.04, 0.047)])
     def test_band_with_fewer_than_two_grid_points_rejected(self, band):
         with pytest.raises(FeatureError, match="fewer than 2 points"):
@@ -528,13 +533,33 @@ class TestFeatureConfigValidation:
         with pytest.raises(ValueError, match="even"):
             FeatureConfig(window_beats=251)
 
-    def test_band_adjacency_enforced(self):
-        with pytest.raises(ValueError, match="adjacent"):
-            FeatureConfig(lf_band=(0.04, 0.14), hf_band=(0.15, 0.40))
-
     def test_degenerate_band(self):
         with pytest.raises(ValueError, match="degenerate"):
-            FeatureConfig(lf_band=(0.15, 0.04), hf_band=(0.04, 0.40))
+            FeatureConfig(lf_lo=0.15, lf_hi=0.04)
+
+    @pytest.mark.parametrize("edges, message", [
+        ({"hf_hi": math.inf}, "degenerate frequency band"),
+        ({"hf_hi": math.nan}, "degenerate frequency band"),
+        ({"lf_lo": -math.inf}, "degenerate frequency band"),
+        ({"lf_hi": math.inf}, "degenerate frequency band"),
+        ({"lf_hi": 0.047}, "fewer than 2 points"),
+        ({"lf_hi": 0.395}, "fewer than 2 points"),
+        ({"lf_lo": 0.144}, "fewer than 2 points"),
+    ])
+    def test_band_that_band_power_would_reject(self, edges, message):
+        with pytest.raises(ValueError, match=message):
+            FeatureConfig(**edges)
+
+    def test_band_adjacency_enforced(self):
+        # HF starts where LF ends, so moving lf_hi moves both bands and no gap can open
+        x = 800.0 + 40.0 * np.sin(np.arange(60) * 1.3)
+        record = RRRecord("r0", x, "Control", "p0")
+        values = dict(zip(RECENT_NAMES, extract(record, FeatureConfig(lf_hi=0.2, include_windowed=False))))
+        recent = x[-30:]
+        assert values["lf_power"] == band_power(recent, (0.04, 0.2))
+        assert values["hf_power"] == band_power(recent, (0.2, 0.40))
+        panel = baseline11(x, FeatureConfig(lf_hi=0.2))
+        assert (panel["lf_power"], panel["hf_power"]) == (band_power(x, (0.04, 0.2)), band_power(x, (0.2, 0.40)))
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_ectopic_threshold(self, value):

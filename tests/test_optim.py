@@ -17,7 +17,6 @@ from vtapred import (
     ablation_config,
     adadelta_step,
     clip,
-    clip_global_norm,
     init_params,
     train,
     write_loss_history,
@@ -49,23 +48,6 @@ class TestClip:
     def test_bound_holds_everywhere(self, rng):
         g = rng.normal(0.0, 5.0, 1000)
         assert np.abs(clip(g, 0.1)).max() <= 0.1 + 1e-15
-
-
-class TestClipGlobalNorm:
-    def test_large_gradients_rescaled_to_limit(self, rng):
-        grads = {"a": rng.normal(0, 1, 50), "b": rng.normal(0, 1, (5, 5))}
-        out = clip_global_norm(grads, 0.1)
-        total = np.sqrt(sum(np.sum(g * g) for g in out.values()))
-        assert total == pytest.approx(0.1, rel=1e-12)
-
-    def test_small_gradients_untouched(self):
-        grads = {"a": np.array([0.01, -0.02])}
-        out = clip_global_norm(grads, 0.1)
-        assert out is grads
-
-    def test_zero_gradients_untouched(self):
-        grads = {"a": np.zeros(3)}
-        assert clip_global_norm(grads, 0.1) is grads
 
 
 class TestAdaDeltaStep:
@@ -181,14 +163,6 @@ class TestTrain:
             assert row["max_grad"] <= 0.1 + 1e-15
             assert row["loss"] == row["vta_loss"] + row["nyhac_loss"] + row["bmi_loss"]
 
-    def test_norm_clipping_mode_also_bounds_gradients(self, rng):
-        params = init_params(self._config(), rng)
-        _, history = train(
-            separable_batch(), TrainConfig(epochs=20, clip_mode="norm"), params, rng
-        )
-        for row in history:
-            assert row["max_grad"] <= 0.1 + 1e-15
-
     def test_non_finite_loss_reports_epoch(self, rng):
         params = init_params(self._config(), rng)
         params.tensors["W1"][0, 0] = np.nan
@@ -213,11 +187,10 @@ class TestTrain:
 class TestTrainMatchesReference:
     """The flat-buffer trainer reproduces the tensor-by-tensor reference to the bit."""
 
-    @pytest.mark.parametrize("clip_mode", ["element", "norm"])
     @pytest.mark.parametrize("keep_prob", [0.75, 1.0])
     @pytest.mark.parametrize("row", ABLATION_ROWS)
-    def test_bit_identical(self, row, keep_prob, clip_mode):
-        cv = ablation_config(row, CVConfig(train=TrainConfig(epochs=12, keep_prob=keep_prob, clip_mode=clip_mode)))
+    def test_bit_identical(self, row, keep_prob):
+        cv = ablation_config(row, CVConfig(train=TrainConfig(epochs=12, keep_prob=keep_prob)))
         net = NetworkConfig(num_features=9, num_decades=5, use_embedding=cv.use_embedding)
         rng = np.random.default_rng(31)
         batch = random_batch(rng, net, 40)
@@ -241,7 +214,7 @@ class TestTrainConfigValidation:
         [
             {"epochs": -1},
             {"clip": 0.0},
-            {"clip_mode": "soft"},
+            {"clip": float("nan")},
             {"keep_prob": 0.0},
             {"keep_prob": 1.5},
             {"rho": 1.0},
