@@ -23,7 +23,7 @@ def main() -> None:
 
         base = CVConfig(train=TrainConfig(epochs=60), k_folds=5)
         started = time.perf_counter()
-        report = run_ablation(records, patients, base, seeds=3, jobs=2)
+        report = run_ablation(records, patients, base, seeds=range(3), jobs=2)
         elapsed = time.perf_counter() - started
 
         print(format_report_table(report))

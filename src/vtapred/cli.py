@@ -209,7 +209,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_ablate(args: argparse.Namespace) -> int:
     settings, cv, records, patients = _prepare(args)
-    seed_list = list(range(settings["seeds"]))
+    seed_list = list(range(settings["seed"], settings["seed"] + settings["seeds"]))
 
     report = run_ablation(records, patients, cv, seeds=seed_list, jobs=settings["jobs"])
 

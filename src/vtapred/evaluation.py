@@ -290,18 +290,17 @@ def run_ablation(
     records: list[RRRecord],
     patients: dict[str, PatientMeta],
     base: CVConfig,
-    seeds=10,
+    seeds,
     jobs: int = 1,
 ) -> EvalReport:
-    """Evaluate every grid row over the given seeds.
+    """Evaluate every grid row over the given sequence of seeds (e.g. ``range(10)``).
 
-    ``seeds`` is either a count (meaning range(count)) or an explicit list.
     One cohort is built per distinct feature configuration and shared
     across seeds and workers.  With ``jobs > 1`` the (row, seed) items run
     in a process pool; results are merged in fixed order, so the output is
     identical to a serial run.
     """
-    seed_list = tuple(range(seeds)) if isinstance(seeds, int) else tuple(int(s) for s in seeds)
+    seed_list = tuple(int(s) for s in seeds)
     if not seed_list:
         raise EvaluationError("need at least one seed")
     configs = {row: ablation_config(row, base) for row in ABLATION_ROWS}

@@ -117,18 +117,18 @@ def time_stats(intervals_ms, recent_beats: int = 30) -> tuple[float, float, floa
     return float(tail.mean()), float(tail.min()), float(tail.max())
 
 
-def _grid_points(lo: float, hi: float, step: float = FREQ_GRID_STEP_HZ) -> int:
-    """How many points of the grid ``lo + step, lo + 2 step, ...`` lie in ``(lo, hi]``; edges finite."""
-    return int(np.floor((hi - lo) / step + 1e-9))
+def _grid_points(lo: float, hi: float) -> int:
+    """How many points ``lo + k * FREQ_GRID_STEP_HZ`` (k = 1, 2, ...) lie in ``(lo, hi]``; edges finite."""
+    return int(np.floor((hi - lo) / FREQ_GRID_STEP_HZ + 1e-9))
 
 
-def band_power(intervals_ms, band: tuple[float, float], grid_step: float = FREQ_GRID_STEP_HZ) -> float:
+def band_power(intervals_ms, band: tuple[float, float]) -> float:
     """Spectral power of an RR sequence inside a frequency band.
 
     The sequence is unevenly sampled in time (each beat lands at the end of
     its interval), so the spectrum is estimated with a Lomb-Scargle
     periodogram of the mean-subtracted intervals, evaluated on a uniform grid
-    of ``grid_step`` spanning ``(lo, hi]``, and integrated with the trapezoid
+    of ``FREQ_GRID_STEP_HZ`` spanning ``(lo, hi]``, and integrated with the trapezoid
     rule.  An all-equal sequence has no power anywhere and returns 0.
     """
     lo, hi = band
@@ -139,10 +139,10 @@ def band_power(intervals_ms, band: tuple[float, float], grid_step: float = FREQ_
         raise FeatureError("need at least 2 intervals for band power")
     if np.ptp(x) == 0:
         return 0.0
-    n_freqs = _grid_points(lo, hi, grid_step)
+    n_freqs = _grid_points(lo, hi)
     if n_freqs < 2:  # the trapezoid of a single point is 0
-        raise FeatureError(f"band ({lo:g}, {hi:g}) holds fewer than 2 points of the {grid_step:g} Hz grid")
-    freqs = lo + grid_step * np.arange(1, n_freqs + 1)
+        raise FeatureError(f"band ({lo:g}, {hi:g}) holds fewer than 2 points of the {FREQ_GRID_STEP_HZ:g} Hz grid")
+    freqs = lo + FREQ_GRID_STEP_HZ * np.arange(1, n_freqs + 1)
     times_s = np.cumsum(x) / 1000.0
     centred = x - x.mean()
     pgram = _lomb_scargle(times_s, centred, 2.0 * np.pi * freqs)

@@ -140,9 +140,6 @@ class NetworkParams:
     def __post_init__(self):
         self.tensors = FlatTensors(self.tensors)
 
-    def copy(self) -> "NetworkParams":
-        return NetworkParams(self.config, self.tensors)
-
 
 def init_params(config: NetworkConfig, rng: np.random.Generator) -> NetworkParams:
     """Glorot-uniform weights, zero biases, uniform(-0.05, 0.05) embedding.
@@ -295,10 +292,10 @@ def forward(
     """Run the network on a batch.
 
     Args:
-        features: (n, num_features) standardized inputs (a single vector is
-            promoted to a batch of one).
-        decade_index: (n,) embedding rows; required when the config uses the
-            embedding, ignored otherwise.
+        features: (n, num_features) standardized inputs, always 2-D (one
+            row is a (1, num_features) matrix).
+        decade_index: (n,) integer embedding rows; required when the config
+            uses the embedding, ignored otherwise.
         masks: dropout masks from :func:`draw_dropout_masks`, or None for
             inference.
         tasks: the branches to compute; the others are skipped and absent
@@ -316,15 +313,15 @@ def forward(
     cfg = params.config
     t = params.tensors
     work = Workspace() if work is None else work
-    x = np.atleast_2d(np.asarray(features, dtype=float))
-    if x.shape[1] != cfg.num_features:
-        raise NetworkError(f"expected {cfg.num_features} features, got {x.shape[1]}")
+    x = np.asarray(features, dtype=float)
+    if x.ndim != 2 or x.shape[1] != cfg.num_features:
+        raise NetworkError(f"expected {cfg.num_features} features per row of a 2-D matrix, got {x.shape}")
     n = x.shape[0]
     if cfg.use_embedding:
         if decade_index is None:
             raise NetworkError("decade_index is required when the embedding is enabled")
-        idx = np.atleast_1d(np.asarray(decade_index, dtype=int))
-        if idx.shape[0] != n:
+        idx = np.asarray(decade_index, dtype=int)
+        if idx.shape != (n,):
             raise NetworkError("decade_index length must match the batch")
         if idx.min() < 0 or idx.max() >= cfg.embedding_rows:
             raise NetworkError(f"decade_index outside [0, {cfg.embedding_rows})")
@@ -561,15 +558,13 @@ def load_checkpoint(path, expect_input_dim: int | None = None) -> tuple[NetworkP
         raise CheckpointError(
             f"{path}: checkpoint input width {config.input_dim} != expected {expect_input_dim}"
         )
-    offset = 9 + header_len
-    tensors: dict[str, np.ndarray] = {}
-    for name, shape in tensor_shapes(config).items():
-        count = int(np.prod(shape))
-        nbytes = count * 8
-        if offset + nbytes > len(data):
-            raise CheckpointError(f"{path}: truncated tensor {name!r}")
-        tensors[name] = np.frombuffer(data[offset:offset + nbytes], dtype="<f8").reshape(shape).copy()
-        offset += nbytes
-    if offset != len(data):
-        raise CheckpointError(f"{path}: {len(data) - offset} trailing bytes")
-    return NetworkParams(config, tensors), header
+    params = NetworkParams(config, {name: np.zeros(shape) for name, shape in tensor_shapes(config).items()})
+    payload = data[9 + header_len:]
+    nbytes = params.tensors.flat.nbytes
+    if len(payload) < nbytes:
+        name = next(name for name in params.tensors if 8 * params.tensors.span([name]) > len(payload))
+        raise CheckpointError(f"{path}: truncated tensor {name!r}")
+    if len(payload) > nbytes:
+        raise CheckpointError(f"{path}: {len(payload) - nbytes} trailing bytes")
+    params.tensors.flat[:] = np.frombuffer(payload, dtype="<f8")
+    return params, header

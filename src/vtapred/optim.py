@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import csv
 import math
-from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,13 +80,10 @@ class AdaDeltaState:
 
     ``sq_grad`` and ``sq_delta`` are :class:`network.FlatTensors` laid out
     like the parameters; ``scratch`` holds the two parameter-sized buffers
-    the update works in.
+    the update works in.  The recipe lives in :class:`TrainConfig` alone.
     """
 
-    def __init__(self, params: NetworkParams, rho: float = 0.95, eps: float = 1e-6, lr: float = 1.0):
-        self.rho = rho
-        self.eps = eps
-        self.lr = lr
+    def __init__(self, params: NetworkParams):
         self.sq_grad = params.tensors.zeros_like()
         self.sq_delta = params.tensors.zeros_like()
         self.scratch = (np.empty_like(self.sq_grad.flat), np.empty_like(self.sq_grad.flat))
@@ -96,18 +92,19 @@ class AdaDeltaState:
 def adadelta_step(
     state: AdaDeltaState,
     params: NetworkParams,
-    grads: Mapping[str, np.ndarray],
+    grads: FlatTensors,
+    config: TrainConfig = TrainConfig(),
     size: int | None = None,
 ) -> None:
-    """One in-place AdaDelta update of every parameter.
+    """One in-place AdaDelta update of every parameter, with ``config``'s rho, eps and lr.
 
     Per element: accumulate the squared gradient, scale the gradient by the
     ratio of RMS(previous updates) to RMS(gradients), apply, and then
     accumulate the squared update.  Accumulators stay non-negative by
     construction.  A non-finite gradient is a hard error naming the first
-    tensor that holds one, and nothing is updated.  ``grads`` laid out like
-    ``params.tensors`` (as train's are) is used in place; any other mapping
-    is first copied into that layout.
+    tensor that holds one, and nothing is updated.  ``grads`` must be a
+    :class:`network.FlatTensors` laid out like ``params.tensors`` (as
+    train's are); any other form is a ``ValueError``.
 
     ``size`` limits the update to the first ``size`` entries of the flat
     buffers.  It is for a caller whose gradient past them has been zero since
@@ -115,13 +112,13 @@ def adadelta_step(
     zero accumulators exactly as they are.
     """
     if not (isinstance(grads, FlatTensors) and grads.layout == params.tensors.layout):
-        grads = FlatTensors({name: grads[name] for name in params.tensors})
+        raise ValueError("grads must be a FlatTensors laid out like params.tensors")
     live = slice(0, size)
     g = grads.flat[live]
     if not np.isfinite(g).all():
         name = next(name for name, value in grads.items() if not np.isfinite(value).all())
         raise TrainingError(f"non-finite gradient in tensor {name!r}")
-    rho, eps, lr = state.rho, state.eps, state.lr
+    rho, eps, lr = config.rho, config.eps, config.lr
     sq_g, sq_d = state.sq_grad.flat[live], state.sq_delta.flat[live]
     delta, tmp = (buffer[live] for buffer in state.scratch)
     sq_g *= rho
@@ -166,7 +163,7 @@ def train(
     With ``epochs == 0`` the parameters are returned untouched and the
     history is empty.
     """
-    state = AdaDeltaState(params, rho=config.rho, eps=config.eps, lr=config.lr)
+    state = AdaDeltaState(params)
     tasks = active_tasks(batch, config.lam_nyhac, config.lam_bmi)
     grads = params.tensors.zeros_like()
     # Past the last tensor the loss reads, every gradient stays exactly zero,
@@ -184,7 +181,7 @@ def train(
         backward(params, cache, batch, config.lam_nyhac, config.lam_bmi, out=grads)
         clip(g, config.clip, out=g)
         max_grad = float(np.abs(g, out=work("abs_grad", g.shape)).max())
-        adadelta_step(state, params, grads, live)
+        adadelta_step(state, params, grads, config, live)
         history.append({
             "epoch": float(epoch),
             "loss": total,

@@ -23,29 +23,27 @@ from .dataset import LABEL_CONTROL, LABEL_VTA
 from .features import Cohort
 
 DECADES = 6  # birth decades 1930..1980, assigned round-robin
+GAUSSIAN_FEATURES = 7
+GAUSSIAN_SIGMA = 0.3
 
 
-def gaussian_task(
-    n: int = 200,
-    num_features: int = 7,
-    sigma: float = 0.3,
-    seed: int = 0,
-) -> Cohort:
+def gaussian_task(n: int = 200, seed: int = 0) -> Cohort:
     """Two well-separated Gaussian classes with class-correlated auxiliaries.
 
-    Event-class rows sit at +1 in every feature, controls at -1, with noise
-    ``sigma``; any competent trainer should reach near-perfect accuracy.
+    Event-class rows sit at +1 in each of the ``GAUSSIAN_FEATURES`` features,
+    controls at -1, with noise of SD ``GAUSSIAN_SIGMA``; any competent
+    trainer should reach near-perfect accuracy.
     Rows alternate classes, starting with the event class; row i belongs to
     patient i, whose birth decade is the (i mod 6)-th of 1930..1980.
     """
     rng = np.random.default_rng(seed)
-    X = np.empty((n, num_features))
+    X = np.empty((n, GAUSSIAN_FEATURES))
     y_nyhac = np.full(n, -1)
     bmi = np.zeros(n)
     bmi_mask = np.zeros(n, dtype=bool)
     for i in range(n):
         is_event = i % 2 == 0
-        X[i] = (1.0 if is_event else -1.0) + sigma * rng.standard_normal(num_features)
+        X[i] = (1.0 if is_event else -1.0) + GAUSSIAN_SIGMA * rng.standard_normal(GAUSSIAN_FEATURES)
         if rng.random() < 0.85:
             y_nyhac[i] = rng.choice([2, 3] if is_event else [0, 1])  # 0-based: classes 3-4 vs 1-2
         if rng.random() < 0.9:
@@ -53,7 +51,7 @@ def gaussian_task(
             bmi_mask[i] = True
     return Cohort(
         X=X,
-        names=tuple(f"x{j}" for j in range(num_features)),
+        names=tuple(f"x{j}" for j in range(GAUSSIAN_FEATURES)),
         record_ids=tuple(f"s{i:03d}" for i in range(n)),
         patient_ids=tuple(f"p{i:03d}" for i in range(n)),
         y_vta=(np.arange(n) % 2 == 0).astype(int),
@@ -99,13 +97,13 @@ def write_tachogram_dataset(
     n_control: int = 12,
     n_beats: int = 420,
     seed: int = 0,
-    records_per_patient: int = 1,
 ) -> tuple[Path, Path]:
     """Write a synthetic dataset to disk; returns (tachogram dir, metadata path).
 
     Event records accelerate and accumulate ectopic beats toward the end;
-    controls stay stable, so the extracted features carry real signal.  A few
-    metadata cells are left blank to exercise the unknown-value paths.
+    controls stay stable, so the extracted features carry real signal.  Record
+    ``r<i>`` is the one record of patient ``pat<i>``.  A few metadata cells are
+    left blank to exercise the unknown-value paths.
     """
     out_dir = Path(out_dir)
     tacho_dir = out_dir / "tachograms"
@@ -118,7 +116,7 @@ def write_tachogram_dataset(
     for i in range(total):
         is_event = i < n_event
         rid = f"r{i:03d}"
-        pid = f"pat{i // max(records_per_patient, 1):03d}"
+        pid = f"pat{i:03d}"
         intervals = _intervals(n_beats, rng, is_event)
         with open(tacho_dir / f"{rid}.txt", "w", encoding="utf-8") as fh:
             fh.writelines(f"{v:.1f}\n" for v in intervals)
@@ -126,15 +124,6 @@ def write_tachogram_dataset(
         nyhac = "" if rng.random() < 0.2 else str(int(rng.integers(1, 5)))
         bmi = "" if rng.random() < 0.15 else f"{rng.uniform(19, 38):.1f}"
         rows.append([rid, pid, LABEL_VTA if is_event else LABEL_CONTROL, birth_year, nyhac, bmi])
-
-    # Patients sharing records must share metadata; keep the first row's values.
-    seen: dict[str, list[str]] = {}
-    for row in rows:
-        pid = row[1]
-        if pid in seen:
-            row[3:] = seen[pid]
-        else:
-            seen[pid] = row[3:]
 
     with open(metadata_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)

@@ -4,8 +4,9 @@ Everything here is written from the textbook definitions, deliberately
 sharing no code with the package: a direct Lomb periodogram (two-sum form
 with the tau offset), a threshold-sweep trapezoidal ROC area, a scalar
 AdaDelta recursion, Poincare widths from the geometric projections,
-a quadratic-loop sample entropy, a central finite-difference gradienter,
-and a reference trainer that computes all three branches every epoch and
+a quadratic-loop sample entropy, a central finite-difference gradienter
+(one entry per loss call, or a block of entries of one tensor per call
+through its own stacked forward pass and loss), and a reference trainer that computes all three branches every epoch and
 steps the optimizer one tensor at a time.
 """
 
@@ -138,6 +139,82 @@ def finite_difference_grads(loss_fn, tensors: dict, eps: float = 1e-5) -> dict:
     return grads
 
 
+TASK_UNITS = {"vta": 2, "nyhac": 4, "bmi": 1}
+
+
+def _stacked_dense(x, w, b):
+    """x @ w + b where any of the three may carry a leading stack axis."""
+    return np.matmul(x, w) + b[..., None, :]
+
+
+def _stacked_shared_layer(net, t, batch):
+    """Hidden layer 1 (tanh) for every stacked copy of the shared tensors."""
+    x0 = batch.features
+    if net.use_embedding:
+        emb = t["embedding"][..., batch.decade_index, :]
+        x0 = np.concatenate([np.broadcast_to(x0, emb.shape[:-1] + x0.shape[-1:]), emb], axis=-1)
+    return np.tanh(_stacked_dense(x0, t["W1"], t["b1"]))
+
+
+def _stacked_branch_loss(task, h1, t, batch, lam_nyhac, lam_bmi):
+    """One head's term of the mean loss, one value per stacked copy (inference mode)."""
+    h2 = np.tanh(_stacked_dense(h1, t[f"{task}_W2"], t[f"{task}_b2"]))
+    h3 = np.tanh(_stacked_dense(h2, t[f"{task}_W3"], t[f"{task}_b3"]))
+    out = _stacked_dense(h3, t[f"{task}_Wout"], t[f"{task}_bout"])
+    n = batch.features.shape[0]
+    if task == "bmi":
+        sq_err = np.where(batch.bmi_mask, (out[..., 0] - batch.y_bmi) ** 2, 0.0)
+        return lam_bmi * sq_err.sum(axis=-1) / n
+    shifted = out - out.max(axis=-1, keepdims=True)
+    log_probs = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    if task == "vta":
+        return -log_probs[..., np.arange(n), batch.y_vta].mean(axis=-1)
+    present = batch.y_nyhac >= 0
+    ce = -log_probs[..., np.arange(n), np.where(present, batch.y_nyhac, 0)]
+    return lam_nyhac * np.where(present, ce, 0.0).sum(axis=-1) / n
+
+
+def stacked_finite_difference_grads(net, tensors: dict, batch, lam_nyhac=1.0, lam_bmi=1.0,
+                                    eps: float = 1e-5, block: int = 128) -> dict:
+    """Central differences of the mean multi-task loss, ``block`` entries of one tensor per pass.
+
+    ``net`` is a NetworkConfig and ``tensors`` its parameters by name (left
+    unchanged); there is no dropout.  Each pass takes K <= block entries of
+    one tensor and stacks 2K copies of it, the k-th entry moved by +eps in
+    copy k and by -eps in copy K + k, and evaluates every copy at once with
+    the forward pass above.
+    Only what the tensor feeds is recomputed: a branch tensor re-runs its own
+    branch on the shared layer computed once, since the other heads' loss
+    terms do not move; a shared tensor re-runs the whole network.
+    """
+    t = {name: np.asarray(value, dtype=float) for name, value in tensors.items()}
+    h1 = _stacked_shared_layer(net, t, batch)
+    grads = {}
+    for name, tensor in t.items():
+        task = name.partition("_")[0]
+        flat = tensor.ravel()
+        flat_grad = np.empty(flat.size)
+        all_copies = np.repeat(flat[None, :], 2 * min(block, flat.size), axis=0)
+        for start in range(0, flat.size, block):
+            entries = np.arange(start, min(start + block, flat.size))
+            k = entries.size
+            copies = all_copies[:2 * k]
+            up, down = np.arange(k), np.arange(k, 2 * k)
+            copies[up, entries] = flat[entries] + eps
+            copies[down, entries] = flat[entries] - eps
+            trial = {**t, name: copies.reshape(2 * k, *tensor.shape)}
+            if task in TASK_UNITS:
+                losses = _stacked_branch_loss(task, h1, trial, batch, lam_nyhac, lam_bmi)
+            else:
+                h1_trial = _stacked_shared_layer(net, trial, batch)
+                losses = sum(_stacked_branch_loss(other, h1_trial, trial, batch, lam_nyhac, lam_bmi)
+                             for other in TASK_UNITS)
+            flat_grad[entries] = (losses[:k] - losses[k:]) / (2.0 * eps)
+            copies[up, entries] = copies[down, entries] = flat[entries]
+        grads[name] = flat_grad.reshape(tensor.shape)
+    return grads
+
+
 def max_relative_error(analytic: dict, numeric: dict, floor: float = 1e-5) -> float:
     """Worst-case |a - n| / max(|a|, |n|, floor) across all tensors."""
     worst = 0.0
@@ -146,9 +223,6 @@ def max_relative_error(analytic: dict, numeric: dict, floor: float = 1e-5) -> fl
         denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), floor)
         worst = max(worst, float(np.max(np.abs(a - n) / denom)))
     return worst
-
-
-TASK_UNITS = {"vta": 2, "nyhac": 4, "bmi": 1}
 
 
 def _reference_masks(net, n, keep_prob, rng):

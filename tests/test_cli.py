@@ -301,6 +301,14 @@ class TestAblateCommand:
         a.pop("created"), b.pop("created")
         assert a == b
 
+    def test_seed_is_the_first_of_the_seeds(self, data, tmp_path):
+        out = tmp_path / "seed5"
+        assert run("ablate", "--data-dir", data[0], "--metadata", data[1], "--out", str(out),
+                   "--seed", "5", "--seeds", "1", "--epochs", "2", "--k-folds", "3") == 0
+        files = sorted(p.name for p in (out / "predictions").iterdir())
+        assert files == sorted(f"{row}_seed5.csv" for row in ("baseline", "windowed", "age_embedding", "multi_task"))
+        assert json.loads((out / "manifest.json").read_text())["seeds"] == [5]
+
 
 class TestTopLevel:
     def test_help_exits_zero(self, capsys):

@@ -317,7 +317,7 @@ class TestAblationConfig:
 def small_report(prepared_records):
     records, patients = prepared_records
     base = CVConfig(train=TrainConfig(epochs=25), k_folds=5)
-    return run_ablation(records, patients, base, seeds=2)
+    return run_ablation(records, patients, base, seeds=range(2))
 
 
 class TestRunAblation:
@@ -337,7 +337,7 @@ class TestRunAblation:
     def test_single_seed_report_equals_single_run(self, prepared_records):
         records, patients = prepared_records
         base = CVConfig(train=TrainConfig(epochs=25), k_folds=5)
-        report = run_ablation(records, patients, base, seeds=1)
+        report = run_ablation(records, patients, base, seeds=range(1))
         row_cfg = ablation_config(ROW_MULTI_TASK, base)
         direct = run_cv(build_cohort(records, patients, row_cfg.features), row_cfg, seed=0)
         np.testing.assert_array_equal(
@@ -349,8 +349,8 @@ class TestRunAblation:
     def test_parallel_equals_serial(self, prepared_records):
         records, patients = prepared_records
         base = CVConfig(train=TrainConfig(epochs=10), k_folds=3)
-        serial = run_ablation(records, patients, base, seeds=2, jobs=1)
-        parallel = run_ablation(records, patients, base, seeds=2, jobs=2)
+        serial = run_ablation(records, patients, base, seeds=range(2), jobs=1)
+        parallel = run_ablation(records, patients, base, seeds=range(2), jobs=2)
         for key, preds in serial.predictions.items():
             np.testing.assert_array_equal(preds.probs, parallel.predictions[key].probs)
         assert serial.means == parallel.means

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from batches import make_batch, random_batch
-from oracles import finite_difference_grads, max_relative_error
+from oracles import finite_difference_grads, max_relative_error, stacked_finite_difference_grads
 from vtapred import (
     CheckpointError,
     Cohort,
@@ -42,7 +42,7 @@ def zero_params(config: NetworkConfig) -> NetworkParams:
 class TestForward:
     def test_zero_weights_give_uniform_heads(self, rng):
         params = zero_params(small_config())
-        outputs, _ = forward(params, rng.random(4), decade_index=1)
+        outputs, _ = forward(params, rng.random((1, 4)), decade_index=np.array([1]))
         np.testing.assert_allclose(outputs["vta_probs"], [[0.5, 0.5]])
         np.testing.assert_allclose(outputs["nyhac_probs"], [[0.25] * 4])
         assert outputs["bmi"][0] == 0.0
@@ -63,25 +63,25 @@ class TestForward:
             np.testing.assert_allclose(outputs[key].sum(axis=1), 1.0, atol=1e-12)
             assert (outputs[key] > 0.0).all()
 
-    def test_single_vector_promoted_to_batch(self, rng):
+    def test_single_vector_rejected(self, rng):
         params = init_params(small_config(), rng)
-        outputs, _ = forward(params, np.zeros(4), decade_index=0)
-        assert outputs["vta_probs"].shape == (1, 2)
+        with pytest.raises(NetworkError, match="2-D"):
+            forward(params, np.zeros(4), decade_index=np.array([0]))
 
     def test_feature_width_checked(self, rng):
         params = init_params(small_config(), rng)
         with pytest.raises(NetworkError, match="expected 4 features"):
-            forward(params, np.zeros(5), decade_index=0)
+            forward(params, np.zeros((1, 5)), decade_index=np.array([0]))
 
     def test_decade_required_with_embedding(self, rng):
         params = init_params(small_config(), rng)
         with pytest.raises(NetworkError, match="decade_index is required"):
-            forward(params, np.zeros(4))
+            forward(params, np.zeros((1, 4)))
 
     def test_decade_range_checked(self, rng):
         params = init_params(small_config(), rng)
         with pytest.raises(NetworkError, match="decade_index outside"):
-            forward(params, np.zeros(4), decade_index=3)
+            forward(params, np.zeros((1, 4)), decade_index=np.array([3]))
 
     def test_decade_batch_length_checked(self, rng):
         params = init_params(small_config(), rng)
@@ -104,8 +104,8 @@ class TestForward:
     def test_no_embedding_ignores_decades(self, rng):
         cfg = small_config(use_embedding=False, num_decades=0)
         params = init_params(cfg, rng)
-        a, _ = forward(params, np.full(4, 0.3))
-        b, _ = forward(params, np.full(4, 0.3), decade_index=99)
+        a, _ = forward(params, np.full((1, 4), 0.3))
+        b, _ = forward(params, np.full((1, 4), 0.3), decade_index=np.array([99]))
         np.testing.assert_array_equal(a["vta_probs"], b["vta_probs"])
 
 
@@ -152,7 +152,7 @@ class TestInit:
             assert np.shares_memory(tensor, flat)
         params.tensors["W1"][0, 0] = 7.0
         assert 7.0 in flat
-        twin = params.copy()
+        twin = NetworkParams(params.config, params.tensors)
         assert not np.shares_memory(twin.tensors.flat, flat)
         twin.tensors["W1"][0, 0] = -7.0
         assert params.tensors["W1"][0, 0] == 7.0
@@ -262,6 +262,22 @@ class TestBackward:
             numeric = finite_difference_grads(loss_fn, params.tensors)
             worst = max(worst, max_relative_error(analytic, numeric))
         assert worst < 1e-4
+
+    def test_stacked_oracle_agrees_with_the_one_entry_oracle(self):
+        rng = np.random.default_rng(12)
+        cfg = small_config()
+        params = init_params(cfg, rng)
+        batch = random_batch(rng, cfg, 8)
+        assert active_tasks(batch, 0.5, 2.0) == TASKS
+
+        def loss_fn():
+            outputs, _ = forward(params, batch.features, batch.decade_index)
+            return loss(outputs, batch, 0.5, 2.0)[0]
+
+        one_entry = finite_difference_grads(loss_fn, params.tensors)
+        stacked = stacked_finite_difference_grads(cfg, params.tensors, batch, 0.5, 2.0, block=7)
+        assert list(stacked) == list(one_entry)
+        assert max_relative_error(stacked, one_entry) < 1e-6
 
     def test_masked_input_feature_kills_its_weight_rows(self, rng):
         cfg = small_config()
@@ -422,9 +438,11 @@ class TestCheckpoint:
         params = init_params(small_config(), rng)
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, params)
-        path.write_bytes(path.read_bytes() + b"\x00" * 8)
-        with pytest.raises(CheckpointError, match="trailing bytes"):
-            load_checkpoint(path)
+        data = path.read_bytes()
+        for stray in (3, 8):  # 3 bytes are not even a whole float64
+            path.write_bytes(data + b"\x00" * stray)
+            with pytest.raises(CheckpointError, match=f"{stray} trailing bytes"):
+                load_checkpoint(path)
 
     def test_rejects_mismatched_input_width(self, rng, tmp_path):
         params = init_params(small_config(), rng)

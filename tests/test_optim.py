@@ -21,13 +21,21 @@ from vtapred import (
     train,
     write_loss_history,
 )
-from vtapred.network import forward
+from vtapred.network import FlatTensors, forward
 
 
 def tiny_params(values: dict[str, np.ndarray]) -> NetworkParams:
     """Wrap bare tensors so the optimizer can iterate them."""
     cfg = NetworkConfig(num_features=1, use_embedding=False)
     return NetworkParams(cfg, values)
+
+
+def grads_like(params: NetworkParams, **values) -> FlatTensors:
+    """Gradients in the parameters' layout: zero except the named tensors."""
+    grads = params.tensors.zeros_like()
+    for name, value in values.items():
+        grads[name][...] = value
+    return grads
 
 
 class TestClip:
@@ -53,21 +61,21 @@ class TestClip:
 class TestAdaDeltaStep:
     def test_first_step_worked_value(self):
         params = tiny_params({"w": np.zeros(1)})
-        state = AdaDeltaState(params, rho=0.95, eps=1e-6, lr=1.0)
-        adadelta_step(state, params, {"w": np.array([0.1])})
+        state = AdaDeltaState(params)
+        adadelta_step(state, params, grads_like(params, w=[0.1]))
         # E[g2] = 0.05 * 0.01 = 5e-4; dx = -sqrt(1e-6)/sqrt(5.01e-4) * 0.1
         assert params.tensors["w"][0] == pytest.approx(-4.468e-3, abs=5e-7)
         assert state.sq_grad["w"][0] == pytest.approx(5e-4, rel=1e-12)
 
     def test_matches_scalar_oracle_over_many_steps(self, rng):
         params = tiny_params({"w": rng.normal(0.0, 1.0, 8)})
-        state = AdaDeltaState(params, rho=0.95, eps=1e-6, lr=1.0)
+        state = AdaDeltaState(params)
         eg2 = np.zeros(8)
         ed2 = np.zeros(8)
         x = params.tensors["w"].copy()
         for _ in range(200):
             g = rng.normal(0.0, 0.3, 8)
-            adadelta_step(state, params, {"w": g.copy()})
+            adadelta_step(state, params, grads_like(params, w=g))
             for i in range(8):
                 dx, eg2[i], ed2[i] = adadelta_scalar_step(g[i], eg2[i], ed2[i])
                 x[i] += dx
@@ -81,7 +89,7 @@ class TestAdaDeltaStep:
         state = AdaDeltaState(params)
         state.sq_grad["w"][:] = 0.25
         state.sq_delta["w"][:] = 0.04
-        adadelta_step(state, params, {"w": np.zeros(5)})
+        adadelta_step(state, params, grads_like(params))
         np.testing.assert_array_equal(params.tensors["w"], before)
         # accumulators decay toward zero by rho
         np.testing.assert_allclose(state.sq_grad["w"], 0.95 * 0.25, rtol=1e-12)
@@ -90,7 +98,7 @@ class TestAdaDeltaStep:
     def test_non_finite_gradient_names_the_tensor(self, rng):
         params = tiny_params({"w": np.zeros(3), "v": np.zeros(2)})
         state = AdaDeltaState(params)
-        grads = {"w": np.zeros(3), "v": np.array([0.1, np.nan])}
+        grads = grads_like(params, v=[0.1, np.nan])
         with pytest.raises(TrainingError, match="non-finite gradient in tensor 'v'"):
             adadelta_step(state, params, grads)
 
@@ -99,7 +107,7 @@ class TestAdaDeltaStep:
         full, prefix = tiny_params(start), tiny_params(start)
         full_state, prefix_state = AdaDeltaState(full), AdaDeltaState(prefix)
         for _ in range(5):
-            grads = {"w": rng.normal(0.0, 0.3, 6), "v": np.zeros(4)}
+            grads = grads_like(full, w=rng.normal(0.0, 0.3, 6))
             adadelta_step(full_state, full, grads)
             adadelta_step(prefix_state, prefix, grads, size=6)
         assert np.array_equal(prefix.tensors.flat, full.tensors.flat)
@@ -110,9 +118,36 @@ class TestAdaDeltaStep:
         params = tiny_params({"w": np.zeros(6)})
         state = AdaDeltaState(params)
         for _ in range(50):
-            adadelta_step(state, params, {"w": rng.normal(0.0, 1.0, 6)})
+            adadelta_step(state, params, grads_like(params, w=rng.normal(0.0, 1.0, 6)))
             assert (state.sq_grad["w"] >= 0.0).all()
             assert (state.sq_delta["w"] >= 0.0).all()
+
+    def test_recipe_comes_from_the_train_config(self, rng):
+        config = TrainConfig(rho=0.9, eps=1e-4, lr=0.5)
+        params = tiny_params({"w": rng.normal(0.0, 1.0, 4)})
+        state = AdaDeltaState(params)
+        eg2, ed2, x = np.zeros(4), np.zeros(4), params.tensors["w"].copy()
+        for _ in range(20):
+            g = rng.normal(0.0, 0.3, 4)
+            adadelta_step(state, params, grads_like(params, w=g), config)
+            for i in range(4):
+                dx, eg2[i], ed2[i] = adadelta_scalar_step(g[i], eg2[i], ed2[i], rho=0.9, eps=1e-4, lr=0.5)
+                x[i] += dx
+            np.testing.assert_allclose(params.tensors["w"], x, rtol=1e-12)
+            np.testing.assert_allclose(state.sq_grad["w"], eg2, rtol=1e-12)
+            np.testing.assert_allclose(state.sq_delta["w"], ed2, rtol=1e-12)
+
+    def test_rejects_a_dict_of_gradients(self):
+        params = tiny_params({"w": np.zeros(2)})
+        with pytest.raises(ValueError, match="laid out like params"):
+            adadelta_step(AdaDeltaState(params), params, {"w": np.zeros(2)})
+
+    @pytest.mark.parametrize("layout", [{"w": np.zeros(3)}, {"v": np.zeros(2)}, {"w": np.zeros(2), "v": np.zeros(1)}])
+    def test_rejects_a_mismatched_layout(self, layout):
+        params = tiny_params({"w": np.zeros(2)})
+        with pytest.raises(ValueError, match="laid out like params"):
+            adadelta_step(AdaDeltaState(params), params, FlatTensors(layout))
+        assert not params.tensors.flat.any()
 
 
 def separable_batch(n: int = 60, seed: int = 4) -> Batch:
