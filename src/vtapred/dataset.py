@@ -1,6 +1,6 @@
 """Tachogram ingestion, patient metadata, and the pre-event decision boundary.
 
-A dataset is a directory of plain-text tachogram files (one RR interval in
+A dataset is a directory of UTF-8 tachogram files (one RR interval in
 milliseconds per line; the file stem is the record id) plus a metadata CSV
 with the header ``record_id,patient_id,label,birth_year,nyhac,bmi``.  Empty
 metadata cells mean "unknown".  Records of the event class end at the onset
@@ -11,6 +11,7 @@ data an early-warning model is allowed to see.
 from __future__ import annotations
 
 import csv
+import io
 import logging
 import math
 from dataclasses import dataclass
@@ -153,22 +154,53 @@ def prepare_records(
     return kept
 
 
+def _read_text(path: Path) -> str:
+    """A file's whole UTF-8 text; a byte that is not UTF-8 is named with its path and line."""
+    data = path.read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[: exc.start]
+        # a line ends at \n, \r\n or a lone \r, as text mode reads it
+        lineno = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        raise DatasetError(
+            f"{path}, line {lineno}: not UTF-8 text (byte 0x{data[exc.start]:02x})"
+        ) from None
+
+
 def _read_tachogram(path: Path) -> np.ndarray:
+    # split("\n"), not splitlines(): a form feed does not end a line
+    lines = _read_text(path).replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    # One pass for a well-formed file: float() ignores surrounding whitespace
+    # as strip() does, and the range test also rejects NaN and inf.
+    try:
+        values = np.fromiter(map(float, lines), float, len(lines))
+    except ValueError:
+        pass
+    else:
+        if values.size and ((values > 0.0) & (values < MAX_INTERVAL_MS)).all():
+            return values
+    return _parse_tachogram_lines(path, lines)
+
+
+def _parse_tachogram_lines(path: Path, lines: list[str]) -> np.ndarray:
+    """Read a tachogram line by line: blank lines are skipped, the first bad line is named."""
     values = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text:
-                continue
-            try:
-                value = float(text)
-            except ValueError:
-                raise DatasetError(f"{path}, line {lineno}: not a number: {text!r}") from None
-            if not math.isfinite(value) or not (0.0 < value < MAX_INTERVAL_MS):
-                raise DatasetError(
-                    f"{path}, line {lineno}: interval {text!r} outside (0, {MAX_INTERVAL_MS:g}) ms"
-                )
-            values.append(value)
+    for lineno, line in enumerate(lines, start=1):
+        text = line.strip()
+        if not text:
+            continue
+        try:
+            value = float(text)
+        except ValueError:
+            raise DatasetError(f"{path}, line {lineno}: not a number: {text!r}") from None
+        if not math.isfinite(value) or not (0.0 < value < MAX_INTERVAL_MS):
+            raise DatasetError(
+                f"{path}, line {lineno}: interval {text!r} outside (0, {MAX_INTERVAL_MS:g}) ms"
+            )
+        values.append(value)
     if not values:
         raise DatasetError(f"{path}: empty tachogram")
     return np.asarray(values, dtype=float)
@@ -216,7 +248,7 @@ def _read_metadata(path: Path) -> tuple[dict, dict]:
     """Parse the metadata CSV into (record rows by id, PatientMeta by patient id)."""
     rows: dict[str, dict] = {}
     patients: dict[str, PatientMeta] = {}
-    with open(path, encoding="utf-8", newline="") as fh:
+    with io.StringIO(_read_text(path), newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or tuple(cell.strip() for cell in header) != METADATA_COLUMNS:

@@ -16,6 +16,7 @@ into one matrix, with the training targets aligned to its rows.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,17 +91,25 @@ def detect_ectopic(intervals_ms, threshold: float = 0.2, ref_beats: int = 5) -> 
     x = np.asarray(intervals_ms, dtype=float)
     if x.ndim != 1 or x.size < ref_beats + 1:
         raise FeatureError("sequence too short for ectopic filtering")
-    mask = np.zeros(x.size, dtype=bool)
-    recent = list(x[:ref_beats])
-    total = float(sum(recent))
-    for i in range(ref_beats, x.size):
+    # Python floats do the same IEEE arithmetic as numpy scalars, only faster.
+    # The seed total is summed left to right: builtin sum() compensates on
+    # floats from Python 3.12 on, which would move the bits.
+    beats = x.tolist()
+    recent = deque(beats[:ref_beats])
+    total = 0.0
+    for value in recent:
+        total += value
+    flagged = []
+    for i in range(ref_beats, len(beats)):
+        value = beats[i]
         reference = total / ref_beats
-        if abs(x[i] - reference) > threshold * reference:
-            mask[i] = True
+        if abs(value - reference) > threshold * reference:
+            flagged.append(i)
         else:
-            total += x[i] - recent[0]
-            recent.pop(0)
-            recent.append(x[i])
+            total += value - recent.popleft()
+            recent.append(value)
+    mask = np.zeros(x.size, dtype=bool)
+    mask[flagged] = True
     return mask
 
 

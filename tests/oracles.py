@@ -2,7 +2,8 @@
 
 Everything here is written from the textbook definitions, deliberately
 sharing no code with the package: a direct Lomb periodogram (two-sum form
-with the tau offset), a threshold-sweep trapezoidal ROC area, a scalar
+with the tau offset), the running-mean ectopic filter as a loop over numpy
+scalars, a threshold-sweep trapezoidal ROC area, a scalar
 AdaDelta recursion, Poincare widths from the geometric projections,
 a quadratic-loop sample entropy, a central finite-difference gradienter
 (one entry per loss call, or a block of entries of one tensor per call
@@ -26,6 +27,28 @@ def modulated_tachogram(freq_hz, n: int = 64, base: float = 800.0, amp: float = 
         rr.append(value)
         t += value / 1000.0
     return np.array(rr)
+
+
+def ectopic_mask_loop(intervals_ms, threshold=0.2, ref_beats=5) -> np.ndarray:
+    """The running-mean ectopic rule on numpy float64 scalars, one beat at a time.
+
+    The seed total is builtin ``sum`` over numpy scalars, which adds left to
+    right on every Python version (its compensated float path takes only
+    exact Python floats).
+    """
+    x = np.asarray(intervals_ms, dtype=float)
+    mask = np.zeros(x.size, dtype=bool)
+    recent = list(x[:ref_beats])
+    total = float(sum(recent))
+    for i in range(ref_beats, x.size):
+        reference = total / ref_beats
+        if abs(x[i] - reference) > threshold * reference:
+            mask[i] = True
+        else:
+            total += x[i] - recent[0]
+            recent.pop(0)
+            recent.append(x[i])
+    return mask
 
 
 def lomb_periodogram(times_s, values, freqs_hz) -> np.ndarray:

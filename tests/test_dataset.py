@@ -8,6 +8,7 @@ from vtapred import (
     RRRecord,
     UnusableRecordError,
     apply_decision_boundary,
+    dataset,
     load_dataset,
     prepare_records,
     round_to_decade,
@@ -148,6 +149,76 @@ class TestLoadDataset:
         )
         with pytest.raises(DatasetError, match="inconsistent"):
             load_dataset(tacho, meta)
+
+
+def write_raw_tachogram(tmp_path, content: bytes):
+    """A one-record dataset whose tachogram file holds exactly ``content``."""
+    tacho, meta = write_dataset(tmp_path, {}, ["a,p,VTA,,,"])
+    path = tacho / "a.txt"
+    path.write_bytes(content)
+    return tacho, meta, path
+
+
+class TestTachogramLines:
+    """The line grammar: one decimal number per line, UTF-8, blanks ignored."""
+
+    @pytest.mark.parametrize("content", [
+        b"800\n\n750.5\n   \n\t\n900\n",        # blank and whitespace-only lines
+        b"  800 \n\t750.5\t\n 900\t \n",       # values padded with spaces or tabs
+        b"800\r\n750.5\r\n900\r\n",            # CRLF
+        b"800\r750.5\r900\r",                  # lone CR
+        b"800\n750.5\n900",                     # no trailing newline
+        b"\n800\r\n\r\n750.5\r900\n\n",         # all of these at once
+    ])
+    def test_accepted_forms(self, tmp_path, content):
+        tacho, meta, _ = write_raw_tachogram(tmp_path, content)
+        records, _ = load_dataset(tacho, meta)
+        assert records[0].intervals_ms.tolist() == [800.0, 750.5, 900.0]
+
+    @pytest.mark.parametrize("bad,complaint", [
+        ("nan", "interval 'nan' outside (0, 5000) ms"),
+        ("inf", "interval 'inf' outside (0, 5000) ms"),
+        ("0", "interval '0' outside (0, 5000) ms"),
+        ("5000", "interval '5000' outside (0, 5000) ms"),
+        ("800 900", "not a number: '800 900'"),
+        ("8OO", "not a number: '8OO'"),
+        ("800\x0c900", "not a number: '800\\x0c900'"),
+    ])
+    def test_first_bad_line_named_counting_blank_lines(self, tmp_path, bad, complaint):
+        tacho, meta, path = write_raw_tachogram(tmp_path, f"800\n\n{bad}\n900\n".encode())
+        with pytest.raises(DatasetError) as info:
+            load_dataset(tacho, meta)
+        assert str(info.value) == f"{path}, line 3: {complaint}"
+
+    def test_bad_byte_names_file_and_line(self, tmp_path):
+        tacho, meta, path = write_raw_tachogram(tmp_path, b"800\r\n\r\n8\xe900\n")
+        with pytest.raises(DatasetError) as info:
+            load_dataset(tacho, meta)
+        assert str(info.value) == f"{path}, line 3: not UTF-8 text (byte 0xe9)"
+
+    def test_bad_byte_in_metadata_names_the_file(self, tmp_path):
+        tacho, meta = write_dataset(tmp_path, {"a": [800.0] * 4}, ["a,p,VTA,,,", "b,Jos\xe9,VTA,,,"])
+        meta.write_bytes(meta.read_text().encode("latin-1"))
+        with pytest.raises(DatasetError) as info:
+            load_dataset(tacho, meta)
+        assert str(info.value) == f"{meta}, line 3: not UTF-8 text (byte 0xe9)"
+
+    def test_vectorised_and_line_by_line_reading_agree(self, tacho_dataset, monkeypatch):
+        files = dataset.tachogram_files(tacho_dataset[0])
+        by_lines = [
+            dataset._parse_tachogram_lines(path, path.read_text(encoding="utf-8").split("\n"))
+            for path in files
+        ]
+
+        def no_fallback(path, lines):
+            raise AssertionError(f"{path} left the vectorised path")
+
+        monkeypatch.setattr(dataset, "_parse_tachogram_lines", no_fallback)
+        assert len(files) == 24
+        for path, expected in zip(files, by_lines):
+            fast = dataset._read_tachogram(path)
+            assert fast.dtype == np.float64
+            assert np.array_equal(fast, expected)
 
 
 class TestDecisionBoundary:

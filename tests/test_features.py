@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    ectopic_mask_loop,
     lomb_band_power,
     lomb_periodogram,
     modulated_tachogram,
@@ -74,6 +75,38 @@ class TestDetectEctopic:
     def test_mask_length_matches_input(self, rng):
         x = rng.normal(800.0, 30.0, 57)
         assert detect_ectopic(x).shape == (57,)
+
+    def test_matches_the_numpy_scalar_loop(self, rng):
+        cases = []
+        for _ in range(1200):
+            ref_beats = int(rng.integers(1, 9))
+            threshold = float(rng.uniform(0.02, 0.5))
+            x = rng.normal(800.0, float(rng.uniform(5.0, 150.0)), int(rng.integers(ref_beats + 1, 300)))
+            spikes = rng.random(x.size) < 0.05
+            x[spikes] *= rng.uniform(0.4, 1.8, size=int(spikes.sum()))
+            if rng.random() < 0.5:
+                x = np.round(x)  # integer milliseconds, as most exports write them
+            cases.append((np.abs(x) + 1.0, threshold, ref_beats))
+        # a sustained 25% rate step, after which every beat is flagged (lock-up)
+        cases.append((np.r_[np.full(100, 800.0), np.full(300, 600.0)], 0.2, 5))
+        # beats exactly on the threshold, which stay accepted
+        cases.append((np.r_[np.full(4, 1000.0), 1250.0, 750.0, 1000.0], 0.25, 4))
+        for x, threshold, ref_beats in cases:
+            assert np.array_equal(detect_ectopic(x, threshold, ref_beats),
+                                  ectopic_mask_loop(x, threshold, ref_beats))
+
+    def test_seed_total_is_summed_left_to_right(self):
+        # The next beat sits on the 20% edge: the plain left-to-right sum of the
+        # first window keeps it, the correctly rounded sum would flag it.
+        window = [827.4, 754.0, 708.2, 703.3, 862.7]
+        plain = 0.0
+        for value in window:
+            plain += value
+        assert plain != math.fsum(window)
+        x = window + [925.344] + [800.0] * 4
+        mask = detect_ectopic(x)
+        assert np.array_equal(mask, ectopic_mask_loop(x))
+        assert not mask[5]
 
 
 class TestTimeStats:
