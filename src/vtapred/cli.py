@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import json
 import logging
 import sys
@@ -22,14 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dataset import (
-    DEFAULT_HORIZON_MS,
-    DEFAULT_MIN_BEATS,
-    DatasetError,
-    load_dataset,
-    prepare_records,
-    tachogram_files,
-)
+from .dataset import DatasetError, load_dataset, prepare_records, tachogram_files
 from .evaluation import (
     CVConfig,
     EvaluationError,
@@ -65,6 +59,11 @@ def _field_defaults(cls) -> dict:
     return {f.name: f.default for f in fields(cls) if f.default is not MISSING}
 
 
+def _param_defaults(fn) -> dict:
+    """Defaults of a function's parameters that have one."""
+    return {p.name: p.default for p in inspect.signature(fn).parameters.values() if p.default is not p.empty}
+
+
 # key -> (parser, default); this one table drives the config file, the
 # mirrored command-line flags, and the manifest echo.  The parser follows the
 # default's type, bool first because bool is a subclass of int.
@@ -74,9 +73,7 @@ SETTINGS: dict[str, tuple] = {
         **_field_defaults(FeatureConfig),
         **_field_defaults(TrainConfig),
         **_field_defaults(CVConfig),
-        "horizon_ms": DEFAULT_HORIZON_MS,
-        "min_beats": DEFAULT_MIN_BEATS,
-        "truncate_controls": True,
+        **_param_defaults(prepare_records),  # horizon_ms, min_beats, truncate_controls
         "seed": 0,
         "seeds": 10,
         "jobs": 1,

@@ -23,7 +23,7 @@ log = logging.getLogger(__name__)
 
 LABEL_VTA = "VTA"
 LABEL_CONTROL = "Control"
-LABELS = (LABEL_VTA, LABEL_CONTROL)
+LABELS = (LABEL_CONTROL, LABEL_VTA)  # indexed by class code: 0 = Control, 1 = VTA
 
 METADATA_COLUMNS = ("record_id", "patient_id", "label", "birth_year", "nyhac", "bmi")
 
@@ -169,19 +169,22 @@ def _read_text(path: Path) -> str:
 
 
 def _read_tachogram(path: Path) -> np.ndarray:
+    text = _read_text(path)
     # split("\n"), not splitlines(): a form feed does not end a line
-    lines = _read_text(path).replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     if lines[-1] == "":
         lines.pop()
     # One pass for a well-formed file: float() ignores surrounding whitespace
-    # as strip() does, and the range test also rejects NaN and inf.
-    try:
-        values = np.fromiter(map(float, lines), float, len(lines))
-    except ValueError:
-        pass
-    else:
-        if values.size and ((values > 0.0) & (values < MAX_INTERVAL_MS)).all():
-            return values
+    # as strip() does, and the range test also rejects NaN and inf.  float()
+    # also reads "8_00" and non-ASCII digits, which only the line loop rejects.
+    if text.isascii() and "_" not in text:
+        try:
+            values = np.fromiter(map(float, lines), float, len(lines))
+        except ValueError:
+            pass
+        else:
+            if values.size and ((values > 0.0) & (values < MAX_INTERVAL_MS)).all():
+                return values
     return _parse_tachogram_lines(path, lines)
 
 
@@ -190,6 +193,8 @@ def _parse_tachogram_lines(path: Path, lines: list[str]) -> np.ndarray:
     values = []
     for lineno, line in enumerate(lines, start=1):
         text = line.strip()
+        if not line.isascii() or "_" in line:
+            raise DatasetError(f"{path}, line {lineno}: not a number: {text or line!r}")
         if not text:
             continue
         try:
@@ -255,7 +260,10 @@ def _read_metadata(path: Path) -> tuple[dict, dict]:
             raise DatasetError(
                 f"{path}: header must be exactly {','.join(METADATA_COLUMNS)!r}"
             )
-        for lineno, row in enumerate(reader, start=2):
+        next_line = reader.line_num + 1
+        for row in reader:
+            # a record is named by its first file line; a quoted cell may span several
+            lineno, next_line = next_line, reader.line_num + 1
             if not row or all(not cell.strip() for cell in row):
                 continue
             parsed = _parse_metadata_row(row, lineno, path)

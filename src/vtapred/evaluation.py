@@ -9,11 +9,12 @@ number bit-for-bit, no matter how many worker processes are used.
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dataset import LABEL_CONTROL, LABEL_VTA, PatientMeta, RRRecord
+from .dataset import LABELS, PatientMeta, RRRecord
 from .features import (
     FEATURE_SET_BASELINE11,
     FEATURE_SET_RECENT,
@@ -73,7 +74,7 @@ class Predictions:
     """Pooled held-out predictions, in input record order."""
 
     record_ids: list[str]
-    labels: np.ndarray  # 1 = event class, 0 = control
+    labels: np.ndarray  # class codes, indices into dataset.LABELS
     probs: np.ndarray   # predicted event probability
 
 
@@ -124,7 +125,7 @@ def make_patient_folds(patient_ids, k: int, rng: np.random.Generator) -> list[np
     return [np.array(sorted(f), dtype=int) for f in folds]
 
 
-def metrics(labels, probs, threshold: float = 0.5) -> dict[str, float]:
+def metrics(labels, probs, threshold: float = CVConfig.threshold) -> dict[str, float]:
     """Confusion-matrix metrics at a probability threshold (ties positive).
 
     Returns accuracy, sensitivity, specificity and precision along with the
@@ -241,7 +242,8 @@ def run_cv(cohort: Cohort, config: CVConfig, seed: int) -> Predictions:
         try:
             folds = make_folds(cohort.y_vta, config.k_folds, fold_rng)
         except EvaluationError as exc:
-            raise EvaluationError(f"{exc} (class 1 is {LABEL_VTA}, class 0 is {LABEL_CONTROL})") from None
+            codes = ", ".join(f"class {code} is {name}" for code, name in reversed(tuple(enumerate(LABELS))))
+            raise EvaluationError(f"{exc} ({codes})") from None
 
     probs = np.full(len(cohort), np.nan)
     for fold_i, test_idx in enumerate(folds):
@@ -291,7 +293,7 @@ def run_ablation(
     patients: dict[str, PatientMeta],
     base: CVConfig,
     seeds,
-    jobs: int = 1,
+    jobs: int,
 ) -> EvalReport:
     """Evaluate every grid row over the given sequence of seeds (e.g. ``range(10)``).
 
@@ -352,27 +354,27 @@ def format_report_table(report: EvalReport) -> str:
 def write_report_csv(path, report: EvalReport) -> None:
     """Seed-averaged metrics as CSV percentages with two decimals."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("configuration," + ",".join(METRIC_NAMES) + "\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["configuration", *METRIC_NAMES])
         for row in report.rows:
-            cells = ",".join(f"{100.0 * report.means[row][m]:.2f}" for m in METRIC_NAMES)
-            fh.write(f"{ROW_LABELS[row]},{cells}\n")
+            writer.writerow([ROW_LABELS[row], *(f"{100.0 * report.means[row][m]:.2f}" for m in METRIC_NAMES)])
 
 
 def write_per_seed_csv(path, report: EvalReport) -> None:
     """Raw (unaveraged, unscaled) per-seed metrics as CSV."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("configuration,seed," + ",".join(METRIC_NAMES) + "\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["configuration", "seed", *METRIC_NAMES])
         for row in report.rows:
             for seed in report.seeds:
                 stats = report.per_seed[row][seed]
-                cells = ",".join(f"{stats[m]:.17g}" for m in METRIC_NAMES)
-                fh.write(f"{ROW_LABELS[row]},{seed},{cells}\n")
+                writer.writerow([ROW_LABELS[row], seed, *(f"{stats[m]:.17g}" for m in METRIC_NAMES)])
 
 
 def write_predictions_csv(path, predictions: Predictions) -> None:
     """Pooled per-record predictions: record_id,label,probability."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("record_id,label,probability\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["record_id", "label", "probability"])
         for rid, label, prob in zip(predictions.record_ids, predictions.labels, predictions.probs):
-            name = LABEL_VTA if label == 1 else LABEL_CONTROL
-            fh.write(f"{rid},{name},{prob:.17g}\n")
+            writer.writerow([rid, LABELS[label], f"{prob:.17g}"])

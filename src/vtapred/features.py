@@ -16,12 +16,13 @@ into one matrix, with the training targets aligned to its rows.
 
 from __future__ import annotations
 
+import csv
 from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import LABEL_CONTROL, LABEL_VTA
+from .dataset import LABELS
 
 FEATURE_SET_RECENT = "recent"
 FEATURE_SET_BASELINE11 = "baseline11"
@@ -77,7 +78,11 @@ class FeatureConfig:
             raise ValueError("ectopic_ref_beats must be >= 1")
 
 
-def detect_ectopic(intervals_ms, threshold: float = 0.2, ref_beats: int = 5) -> np.ndarray:
+def detect_ectopic(
+    intervals_ms,
+    threshold: float = FeatureConfig.ectopic_threshold,
+    ref_beats: int = FeatureConfig.ectopic_ref_beats,
+) -> np.ndarray:
     """Flag beats deviating from the running mean of recent accepted beats.
 
     A beat is ectopic when it differs from the mean of the previous
@@ -113,7 +118,7 @@ def detect_ectopic(intervals_ms, threshold: float = 0.2, ref_beats: int = 5) -> 
     return mask
 
 
-def time_stats(intervals_ms, recent_beats: int = 30) -> tuple[float, float, float]:
+def time_stats(intervals_ms, recent_beats: int = FeatureConfig.recent_beats) -> tuple[float, float, float]:
     """(mean, min, max) of the last ``recent_beats`` intervals.
 
     The caller is expected to pass an ectopic-filtered sequence; this function
@@ -191,7 +196,9 @@ def _lomb_scargle(times_s: np.ndarray, centred: np.ndarray, omegas: np.ndarray) 
     return pgram.ravel() * (float(n) / 4.0)
 
 
-def windowed_diff(intervals_ms, ectopic_mask, window_beats: int = 250) -> tuple[float, int]:
+def windowed_diff(
+    intervals_ms, ectopic_mask, window_beats: int = FeatureConfig.window_beats,
+) -> tuple[float, int]:
     """Trend features over the last ``window_beats`` raw beats.
 
     The window is split in the middle: B holds the older half, A the most
@@ -405,15 +412,16 @@ def build_cohort(records, patients, config: FeatureConfig = FeatureConfig()) -> 
     X = np.array([extract(rec, config) for rec in records], dtype=float).reshape(len(records), len(names))
     vocab = sorted({p.birth_decade for p in patients.values() if p.birth_decade is not None})
     vocab_index = {decade: i for i, decade in enumerate(vocab)}
+    num_decades = max(len(vocab), 1)  # also the index of an unknown decade
     metas = [patients[rec.patient_id] for rec in records]
     return Cohort(
         X=X,
         names=names,
         record_ids=tuple(rec.record_id for rec in records),
         patient_ids=tuple(rec.patient_id for rec in records),
-        y_vta=np.array([rec.label == LABEL_VTA for rec in records], dtype=int),
-        decade_index=np.array([vocab_index.get(m.birth_decade, len(vocab)) for m in metas], dtype=int),
-        num_decades=max(len(vocab), 1),
+        y_vta=np.array([LABELS.index(rec.label) for rec in records], dtype=int),
+        decade_index=np.array([vocab_index.get(m.birth_decade, num_decades) for m in metas], dtype=int),
+        num_decades=num_decades,
         y_nyhac=np.array([-1 if m.nyhac is None else m.nyhac - 1 for m in metas], dtype=int),
         bmi=np.array([0.0 if m.bmi is None else m.bmi for m in metas], dtype=float),
         bmi_mask=np.array([m.bmi is not None for m in metas], dtype=bool),
@@ -458,7 +466,7 @@ def write_feature_matrix(path, cohort: Cohort) -> None:
     if not len(cohort):
         raise FeatureError("nothing to write")
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("record_id,label," + ",".join(cohort.names) + "\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["record_id", "label", *cohort.names])
         for rid, y, row in zip(cohort.record_ids, cohort.y_vta, cohort.X):
-            cells = ",".join(f"{v:.6g}" for v in row)
-            fh.write(f"{rid},{LABEL_VTA if y else LABEL_CONTROL},{cells}\n")
+            writer.writerow([rid, LABELS[y], *(f"{v:.6g}" for v in row)])

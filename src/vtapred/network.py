@@ -45,8 +45,8 @@ class CheckpointError(Exception):
 @dataclass(frozen=True)
 class NetworkConfig:
     num_features: int
+    use_embedding: bool            # the setting's default lives in evaluation.CVConfig
     num_decades: int = 0           # embedding rows = num_decades + 1 (unknown row last)
-    use_embedding: bool = True
     embed_dim: int = 10
     hidden: tuple[int, int, int] = (150, 100, 10)
 
@@ -220,7 +220,7 @@ class Workspace:
         return array
 
 
-def active_tasks(batch: Batch, lam_nyhac: float = 1.0, lam_bmi: float = 1.0) -> tuple[str, ...]:
+def active_tasks(batch: Batch, lam_nyhac: float, lam_bmi: float) -> tuple[str, ...]:
     """The heads the loss reads, in TASKS order.
 
     The event head always counts; an auxiliary head counts when its weight
@@ -376,8 +376,8 @@ def _cross_entropy_rows(logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
 def loss(
     outputs: dict,
     batch: Batch,
-    lam_nyhac: float = 1.0,
-    lam_bmi: float = 1.0,
+    lam_nyhac: float,
+    lam_bmi: float,
 ) -> tuple[float, dict[str, float]]:
     """Mean multi-task loss over a batch.
 
@@ -432,8 +432,8 @@ def backward(
     params: NetworkParams,
     cache: dict,
     batch: Batch,
-    lam_nyhac: float = 1.0,
-    lam_bmi: float = 1.0,
+    lam_nyhac: float,
+    lam_bmi: float,
     out: FlatTensors | None = None,
 ) -> FlatTensors:
     """Gradients of the mean batch loss for every tensor.

@@ -197,7 +197,7 @@ def write_loss_history(path, history: list[dict[str, float]]) -> None:
     """CSV export of the per-epoch losses: epoch,loss,vta_loss,nyhac_loss,bmi_loss."""
     columns = ("loss", "vta_loss", "nyhac_loss", "bmi_loss")
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["epoch", *columns])
         for row in history:
             writer.writerow([int(row["epoch"]), *(f"{row[name]:.12g}" for name in columns)])

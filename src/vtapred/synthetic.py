@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import LABEL_CONTROL, LABEL_VTA
+from .dataset import LABEL_CONTROL, LABEL_VTA, METADATA_COLUMNS
 from .features import Cohort
 
 DECADES = 6  # birth decades 1930..1980, assigned round-robin
@@ -127,6 +127,6 @@ def write_tachogram_dataset(
 
     with open(metadata_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["record_id", "patient_id", "label", "birth_year", "nyhac", "bmi"])
+        writer.writerow(METADATA_COLUMNS)
         writer.writerows(rows)
     return tacho_dir, metadata_path

@@ -67,7 +67,7 @@ def test_criterion_1_gradient_correctness():
     batch = random_batch(rng, config, 50)
 
     _, cache = forward(params, batch.features, batch.decade_index)
-    analytic = backward(params, cache, batch)
+    analytic = backward(params, cache, batch, 1.0, 1.0)
     numeric = stacked_finite_difference_grads(config, params.tensors, batch, eps=1e-5)
     err = max_relative_error(analytic, numeric)
     elapsed = time.perf_counter() - started

@@ -1,5 +1,6 @@
 """End-to-end command-line tests driven through cli.main in-process."""
 
+import csv
 import inspect
 import json
 import os
@@ -11,12 +12,15 @@ import numpy as np
 import pytest
 
 import vtapred
-from vtapred import CVConfig, load_dataset, load_checkpoint, prepare_records
+from vtapred import (
+    CVConfig, apply_decision_boundary, backward, detect_ectopic, load_dataset, load_checkpoint, loss, metrics,
+    prepare_records, run_ablation, time_stats, windowed_diff,
+)
 from vtapred.cli import (
     ConfigError, build_configs, build_parser, dataset_checksum, main, parse_config_file, resolve_settings,
 )
 from vtapred.evaluation import INIT_STREAM
-from vtapred.network import NetworkConfig, init_params
+from vtapred.network import NetworkConfig, active_tasks, init_params
 from vtapred.synthetic import write_tachogram_dataset
 
 RECENT_HEADER = (
@@ -143,15 +147,42 @@ class TestFeaturesCommand:
         assert ctl_a != ctl_b
 
 
+# (function, parameter) -> the setting its default stands for
+SIGNATURE_DEFAULTS = {
+    (detect_ectopic, "threshold"): "ectopic_threshold",
+    (detect_ectopic, "ref_beats"): "ectopic_ref_beats",
+    (time_stats, "recent_beats"): "recent_beats",
+    (windowed_diff, "window_beats"): "window_beats",
+    (metrics, "threshold"): "threshold",
+    (apply_decision_boundary, "horizon_ms"): "horizon_ms",
+    (prepare_records, "horizon_ms"): "horizon_ms",
+    (prepare_records, "min_beats"): "min_beats",
+    (prepare_records, "truncate_controls"): "truncate_controls",
+}
+
+# settings that these parameters must be given, because their function cannot see the one default
+NO_DEFAULTS = {
+    active_tasks: ("lam_nyhac", "lam_bmi"),
+    loss: ("lam_nyhac", "lam_bmi"),
+    backward: ("lam_nyhac", "lam_bmi"),
+    run_ablation: ("jobs",),
+    NetworkConfig: ("use_embedding",),
+}
+
+
 class TestSettings:
     def test_defaults_match_the_library(self):
         args = build_parser().parse_args(["features", "--data-dir", "d", "--metadata", "m", "--out", "o"])
         settings = resolve_settings(args)
         assert build_configs(settings) == CVConfig()
-        ingest = inspect.signature(prepare_records).parameters
-        for key in ("horizon_ms", "min_beats", "truncate_controls"):
-            assert settings[key] == ingest[key].default
-            assert type(settings[key]) is type(ingest[key].default)
+        for (fn, name), key in SIGNATURE_DEFAULTS.items():
+            default = inspect.signature(fn).parameters[name].default
+            assert default == settings[key], (fn.__name__, name)
+            assert type(default) is type(settings[key]), (fn.__name__, name)
+        for fn, names in NO_DEFAULTS.items():
+            parameters = inspect.signature(fn).parameters
+            for name in names:
+                assert parameters[name].default is inspect.Parameter.empty, (fn.__name__, name)
 
 
 class TestParseConfigFile:
@@ -378,6 +409,59 @@ def test_importing_the_cli_loads_no_process_pool():
     result = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
                             capture_output=True, text=True, timeout=60, check=True)
     assert result.stdout.strip() == "False"
+
+
+ODD_IDS = {"r000": "a,b", "r013": 'c"d'}  # an event record and a control record
+
+
+@pytest.fixture(scope="module")
+def odd_id_data(tmp_path_factory):
+    """The fixture cohort with two record ids that need CSV quoting."""
+    tacho_dir, metadata = write_tachogram_dataset(tmp_path_factory.mktemp("odd_ids"), seed=3)
+    for old, new in ODD_IDS.items():
+        (tacho_dir / f"{old}.txt").rename(tacho_dir / f"{new}.txt")
+    with open(metadata, newline="", encoding="utf-8") as fh:
+        rows = [[ODD_IDS.get(row[0], row[0]), *row[1:]] for row in csv.reader(fh)]
+    with open(metadata, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(rows)
+    return str(tacho_dir), str(metadata)
+
+
+def read_csv(path) -> list[list[str]]:
+    """Every row of a CSV output, each checked to be as wide as the header."""
+    data = Path(path).read_bytes()
+    assert b"\r" not in data
+    rows = list(csv.reader(data.decode("utf-8").splitlines()))
+    assert all(len(row) == len(rows[0]) for row in rows), path
+    return rows
+
+
+class TestCsvOutputs:
+    def test_features_quote_the_ids(self, odd_id_data, tmp_path):
+        out = tmp_path / "features.csv"
+        assert run("features", "--data-dir", odd_id_data[0], "--metadata", odd_id_data[1], "--out", str(out)) == 0
+        ids = [row[0] for row in read_csv(out)[1:]]
+        assert set(ODD_IDS.values()) <= set(ids)
+        assert ids == sorted(ids)
+
+    def test_loss_history_has_plain_line_ends(self, odd_id_data, tmp_path):
+        out = tmp_path / "model.ckpt"
+        assert run("train", "--data-dir", odd_id_data[0], "--metadata", odd_id_data[1], "--out", str(out),
+                   "--epochs", "3") == 0
+        rows = read_csv(f"{out}.loss.csv")
+        assert [row[0] for row in rows] == ["epoch", "0", "1", "2"]
+
+    def test_ablate_quotes_the_ids(self, odd_id_data, tmp_path):
+        out = tmp_path / "grid"
+        assert run("ablate", "--data-dir", odd_id_data[0], "--metadata", odd_id_data[1], "--out", str(out),
+                   "--epochs", "2", "--seeds", "1", "--k-folds", "2") == 0
+        assert len(read_csv(out / "report.csv")) == 5
+        assert len(read_csv(out / "per_seed.csv")) == 5
+        with open(odd_id_data[1], newline="", encoding="utf-8") as fh:
+            labels = {row[0]: row[2] for row in list(csv.reader(fh))[1:]}
+        assert set(ODD_IDS.values()) <= set(labels)
+        for path in sorted((out / "predictions").iterdir()):
+            assert {row[0]: row[1] for row in read_csv(path)[1:]} == labels  # every record is kept
 
 
 class TestDatasetChecksum:

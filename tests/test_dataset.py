@@ -1,4 +1,5 @@
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -141,6 +142,16 @@ class TestLoadDataset:
         with pytest.raises(DatasetError, match=complaint):
             load_dataset(tacho, meta)
 
+    def test_error_names_the_first_file_line_of_its_record(self, tmp_path):
+        # patient "p\nq" spans file lines 2-3, so the bad nyhac sits on line 4
+        tacho, meta = write_dataset(tmp_path, {"a": [800.0] * 4}, ['a,"p\nq",VTA,,,', "b,r,VTA,,7,"])
+        with pytest.raises(DatasetError, match=f"^{re.escape(str(meta))}, line 4: nyhac"):
+            load_dataset(tacho, meta)
+        (tmp_path / "flat").mkdir()
+        tacho, meta = write_dataset(tmp_path / "flat", {"a": [800.0] * 4}, ["a,pq,VTA,,,", "b,r,VTA,,7,"])
+        with pytest.raises(DatasetError, match=f"^{re.escape(str(meta))}, line 3: nyhac"):
+            load_dataset(tacho, meta)
+
     def test_inconsistent_patient_metadata(self, tmp_path):
         tacho, meta = write_dataset(
             tmp_path,
@@ -169,6 +180,7 @@ class TestTachogramLines:
         b"800\r750.5\r900\r",                  # lone CR
         b"800\n750.5\n900",                     # no trailing newline
         b"\n800\r\n\r\n750.5\r900\n\n",         # all of these at once
+        b"0.8e3\n+750.5\n9e2\n",                # an exponent or a sign, as in 1e3
     ])
     def test_accepted_forms(self, tmp_path, content):
         tacho, meta, _ = write_raw_tachogram(tmp_path, content)
@@ -183,6 +195,8 @@ class TestTachogramLines:
         ("800 900", "not a number: '800 900'"),
         ("8OO", "not a number: '8OO'"),
         ("800\x0c900", "not a number: '800\\x0c900'"),
+        ("8_00", "not a number: '8_00'"),                  # float() reads 800
+        ("\uff18\uff10\uff10", "not a number: '\uff18\uff10\uff10'"),  # full-width 800
     ])
     def test_first_bad_line_named_counting_blank_lines(self, tmp_path, bad, complaint):
         tacho, meta, path = write_raw_tachogram(tmp_path, f"800\n\n{bad}\n900\n".encode())

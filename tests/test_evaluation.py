@@ -317,7 +317,7 @@ class TestAblationConfig:
 def small_report(prepared_records):
     records, patients = prepared_records
     base = CVConfig(train=TrainConfig(epochs=25), k_folds=5)
-    return run_ablation(records, patients, base, seeds=range(2))
+    return run_ablation(records, patients, base, seeds=range(2), jobs=1)
 
 
 class TestRunAblation:
@@ -337,7 +337,7 @@ class TestRunAblation:
     def test_single_seed_report_equals_single_run(self, prepared_records):
         records, patients = prepared_records
         base = CVConfig(train=TrainConfig(epochs=25), k_folds=5)
-        report = run_ablation(records, patients, base, seeds=range(1))
+        report = run_ablation(records, patients, base, seeds=range(1), jobs=1)
         row_cfg = ablation_config(ROW_MULTI_TASK, base)
         direct = run_cv(build_cohort(records, patients, row_cfg.features), row_cfg, seed=0)
         np.testing.assert_array_equal(
@@ -358,7 +358,7 @@ class TestRunAblation:
     def test_zero_seeds_rejected(self, prepared_records):
         records, patients = prepared_records
         with pytest.raises(EvaluationError, match="at least one seed"):
-            run_ablation(records, patients, CVConfig(), seeds=[])
+            run_ablation(records, patients, CVConfig(), seeds=[], jobs=1)
 
 
 class TestReportWriters:

@@ -490,6 +490,13 @@ class TestBuildCohort:
         assert cohort.bmi.tolist() == [25.0, 0.0]
         assert cohort.bmi_mask.tolist() == [True, False]
 
+    def test_unknown_decade_gets_its_own_row_without_any_known_decade(self):
+        rng = np.random.default_rng(4)
+        records = [RRRecord(f"r{i}", rng.normal(800.0, 35.0, 300), "VTA", f"p{i}") for i in range(2)]
+        cohort = build_cohort(records, {"p0": PatientMeta("p0"), "p1": PatientMeta("p1", nyhac=2)})
+        assert cohort.num_decades == 1
+        assert cohort.decade_index.tolist() == [1, 1]
+
     def test_empty_record_list(self):
         cohort = build_cohort([], {}, FeatureConfig(include_windowed=False))
         assert len(cohort) == 0

@@ -169,7 +169,7 @@ class TestLoss:
         params = zero_params(small_config())
         batch = make_batch([np.zeros(4)], [0], [1])
         outputs, _ = forward(params, batch.features, batch.decade_index)
-        total, parts = loss(outputs, batch)
+        total, parts = loss(outputs, batch, 1.0, 1.0)
         assert parts["vta"] == pytest.approx(math.log(2.0), rel=1e-12)
         assert total == parts["vta"]
 
@@ -177,7 +177,7 @@ class TestLoss:
         params = init_params(small_config(), rng)
         batch = make_batch([rng.random(4)], [1], [0])
         outputs, _ = forward(params, batch.features, batch.decade_index)
-        total, parts = loss(outputs, batch)
+        total, parts = loss(outputs, batch, 1.0, 1.0)
         assert parts["nyhac"] == 0.0
         assert parts["bmi"] == 0.0
         assert total == parts["vta"]
@@ -187,7 +187,7 @@ class TestLoss:
         params = zero_params(small_config())
         batch = make_batch([np.zeros(4)], [0], [0], y_bmi=[0.0])
         outputs, _ = forward(params, batch.features, batch.decade_index)
-        _, parts = loss(outputs, batch)
+        _, parts = loss(outputs, batch, 1.0, 1.0)
         assert parts["bmi"] == 0.0
 
     def test_parts_always_sum_to_total(self, rng):
@@ -236,7 +236,7 @@ class TestBackward:
         params = init_params(small_config(), rng)
         batch = make_batch([rng.random(4)], [1], [1])
         outputs, cache = forward(params, batch.features, batch.decade_index)
-        grads = backward(params, cache, batch)
+        grads = backward(params, cache, batch, 1.0, 1.0)
         expected = outputs["vta_probs"][0] - np.array([0.0, 1.0])
         np.testing.assert_allclose(grads["vta_bout"], expected, atol=1e-15)
 
@@ -287,7 +287,7 @@ class TestBackward:
         j = 2
         masks["input"][:, j] = 0.0
         _, cache = forward(params, batch.features, batch.decade_index, masks)
-        grads = backward(params, cache, batch)
+        grads = backward(params, cache, batch, 1.0, 1.0)
         assert not grads["W1"][j, :].any()
 
     def test_branch_the_loss_reads_must_be_computed(self, rng):
@@ -295,7 +295,7 @@ class TestBackward:
         batch = random_batch(rng, params.config, 6)
         _, cache = forward(params, batch.features, batch.decade_index, tasks=("vta",))
         with pytest.raises(NetworkError, match="'nyhac' branch"):
-            backward(params, cache, batch)
+            backward(params, cache, batch, 1.0, 1.0)
 
     def test_absent_auxiliaries_match_single_task_gradients(self, rng):
         cfg = small_config()
@@ -315,7 +315,7 @@ class TestBackward:
         params = init_params(cfg, rng)
         batch = make_batch(rng.random((4, 4)), [1] * 4, [1] * 4)
         _, cache = forward(params, batch.features, batch.decade_index)
-        grads = backward(params, cache, batch)
+        grads = backward(params, cache, batch, 1.0, 1.0)
         assert grads["embedding"][1].any()
         assert not grads["embedding"][0].any()
         assert not grads["embedding"][2].any()
