@@ -31,6 +31,7 @@ FEATURE_SETS = (FEATURE_SET_RECENT, FEATURE_SET_BASELINE11)
 FREQ_GRID_STEP_HZ = 0.005
 VLF_BAND = (0.003, 0.04)
 SAMPEN_OFFSET_BLOCK = 16  # sorted partner offsets that sample_entropy checks per step
+LOMB_BLOCK_VALUES = 2**16  # complex phasors that _lomb_scargle holds per block of frequencies
 
 RECENT_NAMES = ("mean_rr", "lf_power", "hf_power", "min_rr", "max_rr")
 WINDOWED_NAMES = ("delta_mean_rr", "delta_ectopic_count")
@@ -136,64 +137,80 @@ def _grid_points(lo: float, hi: float) -> int:
     return int(np.floor((hi - lo) / FREQ_GRID_STEP_HZ + 1e-9))
 
 
-def band_power(intervals_ms, band: tuple[float, float]) -> float:
+def band_power(times_s, intervals_ms, band: tuple[float, float]) -> float:
     """Spectral power of an RR sequence inside a frequency band.
 
-    The sequence is unevenly sampled in time (each beat lands at the end of
-    its interval), so the spectrum is estimated with a Lomb-Scargle
-    periodogram of the mean-subtracted intervals, evaluated on a uniform grid
-    of ``FREQ_GRID_STEP_HZ`` spanning ``(lo, hi]``, and integrated with the trapezoid
-    rule.  An all-equal sequence has no power anywhere and returns 0.
+    ``times_s`` holds each beat's time in seconds (the end of its interval)
+    and ``intervals_ms`` its interval.  The caller passes the kept beats at
+    their own timestamps, so a removed ectopic beat leaves a gap in time, as
+    the Lomb-Scargle method expects (Lomb 1976; Clifford & Tarassenko 2005).
+    The periodogram of the mean-subtracted intervals is evaluated on the
+    points ``lo + k * FREQ_GRID_STEP_HZ`` in ``(lo, hi]`` and integrated with
+    the trapezoid rule.  An all-equal sequence has no power anywhere and
+    returns 0.
     """
     lo, hi = band
     if not (lo < hi and np.isfinite(hi - lo)):
         raise FeatureError(f"degenerate frequency band ({lo:g}, {hi:g})")
     x = np.asarray(intervals_ms, dtype=float)
+    t = np.asarray(times_s, dtype=float)
     if x.size < 2:
         raise FeatureError("need at least 2 intervals for band power")
+    if t.shape != x.shape:
+        raise FeatureError("beat times and intervals must have the same length")
     if np.ptp(x) == 0:
         return 0.0
     n_freqs = _grid_points(lo, hi)
     if n_freqs < 2:  # the trapezoid of a single point is 0
         raise FeatureError(f"band ({lo:g}, {hi:g}) holds fewer than 2 points of the {FREQ_GRID_STEP_HZ:g} Hz grid")
-    freqs = lo + FREQ_GRID_STEP_HZ * np.arange(1, n_freqs + 1)
-    times_s = np.cumsum(x) / 1000.0
-    centred = x - x.mean()
-    pgram = _lomb_scargle(times_s, centred, 2.0 * np.pi * freqs)
-    return float((np.diff(freqs) * (pgram[1:] + pgram[:-1]) / 2.0).sum())
+    pgram = _lomb_scargle(t, x - x.mean(), lo, n_freqs)
+    return float(FREQ_GRID_STEP_HZ * (pgram.sum() - 0.5 * (pgram[0] + pgram[-1])))
 
 
-def _lomb_scargle(times_s: np.ndarray, centred: np.ndarray, omegas: np.ndarray) -> np.ndarray:
-    """Lomb-Scargle power of ``centred`` at the angular frequencies ``omegas``.
+def _lomb_scargle(times_s: np.ndarray, centred: np.ndarray, lo_hz: float, n_freqs: int) -> np.ndarray:
+    """Lomb-Scargle power of ``centred`` at ``lo_hz + k * FREQ_GRID_STEP_HZ``, k = 1..n_freqs.
 
-    Unit weights, no floating mean, power in the classic ``n / 4`` units.  The
-    steps follow SciPy 1.17's ``signal.lombscargle`` one for one (weights of
-    ``1/n``, every sum as a dot with them, ``ss = 1 - cc``, the same ``epsneg``
-    floor), so the result equals it bit for bit.
+    Unit weights, no floating mean, power in the classic units
+    ``((sum y cos)^2 / sum cos^2 + (sum y sin)^2 / sum sin^2) / 2`` of the
+    phases ``w (t - tau)``; the same as SciPy's ``lombscargle`` up to
+    rounding.  Each beat's phasor ``exp(i w t)`` is walked along the uniform
+    grid by rotation.  The frequencies go in blocks of at most
+    ``LOMB_BLOCK_VALUES // n`` (at least one); each block starts from a
+    direct exponential, and its later rows are earlier rows times powers of
+    the one-step rotation ``exp(i 2 pi FREQ_GRID_STEP_HZ t)``.  So memory is
+    O(n * block) however many frequencies there are, and the rounding of the
+    rotation cannot build up past one block.  The tau-shifted sums follow in
+    closed form from the first-pass sums, with no second trig pass.
     """
     n = times_s.size
-    weights = (np.ones(n) * (1.0 / n)).reshape(-1, 1)
-    weights_y = weights * centred.reshape(-1, 1)
-    freqst = omegas.reshape(1, -1) * times_s.reshape(-1, 1)
-    coswt = np.cos(freqst)
-    sinwt = np.sin(freqst)
-    cc = np.dot(weights.T, coswt * coswt)
-    ss = 1.0 - cc
-    cs = np.dot(weights.T, coswt * sinwt)
-    # tau is the phase offset that makes the cosine and sine terms orthogonal
-    tau = 0.5 * np.arctan2(2.0 * cs, cc - ss)
-    freqst_tau = freqst - tau
-    coswt_tau = np.cos(freqst_tau)
-    sinwt_tau = np.sin(freqst_tau)
-    yc = np.dot(weights_y.T, coswt_tau)
-    ys = np.dot(weights_y.T, sinwt_tau)
-    cc = np.dot(weights.T, coswt_tau * coswt_tau)
-    ss = 1.0 - cc
+    width = max(1, LOMB_BLOCK_VALUES // n)
+    y = centred.astype(complex)  # a mixed real-complex matmul skips BLAS
+    rotation = np.exp(1j * (2.0 * np.pi * FREQ_GRID_STEP_HZ) * times_s)
+    phasors = np.empty((min(width, n_freqs), n), dtype=complex)
+    pgram = np.empty(n_freqs)
     epsneg = np.finfo(np.float64).epsneg
-    cc[cc < epsneg] = epsneg
-    ss[ss < epsneg] = epsneg
-    pgram = 2.0 * ((yc / cc) * yc + (ys / ss) * ys)
-    return pgram.ravel() * (float(n) / 4.0)
+    for start in range(0, n_freqs, width):
+        z = phasors[:min(width, n_freqs - start)]
+        np.exp(1j * (2.0 * np.pi * (lo_hz + FREQ_GRID_STEP_HZ * (start + 1))) * times_s, out=z[0])
+        # rows [filled, 2 * filled) are rows [0, filled) rotated by filled grid steps
+        turn, filled = rotation, 1
+        while filled < len(z):
+            count = min(filled, len(z) - filled)
+            np.multiply(z[:count], turn, out=z[filled:filled + count])
+            filled += count
+            turn = turn * turn
+        yz = z @ y  # sum of y exp(i w t): yc + i ys
+        z2 = np.matmul(z[:, None, :], z[:, :, None]).ravel()  # sum of exp(2i w t): n (cc - ss) + 2i cs
+        # tau makes the shifted cosine and sine sums orthogonal: 2 tau = arg z2.  The shift
+        # turns yc + i ys into yz exp(-i tau), and cc_tau = cos^2(tau) cc + 2 sin(tau) cos(tau) cs
+        # + sin^2(tau) ss into (n + |z2|) / 2; cc and ss below are divided by n.
+        shifted = yz * np.exp(-0.5j * np.angle(z2))
+        cc = 0.5 + 0.5 * np.abs(z2) / n
+        ss = 1.0 - cc
+        cc[cc < epsneg] = epsneg
+        ss[ss < epsneg] = epsneg
+        pgram[start:start + len(z)] = (shifted.real ** 2 / cc + shifted.imag ** 2 / ss) / (2.0 * n)
+    return pgram
 
 
 def windowed_diff(
@@ -296,13 +313,14 @@ def _poincare(x: np.ndarray) -> tuple[float, float]:
     return sd1, sd2
 
 
-def baseline11(intervals_ms, config: FeatureConfig = FeatureConfig()) -> dict[str, float]:
+def baseline11(intervals_ms, times_s, config: FeatureConfig = FeatureConfig()) -> dict[str, float]:
     """The eleven-feature full-sequence reference panel.
 
-    Expects an ectopic-filtered sequence; uses every beat of it rather than
-    only the recent window.  pNN50 counts successive differences strictly
-    greater than 50 ms; the LF/HF ratio is defined as 0 when there is no HF
-    power at all.
+    Expects an ectopic-filtered sequence and its beats' times in seconds
+    (see :func:`band_power`); uses every beat of it rather than only the
+    recent window.  pNN50 counts successive differences strictly greater
+    than 50 ms; the LF/HF ratio is defined as 0 when there is no HF power at
+    all.
     """
     x = np.asarray(intervals_ms, dtype=float)
     # sample entropy (m=2) needs 4 beats, SD2 needs 3; 4 covers everything
@@ -312,9 +330,9 @@ def baseline11(intervals_ms, config: FeatureConfig = FeatureConfig()) -> dict[st
     sdnn = float(np.std(x, ddof=1))
     rmssd = float(np.sqrt(np.mean(diffs**2)))
     pnn50 = float(np.mean(np.abs(diffs) > 50.0))
-    vlf = band_power(x, VLF_BAND)
-    lf = band_power(x, (config.lf_lo, config.lf_hi))
-    hf = band_power(x, (config.lf_hi, config.hf_hi))
+    vlf = band_power(times_s, x, VLF_BAND)
+    lf = band_power(times_s, x, (config.lf_lo, config.lf_hi))
+    hf = band_power(times_s, x, (config.lf_hi, config.hf_hi))
     sd1, sd2 = _poincare(x)
     return {
         "mean_nn": float(x.mean()),
@@ -348,14 +366,15 @@ def extract(record, config: FeatureConfig = FeatureConfig()) -> np.ndarray:
     try:
         mask = detect_ectopic(raw, config.ectopic_threshold, config.ectopic_ref_beats)
         filtered = raw[~mask]
+        times_s = (np.cumsum(raw) / 1000.0)[~mask]  # kept beats at their own times
         if config.feature_set == FEATURE_SET_BASELINE11:
-            panel = baseline11(filtered, config)
+            panel = baseline11(filtered, times_s, config)
             values = [panel[name] for name in BASELINE11_NAMES]
         else:
             mean_rr, min_rr, max_rr = time_stats(filtered, config.recent_beats)
-            recent = filtered[-config.recent_beats:]
-            lf = band_power(recent, (config.lf_lo, config.lf_hi))
-            hf = band_power(recent, (config.lf_hi, config.hf_hi))
+            recent, recent_s = filtered[-config.recent_beats:], times_s[-config.recent_beats:]
+            lf = band_power(recent_s, recent, (config.lf_lo, config.lf_hi))
+            hf = band_power(recent_s, recent, (config.lf_hi, config.hf_hi))
             values = [mean_rr, lf, hf, min_rr, max_rr]
         if config.include_windowed:
             delta_mean, delta_count = windowed_diff(raw, mask, config.window_beats)

@@ -34,8 +34,9 @@ def rng():
 def scipy_reference():
     """scipy at 1.15 or later, whose ``lombscargle`` is plain numpy; skips otherwise.
 
-    The package does not depend on scipy; these tests pin its numpy
-    periodogram and ranks to scipy's bit for bit where scipy is installed.
+    The package does not depend on scipy; where scipy is installed, these
+    tests pin its ranks to scipy's bit for bit and its band power to within
+    a relative 1e-9.
     """
     scipy = pytest.importorskip("scipy")
     if tuple(int(part) for part in scipy.__version__.split(".")[:2]) < (1, 15):

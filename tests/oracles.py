@@ -65,14 +65,18 @@ def lomb_periodogram(times_s, values, freqs_hz) -> np.ndarray:
     return out
 
 
-def lomb_band_power(intervals_ms, band, grid_step=0.005) -> float:
-    """Band power via the direct periodogram on the package's grid convention."""
+def beat_times(intervals_ms) -> np.ndarray:
+    """Each beat's time in seconds: the end of its interval, from the first beat's start."""
+    return np.cumsum(np.asarray(intervals_ms, dtype=float)) / 1000.0
+
+
+def lomb_band_power(times_s, intervals_ms, band, grid_step=0.005) -> float:
+    """Band power via the direct periodogram of beats at ``times_s``, on the package's grid convention."""
     x = np.asarray(intervals_ms, dtype=float)
     lo, hi = band
     n = int(math.floor((hi - lo) / grid_step + 1e-9))
     freqs = lo + grid_step * np.arange(1, n + 1)
-    t = np.cumsum(x) / 1000.0
-    pgram = lomb_periodogram(t, x - x.mean(), freqs)
+    pgram = lomb_periodogram(times_s, x - x.mean(), freqs)
     # trapezoid rule, written out
     return float(np.sum((pgram[1:] + pgram[:-1]) / 2.0 * np.diff(freqs)))
 

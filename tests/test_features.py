@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    beat_times,
     ectopic_mask_loop,
     lomb_band_power,
     lomb_periodogram,
@@ -139,26 +140,26 @@ class TestTimeStats:
 class TestBandPower:
     def test_constant_sequence_is_exactly_zero(self):
         x = np.full(30, 800.0)
-        assert band_power(x, (0.04, 0.15)) == 0.0
-        assert band_power(x, (0.15, 0.40)) == 0.0
+        assert band_power(beat_times(x), x, (0.04, 0.15)) == 0.0
+        assert band_power(beat_times(x), x, (0.15, 0.40)) == 0.0
 
     def test_low_frequency_tone_lands_in_lf(self):
         x = modulated_tachogram(0.10)
-        lf = band_power(x, (0.04, 0.15))
-        hf = band_power(x, (0.15, 0.40))
+        lf = band_power(beat_times(x), x, (0.04, 0.15))
+        hf = band_power(beat_times(x), x, (0.15, 0.40))
         assert lf > 10.0 * hf
 
     def test_high_frequency_tone_lands_in_hf(self):
         x = modulated_tachogram(0.30)
-        lf = band_power(x, (0.04, 0.15))
-        hf = band_power(x, (0.15, 0.40))
+        lf = band_power(beat_times(x), x, (0.04, 0.15))
+        hf = band_power(beat_times(x), x, (0.15, 0.40))
         assert hf > 10.0 * lf
 
     def test_dense_grid_oracle_agrees_on_tone_location(self):
         # independent periodogram on a 10x finer grid, hand-rolled trapezoid
         for freq, widest in ((0.10, (0.04, 0.15)), (0.30, (0.15, 0.40))):
             x = modulated_tachogram(freq)
-            t = np.cumsum(x) / 1000.0
+            t = beat_times(x)
             y = x - x.mean()
             in_band = lomb_periodogram(t, y, np.arange(widest[0] + 0.0005, widest[1], 0.0005))
             other = (0.15, 0.40) if widest == (0.04, 0.15) else (0.04, 0.15)
@@ -170,24 +171,31 @@ class TestBandPower:
 
     def test_matches_direct_formula_on_shared_grid(self, rng):
         for _ in range(8):
-            x = rng.normal(820.0, 45.0, 60)
+            raw = rng.normal(820.0, 45.0, 66)
+            kept = np.ones(raw.size, dtype=bool)
+            kept[rng.choice(raw.size, 6, replace=False)] = False  # gaps where beats were removed
+            t, x = beat_times(raw)[kept], raw[kept]
             for band in ((0.04, 0.15), (0.15, 0.40), VLF_BAND):
-                got = band_power(x, band)
-                want = lomb_band_power(x, band)
+                got = band_power(t, x, band)
+                want = lomb_band_power(t, x, band)
                 assert got == pytest.approx(want, rel=1e-8)
 
     def test_vendored_periodogram_matches_the_direct_oracle(self, rng):
-        for n in (2, 3, 30, 250, 1000):
+        # a block holds 65 frequencies at 1,000 beats and 3 at 20,000, so those grids cross block
+        # seams; a day's offset makes every phase large
+        for n, offset_s in ((2, 0.0), (3, 0.0), (30, 0.0), (250, 0.0), (1000, 0.0),
+                            (30, 86_400.0), (1000, 86_400.0), (20_000, 0.0)):
             x = rng.normal(820.0, 45.0, n)
-            t = np.cumsum(x) / 1000.0
+            t = offset_s + beat_times(x)
             y = x - x.mean()
-            for freqs in (np.arange(0.003, 0.4, 0.0005), 0.15 + 0.005 * np.arange(1, 51), np.array([0.1])):
-                got = _lomb_scargle(t, y, 2.0 * np.pi * freqs)
-                want = lomb_periodogram(t, y, freqs)
+            for lo, n_freqs in ((0.0, 80), (0.15, 50), (0.095, 1)):
+                got = _lomb_scargle(t, y, lo, n_freqs)
+                want = lomb_periodogram(t, y, lo + FREQ_GRID_STEP_HZ * np.arange(1, n_freqs + 1))
                 assert got.shape == want.shape
                 np.testing.assert_allclose(got, want, rtol=1e-8, atol=1e-10 * float(np.sum(y * y)))
 
-    def test_bit_identical_to_scipy(self, rng, scipy_reference):
+    def test_matches_scipy_on_the_same_timestamps(self, rng, scipy_reference):
+        # the rotation is not SciPy's algorithm step for step, so the bits differ in the last places
         from scipy.integrate import trapezoid
         from scipy.signal import lombscargle
 
@@ -195,42 +203,66 @@ class TestBandPower:
             x = rng.normal(820.0, float(rng.uniform(5.0, 120.0)), int(rng.integers(3, 2000)))
             if i % 3 == 0:
                 x = np.round(x)  # integer-ms recordings
-            times_s = np.cumsum(x) / 1000.0
+            times_s = beat_times(x) + (86_400.0 if i % 5 == 0 else 0.0)
             for lo, hi in (VLF_BAND, (0.04, 0.15), (0.15, 0.40)):
                 n_freqs = int(np.floor((hi - lo) / FREQ_GRID_STEP_HZ + 1e-9))
                 freqs = lo + FREQ_GRID_STEP_HZ * np.arange(1, n_freqs + 1)
                 pgram = lombscargle(times_s, x - x.mean(), 2.0 * np.pi * freqs)
-                assert band_power(x, (lo, hi)) == float(trapezoid(pgram, freqs))
+                assert band_power(times_s, x, (lo, hi)) == pytest.approx(float(trapezoid(pgram, freqs)), rel=1e-9)
 
     def test_non_negative(self, rng):
         for _ in range(10):
             x = rng.normal(800.0, 60.0, 50)
-            assert band_power(x, (0.04, 0.15)) >= 0.0
+            assert band_power(beat_times(x), x, (0.04, 0.15)) >= 0.0
 
     def test_total_band_dominates_sub_bands(self, rng):
         for _ in range(6):
             x = rng.normal(800.0, 50.0, 100)
-            total = band_power(x, (0.003, 0.40))
+            t = beat_times(x)
+            total = band_power(t, x, (0.003, 0.40))
             for sub in (VLF_BAND, (0.04, 0.15), (0.15, 0.40)):
-                assert total >= band_power(x, sub) * (1.0 - 1e-9)
+                assert total >= band_power(t, x, sub) * (1.0 - 1e-9)
+
+    @pytest.mark.parametrize("n, band", [(20_000, (0.15, 0.40)), (30, (0.15, 50.0))])
+    def test_memory_does_not_grow_with_beats_times_frequencies(self, n, band):
+        # one array of n x n_freqs values would take 16 MB (20,000 x 50 floats) or 4.8 MB
+        # (30 x 9,970 complex values); the blocks hold at most 2**16 complex values
+        x = np.random.default_rng(6).normal(800.0, 40.0, n)
+        t = beat_times(x)
+        tracemalloc.start()
+        try:
+            value = band_power(t, x, band)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert math.isfinite(value) and value > 0.0
+        assert peak < 8 * 2**20
 
     def test_degenerate_band_rejected(self):
+        x = np.full(30, 800.0)
         with pytest.raises(FeatureError, match="degenerate frequency band"):
-            band_power(np.full(30, 800.0), (0.15, 0.15))
+            band_power(beat_times(x), x, (0.15, 0.15))
 
     @pytest.mark.parametrize("band", [(0.15, math.inf), (-math.inf, 0.15)])
     def test_unbounded_band_rejected(self, band):
+        x = np.arange(30, dtype=float) + 800.0
         with pytest.raises(FeatureError, match="degenerate frequency band"):
-            band_power(np.arange(30, dtype=float) + 800.0, band)
+            band_power(beat_times(x), x, band)
 
     @pytest.mark.parametrize("band", [(0.04, 0.044), (0.04, 0.047)])
     def test_band_with_fewer_than_two_grid_points_rejected(self, band):
+        x = np.arange(30, dtype=float) + 800.0
         with pytest.raises(FeatureError, match="fewer than 2 points"):
-            band_power(np.arange(30, dtype=float) + 800.0, band)
+            band_power(beat_times(x), x, band)
 
     def test_needs_two_beats(self):
         with pytest.raises(FeatureError, match="at least 2 intervals"):
-            band_power([800.0], (0.04, 0.15))
+            band_power([0.8], [800.0], (0.04, 0.15))
+
+    def test_times_and_intervals_must_align(self):
+        x = np.arange(30, dtype=float) + 800.0
+        with pytest.raises(FeatureError, match="same length"):
+            band_power(beat_times(x)[:-1], x, (0.04, 0.15))
 
 
 class TestWindowedDiff:
@@ -304,12 +336,14 @@ def _entropy_inputs(rng, n):
 
 class TestBaseline11:
     def test_names_and_length(self):
-        panel = baseline11(np.random.default_rng(0).normal(800.0, 40.0, 120))
+        x = np.random.default_rng(0).normal(800.0, 40.0, 120)
+        panel = baseline11(x, beat_times(x))
         assert tuple(panel) == BASELINE11_NAMES
         assert len(panel) == 11
 
     def test_constant_sequence_collapses(self):
-        panel = baseline11(np.full(60, 800.0))
+        x = np.full(60, 800.0)
+        panel = baseline11(x, beat_times(x))
         assert panel["sdnn"] == 0.0
         assert panel["rmssd"] == 0.0
         assert panel["pnn50"] == 0.0
@@ -321,7 +355,7 @@ class TestBaseline11:
 
     def test_alternating_50ms_steps(self):
         x = np.where(np.arange(40) % 2 == 0, 800.0, 850.0)
-        panel = baseline11(x)
+        panel = baseline11(x, beat_times(x))
         assert panel["rmssd"] == pytest.approx(50.0)
         # strict inequality: a 50 ms step is not > 50 ms
         assert panel["pnn50"] == 0.0
@@ -330,7 +364,7 @@ class TestBaseline11:
     def test_sd1_identity_on_random_sequences(self, rng):
         for _ in range(100):
             x = rng.normal(800.0, rng.uniform(5.0, 80.0), rng.integers(10, 200))
-            panel = baseline11(x)
+            panel = baseline11(x, beat_times(x))
             diffs = np.diff(x)
             rmssd = np.sqrt(np.mean(diffs**2))
             assert panel["poincare_sd1"] == pytest.approx(rmssd / math.sqrt(2.0), rel=1e-12)
@@ -416,7 +450,7 @@ class TestBaseline11:
 
     def test_panel_too_short(self):
         with pytest.raises(FeatureError, match="too short for the baseline"):
-            baseline11([800.0, 810.0, 790.0])
+            baseline11([800.0, 810.0, 790.0], [0.8, 1.61, 2.4])
 
 
 class TestExtract:
@@ -459,6 +493,25 @@ class TestExtract:
         cfg = FeatureConfig()
         by_name = dict(zip(feature_names(cfg), extract(rec, cfg)))
         assert by_name["delta_ectopic_count"] >= 1.0
+
+    @pytest.mark.parametrize("feature_set", ["recent", "baseline11"])
+    def test_band_power_uses_the_kept_beats_own_times(self, feature_set):
+        # one ectopic beat inside the last 30 kept beats: its removal leaves a gap in time
+        # that the periodogram must see, not close up
+        x = 800.0 + 40.0 * np.sin(np.arange(300) * 0.9)
+        x[-12] = 1400.0
+        rec = RRRecord("gap", x, "VTA", "p")
+        cfg = FeatureConfig(feature_set=feature_set, include_windowed=False)
+        mask = detect_ectopic(x)
+        assert mask.nonzero()[0].tolist() == [x.size - 12]
+        kept_s, filtered = beat_times(x)[~mask], x[~mask]
+        if feature_set == "recent":
+            kept_s, filtered = kept_s[-30:], filtered[-30:]
+        by_name = dict(zip(feature_names(cfg), extract(rec, cfg)))
+        for name, band in (("lf_power", (0.04, 0.15)), ("hf_power", (0.15, 0.40))):
+            assert by_name[name] == pytest.approx(lomb_band_power(kept_s, filtered, band), rel=1e-8)
+            gap_closed = lomb_band_power(beat_times(filtered), filtered, band)
+            assert by_name[name] != pytest.approx(gap_closed, rel=1e-3)
 
     def test_rejects_nan_naming_the_feature(self, monkeypatch):
         monkeypatch.setattr(features, "band_power", lambda *args, **kwargs: float("nan"))
@@ -595,11 +648,12 @@ class TestFeatureConfigValidation:
         x = 800.0 + 40.0 * np.sin(np.arange(60) * 1.3)
         record = RRRecord("r0", x, "Control", "p0")
         values = dict(zip(RECENT_NAMES, extract(record, FeatureConfig(lf_hi=0.2, include_windowed=False))))
-        recent = x[-30:]
-        assert values["lf_power"] == band_power(recent, (0.04, 0.2))
-        assert values["hf_power"] == band_power(recent, (0.2, 0.40))
-        panel = baseline11(x, FeatureConfig(lf_hi=0.2))
-        assert (panel["lf_power"], panel["hf_power"]) == (band_power(x, (0.04, 0.2)), band_power(x, (0.2, 0.40)))
+        t = beat_times(x)
+        recent, recent_s = x[-30:], t[-30:]
+        assert values["lf_power"] == band_power(recent_s, recent, (0.04, 0.2))
+        assert values["hf_power"] == band_power(recent_s, recent, (0.2, 0.40))
+        panel = baseline11(x, t, FeatureConfig(lf_hi=0.2))
+        assert (panel["lf_power"], panel["hf_power"]) == (band_power(t, x, (0.04, 0.2)), band_power(t, x, (0.2, 0.40)))
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_ectopic_threshold(self, value):
