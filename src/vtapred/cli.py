@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import inspect
+import io
 import json
 import logging
 import sys
@@ -23,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dataset import DatasetError, load_dataset, prepare_records, tachogram_files
+from .dataset import DatasetError, load_dataset, prepare_records, read_text, tachogram_files
 from .evaluation import (
     CVConfig,
     EvaluationError,
@@ -82,9 +83,10 @@ SETTINGS: dict[str, tuple] = {
 
 
 def parse_config_file(path) -> dict:
-    """Read ``key = value`` lines; blank lines and ``#`` comments are ignored."""
+    """Read ``key = value`` lines of UTF-8 text; blank lines and ``#`` comments are ignored."""
     values = {}
-    with open(path, encoding="utf-8") as fh:
+    # newline=None ends a line at \n, \r\n or a lone \r, as open() in text mode does
+    with io.StringIO(read_text(Path(path)), newline=None) as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.strip()
             if not text or text.startswith("#"):
@@ -193,11 +195,9 @@ def cmd_features(args: argparse.Namespace) -> int:
 
 def cmd_train(args: argparse.Namespace) -> int:
     settings, cv, records, patients = _prepare(args)
-    seed = settings["seed"]
-
     cohort = build_cohort(records, patients, cv.features)
-    params, history, _ = fit_model(cohort, np.arange(len(cohort)), cv, seed, fold=0)
-    save_checkpoint(args.out, params, extra={"settings": settings, "seed": seed})
+    params, history, _ = fit_model(cohort, np.arange(len(cohort)), cv, settings["seed"], fold=0)
+    save_checkpoint(args.out, params, extra={"settings": settings})
     loss_path = f"{args.out}.loss.csv"
     write_loss_history(loss_path, history)
     log.info("trained on %d records; checkpoint %s, losses %s", len(records), args.out, loss_path)

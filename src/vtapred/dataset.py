@@ -154,7 +154,7 @@ def prepare_records(
     return kept
 
 
-def _read_text(path: Path) -> str:
+def read_text(path: Path) -> str:
     """A file's whole UTF-8 text; a byte that is not UTF-8 is named with its path and line."""
     data = path.read_bytes()
     try:
@@ -169,7 +169,7 @@ def _read_text(path: Path) -> str:
 
 
 def _read_tachogram(path: Path) -> np.ndarray:
-    text = _read_text(path)
+    text = read_text(path)
     # split("\n"), not splitlines(): a form feed does not end a line
     lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     if lines[-1] == "":
@@ -253,7 +253,7 @@ def _read_metadata(path: Path) -> tuple[dict, dict]:
     """Parse the metadata CSV into (record rows by id, PatientMeta by patient id)."""
     rows: dict[str, dict] = {}
     patients: dict[str, PatientMeta] = {}
-    with io.StringIO(_read_text(path), newline="") as fh:
+    with io.StringIO(read_text(path), newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or tuple(cell.strip() for cell in header) != METADATA_COLUMNS:

@@ -319,7 +319,8 @@ def run_ablation(
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # only pooled runs pay for its import
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # the pool starts every worker at once, so it gets no more than there are items
+        with ProcessPoolExecutor(max_workers=min(jobs, len(items))) as pool:
             results = list(pool.map(_run_item, items))
     else:
         results = [_run_item(item) for item in items]

@@ -29,6 +29,7 @@ FEATURE_SET_BASELINE11 = "baseline11"
 FEATURE_SETS = (FEATURE_SET_RECENT, FEATURE_SET_BASELINE11)
 
 FREQ_GRID_STEP_HZ = 0.005
+MAX_BAND_HZ = 2.5  # half the beat rate at 300 bpm: an RR series says nothing above it
 VLF_BAND = (0.003, 0.04)
 SAMPEN_OFFSET_BLOCK = 16  # sorted partner offsets that sample_entropy checks per step
 LOMB_BLOCK_VALUES = 2**16  # complex phasors that _lomb_scargle holds per block of frequencies
@@ -73,6 +74,10 @@ class FeatureConfig:
             if _grid_points(lo, hi) < 2:
                 raise ValueError(f"band ({lo:g}, {hi:g}) holds fewer than 2 points of the "
                                  f"{FREQ_GRID_STEP_HZ:g} Hz grid")
+        if self.lf_lo < 0:
+            raise ValueError(f"lf_lo must be >= 0 Hz, got {self.lf_lo:g}")
+        if self.hf_hi > MAX_BAND_HZ:
+            raise ValueError(f"hf_hi must be <= {MAX_BAND_HZ:g} Hz, got {self.hf_hi:g}")
         if not 0 < self.ectopic_threshold < np.inf:  # also rejects NaN
             raise ValueError("ectopic_threshold must be positive and finite")
         if self.ectopic_ref_beats < 1:

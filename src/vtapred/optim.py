@@ -1,10 +1,10 @@
 """Gradient clipping, the AdaDelta update, and the full-batch training loop.
 
 AdaDelta keeps two exponential moving averages per parameter (squared
-gradients and squared updates) and needs no hand-tuned step size; the
-learning rate is a plain multiplier that defaults to 1.  Gradients are
-clipped element-wise before the update so a single wild component cannot
-derail training.
+gradients and squared updates) and needs no hand-tuned step size.  Gradients
+are clipped element-wise before the update so a single wild component cannot
+derail training.  The recipe is fixed: ``ADADELTA_RHO``, ``ADADELTA_EPS`` and
+``CLIP_LIMIT`` below.
 
 The parameters, the gradients and both accumulators are each one flat
 float64 buffer with the named tensors as views (``network.FlatTensors``).
@@ -36,6 +36,11 @@ from .network import (
 )
 
 
+ADADELTA_RHO = 0.95  # decay of both moving averages
+ADADELTA_EPS = 1e-6  # conditioning term inside both square roots
+CLIP_LIMIT = 0.1     # element-wise gradient clip
+
+
 class TrainingError(Exception):
     """Numeric failure during optimization (non-finite loss or gradients)."""
 
@@ -43,27 +48,15 @@ class TrainingError(Exception):
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 1000
-    clip: float = 0.1
     keep_prob: float = 0.75
-    lr: float = 1.0
-    rho: float = 0.95
-    eps: float = 1e-6
     lam_nyhac: float = 1.0
     lam_bmi: float = 1.0
 
     def __post_init__(self):
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
-        if not self.clip > 0:
-            raise ValueError("clip must be positive")
         if not 0.0 < self.keep_prob <= 1.0:
             raise ValueError("keep_prob must be in (0, 1]")
-        if not 0.0 <= self.rho < 1.0:
-            raise ValueError("rho must be in [0, 1)")
-        if not (self.eps > 0 and math.isfinite(self.eps)):
-            raise ValueError("eps must be positive and finite")
-        if not (self.lr > 0 and math.isfinite(self.lr)):
-            raise ValueError("lr must be positive and finite")
         for name in ("lam_nyhac", "lam_bmi"):
             value = getattr(self, name)
             if not (value >= 0 and math.isfinite(value)):
@@ -80,7 +73,7 @@ class AdaDeltaState:
 
     ``sq_grad`` and ``sq_delta`` are :class:`network.FlatTensors` laid out
     like the parameters; ``scratch`` holds the two parameter-sized buffers
-    the update works in.  The recipe lives in :class:`TrainConfig` alone.
+    the update works in.
     """
 
     def __init__(self, params: NetworkParams):
@@ -93,10 +86,9 @@ def adadelta_step(
     state: AdaDeltaState,
     params: NetworkParams,
     grads: FlatTensors,
-    config: TrainConfig = TrainConfig(),
     size: int | None = None,
 ) -> None:
-    """One in-place AdaDelta update of every parameter, with ``config``'s rho, eps and lr.
+    """One in-place AdaDelta update of every parameter, with ``ADADELTA_RHO`` and ``ADADELTA_EPS``.
 
     Per element: accumulate the squared gradient, scale the gradient by the
     ratio of RMS(previous updates) to RMS(gradients), apply, and then
@@ -118,21 +110,20 @@ def adadelta_step(
     if not np.isfinite(g).all():
         name = next(name for name, value in grads.items() if not np.isfinite(value).all())
         raise TrainingError(f"non-finite gradient in tensor {name!r}")
-    rho, eps, lr = config.rho, config.eps, config.lr
+    rho, eps = ADADELTA_RHO, ADADELTA_EPS
     sq_g, sq_d = state.sq_grad.flat[live], state.sq_delta.flat[live]
     delta, tmp = (buffer[live] for buffer in state.scratch)
     sq_g *= rho
     np.multiply(g, 1.0 - rho, out=tmp)          # (1 - rho) * g * g
     tmp *= g
     sq_g += tmp
-    np.add(sq_d, eps, out=delta)                # -(sqrt(sq_d + eps) / sqrt(sq_g + eps)) * g * lr
+    np.add(sq_d, eps, out=delta)                # -(sqrt(sq_d + eps) / sqrt(sq_g + eps)) * g
     np.sqrt(delta, out=delta)
     np.add(sq_g, eps, out=tmp)
     np.sqrt(tmp, out=tmp)
     delta /= tmp
     np.negative(delta, out=delta)
     delta *= g
-    delta *= lr
     sq_d *= rho
     np.multiply(delta, 1.0 - rho, out=tmp)      # (1 - rho) * delta * delta
     tmp *= delta
@@ -179,9 +170,9 @@ def train(
         if not np.isfinite(total):
             raise TrainingError(f"non-finite loss at epoch {epoch}")
         backward(params, cache, batch, config.lam_nyhac, config.lam_bmi, out=grads)
-        clip(g, config.clip, out=g)
+        clip(g, CLIP_LIMIT, out=g)
         max_grad = float(np.abs(g, out=work("abs_grad", g.shape)).max())
-        adadelta_step(state, params, grads, config, live)
+        adadelta_step(state, params, grads, live)
         history.append({
             "epoch": float(epoch),
             "loss": total,

@@ -346,12 +346,12 @@ def train_reference(batch, config, net, tensors: dict, rng) -> tuple[dict, list[
     t = {name: np.array(value, dtype=float) for name, value in tensors.items()}
     sq_grad = {name: np.zeros_like(v) for name, v in t.items()}
     sq_delta = {name: np.zeros_like(v) for name, v in t.items()}
-    rho, eps, lr = config.rho, config.eps, config.lr
+    rho, eps, lr, limit = 0.95, 1e-6, 1.0, 0.1  # the published recipe, independent of optim
     history = []
     for epoch in range(config.epochs):
         masks = _reference_masks(net, batch.features.shape[0], config.keep_prob, rng)
         parts, grads = _reference_epoch(net, t, batch, masks, config.lam_nyhac, config.lam_bmi)
-        grads = {name: np.clip(g, -config.clip, config.clip) for name, g in grads.items()}
+        grads = {name: np.clip(g, -limit, limit) for name, g in grads.items()}
         max_grad = max(float(np.max(np.abs(g))) for g in grads.values())
         for name, tensor in t.items():
             g = grads[name]

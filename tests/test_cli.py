@@ -17,7 +17,8 @@ from vtapred import (
     prepare_records, run_ablation, time_stats, windowed_diff,
 )
 from vtapred.cli import (
-    ConfigError, build_configs, build_parser, dataset_checksum, main, parse_config_file, resolve_settings,
+    SETTINGS, ConfigError, build_configs, build_parser, dataset_checksum, main, parse_config_file,
+    resolve_settings,
 )
 from vtapred.evaluation import INIT_STREAM
 from vtapred.network import NetworkConfig, active_tasks, init_params
@@ -87,14 +88,26 @@ class TestFeaturesCommand:
         assert default_out.read_bytes() == overridden.read_bytes()
 
     def test_unknown_config_key_rejected(self, data, tmp_path, capsys):
-        # a file that still sets the dropped clip_mode or hf_lo must fail, not be ignored
+        # a file that sets a dropped key, such as the fixed optimizer recipe's, must fail, not be ignored
         config = tmp_path / "bad.conf"
-        for line in ("learning_rate_warmup = 5", "clip_mode = norm", "hf_lo = 0.15"):
+        for line in ("learning_rate_warmup = 5", "clip_mode = norm", "hf_lo = 0.15",
+                     "lr = 0.5", "rho = 0.9", "eps = 1e-4", "clip = 0.2"):
             config.write_text(line + "\n")
             rc = run("features", "--data-dir", data[0], "--metadata", data[1],
                      "--out", str(tmp_path / "x.csv"), "--config", str(config))
             assert rc == 1
             assert "unknown key" in capsys.readouterr().err
+
+    def test_config_file_that_is_not_utf8_names_file_and_line(self, tmp_path, capsys):
+        config = tmp_path / "bad.conf"
+        config.write_bytes(b"epochs = 5\n# caf\xe9\n")
+        # a missing data dir would fail at load time, so this message proves nothing was read
+        rc = run("features", "--data-dir", str(tmp_path / "nowhere"), "--metadata", str(tmp_path / "m.csv"),
+                 "--out", str(tmp_path / "x.csv"), "--config", str(config))
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "bad.conf, line 2: not UTF-8 text (byte 0xe9)" in err
+        assert "nowhere" not in err
 
     def test_lf_edge_moves_both_band_columns(self, data, tmp_path):
         default_out = tmp_path / "default.csv"
@@ -184,6 +197,10 @@ class TestSettings:
             for name in names:
                 assert parameters[name].default is inspect.Parameter.empty, (fn.__name__, name)
 
+    def test_fixed_optimizer_recipe_is_not_a_setting(self):
+        assert not {"lr", "rho", "eps", "clip"} & SETTINGS.keys()
+        assert len(SETTINGS) == 23
+
 
 class TestParseConfigFile:
     def test_reads_flat_key_values(self, tmp_path):
@@ -234,7 +251,8 @@ class TestTrainCommand:
         assert params.config == expected.config
         for name in expected.tensors:
             np.testing.assert_array_equal(params.tensors[name], expected.tensors[name])
-        assert header["extra"]["seed"] == 5
+        assert list(header["extra"]) == ["settings"]
+        assert header["extra"]["settings"]["seed"] == 5
 
     def test_loss_history_sits_next_to_the_checkpoint(self, data, tmp_path):
         out = tmp_path / "model.ckpt"
@@ -354,6 +372,12 @@ class TestTopLevel:
                  "--out", str(tmp_path / "x.csv"), "--frobnicate")
         assert rc == 1
 
+    @pytest.mark.parametrize("flag", ["--lr", "--rho", "--eps", "--clip"])
+    def test_fixed_optimizer_recipe_has_no_flag(self, data, tmp_path, flag):
+        rc = run("features", "--data-dir", data[0], "--metadata", data[1],
+                 "--out", str(tmp_path / "x.csv"), flag, "0.5")
+        assert rc == 1
+
     def test_missing_required_out_exits_one(self, data):
         assert run("features", "--data-dir", data[0], "--metadata", data[1]) == 1
 
@@ -371,8 +395,12 @@ class TestTopLevel:
         ("--seed", "-1", "seed must be >= 0"),
         ("--lf-hi", "0.047", "fewer than 2 points"),
         ("--hf-hi", "inf", "degenerate frequency band (0.15, inf)"),
+        ("--hf-hi", "1e6", "hf_hi must be <= 2.5 Hz"),
+        ("--hf-hi", "2.6", "hf_hi must be <= 2.5 Hz"),
+        ("--lf-lo", "-1", "lf_lo must be >= 0 Hz"),
     ], ids=["nan-horizon", "inf-horizon", "negative-min-beats", "zero-seeds", "negative-seeds",
-            "zero-jobs", "negative-jobs", "negative-seed", "one-point-lf-band", "unbounded-hf-band"])
+            "zero-jobs", "negative-jobs", "negative-seed", "one-point-lf-band", "unbounded-hf-band",
+            "huge-hf-edge", "hf-edge-past-limit", "negative-lf-edge"])
     def test_impossible_ingest_setting_exits_one_before_reading_data(
         self, data, tmp_path, capsys, flag, value, message,
     ):

@@ -1,5 +1,6 @@
 """Cross-validation, metric, and ablation-grid tests."""
 
+import concurrent.futures
 from dataclasses import replace
 
 import numpy as np
@@ -354,6 +355,34 @@ class TestRunAblation:
         for key, preds in serial.predictions.items():
             np.testing.assert_array_equal(preds.probs, parallel.predictions[key].probs)
         assert serial.means == parallel.means
+
+    def test_pool_gets_no_more_workers_than_items(self, prepared_records, monkeypatch):
+        # a recording stand-in for the pool: it maps serially and starts no process
+        requested = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        records, patients = prepared_records
+        base = CVConfig(train=TrainConfig(epochs=10), k_folds=3)
+        serial = run_ablation(records, patients, base, seeds=[0], jobs=1)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        pooled = run_ablation(records, patients, base, seeds=[0], jobs=64)
+        assert requested == [len(ABLATION_ROWS)]
+        for key, preds in serial.predictions.items():
+            np.testing.assert_array_equal(preds.probs, pooled.predictions[key].probs)
+        assert serial.means == pooled.means
+        assert serial.per_seed == pooled.per_seed
 
     def test_zero_seeds_rejected(self, prepared_records):
         records, patients = prepared_records

@@ -39,7 +39,7 @@ from vtapred import (
     windowed_diff,
     write_feature_matrix,
 )
-from vtapred.features import FREQ_GRID_STEP_HZ, _lomb_scargle
+from vtapred.features import FREQ_GRID_STEP_HZ, MAX_BAND_HZ, _lomb_scargle
 
 
 class TestDetectEctopic:
@@ -642,6 +642,11 @@ class TestFeatureConfigValidation:
     def test_band_that_band_power_would_reject(self, edges, message):
         with pytest.raises(ValueError, match=message):
             FeatureConfig(**edges)
+
+    def test_widest_bands_accepted(self):
+        # the CLI tests check that an edge past these is rejected, by name, before any data is read
+        assert MAX_BAND_HZ == 2.5
+        FeatureConfig(lf_lo=0.0, hf_hi=2.5)  # raises if either edge is refused
 
     def test_band_adjacency_enforced(self):
         # HF starts where LF ends, so moving lf_hi moves both bands and no gap can open

@@ -1,5 +1,7 @@
 """Optimizer tests: clipping, the AdaDelta recursion, the training loop."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from vtapred import (
     train,
     write_loss_history,
 )
+from vtapred import optim
 from vtapred.network import FlatTensors, forward
 
 
@@ -122,16 +125,18 @@ class TestAdaDeltaStep:
             assert (state.sq_grad["w"] >= 0.0).all()
             assert (state.sq_delta["w"] >= 0.0).all()
 
-    def test_recipe_comes_from_the_train_config(self, rng):
-        config = TrainConfig(rho=0.9, eps=1e-4, lr=0.5)
+    def test_recipe_comes_from_the_module_constants(self, rng, monkeypatch):
+        # non-default constants prove the step reads them at call time, not baked-in literals
+        monkeypatch.setattr(optim, "ADADELTA_RHO", 0.9)
+        monkeypatch.setattr(optim, "ADADELTA_EPS", 1e-4)
         params = tiny_params({"w": rng.normal(0.0, 1.0, 4)})
         state = AdaDeltaState(params)
         eg2, ed2, x = np.zeros(4), np.zeros(4), params.tensors["w"].copy()
         for _ in range(20):
             g = rng.normal(0.0, 0.3, 4)
-            adadelta_step(state, params, grads_like(params, w=g), config)
+            adadelta_step(state, params, grads_like(params, w=g))
             for i in range(4):
-                dx, eg2[i], ed2[i] = adadelta_scalar_step(g[i], eg2[i], ed2[i], rho=0.9, eps=1e-4, lr=0.5)
+                dx, eg2[i], ed2[i] = adadelta_scalar_step(g[i], eg2[i], ed2[i], rho=0.9, eps=1e-4)
                 x[i] += dx
             np.testing.assert_allclose(params.tensors["w"], x, rtol=1e-12)
             np.testing.assert_allclose(state.sq_grad["w"], eg2, rtol=1e-12)
@@ -241,19 +246,16 @@ class TestTrainMatchesReference:
 class TestTrainConfigValidation:
     def test_defaults_are_the_published_recipe(self):
         cfg = TrainConfig()
-        assert (cfg.epochs, cfg.clip, cfg.keep_prob) == (1000, 0.1, 0.75)
-        assert (cfg.lr, cfg.rho, cfg.eps) == (1.0, 0.95, 1e-6)
+        assert [f.name for f in fields(TrainConfig)] == ["epochs", "keep_prob", "lam_nyhac", "lam_bmi"]
+        assert (cfg.epochs, cfg.keep_prob) == (1000, 0.75)
+        assert (optim.ADADELTA_RHO, optim.ADADELTA_EPS, optim.CLIP_LIMIT) == (0.95, 1e-6, 0.1)
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"epochs": -1},
-            {"clip": 0.0},
-            {"clip": float("nan")},
             {"keep_prob": 0.0},
             {"keep_prob": 1.5},
-            {"rho": 1.0},
-            {"eps": 0.0},
         ],
     )
     def test_bad_values_rejected(self, kwargs):
@@ -263,11 +265,6 @@ class TestTrainConfigValidation:
     @pytest.mark.parametrize(
         "field, value",
         [
-            ("lr", 0.0),
-            ("lr", -1.0),
-            ("lr", float("nan")),
-            ("eps", float("nan")),
-            ("clip", float("nan")),
             ("lam_nyhac", -1.0),
             ("lam_nyhac", float("nan")),
             ("lam_bmi", -1.0),
