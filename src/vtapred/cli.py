@@ -98,6 +98,8 @@ def parse_config_file(path) -> dict:
             raw = raw.strip()
             if key not in SETTINGS:
                 raise ConfigError(f"{path}, line {lineno}: unknown key {key!r}")
+            if key in values:
+                raise ConfigError(f"{path}, line {lineno}: duplicate key {key!r}")
             parser = SETTINGS[key][0]
             try:
                 values[key] = parser(raw)

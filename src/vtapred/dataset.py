@@ -156,7 +156,7 @@ def prepare_records(
 
 def read_text(path: Path) -> str:
     """A file's whole UTF-8 text; a byte that is not UTF-8 is named with its path and line."""
-    data = path.read_bytes()
+    data = path.read_bytes().removeprefix(b"\xef\xbb\xbf")  # one byte-order mark, as some editors write
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:

@@ -24,7 +24,7 @@ from .features import (
     fit_standardizer,
     standardize,
 )
-from .network import Batch, NetworkConfig, NetworkParams, init_params, predict
+from .network import Batch, NetworkConfig, NetworkParams, active_tasks, init_params, predict
 from .optim import TrainConfig, TrainingError, train
 
 # Stream labels mixed into the seed so each consumer of randomness gets an
@@ -204,6 +204,7 @@ def fit_model(
 ) -> tuple[NetworkParams, list[dict[str, float]], tuple]:
     """Fit the standardizers on rows ``train_idx`` and train a fresh network there.
 
+    The network holds the heads its loss reads (``network.active_tasks``).
     Initialization and dropout draw from ``seed`` and ``fold`` through their
     stream labels.  Returns (params, history, (standardizer,
     bmi_standardizer)); the standardizers map any other rows the same way.
@@ -218,6 +219,7 @@ def fit_model(
         num_features=cohort.X.shape[1],
         num_decades=cohort.num_decades,
         use_embedding=config.use_embedding,
+        heads=active_tasks(batch, config.train.lam_nyhac, config.train.lam_bmi),
     )
     params = init_params(net_config, np.random.default_rng([seed, INIT_STREAM, fold]))
     params, history = train(batch, config.train, params,

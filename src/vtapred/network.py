@@ -10,10 +10,11 @@ every hidden layer at training time only.
 
 The parameters live in one flat float64 buffer with the named tensors as
 views (:class:`FlatTensors`), and backward() writes the gradients into a
-buffer of the same layout.  forward() and backward() walk only the branches
-they are asked for (the heads the loss reads, :func:`active_tasks`), and
-write their activations and temporaries into a :class:`Workspace` that a
-caller can keep from one epoch to the next.
+buffer of the same layout.  A network holds only the heads of its config
+(``NetworkConfig.heads``; a fit gives it the heads its loss reads,
+:func:`active_tasks`).  forward() and backward() walk those heads and write
+their activations and temporaries into a :class:`Workspace` that a caller can
+keep from one epoch to the next.
 
 Everything here is plain numpy; training lives in ``optim``.
 """
@@ -23,7 +24,7 @@ from __future__ import annotations
 import json
 import struct
 from collections.abc import Mapping
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -49,15 +50,21 @@ class NetworkConfig:
     num_decades: int = 0           # embedding rows = num_decades + 1 (unknown row last)
     embed_dim: int = 10
     hidden: tuple[int, int, int] = (150, 100, 10)
+    heads: tuple[str, ...] = TASKS  # the branches the network holds, in TASKS order
 
     def __post_init__(self):
         if self.num_features < 1:
             raise NetworkError("num_features must be >= 1")
         if self.use_embedding and self.num_decades < 1:
             raise NetworkError("embedding enabled but no decades in the vocabulary")
+        if self.embed_dim < 1:
+            raise NetworkError("embed_dim must be >= 1")
         if len(self.hidden) != 3 or any(h < 1 for h in self.hidden):
             raise NetworkError("hidden must be three positive layer widths")
         object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
+        object.__setattr__(self, "heads", tuple(self.heads))
+        if self.heads[:1] != ("vta",) or self.heads != tuple(t for t in TASKS if t in self.heads):
+            raise NetworkError(f"heads must start with 'vta' and follow TASKS order, got {self.heads}")
 
     @property
     def input_dim(self) -> int:
@@ -69,14 +76,14 @@ class NetworkConfig:
 
 
 def tensor_shapes(config: NetworkConfig) -> dict[str, tuple[int, ...]]:
-    """Parameter tensors in their declared (and serialized) order."""
+    """Parameter tensors of the shared layers and ``config.heads``, in declared (and serialized) order."""
     h1, h2, h3 = config.hidden
     shapes: dict[str, tuple[int, ...]] = {}
     if config.use_embedding:
         shapes["embedding"] = (config.embedding_rows, config.embed_dim)
     shapes["W1"] = (config.input_dim, h1)
     shapes["b1"] = (h1,)
-    for task in TASKS:
+    for task in config.heads:
         shapes[f"{task}_W2"] = (h1, h2)
         shapes[f"{task}_b2"] = (h2,)
         shapes[f"{task}_W3"] = (h2, h3)
@@ -100,14 +107,12 @@ class FlatTensors(Mapping):
         self.flat = np.empty(sum(a.size for a in arrays.values()))
         self.layout = tuple((name, a.shape) for name, a in arrays.items())
         self._views: dict[str, np.ndarray] = {}
-        self._ends: dict[str, int] = {}
         offset = 0
         for name, a in arrays.items():
             view = self.flat[offset:offset + a.size].reshape(a.shape)
             view[...] = a
             self._views[name] = view
             offset += a.size
-            self._ends[name] = offset
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self._views[name]
@@ -120,10 +125,6 @@ class FlatTensors(Mapping):
 
     def zeros_like(self) -> "FlatTensors":
         return FlatTensors({name: np.zeros(shape) for name, shape in self.layout})
-
-    def span(self, names) -> int:
-        """Length of the shortest prefix of ``flat`` that holds every tensor in ``names``."""
-        return max(self._ends[name] for name in names)
 
 
 @dataclass(eq=False)
@@ -144,10 +145,12 @@ class NetworkParams:
 def init_params(config: NetworkConfig, rng: np.random.Generator) -> NetworkParams:
     """Glorot-uniform weights, zero biases, uniform(-0.05, 0.05) embedding.
 
-    Tensors are drawn in declared order, so one seed fixes the whole net.
+    The tensors of all three heads are drawn in declared order and those of
+    ``config.heads`` kept, so one seed gives every tensor the same value
+    whichever heads the network holds.
     """
     tensors: dict[str, np.ndarray] = {}
-    for name, shape in tensor_shapes(config).items():
+    for name, shape in tensor_shapes(replace(config, heads=TASKS)).items():
         if name == "embedding":
             tensors[name] = rng.uniform(-0.05, 0.05, size=shape)
         elif len(shape) == 1:
@@ -155,7 +158,7 @@ def init_params(config: NetworkConfig, rng: np.random.Generator) -> NetworkParam
         else:
             bound = np.sqrt(6.0 / (shape[0] + shape[1]))
             tensors[name] = rng.uniform(-bound, bound, size=shape)
-    return NetworkParams(config, tensors)
+    return NetworkParams(config, {name: tensors[name] for name in tensor_shapes(config)})
 
 
 @dataclass(eq=False)
@@ -240,15 +243,14 @@ def draw_dropout_masks(
     n: int,
     keep_prob: float,
     rng: np.random.Generator,
-    tasks: tuple[str, ...] = TASKS,
     work: Workspace | None = None,
 ) -> dict[str, np.ndarray] | None:
     """Fresh inverted-dropout masks for a batch: entries are 0 or 1/keep_prob.
 
     One mask row per example per layer; with keep_prob == 1 no masking is
     needed and None is returned.  The uniform block behind all eight layers
-    is drawn whole, so the random stream does not depend on ``tasks``; only
-    the masks of the shared layers and of the branches in ``tasks`` are
+    is drawn whole, so the random stream does not depend on ``config.heads``;
+    only the masks of the shared layers and of those heads' branches are
     built, each C-contiguous, in ``work`` when one is given.
     """
     if not 0.0 < keep_prob <= 1.0:
@@ -262,7 +264,7 @@ def draw_dropout_masks(
     masks: dict[str, np.ndarray] = {}
     offset = 0
     for name, width in layout:
-        if branch_of(name) in (None, *tasks):
+        if branch_of(name) in (None, *config.heads):
             mask = np.less(block[:, offset:offset + width], keep_prob, out=work(f"mask_{name}", (n, width)))
             mask *= scale
             masks[name] = mask
@@ -286,10 +288,9 @@ def forward(
     features,
     decade_index=None,
     masks: dict[str, np.ndarray] | None = None,
-    tasks: tuple[str, ...] = TASKS,
     work: Workspace | None = None,
 ) -> tuple[dict, dict]:
-    """Run the network on a batch.
+    """Run the network on a batch, through every head it holds.
 
     Args:
         features: (n, num_features) standardized inputs, always 2-D (one
@@ -298,17 +299,15 @@ def forward(
             uses the embedding, ignored otherwise.
         masks: dropout masks from :func:`draw_dropout_masks`, or None for
             inference.
-        tasks: the branches to compute; the others are skipped and absent
-            from outputs and cache.  Skipping a branch changes no value of
-            the branches that are computed.
         work: a :class:`Workspace` for the activations.  With one, the
             arrays in outputs and cache are overwritten by the next call that
             uses the same workspace.
 
     Returns:
         (outputs, cache) where outputs has ``vta_probs`` and ``vta_logits``,
-        ``nyhac_probs`` and ``nyhac_logits``, and ``bmi`` for the computed
-        branches, and cache holds them and the activations backward() needs.
+        ``nyhac_probs`` and ``nyhac_logits``, and ``bmi`` for the heads of
+        ``params.config.heads``, and cache holds them and the activations
+        backward() needs.
     """
     cfg = params.config
     t = params.tensors
@@ -353,7 +352,7 @@ def forward(
     outputs: dict = {}
     cache: dict = {"x0d": x0d, "h1": h1, "h1d": h1d, "masks": masks, "decade_index": idx, "work": work,
                    "outputs": outputs}
-    for task in tasks:
+    for task in cfg.heads:
         h2 = tanh_layer(f"{task}_h2", h1d, t[f"{task}_W2"], t[f"{task}_b2"])
         h2d = masked(f"{task}_h2", h2)
         h3 = tanh_layer(f"{task}_h3", h2d, t[f"{task}_W3"], t[f"{task}_b3"])
@@ -386,10 +385,14 @@ def loss(
     ``lam_bmi`` times the squared BMI error when that target is present.
     Returns (total, parts) where parts are the three contributions to the
     mean and always sum to the total.  Only the heads of
-    :func:`active_tasks` are read from ``outputs``.
+    :func:`active_tasks` are read from ``outputs``; one that ``outputs``
+    lacks (the network does not hold it) is a :class:`NetworkError`.
     """
     n = len(batch)
     tasks = active_tasks(batch, lam_nyhac, lam_bmi)
+    missing = [task for task in tasks if task not in outputs and f"{task}_logits" not in outputs]
+    if missing:
+        raise NetworkError(f"the loss reads the {missing[0]!r} head, which the network does not hold")
     vta_part = float(np.mean(_cross_entropy_rows(outputs["vta_logits"], batch.y_vta)))
 
     nyhac_part = 0.0
@@ -439,9 +442,8 @@ def backward(
     """Gradients of the mean batch loss for every tensor.
 
     Softmax + cross entropy collapse to (probs - one_hot) at each head.
-    Only the branches of :func:`active_tasks` are walked: the tensors of
-    every other branch get exactly zero gradient, and the shared tensors see
-    only the active heads' signal.  The gradients are written into ``out``
+    Every head of ``params.config.heads`` is walked; a head the loss does
+    not read gets exactly zero gradient.  The gradients are written into ``out``
     (a :class:`FlatTensors` laid out like ``params.tensors``, which
     ``optim.train`` allocates once per fit) or into a new one, and the
     temporaries go to the workspace that forward() used.
@@ -449,10 +451,6 @@ def backward(
     cfg = params.config
     t = params.tensors
     masks, work = cache["masks"], cache["work"]
-    tasks = active_tasks(batch, lam_nyhac, lam_bmi)
-    skipped = [task for task in tasks if task not in cache]
-    if skipped:
-        raise NetworkError(f"forward did not compute the {skipped[0]!r} branch the loss reads")
     grads = t.zeros_like() if out is None else out
 
     def masked(name: str, value: np.ndarray) -> np.ndarray:
@@ -469,12 +467,9 @@ def backward(
     def matmul(name: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return np.matmul(a, b, out=work(name, (a.shape[0], b.shape[1])))
 
-    for name, grad in grads.items():
-        if branch_of(name) not in (None, *tasks):
-            grad.fill(0.0)
     d_h1d = work("d_h1d", cache["h1d"].shape)
     d_h1d.fill(0.0)
-    for task in tasks:
+    for task in cfg.heads:
         c = cache[task]
         d_out = _output_delta(task, cache["outputs"], batch, lam_nyhac, lam_bmi)
         np.matmul(c["h3d"].T, d_out, out=grads[f"{task}_Wout"])
@@ -501,11 +496,8 @@ def backward(
 
 
 def predict(params: NetworkParams, batch: Batch) -> np.ndarray:
-    """Event-class probabilities for every row of a batch (inference mode).
-
-    Only the event branch is computed.
-    """
-    outputs, _ = forward(params, batch.features, batch.decade_index, tasks=("vta",))
+    """Event-class probabilities for every row of a batch (inference mode)."""
+    outputs, _ = forward(params, batch.features, batch.decade_index)
     return outputs["vta_probs"][:, 1]
 
 
@@ -551,8 +543,9 @@ def load_checkpoint(path, expect_input_dim: int | None = None) -> tuple[NetworkP
             use_embedding=bool(net["use_embedding"]),
             embed_dim=int(net["embed_dim"]),
             hidden=tuple(net["hidden"]),
+            heads=net["heads"],
         )
-    except (KeyError, ValueError, TypeError, json.JSONDecodeError) as exc:
+    except (KeyError, ValueError, TypeError, NetworkError) as exc:
         raise CheckpointError(f"{path}: bad checkpoint header: {exc}") from None
     if expect_input_dim is not None and config.input_dim != expect_input_dim:
         raise CheckpointError(
@@ -562,7 +555,8 @@ def load_checkpoint(path, expect_input_dim: int | None = None) -> tuple[NetworkP
     payload = data[9 + header_len:]
     nbytes = params.tensors.flat.nbytes
     if len(payload) < nbytes:
-        name = next(name for name in params.tensors if 8 * params.tensors.span([name]) > len(payload))
+        ends = 8 * np.cumsum([tensor.size for tensor in params.tensors.values()])
+        name = list(params.tensors)[np.searchsorted(ends, len(payload), side="right")]
         raise CheckpointError(f"{path}: truncated tensor {name!r}")
     if len(payload) > nbytes:
         raise CheckpointError(f"{path}: {len(payload) - nbytes} trailing bytes")

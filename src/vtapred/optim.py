@@ -10,8 +10,7 @@ The parameters, the gradients and both accumulators are each one flat
 float64 buffer with the named tensors as views (``network.FlatTensors``).
 Clipping, the finite check, the largest gradient and the AdaDelta update are
 therefore one vectorised pass each, element by element in the same operation
-order as a per-tensor loop, and ``train`` stops each pass at the end of the
-last tensor its loss reads.
+order as a per-tensor loop.
 """
 
 from __future__ import annotations
@@ -27,9 +26,7 @@ from .network import (
     FlatTensors,
     NetworkParams,
     Workspace,
-    active_tasks,
     backward,
-    branch_of,
     draw_dropout_masks,
     forward,
     loss,
@@ -86,7 +83,6 @@ def adadelta_step(
     state: AdaDeltaState,
     params: NetworkParams,
     grads: FlatTensors,
-    size: int | None = None,
 ) -> None:
     """One in-place AdaDelta update of every parameter, with ``ADADELTA_RHO`` and ``ADADELTA_EPS``.
 
@@ -97,22 +93,16 @@ def adadelta_step(
     tensor that holds one, and nothing is updated.  ``grads`` must be a
     :class:`network.FlatTensors` laid out like ``params.tensors`` (as
     train's are); any other form is a ``ValueError``.
-
-    ``size`` limits the update to the first ``size`` entries of the flat
-    buffers.  It is for a caller whose gradient past them has been zero since
-    ``state`` was created: such a step would leave those parameters and their
-    zero accumulators exactly as they are.
     """
     if not (isinstance(grads, FlatTensors) and grads.layout == params.tensors.layout):
         raise ValueError("grads must be a FlatTensors laid out like params.tensors")
-    live = slice(0, size)
-    g = grads.flat[live]
+    g = grads.flat
     if not np.isfinite(g).all():
         name = next(name for name, value in grads.items() if not np.isfinite(value).all())
         raise TrainingError(f"non-finite gradient in tensor {name!r}")
     rho, eps = ADADELTA_RHO, ADADELTA_EPS
-    sq_g, sq_d = state.sq_grad.flat[live], state.sq_delta.flat[live]
-    delta, tmp = (buffer[live] for buffer in state.scratch)
+    sq_g, sq_d = state.sq_grad.flat, state.sq_delta.flat
+    delta, tmp = state.scratch
     sq_g *= rho
     np.multiply(g, 1.0 - rho, out=tmp)          # (1 - rho) * g * g
     tmp *= g
@@ -128,7 +118,7 @@ def adadelta_step(
     np.multiply(delta, 1.0 - rho, out=tmp)      # (1 - rho) * delta * delta
     tmp *= delta
     sq_d += tmp
-    params.tensors.flat[live] += delta
+    params.tensors.flat += delta
 
 
 def train(
@@ -147,32 +137,29 @@ def train(
     history holds one dict per epoch with the total loss, its three
     components, and the largest post-clip gradient magnitude.
 
-    Only the branches the loss reads (``network.active_tasks``) are
-    computed; the others keep zero gradient.  The gradient buffer and the
-    activation workspace are allocated once and reused by every epoch.
+    Every head of ``params.config.heads`` is computed; a head the loss
+    reads that the network does not hold is a ``network.NetworkError``.  The
+    gradient buffer and the activation workspace are allocated once and
+    reused by every epoch.
 
     With ``epochs == 0`` the parameters are returned untouched and the
     history is empty.
     """
     state = AdaDeltaState(params)
-    tasks = active_tasks(batch, config.lam_nyhac, config.lam_bmi)
     grads = params.tensors.zeros_like()
-    # Past the last tensor the loss reads, every gradient stays exactly zero,
-    # so the per-parameter passes below stop there.
-    live = grads.span(name for name in grads if branch_of(name) in (None, *tasks))
-    g = grads.flat[:live]
+    g = grads.flat
     work = Workspace()
     history: list[dict[str, float]] = []
     for epoch in range(config.epochs):
-        masks = draw_dropout_masks(params.config, len(batch), config.keep_prob, rng, tasks, work)
-        outputs, cache = forward(params, batch.features, batch.decade_index, masks, tasks, work)
+        masks = draw_dropout_masks(params.config, len(batch), config.keep_prob, rng, work)
+        outputs, cache = forward(params, batch.features, batch.decade_index, masks, work)
         total, parts = loss(outputs, batch, config.lam_nyhac, config.lam_bmi)
         if not np.isfinite(total):
             raise TrainingError(f"non-finite loss at epoch {epoch}")
         backward(params, cache, batch, config.lam_nyhac, config.lam_bmi, out=grads)
         clip(g, CLIP_LIMIT, out=g)
         max_grad = float(np.abs(g, out=work("abs_grad", g.shape)).max())
-        adadelta_step(state, params, grads, live)
+        adadelta_step(state, params, grads)
         history.append({
             "epoch": float(epoch),
             "loss": total,

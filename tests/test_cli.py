@@ -13,8 +13,8 @@ import pytest
 
 import vtapred
 from vtapred import (
-    CVConfig, apply_decision_boundary, backward, detect_ectopic, load_dataset, load_checkpoint, loss, metrics,
-    prepare_records, run_ablation, time_stats, windowed_diff,
+    CVConfig, DatasetError, apply_decision_boundary, backward, detect_ectopic, load_dataset, load_checkpoint, loss,
+    metrics, prepare_records, run_ablation, time_stats, windowed_diff,
 )
 from vtapred.cli import (
     SETTINGS, ConfigError, build_configs, build_parser, dataset_checksum, main, parse_config_file,
@@ -208,6 +208,22 @@ class TestParseConfigFile:
         path.write_text("# comment\nepochs = 7\nuse_embedding = off\n\nkeep_prob=0.5\n")
         values = parse_config_file(path)
         assert values == {"epochs": 7, "use_embedding": False, "keep_prob": 0.5}
+
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        path = tmp_path / "a.conf"
+        path.write_bytes(b"\xef\xbb\xbfepochs = 7\r\nkeep_prob=0.5\r\n")
+        assert parse_config_file(path) == {"epochs": 7, "keep_prob": 0.5}
+        path.write_bytes(b"\xef\xbb\xbfepochs = 7\n\n# caf\xe9\n")
+        with pytest.raises(DatasetError) as info:
+            parse_config_file(path)
+        assert str(info.value) == f"{path}, line 3: not UTF-8 text (byte 0xe9)"
+
+    def test_duplicate_key_rejected(self, tmp_path):
+        path = tmp_path / "a.conf"
+        path.write_text("epochs = 7\n# again\nepochs = 8\n")
+        with pytest.raises(ConfigError) as info:
+            parse_config_file(path)
+        assert str(info.value) == f"{path}, line 3: duplicate key 'epochs'"
 
     def test_line_without_equals_rejected(self, tmp_path):
         path = tmp_path / "a.conf"

@@ -210,6 +210,27 @@ class TestTachogramLines:
             load_dataset(tacho, meta)
         assert str(info.value) == f"{path}, line 3: not UTF-8 text (byte 0xe9)"
 
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        tacho, meta, path = write_raw_tachogram(tmp_path, b"\xef\xbb\xbf800\r\n750.5\n900\n")
+        records, _ = load_dataset(tacho, meta)
+        assert records[0].intervals_ms.tolist() == [800.0, 750.5, 900.0]
+        path.write_bytes(b"\xef\xbb\xbf800\n\n8\xe900\n")
+        with pytest.raises(DatasetError) as info:
+            load_dataset(tacho, meta)
+        assert str(info.value) == f"{path}, line 3: not UTF-8 text (byte 0xe9)"
+
+    def test_byte_order_mark_in_metadata_is_dropped(self, tmp_path):
+        tacho, meta = write_dataset(tmp_path, {"a": [800.0] * 4}, ["a,p,VTA,1950,2,25"])
+        plain_records, plain_patients = load_dataset(tacho, meta)
+        meta.write_bytes(b"\xef\xbb\xbf" + meta.read_bytes())
+        records, patients = load_dataset(tacho, meta)
+        assert [vars(m) for m in patients.values()] == [vars(m) for m in plain_patients.values()]
+        assert [(r.record_id, r.label) for r in records] == [(r.record_id, r.label) for r in plain_records]
+        meta.write_bytes(meta.read_bytes() + b"b,Jos\xe9,VTA,,,\n")
+        with pytest.raises(DatasetError) as info:
+            load_dataset(tacho, meta)
+        assert str(info.value) == f"{meta}, line 3: not UTF-8 text (byte 0xe9)"
+
     def test_bad_byte_in_metadata_names_the_file(self, tmp_path):
         tacho, meta = write_dataset(tmp_path, {"a": [800.0] * 4}, ["a,p,VTA,,,", "b,Jos\xe9,VTA,,,"])
         meta.write_bytes(meta.read_text().encode("latin-1"))

@@ -14,19 +14,24 @@ from vtapred import (
     CVConfig,
     EvaluationError,
     FeatureConfig,
+    NetworkConfig,
     TrainConfig,
     ablation_config,
     auc,
     build_cohort,
     format_report_table,
+    init_params,
     make_folds,
     make_patient_folds,
     metrics,
     run_ablation,
     run_cv,
+    train,
 )
 from vtapred.evaluation import (
+    DROPOUT_STREAM,
     FOLD_STREAM,
+    INIT_STREAM,
     METRIC_NAMES,
     ROW_BASELINE,
     ROW_EMBEDDING,
@@ -34,10 +39,13 @@ from vtapred.evaluation import (
     ROW_MULTI_TASK,
     ROW_WINDOWED,
     _average_ranks,
+    build_examples,
+    fit_model,
     write_per_seed_csv,
     write_predictions_csv,
     write_report_csv,
 )
+from vtapred.network import TASKS
 
 QUICK_TRAIN = TrainConfig(epochs=60)
 
@@ -280,6 +288,45 @@ class TestRunCV:
     def test_empty_dataset_rejected(self):
         with pytest.raises(EvaluationError, match="no records"):
             run_cv(build_cohort([], {}, FeatureConfig()), quick_config(), seed=0)
+
+
+class TestFitModel:
+    """A fit's network holds the heads its loss reads, and nothing else changes."""
+
+    @staticmethod
+    def full_heads_twin(cohort, train_idx, config, standardizers, seed, fold):
+        """The same fit on a network holding all three heads."""
+        net = NetworkConfig(num_features=cohort.X.shape[1], num_decades=cohort.num_decades,
+                            use_embedding=config.use_embedding)
+        params = init_params(net, np.random.default_rng([seed, INIT_STREAM, fold]))
+        batch = build_examples(cohort, train_idx, *standardizers)
+        return train(batch, config.train, params, np.random.default_rng([seed, DROPOUT_STREAM, fold]))
+
+    @pytest.mark.parametrize("row", ABLATION_ROWS)
+    def test_holds_the_active_heads_and_trains_like_the_full_network(self, gaussian200, row):
+        config = ablation_config(row, quick_config(train=TrainConfig(epochs=20)))
+        train_idx = np.arange(0, len(gaussian200), 3)
+        params, history, standardizers = fit_model(gaussian200, train_idx, config, seed=4, fold=2)
+        full, full_history = self.full_heads_twin(gaussian200, train_idx, config, standardizers, 4, 2)
+        heads = TASKS if row == ROW_MULTI_TASK else ("vta",)
+        assert params.config.heads == heads
+        skipped = tuple(f"{task}_" for task in TASKS if task not in heads)
+        assert list(params.tensors) == [name for name in full.tensors if not name.startswith(skipped)]
+        for name, tensor in params.tensors.items():
+            assert np.array_equal(tensor, full.tensors[name]), name
+        assert history == full_history
+
+    def test_cohort_without_functional_class_trains_event_and_bmi_heads(self, gaussian200):
+        cohort = replace(gaussian200, y_nyhac=np.full(len(gaussian200), -1))
+        train_idx = np.arange(len(cohort))
+        for epochs in (0, 15):  # the initialization, then the trained values
+            config = ablation_config(ROW_MULTI_TASK, quick_config(train=TrainConfig(epochs=epochs)))
+            params, _, standardizers = fit_model(cohort, train_idx, config, seed=1, fold=0)
+            full, _ = self.full_heads_twin(cohort, train_idx, config, standardizers, 1, 0)
+            assert params.config.heads == ("vta", "bmi")
+            assert list(params.tensors) == [name for name in full.tensors if not name.startswith("nyhac_")]
+            for name, tensor in params.tensors.items():
+                assert np.array_equal(tensor, full.tensors[name]), (epochs, name)
 
 
 class TestAblationConfig:

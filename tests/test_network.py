@@ -1,6 +1,8 @@
 """Network tests: forward pass, losses, exact gradients, checkpoints."""
 
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -37,6 +39,16 @@ def small_config(**overrides) -> NetworkConfig:
 
 def zero_params(config: NetworkConfig) -> NetworkParams:
     return NetworkParams(config, {k: np.zeros(s) for k, s in tensor_shapes(config).items()})
+
+
+def rewrite_header(path, **network) -> None:
+    """Replace fields of a saved checkpoint's ``network`` header, keeping its tensor bytes."""
+    data = path.read_bytes()
+    (header_len,) = struct.unpack("<I", data[5:9])
+    header = json.loads(data[9:9 + header_len])
+    header["network"].update(network)
+    blob = json.dumps(header).encode("utf-8")
+    path.write_bytes(data[:5] + struct.pack("<I", len(blob)) + blob + data[9 + header_len:])
 
 
 class TestForward:
@@ -90,16 +102,20 @@ class TestForward:
 
     @pytest.mark.parametrize("tasks", [("vta",), ("vta", "nyhac"), ("vta", "bmi")])
     def test_skipped_branches_leave_event_head_unchanged(self, rng, tasks):
+        # a net holding fewer heads, built from a full net's tensors, gives the same event head
         cfg = small_config()
         params = init_params(cfg, rng)
+        part_cfg = small_config(heads=tasks)
+        part_params = NetworkParams(part_cfg, {name: params.tensors[name] for name in tensor_shapes(part_cfg)})
         x = rng.random((9, 4))
         idx = rng.integers(0, 3, 9)
         masks = draw_dropout_masks(cfg, 9, 0.75, np.random.default_rng(4))
+        part_masks = draw_dropout_masks(part_cfg, 9, 0.75, np.random.default_rng(4))
         full, _ = forward(params, x, idx, masks)
-        part, cache = forward(params, x, idx, masks, tasks)
+        part, cache = forward(part_params, x, idx, part_masks)
         for key in ("vta_probs", "vta_logits"):
             assert np.array_equal(part[key], full[key])
-        assert set(TASKS) - set(tasks) == {task for task in TASKS if task not in cache}
+        assert [task for task in TASKS if task in cache] == list(tasks)
 
     def test_no_embedding_ignores_decades(self, rng):
         cfg = small_config(use_embedding=False, num_decades=0)
@@ -163,6 +179,21 @@ class TestInit:
         with pytest.raises(NetworkError, match="no decades"):
             NetworkConfig(num_features=4, num_decades=0, use_embedding=True)
 
+    @pytest.mark.parametrize("heads", [(), ("nyhac",), ("vta", "bmi", "nyhac"), ("vta", "vta"), ("vta", "age")])
+    def test_heads_start_with_the_event_head_in_task_order(self, heads):
+        with pytest.raises(NetworkError, match="heads"):
+            small_config(heads=heads)
+
+    def test_fewer_heads_keep_the_full_layout_values(self):
+        # the full three-branch layout is drawn whatever the heads, so every kept tensor is the same
+        full = init_params(small_config(), np.random.default_rng(7))
+        for heads in (("vta",), ("vta", "nyhac"), ("vta", "bmi")):
+            part = init_params(small_config(heads=heads), np.random.default_rng(7))
+            assert list(part.tensors) == [name for name in full.tensors if not name.startswith(
+                tuple(f"{task}_" for task in TASKS if task not in heads))]
+            for name in part.tensors:
+                assert np.array_equal(part.tensors[name], full.tensors[name]), (heads, name)
+
 
 class TestLoss:
     def test_uniform_probs_cost_log_two(self):
@@ -206,6 +237,14 @@ class TestLoss:
         assert doubled["nyhac"] == pytest.approx(2.0 * base["nyhac"], rel=1e-12)
         assert doubled["bmi"] == pytest.approx(2.0 * base["bmi"], rel=1e-12)
         assert base["vta"] == doubled["vta"]
+
+    def test_loss_names_the_head_the_network_lacks(self, rng):
+        params = init_params(small_config(heads=("vta", "bmi")), rng)
+        batch = random_batch(rng, params.config, 6)
+        outputs, _ = forward(params, batch.features, batch.decade_index)
+        with pytest.raises(NetworkError, match="'nyhac' head"):
+            loss(outputs, batch, 1.0, 1.0)
+        assert loss(outputs, batch, 0.0, 1.0)[1]["bmi"] > 0.0
 
     def test_zero_lambda_removes_terms(self, rng):
         params = init_params(small_config(), rng)
@@ -290,13 +329,6 @@ class TestBackward:
         grads = backward(params, cache, batch, 1.0, 1.0)
         assert not grads["W1"][j, :].any()
 
-    def test_branch_the_loss_reads_must_be_computed(self, rng):
-        params = init_params(small_config(), rng)
-        batch = random_batch(rng, params.config, 6)
-        _, cache = forward(params, batch.features, batch.decade_index, tasks=("vta",))
-        with pytest.raises(NetworkError, match="'nyhac' branch"):
-            backward(params, cache, batch, 1.0, 1.0)
-
     def test_absent_auxiliaries_match_single_task_gradients(self, rng):
         cfg = small_config()
         params = init_params(cfg, rng)
@@ -335,6 +367,13 @@ class TestBackward:
 class TestDropoutMasks:
     def test_keep_prob_one_is_no_op(self, rng):
         assert draw_dropout_masks(small_config(), 4, 1.0, rng) is None
+
+    def test_masks_of_fewer_heads_cut_the_same_block(self):
+        full = draw_dropout_masks(small_config(), 9, 0.75, np.random.default_rng(3))
+        part = draw_dropout_masks(small_config(heads=("vta", "bmi")), 9, 0.75, np.random.default_rng(3))
+        assert list(part) == ["input", "h1", "vta_h2", "vta_h3", "bmi_h2", "bmi_h3"]
+        for name, mask in part.items():
+            assert np.array_equal(mask, full[name]), name
 
     def test_mask_values_are_zero_or_inverse_keep(self, rng):
         masks = draw_dropout_masks(small_config(), 50, 0.75, rng)
@@ -399,15 +438,32 @@ class TestPredict:
 
 class TestCheckpoint:
     def test_round_trip_is_exact(self, rng, tmp_path):
-        params = init_params(small_config(), rng)
+        for heads in (TASKS, ("vta",), ("vta", "bmi")):
+            params = init_params(small_config(heads=heads), rng)
+            path = tmp_path / "model.ckpt"
+            save_checkpoint(path, params, extra={"seed": 7})
+            loaded, header = load_checkpoint(path)
+            assert loaded.config == params.config
+            assert header["network"]["heads"] == list(heads)
+            assert list(loaded.tensors) == list(params.tensors)
+            for name in params.tensors:
+                np.testing.assert_array_equal(loaded.tensors[name], params.tensors[name])
+            assert header["extra"] == {"seed": 7}
+
+    @pytest.mark.parametrize("network", [
+        {"num_features": 0},
+        {"hidden": [5, 4]},
+        {"embed_dim": -3},
+        {"heads": ["nyhac", "vta"]},
+        {"heads": "vta"},
+        {"heads": 3},
+    ])
+    def test_rejected_header_value_is_a_bad_header(self, rng, tmp_path, network):
         path = tmp_path / "model.ckpt"
-        save_checkpoint(path, params, extra={"seed": 7})
-        loaded, header = load_checkpoint(path)
-        assert loaded.config == params.config
-        assert list(loaded.tensors) == list(params.tensors)
-        for name in params.tensors:
-            np.testing.assert_array_equal(loaded.tensors[name], params.tensors[name])
-        assert header["extra"] == {"seed": 7}
+        save_checkpoint(path, init_params(small_config(), rng))
+        rewrite_header(path, **network)
+        with pytest.raises(CheckpointError, match="bad checkpoint header"):
+            load_checkpoint(path)
 
     def test_rejects_unknown_magic(self, tmp_path):
         path = tmp_path / "bogus.ckpt"
@@ -430,9 +486,10 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, params)
         data = path.read_bytes()
-        path.write_bytes(data[:-16])
-        with pytest.raises(CheckpointError, match="truncated tensor"):
-            load_checkpoint(path)
+        for cut, name in ((16, "bmi_Wout"), (3, "bmi_bout"), (params.tensors.flat.nbytes, "embedding")):
+            path.write_bytes(data[:-cut])
+            with pytest.raises(CheckpointError, match=f"truncated tensor '{name}'"):
+                load_checkpoint(path)
 
     def test_rejects_trailing_bytes(self, rng, tmp_path):
         params = init_params(small_config(), rng)

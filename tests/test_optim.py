@@ -105,18 +105,6 @@ class TestAdaDeltaStep:
         with pytest.raises(TrainingError, match="non-finite gradient in tensor 'v'"):
             adadelta_step(state, params, grads)
 
-    def test_prefix_step_equals_full_step_when_the_tail_gradient_is_zero(self, rng):
-        start = {"w": rng.normal(0.0, 1.0, 6), "v": rng.normal(0.0, 1.0, 4)}
-        full, prefix = tiny_params(start), tiny_params(start)
-        full_state, prefix_state = AdaDeltaState(full), AdaDeltaState(prefix)
-        for _ in range(5):
-            grads = grads_like(full, w=rng.normal(0.0, 0.3, 6))
-            adadelta_step(full_state, full, grads)
-            adadelta_step(prefix_state, prefix, grads, size=6)
-        assert np.array_equal(prefix.tensors.flat, full.tensors.flat)
-        assert np.array_equal(prefix_state.sq_grad.flat, full_state.sq_grad.flat)
-        assert np.array_equal(prefix_state.sq_delta.flat, full_state.sq_delta.flat)
-
     def test_accumulators_stay_non_negative(self, rng):
         params = tiny_params({"w": np.zeros(6)})
         state = AdaDeltaState(params)
