@@ -137,8 +137,26 @@ def build_configs(settings: dict) -> CVConfig:
         raise ConfigError(str(exc)) from None
 
 
-def _prepare(args: argparse.Namespace):
-    """Settings and configs, checked before any data is read, then the usable records."""
+def _check_out(path, is_dir: bool) -> None:
+    """Reject an ``--out`` that cannot be written, before any work is done.
+
+    A file needs an existing parent directory and must not be a directory;
+    a directory is made with its parents, so the nearest part of the path
+    that exists must be a directory.
+    """
+    out = Path(path)
+    if is_dir:
+        existing = next(p for p in (out, *out.parents) if p.exists())
+        if not existing.is_dir():
+            raise ConfigError(f"--out {path}: {existing} is not a directory")
+    elif out.is_dir():
+        raise ConfigError(f"--out {path} is a directory")
+    elif not out.parent.is_dir():
+        raise ConfigError(f"--out {path}: no directory {out.parent}")
+
+
+def _prepare(args: argparse.Namespace, out_is_dir: bool = False):
+    """Settings, configs and ``--out``, checked before any data is read, then the usable records."""
     settings = resolve_settings(args)
     cv = build_configs(settings)
     # a non-positive horizon is the documented no-op, so only NaN and inf are impossible
@@ -147,6 +165,7 @@ def _prepare(args: argparse.Namespace):
     for key, least in (("min_beats", 0), ("seed", 0), ("seeds", 1), ("jobs", 1)):
         if settings[key] < least:
             raise ConfigError(f"{key} must be >= {least}, got {settings[key]!r}")
+    _check_out(args.out, out_is_dir)
     records, patients = load_dataset(args.data_dir, args.metadata)
     prepared = prepare_records(
         records,
@@ -198,16 +217,17 @@ def cmd_features(args: argparse.Namespace) -> int:
 def cmd_train(args: argparse.Namespace) -> int:
     settings, cv, records, patients = _prepare(args)
     cohort = build_cohort(records, patients, cv.features)
+    del records  # the fit reads only the cohort, so the tachograms go before it
     params, history, _ = fit_model(cohort, np.arange(len(cohort)), cv, settings["seed"], fold=0)
     save_checkpoint(args.out, params, extra={"settings": settings})
     loss_path = f"{args.out}.loss.csv"
     write_loss_history(loss_path, history)
-    log.info("trained on %d records; checkpoint %s, losses %s", len(records), args.out, loss_path)
+    log.info("trained on %d records; checkpoint %s, losses %s", len(cohort), args.out, loss_path)
     return 0
 
 
 def cmd_ablate(args: argparse.Namespace) -> int:
-    settings, cv, records, patients = _prepare(args)
+    settings, cv, records, patients = _prepare(args, out_is_dir=True)
     seed_list = list(range(settings["seed"], settings["seed"] + settings["seeds"]))
 
     report = run_ablation(records, patients, cv, seeds=seed_list, jobs=settings["jobs"])

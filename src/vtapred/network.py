@@ -14,7 +14,10 @@ buffer of the same layout.  A network holds only the heads of its config
 (``NetworkConfig.heads``; a fit gives it the heads its loss reads,
 :func:`active_tasks`).  forward() and backward() walk those heads and write
 their activations and temporaries into a :class:`Workspace` that a caller can
-keep from one epoch to the next.
+keep from one epoch to the next.  The dropout masks are cut from one stream
+of uniforms that is drawn in row chunks (:func:`draw_dropout_masks`), the
+same stream as one whole draw; so a training epoch holds the masks, the
+activations and the gradients, and no (batch × every layer width) block.
 
 Everything here is plain numpy; training lives in ``optim``.
 """
@@ -30,6 +33,7 @@ import numpy as np
 
 TASKS = ("vta", "nyhac", "bmi")
 TASK_UNITS = {"vta": 2, "nyhac": 4, "bmi": 1}
+DROPOUT_BLOCK_VALUES = 2**16  # uniforms that draw_dropout_masks holds per chunk of rows
 
 CHECKPOINT_MAGIC = b"VTPN"
 CHECKPOINT_VERSION = 1
@@ -210,7 +214,10 @@ class Workspace:
     uninitialized one when there is none of that shape yet.  A fresh
     Workspace allocates exactly what one call needs; one that the caller
     keeps (``optim.train`` keeps one per fit) makes later calls with the same
-    batch size write into the same memory.
+    batch size write into the same memory.  What one training epoch keeps
+    here grows with the batch only through the masks, the activations and
+    the backward temporaries; the uniforms behind the masks take one buffer
+    of at most ``DROPOUT_BLOCK_VALUES`` (or one row).
     """
 
     def __init__(self):
@@ -248,10 +255,15 @@ def draw_dropout_masks(
     """Fresh inverted-dropout masks for a batch: entries are 0 or 1/keep_prob.
 
     One mask row per example per layer; with keep_prob == 1 no masking is
-    needed and None is returned.  The uniform block behind all eight layers
-    is drawn whole, so the random stream does not depend on ``config.heads``;
-    only the masks of the shared layers and of those heads' branches are
-    built, each C-contiguous, in ``work`` when one is given.
+    needed and None is returned.  Behind the masks is one (n, width of all
+    eight layers) block of uniforms, taken from ``rng`` in row-major order,
+    so the random stream does not depend on ``config.heads``.  The block is
+    never held whole: it is drawn in chunks of rows, at most
+    ``DROPOUT_BLOCK_VALUES`` uniforms (or one row, if a row is wider) into one
+    reused buffer, and each chunk is compared straight into the masks.  Row
+    chunks read the same doubles in the same order as one whole draw.  Only
+    the masks of the shared layers and of those heads' branches are built,
+    each C-contiguous, in ``work`` when one is given.
     """
     if not 0.0 < keep_prob <= 1.0:
         raise NetworkError("keep_prob must be in (0, 1]")
@@ -259,16 +271,23 @@ def draw_dropout_masks(
         return None
     work = Workspace() if work is None else work
     layout = dropout_layout(config)
-    block = rng.random(out=work("dropout_block", (n, sum(width for _, width in layout))))
-    scale = 1.0 / keep_prob  # keep * fl(1/p) equals the division keep / p exactly
-    masks: dict[str, np.ndarray] = {}
+    width = sum(w for _, w in layout)
+    rows = max(1, min(n, DROPOUT_BLOCK_VALUES // width))
+    uniforms = work("dropout_uniforms", (rows, width))
+    columns: dict[str, slice] = {}
     offset = 0
-    for name, width in layout:
+    for name, w in layout:
         if branch_of(name) in (None, *config.heads):
-            mask = np.less(block[:, offset:offset + width], keep_prob, out=work(f"mask_{name}", (n, width)))
-            mask *= scale
-            masks[name] = mask
-        offset += width
+            columns[name] = slice(offset, offset + w)
+        offset += w
+    masks = {name: work(f"mask_{name}", (n, cols.stop - cols.start)) for name, cols in columns.items()}
+    for start in range(0, n, rows):
+        chunk = rng.random(out=uniforms[:min(rows, n - start)])
+        for name, cols in columns.items():
+            np.less(chunk[:, cols], keep_prob, out=masks[name][start:start + chunk.shape[0]])
+    scale = 1.0 / keep_prob  # keep * fl(1/p) equals the division keep / p exactly
+    for mask in masks.values():
+        mask *= scale
     return masks
 
 
@@ -485,7 +504,7 @@ def backward(
         d_h1d += matmul("d_h1d_part", d_z2, t[f"{task}_W2"].T)
 
     d_h1 = masked("h1", d_h1d)
-    d_z1 = through_tanh("d_z1", d_h1, cache["h1"])
+    d_z1 = through_tanh("d_h1d_part", d_h1, cache["h1"])  # the head loop is done with that buffer
     np.matmul(cache["x0d"].T, d_z1, out=grads["W1"])
     np.sum(d_z1, axis=0, out=grads["b1"])
     if cfg.use_embedding:

@@ -8,9 +8,9 @@ derail training.  The recipe is fixed: ``ADADELTA_RHO``, ``ADADELTA_EPS`` and
 
 The parameters, the gradients and both accumulators are each one flat
 float64 buffer with the named tensors as views (``network.FlatTensors``).
-Clipping, the finite check, the largest gradient and the AdaDelta update are
-therefore one vectorised pass each, element by element in the same operation
-order as a per-tensor loop.
+Clipping, the finite check and the AdaDelta update are therefore one
+vectorised pass each, and the largest gradient one max and one min, element
+by element in the same operation order as a per-tensor loop.
 """
 
 from __future__ import annotations
@@ -158,7 +158,9 @@ def train(
             raise TrainingError(f"non-finite loss at epoch {epoch}")
         backward(params, cache, batch, config.lam_nyhac, config.lam_bmi, out=grads)
         clip(g, CLIP_LIMIT, out=g)
-        max_grad = float(np.abs(g, out=work("abs_grad", g.shape)).max())
+        # largest |g| without an |g| buffer; exact, as negation is.  0.0 comes
+        # first so that an all-zero gradient reads +0.0, as abs() gives
+        max_grad = float(max(0.0, g.max(), -g.min()))
         adadelta_step(state, params, grads)
         history.append({
             "epoch": float(epoch),

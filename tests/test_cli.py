@@ -428,6 +428,35 @@ class TestTopLevel:
         assert message in err
         assert "nowhere" not in err
 
+    # a missing data dir would fail at load time, so the --out error must come first
+    def test_features_out_in_a_missing_directory_exits_one_before_reading_data(self, data, tmp_path, capsys):
+        out = tmp_path / "no_such_dir" / "x.csv"
+        rc = run("features", "--data-dir", str(tmp_path / "nowhere"), "--metadata", data[1], "--out", str(out))
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"--out {out}: no directory" in err
+        assert "nowhere" not in err
+
+    def test_train_out_that_is_a_directory_exits_one_before_reading_data(self, data, tmp_path, capsys):
+        rc = run("train", "--data-dir", str(tmp_path / "nowhere"), "--metadata", data[1],
+                 "--out", str(tmp_path))
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"--out {tmp_path} is a directory" in err
+        assert "nowhere" not in err
+
+    @pytest.mark.parametrize("below", ["", "grid"], ids=["the-file", "under-the-file"])
+    def test_ablate_out_at_a_file_exits_one_before_reading_data(self, data, tmp_path, capsys, below):
+        out = tmp_path / "taken"
+        out.write_text("not a directory\n")
+        rc = run("ablate", "--data-dir", str(tmp_path / "nowhere"), "--metadata", data[1],
+                 "--out", str(out / below))
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"--out {out / below}: {out} is not a directory" in err
+        assert "nowhere" not in err
+        assert out.read_text() == "not a directory\n"
+
     def test_nan_threshold_exits_one_before_any_fit(self, data, tmp_path, capsys):
         out = tmp_path / "grid"
         rc = run("ablate", "--data-dir", data[0], "--metadata", data[1], "--out", str(out),

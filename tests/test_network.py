@@ -3,12 +3,18 @@
 import json
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from batches import make_batch, random_batch
-from oracles import finite_difference_grads, max_relative_error, stacked_finite_difference_grads
+from oracles import (
+    _reference_masks,
+    finite_difference_grads,
+    max_relative_error,
+    stacked_finite_difference_grads,
+)
 from vtapred import (
     CheckpointError,
     Cohort,
@@ -28,7 +34,16 @@ from vtapred import (
     train,
 )
 from vtapred.evaluation import build_examples
-from vtapred.network import CHECKPOINT_MAGIC, TASKS, active_tasks, tensor_shapes
+from vtapred.network import (
+    CHECKPOINT_MAGIC,
+    DROPOUT_BLOCK_VALUES,
+    TASKS,
+    Workspace,
+    active_tasks,
+    branch_of,
+    dropout_layout,
+    tensor_shapes,
+)
 
 
 def small_config(**overrides) -> NetworkConfig:
@@ -342,6 +357,17 @@ class TestBackward:
             if name.startswith(("nyhac_", "bmi_")):
                 assert not multi[name].any()
 
+    def test_a_second_backward_on_one_cache_gives_the_same_gradients(self, rng):
+        # backward's temporaries share the forward workspace; none may overwrite what the cache reads
+        cfg = small_config()
+        params = init_params(cfg, rng)
+        batch = random_batch(rng, cfg, 6)
+        masks = draw_dropout_masks(cfg, 6, 0.75, rng)
+        _, cache = forward(params, batch.features, batch.decade_index, masks, Workspace())
+        first = backward(params, cache, batch, 1.0, 1.0)
+        second = backward(params, cache, batch, 1.0, 1.0)
+        assert first.flat.tobytes() == second.flat.tobytes()
+
     def test_embedding_gradient_is_local_to_used_rows(self, rng):
         cfg = small_config()
         params = init_params(cfg, rng)
@@ -374,6 +400,33 @@ class TestDropoutMasks:
         assert list(part) == ["input", "h1", "vta_h2", "vta_h3", "bmi_h2", "bmi_h3"]
         for name, mask in part.items():
             assert np.array_equal(mask, full[name]), name
+
+    @pytest.mark.parametrize("heads", [TASKS, ("vta",)], ids=["all-heads", "vta-only"])
+    @pytest.mark.parametrize("chunks", [0.5, 1, 3.25], ids=["under-one-chunk", "one-chunk", "chunks-and-rest"])
+    def test_row_chunks_draw_the_whole_block_stream(self, heads, chunks):
+        cfg = small_config(heads=heads)
+        rows = DROPOUT_BLOCK_VALUES // sum(width for _, width in dropout_layout(cfg))
+        n = int(chunks * rows)
+        rng, oracle_rng = np.random.default_rng(8), np.random.default_rng(8)
+        masks = draw_dropout_masks(cfg, n, 0.75, rng)
+        want = _reference_masks(cfg, n, 0.75, oracle_rng)
+        assert list(masks) == [name for name in want if branch_of(name) in (None, *heads)]
+        for name, mask in masks.items():
+            assert mask.tobytes() == want[name].tobytes(), name
+        assert rng.random() == oracle_rng.random()
+
+    def test_draw_holds_no_block_beside_the_masks(self):
+        cfg = NetworkConfig(num_features=26, num_decades=5, use_embedding=True)
+        n = 5000
+        tracemalloc.start()
+        try:
+            masks = draw_dropout_masks(cfg, n, 0.75, np.random.default_rng(0), Workspace())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        mask_bytes = sum(mask.nbytes for mask in masks.values())
+        assert mask_bytes == n * 516 * 8
+        assert peak < mask_bytes + 2 * 2**20
 
     def test_mask_values_are_zero_or_inverse_keep(self, rng):
         masks = draw_dropout_masks(small_config(), 50, 0.75, rng)
