@@ -137,26 +137,43 @@ def build_configs(settings: dict) -> CVConfig:
         raise ConfigError(str(exc)) from None
 
 
-def _check_out(path, is_dir: bool) -> None:
-    """Reject an ``--out`` that cannot be written, before any work is done.
+# The paths each command writes, as {suffix appended to --out: is a directory}.
+# _prepare checks every one before any data is read, and the command writes to these.
+OUTPUTS: dict[str, dict[str, bool]] = {
+    "features": {"": False},
+    "train": {"": False, ".loss.csv": False},
+    "ablate": {"": True, "/report.csv": False, "/report.txt": False, "/per_seed.csv": False,
+               "/predictions": True, "/manifest.json": False},
+}
 
-    A file needs an existing parent directory and must not be a directory;
-    a directory is made with its parents, so the nearest part of the path
-    that exists must be a directory.
+
+def _check_outputs(out: str, outputs: dict[str, bool]) -> dict[str, Path]:
+    """The path of each suffix of ``outputs``, each checked before any work is done.
+
+    ``--out`` must not be empty.  A file must not be a directory and needs its
+    directory, existing or in ``outputs``; a directory is made with its parents,
+    so the nearest part of its path that exists must be a directory.
     """
-    out = Path(path)
-    if is_dir:
-        existing = next(p for p in (out, *out.parents) if p.exists())
-        if not existing.is_dir():
-            raise ConfigError(f"--out {path}: {existing} is not a directory")
-    elif out.is_dir():
-        raise ConfigError(f"--out {path} is a directory")
-    elif not out.parent.is_dir():
-        raise ConfigError(f"--out {path}: no directory {out.parent}")
+    if not out:
+        raise ConfigError("--out must not be empty")
+    paths = {suffix: Path(f"{out}{suffix}") for suffix in outputs}
+    made = {paths[suffix] for suffix, is_dir in outputs.items() if is_dir}
+    for suffix, is_dir in outputs.items():
+        path = paths[suffix]
+        where = f"--out {out}: {path}" if suffix else f"--out {out}"
+        if is_dir:
+            existing = next(p for p in (path, *path.parents) if p.exists())
+            if not existing.is_dir():
+                raise ConfigError(f"--out {out}: {existing} is not a directory")
+        elif path.is_dir():
+            raise ConfigError(f"{where} is a directory")
+        elif not (path.parent.is_dir() or path.parent in made):
+            raise ConfigError(f"{where}: no directory {path.parent}")
+    return paths
 
 
-def _prepare(args: argparse.Namespace, out_is_dir: bool = False):
-    """Settings, configs and ``--out``, checked before any data is read, then the usable records."""
+def _prepare(args: argparse.Namespace):
+    """Settings, configs and the paths of ``OUTPUTS``, checked before any data is read, then the records."""
     settings = resolve_settings(args)
     cv = build_configs(settings)
     # a non-positive horizon is the documented no-op, so only NaN and inf are impossible
@@ -165,7 +182,7 @@ def _prepare(args: argparse.Namespace, out_is_dir: bool = False):
     for key, least in (("min_beats", 0), ("seed", 0), ("seeds", 1), ("jobs", 1)):
         if settings[key] < least:
             raise ConfigError(f"{key} must be >= {least}, got {settings[key]!r}")
-    _check_out(args.out, out_is_dir)
+    paths = _check_outputs(args.out, OUTPUTS[args.command])
     records, patients = load_dataset(args.data_dir, args.metadata)
     prepared = prepare_records(
         records,
@@ -175,7 +192,7 @@ def _prepare(args: argparse.Namespace, out_is_dir: bool = False):
     )
     if not prepared:
         raise DatasetError("no usable records after the decision boundary")
-    return settings, cv, prepared, patients
+    return settings, cv, prepared, patients, paths
 
 
 def dataset_checksum(tachogram_dir, metadata_file) -> str:
@@ -208,41 +225,38 @@ def write_manifest(path, args, settings: dict, seed_list, n_records: int) -> Non
 
 
 def cmd_features(args: argparse.Namespace) -> int:
-    _, cv, records, patients = _prepare(args)
-    write_feature_matrix(args.out, build_cohort(records, patients, cv.features))
-    log.info("wrote %d feature rows to %s", len(records), args.out)
+    _, cv, records, patients, paths = _prepare(args)
+    write_feature_matrix(paths[""], build_cohort(records, patients, cv.features))
+    log.info("wrote %d feature rows to %s", len(records), paths[""])
     return 0
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    settings, cv, records, patients = _prepare(args)
+    settings, cv, records, patients, paths = _prepare(args)
     cohort = build_cohort(records, patients, cv.features)
     del records  # the fit reads only the cohort, so the tachograms go before it
     params, history, _ = fit_model(cohort, np.arange(len(cohort)), cv, settings["seed"], fold=0)
-    save_checkpoint(args.out, params, extra={"settings": settings})
-    loss_path = f"{args.out}.loss.csv"
-    write_loss_history(loss_path, history)
-    log.info("trained on %d records; checkpoint %s, losses %s", len(cohort), args.out, loss_path)
+    save_checkpoint(paths[""], params, extra={"settings": settings})
+    write_loss_history(paths[".loss.csv"], history)
+    log.info("trained on %d records; checkpoint %s, losses %s", len(cohort), paths[""], paths[".loss.csv"])
     return 0
 
 
 def cmd_ablate(args: argparse.Namespace) -> int:
-    settings, cv, records, patients = _prepare(args, out_is_dir=True)
+    settings, cv, records, patients, paths = _prepare(args)
     seed_list = list(range(settings["seed"], settings["seed"] + settings["seeds"]))
 
     report = run_ablation(records, patients, cv, seeds=seed_list, jobs=settings["jobs"])
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_report_csv(out_dir / "report.csv", report)
+    paths[""].mkdir(parents=True, exist_ok=True)
+    write_report_csv(paths["/report.csv"], report)
     table = format_report_table(report)
-    (out_dir / "report.txt").write_text(table, encoding="utf-8")
-    write_per_seed_csv(out_dir / "per_seed.csv", report)
-    predictions_dir = out_dir / "predictions"
-    predictions_dir.mkdir(exist_ok=True)
+    paths["/report.txt"].write_text(table, encoding="utf-8")
+    write_per_seed_csv(paths["/per_seed.csv"], report)
+    paths["/predictions"].mkdir(exist_ok=True)
     for (row, seed), preds in report.predictions.items():
-        write_predictions_csv(predictions_dir / f"{row}_seed{seed}.csv", preds)
-    write_manifest(out_dir / "manifest.json", args, settings, seed_list, len(records))
+        write_predictions_csv(paths["/predictions"] / f"{row}_seed{seed}.csv", preds)
+    write_manifest(paths["/manifest.json"], args, settings, seed_list, len(records))
     sys.stdout.write(table)
     return 0
 

@@ -230,19 +230,30 @@ class Workspace:
         return array
 
 
+def _head_target(task: str, batch: Batch, lam_nyhac: float, lam_bmi: float):
+    """One head's term of the loss: (weight, rows that carry its target, targets with 0 where absent).
+
+    The event head has weight 1 on every row; an auxiliary head has its
+    ``lam`` on the rows whose target is present.  This is the one place that
+    reads the missing-target encoding of :class:`Batch`.
+    """
+    if task == "vta":
+        return 1.0, np.ones(len(batch), dtype=bool), batch.y_vta
+    if task == "nyhac":
+        present = batch.y_nyhac >= 0
+        return lam_nyhac, present, np.where(present, batch.y_nyhac, 0)
+    return lam_bmi, batch.bmi_mask, batch.y_bmi
+
+
 def active_tasks(batch: Batch, lam_nyhac: float, lam_bmi: float) -> tuple[str, ...]:
     """The heads the loss reads, in TASKS order.
 
-    The event head always counts; an auxiliary head counts when its weight
-    is nonzero and at least one row of the batch has its target.  Every
-    other head adds exactly zero to the loss and to every gradient.
+    A head counts when its weight is nonzero and at least one row of the
+    batch has its target, so the event head always counts.  Every other
+    head adds exactly zero to the loss and to every gradient.
     """
-    tasks = ["vta"]
-    if lam_nyhac != 0.0 and (batch.y_nyhac >= 0).any():
-        tasks.append("nyhac")
-    if lam_bmi != 0.0 and batch.bmi_mask.any():
-        tasks.append("bmi")
-    return tuple(tasks)
+    heads = {task: _head_target(task, batch, lam_nyhac, lam_bmi) for task in TASKS}
+    return tuple(task for task, (weight, present, _) in heads.items() if weight != 0.0 and present.any())
 
 
 def draw_dropout_masks(
@@ -386,68 +397,46 @@ def forward(
     return outputs, cache
 
 
-def _cross_entropy_rows(logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    log_probs = _log_softmax(logits)
-    return -log_probs[np.arange(logits.shape[0]), targets]
-
-
 def loss(
     outputs: dict,
     batch: Batch,
     lam_nyhac: float,
     lam_bmi: float,
 ) -> tuple[float, dict[str, float]]:
-    """Mean multi-task loss over a batch.
+    """Mean multi-task loss over a batch: (total, parts by task, 0.0 for a head it does not read).
 
-    Per example: cross entropy of the event head, plus ``lam_nyhac`` times
-    the functional-class cross entropy when that target is present, plus
-    ``lam_bmi`` times the squared BMI error when that target is present.
-    Returns (total, parts) where parts are the three contributions to the
-    mean and always sum to the total.  Only the heads of
-    :func:`active_tasks` are read from ``outputs``; one that ``outputs``
-    lacks (the network does not hold it) is a :class:`NetworkError`.
+    Each head of :func:`active_tasks` adds its weight times its cross entropy
+    (a class head) or squared error (``bmi``), summed over the rows that
+    carry its target and divided by the batch size.  Only those heads are
+    read from ``outputs``; one that it lacks is a :class:`NetworkError`.
     """
     n = len(batch)
     tasks = active_tasks(batch, lam_nyhac, lam_bmi)
     missing = [task for task in tasks if task not in outputs and f"{task}_logits" not in outputs]
     if missing:
         raise NetworkError(f"the loss reads the {missing[0]!r} head, which the network does not hold")
-    vta_part = float(np.mean(_cross_entropy_rows(outputs["vta_logits"], batch.y_vta)))
-
-    nyhac_part = 0.0
-    if "nyhac" in tasks:
-        present = batch.y_nyhac >= 0
-        safe_targets = np.where(present, batch.y_nyhac, 0)
-        ce = _cross_entropy_rows(outputs["nyhac_logits"], safe_targets)
-        nyhac_part = float(lam_nyhac * ce[present].sum() / n)
-
-    bmi_part = 0.0
-    if "bmi" in tasks:
-        err = outputs["bmi"] - batch.y_bmi
-        bmi_part = float(lam_bmi * (err[batch.bmi_mask] ** 2).sum() / n)
-
-    parts = {"vta": vta_part, "nyhac": nyhac_part, "bmi": bmi_part}
-    return vta_part + nyhac_part + bmi_part, parts
-
-
-def _one_hot(targets: np.ndarray, width: int) -> np.ndarray:
-    out = np.zeros((targets.shape[0], width))
-    out[np.arange(targets.shape[0]), targets] = 1.0
-    return out
+    parts = dict.fromkeys(TASKS, 0.0)
+    for task in tasks:
+        weight, present, targets = _head_target(task, batch, lam_nyhac, lam_bmi)
+        if task == "bmi":
+            rows = (outputs["bmi"] - targets) ** 2
+        else:
+            rows = -_log_softmax(outputs[f"{task}_logits"])[np.arange(n), targets]
+        parts[task] = float(weight * rows[present].sum() / n)
+    # -0.0 is the exact additive identity, so this is vta + nyhac + bmi from the left
+    return sum(parts.values(), -0.0), parts
 
 
 def _output_delta(task: str, outputs: dict, batch: Batch, lam_nyhac: float, lam_bmi: float) -> np.ndarray:
-    """d(mean loss)/d(head output) of one active head."""
+    """d(mean loss)/d(head output) of one head; exactly zero for a head the loss does not read."""
     n = len(batch)
-    if task == "vta":
-        return (outputs["vta_probs"] - _one_hot(batch.y_vta, TASK_UNITS["vta"])) / n
-    if task == "nyhac":
-        present = batch.y_nyhac >= 0
-        safe_targets = np.where(present, batch.y_nyhac, 0)
-        d = outputs["nyhac_probs"] - _one_hot(safe_targets, TASK_UNITS["nyhac"])
-        return lam_nyhac * d * present[:, None] / n
-    err = (outputs["bmi"] - batch.y_bmi) * batch.bmi_mask
-    return (2.0 * lam_bmi * err / n)[:, None]
+    weight, present, targets = _head_target(task, batch, lam_nyhac, lam_bmi)
+    if task == "bmi":
+        err = (outputs["bmi"] - targets) * present
+        return (2.0 * weight * err / n)[:, None]
+    d = outputs[f"{task}_probs"].copy()
+    d[np.arange(n), targets] -= 1.0  # probs - one_hot
+    return weight * d * present[:, None] / n
 
 
 def backward(
@@ -540,9 +529,9 @@ def save_checkpoint(path, params: NetworkParams, extra: dict | None = None) -> N
         fh.write(params.tensors.flat.astype("<f8", copy=False).tobytes())
 
 
-def load_checkpoint(path, expect_input_dim: int | None = None) -> tuple[NetworkParams, dict]:
-    """Read a checkpoint back; rejects bad magic, truncation, or a mismatched
-    input width when ``expect_input_dim`` is given.  Returns (params, header).
+def load_checkpoint(path) -> tuple[NetworkParams, dict]:
+    """Read a checkpoint back; rejects bad magic, an unknown version, a bad
+    header, truncation and trailing bytes.  Returns (params, header).
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -566,10 +555,6 @@ def load_checkpoint(path, expect_input_dim: int | None = None) -> tuple[NetworkP
         )
     except (KeyError, ValueError, TypeError, NetworkError) as exc:
         raise CheckpointError(f"{path}: bad checkpoint header: {exc}") from None
-    if expect_input_dim is not None and config.input_dim != expect_input_dim:
-        raise CheckpointError(
-            f"{path}: checkpoint input width {config.input_dim} != expected {expect_input_dim}"
-        )
     params = NetworkParams(config, {name: np.zeros(shape) for name, shape in tensor_shapes(config).items()})
     payload = data[9 + header_len:]
     nbytes = params.tensors.flat.nbytes

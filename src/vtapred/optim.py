@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .network import (
+    TASKS,
     Batch,
     FlatTensors,
     NetworkParams,
@@ -134,8 +135,8 @@ def train(
     dropout masks (one per row per layer), runs one forward/backward pass
     over the whole batch, clips the mean-loss gradients, and applies one
     AdaDelta step.  Params are updated in place and also returned.  The
-    history holds one dict per epoch with the total loss, its three
-    components, and the largest post-clip gradient magnitude.
+    history holds one dict per epoch with the total loss, its ``<task>_loss``
+    part for each of ``network.TASKS``, and the largest post-clip gradient.
 
     Every head of ``params.config.heads`` is computed; a head the loss
     reads that the network does not hold is a ``network.NetworkError``.  The
@@ -165,17 +166,15 @@ def train(
         history.append({
             "epoch": float(epoch),
             "loss": total,
-            "vta_loss": parts["vta"],
-            "nyhac_loss": parts["nyhac"],
-            "bmi_loss": parts["bmi"],
+            **{f"{task}_loss": parts[task] for task in TASKS},
             "max_grad": max_grad,
         })
     return params, history
 
 
 def write_loss_history(path, history: list[dict[str, float]]) -> None:
-    """CSV export of the per-epoch losses: epoch,loss,vta_loss,nyhac_loss,bmi_loss."""
-    columns = ("loss", "vta_loss", "nyhac_loss", "bmi_loss")
+    """CSV export of the per-epoch losses: epoch, loss, and ``<task>_loss`` for each of ``network.TASKS``."""
+    columns = ("loss", *(f"{task}_loss" for task in TASKS))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["epoch", *columns])

@@ -445,6 +445,46 @@ class TestTopLevel:
         assert f"--out {tmp_path} is a directory" in err
         assert "nowhere" not in err
 
+    def test_train_loss_history_that_is_a_directory_exits_one_before_reading_data(self, data, tmp_path, capsys):
+        out = tmp_path / "m.ckpt"
+        losses = tmp_path / "m.ckpt.loss.csv"
+        losses.mkdir()
+        rc = run("train", "--data-dir", str(tmp_path / "nowhere"), "--metadata", data[1], "--out", str(out))
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"--out {out}: {losses} is a directory" in err
+        assert "nowhere" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["report.csv", "report.txt", "per_seed.csv", "manifest.json"])
+    def test_ablate_report_that_is_a_directory_exits_one_before_reading_data(self, data, tmp_path, capsys, name):
+        out = tmp_path / "grid"
+        (out / name).mkdir(parents=True)
+        rc = run("ablate", "--data-dir", str(tmp_path / "nowhere"), "--metadata", data[1], "--out", str(out))
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"--out {out}: {out / name} is a directory" in err
+        assert "nowhere" not in err
+
+    def test_ablate_predictions_that_is_a_file_exits_one_before_reading_data(self, data, tmp_path, capsys):
+        out = tmp_path / "grid"
+        out.mkdir()
+        (out / "predictions").write_text("not a directory\n")
+        rc = run("ablate", "--data-dir", str(tmp_path / "nowhere"), "--metadata", data[1], "--out", str(out))
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"--out {out}: {out / 'predictions'} is not a directory" in err
+        assert "nowhere" not in err
+        assert sorted(p.name for p in out.iterdir()) == ["predictions"]
+
+    @pytest.mark.parametrize("command", ["features", "train", "ablate"])
+    def test_empty_out_exits_one_before_reading_data(self, data, tmp_path, capsys, command):
+        rc = run(command, "--data-dir", str(tmp_path / "nowhere"), "--metadata", data[1], "--out", "")
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "--out must not be empty" in err
+        assert "nowhere" not in err
+
     @pytest.mark.parametrize("below", ["", "grid"], ids=["the-file", "under-the-file"])
     def test_ablate_out_at_a_file_exits_one_before_reading_data(self, data, tmp_path, capsys, below):
         out = tmp_path / "taken"

@@ -554,12 +554,5 @@ class TestCheckpoint:
             with pytest.raises(CheckpointError, match=f"{stray} trailing bytes"):
                 load_checkpoint(path)
 
-    def test_rejects_mismatched_input_width(self, rng, tmp_path):
-        params = init_params(small_config(), rng)
-        path = tmp_path / "model.ckpt"
-        save_checkpoint(path, params)
-        with pytest.raises(CheckpointError, match="input width"):
-            load_checkpoint(path, expect_input_dim=99)
-
     def test_magic_constant_stable(self):
         assert CHECKPOINT_MAGIC == b"VTPN"
