@@ -24,7 +24,7 @@ from .features import (
     fit_standardizer,
     standardize,
 )
-from .network import Batch, NetworkConfig, NetworkParams, active_tasks, init_params, predict
+from .network import TRAIN_DTYPE, Batch, NetworkConfig, NetworkParams, active_tasks, init_params, predict
 from .optim import TrainConfig, TrainingError, train
 
 # Stream labels mixed into the seed so each consumer of randomness gets an
@@ -204,10 +204,12 @@ def fit_model(
 ) -> tuple[NetworkParams, list[dict[str, float]], tuple]:
     """Fit the standardizers on rows ``train_idx`` and train a fresh network there.
 
-    The network holds the heads its loss reads (``network.active_tasks``).
-    Initialization and dropout draw from ``seed`` and ``fold`` through their
-    stream labels.  Returns (params, history, (standardizer,
-    bmi_standardizer)); the standardizers map any other rows the same way.
+    The network holds the heads its loss reads (``network.active_tasks``)
+    and trains at ``network.TRAIN_DTYPE``: the float64 initialization is
+    rounded to it once.  Initialization and dropout draw from ``seed`` and
+    ``fold`` through their stream labels.  Returns (params, history,
+    (standardizer, bmi_standardizer)); the standardizers map any other rows
+    the same way.
     """
     train_bmi = cohort.bmi[train_idx][cohort.bmi_mask[train_idx]]
     standardizers = (
@@ -221,7 +223,8 @@ def fit_model(
         use_embedding=config.use_embedding,
         heads=active_tasks(batch, config.train.lam_nyhac, config.train.lam_bmi),
     )
-    params = init_params(net_config, np.random.default_rng([seed, INIT_STREAM, fold]))
+    initial = init_params(net_config, np.random.default_rng([seed, INIT_STREAM, fold]))
+    params = NetworkParams(net_config, {name: value.astype(TRAIN_DTYPE) for name, value in initial.tensors.items()})
     params, history = train(batch, config.train, params,
                             np.random.default_rng([seed, DROPOUT_STREAM, fold]))
     return params, history, standardizers

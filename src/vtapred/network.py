@@ -8,11 +8,14 @@ branches of two tanh layers each.  The branches predict the event class
 body-mass index (linear).  Inverted dropout is applied to the input and to
 every hidden layer at training time only.
 
-The parameters live in one flat float64 buffer with the named tensors as
-views (:class:`FlatTensors`), and backward() writes the gradients into a
-buffer of the same layout.  A network holds only the heads of its config
-(``NetworkConfig.heads``; a fit gives it the heads its loss reads,
-:func:`active_tasks`).  forward() and backward() walk those heads and write
+The parameters live in one flat float32 or float64 buffer with the named
+tensors as views (:class:`FlatTensors`), and backward() writes the gradients
+into a buffer of the same layout.  The buffer's dtype is the network's
+precision: forward(), backward() and the dropout masks compute and allocate
+in it.  :func:`init_params` returns float64 values; a fit rounds them once to
+``TRAIN_DTYPE`` (``evaluation.fit_model``).  A network holds only the heads
+of its config (``NetworkConfig.heads``; a fit gives it the heads its loss
+reads, :func:`active_tasks`).  forward() and backward() walk those heads and write
 their activations and temporaries into a :class:`Workspace` that a caller can
 keep from one epoch to the next.  The dropout masks are cut from one stream
 of uniforms that is drawn in row chunks (:func:`draw_dropout_masks`), the
@@ -34,9 +37,11 @@ import numpy as np
 TASKS = ("vta", "nyhac", "bmi")
 TASK_UNITS = {"vta": 2, "nyhac": 4, "bmi": 1}
 DROPOUT_BLOCK_VALUES = 2**16  # uniforms that draw_dropout_masks holds per chunk of rows
+TRAIN_DTYPE = np.float32  # the precision every fit trains in
 
 CHECKPOINT_MAGIC = b"VTPN"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+CHECKPOINT_DTYPES = ("float32", "float64")
 
 
 class NetworkError(Exception):
@@ -98,17 +103,19 @@ def tensor_shapes(config: NetworkConfig) -> dict[str, tuple[int, ...]]:
 
 
 class FlatTensors(Mapping):
-    """Named float64 tensors that are views into one flat buffer, ``flat``.
+    """Named tensors that are views into one flat buffer, ``flat``.
 
     Construction copies the given arrays into a fresh buffer in the given
-    order.  The mapping itself is read-only; write into a tensor in place
+    order.  The buffer is float32 when every given array is, and float64
+    otherwise.  The mapping itself is read-only; write into a tensor in place
     (``tensors[name][...] = value``) so that view and buffer stay one datum.
     A whole-buffer operation on ``flat`` touches every tensor in one pass.
     """
 
     def __init__(self, tensors: Mapping[str, np.ndarray]):
-        arrays = {name: np.asarray(value, dtype=float) for name, value in tensors.items()}
-        self.flat = np.empty(sum(a.size for a in arrays.values()))
+        arrays = {name: np.asarray(value) for name, value in tensors.items()}
+        float32 = bool(arrays) and all(a.dtype == np.float32 for a in arrays.values())
+        self.flat = np.empty(sum(a.size for a in arrays.values()), np.float32 if float32 else np.float64)
         self.layout = tuple((name, a.shape) for name, a in arrays.items())
         self._views: dict[str, np.ndarray] = {}
         offset = 0
@@ -128,7 +135,7 @@ class FlatTensors(Mapping):
         return len(self._views)
 
     def zeros_like(self) -> "FlatTensors":
-        return FlatTensors({name: np.zeros(shape) for name, shape in self.layout})
+        return FlatTensors({name: np.zeros(shape, self.flat.dtype) for name, shape in self.layout})
 
 
 @dataclass(eq=False)
@@ -210,9 +217,9 @@ def dropout_layout(config: NetworkConfig) -> list[tuple[str, int]]:
 class Workspace:
     """Scratch arrays reused from call to call, one per name.
 
-    ``work(name, shape)`` returns the array kept under ``name``, or a new
-    uninitialized one when there is none of that shape yet.  A fresh
-    Workspace allocates exactly what one call needs; one that the caller
+    ``work(name, shape, dtype)`` returns the array kept under ``name``, or a
+    new uninitialized one when there is none of that shape and dtype yet.  A
+    fresh Workspace allocates exactly what one call needs; one that the caller
     keeps (``optim.train`` keeps one per fit) makes later calls with the same
     batch size write into the same memory.  What one training epoch keeps
     here grows with the batch only through the masks, the activations and
@@ -223,10 +230,10 @@ class Workspace:
     def __init__(self):
         self._arrays: dict[str, np.ndarray] = {}
 
-    def __call__(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
+    def __call__(self, name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
         array = self._arrays.get(name)
-        if array is None or array.shape != shape:
-            array = self._arrays[name] = np.empty(shape)
+        if array is None or array.shape != shape or array.dtype != dtype:
+            array = self._arrays[name] = np.empty(shape, dtype)
         return array
 
 
@@ -262,8 +269,9 @@ def draw_dropout_masks(
     keep_prob: float,
     rng: np.random.Generator,
     work: Workspace | None = None,
+    dtype=np.float64,
 ) -> dict[str, np.ndarray] | None:
-    """Fresh inverted-dropout masks for a batch: entries are 0 or 1/keep_prob.
+    """Fresh inverted-dropout masks for a batch: entries are 0 or 1/keep_prob, in ``dtype``.
 
     One mask row per example per layer; with keep_prob == 1 no masking is
     needed and None is returned.  Behind the masks is one (n, width of all
@@ -272,9 +280,11 @@ def draw_dropout_masks(
     never held whole: it is drawn in chunks of rows, at most
     ``DROPOUT_BLOCK_VALUES`` uniforms (or one row, if a row is wider) into one
     reused buffer, and each chunk is compared straight into the masks.  Row
-    chunks read the same doubles in the same order as one whole draw.  Only
-    the masks of the shared layers and of those heads' branches are built,
-    each C-contiguous, in ``work`` when one is given.
+    chunks read the same doubles in the same order as one whole draw.  The
+    uniforms are float64 whatever ``dtype`` is, so masks of either dtype
+    drawn from one seed keep the same units.  Only the masks of the shared
+    layers and of those heads' branches are built, each C-contiguous, in
+    ``work`` when one is given.
     """
     if not 0.0 < keep_prob <= 1.0:
         raise NetworkError("keep_prob must be in (0, 1]")
@@ -284,14 +294,14 @@ def draw_dropout_masks(
     layout = dropout_layout(config)
     width = sum(w for _, w in layout)
     rows = max(1, min(n, DROPOUT_BLOCK_VALUES // width))
-    uniforms = work("dropout_uniforms", (rows, width))
+    uniforms = work("dropout_uniforms", (rows, width), np.float64)
     columns: dict[str, slice] = {}
     offset = 0
     for name, w in layout:
         if branch_of(name) in (None, *config.heads):
             columns[name] = slice(offset, offset + w)
         offset += w
-    masks = {name: work(f"mask_{name}", (n, cols.stop - cols.start)) for name, cols in columns.items()}
+    masks = {name: work(f"mask_{name}", (n, cols.stop - cols.start), dtype) for name, cols in columns.items()}
     for start in range(0, n, rows):
         chunk = rng.random(out=uniforms[:min(rows, n - start)])
         for name, cols in columns.items():
@@ -324,7 +334,8 @@ def forward(
 
     Args:
         features: (n, num_features) standardized inputs, always 2-D (one
-            row is a (1, num_features) matrix).
+            row is a (1, num_features) matrix); cast to the dtype of the
+            parameter buffer, the dtype of every output.
         decade_index: (n,) integer embedding rows; required when the config
             uses the embedding, ignored otherwise.
         masks: dropout masks from :func:`draw_dropout_masks`, or None for
@@ -341,8 +352,9 @@ def forward(
     """
     cfg = params.config
     t = params.tensors
+    dtype = t.flat.dtype
     work = Workspace() if work is None else work
-    x = np.asarray(features, dtype=float)
+    x = np.asarray(features, dtype=dtype)
     if x.ndim != 2 or x.shape[1] != cfg.num_features:
         raise NetworkError(f"expected {cfg.num_features} features per row of a 2-D matrix, got {x.shape}")
     n = x.shape[0]
@@ -354,7 +366,7 @@ def forward(
             raise NetworkError("decade_index length must match the batch")
         if idx.min() < 0 or idx.max() >= cfg.embedding_rows:
             raise NetworkError(f"decade_index outside [0, {cfg.embedding_rows})")
-        x0 = work("x0", (n, cfg.input_dim))
+        x0 = work("x0", (n, cfg.input_dim), dtype)
         x0[:, :cfg.num_features] = x
         x0[:, cfg.num_features:] = t["embedding"][idx]
     else:
@@ -364,10 +376,10 @@ def forward(
     def masked(name: str, value: np.ndarray) -> np.ndarray:
         if masks is None:
             return value
-        return np.multiply(value, masks[name], out=work(f"{name}_dropped", value.shape))
+        return np.multiply(value, masks[name], out=work(f"{name}_dropped", value.shape, dtype))
 
     def dense(name: str, inputs: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
-        out = np.matmul(inputs, weights, out=work(name, (n, weights.shape[1])))
+        out = np.matmul(inputs, weights, out=work(name, (n, weights.shape[1]), dtype))
         out += bias
         return out
 
@@ -407,7 +419,8 @@ def loss(
 
     Each head of :func:`active_tasks` adds its weight times its cross entropy
     (a class head) or squared error (``bmi``), summed over the rows that
-    carry its target and divided by the batch size.  Only those heads are
+    carry its target and divided by the batch size; each head's rows are
+    summed in float64, whatever the network's dtype.  Only those heads are
     read from ``outputs``; one that it lacks is a :class:`NetworkError`.
     """
     n = len(batch)
@@ -422,7 +435,7 @@ def loss(
             rows = (outputs["bmi"] - targets) ** 2
         else:
             rows = -_log_softmax(outputs[f"{task}_logits"])[np.arange(n), targets]
-        parts[task] = float(weight * rows[present].sum() / n)
+        parts[task] = float(weight * rows[present].sum(dtype=np.float64) / n)
     # -0.0 is the exact additive identity, so this is vta + nyhac + bmi from the left
     return sum(parts.values(), -0.0), parts
 
@@ -458,6 +471,7 @@ def backward(
     """
     cfg = params.config
     t = params.tensors
+    dtype = t.flat.dtype
     masks, work = cache["masks"], cache["work"]
     grads = t.zeros_like() if out is None else out
 
@@ -468,14 +482,14 @@ def backward(
 
     def through_tanh(name: str, d_h: np.ndarray, h: np.ndarray) -> np.ndarray:
         """d_h * (1 - h**2), into the workspace array ``name``."""
-        slope = np.square(h, out=work(name, h.shape))
+        slope = np.square(h, out=work(name, h.shape, dtype))
         np.subtract(1.0, slope, out=slope)
         return np.multiply(d_h, slope, out=slope)
 
     def matmul(name: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return np.matmul(a, b, out=work(name, (a.shape[0], b.shape[1])))
+        return np.matmul(a, b, out=work(name, (a.shape[0], b.shape[1]), dtype))
 
-    d_h1d = work("d_h1d", cache["h1d"].shape)
+    d_h1d = work("d_h1d", cache["h1d"].shape, dtype)
     d_h1d.fill(0.0)
     for task in cfg.heads:
         c = cache[task]
@@ -513,11 +527,14 @@ def save_checkpoint(path, params: NetworkParams, extra: dict | None = None) -> N
     """Serialize parameters: magic, version byte, JSON config echo, tensors.
 
     Layout: 4-byte magic, 1 version byte, little-endian uint32 header length,
-    UTF-8 JSON header, then the flat parameter buffer: every tensor as
-    float64 little-endian C-order in declared order.  The header echoes the network config (plus any ``extra``
-    run settings) so a reader can rebuild the shapes.
+    UTF-8 JSON header, then the flat parameter buffer: every tensor
+    little-endian C-order in declared order, in the buffer's own dtype.  The
+    header names that dtype (``"dtype"``: one of ``CHECKPOINT_DTYPES``) and
+    echoes the network config (plus any ``extra`` run settings) so a reader
+    can rebuild the shapes.
     """
-    header = {"network": asdict(params.config)}
+    flat = params.tensors.flat
+    header = {"dtype": flat.dtype.name, "network": asdict(params.config)}
     if extra:
         header["extra"] = extra
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
@@ -526,7 +543,7 @@ def save_checkpoint(path, params: NetworkParams, extra: dict | None = None) -> N
         fh.write(bytes([CHECKPOINT_VERSION]))
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
-        fh.write(params.tensors.flat.astype("<f8", copy=False).tobytes())
+        fh.write(flat.astype(flat.dtype.newbyteorder("<"), copy=False).tobytes())
 
 
 def load_checkpoint(path) -> tuple[NetworkParams, dict]:
@@ -544,6 +561,9 @@ def load_checkpoint(path) -> tuple[NetworkParams, dict]:
         raise CheckpointError(f"{path}: truncated header")
     try:
         header = json.loads(data[9:9 + header_len].decode("utf-8"))
+        if header["dtype"] not in CHECKPOINT_DTYPES:
+            raise ValueError(f"dtype {header['dtype']!r} is not one of {CHECKPOINT_DTYPES}")
+        dtype = np.dtype(header["dtype"])
         net = header["network"]
         config = NetworkConfig(
             num_features=int(net["num_features"]),
@@ -555,14 +575,14 @@ def load_checkpoint(path) -> tuple[NetworkParams, dict]:
         )
     except (KeyError, ValueError, TypeError, NetworkError) as exc:
         raise CheckpointError(f"{path}: bad checkpoint header: {exc}") from None
-    params = NetworkParams(config, {name: np.zeros(shape) for name, shape in tensor_shapes(config).items()})
+    params = NetworkParams(config, {name: np.zeros(shape, dtype) for name, shape in tensor_shapes(config).items()})
     payload = data[9 + header_len:]
     nbytes = params.tensors.flat.nbytes
     if len(payload) < nbytes:
-        ends = 8 * np.cumsum([tensor.size for tensor in params.tensors.values()])
+        ends = dtype.itemsize * np.cumsum([tensor.size for tensor in params.tensors.values()])
         name = list(params.tensors)[np.searchsorted(ends, len(payload), side="right")]
         raise CheckpointError(f"{path}: truncated tensor {name!r}")
     if len(payload) > nbytes:
         raise CheckpointError(f"{path}: {len(payload) - nbytes} trailing bytes")
-    params.tensors.flat[:] = np.frombuffer(payload, dtype="<f8")
+    params.tensors.flat[:] = np.frombuffer(payload, dtype=dtype.newbyteorder("<"))
     return params, header

@@ -7,7 +7,8 @@ derail training.  The recipe is fixed: ``ADADELTA_RHO``, ``ADADELTA_EPS`` and
 ``CLIP_LIMIT`` below.
 
 The parameters, the gradients and both accumulators are each one flat
-float64 buffer with the named tensors as views (``network.FlatTensors``).
+buffer with the named tensors as views (``network.FlatTensors``), all in the
+dtype of the parameter buffer (float32 in a fit, ``network.TRAIN_DTYPE``).
 Clipping, the finite check and the AdaDelta update are therefore one
 vectorised pass each, and the largest gradient one max and one min, element
 by element in the same operation order as a per-tensor loop.
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -70,8 +71,8 @@ class AdaDeltaState:
     """Moving averages of squared gradients and squared updates, one flat buffer each.
 
     ``sq_grad`` and ``sq_delta`` are :class:`network.FlatTensors` laid out
-    like the parameters; ``scratch`` holds the two parameter-sized buffers
-    the update works in.
+    like the parameters, in their dtype; ``scratch`` holds the two
+    parameter-sized buffers the update works in.
     """
 
     def __init__(self, params: NetworkParams):
@@ -92,11 +93,12 @@ def adadelta_step(
     accumulate the squared update.  Accumulators stay non-negative by
     construction.  A non-finite gradient is a hard error naming the first
     tensor that holds one, and nothing is updated.  ``grads`` must be a
-    :class:`network.FlatTensors` laid out like ``params.tensors`` (as
-    train's are); any other form is a ``ValueError``.
+    :class:`network.FlatTensors` laid out like ``params.tensors`` and in its
+    dtype (as train's are); any other form is a ``ValueError``.
     """
-    if not (isinstance(grads, FlatTensors) and grads.layout == params.tensors.layout):
-        raise ValueError("grads must be a FlatTensors laid out like params.tensors")
+    if not (isinstance(grads, FlatTensors) and grads.layout == params.tensors.layout
+            and grads.flat.dtype == params.tensors.flat.dtype):
+        raise ValueError("grads must be a FlatTensors laid out like params.tensors, in its dtype")
     g = grads.flat
     if not np.isfinite(g).all():
         name = next(name for name, value in grads.items() if not np.isfinite(value).all())
@@ -140,19 +142,23 @@ def train(
 
     Every head of ``params.config.heads`` is computed; a head the loss
     reads that the network does not hold is a ``network.NetworkError``.  The
-    gradient buffer and the activation workspace are allocated once and
-    reused by every epoch.
+    epochs compute in the dtype of ``params.tensors.flat``: the batch's
+    features and BMI targets are cast to it once, and the gradient buffer
+    and the activation workspace are allocated once and reused by every
+    epoch.  The loss values in the history are float64 either way.
 
     With ``epochs == 0`` the parameters are returned untouched and the
     history is empty.
     """
+    dtype = params.tensors.flat.dtype
+    batch = replace(batch, features=np.asarray(batch.features, dtype), y_bmi=np.asarray(batch.y_bmi, dtype))
     state = AdaDeltaState(params)
     grads = params.tensors.zeros_like()
     g = grads.flat
     work = Workspace()
     history: list[dict[str, float]] = []
     for epoch in range(config.epochs):
-        masks = draw_dropout_masks(params.config, len(batch), config.keep_prob, rng, work)
+        masks = draw_dropout_masks(params.config, len(batch), config.keep_prob, rng, work, dtype)
         outputs, cache = forward(params, batch.features, batch.decade_index, masks, work)
         total, parts = loss(outputs, batch, config.lam_nyhac, config.lam_bmi)
         if not np.isfinite(total):

@@ -1,10 +1,10 @@
-"""Hand-built training batches for the network, optimizer and acceptance tests."""
+"""Hand-built training batches, and parameters at a chosen precision, for the network, optimizer and acceptance tests."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from vtapred import Batch, NetworkConfig
+from vtapred import Batch, NetworkConfig, NetworkParams
 
 
 def make_batch(features, decade_index, y_vta, y_nyhac=None, y_bmi=None) -> Batch:
@@ -38,3 +38,8 @@ def random_batch(rng, config: NetworkConfig, n: int, with_aux: bool = True) -> B
         for _ in range(n)
     ]
     return make_batch(*zip(*rows))
+
+
+def at_dtype(params: NetworkParams, dtype) -> NetworkParams:
+    """A copy of ``params`` with every value cast to ``dtype``, as ``evaluation.fit_model`` casts a fit's."""
+    return NetworkParams(params.config, {name: value.astype(dtype) for name, value in params.tensors.items()})

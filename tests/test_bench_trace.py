@@ -2,7 +2,8 @@
 
 ``bench/tracing.py`` wraps functions by name, so renaming or removing one of
 them breaks every traced benchmark run; this runs the child as the benchmark
-does, in a fresh interpreter, on the small synthetic dataset.
+does, in a fresh interpreter, on the small synthetic dataset.  The benchmark
+also reloads every checkpoint that ``train`` writes, and so does this test.
 """
 
 import json
@@ -10,7 +11,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from vtapred import load_checkpoint
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -40,3 +44,6 @@ def test_traced_child_runs(command, tacho_dataset, tmp_path):
     assert json.loads(result.read_text())["exit_code"] == 0
     spans = Path(f"{result}.spans.jsonl").read_text().splitlines()[1:]  # line 1 holds the counters
     assert expected_spans <= {json.loads(line)["name"] for line in spans}
+    if command == "train":
+        params, header = load_checkpoint(tmp_path / "out")
+        assert params.tensors.flat.dtype == np.float32 and header["dtype"] == "float32"

@@ -21,7 +21,7 @@ from vtapred.cli import (
     resolve_settings,
 )
 from vtapred.evaluation import INIT_STREAM
-from vtapred.network import NetworkConfig, active_tasks, init_params
+from vtapred.network import TRAIN_DTYPE, NetworkConfig, active_tasks, init_params
 from vtapred.synthetic import write_tachogram_dataset
 
 RECENT_HEADER = (
@@ -265,8 +265,9 @@ class TestTrainCommand:
             np.random.default_rng([5, INIT_STREAM, 0]),
         )
         assert params.config == expected.config
-        for name in expected.tensors:
-            np.testing.assert_array_equal(params.tensors[name], expected.tensors[name])
+        assert params.tensors.flat.dtype == TRAIN_DTYPE
+        for name in expected.tensors:  # the fit's precision: the float64 draw rounded once
+            np.testing.assert_array_equal(params.tensors[name], expected.tensors[name].astype(TRAIN_DTYPE))
         assert list(header["extra"]) == ["settings"]
         assert header["extra"]["settings"]["seed"] == 5
 

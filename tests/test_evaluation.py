@@ -15,6 +15,7 @@ from vtapred import (
     EvaluationError,
     FeatureConfig,
     NetworkConfig,
+    NetworkParams,
     TrainConfig,
     ablation_config,
     auc,
@@ -45,7 +46,7 @@ from vtapred.evaluation import (
     write_predictions_csv,
     write_report_csv,
 )
-from vtapred.network import TASKS
+from vtapred.network import TASKS, TRAIN_DTYPE
 
 QUICK_TRAIN = TrainConfig(epochs=60)
 
@@ -295,10 +296,11 @@ class TestFitModel:
 
     @staticmethod
     def full_heads_twin(cohort, train_idx, config, standardizers, seed, fold):
-        """The same fit on a network holding all three heads."""
+        """The same fit on a network holding all three heads, at the fit's precision."""
         net = NetworkConfig(num_features=cohort.X.shape[1], num_decades=cohort.num_decades,
                             use_embedding=config.use_embedding)
-        params = init_params(net, np.random.default_rng([seed, INIT_STREAM, fold]))
+        initial = init_params(net, np.random.default_rng([seed, INIT_STREAM, fold]))
+        params = NetworkParams(net, {name: value.astype(TRAIN_DTYPE) for name, value in initial.tensors.items()})
         batch = build_examples(cohort, train_idx, *standardizers)
         return train(batch, config.train, params, np.random.default_rng([seed, DROPOUT_STREAM, fold]))
 
@@ -315,6 +317,13 @@ class TestFitModel:
         for name, tensor in params.tensors.items():
             assert np.array_equal(tensor, full.tensors[name]), name
         assert history == full_history
+
+    def test_trains_in_float32(self, gaussian200):
+        config = ablation_config(ROW_MULTI_TASK, quick_config(train=TrainConfig(epochs=3)))
+        params, history, _ = fit_model(gaussian200, np.arange(len(gaussian200)), config, seed=0, fold=0)
+        assert TRAIN_DTYPE is np.float32
+        assert params.tensors.flat.dtype == np.float32
+        assert all(type(value) is float for row in history for value in row.values())
 
     def test_cohort_without_functional_class_trains_event_and_bmi_heads(self, gaussian200):
         cohort = replace(gaussian200, y_nyhac=np.full(len(gaussian200), -1))

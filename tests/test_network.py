@@ -1,14 +1,16 @@
 """Network tests: forward pass, losses, exact gradients, checkpoints."""
 
+import itertools
 import json
 import math
 import struct
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from batches import make_batch, random_batch
+from batches import at_dtype, make_batch, random_batch
 from oracles import (
     _reference_masks,
     finite_difference_grads,
@@ -35,6 +37,7 @@ from vtapred import (
 )
 from vtapred.evaluation import build_examples
 from vtapred.network import (
+    CHECKPOINT_DTYPES,
     CHECKPOINT_MAGIC,
     DROPOUT_BLOCK_VALUES,
     TASKS,
@@ -56,12 +59,12 @@ def zero_params(config: NetworkConfig) -> NetworkParams:
     return NetworkParams(config, {k: np.zeros(s) for k, s in tensor_shapes(config).items()})
 
 
-def rewrite_header(path, **network) -> None:
-    """Replace fields of a saved checkpoint's ``network`` header, keeping its tensor bytes."""
+def rewrite_header(path, edit) -> None:
+    """Apply ``edit`` to a saved checkpoint's JSON header in place, keeping its tensor bytes."""
     data = path.read_bytes()
     (header_len,) = struct.unpack("<I", data[5:9])
     header = json.loads(data[9:9 + header_len])
-    header["network"].update(network)
+    edit(header)
     blob = json.dumps(header).encode("utf-8")
     path.write_bytes(data[:5] + struct.pack("<I", len(blob)) + blob + data[9 + header_len:])
 
@@ -243,6 +246,17 @@ class TestLoss:
         total, parts = loss(outputs, batch, lam_nyhac=0.7, lam_bmi=1.3)
         assert total == parts["vta"] + parts["nyhac"] + parts["bmi"]
 
+    def test_float32_rows_are_summed_in_float64(self):
+        n = 5000
+        bmi = np.random.default_rng(0).random(n).astype(np.float32)
+        batch = make_batch(np.zeros((n, 1)), np.zeros(n), np.zeros(n), y_bmi=[0.0] * n)
+        batch = replace(batch, y_bmi=batch.y_bmi.astype(np.float32))  # as optim.train casts it
+        outputs = {"vta_logits": np.zeros((n, 2), np.float32), "bmi": bmi}
+        _, parts = loss(outputs, batch, 0.0, 1.0)
+        squares = bmi ** 2
+        assert squares.dtype == np.float32
+        assert parts["bmi"] == float(squares.sum(dtype=np.float64) / n) != float(squares.sum() / n)
+
     def test_lambda_scales_linearly(self, rng):
         params = init_params(small_config(), rng)
         batch = make_batch([rng.random(4)], [0], [1], [2], [0.4])
@@ -368,6 +382,24 @@ class TestBackward:
         second = backward(params, cache, batch, 1.0, 1.0)
         assert first.flat.tobytes() == second.flat.tobytes()
 
+    @pytest.mark.parametrize("keep_prob", [1.0, 0.75], ids=["no-dropout", "dropout"])
+    def test_float32_gradients_follow_float64_at_the_same_values(self, keep_prob):
+        # criterion 1's network and batch; both precisions start from the same float32 values
+        for seed in (2024, 1, 2, 3):
+            rng = np.random.default_rng(seed)
+            config = NetworkConfig(num_features=7, num_decades=6, use_embedding=True)
+            values = at_dtype(init_params(config, rng), np.float32)
+            batch = random_batch(rng, config, 50)
+            grads = {}
+            for params in (values, at_dtype(values, np.float64)):
+                dtype = params.tensors.flat.dtype
+                masks = draw_dropout_masks(config, 50, keep_prob, np.random.default_rng(seed), dtype=dtype)
+                _, cache = forward(params, batch.features, batch.decade_index, masks)
+                grads[dtype] = backward(params, cache, batch, 1.0, 1.0).flat
+            got, want = grads[np.dtype(np.float32)], grads[np.dtype(np.float64)]
+            assert got.dtype == np.float32
+            assert np.linalg.norm(got - want) <= 1e-6 * np.linalg.norm(want), seed
+
     def test_embedding_gradient_is_local_to_used_rows(self, rng):
         cfg = small_config()
         params = init_params(cfg, rng)
@@ -428,6 +460,19 @@ class TestDropoutMasks:
         assert mask_bytes == n * 516 * 8
         assert peak < mask_bytes + 2 * 2**20
 
+    def test_float32_masks_keep_the_same_units(self):
+        cfg = small_config()
+        n = int(3.25 * (DROPOUT_BLOCK_VALUES // sum(width for _, width in dropout_layout(cfg))))
+        rng32, rng64 = np.random.default_rng(3), np.random.default_rng(3)
+        masks32 = draw_dropout_masks(cfg, n, 0.75, rng32, Workspace(), np.float32)
+        masks64 = draw_dropout_masks(cfg, n, 0.75, rng64, Workspace())
+        assert list(masks32) == list(masks64)
+        for name, mask in masks32.items():
+            assert mask.dtype == np.float32 and masks64[name].dtype == np.float64
+            assert np.array_equal(mask != 0, masks64[name] != 0), name
+            assert np.array_equal(mask, masks64[name].astype(np.float32)), name
+        assert rng32.random() == rng64.random()
+
     def test_mask_values_are_zero_or_inverse_keep(self, rng):
         masks = draw_dropout_masks(small_config(), 50, 0.75, rng)
         assert set(masks) == {"input", "h1", "vta_h2", "vta_h3", "nyhac_h2", "nyhac_h3", "bmi_h2", "bmi_h3"}
@@ -453,6 +498,26 @@ class TestDropoutMasks:
     def test_bad_keep_prob_rejected(self, rng):
         with pytest.raises(NetworkError, match="keep_prob"):
             draw_dropout_masks(small_config(), 4, 0.0, rng)
+
+
+class TestWorkspace:
+    def test_reuse_across_dtypes_gives_the_asked_dtype(self, rng):
+        work = Workspace()
+        for dtype in (np.float64, np.float32, np.float64):
+            assert work("a", (3, 2), dtype).dtype == dtype
+        # one workspace through float32, float64 and float32 epochs computes as a fresh one would
+        cfg = small_config()
+        batch = random_batch(rng, cfg, 6)
+        values = init_params(cfg, rng)
+        for params in (at_dtype(values, np.float32), values, at_dtype(values, np.float32)):
+            dtype = params.tensors.flat.dtype
+            masks = draw_dropout_masks(cfg, 6, 0.75, np.random.default_rng(1), work, dtype)
+            outputs, cache = forward(params, batch.features, batch.decade_index, masks, work)
+            grads = backward(params, cache, batch, 1.0, 1.0)
+            assert {a.dtype for a in (*masks.values(), *outputs.values(), grads.flat)} == {dtype}
+            _, fresh = forward(params, batch.features, batch.decade_index,
+                               {name: mask.copy() for name, mask in masks.items()})
+            assert grads.flat.tobytes() == backward(params, fresh, batch, 1.0, 1.0).flat.tobytes()
 
 
 def two_row_cohort() -> Cohort:
@@ -491,12 +556,15 @@ class TestPredict:
 
 class TestCheckpoint:
     def test_round_trip_is_exact(self, rng, tmp_path):
-        for heads in (TASKS, ("vta",), ("vta", "bmi")):
-            params = init_params(small_config(heads=heads), rng)
+        for dtype, heads in itertools.product((np.float64, np.float32), (TASKS, ("vta",), ("vta", "bmi"))):
+            params = at_dtype(init_params(small_config(heads=heads), rng), dtype)
             path = tmp_path / "model.ckpt"
             save_checkpoint(path, params, extra={"seed": 7})
             loaded, header = load_checkpoint(path)
             assert loaded.config == params.config
+            assert loaded.tensors.flat.dtype == dtype
+            assert header["dtype"] == np.dtype(dtype).name and header["dtype"] in CHECKPOINT_DTYPES
+            assert path.read_bytes().endswith(params.tensors.flat.astype(np.dtype(dtype).newbyteorder("<")).tobytes())
             assert header["network"]["heads"] == list(heads)
             assert list(loaded.tensors) == list(params.tensors)
             for name in params.tensors:
@@ -514,7 +582,18 @@ class TestCheckpoint:
     def test_rejected_header_value_is_a_bad_header(self, rng, tmp_path, network):
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, init_params(small_config(), rng))
-        rewrite_header(path, **network)
+        rewrite_header(path, lambda header: header["network"].update(network))
+        with pytest.raises(CheckpointError, match="bad checkpoint header"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("dtype", ["float16", "int64", "<f4", None, 4, "absent"])
+    def test_rejected_dtype_is_a_bad_header(self, rng, tmp_path, dtype):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, init_params(small_config(), rng))
+        if dtype == "absent":
+            rewrite_header(path, lambda header: header.pop("dtype"))
+        else:
+            rewrite_header(path, lambda header: header.update(dtype=dtype))
         with pytest.raises(CheckpointError, match="bad checkpoint header"):
             load_checkpoint(path)
 
@@ -528,31 +607,34 @@ class TestCheckpoint:
         params = init_params(small_config(), rng)
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, params)
-        data = bytearray(path.read_bytes())
-        data[4] = 99
-        path.write_bytes(bytes(data))
-        with pytest.raises(CheckpointError, match="version 99"):
-            load_checkpoint(path)
+        for version in (1, 99):  # version 1 was the float64-only layout without a dtype
+            data = bytearray(path.read_bytes())
+            data[4] = version
+            path.with_name("old.ckpt").write_bytes(bytes(data))
+            with pytest.raises(CheckpointError, match=f"version {version}$"):
+                load_checkpoint(path.with_name("old.ckpt"))
 
     def test_rejects_truncated_tensors(self, rng, tmp_path):
-        params = init_params(small_config(), rng)
-        path = tmp_path / "model.ckpt"
-        save_checkpoint(path, params)
-        data = path.read_bytes()
-        for cut, name in ((16, "bmi_Wout"), (3, "bmi_bout"), (params.tensors.flat.nbytes, "embedding")):
-            path.write_bytes(data[:-cut])
-            with pytest.raises(CheckpointError, match=f"truncated tensor '{name}'"):
-                load_checkpoint(path)
+        for dtype in (np.float64, np.float32):
+            params = at_dtype(init_params(small_config(), rng), dtype)
+            path = tmp_path / "model.ckpt"
+            save_checkpoint(path, params)
+            data = path.read_bytes()
+            for cut, name in ((16, "bmi_Wout"), (3, "bmi_bout"), (params.tensors.flat.nbytes, "embedding")):
+                path.write_bytes(data[:-cut])
+                with pytest.raises(CheckpointError, match=f"truncated tensor '{name}'"):
+                    load_checkpoint(path)
 
     def test_rejects_trailing_bytes(self, rng, tmp_path):
-        params = init_params(small_config(), rng)
-        path = tmp_path / "model.ckpt"
-        save_checkpoint(path, params)
-        data = path.read_bytes()
-        for stray in (3, 8):  # 3 bytes are not even a whole float64
-            path.write_bytes(data + b"\x00" * stray)
-            with pytest.raises(CheckpointError, match=f"{stray} trailing bytes"):
-                load_checkpoint(path)
+        for dtype in (np.float64, np.float32):
+            params = at_dtype(init_params(small_config(), rng), dtype)
+            path = tmp_path / "model.ckpt"
+            save_checkpoint(path, params)
+            data = path.read_bytes()
+            for stray in (3, 8):  # 3 bytes are not even a whole value of either dtype
+                path.write_bytes(data + b"\x00" * stray)
+                with pytest.raises(CheckpointError, match=f"{stray} trailing bytes"):
+                    load_checkpoint(path)
 
     def test_magic_constant_stable(self):
         assert CHECKPOINT_MAGIC == b"VTPN"

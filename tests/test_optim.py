@@ -5,7 +5,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from batches import make_batch, random_batch
+from batches import at_dtype, make_batch, random_batch
 from oracles import adadelta_scalar_step, train_reference
 from vtapred import (
     ABLATION_ROWS,
@@ -229,6 +229,35 @@ class TestTrainMatchesReference:
         assert list(got.tensors) == list(want)
         for name, tensor in want.items():
             assert np.array_equal(got.tensors[name], tensor), name
+
+
+class TestTrainPrecision:
+    """A float32 fit follows the float64 fit from the same values: same dropout units, rounding apart."""
+
+    def test_float32_history_follows_float64(self):
+        cv = ablation_config("multi_task", CVConfig(train=TrainConfig(epochs=100)))
+        net = NetworkConfig(num_features=9, num_decades=5, use_embedding=True)
+        rng = np.random.default_rng(31)
+        batch = random_batch(rng, net, 40)
+        start32 = at_dtype(init_params(net, rng), np.float32)
+        start64 = at_dtype(start32, np.float64)  # train updates its params in place
+        rng32, rng64 = np.random.default_rng(8), np.random.default_rng(8)
+        got, history32 = train(batch, cv.train, start32, rng32)
+        want, history64 = train(batch, cv.train, start64, rng64)
+        assert got.tensors.flat.dtype == np.float32 and want.tensors.flat.dtype == np.float64
+        assert rng32.random() == rng64.random()
+        for column in ("loss", "vta_loss", "nyhac_loss", "bmi_loss"):
+            a = np.array([row[column] for row in history32])
+            b = np.array([row[column] for row in history64])
+            assert a.dtype == np.float64
+            assert np.linalg.norm(a - b) <= 1e-6 * np.linalg.norm(b), column
+        np.testing.assert_allclose([row["loss"] for row in history32], [row["loss"] for row in history64], rtol=1e-6)
+
+    def test_gradients_in_another_dtype_rejected(self):
+        params = at_dtype(tiny_params({"w": np.zeros(2)}), np.float32)
+        with pytest.raises(ValueError, match="in its dtype"):
+            adadelta_step(AdaDeltaState(params), params, FlatTensors({"w": np.zeros(2)}))
+        assert AdaDeltaState(params).sq_grad.flat.dtype == np.float32
 
 
 class TestTrainConfigValidation:
