@@ -9,9 +9,18 @@ Two feature families are supported:
   frequency-domain, and nonlinear statistics, used as a reference point.
 
 Ectopic beats are detected with a running-mean rule and removed before any
-statistic other than the windowed ectopic count is computed.  A
-:class:`Cohort` gathers one feature config's values for a whole record set
-into one matrix, with the training targets aligned to its rows.
+statistic other than the windowed ectopic count is computed.
+:func:`extract` computes one feature config's values for a whole record set
+as one matrix, and a :class:`Cohort` aligns the training targets to its rows.
+
+Band power comes from one Lomb-Scargle kernel that takes a stack of
+equal-length series.  The ``recent`` family's windows all have
+``recent_beats`` beats, so each band is one call for the whole record set;
+the kernel blocks over series and frequencies so that a block holds at most
+``LOMB_BLOCK_VALUES`` phasors, and every row of a stack equals the one-series
+call bit for bit.  That equality is why the kernel binds each complex factor
+to a name: numpy reuses an unnamed temporary of 256 KiB or more in place, and
+a complex product computed in place rounds differently.
 """
 
 from __future__ import annotations
@@ -124,17 +133,19 @@ def detect_ectopic(
     return mask
 
 
-def time_stats(intervals_ms, recent_beats: int = FeatureConfig.recent_beats) -> tuple[float, float, float]:
+def time_stats(intervals_ms, recent_beats: int = FeatureConfig.recent_beats):
     """(mean, min, max) of the last ``recent_beats`` intervals.
 
     The caller is expected to pass an ectopic-filtered sequence; this function
-    only checks that enough beats remain.
+    only checks that enough beats remain.  A 1-D sequence gives three floats;
+    an (..., n) stack gives three arrays with one value per row.
     """
     x = np.asarray(intervals_ms, dtype=float)
-    if x.size < recent_beats:
+    if x.ndim == 0 or x.shape[-1] < recent_beats:
         raise FeatureError(f"need at least {recent_beats} beats for recent-beat statistics")
-    tail = x[-recent_beats:]
-    return float(tail.mean()), float(tail.min()), float(tail.max())
+    tail = x[..., -recent_beats:]
+    stats = tail.mean(axis=-1), tail.min(axis=-1), tail.max(axis=-1)
+    return tuple(float(s) for s in stats) if x.ndim == 1 else stats
 
 
 def _grid_points(lo: float, hi: float) -> int:
@@ -142,8 +153,8 @@ def _grid_points(lo: float, hi: float) -> int:
     return int(np.floor((hi - lo) / FREQ_GRID_STEP_HZ + 1e-9))
 
 
-def band_power(times_s, intervals_ms, band: tuple[float, float]) -> float:
-    """Spectral power of an RR sequence inside a frequency band.
+def band_power(times_s, intervals_ms, band: tuple[float, float]):
+    """Spectral power of an RR sequence, or of each row of a stack, inside a frequency band.
 
     ``times_s`` holds each beat's time in seconds (the end of its interval)
     and ``intervals_ms`` its interval.  The caller passes the kept beats at
@@ -153,23 +164,32 @@ def band_power(times_s, intervals_ms, band: tuple[float, float]) -> float:
     points ``lo + k * FREQ_GRID_STEP_HZ`` in ``(lo, hi]`` and integrated with
     the trapezoid rule.  An all-equal sequence has no power anywhere and
     returns 0.
+
+    A 1-D sequence gives a float.  An (..., n) stack of equal-length series
+    (times and intervals of one shape) gives an (...,) array whose every
+    value equals, bit for bit, the 1-D call on that row: the whole stack goes
+    through one :func:`_lomb_scargle` call.
     """
     lo, hi = band
     if not (lo < hi and np.isfinite(hi - lo)):
         raise FeatureError(f"degenerate frequency band ({lo:g}, {hi:g})")
     x = np.asarray(intervals_ms, dtype=float)
     t = np.asarray(times_s, dtype=float)
-    if x.size < 2:
+    if x.ndim == 0 or x.shape[-1] < 2:
         raise FeatureError("need at least 2 intervals for band power")
     if t.shape != x.shape:
         raise FeatureError("beat times and intervals must have the same length")
-    if np.ptp(x) == 0:
-        return 0.0
-    n_freqs = _grid_points(lo, hi)
-    if n_freqs < 2:  # the trapezoid of a single point is 0
-        raise FeatureError(f"band ({lo:g}, {hi:g}) holds fewer than 2 points of the {FREQ_GRID_STEP_HZ:g} Hz grid")
-    pgram = _lomb_scargle(t, x - x.mean(), lo, n_freqs)
-    return float(FREQ_GRID_STEP_HZ * (pgram.sum() - 0.5 * (pgram[0] + pgram[-1])))
+    flat = np.ptp(x, axis=-1) == 0
+    if flat.all():
+        power = np.zeros(x.shape[:-1])
+    else:
+        n_freqs = _grid_points(lo, hi)
+        if n_freqs < 2:  # the trapezoid of a single point is 0
+            raise FeatureError(f"band ({lo:g}, {hi:g}) holds fewer than 2 points of the {FREQ_GRID_STEP_HZ:g} Hz grid")
+        pgram = _lomb_scargle(t, x - x.mean(axis=-1, keepdims=True), lo, n_freqs)
+        power = FREQ_GRID_STEP_HZ * (pgram.sum(axis=-1) - 0.5 * (pgram[..., 0] + pgram[..., -1]))
+        power = np.where(flat, 0.0, power)
+    return float(power) if x.ndim == 1 else power
 
 
 def _lomb_scargle(times_s: np.ndarray, centred: np.ndarray, lo_hz: float, n_freqs: int) -> np.ndarray:
@@ -178,44 +198,68 @@ def _lomb_scargle(times_s: np.ndarray, centred: np.ndarray, lo_hz: float, n_freq
     Unit weights, no floating mean, power in the classic units
     ``((sum y cos)^2 / sum cos^2 + (sum y sin)^2 / sum sin^2) / 2`` of the
     phases ``w (t - tau)``; the same as SciPy's ``lombscargle`` up to
-    rounding.  Each beat's phasor ``exp(i w t)`` is walked along the uniform
-    grid by rotation.  The frequencies go in blocks of at most
+    rounding.  ``times_s`` and ``centred`` are one series of n beats or an
+    (..., n) stack of them; the result is (..., n_freqs).
+
+    Each beat's phasor ``exp(i w t)`` is walked along the uniform grid by
+    rotation.  The frequencies go in blocks of at most
     ``LOMB_BLOCK_VALUES // n`` (at least one); each block starts from a
     direct exponential, and its later rows are earlier rows times powers of
-    the one-step rotation ``exp(i 2 pi FREQ_GRID_STEP_HZ t)``.  So memory is
-    O(n * block) however many frequencies there are, and the rounding of the
-    rotation cannot build up past one block.  The tau-shifted sums follow in
-    closed form from the first-pass sums, with no second trig pass.
+    the one-step rotation ``exp(i 2 pi FREQ_GRID_STEP_HZ t)``.  So the
+    rounding of the rotation cannot build up past one block, and a series
+    meets the same frequency blocks alone or in a stack.  The series of a
+    stack go in blocks too, as many as keep a block at most
+    ``LOMB_BLOCK_VALUES`` phasors (at least one series).  So besides the
+    result, memory is O(LOMB_BLOCK_VALUES + n) however many series and
+    frequencies there are.
+    The tau-shifted sums follow in closed form from the first-pass sums, with
+    no second trig pass.
+
+    Each series' sums are the same BLAS calls on the same (frequencies, n)
+    block whether it comes alone or in a stack, so every row equals its 1-D
+    call bit for bit.  That is why every complex factor is bound to a name
+    before it is used: numpy reuses an unnamed temporary of 256 KiB or more
+    in place, and a complex product computed in place rounds differently.
     """
-    n = times_s.size
-    width = max(1, LOMB_BLOCK_VALUES // n)
-    y = centred.astype(complex)  # a mixed real-complex matmul skips BLAS
-    rotation = np.exp(1j * (2.0 * np.pi * FREQ_GRID_STEP_HZ) * times_s)
-    phasors = np.empty((min(width, n_freqs), n), dtype=complex)
-    pgram = np.empty(n_freqs)
+    n = times_s.shape[-1]
+    width = min(n_freqs, max(1, LOMB_BLOCK_VALUES // n))  # frequencies per block
+    height = max(1, LOMB_BLOCK_VALUES // (n * width))  # series per block
+    all_times = times_s.reshape(-1, n)
+    all_centred = centred.reshape(-1, n)
+    pgram = np.empty((len(all_times), n_freqs))
+    phasors = np.empty(width * min(height, len(all_times)) * n, dtype=complex)
     epsneg = np.finfo(np.float64).epsneg
-    for start in range(0, n_freqs, width):
-        z = phasors[:min(width, n_freqs - start)]
-        np.exp(1j * (2.0 * np.pi * (lo_hz + FREQ_GRID_STEP_HZ * (start + 1))) * times_s, out=z[0])
-        # rows [filled, 2 * filled) are rows [0, filled) rotated by filled grid steps
-        turn, filled = rotation, 1
-        while filled < len(z):
-            count = min(filled, len(z) - filled)
-            np.multiply(z[:count], turn, out=z[filled:filled + count])
-            filled += count
-            turn = turn * turn
-        yz = z @ y  # sum of y exp(i w t): yc + i ys
-        z2 = np.matmul(z[:, None, :], z[:, :, None]).ravel()  # sum of exp(2i w t): n (cc - ss) + 2i cs
-        # tau makes the shifted cosine and sine sums orthogonal: 2 tau = arg z2.  The shift
-        # turns yc + i ys into yz exp(-i tau), and cc_tau = cos^2(tau) cc + 2 sin(tau) cos(tau) cs
-        # + sin^2(tau) ss into (n + |z2|) / 2; cc and ss below are divided by n.
-        shifted = yz * np.exp(-0.5j * np.angle(z2))
-        cc = 0.5 + 0.5 * np.abs(z2) / n
-        ss = 1.0 - cc
-        cc[cc < epsneg] = epsneg
-        ss[ss < epsneg] = epsneg
-        pgram[start:start + len(z)] = (shifted.real ** 2 / cc + shifted.imag ** 2 / ss) / (2.0 * n)
-    return pgram
+    for first in range(0, len(all_times), height):
+        t = all_times[first:first + height]
+        y = all_centred[first:first + height, :, None].astype(complex)  # a mixed real-complex matmul skips BLAS
+        rotation = np.exp(1j * (2.0 * np.pi * FREQ_GRID_STEP_HZ) * t)
+        rows = pgram[first:first + height]
+        for start in range(0, n_freqs, width):
+            # contiguous and frequency-major, so that the rows a doubling step reads and the rows
+            # it writes are disjoint address ranges, which numpy tells apart without a copy
+            block = phasors[:min(width, n_freqs - start) * len(t) * n].reshape(-1, len(t), n)
+            np.exp(1j * (2.0 * np.pi * (lo_hz + FREQ_GRID_STEP_HZ * (start + 1))) * t, out=block[0])
+            # frequencies [filled, 2 * filled) are [0, filled) rotated by filled grid steps
+            turn, filled = rotation, 1
+            while filled < len(block):
+                count = min(filled, len(block) - filled)
+                np.multiply(block[:count], turn, out=block[filled:filled + count])
+                filled += count
+                turn = turn * turn
+            z = block.transpose(1, 0, 2)  # (series, frequencies, beats)
+            yz = (z @ y)[..., 0]  # sum of y exp(i w t): yc + i ys
+            z2 = np.matmul(z[..., None, :], z[..., :, None])[..., 0, 0]  # sum of exp(2i w t): n (cc - ss) + 2i cs
+            # tau makes the shifted cosine and sine sums orthogonal: 2 tau = arg z2.  The shift
+            # turns yc + i ys into yz exp(-i tau), and cc_tau = cos^2(tau) cc + 2 sin(tau) cos(tau) cs
+            # + sin^2(tau) ss into (n + |z2|) / 2; cc and ss below are divided by n.
+            back = np.exp(-0.5j * np.angle(z2))
+            shifted = yz * back
+            cc = 0.5 + 0.5 * np.abs(z2) / n
+            ss = 1.0 - cc
+            cc[cc < epsneg] = epsneg
+            ss[ss < epsneg] = epsneg
+            rows[:, start:start + len(block)] = (shifted.real ** 2 / cc + shifted.imag ** 2 / ss) / (2.0 * n)
+    return pgram.reshape(times_s.shape[:-1] + (n_freqs,))
 
 
 def windowed_diff(
@@ -360,39 +404,56 @@ def feature_names(config: FeatureConfig = FeatureConfig()) -> tuple[str, ...]:
     return names + (WINDOWED_NAMES if config.include_windowed else ())
 
 
-def extract(record, config: FeatureConfig = FeatureConfig()) -> np.ndarray:
-    """Compute the configured feature values for one truncated record.
+def extract(records, config: FeatureConfig = FeatureConfig()) -> np.ndarray:
+    """Compute the configured feature values for a sequence of truncated records.
 
-    Returns a 1-D array ordered as :func:`feature_names`; every value is
-    finite.  Pure function of (record, config): no caching, no mutation, so
-    results can be computed once and shared across folds and seeds.
+    Returns a ``(len(records), f)`` array, one row per record in order and
+    its columns ordered as :func:`feature_names`; every value is finite.
+    Pure function of (records, config): no caching, no mutation, so results
+    can be computed once and shared across folds and seeds.
+
+    Each record's ectopic mask and windowed trend are computed on their own.
+    The ``recent`` family copies each record's last ``recent_beats`` kept
+    intervals and their times into two ``(len(records), recent_beats)``
+    arrays (copies, so that no view keeps a whole record alive), then takes
+    mean, min, max and both band powers of all rows together: one stacked
+    :func:`band_power` call per band.  ``baseline11`` series differ in length,
+    so its panel is computed record by record.
     """
-    raw = record.intervals_ms
-    try:
-        mask = detect_ectopic(raw, config.ectopic_threshold, config.ectopic_ref_beats)
-        filtered = raw[~mask]
-        times_s = (np.cumsum(raw) / 1000.0)[~mask]  # kept beats at their own times
-        if config.feature_set == FEATURE_SET_BASELINE11:
-            panel = baseline11(filtered, times_s, config)
-            values = [panel[name] for name in BASELINE11_NAMES]
-        else:
-            mean_rr, min_rr, max_rr = time_stats(filtered, config.recent_beats)
-            recent, recent_s = filtered[-config.recent_beats:], times_s[-config.recent_beats:]
-            lf = band_power(recent_s, recent, (config.lf_lo, config.lf_hi))
-            hf = band_power(recent_s, recent, (config.lf_hi, config.hf_hi))
-            values = [mean_rr, lf, hf, min_rr, max_rr]
-        if config.include_windowed:
-            delta_mean, delta_count = windowed_diff(raw, mask, config.window_beats)
-            values += [delta_mean, float(delta_count)]
-    except FeatureError as exc:
-        raise FeatureError(f"record {record.record_id!r}: {exc}") from None
-    values = np.array(values, dtype=float)
-    bad = np.flatnonzero(~np.isfinite(values))
+    names = feature_names(config)
+    X = np.empty((len(records), len(names)))
+    recent = config.feature_set == FEATURE_SET_RECENT
+    if recent:
+        k = config.recent_beats
+        window_ms, window_s = np.empty((len(records), k)), np.empty((len(records), k))
+    for i, record in enumerate(records):
+        raw = record.intervals_ms
+        try:
+            mask = detect_ectopic(raw, config.ectopic_threshold, config.ectopic_ref_beats)
+            kept = ~mask
+            filtered = raw[kept]
+            times_s = (np.cumsum(raw) / 1000.0)[kept]  # kept beats at their own times
+            if recent:
+                if filtered.size < k:
+                    raise FeatureError(f"need at least {k} beats for recent-beat statistics")
+                window_ms[i], window_s[i] = filtered[-k:], times_s[-k:]
+            else:
+                panel = baseline11(filtered, times_s, config)
+                X[i, :len(BASELINE11_NAMES)] = [panel[name] for name in BASELINE11_NAMES]
+            if config.include_windowed:
+                X[i, -len(WINDOWED_NAMES):] = windowed_diff(raw, mask, config.window_beats)
+        except FeatureError as exc:
+            raise FeatureError(f"record {record.record_id!r}: {exc}") from None
+    if recent:
+        mean_rr, min_rr, max_rr = time_stats(window_ms, k)
+        lf = band_power(window_s, window_ms, (config.lf_lo, config.lf_hi))
+        hf = band_power(window_s, window_ms, (config.lf_hi, config.hf_hi))
+        X[:, :len(RECENT_NAMES)] = np.column_stack([mean_rr, lf, hf, min_rr, max_rr])
+    bad = np.argwhere(~np.isfinite(X))
     if bad.size:
-        raise FeatureError(
-            f"record {record.record_id!r}: non-finite value for feature {feature_names(config)[bad[0]]!r}"
-        )
-    return values
+        row, column = bad[0]
+        raise FeatureError(f"record {records[row].record_id!r}: non-finite value for feature {names[column]!r}")
+    return X
 
 
 @dataclass(frozen=True, eq=False)
@@ -432,15 +493,14 @@ def build_cohort(records, patients, config: FeatureConfig = FeatureConfig()) -> 
     The birth-decade vocabulary is every known decade in ``patients``, so the
     embedding width does not depend on which records survive ingestion.
     """
-    names = feature_names(config)
-    X = np.array([extract(rec, config) for rec in records], dtype=float).reshape(len(records), len(names))
+    X = extract(records, config)
     vocab = sorted({p.birth_decade for p in patients.values() if p.birth_decade is not None})
     vocab_index = {decade: i for i, decade in enumerate(vocab)}
     num_decades = max(len(vocab), 1)  # also the index of an unknown decade
     metas = [patients[rec.patient_id] for rec in records]
     return Cohort(
         X=X,
-        names=names,
+        names=feature_names(config),
         record_ids=tuple(rec.record_id for rec in records),
         patient_ids=tuple(rec.patient_id for rec in records),
         y_vta=np.array([LABELS.index(rec.label) for rec in records], dtype=int),

@@ -39,7 +39,19 @@ from vtapred import (
     windowed_diff,
     write_feature_matrix,
 )
-from vtapred.features import FREQ_GRID_STEP_HZ, MAX_BAND_HZ, _lomb_scargle
+from vtapred.features import FREQ_GRID_STEP_HZ, LOMB_BLOCK_VALUES, MAX_BAND_HZ, _grid_points, _lomb_scargle
+
+
+def rr_stack(rng, rows, n):
+    """``rows`` random RR series of ``n`` beats: (times, intervals), each (rows, n), every row its own clock."""
+    x = rng.normal(820.0, 45.0, (rows, n))
+    t = rng.uniform(0.0, 3600.0, (rows, 1)) + np.cumsum(x, axis=1) / 1000.0
+    return t, x
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 class TestDetectEctopic:
@@ -135,6 +147,12 @@ class TestTimeStats:
     def test_insufficient_beats(self):
         with pytest.raises(FeatureError, match="recent-beat statistics"):
             time_stats(np.full(29, 800.0), recent_beats=30)
+
+    def test_stack_gives_each_rows_stats(self, rng):
+        x = rng.normal(800.0, 35.0, (5, 40))
+        stats = time_stats(x, recent_beats=30)
+        for i, row in enumerate(x):
+            assert tuple(column[i] for column in stats) == time_stats(row, recent_beats=30)
 
 
 class TestBandPower:
@@ -263,6 +281,55 @@ class TestBandPower:
         x = np.arange(30, dtype=float) + 800.0
         with pytest.raises(FeatureError, match="same length"):
             band_power(beat_times(x)[:-1], x, (0.04, 0.15))
+
+    @pytest.mark.parametrize("band", [(0.04, 0.15), (0.15, 0.40)])
+    @pytest.mark.parametrize("blocks", ["below one", "one", "several and a remainder"])
+    def test_stacked_rows_equal_one_row_calls(self, rng, band, blocks):
+        n = 30
+        lo, n_freqs = band[0], _grid_points(*band)
+        height = LOMB_BLOCK_VALUES // (n * n_freqs)  # series per block: 99 for LF, 43 for HF
+        rows = {"below one": 3, "one": height, "several and a remainder": 3 * height + 5}[blocks]
+        t, x = rr_stack(rng, rows, n)
+        assert_same_bits(band_power(t, x, band), np.array([band_power(*row, band) for row in zip(t, x)]))
+        y = x - x.mean(axis=1, keepdims=True)
+        assert_same_bits(_lomb_scargle(t, y, lo, n_freqs), np.stack([_lomb_scargle(*row, lo, n_freqs) for row in zip(t, y)]))
+
+    def test_stacked_rows_equal_one_row_calls_past_the_in_place_threshold(self, rng):
+        # 3 beats over the widest band: a block holds 43 series x 500 frequencies, so each of its
+        # complex per-frequency arrays takes 344 kB, past the 256 KiB from which numpy reuses an
+        # unnamed temporary in place (and rounds a complex product differently)
+        band = (0.0, MAX_BAND_HZ)
+        t, x = rr_stack(rng, 2 * (LOMB_BLOCK_VALUES // (3 * 500)) + 7, 3)
+        assert_same_bits(band_power(t, x, band), np.array([band_power(*row, band) for row in zip(t, x)]))
+
+    def test_long_series_in_a_stack_still_take_frequency_blocks(self, rng):
+        # 4,000 beats x 50 HF frequencies would be 3.2 MB of phasors at once; a block holds
+        # 16 frequencies of one series, and each series meets the same blocks as alone
+        t, x = rr_stack(rng, 2, 4000)
+        band = (0.15, 0.40)
+        tracemalloc.start()
+        try:
+            stacked = band_power(t, x, band)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert_same_bits(stacked, np.array([band_power(*row, band) for row in zip(t, x)]))
+        assert peak < LOMB_BLOCK_VALUES * 16 + 2**20
+
+    def test_flat_row_in_a_stack_is_exactly_zero(self, rng):
+        t, x = rr_stack(rng, 4, 30)
+        x[2] = 812.3
+        assert x[2].mean() != 812.3  # so centring leaves rounding noise that has power
+        for band in ((0.04, 0.15), (0.15, 0.40)):
+            power = band_power(t, x, band)
+            assert power[2] == 0.0
+            assert_same_bits(power, np.array([band_power(*row, band) for row in zip(t, x)]))
+
+    @pytest.mark.parametrize("times_shape", [(3, 29), (2, 30), (30,)])
+    def test_stacked_times_and_intervals_must_align(self, rng, times_shape):
+        x = rng.normal(800.0, 40.0, (3, 30))
+        with pytest.raises(FeatureError, match="same length"):
+            band_power(np.ones(times_shape), x, (0.04, 0.15))
 
 
 class TestWindowedDiff:
@@ -441,7 +508,7 @@ class TestBaseline11:
         cfg = FeatureConfig(feature_set="baseline11", include_windowed=False)
         tracemalloc.start()
         try:
-            values = extract(record, cfg)
+            values = extract([record], cfg)[0]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -459,30 +526,30 @@ class TestExtract:
         return RRRecord("rec", rng.normal(800.0, 35.0, n), "VTA", "p")
 
     def test_recent_with_windowed_has_seven_features(self):
-        values = extract(self._record(), FeatureConfig())
+        values = extract([self._record()], FeatureConfig())[0]
         assert feature_names(FeatureConfig()) == RECENT_NAMES + WINDOWED_NAMES
         assert values.shape == (7,)
 
     def test_recent_without_windowed_has_five(self):
         cfg = FeatureConfig(include_windowed=False)
         assert feature_names(cfg) == RECENT_NAMES
-        assert extract(self._record(), cfg).shape == (5,)
+        assert extract([self._record()], cfg)[0].shape == (5,)
 
     def test_baseline_panel_has_eleven(self):
         cfg = FeatureConfig(feature_set="baseline11", include_windowed=False)
-        values = extract(self._record(), cfg)
+        values = extract([self._record()], cfg)[0]
         assert feature_names(cfg) == BASELINE11_NAMES
         assert values.shape == (11,)
 
     def test_pure_function(self):
         rec = self._record()
         cfg = FeatureConfig()
-        np.testing.assert_array_equal(extract(rec, cfg), extract(rec, cfg))
+        np.testing.assert_array_equal(extract([rec], cfg)[0], extract([rec], cfg)[0])
 
     def test_error_names_the_record(self):
         rec = RRRecord("tiny", np.full(40, 800.0), "Control", "p")
         with pytest.raises(FeatureError, match="record 'tiny'"):
-            extract(rec, FeatureConfig())
+            extract([rec], FeatureConfig())
 
     def test_windowed_features_see_raw_sequence(self):
         # an ectopic beat in the recent half must be visible to the count
@@ -491,7 +558,7 @@ class TestExtract:
         x[-20] = 1500.0
         rec = RRRecord("r", x, "VTA", "p")
         cfg = FeatureConfig()
-        by_name = dict(zip(feature_names(cfg), extract(rec, cfg)))
+        by_name = dict(zip(feature_names(cfg), extract([rec], cfg)[0]))
         assert by_name["delta_ectopic_count"] >= 1.0
 
     @pytest.mark.parametrize("feature_set", ["recent", "baseline11"])
@@ -507,16 +574,35 @@ class TestExtract:
         kept_s, filtered = beat_times(x)[~mask], x[~mask]
         if feature_set == "recent":
             kept_s, filtered = kept_s[-30:], filtered[-30:]
-        by_name = dict(zip(feature_names(cfg), extract(rec, cfg)))
+        by_name = dict(zip(feature_names(cfg), extract([rec], cfg)[0]))
         for name, band in (("lf_power", (0.04, 0.15)), ("hf_power", (0.15, 0.40))):
             assert by_name[name] == pytest.approx(lomb_band_power(kept_s, filtered, band), rel=1e-8)
             gap_closed = lomb_band_power(beat_times(filtered), filtered, band)
             assert by_name[name] != pytest.approx(gap_closed, rel=1e-3)
 
+    def test_recent_family_holds_its_windows_not_its_records(self):
+        # a per-record view of the last beats would keep each record's kept intervals and times
+        # alive, 6.7 kB per record here and 13 MB in all
+        n, cfg = 2000, FeatureConfig()
+        rng = np.random.default_rng(12)
+        records = [RRRecord(f"r{i}", rng.normal(800.0, 35.0, 420), "VTA", "p") for i in range(n)]
+        tracemalloc.start()
+        try:
+            X = extract(records, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert X.shape == (n, 7) and np.isfinite(X).all()
+        window = n * cfg.recent_beats * 8  # one (n, recent_beats) float array
+        # the intervals and times windows, one phasor block, X, and what band_power holds for the
+        # whole stack: the centred window and the HF band's (n, 50) periodogram
+        held = 2 * window + LOMB_BLOCK_VALUES * 16 + X.nbytes + window + n * _grid_points(0.15, 0.40) * 8
+        assert peak < held + 2**20
+
     def test_rejects_nan_naming_the_feature(self, monkeypatch):
         monkeypatch.setattr(features, "band_power", lambda *args, **kwargs: float("nan"))
         with pytest.raises(FeatureError, match="record 'rec': non-finite value for feature 'lf_power'"):
-            extract(self._record(), FeatureConfig())
+            extract([self._record()], FeatureConfig())
 
 
 class TestBuildCohort:
@@ -532,7 +618,7 @@ class TestBuildCohort:
             "p3": PatientMeta("p3", 1970),  # no record, but its decade is in the vocabulary
         }
         cohort = build_cohort(records, patients, FeatureConfig())
-        np.testing.assert_array_equal(cohort.X, np.stack([extract(rec) for rec in records]))
+        np.testing.assert_array_equal(cohort.X, np.stack([extract([rec])[0] for rec in records]))
         assert cohort.names == feature_names(FeatureConfig())
         assert cohort.record_ids == ("r1", "r2")
         assert cohort.patient_ids == ("p1", "p2")
@@ -652,7 +738,7 @@ class TestFeatureConfigValidation:
         # HF starts where LF ends, so moving lf_hi moves both bands and no gap can open
         x = 800.0 + 40.0 * np.sin(np.arange(60) * 1.3)
         record = RRRecord("r0", x, "Control", "p0")
-        values = dict(zip(RECENT_NAMES, extract(record, FeatureConfig(lf_hi=0.2, include_windowed=False))))
+        values = dict(zip(RECENT_NAMES, extract([record], FeatureConfig(lf_hi=0.2, include_windowed=False))[0]))
         t = beat_times(x)
         recent, recent_s = x[-30:], t[-30:]
         assert values["lf_power"] == band_power(recent_s, recent, (0.04, 0.2))
