@@ -13,9 +13,14 @@ statistic other than the windowed ectopic count is computed.
 :func:`extract` computes one feature config's values for a whole record set
 as one matrix, and a :class:`Cohort` aligns the training targets to its rows.
 
+The recipe is fixed: the constants below give the recent window, the trend
+window, the ectopic rule and the standard LF and HF bands (Task Force of the
+ESC and NASPE, Circulation 93(5), 1996).  A :class:`FeatureConfig` picks
+only the family and whether the windowed trends are added.
+
 Band power comes from one Lomb-Scargle kernel that takes a stack of
 equal-length series.  The ``recent`` family's windows all have
-``recent_beats`` beats, so each band is one call for the whole record set;
+``RECENT_BEATS`` beats, so each band is one call for the whole record set;
 the kernel blocks over series and frequencies so that a block holds at most
 ``LOMB_BLOCK_VALUES`` phasors, and every row of a stack equals the one-series
 call bit for bit.  That equality is why the kernel binds each complex factor
@@ -37,9 +42,14 @@ FEATURE_SET_RECENT = "recent"
 FEATURE_SET_BASELINE11 = "baseline11"
 FEATURE_SETS = (FEATURE_SET_RECENT, FEATURE_SET_BASELINE11)
 
+RECENT_BEATS = 30  # clean beats behind the recent-beat statistics
+WINDOW_BEATS = 250  # raw beats of the windowed trends, split into two halves
+ECTOPIC_THRESHOLD = 0.2  # relative deviation from the running mean that flags a beat
+ECTOPIC_REF_BEATS = 5  # accepted beats behind that running mean
 FREQ_GRID_STEP_HZ = 0.005
-MAX_BAND_HZ = 2.5  # half the beat rate at 300 bpm: an RR series says nothing above it
 VLF_BAND = (0.003, 0.04)
+LF_BAND = (0.04, 0.15)
+HF_BAND = (0.15, 0.40)  # HF starts where LF ends
 SAMPEN_OFFSET_BLOCK = 16  # sorted partner offsets that sample_entropy checks per step
 LOMB_BLOCK_VALUES = 2**16  # complex phasors that _lomb_scargle holds per block of frequencies
 
@@ -58,45 +68,24 @@ class FeatureError(Exception):
 
 @dataclass(frozen=True)
 class FeatureConfig:
-    """Knobs for feature extraction; defaults give the recent-beat family."""
+    """The two choices the ablation grid varies: the feature family and the windowed trends.
+
+    The defaults give the recent-beat family with its trends.  Everything
+    else about the features is a module constant.
+    """
 
     feature_set: str = FEATURE_SET_RECENT
     include_windowed: bool = True
-    recent_beats: int = 30
-    window_beats: int = 250
-    lf_lo: float = 0.04
-    lf_hi: float = 0.15  # the LF/HF edge: HF starts where LF ends
-    hf_hi: float = 0.40
-    ectopic_threshold: float = 0.2
-    ectopic_ref_beats: int = 5
 
     def __post_init__(self):
         if self.feature_set not in FEATURE_SETS:
             raise ValueError(f"feature_set must be one of {FEATURE_SETS}, got {self.feature_set!r}")
-        if self.recent_beats < 2:
-            raise ValueError("recent_beats must be >= 2")
-        if self.window_beats < 2 or self.window_beats % 2:
-            raise ValueError("window_beats must be an even number >= 2")
-        for lo, hi in ((self.lf_lo, self.lf_hi), (self.lf_hi, self.hf_hi)):
-            if not (lo < hi and np.isfinite(hi - lo)):  # also rejects NaN and inf
-                raise ValueError(f"degenerate frequency band ({lo:g}, {hi:g})")
-            if _grid_points(lo, hi) < 2:
-                raise ValueError(f"band ({lo:g}, {hi:g}) holds fewer than 2 points of the "
-                                 f"{FREQ_GRID_STEP_HZ:g} Hz grid")
-        if self.lf_lo < 0:
-            raise ValueError(f"lf_lo must be >= 0 Hz, got {self.lf_lo:g}")
-        if self.hf_hi > MAX_BAND_HZ:
-            raise ValueError(f"hf_hi must be <= {MAX_BAND_HZ:g} Hz, got {self.hf_hi:g}")
-        if not 0 < self.ectopic_threshold < np.inf:  # also rejects NaN
-            raise ValueError("ectopic_threshold must be positive and finite")
-        if self.ectopic_ref_beats < 1:
-            raise ValueError("ectopic_ref_beats must be >= 1")
 
 
 def detect_ectopic(
     intervals_ms,
-    threshold: float = FeatureConfig.ectopic_threshold,
-    ref_beats: int = FeatureConfig.ectopic_ref_beats,
+    threshold: float = ECTOPIC_THRESHOLD,
+    ref_beats: int = ECTOPIC_REF_BEATS,
 ) -> np.ndarray:
     """Flag beats deviating from the running mean of recent accepted beats.
 
@@ -133,7 +122,7 @@ def detect_ectopic(
     return mask
 
 
-def time_stats(intervals_ms, recent_beats: int = FeatureConfig.recent_beats):
+def time_stats(intervals_ms, recent_beats: int = RECENT_BEATS):
     """(mean, min, max) of the last ``recent_beats`` intervals.
 
     The caller is expected to pass an ectopic-filtered sequence; this function
@@ -262,9 +251,7 @@ def _lomb_scargle(times_s: np.ndarray, centred: np.ndarray, lo_hz: float, n_freq
     return pgram.reshape(times_s.shape[:-1] + (n_freqs,))
 
 
-def windowed_diff(
-    intervals_ms, ectopic_mask, window_beats: int = FeatureConfig.window_beats,
-) -> tuple[float, int]:
+def windowed_diff(intervals_ms, ectopic_mask, window_beats: int = WINDOW_BEATS) -> tuple[float, int]:
     """Trend features over the last ``window_beats`` raw beats.
 
     The window is split in the middle: B holds the older half, A the most
@@ -362,7 +349,7 @@ def _poincare(x: np.ndarray) -> tuple[float, float]:
     return sd1, sd2
 
 
-def baseline11(intervals_ms, times_s, config: FeatureConfig = FeatureConfig()) -> dict[str, float]:
+def baseline11(intervals_ms, times_s) -> dict[str, float]:
     """The eleven-feature full-sequence reference panel.
 
     Expects an ectopic-filtered sequence and its beats' times in seconds
@@ -380,8 +367,8 @@ def baseline11(intervals_ms, times_s, config: FeatureConfig = FeatureConfig()) -
     rmssd = float(np.sqrt(np.mean(diffs**2)))
     pnn50 = float(np.mean(np.abs(diffs) > 50.0))
     vlf = band_power(times_s, x, VLF_BAND)
-    lf = band_power(times_s, x, (config.lf_lo, config.lf_hi))
-    hf = band_power(times_s, x, (config.lf_hi, config.hf_hi))
+    lf = band_power(times_s, x, LF_BAND)
+    hf = band_power(times_s, x, HF_BAND)
     sd1, sd2 = _poincare(x)
     return {
         "mean_nn": float(x.mean()),
@@ -413,8 +400,8 @@ def extract(records, config: FeatureConfig = FeatureConfig()) -> np.ndarray:
     can be computed once and shared across folds and seeds.
 
     Each record's ectopic mask and windowed trend are computed on their own.
-    The ``recent`` family copies each record's last ``recent_beats`` kept
-    intervals and their times into two ``(len(records), recent_beats)``
+    The ``recent`` family copies each record's last ``RECENT_BEATS`` kept
+    intervals and their times into two ``(len(records), RECENT_BEATS)``
     arrays (copies, so that no view keeps a whole record alive), then takes
     mean, min, max and both band powers of all rows together: one stacked
     :func:`band_power` call per band.  ``baseline11`` series differ in length,
@@ -424,12 +411,12 @@ def extract(records, config: FeatureConfig = FeatureConfig()) -> np.ndarray:
     X = np.empty((len(records), len(names)))
     recent = config.feature_set == FEATURE_SET_RECENT
     if recent:
-        k = config.recent_beats
+        k = RECENT_BEATS
         window_ms, window_s = np.empty((len(records), k)), np.empty((len(records), k))
     for i, record in enumerate(records):
         raw = record.intervals_ms
         try:
-            mask = detect_ectopic(raw, config.ectopic_threshold, config.ectopic_ref_beats)
+            mask = detect_ectopic(raw)
             kept = ~mask
             filtered = raw[kept]
             times_s = (np.cumsum(raw) / 1000.0)[kept]  # kept beats at their own times
@@ -438,16 +425,16 @@ def extract(records, config: FeatureConfig = FeatureConfig()) -> np.ndarray:
                     raise FeatureError(f"need at least {k} beats for recent-beat statistics")
                 window_ms[i], window_s[i] = filtered[-k:], times_s[-k:]
             else:
-                panel = baseline11(filtered, times_s, config)
+                panel = baseline11(filtered, times_s)
                 X[i, :len(BASELINE11_NAMES)] = [panel[name] for name in BASELINE11_NAMES]
             if config.include_windowed:
-                X[i, -len(WINDOWED_NAMES):] = windowed_diff(raw, mask, config.window_beats)
+                X[i, -len(WINDOWED_NAMES):] = windowed_diff(raw, mask)
         except FeatureError as exc:
             raise FeatureError(f"record {record.record_id!r}: {exc}") from None
     if recent:
-        mean_rr, min_rr, max_rr = time_stats(window_ms, k)
-        lf = band_power(window_s, window_ms, (config.lf_lo, config.lf_hi))
-        hf = band_power(window_s, window_ms, (config.lf_hi, config.hf_hi))
+        mean_rr, min_rr, max_rr = time_stats(window_ms)
+        lf = band_power(window_s, window_ms, LF_BAND)
+        hf = band_power(window_s, window_ms, HF_BAND)
         X[:, :len(RECENT_NAMES)] = np.column_stack([mean_rr, lf, hf, min_rr, max_rr])
     bad = np.argwhere(~np.isfinite(X))
     if bad.size:

@@ -30,7 +30,7 @@ from __future__ import annotations
 import json
 import struct
 from collections.abc import Mapping
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -62,6 +62,13 @@ class NetworkConfig:
     heads: tuple[str, ...] = TASKS  # the branches the network holds, in TASKS order
 
     def __post_init__(self):
+        # load_checkpoint passes a JSON header straight in, so each value is checked at its type:
+        # a size is an int or a numpy integer, not a float or a bool (JSON true)
+        sizes = (self.num_features, self.num_decades, self.embed_dim, *self.hidden)
+        if not all(isinstance(s, (int, np.integer)) and not isinstance(s, bool) for s in sizes):
+            raise NetworkError(f"sizes and layer widths must be integers, got {sizes}")
+        if not isinstance(self.use_embedding, (bool, np.bool_)):
+            raise NetworkError(f"use_embedding must be a bool, got {self.use_embedding!r}")
         if self.num_features < 1:
             raise NetworkError("num_features must be >= 1")
         if self.use_embedding and self.num_decades < 1:
@@ -564,15 +571,10 @@ def load_checkpoint(path) -> tuple[NetworkParams, dict]:
         if header["dtype"] not in CHECKPOINT_DTYPES:
             raise ValueError(f"dtype {header['dtype']!r} is not one of {CHECKPOINT_DTYPES}")
         dtype = np.dtype(header["dtype"])
-        net = header["network"]
-        config = NetworkConfig(
-            num_features=int(net["num_features"]),
-            num_decades=int(net["num_decades"]),
-            use_embedding=bool(net["use_embedding"]),
-            embed_dim=int(net["embed_dim"]),
-            hidden=tuple(net["hidden"]),
-            heads=net["heads"],
-        )
+        missing = sorted({f.name for f in fields(NetworkConfig)} - set(header["network"]))
+        if missing:  # a saved header names every field, so no key may fall back to its default
+            raise ValueError(f"network lacks {missing}")
+        config = NetworkConfig(**header["network"])
     except (KeyError, ValueError, TypeError, NetworkError) as exc:
         raise CheckpointError(f"{path}: bad checkpoint header: {exc}") from None
     params = NetworkParams(config, {name: np.zeros(shape, dtype) for name, shape in tensor_shapes(config).items()})

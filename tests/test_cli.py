@@ -4,8 +4,10 @@ import csv
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +23,7 @@ from vtapred.cli import (
     resolve_settings,
 )
 from vtapred.evaluation import INIT_STREAM
+from vtapred.features import ECTOPIC_REF_BEATS, ECTOPIC_THRESHOLD, RECENT_BEATS, WINDOW_BEATS, FeatureConfig
 from vtapred.network import TRAIN_DTYPE, NetworkConfig, active_tasks, init_params
 from vtapred.synthetic import write_tachogram_dataset
 
@@ -28,6 +31,13 @@ RECENT_HEADER = (
     "record_id,label,mean_rr,lf_power,hf_power,min_rr,max_rr,"
     "delta_mean_rr,delta_ectopic_count"
 )
+
+
+# the keys of the fixed feature recipe, which are constants of vtapred.features, with a value each
+FIXED_FEATURE_RECIPE = {
+    "recent_beats": "40", "window_beats": "200", "lf_lo": "0.03", "lf_hi": "0.2", "hf_hi": "0.5",
+    "ectopic_threshold": "0.3", "ectopic_ref_beats": "8",
+}
 
 
 def run(*argv: str) -> int:
@@ -68,7 +78,7 @@ class TestFeaturesCommand:
         default_out = tmp_path / "default.csv"
         tuned_out = tmp_path / "tuned.csv"
         config = tmp_path / "run.conf"
-        config.write_text("# wider recent window\n\nrecent_beats = 40\n")
+        config.write_text("# a longer horizon\n\nhorizon_ms = 90000\n")
         assert run("features", "--data-dir", data[0], "--metadata", data[1],
                    "--out", str(default_out)) == 0
         assert run("features", "--data-dir", data[0], "--metadata", data[1],
@@ -79,19 +89,21 @@ class TestFeaturesCommand:
         default_out = tmp_path / "default.csv"
         overridden = tmp_path / "overridden.csv"
         config = tmp_path / "run.conf"
-        config.write_text("recent_beats = 40\n")
+        config.write_text("horizon_ms = 90000\n")
         assert run("features", "--data-dir", data[0], "--metadata", data[1],
                    "--out", str(default_out)) == 0
         assert run("features", "--data-dir", data[0], "--metadata", data[1],
                    "--out", str(overridden), "--config", str(config),
-                   "--recent-beats", "30") == 0
+                   "--horizon-ms", "60000") == 0
         assert default_out.read_bytes() == overridden.read_bytes()
 
     def test_unknown_config_key_rejected(self, data, tmp_path, capsys):
-        # a file that sets a dropped key, such as the fixed optimizer recipe's, must fail, not be ignored
+        # a file that sets a dropped key, such as the fixed optimizer or feature recipe's, must fail,
+        # not be ignored
         config = tmp_path / "bad.conf"
         for line in ("learning_rate_warmup = 5", "clip_mode = norm", "hf_lo = 0.15",
-                     "lr = 0.5", "rho = 0.9", "eps = 1e-4", "clip = 0.2"):
+                     "lr = 0.5", "rho = 0.9", "eps = 1e-4", "clip = 0.2",
+                     *(f"{key} = {value}" for key, value in FIXED_FEATURE_RECIPE.items())):
             config.write_text(line + "\n")
             rc = run("features", "--data-dir", data[0], "--metadata", data[1],
                      "--out", str(tmp_path / "x.csv"), "--config", str(config))
@@ -108,23 +120,6 @@ class TestFeaturesCommand:
         err = capsys.readouterr().err
         assert "bad.conf, line 2: not UTF-8 text (byte 0xe9)" in err
         assert "nowhere" not in err
-
-    def test_lf_edge_moves_both_band_columns(self, data, tmp_path):
-        default_out = tmp_path / "default.csv"
-        moved_out = tmp_path / "moved.csv"
-        assert run("features", "--data-dir", data[0], "--metadata", data[1],
-                   "--out", str(default_out)) == 0
-        assert run("features", "--data-dir", data[0], "--metadata", data[1],
-                   "--out", str(moved_out), "--lf-hi", "0.2") == 0
-
-        def column(path, name):
-            lines = path.read_text().splitlines()
-            index = lines[0].split(",").index(name)
-            return [line.split(",")[index] for line in lines[1:]]
-
-        for name in ("lf_power", "hf_power"):
-            assert column(default_out, name) != column(moved_out, name)
-        assert column(default_out, "mean_rr") == column(moved_out, "mean_rr")
 
     def test_bad_config_value_rejected(self, data, tmp_path, capsys):
         config = tmp_path / "bad.conf"
@@ -160,12 +155,16 @@ class TestFeaturesCommand:
         assert ctl_a != ctl_b
 
 
+# (function, parameter) -> the fixed feature-recipe constant its default stands for
+CONSTANT_DEFAULTS = {
+    (detect_ectopic, "threshold"): ECTOPIC_THRESHOLD,
+    (detect_ectopic, "ref_beats"): ECTOPIC_REF_BEATS,
+    (time_stats, "recent_beats"): RECENT_BEATS,
+    (windowed_diff, "window_beats"): WINDOW_BEATS,
+}
+
 # (function, parameter) -> the setting its default stands for
 SIGNATURE_DEFAULTS = {
-    (detect_ectopic, "threshold"): "ectopic_threshold",
-    (detect_ectopic, "ref_beats"): "ectopic_ref_beats",
-    (time_stats, "recent_beats"): "recent_beats",
-    (windowed_diff, "window_beats"): "window_beats",
     (metrics, "threshold"): "threshold",
     (apply_decision_boundary, "horizon_ms"): "horizon_ms",
     (prepare_records, "horizon_ms"): "horizon_ms",
@@ -192,6 +191,8 @@ class TestSettings:
             default = inspect.signature(fn).parameters[name].default
             assert default == settings[key], (fn.__name__, name)
             assert type(default) is type(settings[key]), (fn.__name__, name)
+        for (fn, name), constant in CONSTANT_DEFAULTS.items():
+            assert inspect.signature(fn).parameters[name].default is constant, (fn.__name__, name)
         for fn, names in NO_DEFAULTS.items():
             parameters = inspect.signature(fn).parameters
             for name in names:
@@ -199,7 +200,18 @@ class TestSettings:
 
     def test_fixed_optimizer_recipe_is_not_a_setting(self):
         assert not {"lr", "rho", "eps", "clip"} & SETTINGS.keys()
-        assert len(SETTINGS) == 23
+        assert len(SETTINGS) == 16
+
+    def test_fixed_feature_recipe_is_not_a_setting(self):
+        assert [f.name for f in fields(FeatureConfig)] == ["feature_set", "include_windowed"]
+        assert not set(FIXED_FEATURE_RECIPE) & SETTINGS.keys()
+
+    def test_readme_settings_table_lists_every_setting(self):
+        # the rows of the table under "Keys:"; a parenthesised note such as (`recent` or `baseline11`) names values
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        table = readme.split("Keys:\n\n", 1)[1].split("\n\n", 1)[0].splitlines()[2:]
+        keys = [key for row in table for key in re.findall(r"`(\w+)`", re.sub(r"\([^)]*\)", "", row.split("|")[2]))]
+        assert sorted(keys) == sorted(SETTINGS)
 
 
 class TestParseConfigFile:
@@ -395,6 +407,14 @@ class TestTopLevel:
                  "--out", str(tmp_path / "x.csv"), flag, "0.5")
         assert rc == 1
 
+    @pytest.mark.parametrize("key", FIXED_FEATURE_RECIPE)
+    def test_fixed_feature_recipe_has_no_flag(self, data, tmp_path, capsys, key):
+        flag = "--" + key.replace("_", "-")
+        rc = run("features", "--data-dir", data[0], "--metadata", data[1],
+                 "--out", str(tmp_path / "x.csv"), flag, FIXED_FEATURE_RECIPE[key])
+        assert rc == 1
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
     def test_missing_required_out_exits_one(self, data):
         assert run("features", "--data-dir", data[0], "--metadata", data[1]) == 1
 
@@ -410,11 +430,12 @@ class TestTopLevel:
         ("--jobs", "0", "jobs must be >= 1"),
         ("--jobs", "-5", "jobs must be >= 1"),
         ("--seed", "-1", "seed must be >= 0"),
-        ("--lf-hi", "0.047", "fewer than 2 points"),
-        ("--hf-hi", "inf", "degenerate frequency band (0.15, inf)"),
-        ("--hf-hi", "1e6", "hf_hi must be <= 2.5 Hz"),
-        ("--hf-hi", "2.6", "hf_hi must be <= 2.5 Hz"),
-        ("--lf-lo", "-1", "lf_lo must be >= 0 Hz"),
+        # the bands are constants now, so an impossible band cannot even be asked for
+        ("--lf-hi", "0.047", "unrecognized arguments: --lf-hi 0.047"),
+        ("--hf-hi", "inf", "unrecognized arguments: --hf-hi inf"),
+        ("--hf-hi", "1e6", "unrecognized arguments: --hf-hi 1e6"),
+        ("--hf-hi", "2.6", "unrecognized arguments: --hf-hi 2.6"),
+        ("--lf-lo", "-1", "unrecognized arguments: --lf-lo -1"),
     ], ids=["nan-horizon", "inf-horizon", "negative-min-beats", "zero-seeds", "negative-seeds",
             "zero-jobs", "negative-jobs", "negative-seed", "one-point-lf-band", "unbounded-hf-band",
             "huge-hf-edge", "hf-edge-past-limit", "negative-lf-edge"])

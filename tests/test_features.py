@@ -39,7 +39,9 @@ from vtapred import (
     windowed_diff,
     write_feature_matrix,
 )
-from vtapred.features import FREQ_GRID_STEP_HZ, LOMB_BLOCK_VALUES, MAX_BAND_HZ, _grid_points, _lomb_scargle
+from vtapred.features import (
+    FREQ_GRID_STEP_HZ, HF_BAND, LF_BAND, LOMB_BLOCK_VALUES, RECENT_BEATS, _grid_points, _lomb_scargle,
+)
 
 
 def rr_stack(rng, rows, n):
@@ -298,7 +300,7 @@ class TestBandPower:
         # 3 beats over the widest band: a block holds 43 series x 500 frequencies, so each of its
         # complex per-frequency arrays takes 344 kB, past the 256 KiB from which numpy reuses an
         # unnamed temporary in place (and rounds a complex product differently)
-        band = (0.0, MAX_BAND_HZ)
+        band = (0.0, 2.5)
         t, x = rr_stack(rng, 2 * (LOMB_BLOCK_VALUES // (3 * 500)) + 7, 3)
         assert_same_bits(band_power(t, x, band), np.array([band_power(*row, band) for row in zip(t, x)]))
 
@@ -593,7 +595,7 @@ class TestExtract:
         finally:
             tracemalloc.stop()
         assert X.shape == (n, 7) and np.isfinite(X).all()
-        window = n * cfg.recent_beats * 8  # one (n, recent_beats) float array
+        window = n * RECENT_BEATS * 8  # one (n, RECENT_BEATS) float array
         # the intervals and times windows, one phasor block, X, and what band_power holds for the
         # whole stack: the centred window and the HF band's (n, 50) periodogram
         held = 2 * window + LOMB_BLOCK_VALUES * 16 + X.nbytes + window + n * _grid_points(0.15, 0.40) * 8
@@ -708,46 +710,15 @@ class TestFeatureConfigValidation:
         with pytest.raises(ValueError, match="feature_set"):
             FeatureConfig(feature_set="mystery")
 
-    def test_odd_window(self):
-        with pytest.raises(ValueError, match="even"):
-            FeatureConfig(window_beats=251)
-
-    def test_degenerate_band(self):
-        with pytest.raises(ValueError, match="degenerate"):
-            FeatureConfig(lf_lo=0.15, lf_hi=0.04)
-
-    @pytest.mark.parametrize("edges, message", [
-        ({"hf_hi": math.inf}, "degenerate frequency band"),
-        ({"hf_hi": math.nan}, "degenerate frequency band"),
-        ({"lf_lo": -math.inf}, "degenerate frequency band"),
-        ({"lf_hi": math.inf}, "degenerate frequency band"),
-        ({"lf_hi": 0.047}, "fewer than 2 points"),
-        ({"lf_hi": 0.395}, "fewer than 2 points"),
-        ({"lf_lo": 0.144}, "fewer than 2 points"),
-    ])
-    def test_band_that_band_power_would_reject(self, edges, message):
-        with pytest.raises(ValueError, match=message):
-            FeatureConfig(**edges)
-
-    def test_widest_bands_accepted(self):
-        # the CLI tests check that an edge past these is rejected, by name, before any data is read
-        assert MAX_BAND_HZ == 2.5
-        FeatureConfig(lf_lo=0.0, hf_hi=2.5)  # raises if either edge is refused
-
     def test_band_adjacency_enforced(self):
-        # HF starts where LF ends, so moving lf_hi moves both bands and no gap can open
+        # HF starts where LF ends, so no gap can open between the two band columns
+        assert LF_BAND[1] == HF_BAND[0]
         x = 800.0 + 40.0 * np.sin(np.arange(60) * 1.3)
         record = RRRecord("r0", x, "Control", "p0")
-        values = dict(zip(RECENT_NAMES, extract([record], FeatureConfig(lf_hi=0.2, include_windowed=False))[0]))
+        values = dict(zip(RECENT_NAMES, extract([record], FeatureConfig(include_windowed=False))[0]))
         t = beat_times(x)
         recent, recent_s = x[-30:], t[-30:]
-        assert values["lf_power"] == band_power(recent_s, recent, (0.04, 0.2))
-        assert values["hf_power"] == band_power(recent_s, recent, (0.2, 0.40))
-        panel = baseline11(x, t, FeatureConfig(lf_hi=0.2))
-        assert (panel["lf_power"], panel["hf_power"]) == (band_power(t, x, (0.04, 0.2)), band_power(t, x, (0.2, 0.40)))
-
-    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
-    def test_non_finite_ectopic_threshold(self, value):
-        # detect_ectopic would flag no beat at all with either value
-        with pytest.raises(ValueError, match="ectopic_threshold must be positive and finite"):
-            FeatureConfig(ectopic_threshold=value)
+        assert values["lf_power"] == band_power(recent_s, recent, (0.04, 0.15))
+        assert values["hf_power"] == band_power(recent_s, recent, (0.15, 0.40))
+        panel = baseline11(x, t)
+        assert (panel["lf_power"], panel["hf_power"]) == (band_power(t, x, (0.04, 0.15)), band_power(t, x, (0.15, 0.40)))

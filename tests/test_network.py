@@ -193,6 +193,11 @@ class TestInit:
         for name in params.tensors:
             assert np.shares_memory(twin.tensors[name], twin.tensors.flat)
 
+    def test_numpy_integers_are_sizes(self):
+        config = small_config(num_features=np.int64(4), num_decades=np.int32(2), use_embedding=np.bool_(True),
+                              hidden=(np.int64(5), 4, np.int16(3)))
+        assert config == small_config()
+
     def test_embedding_needs_vocabulary(self):
         with pytest.raises(NetworkError, match="no decades"):
             NetworkConfig(num_features=4, num_decades=0, use_embedding=True)
@@ -578,12 +583,27 @@ class TestCheckpoint:
         {"heads": ["nyhac", "vta"]},
         {"heads": "vta"},
         {"heads": 3},
+        # values of the wrong JSON type, and an unknown key, which once loaded: truncated to an int,
+        # read as truthy, or ignored
+        {"num_features": 7.9},
+        {"hidden": [5.7, 4.2, 3.1]},
+        {"use_embedding": "no"},
+        {"num_features": True},
+        {"dropout": 0.5},
     ])
     def test_rejected_header_value_is_a_bad_header(self, rng, tmp_path, network):
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, init_params(small_config(), rng))
         rewrite_header(path, lambda header: header["network"].update(network))
         with pytest.raises(CheckpointError, match="bad checkpoint header"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("key", ["num_decades", "embed_dim", "hidden", "heads"])
+    def test_missing_network_key_is_a_bad_header(self, rng, tmp_path, key):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, init_params(small_config(), rng))
+        rewrite_header(path, lambda header: header["network"].pop(key))
+        with pytest.raises(CheckpointError, match=f"bad checkpoint header: network lacks \\['{key}'\\]"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("dtype", ["float16", "int64", "<f4", None, 4, "absent"])
