@@ -282,22 +282,24 @@ def build_parser() -> argparse.ArgumentParser:
         prog="vtapred",
         description="Early-warning prediction of ventricular tachyarrhythmia "
                     "from RR-interval tachograms.",
+        allow_abbrev=False,
     )
     parser.add_argument("--version", action="version", version=f"vtapred {__version__}")
     subparsers = parser.add_subparsers(dest="command", required=True)
 
     p_feat = subparsers.add_parser(
-        "features", help="extract the configured feature matrix to CSV")
+        "features", help="extract the configured feature matrix to CSV", allow_abbrev=False)
     _add_common_arguments(p_feat, "output CSV path")
     p_feat.set_defaults(func=cmd_features)
 
     p_train = subparsers.add_parser(
-        "train", help="train one model on all usable records")
+        "train", help="train one model on all usable records", allow_abbrev=False)
     _add_common_arguments(p_train, "output checkpoint path")
     p_train.set_defaults(func=cmd_train)
 
     p_ablate = subparsers.add_parser(
-        "ablate", help="run the staged configuration grid with cross-validation")
+        "ablate", help="run the staged configuration grid with cross-validation",
+        allow_abbrev=False)
     _add_common_arguments(p_ablate, "output directory for reports")
     p_ablate.set_defaults(func=cmd_ablate)
     return parser

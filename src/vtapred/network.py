@@ -18,8 +18,9 @@ of its config (``NetworkConfig.heads``; a fit gives it the heads its loss
 reads, :func:`active_tasks`).  forward() and backward() walk those heads and write
 their activations and temporaries into a :class:`Workspace` that a caller can
 keep from one epoch to the next.  The dropout masks are cut from one stream
-of uniforms that is drawn in row chunks (:func:`draw_dropout_masks`), the
-same stream as one whole draw; so a training epoch holds the masks, the
+of 16-bit lanes of the generator's raw output, four keep decisions per
+64-bit word, drawn in row chunks that read the same stream as one whole
+draw (:func:`draw_dropout_masks`); so a training epoch holds the masks, the
 activations and the gradients, and no (batch × every layer width) block.
 
 Everything here is plain numpy; training lives in ``optim``.
@@ -28,6 +29,7 @@ Everything here is plain numpy; training lives in ``optim``.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from collections.abc import Mapping
 from dataclasses import asdict, dataclass, fields, replace
@@ -36,7 +38,7 @@ import numpy as np
 
 TASKS = ("vta", "nyhac", "bmi")
 TASK_UNITS = {"vta": 2, "nyhac": 4, "bmi": 1}
-DROPOUT_BLOCK_VALUES = 2**16  # uniforms that draw_dropout_masks holds per chunk of rows
+DROPOUT_BLOCK_VALUES = 2**16  # 16-bit lanes that draw_dropout_masks draws per chunk of rows
 TRAIN_DTYPE = np.float32  # the precision every fit trains in
 
 CHECKPOINT_MAGIC = b"VTPN"
@@ -230,8 +232,9 @@ class Workspace:
     keeps (``optim.train`` keeps one per fit) makes later calls with the same
     batch size write into the same memory.  What one training epoch keeps
     here grows with the batch only through the masks, the activations and
-    the backward temporaries; the uniforms behind the masks take one buffer
-    of at most ``DROPOUT_BLOCK_VALUES`` (or one row).
+    the backward temporaries; the random lanes behind the masks are drawn
+    one chunk of at most ``DROPOUT_BLOCK_VALUES`` lanes (or four rows) at a
+    time.
     """
 
     def __init__(self):
@@ -282,16 +285,20 @@ def draw_dropout_masks(
 
     One mask row per example per layer; with keep_prob == 1 no masking is
     needed and None is returned.  Behind the masks is one (n, width of all
-    eight layers) block of uniforms, taken from ``rng`` in row-major order,
-    so the random stream does not depend on ``config.heads``.  The block is
-    never held whole: it is drawn in chunks of rows, at most
-    ``DROPOUT_BLOCK_VALUES`` uniforms (or one row, if a row is wider) into one
-    reused buffer, and each chunk is compared straight into the masks.  Row
-    chunks read the same doubles in the same order as one whole draw.  The
-    uniforms are float64 whatever ``dtype`` is, so masks of either dtype
-    drawn from one seed keep the same units.  Only the masks of the shared
-    layers and of those heads' branches are built, each C-contiguous, in
-    ``work`` when one is given.
+    eight layers) block of 16-bit lanes, taken in row-major order from the
+    raw 64-bit outputs of ``rng.bit_generator`` read as little-endian uint16,
+    four keep decisions per output.  So the stream depends neither on
+    ``config.heads`` nor on ``dtype`` nor on the platform, and masks of
+    either dtype drawn from one seed keep the same units.  A unit is kept
+    when its lane is below ``ceil(keep_prob * 2**16)``: the keep probability
+    is keep_prob rounded up to a step of 2**-16, exact for 0.75.  The block
+    is never held whole: it is drawn in chunks of a multiple of four rows, at
+    most ``DROPOUT_BLOCK_VALUES`` lanes (or four rows, if those hold more), so
+    every chunk but the last ends on a whole output and the chunks read the
+    same stream as one whole draw; the lanes past the last row are dropped.
+    Each chunk is compared straight into the masks.  Only the masks of the
+    shared layers and of those heads' branches are built, each C-contiguous,
+    in ``work`` when one is given.
     """
     if not 0.0 < keep_prob <= 1.0:
         raise NetworkError("keep_prob must be in (0, 1]")
@@ -300,8 +307,8 @@ def draw_dropout_masks(
     work = Workspace() if work is None else work
     layout = dropout_layout(config)
     width = sum(w for _, w in layout)
-    rows = max(1, min(n, DROPOUT_BLOCK_VALUES // width))
-    uniforms = work("dropout_uniforms", (rows, width), np.float64)
+    rows = max(4, DROPOUT_BLOCK_VALUES // width // 4 * 4)
+    threshold = math.ceil(keep_prob * 2**16)  # at least 1 for every keep_prob > 0
     columns: dict[str, slice] = {}
     offset = 0
     for name, w in layout:
@@ -310,9 +317,11 @@ def draw_dropout_masks(
         offset += w
     masks = {name: work(f"mask_{name}", (n, cols.stop - cols.start), dtype) for name, cols in columns.items()}
     for start in range(0, n, rows):
-        chunk = rng.random(out=uniforms[:min(rows, n - start)])
+        count = min(rows, n - start)
+        words = rng.bit_generator.random_raw(-(-count * width // 4))
+        lanes = words.astype("<u8", copy=False).view("<u2")[:count * width].reshape(count, width)
         for name, cols in columns.items():
-            np.less(chunk[:, cols], keep_prob, out=masks[name][start:start + chunk.shape[0]])
+            np.less(lanes[:, cols], threshold, out=masks[name][start:start + count])
     scale = 1.0 / keep_prob  # keep * fl(1/p) equals the division keep / p exactly
     for mask in masks.values():
         mask *= scale

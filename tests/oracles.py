@@ -253,17 +253,25 @@ def max_relative_error(analytic: dict, numeric: dict, floor: float = 1e-5) -> fl
 
 
 def _reference_masks(net, n, keep_prob, rng):
-    """All eight inverted-dropout masks, cut from one uniform block in layer order."""
+    """All eight inverted-dropout masks, cut in layer order from one block of 16-bit lanes.
+
+    The lanes are one whole draw of raw 64-bit generator outputs, each read as
+    four little-endian uint16 values; a unit is kept when its lane is below
+    ceil(keep_prob * 65536).
+    """
     h1, h2, h3 = net.hidden
     widths = [("input", net.input_dim), ("h1", h1)]
     for task in TASK_UNITS:
         widths += [(f"{task}_h2", h2), (f"{task}_h3", h3)]
     if keep_prob == 1.0:
         return None
-    block = rng.random((n, sum(w for _, w in widths)))
+    total = sum(w for _, w in widths)
+    words = rng.bit_generator.random_raw(math.ceil(n * total / 4))
+    lanes = np.frombuffer(words.astype("<u8").tobytes(), dtype="<u2")[:n * total].reshape(n, total)
+    keep = lanes < math.ceil(keep_prob * 65536)
     masks, offset = {}, 0
     for name, width in widths:
-        masks[name] = (block[:, offset:offset + width] < keep_prob) / keep_prob
+        masks[name] = keep[:, offset:offset + width] / keep_prob
         offset += width
     return masks
 

@@ -415,6 +415,23 @@ class TestTopLevel:
         assert rc == 1
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, flag, value", [("train", "--epoch", "7"), ("ablate", "--horizon", "5")],
+                             ids=["train-epoch", "ablate-horizon"])
+    def test_flag_prefix_exits_one_before_reading_data(self, data, tmp_path, capsys, command, flag, value):
+        # a missing data dir would fail at load time, so the refusal proves nothing was read
+        rc = run(command, "--data-dir", str(tmp_path / "nowhere"), "--metadata", data[1],
+                 "--out", str(tmp_path / "out"), flag, value)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"unrecognized arguments: {flag} {value}" in err
+        assert "nowhere" not in err
+
+    @pytest.mark.parametrize("command", ["features", "train", "ablate"])
+    def test_exact_flags_still_parse(self, command):
+        args = build_parser().parse_args([command, "--data-dir", "d", "--metadata", "m", "--out", "o",
+                                          "--epochs", "7", "--horizon-ms", "5", "--no-truncate-controls"])
+        assert (args.epochs, args.horizon_ms, args.truncate_controls) == (7, 5.0, False)
+
     def test_missing_required_out_exits_one(self, data):
         assert run("features", "--data-dir", data[0], "--metadata", data[1]) == 1
 

@@ -452,6 +452,35 @@ class TestDropoutMasks:
             assert mask.tobytes() == want[name].tobytes(), name
         assert rng.random() == oracle_rng.random()
 
+    # 17 inputs (7 features + 10 embedding) and 480 hidden units: 497 lanes a row, so rows do not
+    # end on whole 64-bit words and the chunks must hold a multiple of four rows (128 here)
+    @pytest.mark.parametrize("n", [1, 3, 127, 129, 416], ids=["one-row", "three-rows", "chunk-less-one",
+                                                              "chunk-plus-one", "chunks-and-rest"])
+    def test_odd_width_chunks_read_one_whole_draw(self, n):
+        cfg = NetworkConfig(num_features=7, num_decades=5, use_embedding=True)
+        assert sum(width for _, width in dropout_layout(cfg)) == 497
+        rng, oracle_rng = np.random.default_rng(11), np.random.default_rng(11)
+        masks = draw_dropout_masks(cfg, n, 0.75, rng)
+        want = _reference_masks(cfg, n, 0.75, oracle_rng)
+        assert list(masks) == list(want)
+        for name, mask in masks.items():
+            assert mask.tobytes() == want[name].tobytes(), name
+        assert rng.bit_generator.random_raw() == oracle_rng.bit_generator.random_raw()
+
+    def test_kept_fraction_is_keep_prob_on_the_lane_grid(self):
+        cfg = NetworkConfig(num_features=7, num_decades=5, use_embedding=True)
+        masks = draw_dropout_masks(cfg, 2016, 0.6, np.random.default_rng(5))
+        decisions = sum(mask.size for mask in masks.values())
+        kept = sum(int(np.count_nonzero(mask)) for mask in masks.values())
+        p = math.ceil(0.6 * 65536) / 65536
+        assert decisions > 10**6
+        assert abs(kept / decisions - p) < 5 * math.sqrt(p * (1 - p) / decisions)
+
+    def test_tiny_keep_prob_gives_zero_or_its_inverse(self, rng):
+        masks = draw_dropout_masks(small_config(), 50, 1e-7, rng)
+        for mask in masks.values():
+            assert set(np.unique(mask).tolist()) <= {0.0, 1e7}
+
     def test_draw_holds_no_block_beside_the_masks(self):
         cfg = NetworkConfig(num_features=26, num_decades=5, use_embedding=True)
         n = 5000
