@@ -1,8 +1,8 @@
 """Command line for the pipeline: feature export, training, the ablation grid.
 
-Configuration lives in a flat ``key = value`` text file; every key has a
-matching command-line flag, and flags win over the file, which wins over the
-defaults.  All randomness flows from ``--seed`` (or the seed list of the
+Configuration lives in a flat ``key = value`` text file; each command takes only
+the keys of ``SETTINGS`` it reads, from the file or the matching command-line
+flags, and flags win over the file, which wins over the defaults.  All randomness flows from ``--seed`` (or the seed list of the
 ablation grid), so identical invocations produce byte-identical outputs.
 
 Exit codes: 0 success, 1 data or configuration error, 2 numeric failure.
@@ -19,12 +19,13 @@ import logging
 import sys
 from dataclasses import MISSING, fields
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .dataset import DatasetError, load_dataset, prepare_records, read_text, tachogram_files
+from .dataset import DatasetError, load_dataset, parse_number, prepare_records, read_text, tachogram_files
 from .evaluation import (
     CVConfig,
     EvaluationError,
@@ -65,25 +66,40 @@ def _param_defaults(fn) -> dict:
     return {p.name: p.default for p in inspect.signature(fn).parameters.values() if p.default is not p.empty}
 
 
-# key -> (parser, default); this one table drives the config file, the
-# mirrored command-line flags, and the manifest echo.  The parser follows the
-# default's type, bool first because bool is a subclass of int.
+def _parser(default):
+    """A setting's parser, by its default's type: bool first, because bool is a subclass of int."""
+    if isinstance(default, (bool, str)):
+        return _parse_bool if isinstance(default, bool) else str
+    parse = partial(parse_number, kind=type(default))
+    parse.__name__ = type(default).__name__  # argparse names it: "invalid int value"
+    return parse
+
+
+# key -> (parser, default, the commands that read it); this one table drives the
+# config file, each command's flags, and the settings the manifest and the
+# checkpoint header echo.
 SETTINGS: dict[str, tuple] = {
-    key: (_parse_bool if isinstance(default, bool) else type(default), default)
-    for key, default in {
-        **_field_defaults(FeatureConfig),
-        **_field_defaults(TrainConfig),
-        **_field_defaults(CVConfig),
-        **_param_defaults(prepare_records),  # horizon_ms, min_beats, truncate_controls
-        "seed": 0,
-        "seeds": 10,
-        "jobs": 1,
-    }.items()
+    key: (_parser(default), default, commands)
+    for defaults, commands in (
+        (_field_defaults(FeatureConfig), ("features", "train")),
+        (_field_defaults(TrainConfig), ("train", "ablate")),
+        (_field_defaults(CVConfig), ("ablate",)),
+        ({"use_embedding": CVConfig.use_embedding}, ("train",)),  # ablate's rows set it: replaces the entry above
+        (_param_defaults(prepare_records), ("features", "train", "ablate")),  # horizon_ms, min_beats, truncate_controls
+        ({"seed": 0}, ("train", "ablate")),
+        ({"seeds": 10, "jobs": 1}, ("ablate",)),
+    )
+    for key, default in defaults.items()
 }
 
 
-def parse_config_file(path) -> dict:
-    """Read ``key = value`` lines of UTF-8 text; blank lines and ``#`` comments are ignored."""
+def read_by(command: str) -> list[str]:
+    """The keys of ``SETTINGS`` that ``command`` reads, in table order."""
+    return [key for key, (_, _, commands) in SETTINGS.items() if command in commands]
+
+
+def parse_config_file(path, command: str) -> dict:
+    """The ``key = value`` lines of a UTF-8 file, each a key ``command`` reads; blank and ``#`` lines are skipped."""
     values = {}
     # newline=None ends a line at \n, \r\n or a lone \r, as open() in text mode does
     with io.StringIO(read_text(Path(path)), newline=None) as fh:
@@ -94,38 +110,30 @@ def parse_config_file(path) -> dict:
             if "=" not in text:
                 raise ConfigError(f"{path}, line {lineno}: expected 'key = value'")
             key, _, raw = text.partition("=")
-            key = key.strip()
-            raw = raw.strip()
+            key, raw = key.strip(), raw.strip()
             if key not in SETTINGS:
                 raise ConfigError(f"{path}, line {lineno}: unknown key {key!r}")
+            if command not in SETTINGS[key][2]:
+                raise ConfigError(f"{path}, line {lineno}: {command} does not read key {key!r}")
             if key in values:
                 raise ConfigError(f"{path}, line {lineno}: duplicate key {key!r}")
-            parser = SETTINGS[key][0]
             try:
-                values[key] = parser(raw)
+                values[key] = SETTINGS[key][0](raw)
             except ValueError as exc:
                 raise ConfigError(f"{path}, line {lineno}: bad value for {key!r}: {exc}") from None
     return values
 
 
 def resolve_settings(args: argparse.Namespace) -> dict:
-    """Merge flag > config file > default into one settings dict."""
-    from_file = parse_config_file(args.config) if args.config else {}
-    settings = {}
-    for key, (_, default) in SETTINGS.items():
-        flag_value = getattr(args, key, None)
-        if flag_value is not None:
-            settings[key] = flag_value
-        elif key in from_file:
-            settings[key] = from_file[key]
-        else:
-            settings[key] = default
-    return settings
+    """Merge flag > config file > default into one dict of the keys ``args.command`` reads."""
+    from_file = parse_config_file(args.config, args.command) if args.config is not None else {}
+    flags = {key: getattr(args, key) for key in read_by(args.command)}
+    return {key: from_file.get(key, SETTINGS[key][1]) if flag is None else flag for key, flag in flags.items()}
 
 
 def _build(cls, settings: dict, **nested):
-    """Instantiate a config dataclass from the settings keys of its fields."""
-    return cls(**{f.name: settings[f.name] for f in fields(cls) if f.name not in nested}, **nested)
+    """Instantiate a config dataclass from the settings keys of its fields; the others keep their defaults."""
+    return cls(**{f.name: settings[f.name] for f in fields(cls) if f.name in settings}, **nested)
 
 
 def build_configs(settings: dict) -> CVConfig:
@@ -150,12 +158,10 @@ OUTPUTS: dict[str, dict[str, bool]] = {
 def _check_outputs(out: str, outputs: dict[str, bool]) -> dict[str, Path]:
     """The path of each suffix of ``outputs``, each checked before any work is done.
 
-    ``--out`` must not be empty.  A file must not be a directory and needs its
-    directory, existing or in ``outputs``; a directory is made with its parents,
-    so the nearest part of its path that exists must be a directory.
+    A file must not be a directory and needs its directory, existing or in
+    ``outputs``; a directory is made with its parents, so the nearest part of
+    its path that exists must be a directory.
     """
-    if not out:
-        raise ConfigError("--out must not be empty")
     paths = {suffix: Path(f"{out}{suffix}") for suffix in outputs}
     made = {paths[suffix] for suffix, is_dir in outputs.items() if is_dir}
     for suffix, is_dir in outputs.items():
@@ -174,13 +180,16 @@ def _check_outputs(out: str, outputs: dict[str, bool]) -> dict[str, Path]:
 
 def _prepare(args: argparse.Namespace):
     """Settings, configs and the paths of ``OUTPUTS``, checked before any data is read, then the records."""
+    for name in ("data_dir", "metadata", "config", "out"):
+        if getattr(args, name) == "":
+            raise ConfigError(f"--{name.replace('_', '-')} must not be empty")
     settings = resolve_settings(args)
     cv = build_configs(settings)
     # a non-positive horizon is the documented no-op, so only NaN and inf are impossible
     if not np.isfinite(settings["horizon_ms"]):
         raise ConfigError(f"horizon_ms must be finite, got {settings['horizon_ms']!r}")
     for key, least in (("min_beats", 0), ("seed", 0), ("seeds", 1), ("jobs", 1)):
-        if settings[key] < least:
+        if key in settings and settings[key] < least:
             raise ConfigError(f"{key} must be >= {least}, got {settings[key]!r}")
     paths = _check_outputs(args.out, OUTPUTS[args.command])
     records, patients = load_dataset(args.data_dir, args.metadata)
@@ -261,13 +270,14 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_common_arguments(sub: argparse.ArgumentParser, io_out: str) -> None:
+def _add_common_arguments(sub: argparse.ArgumentParser, command: str, io_out: str) -> None:
     sub.add_argument("--data-dir", required=True, help="directory of tachogram text files")
     sub.add_argument("--metadata", required=True, help="metadata CSV path")
     sub.add_argument("--config", help="flat key=value configuration file")
     sub.add_argument("--out", required=True, help=io_out)
-    # Mirror every config key as a flag; bools get --key/--no-key pairs.
-    for key, (parser, default) in SETTINGS.items():
+    # Mirror each key the command reads as a flag; bools get --key/--no-key pairs.
+    for key in read_by(command):
+        parser, default, _ = SETTINGS[key]
         flag = "--" + key.replace("_", "-")
         if parser is _parse_bool:
             sub.add_argument(flag, action=argparse.BooleanOptionalAction, default=None,
@@ -287,21 +297,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"vtapred {__version__}")
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    p_feat = subparsers.add_parser(
-        "features", help="extract the configured feature matrix to CSV", allow_abbrev=False)
-    _add_common_arguments(p_feat, "output CSV path")
-    p_feat.set_defaults(func=cmd_features)
-
-    p_train = subparsers.add_parser(
-        "train", help="train one model on all usable records", allow_abbrev=False)
-    _add_common_arguments(p_train, "output checkpoint path")
-    p_train.set_defaults(func=cmd_train)
-
-    p_ablate = subparsers.add_parser(
-        "ablate", help="run the staged configuration grid with cross-validation",
-        allow_abbrev=False)
-    _add_common_arguments(p_ablate, "output directory for reports")
-    p_ablate.set_defaults(func=cmd_ablate)
+    for command, func, help_text, io_out in (
+        ("features", cmd_features, "extract the configured feature matrix to CSV", "output CSV path"),
+        ("train", cmd_train, "train one model on all usable records", "output checkpoint path"),
+        ("ablate", cmd_ablate, "run the staged configuration grid with cross-validation",
+         "output directory for reports"),
+    ):
+        sub = subparsers.add_parser(command, help=help_text, allow_abbrev=False)
+        _add_common_arguments(sub, command, io_out)
+        sub.set_defaults(func=func)
     return parser
 
 

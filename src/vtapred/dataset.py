@@ -154,6 +154,13 @@ def prepare_records(
     return kept
 
 
+def parse_number(text: str, kind: type = float):
+    """``kind(text)`` of ASCII text without ``_``; ``int()`` and ``float()`` alone read ``8_00`` and ``８`` too."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"not a number: {text!r}")
+    return kind(text)
+
+
 def read_text(path: Path) -> str:
     """A file's whole UTF-8 text; a byte that is not UTF-8 is named with its path and line."""
     data = path.read_bytes().removeprefix(b"\xef\xbb\xbf")  # one byte-order mark, as some editors write
@@ -176,7 +183,7 @@ def _read_tachogram(path: Path) -> np.ndarray:
         lines.pop()
     # One pass for a well-formed file: float() ignores surrounding whitespace
     # as strip() does, and the range test also rejects NaN and inf.  float()
-    # also reads "8_00" and non-ASCII digits, which only the line loop rejects.
+    # also reads "8_00" and non-ASCII digits, which parse_number rejects.
     if text.isascii() and "_" not in text:
         try:
             values = np.fromiter(map(float, lines), float, len(lines))
@@ -193,14 +200,12 @@ def _parse_tachogram_lines(path: Path, lines: list[str]) -> np.ndarray:
     values = []
     for lineno, line in enumerate(lines, start=1):
         text = line.strip()
-        if not line.isascii() or "_" in line:
-            raise DatasetError(f"{path}, line {lineno}: not a number: {text or line!r}")
-        if not text:
+        if not text and line.isascii():  # blank; a line of non-ASCII space is named below
             continue
         try:
-            value = float(text)
+            value = parse_number(line)
         except ValueError:
-            raise DatasetError(f"{path}, line {lineno}: not a number: {text!r}") from None
+            raise DatasetError(f"{path}, line {lineno}: not a number: {text or line!r}") from None
         if not math.isfinite(value) or not (0.0 < value < MAX_INTERVAL_MS):
             raise DatasetError(
                 f"{path}, line {lineno}: interval {text!r} outside (0, {MAX_INTERVAL_MS:g}) ms"
@@ -231,11 +236,11 @@ def _parse_metadata_row(row: list[str], lineno: int, path: Path) -> dict:
         except ValueError:
             raise DatasetError(f"{path}, line {lineno}: bad {column} {text!r}") from None
 
-    decade = optional("birth_year", birth_year, lambda text: round_to_decade(int(text)))
-    nyhac_val = optional("nyhac", nyhac, int)
+    decade = optional("birth_year", birth_year, lambda text: round_to_decade(parse_number(text, int)))
+    nyhac_val = optional("nyhac", nyhac, lambda text: parse_number(text, int))
     if nyhac_val is not None and nyhac_val not in NYHAC_CLASSES:
         raise DatasetError(f"{path}, line {lineno}: nyhac must be in {NYHAC_CLASSES}")
-    bmi_val = optional("bmi", bmi, float)
+    bmi_val = optional("bmi", bmi, parse_number)
     if bmi_val is not None and not (BMI_RANGE[0] <= bmi_val <= BMI_RANGE[1]):
         raise DatasetError(
             f"{path}, line {lineno}: bmi {bmi_val:g} outside [{BMI_RANGE[0]:g}, {BMI_RANGE[1]:g}]"

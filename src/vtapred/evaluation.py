@@ -273,7 +273,7 @@ def ablation_config(row: str, base: CVConfig) -> CVConfig:
     _, feature_set, windowed, embedding, auxiliary = ROW_RECIPES[row]
     return replace(
         base,
-        features=replace(base.features, feature_set=feature_set, include_windowed=windowed),
+        features=FeatureConfig(feature_set, windowed),
         use_embedding=embedding,
         train=base.train if auxiliary else replace(base.train, lam_nyhac=0.0, lam_bmi=0.0),
     )
@@ -302,10 +302,11 @@ def run_ablation(
 ) -> EvalReport:
     """Evaluate every grid row over the given sequence of seeds (e.g. ``range(10)``).
 
-    One cohort is built per distinct feature configuration and shared
-    across seeds and workers.  With ``jobs > 1`` the (row, seed) items run
-    in a process pool; results are merged in fixed order, so the output is
-    identical to a serial run.
+    Each row's recipe sets the features and the embedding, so ``base.features``
+    and ``base.use_embedding`` are not read.  One cohort is built per distinct
+    feature configuration and shared across seeds and workers.  With
+    ``jobs > 1`` the (row, seed) items run in a process pool; results are
+    merged in fixed order, so the output is identical to a serial run.
     """
     seed_list = tuple(int(s) for s in seeds)
     if not seed_list:

@@ -5,6 +5,7 @@ import inspect
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from dataclasses import fields
@@ -19,13 +20,16 @@ from vtapred import (
     metrics, prepare_records, run_ablation, time_stats, windowed_diff,
 )
 from vtapred.cli import (
-    SETTINGS, ConfigError, build_configs, build_parser, dataset_checksum, main, parse_config_file,
+    SETTINGS, ConfigError, build_configs, build_parser, dataset_checksum, main, parse_config_file, read_by,
     resolve_settings,
 )
 from vtapred.evaluation import INIT_STREAM
 from vtapred.features import ECTOPIC_REF_BEATS, ECTOPIC_THRESHOLD, RECENT_BEATS, WINDOW_BEATS, FeatureConfig
 from vtapred.network import TRAIN_DTYPE, NetworkConfig, active_tasks, init_params
 from vtapred.synthetic import write_tachogram_dataset
+
+COMMANDS = ("features", "train", "ablate")
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 RECENT_HEADER = (
     "record_id,label,mean_rr,lf_power,hf_power,min_rr,max_rr,"
@@ -114,7 +118,7 @@ class TestFeaturesCommand:
         config = tmp_path / "bad.conf"
         config.write_bytes(b"epochs = 5\n# caf\xe9\n")
         # a missing data dir would fail at load time, so this message proves nothing was read
-        rc = run("features", "--data-dir", str(tmp_path / "nowhere"), "--metadata", str(tmp_path / "m.csv"),
+        rc = run("train", "--data-dir", str(tmp_path / "nowhere"), "--metadata", str(tmp_path / "m.csv"),
                  "--out", str(tmp_path / "x.csv"), "--config", str(config))
         assert rc == 1
         err = capsys.readouterr().err
@@ -123,11 +127,15 @@ class TestFeaturesCommand:
 
     def test_bad_config_value_rejected(self, data, tmp_path, capsys):
         config = tmp_path / "bad.conf"
-        config.write_text("epochs = soon\n")
-        rc = run("features", "--data-dir", data[0], "--metadata", data[1],
-                 "--out", str(tmp_path / "x.csv"), "--config", str(config))
-        assert rc == 1
-        assert "bad value" in capsys.readouterr().err
+        # int() and float() alone read 1_0 as 10 and full-width or Arabic-Indic digits as theirs
+        for command, line in (("train", "epochs = soon"), ("train", "epochs = 1_0"),
+                              ("train", "keep_prob = \uff10.\uff15"), ("features", "min_beats = 2_50"),
+                              ("ablate", "k_folds = \u0663"), ("ablate", "threshold = 0.2_5")):
+            config.write_text(line + "\n", encoding="utf-8")
+            rc = run(command, "--data-dir", data[0], "--metadata", data[1],
+                     "--out", str(tmp_path / "x.csv"), "--config", str(config))
+            assert rc == 1, line
+            assert "bad value" in capsys.readouterr().err, line
 
     def test_bogus_feature_set_rejected(self, data, tmp_path, capsys):
         rc = run("features", "--data-dir", data[0], "--metadata", data[1],
@@ -184,8 +192,14 @@ NO_DEFAULTS = {
 
 class TestSettings:
     def test_defaults_match_the_library(self):
-        args = build_parser().parse_args(["features", "--data-dir", "d", "--metadata", "m", "--out", "o"])
-        settings = resolve_settings(args)
+        settings = {}
+        for command in COMMANDS:
+            args = build_parser().parse_args([command, "--data-dir", "d", "--metadata", "m", "--out", "o"])
+            read = resolve_settings(args)
+            assert list(read) == read_by(command)
+            assert build_configs(read) == CVConfig()
+            settings.update(read)
+        assert settings.keys() == SETTINGS.keys()  # every key's default is checked
         assert build_configs(settings) == CVConfig()
         for (fn, name), key in SIGNATURE_DEFAULTS.items():
             default = inspect.signature(fn).parameters[name].default
@@ -202,46 +216,71 @@ class TestSettings:
         assert not {"lr", "rho", "eps", "clip"} & SETTINGS.keys()
         assert len(SETTINGS) == 16
 
+    def test_each_command_reads_its_own_keys(self):
+        # 5 + 11 + 13 = 29 settable (command, key) pairs
+        assert read_by("features") == ["feature_set", "include_windowed", "horizon_ms", "min_beats",
+                                       "truncate_controls"]
+        assert set(read_by("train")) == {*read_by("features"), "epochs", "keep_prob", "lam_nyhac", "lam_bmi",
+                                         "use_embedding", "seed"}
+        assert set(read_by("ablate")) == {"horizon_ms", "min_beats", "truncate_controls", "epochs", "keep_prob",
+                                          "lam_nyhac", "lam_bmi", "k_folds", "threshold", "patient_grouped",
+                                          "seed", "seeds", "jobs"}
+
     def test_fixed_feature_recipe_is_not_a_setting(self):
         assert [f.name for f in fields(FeatureConfig)] == ["feature_set", "include_windowed"]
         assert not set(FIXED_FEATURE_RECIPE) & SETTINGS.keys()
 
     def test_readme_settings_table_lists_every_setting(self):
         # the rows of the table under "Keys:"; a parenthesised note such as (`recent` or `baseline11`) names values
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        readme = README.read_text(encoding="utf-8")
         table = readme.split("Keys:\n\n", 1)[1].split("\n\n", 1)[0].splitlines()[2:]
-        keys = [key for row in table for key in re.findall(r"`(\w+)`", re.sub(r"\([^)]*\)", "", row.split("|")[2]))]
-        assert sorted(keys) == sorted(SETTINGS)
+        read_by_key = {}
+        for row in table:
+            cells = row.split("|")
+            commands = re.findall(r"`(\w+)`", cells[3])
+            for key in re.findall(r"`(\w+)`", re.sub(r"\([^)]*\)", "", cells[2])):
+                read_by_key[key] = commands
+        assert sorted(read_by_key) == sorted(SETTINGS)
+        for key, commands in read_by_key.items():  # the "read by" column, in the table's command order
+            assert commands == [command for command in COMMANDS if command in SETTINGS[key][2]], key
+
+    def test_readme_command_examples_parse(self):
+        readme = README.read_text(encoding="utf-8")
+        block = readme.split("## Command line\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        examples = [line for line in block.replace("\\\n", " ").splitlines() if line.startswith("vtapred ")]
+        assert [shlex.split(line)[1] for line in examples] == list(COMMANDS)
+        for line in examples:
+            build_parser().parse_args(shlex.split(line)[1:])  # an unknown flag exits
 
 
 class TestParseConfigFile:
     def test_reads_flat_key_values(self, tmp_path):
         path = tmp_path / "a.conf"
         path.write_text("# comment\nepochs = 7\nuse_embedding = off\n\nkeep_prob=0.5\n")
-        values = parse_config_file(path)
+        values = parse_config_file(path, "train")
         assert values == {"epochs": 7, "use_embedding": False, "keep_prob": 0.5}
 
     def test_byte_order_mark_is_dropped(self, tmp_path):
         path = tmp_path / "a.conf"
         path.write_bytes(b"\xef\xbb\xbfepochs = 7\r\nkeep_prob=0.5\r\n")
-        assert parse_config_file(path) == {"epochs": 7, "keep_prob": 0.5}
+        assert parse_config_file(path, "train") == {"epochs": 7, "keep_prob": 0.5}
         path.write_bytes(b"\xef\xbb\xbfepochs = 7\n\n# caf\xe9\n")
         with pytest.raises(DatasetError) as info:
-            parse_config_file(path)
+            parse_config_file(path, "train")
         assert str(info.value) == f"{path}, line 3: not UTF-8 text (byte 0xe9)"
 
     def test_duplicate_key_rejected(self, tmp_path):
         path = tmp_path / "a.conf"
         path.write_text("epochs = 7\n# again\nepochs = 8\n")
         with pytest.raises(ConfigError) as info:
-            parse_config_file(path)
+            parse_config_file(path, "train")
         assert str(info.value) == f"{path}, line 3: duplicate key 'epochs'"
 
     def test_line_without_equals_rejected(self, tmp_path):
         path = tmp_path / "a.conf"
         path.write_text("epochs\n")
         with pytest.raises(ConfigError, match="line 1"):
-            parse_config_file(path)
+            parse_config_file(path, "train")
 
 
 class TestTrainCommand:
@@ -426,11 +465,12 @@ class TestTopLevel:
         assert f"unrecognized arguments: {flag} {value}" in err
         assert "nowhere" not in err
 
-    @pytest.mark.parametrize("command", ["features", "train", "ablate"])
+    @pytest.mark.parametrize("command", COMMANDS)
     def test_exact_flags_still_parse(self, command):
+        epochs = [] if command == "features" else ["--epochs", "7"]  # features reads no epochs
         args = build_parser().parse_args([command, "--data-dir", "d", "--metadata", "m", "--out", "o",
-                                          "--epochs", "7", "--horizon-ms", "5", "--no-truncate-controls"])
-        assert (args.epochs, args.horizon_ms, args.truncate_controls) == (7, 5.0, False)
+                                          *epochs, "--horizon-ms", "5", "--no-truncate-controls"])
+        assert (vars(args).get("epochs"), args.horizon_ms, args.truncate_controls) == (7 if epochs else None, 5.0, False)
 
     def test_missing_required_out_exits_one(self, data):
         assert run("features", "--data-dir", data[0], "--metadata", data[1]) == 1
@@ -438,30 +478,35 @@ class TestTopLevel:
     def test_unknown_command_exits_one(self):
         assert run("explode") == 1
 
-    @pytest.mark.parametrize("flag, value, message", [
-        ("--horizon-ms", "nan", "horizon_ms must be finite"),
-        ("--horizon-ms", "inf", "horizon_ms must be finite"),
-        ("--min-beats", "-1", "min_beats must be >= 0"),
-        ("--seeds", "0", "seeds must be >= 1"),
-        ("--seeds", "-2", "seeds must be >= 1"),
-        ("--jobs", "0", "jobs must be >= 1"),
-        ("--jobs", "-5", "jobs must be >= 1"),
-        ("--seed", "-1", "seed must be >= 0"),
+    @pytest.mark.parametrize("command, flag, value, message", [
+        ("features", "--horizon-ms", "nan", "horizon_ms must be finite"),
+        ("features", "--horizon-ms", "inf", "horizon_ms must be finite"),
+        ("features", "--min-beats", "-1", "min_beats must be >= 0"),
+        ("ablate", "--seeds", "0", "seeds must be >= 1"),
+        ("ablate", "--seeds", "-2", "seeds must be >= 1"),
+        ("ablate", "--jobs", "0", "jobs must be >= 1"),
+        ("ablate", "--jobs", "-5", "jobs must be >= 1"),
+        ("train", "--seed", "-1", "seed must be >= 0"),
         # the bands are constants now, so an impossible band cannot even be asked for
-        ("--lf-hi", "0.047", "unrecognized arguments: --lf-hi 0.047"),
-        ("--hf-hi", "inf", "unrecognized arguments: --hf-hi inf"),
-        ("--hf-hi", "1e6", "unrecognized arguments: --hf-hi 1e6"),
-        ("--hf-hi", "2.6", "unrecognized arguments: --hf-hi 2.6"),
-        ("--lf-lo", "-1", "unrecognized arguments: --lf-lo -1"),
+        ("features", "--lf-hi", "0.047", "unrecognized arguments: --lf-hi 0.047"),
+        ("features", "--hf-hi", "inf", "unrecognized arguments: --hf-hi inf"),
+        ("features", "--hf-hi", "1e6", "unrecognized arguments: --hf-hi 1e6"),
+        ("features", "--hf-hi", "2.6", "unrecognized arguments: --hf-hi 2.6"),
+        ("features", "--lf-lo", "-1", "unrecognized arguments: --lf-lo -1"),
+        # int() and float() alone read these as 10, 3 and 60000
+        ("ablate", "--seeds", "\uff11_0", "argument --seeds: invalid int value: '\uff11_0'"),
+        ("ablate", "--k-folds", "\u0663", "argument --k-folds: invalid int value: '\u0663'"),
+        ("features", "--horizon-ms", "60_000", "argument --horizon-ms: invalid float value: '60_000'"),
     ], ids=["nan-horizon", "inf-horizon", "negative-min-beats", "zero-seeds", "negative-seeds",
             "zero-jobs", "negative-jobs", "negative-seed", "one-point-lf-band", "unbounded-hf-band",
-            "huge-hf-edge", "hf-edge-past-limit", "negative-lf-edge"])
+            "huge-hf-edge", "hf-edge-past-limit", "negative-lf-edge", "full-width-seeds",
+            "arabic-indic-k-folds", "underscored-horizon"])
     def test_impossible_ingest_setting_exits_one_before_reading_data(
-        self, data, tmp_path, capsys, flag, value, message,
+        self, data, tmp_path, capsys, command, flag, value, message,
     ):
         # a missing data dir would fail at load time, so reaching the check proves nothing was read
-        rc = run("features", "--data-dir", str(tmp_path / "nowhere"), "--metadata", data[1],
-                 "--out", str(tmp_path / "x.csv"), flag, value)
+        rc = run(command, "--data-dir", str(tmp_path / "nowhere"), "--metadata", data[1],
+                 "--out", str(tmp_path / "out"), flag, value)
         assert rc == 1
         err = capsys.readouterr().err
         assert message in err
@@ -523,6 +568,52 @@ class TestTopLevel:
         err = capsys.readouterr().err
         assert "--out must not be empty" in err
         assert "nowhere" not in err
+
+    @pytest.mark.parametrize("flag", ["--config", "--data-dir", "--metadata"])
+    def test_empty_input_path_exits_one_before_reading_data(self, data, tmp_path, capsys, flag):
+        argv = {"--data-dir": str(tmp_path / "nowhere"), "--metadata": str(tmp_path / "absent.csv"), flag: ""}
+        rc = run("features", *(part for item in argv.items() for part in item), "--out", str(tmp_path / "x.csv"))
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"{flag} must not be empty" in err
+        assert "nowhere" not in err and "absent" not in err
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("command, key", [(c, k) for c in COMMANDS for k in SETTINGS if k not in read_by(c)])
+    def test_flag_the_command_does_not_read_exits_one_before_reading_data(self, data, tmp_path, capsys, command, key):
+        flag = "--" + key.replace("_", "-")
+        value = [] if isinstance(SETTINGS[key][1], bool) else [str(SETTINGS[key][1])]
+        rc = run(command, "--data-dir", str(tmp_path / "nowhere"), "--metadata", data[1],
+                 "--out", str(tmp_path / "out"), flag, *value)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"unrecognized arguments: {' '.join([flag, *value])}" in err
+        assert "nowhere" not in err
+
+    @pytest.mark.parametrize("command, key", [(c, k) for c in COMMANDS for k in SETTINGS if k not in read_by(c)])
+    def test_config_key_the_command_does_not_read_exits_one_before_reading_data(
+        self, data, tmp_path, capsys, command, key,
+    ):
+        config = tmp_path / "run.conf"
+        config.write_text(f"# the default value\n{key} = {SETTINGS[key][1]}\n")
+        rc = run(command, "--data-dir", str(tmp_path / "nowhere"), "--metadata", data[1],
+                 "--out", str(tmp_path / "out"), "--config", str(config))
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"{config}, line 2: {command} does not read key {key!r}" in err
+        assert "nowhere" not in err
+
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    def test_settings_echo_holds_exactly_what_the_command_read(self, data, tmp_path, command):
+        out = tmp_path / "out"
+        assert run(command, "--data-dir", data[0], "--metadata", data[1], "--out", str(out),
+                   "--epochs", "1", *(["--seeds", "1", "--k-folds", "2"] if command == "ablate" else [])) == 0
+        if command == "train":
+            settings = load_checkpoint(out)[1]["extra"]["settings"]
+        else:
+            settings = json.loads((out / "manifest.json").read_text())["settings"]
+        assert sorted(settings) == sorted(read_by(command))
+        assert settings["epochs"] == 1
 
     @pytest.mark.parametrize("below", ["", "grid"], ids=["the-file", "under-the-file"])
     def test_ablate_out_at_a_file_exits_one_before_reading_data(self, data, tmp_path, capsys, below):

@@ -136,6 +136,10 @@ class TestLoadDataset:
         ("a,p,VTA,,,900", "bmi"),
         ("a,p,VTA,soon,,", "birth_year"),
         ("a,,VTA,,,", "required"),
+        # int() and float() alone read these as 1950, 2 and 25.5
+        ("a,p,VTA,1_950,,", "bad birth_year '1_950'"),
+        ("a,p,VTA,,\uff12,", "bad nyhac '\uff12'"),
+        ("a,p,VTA,,,2_5.5", "bad bmi '2_5.5'"),
     ])
     def test_bad_metadata_values(self, tmp_path, row, complaint):
         tacho, meta = write_dataset(tmp_path, {"a": [800.0] * 4}, [row])
