@@ -25,7 +25,15 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dataset import DatasetError, load_dataset, parse_number, prepare_records, read_text, tachogram_files
+from .dataset import (
+    ASCII_WHITESPACE,
+    DatasetError,
+    load_dataset,
+    parse_number,
+    prepare_records,
+    read_text,
+    tachogram_files,
+)
 from .evaluation import (
     CVConfig,
     EvaluationError,
@@ -48,7 +56,7 @@ class ConfigError(Exception):
 
 
 def _parse_bool(text: str) -> bool:
-    lowered = text.strip().lower()
+    lowered = text.strip(ASCII_WHITESPACE).lower()
     if lowered in ("1", "true", "yes", "on"):
         return True
     if lowered in ("0", "false", "no", "off"):
@@ -104,13 +112,13 @@ def parse_config_file(path, command: str) -> dict:
     # newline=None ends a line at \n, \r\n or a lone \r, as open() in text mode does
     with io.StringIO(read_text(Path(path)), newline=None) as fh:
         for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
+            text = line.strip(ASCII_WHITESPACE)
             if not text or text.startswith("#"):
                 continue
             if "=" not in text:
                 raise ConfigError(f"{path}, line {lineno}: expected 'key = value'")
             key, _, raw = text.partition("=")
-            key, raw = key.strip(), raw.strip()
+            key, raw = key.strip(ASCII_WHITESPACE), raw.strip(ASCII_WHITESPACE)
             if key not in SETTINGS:
                 raise ConfigError(f"{path}, line {lineno}: unknown key {key!r}")
             if command not in SETTINGS[key][2]:

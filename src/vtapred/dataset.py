@@ -34,6 +34,10 @@ DEFAULT_MIN_BEATS = 250
 BMI_RANGE = (10.0, 100.0)
 NYHAC_CLASSES = (1, 2, 3, 4)
 
+# what every text input strips around a value: the ASCII whitespace that
+# float() and int() also skip; str.strip() would take non-ASCII space as well
+ASCII_WHITESPACE = " \t\n\r\v\f"
+
 
 class DatasetError(Exception):
     """Malformed tachogram or metadata input."""
@@ -181,8 +185,8 @@ def _read_tachogram(path: Path) -> np.ndarray:
     lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     if lines[-1] == "":
         lines.pop()
-    # One pass for a well-formed file: float() ignores surrounding whitespace
-    # as strip() does, and the range test also rejects NaN and inf.  float()
+    # One pass for a well-formed file: float() ignores surrounding
+    # ASCII_WHITESPACE, and the range test also rejects NaN and inf.  float()
     # also reads "8_00" and non-ASCII digits, which parse_number rejects.
     if text.isascii() and "_" not in text:
         try:
@@ -199,13 +203,13 @@ def _parse_tachogram_lines(path: Path, lines: list[str]) -> np.ndarray:
     """Read a tachogram line by line: blank lines are skipped, the first bad line is named."""
     values = []
     for lineno, line in enumerate(lines, start=1):
-        text = line.strip()
-        if not text and line.isascii():  # blank; a line of non-ASCII space is named below
+        text = line.strip(ASCII_WHITESPACE)
+        if not text:
             continue
         try:
-            value = parse_number(line)
+            value = parse_number(text)
         except ValueError:
-            raise DatasetError(f"{path}, line {lineno}: not a number: {text or line!r}") from None
+            raise DatasetError(f"{path}, line {lineno}: not a number: {text!r}") from None
         if not math.isfinite(value) or not (0.0 < value < MAX_INTERVAL_MS):
             raise DatasetError(
                 f"{path}, line {lineno}: interval {text!r} outside (0, {MAX_INTERVAL_MS:g}) ms"
@@ -221,7 +225,7 @@ def _parse_metadata_row(row: list[str], lineno: int, path: Path) -> dict:
         raise DatasetError(
             f"{path}, line {lineno}: expected {len(METADATA_COLUMNS)} columns, got {len(row)}"
         )
-    record_id, patient_id, label, birth_year, nyhac, bmi = (cell.strip() for cell in row)
+    record_id, patient_id, label, birth_year, nyhac, bmi = (cell.strip(ASCII_WHITESPACE) for cell in row)
     if not record_id or not patient_id:
         raise DatasetError(f"{path}, line {lineno}: record_id and patient_id are required")
     if label not in LABELS:
@@ -261,15 +265,15 @@ def _read_metadata(path: Path) -> tuple[dict, dict]:
     with io.StringIO(read_text(path), newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        if header is None or tuple(cell.strip() for cell in header) != METADATA_COLUMNS:
+        if header is None or tuple(cell.strip(ASCII_WHITESPACE) for cell in header) != METADATA_COLUMNS:
             raise DatasetError(
-                f"{path}: header must be exactly {','.join(METADATA_COLUMNS)!r}"
+                f"{path}, line 1: header must be exactly {','.join(METADATA_COLUMNS)!r}"
             )
         next_line = reader.line_num + 1
         for row in reader:
             # a record is named by its first file line; a quoted cell may span several
             lineno, next_line = next_line, reader.line_num + 1
-            if not row or all(not cell.strip() for cell in row):
+            if not row or all(not cell.strip(ASCII_WHITESPACE) for cell in row):
                 continue
             parsed = _parse_metadata_row(row, lineno, path)
             rid = parsed["record_id"]

@@ -26,6 +26,14 @@ the kernel blocks over series and frequencies so that a block holds at most
 call bit for bit.  That equality is why the kernel binds each complex factor
 to a name: numpy reuses an unnamed temporary of 256 KiB or more in place, and
 a complex product computed in place rounds differently.
+
+Sample entropy sorts the templates by their first value and sweeps partner
+offsets in steps of ``SAMPEN_OFFSET_BLOCK``.  A step is offset-major: one
+row per offset, whose gaps are one contiguous difference of two runs of the
+sorted coordinates.  A call makes three buffers once, each of
+``SAMPEN_OFFSET_BLOCK`` rows by N - 1 columns for its N templates: float
+gaps and two boolean masks, 10 bytes per row and template, 160 at the
+default block.
 """
 
 from __future__ import annotations
@@ -292,10 +300,20 @@ def sample_entropy(intervals_ms, m: int = 2, r: float | None = None) -> float:
     sort-and-sweep as in Pan et al. 2011.  The template start values are
     sorted once; a pair can match only if its first coordinates lie within
     ``r``, and such pairs sit at small offsets in sorted order.  Offsets are
-    swept in blocks of ``SAMPEN_OFFSET_BLOCK``, checking every coordinate of
-    each pair with the same ``abs(x_i - x_j) <= r`` test, until a block
-    admits no pair.  Memory is O(n); time is O(n * w) for w the most start
-    values within ``r`` of one of them, so O(n^2) when all lie within ``r``.
+    swept in steps of ``SAMPEN_OFFSET_BLOCK``, checking every coordinate of
+    each pair with the same ``abs(x_i - x_j) <= r`` test, until a step
+    admits no pair.  Time is O(n * w) for w the most start values within
+    ``r`` of one of them, so O(n^2) when all lie within ``r``.
+
+    A step is offset-major: its row t holds the pairs at offset
+    ``offset + t``, and a coordinate's gaps along that row are one
+    contiguous difference of two runs of the sorted coordinates, so each
+    numpy loop covers the whole row.  The coordinates past the last
+    template are ``+inf``, so one row width serves every offset of a step.
+    Each step writes into three buffers of ``SAMPEN_OFFSET_BLOCK`` rows by
+    N - 1 columns, made once per call: the float gaps and two boolean
+    masks, 8 + 1 + 1 bytes per template and row (160 bytes per template at
+    the default block).  With the sorted coordinates, memory is O(n).
     """
     x = np.asarray(intervals_ms, dtype=float)
     n = x.size
@@ -314,19 +332,31 @@ def sample_entropy(intervals_ms, m: int = 2, r: float | None = None) -> float:
     # +inf tail keeps partners past the last template from ever matching
     coords = np.full((m + 1, n_templates + block), np.inf)
     coords[:, :n_templates] = x[order + np.arange(m + 1)[:, None]]
-    # partners[k, p, t] is coords[k, p + t], a view
-    partners = np.lib.stride_tricks.sliding_window_view(coords, block, axis=1)
+    # partners[k, t, p] is coords[k, p + t], a view whose rows are contiguous
+    partners = np.lib.stride_tricks.sliding_window_view(coords, block, axis=1).transpose(0, 2, 1)
+    gap_buffer = np.empty(block * (n_templates - 1))
+    close_buffer = np.empty(gap_buffer.size, dtype=bool)
+    near_buffer = np.empty(gap_buffer.size, dtype=bool)
     matches_m = matches_m1 = 0
     for offset in range(1, n_templates, block):
-        rows = n_templates - offset
+        width = n_templates - offset
+        # row t, column i: the pair of sorted positions i and i + offset + t.  Each step takes
+        # the leading block * width elements of a buffer: numpy's loops ran up to three times
+        # slower on a column slice of a wider array than on a contiguous one.
+        gap, close, near = (buffer[:block * width].reshape(block, width)
+                            for buffer in (gap_buffer, close_buffer, near_buffer))
         # the sorted gap is non-negative, so it equals abs(x_i - x_j) exactly
-        close = partners[0, offset:n_templates] - coords[0, :rows, None] <= r
+        np.subtract(partners[0, :, offset:n_templates], coords[0, :width], out=gap)
+        np.less_equal(gap, r, out=close)
         if not close.any():
             break  # sorted gaps only grow with the offset
-        for k in range(1, m):
-            close &= np.abs(partners[k, offset:n_templates] - coords[k, :rows, None]) <= r
-        matches_m += np.count_nonzero(close)
-        close &= np.abs(partners[m, offset:n_templates] - coords[m, :rows, None]) <= r
+        for k in range(1, m + 1):
+            if k == m:
+                matches_m += np.count_nonzero(close)
+            np.subtract(partners[k, :, offset:n_templates], coords[k, :width], out=gap)
+            np.abs(gap, out=gap)
+            np.less_equal(gap, r, out=near)
+            close &= near
         matches_m1 += np.count_nonzero(close)
     if matches_m == 0:
         return 0.0

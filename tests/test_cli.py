@@ -276,6 +276,26 @@ class TestParseConfigFile:
             parse_config_file(path, "train")
         assert str(info.value) == f"{path}, line 3: duplicate key 'epochs'"
 
+    def test_ascii_space_around_keys_and_values_is_stripped(self, tmp_path):
+        path = tmp_path / "a.conf"
+        path.write_text("\tseeds\t=\t3 \v\n  truncate_controls =  yes\f\n \t \n", encoding="utf-8")
+        assert parse_config_file(path, "ablate") == {"seeds": 3, "truncate_controls": True}
+
+    # str.strip() would read the first three as seeds = 3, truncate_controls = yes and a blank line;
+    # the flag --seeds '3\u00a0' and the tachogram line '800\u00a0' are rejected too
+    @pytest.mark.parametrize("line,complaint", [
+        ("seeds = 3\u00a0", "bad value for 'seeds': not a number: '3\\xa0'"),
+        ("truncate_controls = yes\u00a0", "bad value for 'truncate_controls': not a boolean: 'yes\\xa0'"),
+        ("\u00a0", "expected 'key = value'"),
+        ("seeds\u3000= 3", "unknown key 'seeds\\u3000'"),
+    ])
+    def test_non_ascii_space_is_kept(self, tmp_path, line, complaint):
+        path = tmp_path / "a.conf"
+        path.write_text(f"# comment\n{line}\n", encoding="utf-8")
+        with pytest.raises(ConfigError) as info:
+            parse_config_file(path, "ablate")
+        assert str(info.value) == f"{path}, line 2: {complaint}"
+
     def test_line_without_equals_rejected(self, tmp_path):
         path = tmp_path / "a.conf"
         path.write_text("epochs\n")

@@ -146,6 +146,36 @@ class TestLoadDataset:
         with pytest.raises(DatasetError, match=complaint):
             load_dataset(tacho, meta)
 
+    def test_ascii_space_around_cells_is_stripped(self, tmp_path):
+        tacho, meta = write_dataset(tmp_path, {"a": [800.0] * 4}, [" a ,\tp\t, VTA ,\t1946 , 2\t,\v27.5\f"])
+        meta.write_text(" record_id\t, patient_id ,label,birth_year,nyhac,bmi \n" + meta.read_text().split("\n", 1)[1])
+        records, patients = load_dataset(tacho, meta)
+        assert [(r.record_id, r.patient_id, r.label) for r in records] == [("a", "p", "VTA")]
+        p = patients["p"]
+        assert (p.patient_id, p.birth_decade, p.nyhac, p.bmi) == ("p", 1950, 2, 27.5)
+
+    # str.strip() would read these cells as 1950, 2, 25, VTA and a blank row
+    @pytest.mark.parametrize("row,complaint", [
+        ("a,p,VTA,1950\u00a0,,", "bad birth_year '1950\\xa0'"),
+        ("a,p,VTA,,\u20032,", "bad nyhac '\\u20032'"),
+        ("a,p,VTA,,,25\u3000", "bad bmi '25\\u3000'"),
+        ("a,p,VTA\u00a0,,,", "label must be one of ('Control', 'VTA'), got 'VTA\\xa0'"),
+        ("\u00a0", "expected 6 columns, got 1"),
+        ("\u00a0,\u00a0,\u00a0,,,", "label must be one of ('Control', 'VTA'), got '\\xa0'"),
+    ])
+    def test_non_ascii_space_in_a_cell_is_kept(self, tmp_path, row, complaint):
+        tacho, meta = write_dataset(tmp_path, {"a": [800.0] * 4}, [])
+        meta.write_text(HEADER + row + "\n", encoding="utf-8")
+        with pytest.raises(DatasetError) as info:
+            load_dataset(tacho, meta)
+        assert str(info.value) == f"{meta}, line 2: {complaint}"
+
+    def test_non_ascii_space_in_the_header_is_kept(self, tmp_path):
+        tacho, meta = write_dataset(tmp_path, {"a": [800.0] * 4}, [])
+        meta.write_text(HEADER.replace("bmi", "bmi\u00a0") + "a,p,VTA,,,\n", encoding="utf-8")
+        with pytest.raises(DatasetError, match=f"^{re.escape(str(meta))}, line 1: header must be exactly"):
+            load_dataset(tacho, meta)
+
     def test_error_names_the_first_file_line_of_its_record(self, tmp_path):
         # patient "p\nq" spans file lines 2-3, so the bad nyhac sits on line 4
         tacho, meta = write_dataset(tmp_path, {"a": [800.0] * 4}, ['a,"p\nq",VTA,,,', "b,r,VTA,,7,"])
@@ -201,6 +231,10 @@ class TestTachogramLines:
         ("800\x0c900", "not a number: '800\\x0c900'"),
         ("8_00", "not a number: '8_00'"),                  # float() reads 800
         ("\uff18\uff10\uff10", "not a number: '\uff18\uff10\uff10'"),  # full-width 800
+        # non-ASCII space is kept, as --seeds '3\u00a0' keeps it; ASCII space and tab are stripped
+        ("800\u00a0", "not a number: '800\\xa0'"),
+        ("\u3000800", "not a number: '\\u3000800'"),
+        (" 800\u00a0\t", "not a number: '800\\xa0'"),
     ])
     def test_first_bad_line_named_counting_blank_lines(self, tmp_path, bad, complaint):
         tacho, meta, path = write_raw_tachogram(tmp_path, f"800\n\n{bad}\n900\n".encode())

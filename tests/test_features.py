@@ -467,6 +467,34 @@ class TestBaseline11:
                 for m in range(1, min(3, n - 2) + 1):
                     assert sample_entropy(x, m=m) == sample_entropy_loops(x, m=m)
 
+    @pytest.mark.parametrize("wide_block", [False, True])
+    @pytest.mark.parametrize("n_templates", [15, 16, 17, 32, 33])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_sample_entropy_at_block_boundaries(self, rng, monkeypatch, m, n_templates, wide_block):
+        # template counts on either side of one and two steps of the default block, and a block
+        # wider than every offset, so that one step sweeps them all; r = 1e9 matches every pair,
+        # so the sweep runs to the last offset
+        if wide_block:
+            monkeypatch.setattr(features, "SAMPEN_OFFSET_BLOCK", n_templates + 5)
+        for x in _entropy_inputs(rng, n_templates + m).values():
+            for r in (None, 0.0, 1e9):
+                assert sample_entropy(x, m=m, r=r) == sample_entropy_loops(x, m=m, r=r), (x, r)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_sample_entropy_stops_when_the_first_step_finds_no_pair(self, rng, m):
+        # start values 10 ms apart in shuffled order: no pair lies within r = 9.99
+        x = rng.permutation(800.0 + 10.0 * np.arange(70))
+        assert sample_entropy(x, m=m, r=9.99) == sample_entropy_loops(x, m=m, r=9.99) == 0.0
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_sample_entropy_counts_gaps_equal_to_r(self, rng, m):
+        # on an integer grid many gaps are exactly r = 2.0, which abs(x_i - x_j) <= r counts
+        # and the next float below 2.0 does not
+        for n in (20, 64, 150):
+            x = rng.integers(790, 811, n).astype(float)
+            for r in (2.0, np.nextafter(2.0, 0.0)):
+                assert sample_entropy(x, m=m, r=r) == sample_entropy_loops(x, m=m, r=r), (n, r)
+
     def test_sample_entropy_constant_sequence(self):
         # r = 0 and every pair matches at both lengths: -log(1)
         x = np.full(150, 800.0)
