@@ -74,7 +74,6 @@ from .evaluation import (
     CVConfig,
     EvalReport,
     EvaluationError,
-    Predictions,
     ablation_config,
     auc,
     format_report_table,

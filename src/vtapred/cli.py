@@ -271,8 +271,8 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     paths["/report.txt"].write_text(table, encoding="utf-8")
     write_per_seed_csv(paths["/per_seed.csv"], report)
     paths["/predictions"].mkdir(exist_ok=True)
-    for (row, seed), preds in report.predictions.items():
-        write_predictions_csv(paths["/predictions"] / f"{row}_seed{seed}.csv", preds)
+    for (row, seed), probs in report.probs.items():
+        write_predictions_csv(paths["/predictions"] / f"{row}_seed{seed}.csv", report.record_ids, report.labels, probs)
     write_manifest(paths["/manifest.json"], args, settings, seed_list, len(records))
     sys.stdout.write(table)
     return 0

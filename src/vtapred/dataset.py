@@ -29,7 +29,7 @@ METADATA_COLUMNS = ("record_id", "patient_id", "label", "birth_year", "nyhac", "
 
 MAX_INTERVAL_MS = 5000.0
 DEFAULT_HORIZON_MS = 60000.0
-DEFAULT_MIN_BEATS = 250
+DEFAULT_MIN_BEATS = 250  # >= features.WINDOW_BEATS: a kept record holds its trend window
 
 BMI_RANGE = (10.0, 100.0)
 NYHAC_CLASSES = (1, 2, 3, 4)
@@ -309,9 +309,11 @@ def load_dataset(tachogram_dir, metadata_file) -> tuple[list[RRRecord], dict[str
 
     Returns:
         (records, patients): records sorted by record id, and a mapping from
-        patient id to PatientMeta.  A tachogram without a metadata row, two
-        files with one stem, or any malformed line, raises DatasetError
-        naming the offending location.
+        patient id to PatientMeta, every patient of the metadata included.
+        A tachogram without a metadata row, two files with one stem, or any
+        malformed line, raises DatasetError naming the offending location.
+        Metadata rows without a tachogram are left out with one logged
+        warning that names the first five of them.
     """
     dir_path = Path(tachogram_dir)
     if not dir_path.is_dir():
@@ -331,4 +333,8 @@ def load_dataset(tachogram_dir, metadata_file) -> tuple[list[RRRecord], dict[str
         if row is None:
             raise DatasetError(f"{path}: no metadata row for record {rid!r}")
         records.append(RRRecord(rid, _read_tachogram(path), row["label"], row["patient_id"]))
+    missing = sorted(rows.keys() - {rec.record_id for rec in records})
+    if missing:
+        log.warning("ignoring %d metadata rows without a tachogram file: %s%s", len(missing),
+                    ", ".join(map(repr, missing[:5])), ", ..." if len(missing) > 5 else "")
     return records, patients

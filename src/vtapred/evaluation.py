@@ -69,15 +69,6 @@ class CVConfig:
             raise ValueError(f"k_folds must be >= 2, got {self.k_folds!r}")
 
 
-@dataclass(eq=False)
-class Predictions:
-    """Pooled held-out predictions, in input record order."""
-
-    record_ids: list[str]
-    labels: np.ndarray  # class codes, indices into dataset.LABELS
-    probs: np.ndarray   # predicted event probability
-
-
 def make_folds(labels, k: int, rng: np.random.Generator) -> list[np.ndarray]:
     """Stratified fold assignment: shuffle within each class, deal round-robin.
 
@@ -230,8 +221,8 @@ def fit_model(
     return params, history, standardizers
 
 
-def run_cv(cohort: Cohort, config: CVConfig, seed: int) -> Predictions:
-    """One cross-validated evaluation: returns pooled held-out predictions.
+def run_cv(cohort: Cohort, config: CVConfig, seed: int) -> np.ndarray:
+    """One cross-validated evaluation: the held-out event probability of each cohort row, in row order.
 
     ``cohort`` must be built with ``config.features``.  Per fold, the
     standardizers (features and the BMI target) are fitted on the training
@@ -258,8 +249,7 @@ def run_cv(cohort: Cohort, config: CVConfig, seed: int) -> Predictions:
         except TrainingError as exc:
             raise TrainingError(f"fold {fold_i}: {exc}") from None
         probs[test_idx] = predict(params, build_examples(cohort, test_idx, *standardizers))
-
-    return Predictions(list(cohort.record_ids), cohort.y_vta, probs)
+    return probs
 
 
 def ablation_config(row: str, base: CVConfig) -> CVConfig:
@@ -281,16 +271,15 @@ def ablation_config(row: str, base: CVConfig) -> CVConfig:
 
 @dataclass(eq=False)
 class EvalReport:
+    """The grid's metrics and its held-out probabilities, each run's aligned with ``record_ids``."""
+
     rows: tuple[str, ...]
     seeds: tuple[int, ...]
     per_seed: dict[str, dict[int, dict[str, float]]]
     means: dict[str, dict[str, float]]
-    predictions: dict[tuple[str, int], Predictions]
-
-
-def _run_item(payload):
-    row, seed, cohort, config = payload
-    return row, seed, run_cv(cohort, config, seed)
+    record_ids: tuple[str, ...]
+    labels: np.ndarray  # class codes, indices into dataset.LABELS
+    probs: dict[tuple[str, int], np.ndarray]
 
 
 def run_ablation(
@@ -311,41 +300,44 @@ def run_ablation(
     seed_list = tuple(int(s) for s in seeds)
     if not seed_list:
         raise EvaluationError("need at least one seed")
+    counts = {label: sum(rec.label == label for rec in records) for label in LABELS}
+    if not all(counts.values()):
+        found = ", ".join(f"{count} {label}" for label, count in counts.items())
+        raise EvaluationError(f"the grid's AUC needs records of both classes, got {found}")
     configs = {row: ablation_config(row, base) for row in ABLATION_ROWS}
     cohorts = {
         features: build_cohort(records, patients, features)
         for features in dict.fromkeys(config.features for config in configs.values())
     }
 
-    items = [
-        (row, seed, cohorts[configs[row].features], configs[row])
-        for row in ABLATION_ROWS
-        for seed in seed_list
-    ]
+    items = [(row, seed) for row in ABLATION_ROWS for seed in seed_list]
+    # run_cv's arguments, one of each per item
+    arguments = ([cohorts[configs[row].features] for row, _ in items], [configs[row] for row, _ in items],
+                 [seed for _, seed in items])
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # only pooled runs pay for its import
 
         # the pool starts every worker at once, so it gets no more than there are items
         with ProcessPoolExecutor(max_workers=min(jobs, len(items))) as pool:
-            results = list(pool.map(_run_item, items))
+            probs = dict(zip(items, pool.map(run_cv, *arguments)))
     else:
-        results = [_run_item(item) for item in items]
+        probs = dict(zip(items, map(run_cv, *arguments)))
 
-    predictions = {(row, seed): preds for row, seed, preds in results}
+    # every cohort holds the records in the order given, so any one of them names the rows
+    cohort = next(iter(cohorts.values()))
     per_seed: dict[str, dict[int, dict[str, float]]] = {}
     means: dict[str, dict[str, float]] = {}
     for row in ABLATION_ROWS:
         per_seed[row] = {}
         for seed in seed_list:
-            preds = predictions[(row, seed)]
-            stats = metrics(preds.labels, preds.probs, base.threshold)
-            stats["auc"] = auc(preds.labels, preds.probs)
+            stats = metrics(cohort.y_vta, probs[row, seed], base.threshold)
+            stats["auc"] = auc(cohort.y_vta, probs[row, seed])
             per_seed[row][seed] = stats
         means[row] = {
             name: float(np.mean([per_seed[row][s][name] for s in seed_list]))
             for name in METRIC_NAMES
         }
-    return EvalReport(ABLATION_ROWS, seed_list, per_seed, means, predictions)
+    return EvalReport(ABLATION_ROWS, seed_list, per_seed, means, cohort.record_ids, cohort.y_vta, probs)
 
 
 def format_report_table(report: EvalReport) -> str:
@@ -378,10 +370,10 @@ def write_per_seed_csv(path, report: EvalReport) -> None:
                 writer.writerow([ROW_LABELS[row], seed, *(f"{stats[m]:.17g}" for m in METRIC_NAMES)])
 
 
-def write_predictions_csv(path, predictions: Predictions) -> None:
-    """Pooled per-record predictions: record_id,label,probability."""
+def write_predictions_csv(path, record_ids, labels, probs) -> None:
+    """Pooled per-record predictions: record_id,label,probability; ``labels`` are class codes."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["record_id", "label", "probability"])
-        for rid, label, prob in zip(predictions.record_ids, predictions.labels, predictions.probs):
+        for rid, label, prob in zip(record_ids, labels, probs):
             writer.writerow([rid, LABELS[label], f"{prob:.17g}"])

@@ -51,7 +51,7 @@ FEATURE_SET_BASELINE11 = "baseline11"
 FEATURE_SETS = (FEATURE_SET_RECENT, FEATURE_SET_BASELINE11)
 
 RECENT_BEATS = 30  # clean beats behind the recent-beat statistics
-WINDOW_BEATS = 250  # raw beats of the windowed trends, split into two halves
+WINDOW_BEATS = 250  # raw beats of the windowed trends (even), split into two halves
 ECTOPIC_THRESHOLD = 0.2  # relative deviation from the running mean that flags a beat
 ECTOPIC_REF_BEATS = 5  # accepted beats behind that running mean
 FREQ_GRID_STEP_HZ = 0.005
@@ -90,21 +90,19 @@ class FeatureConfig:
             raise ValueError(f"feature_set must be one of {FEATURE_SETS}, got {self.feature_set!r}")
 
 
-def detect_ectopic(
-    intervals_ms,
-    threshold: float = ECTOPIC_THRESHOLD,
-    ref_beats: int = ECTOPIC_REF_BEATS,
-) -> np.ndarray:
+def detect_ectopic(intervals_ms) -> np.ndarray:
     """Flag beats deviating from the running mean of recent accepted beats.
 
     A beat is ectopic when it differs from the mean of the previous
-    ``ref_beats`` non-ectopic beats by more than ``threshold`` (relative).
-    The first ``ref_beats`` beats are assumed normal and seed the reference.
-    Flagged beats do not update the reference, so a run of short beats after
-    an ectopic one keeps being measured against the last sane baseline.
+    ``ECTOPIC_REF_BEATS`` non-ectopic beats by more than
+    ``ECTOPIC_THRESHOLD`` (relative).  The first ``ECTOPIC_REF_BEATS`` beats
+    are assumed normal and seed the reference.  Flagged beats do not update
+    the reference, so a run of short beats after an ectopic one keeps being
+    measured against the last sane baseline.
 
     Returns a boolean mask aligned with the input (True = ectopic).
     """
+    threshold, ref_beats = ECTOPIC_THRESHOLD, ECTOPIC_REF_BEATS
     x = np.asarray(intervals_ms, dtype=float)
     if x.ndim != 1 or x.size < ref_beats + 1:
         raise FeatureError("sequence too short for ectopic filtering")
@@ -130,17 +128,17 @@ def detect_ectopic(
     return mask
 
 
-def time_stats(intervals_ms, recent_beats: int = RECENT_BEATS):
-    """(mean, min, max) of the last ``recent_beats`` intervals.
+def time_stats(intervals_ms):
+    """(mean, min, max) of the last ``RECENT_BEATS`` intervals.
 
     The caller is expected to pass an ectopic-filtered sequence; this function
     only checks that enough beats remain.  A 1-D sequence gives three floats;
     an (..., n) stack gives three arrays with one value per row.
     """
     x = np.asarray(intervals_ms, dtype=float)
-    if x.ndim == 0 or x.shape[-1] < recent_beats:
-        raise FeatureError(f"need at least {recent_beats} beats for recent-beat statistics")
-    tail = x[..., -recent_beats:]
+    if x.ndim == 0 or x.shape[-1] < RECENT_BEATS:
+        raise FeatureError(f"need at least {RECENT_BEATS} beats for recent-beat statistics")
+    tail = x[..., -RECENT_BEATS:]
     stats = tail.mean(axis=-1), tail.min(axis=-1), tail.max(axis=-1)
     return tuple(float(s) for s in stats) if x.ndim == 1 else stats
 
@@ -259,8 +257,8 @@ def _lomb_scargle(times_s: np.ndarray, centred: np.ndarray, lo_hz: float, n_freq
     return pgram.reshape(times_s.shape[:-1] + (n_freqs,))
 
 
-def windowed_diff(intervals_ms, ectopic_mask, window_beats: int = WINDOW_BEATS) -> tuple[float, int]:
-    """Trend features over the last ``window_beats`` raw beats.
+def windowed_diff(intervals_ms, ectopic_mask) -> tuple[float, int]:
+    """Trend features over the last ``WINDOW_BEATS`` raw beats.
 
     The window is split in the middle: B holds the older half, A the most
     recent half.  Returns (mean_A - mean_B, ectopic_count_A - ectopic_count_B)
@@ -271,13 +269,11 @@ def windowed_diff(intervals_ms, ectopic_mask, window_beats: int = WINDOW_BEATS) 
     mask = np.asarray(ectopic_mask, dtype=bool)
     if x.shape != mask.shape:
         raise FeatureError("intervals and ectopic mask must have the same length")
-    if window_beats < 2 or window_beats % 2:
-        raise FeatureError("window_beats must be an even number >= 2")
-    if x.size < window_beats:
-        raise FeatureError(f"need at least {window_beats} beats for windowed features")
-    half = window_beats // 2
+    if x.size < WINDOW_BEATS:
+        raise FeatureError(f"need at least {WINDOW_BEATS} beats for windowed features")
+    half = WINDOW_BEATS // 2
     recent, recent_mask = x[-half:], mask[-half:]
-    older, older_mask = x[-window_beats:-half], mask[-window_beats:-half]
+    older, older_mask = x[-WINDOW_BEATS:-half], mask[-WINDOW_BEATS:-half]
     kept_recent = recent[~recent_mask]
     kept_older = older[~older_mask]
     if kept_recent.size == 0 or kept_older.size == 0:

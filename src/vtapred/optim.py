@@ -62,9 +62,9 @@ class TrainConfig:
                 raise ValueError(f"{name} must be finite and >= 0")
 
 
-def clip(gradient: np.ndarray, limit: float, out: np.ndarray | None = None) -> np.ndarray:
-    """Clamp every component to [-limit, limit] (into ``out`` when given)."""
-    return np.clip(gradient, -limit, limit, out=out)
+def clip(gradient: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Clamp every component to [-CLIP_LIMIT, CLIP_LIMIT] (into ``out`` when given)."""
+    return np.clip(gradient, -CLIP_LIMIT, CLIP_LIMIT, out=out)
 
 
 class AdaDeltaState:
@@ -164,7 +164,7 @@ def train(
         if not np.isfinite(total):
             raise TrainingError(f"non-finite loss at epoch {epoch}")
         backward(params, cache, batch, config.lam_nyhac, config.lam_bmi, out=grads)
-        clip(g, CLIP_LIMIT, out=g)
+        clip(g, out=g)
         # largest |g| without an |g| buffer; exact, as negation is.  0.0 comes
         # first so that an all-zero gradient reads +0.0, as abs() gives
         max_grad = float(max(0.0, g.max(), -g.min()))

@@ -191,8 +191,7 @@ def test_criterion_5_separable_task_learnability():
     train(batch, config.train, params, np.random.default_rng([0, DROPOUT_STREAM, 0]))
     train_acc = float(np.mean((predict(params, batch) >= 0.5).astype(int) == batch.y_vta))
 
-    preds = run_cv(cohort, config, seed=0)
-    cv_acc = metrics(preds.labels, preds.probs)["accuracy"]
+    cv_acc = metrics(cohort.y_vta, run_cv(cohort, config, seed=0))["accuracy"]
     elapsed = time.perf_counter() - started
     ok = train_acc >= 0.95 and cv_acc >= 0.90 and elapsed < 300.0
     verdict(5, "separable-task learnability", ok,
@@ -210,8 +209,7 @@ def test_criterion_6_label_shuffle_null():
     for seed in range(10):
         perm = np.random.default_rng([seed, 101]).permutation(len(cohort))
         shuffled = replace(cohort, y_vta=cohort.y_vta[perm])
-        preds = run_cv(shuffled, config, seed=seed)
-        aucs.append(auc(preds.labels, preds.probs))
+        aucs.append(auc(shuffled.y_vta, run_cv(shuffled, config, seed=seed)))
     mean_auc = float(np.mean(aucs))
     ok = 0.40 <= mean_auc <= 0.60
     verdict(6, "label-shuffle null", ok, f"mean AUC {mean_auc:.3f} over 10 seeds")

@@ -16,15 +16,15 @@ import pytest
 
 import vtapred
 from vtapred import (
-    CVConfig, DatasetError, apply_decision_boundary, backward, detect_ectopic, load_dataset, load_checkpoint, loss,
-    metrics, prepare_records, run_ablation, time_stats, windowed_diff,
+    CVConfig, DatasetError, apply_decision_boundary, backward, load_dataset, load_checkpoint, loss, metrics,
+    prepare_records, run_ablation,
 )
 from vtapred.cli import (
     SETTINGS, ConfigError, build_configs, build_parser, dataset_checksum, main, parse_config_file, read_by,
     resolve_settings,
 )
 from vtapred.evaluation import INIT_STREAM
-from vtapred.features import ECTOPIC_REF_BEATS, ECTOPIC_THRESHOLD, RECENT_BEATS, WINDOW_BEATS, FeatureConfig
+from vtapred.features import FeatureConfig
 from vtapred.network import TRAIN_DTYPE, NetworkConfig, active_tasks, init_params
 from vtapred.synthetic import write_tachogram_dataset
 
@@ -163,14 +163,6 @@ class TestFeaturesCommand:
         assert ctl_a != ctl_b
 
 
-# (function, parameter) -> the fixed feature-recipe constant its default stands for
-CONSTANT_DEFAULTS = {
-    (detect_ectopic, "threshold"): ECTOPIC_THRESHOLD,
-    (detect_ectopic, "ref_beats"): ECTOPIC_REF_BEATS,
-    (time_stats, "recent_beats"): RECENT_BEATS,
-    (windowed_diff, "window_beats"): WINDOW_BEATS,
-}
-
 # (function, parameter) -> the setting its default stands for
 SIGNATURE_DEFAULTS = {
     (metrics, "threshold"): "threshold",
@@ -205,8 +197,6 @@ class TestSettings:
             default = inspect.signature(fn).parameters[name].default
             assert default == settings[key], (fn.__name__, name)
             assert type(default) is type(settings[key]), (fn.__name__, name)
-        for (fn, name), constant in CONSTANT_DEFAULTS.items():
-            assert inspect.signature(fn).parameters[name].default is constant, (fn.__name__, name)
         for fn, names in NO_DEFAULTS.items():
             parameters = inspect.signature(fn).parameters
             for name in names:
@@ -251,6 +241,15 @@ class TestSettings:
         assert [shlex.split(line)[1] for line in examples] == list(COMMANDS)
         for line in examples:
             build_parser().parse_args(shlex.split(line)[1:])  # an unknown flag exits
+
+    def test_readme_library_use_runs(self, data, capsys):
+        readme = README.read_text(encoding="utf-8")
+        block = readme.split("## Library use\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+        assert block.count('"data/tachograms"') == 1 and block.count('"data/metadata.csv"') == 1
+        code = block.replace('"data/tachograms"', repr(data[0])).replace('"data/metadata.csv"', repr(data[1]))
+        exec(compile(code, "README.md", "exec"), {})
+        printed = capsys.readouterr().out
+        assert printed.startswith("{'accuracy': ") and "'no_positive_predictions': " in printed
 
 
 class TestParseConfigFile:

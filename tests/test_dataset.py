@@ -66,6 +66,25 @@ class TestLoadDataset:
         ids = [r.record_id for r in records]
         assert ids == sorted(ids)
 
+    @pytest.mark.parametrize("missing, named", [
+        ((3, 11, 20), "3 metadata rows without a tachogram file: 'r03', 'r11', 'r20'"),
+        ((0, 1, 2, 3, 4, 5, 23), "7 metadata rows without a tachogram file: 'r00', 'r01', 'r02', 'r03', 'r04', ..."),
+    ])
+    def test_metadata_rows_without_a_file_are_named_once(self, tmp_path, caplog, missing, named):
+        # every patient stays in the returned metadata, as the decade vocabulary reads it
+        rows = [f"r{i:02d},p{i:02d},{'VTA' if i % 2 else 'Control'},{1930 + i},," for i in range(24)]
+        tachograms = {f"r{i:02d}": [800.0] * 5 for i in range(24) if i not in missing}
+        tacho, meta = write_dataset(tmp_path, tachograms, rows)
+        with caplog.at_level(logging.WARNING):
+            records, patients = load_dataset(tacho, meta)
+        assert len(records) == 24 - len(missing) and len(patients) == 24
+        assert caplog.messages == [f"ignoring {named}"]
+
+    def test_complete_dataset_logs_nothing(self, tacho_dataset, caplog):
+        with caplog.at_level(logging.WARNING):
+            load_dataset(*tacho_dataset)
+        assert not caplog.messages
+
     def test_load_is_deterministic(self, tacho_dataset):
         first, _ = load_dataset(*tacho_dataset)
         second, _ = load_dataset(*tacho_dataset)

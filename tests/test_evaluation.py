@@ -20,6 +20,7 @@ from vtapred import (
     ablation_config,
     auc,
     build_cohort,
+    evaluation,
     format_report_table,
     init_params,
     make_folds,
@@ -229,24 +230,23 @@ class TestAuc:
 
 class TestRunCV:
     def test_every_record_scored_exactly_once(self, gaussian200):
-        preds = run_cv(gaussian200, quick_config(), seed=0)
-        assert len(preds.record_ids) == len(gaussian200)
-        assert np.isfinite(preds.probs).all()
-        assert preds.record_ids == list(gaussian200.record_ids)
+        probs = run_cv(gaussian200, quick_config(), seed=0)
+        assert probs.shape == (len(gaussian200),) and probs.dtype == np.float64
+        assert np.isfinite(probs).all()
 
     def test_same_seed_is_bit_identical(self, gaussian200):
         a = run_cv(gaussian200, quick_config(), seed=3)
         b = run_cv(gaussian200, quick_config(), seed=3)
-        np.testing.assert_array_equal(a.probs, b.probs)
+        np.testing.assert_array_equal(a, b)
 
     def test_different_seeds_differ(self, gaussian200):
         a = run_cv(gaussian200, quick_config(), seed=0)
         b = run_cv(gaussian200, quick_config(), seed=1)
-        assert not np.array_equal(a.probs, b.probs)
+        assert not np.array_equal(a, b)
 
     def test_learns_the_separable_task(self, gaussian200):
-        preds = run_cv(gaussian200, quick_config(), seed=0)
-        assert metrics(preds.labels, preds.probs)["accuracy"] >= 0.9
+        probs = run_cv(gaussian200, quick_config(), seed=0)
+        assert metrics(gaussian200.y_vta, probs)["accuracy"] >= 0.9
 
     def test_no_leakage_from_held_out_records(self, gaussian200):
         """Corrupting one test record must not move its fold-mates' scores.
@@ -265,17 +265,17 @@ class TestRunCV:
         dirty = run_cv(replace(gaussian200, X=X), config, seed=5)
 
         siblings = [i for i in victim_fold.tolist() if i != victim]
-        np.testing.assert_array_equal(clean.probs[siblings], dirty.probs[siblings])
-        assert clean.probs[victim] != dirty.probs[victim]
+        np.testing.assert_array_equal(clean[siblings], dirty[siblings])
+        assert clean[victim] != dirty[victim]
 
     def test_runs_without_embedding(self, gaussian200):
-        preds = run_cv(gaussian200, quick_config(use_embedding=False), seed=0)
-        assert np.isfinite(preds.probs).all()
+        probs = run_cv(gaussian200, quick_config(use_embedding=False), seed=0)
+        assert np.isfinite(probs).all()
 
     def test_patient_grouped_mode(self, gaussian200):
         config = quick_config(patient_grouped=True, k_folds=5)
-        preds = run_cv(gaussian200, config, seed=0)
-        assert np.isfinite(preds.probs).all()
+        probs = run_cv(gaussian200, config, seed=0)
+        assert np.isfinite(probs).all()
 
     def test_undersized_class_named_by_value_and_label(self, gaussian200):
         y_vta = np.zeros(len(gaussian200), dtype=int)
@@ -397,9 +397,8 @@ class TestRunAblation:
         report = run_ablation(records, patients, base, seeds=range(1), jobs=1)
         row_cfg = ablation_config(ROW_MULTI_TASK, base)
         direct = run_cv(build_cohort(records, patients, row_cfg.features), row_cfg, seed=0)
-        np.testing.assert_array_equal(
-            report.predictions[(ROW_MULTI_TASK, 0)].probs, direct.probs)
-        direct_stats = metrics(direct.labels, direct.probs, base.threshold)
+        np.testing.assert_array_equal(report.probs[(ROW_MULTI_TASK, 0)], direct)
+        direct_stats = metrics(report.labels, direct, base.threshold)
         for name in ("accuracy", "sensitivity", "specificity", "precision"):
             assert report.means[ROW_MULTI_TASK][name] == pytest.approx(direct_stats[name])
 
@@ -408,8 +407,8 @@ class TestRunAblation:
         base = CVConfig(train=TrainConfig(epochs=10), k_folds=3)
         serial = run_ablation(records, patients, base, seeds=range(2), jobs=1)
         parallel = run_ablation(records, patients, base, seeds=range(2), jobs=2)
-        for key, preds in serial.predictions.items():
-            np.testing.assert_array_equal(preds.probs, parallel.predictions[key].probs)
+        for key, probs in serial.probs.items():
+            np.testing.assert_array_equal(probs, parallel.probs[key])
         assert serial.means == parallel.means
 
     def test_pool_gets_no_more_workers_than_items(self, prepared_records, monkeypatch):
@@ -426,8 +425,8 @@ class TestRunAblation:
             def __exit__(self, *exc_info):
                 return False
 
-            def map(self, fn, items):
-                return map(fn, items)
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
 
         records, patients = prepared_records
         base = CVConfig(train=TrainConfig(epochs=10), k_folds=3)
@@ -435,10 +434,24 @@ class TestRunAblation:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         pooled = run_ablation(records, patients, base, seeds=[0], jobs=64)
         assert requested == [len(ABLATION_ROWS)]
-        for key, preds in serial.predictions.items():
-            np.testing.assert_array_equal(preds.probs, pooled.predictions[key].probs)
+        for key, probs in serial.probs.items():
+            np.testing.assert_array_equal(probs, pooled.probs[key])
         assert serial.means == pooled.means
         assert serial.per_seed == pooled.per_seed
+
+    def test_single_class_rejected_before_any_work(self, prepared_records, monkeypatch):
+        records, patients = prepared_records
+        controls = [rec for rec in records if rec.label == LABEL_CONTROL]
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("the grid started work it could not report")
+
+        monkeypatch.setattr(evaluation, "build_cohort", must_not_run)
+        monkeypatch.setattr(evaluation, "fit_model", must_not_run)
+        with pytest.raises(EvaluationError) as caught:
+            run_ablation(controls, patients, CVConfig(k_folds=3), seeds=range(2), jobs=1)
+        assert str(caught.value) == (
+            f"the grid's AUC needs records of both classes, got {len(controls)} {LABEL_CONTROL}, 0 {LABEL_VTA}")
 
     def test_zero_seeds_rejected(self, prepared_records):
         records, patients = prepared_records
@@ -477,13 +490,13 @@ class TestReportWriters:
         assert len(lines) == 1 + 4 * 2
 
     def test_predictions_csv_round_trips_probabilities(self, small_report, tmp_path):
-        preds = small_report.predictions[(ROW_MULTI_TASK, 0)]
+        probs = small_report.probs[(ROW_MULTI_TASK, 0)]
         path = tmp_path / "preds.csv"
-        write_predictions_csv(path, preds)
+        write_predictions_csv(path, small_report.record_ids, small_report.labels, probs)
         lines = path.read_text().splitlines()
         assert lines[0] == "record_id,label,probability"
-        assert len(lines) == 1 + len(preds.record_ids)
+        assert len(lines) == 1 + len(small_report.record_ids)
         rid, label, prob = lines[1].split(",")
-        assert rid == preds.record_ids[0]
+        assert rid == small_report.record_ids[0]
         assert label in ("VTA", "Control")
-        assert float(prob) == preds.probs[0]
+        assert float(prob) == probs[0]

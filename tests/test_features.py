@@ -39,6 +39,7 @@ from vtapred import (
     windowed_diff,
     write_feature_matrix,
 )
+from vtapred.dataset import DEFAULT_MIN_BEATS
 from vtapred.features import (
     FREQ_GRID_STEP_HZ, HF_BAND, LF_BAND, LOMB_BLOCK_VALUES, RECENT_BEATS, _grid_points, _lomb_scargle,
 )
@@ -59,7 +60,7 @@ def assert_same_bits(got, want):
 class TestDetectEctopic:
     def test_single_large_outlier_flagged(self):
         x = [800.0] * 5 + [400.0] + [800.0] * 4
-        mask = detect_ectopic(x, threshold=0.2, ref_beats=5)
+        mask = detect_ectopic(x)
         assert mask.tolist() == [False] * 5 + [True] + [False] * 4
 
     def test_flagged_beat_does_not_shift_reference(self):
@@ -78,7 +79,7 @@ class TestDetectEctopic:
 
     def test_too_short_message(self):
         with pytest.raises(FeatureError, match="sequence too short for ectopic filtering"):
-            detect_ectopic([800.0] * 5, ref_beats=5)
+            detect_ectopic([800.0] * 5)
 
     def test_mask_invariant_under_scaling(self, rng):
         for _ in range(10):
@@ -91,7 +92,7 @@ class TestDetectEctopic:
         x = rng.normal(800.0, 30.0, 57)
         assert detect_ectopic(x).shape == (57,)
 
-    def test_matches_the_numpy_scalar_loop(self, rng):
+    def test_matches_the_numpy_scalar_loop(self, rng, monkeypatch):
         cases = []
         for _ in range(1200):
             ref_beats = int(rng.integers(1, 9))
@@ -107,8 +108,9 @@ class TestDetectEctopic:
         # beats exactly on the threshold, which stay accepted
         cases.append((np.r_[np.full(4, 1000.0), 1250.0, 750.0, 1000.0], 0.25, 4))
         for x, threshold, ref_beats in cases:
-            assert np.array_equal(detect_ectopic(x, threshold, ref_beats),
-                                  ectopic_mask_loop(x, threshold, ref_beats))
+            monkeypatch.setattr(features, "ECTOPIC_THRESHOLD", threshold)
+            monkeypatch.setattr(features, "ECTOPIC_REF_BEATS", ref_beats)
+            assert np.array_equal(detect_ectopic(x), ectopic_mask_loop(x, threshold, ref_beats))
 
     def test_seed_total_is_summed_left_to_right(self):
         # The next beat sits on the 20% edge: the plain left-to-right sum of the
@@ -126,12 +128,12 @@ class TestDetectEctopic:
 
 class TestTimeStats:
     def test_constant_tail(self):
-        mean, lo, hi = time_stats(np.full(45, 800.0), recent_beats=30)
+        mean, lo, hi = time_stats(np.full(45, 800.0))
         assert (mean, lo, hi) == (800.0, 800.0, 800.0)
 
     def test_alternating_tail(self):
         x = np.where(np.arange(30) % 2 == 0, 790.0, 810.0)
-        mean, lo, hi = time_stats(x, recent_beats=30)
+        mean, lo, hi = time_stats(x)
         assert mean == pytest.approx(800.0)
         assert (lo, hi) == (790.0, 810.0)
 
@@ -139,22 +141,22 @@ class TestTimeStats:
         x = np.array([800.0] * 5 + [9999.0] + [800.0] * 25)
         mask = detect_ectopic(x)
         assert mask.sum() == 1
-        mean, lo, hi = time_stats(x[~mask], recent_beats=30)
+        mean, lo, hi = time_stats(x[~mask])
         assert (mean, lo, hi) == (800.0, 800.0, 800.0)
 
     def test_only_last_beats_counted(self):
         x = np.array([600.0] * 10 + [800.0] * 30)
-        assert time_stats(x, recent_beats=30) == (800.0, 800.0, 800.0)
+        assert time_stats(x) == (800.0, 800.0, 800.0)
 
     def test_insufficient_beats(self):
         with pytest.raises(FeatureError, match="recent-beat statistics"):
-            time_stats(np.full(29, 800.0), recent_beats=30)
+            time_stats(np.full(29, 800.0))
 
     def test_stack_gives_each_rows_stats(self, rng):
         x = rng.normal(800.0, 35.0, (5, 40))
-        stats = time_stats(x, recent_beats=30)
+        stats = time_stats(x)
         for i, row in enumerate(x):
-            assert tuple(column[i] for column in stats) == time_stats(row, recent_beats=30)
+            assert tuple(column[i] for column in stats) == time_stats(row)
 
 
 class TestBandPower:
@@ -340,18 +342,18 @@ class TestWindowedDiff:
         mask = np.zeros(250, dtype=bool)
         mask[-6:] = True        # six in the recent half
         mask[10:12] = True      # two in the older half
-        delta_mean, delta_count = windowed_diff(x, mask, window_beats=250)
+        delta_mean, delta_count = windowed_diff(x, mask)
         assert delta_count == 4
         assert delta_mean == 0.0
 
     def test_identical_halves_vanish(self):
         x = np.tile(np.linspace(700.0, 900.0, 125), 2)
         mask = np.zeros(250, dtype=bool)
-        assert windowed_diff(x, mask, 250) == (0.0, 0)
+        assert windowed_diff(x, mask) == (0.0, 0)
 
     def test_accelerating_rhythm_is_negative(self):
         x = np.r_[np.full(125, 800.0), np.full(125, 620.0)]
-        delta_mean, delta_count = windowed_diff(x, np.zeros(250, dtype=bool), 250)
+        delta_mean, delta_count = windowed_diff(x, np.zeros(250, dtype=bool))
         assert delta_mean == pytest.approx(-180.0)
         assert delta_count == 0
 
@@ -360,7 +362,7 @@ class TestWindowedDiff:
         mask = np.zeros(250, dtype=bool)
         x[-1] = 3000.0
         mask[-1] = True
-        delta_mean, _ = windowed_diff(x, mask, 250)
+        delta_mean, _ = windowed_diff(x, mask)
         assert delta_mean == pytest.approx(-180.0)
 
     def test_antisymmetric_under_half_swap(self, rng):
@@ -370,10 +372,10 @@ class TestWindowedDiff:
             swapped_x = np.r_[x[125:], x[:125]]
             swapped_m = np.r_[mask[125:], mask[:125]]
             try:
-                dm, dc = windowed_diff(x, mask, 250)
+                dm, dc = windowed_diff(x, mask)
             except FeatureError:
                 continue
-            dm2, dc2 = windowed_diff(swapped_x, swapped_m, 250)
+            dm2, dc2 = windowed_diff(swapped_x, swapped_m)
             assert dm2 == pytest.approx(-dm)
             assert dc2 == -dc
 
@@ -381,20 +383,21 @@ class TestWindowedDiff:
         with pytest.raises(FeatureError, match="same length"):
             windowed_diff(np.full(250, 800.0), np.zeros(249, dtype=bool))
 
-    def test_odd_window_rejected(self):
-        with pytest.raises(FeatureError, match="even"):
-            windowed_diff(np.full(251, 800.0), np.zeros(251, dtype=bool), window_beats=251)
+    def test_window_is_even_and_fits_every_kept_record(self):
+        # the halves split the window evenly, and prepare_records keeps no record shorter than it by default
+        assert features.WINDOW_BEATS >= 2 and features.WINDOW_BEATS % 2 == 0
+        assert DEFAULT_MIN_BEATS >= features.WINDOW_BEATS
 
     def test_too_short(self):
         with pytest.raises(FeatureError, match="need at least 250 beats"):
-            windowed_diff(np.full(249, 800.0), np.zeros(249, dtype=bool), 250)
+            windowed_diff(np.full(249, 800.0), np.zeros(249, dtype=bool))
 
     def test_all_ectopic_half_rejected(self):
         x = np.full(250, 800.0)
         mask = np.zeros(250, dtype=bool)
         mask[-125:] = True
         with pytest.raises(FeatureError, match="only ectopic beats"):
-            windowed_diff(x, mask, 250)
+            windowed_diff(x, mask)
 
 
 def _entropy_inputs(rng, n):

@@ -43,22 +43,26 @@ def grads_like(params: NetworkParams, **values) -> FlatTensors:
 
 class TestClip:
     def test_clamps_above(self):
-        assert clip(np.array([0.5]), 0.1)[0] == 0.1
+        assert clip(np.array([0.5]))[0] == 0.1
 
     def test_clamps_below(self):
-        assert clip(np.array([-0.5]), 0.1)[0] == -0.1
+        assert clip(np.array([-0.5]))[0] == -0.1
 
     def test_leaves_interior_alone(self):
-        assert clip(np.array([-0.05]), 0.1)[0] == -0.05
+        assert clip(np.array([-0.05]))[0] == -0.05
 
     def test_idempotent(self, rng):
         g = rng.normal(0.0, 1.0, (20, 20))
-        once = clip(g, 0.1)
-        np.testing.assert_array_equal(clip(once, 0.1), once)
+        once = clip(g)
+        np.testing.assert_array_equal(clip(once), once)
 
     def test_bound_holds_everywhere(self, rng):
         g = rng.normal(0.0, 5.0, 1000)
-        assert np.abs(clip(g, 0.1)).max() <= 0.1 + 1e-15
+        assert np.abs(clip(g)).max() <= 0.1 + 1e-15
+
+    def test_limit_comes_from_the_module_constant(self, monkeypatch):
+        monkeypatch.setattr(optim, "CLIP_LIMIT", 0.25)
+        np.testing.assert_array_equal(clip(np.array([-0.5, 0.2, 0.5])), [-0.25, 0.2, 0.25])
 
 
 class TestAdaDeltaStep:
