@@ -4,84 +4,25 @@ The pipeline: ingest RR-interval tachograms and patient metadata, truncate
 each record one decision horizon before the event, extract heart-rate
 variability features, and train a small multi-task network evaluated with
 stratified cross-validation.
+
+The package exports the names of that pipeline and the exceptions they
+raise; everything else is imported from its module, for example
+``from vtapred.network import forward``.
 """
 
 __version__ = "0.1.0"
 
-from .dataset import (
-    DatasetError,
-    LABEL_CONTROL,
-    LABEL_VTA,
-    PatientMeta,
-    RRRecord,
-    UnusableRecordError,
-    apply_decision_boundary,
-    load_dataset,
-    prepare_records,
-    round_to_decade,
-)
-from .features import (
-    BASELINE11_NAMES,
-    FEATURE_SET_BASELINE11,
-    FEATURE_SET_RECENT,
-    FEATURE_SETS,
-    RECENT_NAMES,
-    VLF_BAND,
-    WINDOWED_NAMES,
-    Cohort,
-    FeatureConfig,
-    FeatureError,
-    Standardizer,
-    band_power,
-    baseline11,
-    build_cohort,
-    detect_ectopic,
-    extract,
-    feature_names,
-    fit_standardizer,
-    sample_entropy,
-    standardize,
-    time_stats,
-    windowed_diff,
-    write_feature_matrix,
-)
-from .network import (
-    Batch,
-    CheckpointError,
-    NetworkConfig,
-    NetworkError,
-    NetworkParams,
-    backward,
-    draw_dropout_masks,
-    forward,
-    init_params,
-    load_checkpoint,
-    loss,
-    predict,
-    save_checkpoint,
-)
-from .optim import (
-    AdaDeltaState,
-    TrainConfig,
-    TrainingError,
-    adadelta_step,
-    clip,
-    train,
-    write_loss_history,
-)
-from .evaluation import (
-    ABLATION_ROWS,
-    CVConfig,
-    EvalReport,
-    EvaluationError,
-    ablation_config,
-    auc,
-    format_report_table,
-    make_folds,
-    make_patient_folds,
-    metrics,
-    run_ablation,
-    run_cv,
-)
+from .dataset import DatasetError, UnusableRecordError, apply_decision_boundary, load_dataset, prepare_records
+from .features import FeatureConfig, FeatureError, build_cohort, detect_ectopic
+from .network import NetworkError, predict
+from .optim import TrainConfig, TrainingError
+from .evaluation import CVConfig, EvaluationError, format_report_table, metrics, run_ablation, run_cv
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "__version__",
+    # the pipeline, as README's Library-use block and the demos import it
+    "load_dataset", "prepare_records", "apply_decision_boundary", "FeatureConfig", "build_cohort", "detect_ectopic",
+    "CVConfig", "TrainConfig", "run_cv", "run_ablation", "metrics", "predict", "format_report_table",
+    # the exceptions it raises
+    "DatasetError", "UnusableRecordError", "FeatureError", "NetworkError", "TrainingError", "EvaluationError",
+]

@@ -293,7 +293,9 @@ def run_ablation(
 
     Each row's recipe sets the features and the embedding, so ``base.features``
     and ``base.use_embedding`` are not read.  One cohort is built per distinct
-    feature configuration and shared across seeds and workers.  With
+    feature configuration and shared across seeds and workers, after the
+    checks that need no features: both classes are present and, unless folds
+    are grouped by patient, each class fills every fold.  With
     ``jobs > 1`` the (row, seed) items run in a process pool; results are
     merged in fixed order, so the output is identical to a serial run.
     """
@@ -304,6 +306,9 @@ def run_ablation(
     if not all(counts.values()):
         found = ", ".join(f"{count} {label}" for label, count in counts.items())
         raise EvaluationError(f"the grid's AUC needs records of both classes, got {found}")
+    for label, count in counts.items():
+        if count < base.k_folds and not base.patient_grouped:  # grouped folds are dealt by patient
+            raise EvaluationError(f"class {label} has {count} records but {base.k_folds} folds were requested")
     configs = {row: ablation_config(row, base) for row in ABLATION_ROWS}
     cohorts = {
         features: build_cohort(records, patients, features)

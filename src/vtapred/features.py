@@ -375,40 +375,35 @@ def _poincare(x: np.ndarray) -> tuple[float, float]:
     return sd1, sd2
 
 
-def baseline11(intervals_ms, times_s) -> dict[str, float]:
-    """The eleven-feature full-sequence reference panel.
+def baseline11(intervals_ms, times_s) -> tuple[float, ...]:
+    """The eleven-feature full-sequence reference panel, in ``BASELINE11_NAMES`` order.
 
-    Expects an ectopic-filtered sequence and its beats' times in seconds
-    (see :func:`band_power`); uses every beat of it rather than only the
-    recent window.  pNN50 counts successive differences strictly greater
-    than 50 ms; the LF/HF ratio is defined as 0 when there is no HF power at
-    all.
+    That order is mean NN, SDNN, RMSSD, pNN50, VLF, LF and HF power, the
+    LF/HF ratio, Poincare SD1 and SD2, and sample entropy.  Expects an
+    ectopic-filtered sequence and its beats' times in seconds (see
+    :func:`band_power`); uses every beat of it rather than only the recent
+    window.  pNN50 counts successive differences strictly greater than 50 ms;
+    the LF/HF ratio is defined as 0 when there is no HF power at all.
     """
     x = np.asarray(intervals_ms, dtype=float)
     # sample entropy (m=2) needs 4 beats, SD2 needs 3; 4 covers everything
     if x.size < 4:
         raise FeatureError("sequence too short for the baseline feature panel")
     diffs = np.diff(x)
-    sdnn = float(np.std(x, ddof=1))
-    rmssd = float(np.sqrt(np.mean(diffs**2)))
-    pnn50 = float(np.mean(np.abs(diffs) > 50.0))
-    vlf = band_power(times_s, x, VLF_BAND)
     lf = band_power(times_s, x, LF_BAND)
     hf = band_power(times_s, x, HF_BAND)
-    sd1, sd2 = _poincare(x)
-    return {
-        "mean_nn": float(x.mean()),
-        "sdnn": sdnn,
-        "rmssd": rmssd,
-        "pnn50": pnn50,
-        "vlf_power": vlf,
-        "lf_power": lf,
-        "hf_power": hf,
-        "lf_hf_ratio": lf / hf if hf > 0 else 0.0,
-        "poincare_sd1": sd1,
-        "poincare_sd2": sd2,
-        "sample_entropy": sample_entropy(x),
-    }
+    return (
+        float(x.mean()),
+        float(np.std(x, ddof=1)),
+        float(np.sqrt(np.mean(diffs**2))),
+        float(np.mean(np.abs(diffs) > 50.0)),
+        band_power(times_s, x, VLF_BAND),
+        lf,
+        hf,
+        lf / hf if hf > 0 else 0.0,
+        *_poincare(x),
+        sample_entropy(x),
+    )
 
 
 def feature_names(config: FeatureConfig = FeatureConfig()) -> tuple[str, ...]:
@@ -451,8 +446,7 @@ def extract(records, config: FeatureConfig = FeatureConfig()) -> np.ndarray:
                     raise FeatureError(f"need at least {k} beats for recent-beat statistics")
                 window_ms[i], window_s[i] = filtered[-k:], times_s[-k:]
             else:
-                panel = baseline11(filtered, times_s)
-                X[i, :len(BASELINE11_NAMES)] = [panel[name] for name in BASELINE11_NAMES]
+                X[i, :len(BASELINE11_NAMES)] = baseline11(filtered, times_s)
             if config.include_windowed:
                 X[i, -len(WINDOWED_NAMES):] = windowed_diff(raw, mask)
         except FeatureError as exc:

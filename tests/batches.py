@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from vtapred import Batch, NetworkConfig, NetworkParams
+from vtapred.network import Batch, NetworkConfig, NetworkParams
 
 
 def make_batch(features, decade_index, y_vta, y_nyhac=None, y_bmi=None) -> Batch:

@@ -23,30 +23,12 @@ from oracles import (
     roc_auc_trapezoid,
     stacked_finite_difference_grads,
 )
-from vtapred import (
-    ABLATION_ROWS,
-    AdaDeltaState,
-    CVConfig,
-    NetworkConfig,
-    NetworkParams,
-    TrainConfig,
-    adadelta_step,
-    auc,
-    backward,
-    band_power,
-    fit_standardizer,
-    forward,
-    init_params,
-    load_dataset,
-    metrics,
-    predict,
-    prepare_records,
-    run_ablation,
-    run_cv,
-    train,
-)
+from vtapred import CVConfig, TrainConfig, load_dataset, metrics, predict, prepare_records, run_ablation, run_cv
 from vtapred.cli import main as cli_main
-from vtapred.evaluation import DROPOUT_STREAM, INIT_STREAM, build_examples
+from vtapred.evaluation import ABLATION_ROWS, DROPOUT_STREAM, INIT_STREAM, auc, build_examples
+from vtapred.features import band_power, fit_standardizer
+from vtapred.network import NetworkConfig, NetworkParams, backward, forward, init_params
+from vtapred.optim import AdaDeltaState, adadelta_step, train
 from vtapred.synthetic import gaussian_task
 
 

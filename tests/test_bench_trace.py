@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vtapred import load_checkpoint
+from vtapred.network import load_checkpoint
 
 ROOT = Path(__file__).resolve().parents[1]
 

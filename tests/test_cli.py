@@ -16,8 +16,7 @@ import pytest
 
 import vtapred
 from vtapred import (
-    CVConfig, DatasetError, apply_decision_boundary, backward, load_dataset, load_checkpoint, loss, metrics,
-    prepare_records, run_ablation,
+    CVConfig, DatasetError, apply_decision_boundary, load_dataset, metrics, prepare_records, run_ablation,
 )
 from vtapred.cli import (
     SETTINGS, ConfigError, build_configs, build_parser, dataset_checksum, main, parse_config_file, read_by,
@@ -25,7 +24,7 @@ from vtapred.cli import (
 )
 from vtapred.evaluation import INIT_STREAM
 from vtapred.features import FeatureConfig
-from vtapred.network import TRAIN_DTYPE, NetworkConfig, active_tasks, init_params
+from vtapred.network import TRAIN_DTYPE, NetworkConfig, active_tasks, backward, init_params, load_checkpoint, loss
 from vtapred.synthetic import write_tachogram_dataset
 
 COMMANDS = ("features", "train", "ablate")
@@ -671,6 +670,16 @@ def test_importing_the_cli_loads_no_process_pool():
     result = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
                             capture_output=True, text=True, timeout=60, check=True)
     assert result.stdout.strip() == "False"
+
+
+def test_features_command_loads_no_hashlib(data, tmp_path):
+    # only ablate's manifest checksums the dataset, so the other commands skip hashlib and OpenSSL
+    src = Path(__file__).resolve().parents[1] / "src"
+    argv = ["features", "--data-dir", data[0], "--metadata", data[1], "--out", str(tmp_path / "f.csv")]
+    code = f"import sys, vtapred.cli; rc = vtapred.cli.main({argv!r}); print(rc, 'hashlib' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+                            capture_output=True, text=True, timeout=60, check=True)
+    assert result.stdout.strip() == "0 False"
 
 
 ODD_IDS = {"r000": "a,b", "r013": 'c"d'}  # an event record and a control record

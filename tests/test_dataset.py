@@ -6,14 +6,13 @@ import pytest
 
 from vtapred import (
     DatasetError,
-    RRRecord,
     UnusableRecordError,
     apply_decision_boundary,
     dataset,
     load_dataset,
     prepare_records,
-    round_to_decade,
 )
+from vtapred.dataset import RRRecord, round_to_decade
 
 HEADER = "record_id,patient_id,label,birth_year,nyhac,bmi\n"
 

@@ -8,29 +8,20 @@ import pytest
 
 from oracles import roc_auc_trapezoid
 from vtapred import (
-    ABLATION_ROWS,
-    LABEL_CONTROL,
-    LABEL_VTA,
     CVConfig,
     EvaluationError,
     FeatureConfig,
-    NetworkConfig,
-    NetworkParams,
     TrainConfig,
-    ablation_config,
-    auc,
     build_cohort,
     evaluation,
     format_report_table,
-    init_params,
-    make_folds,
-    make_patient_folds,
     metrics,
     run_ablation,
     run_cv,
-    train,
 )
+from vtapred.dataset import LABEL_CONTROL, LABEL_VTA
 from vtapred.evaluation import (
+    ABLATION_ROWS,
     DROPOUT_STREAM,
     FOLD_STREAM,
     INIT_STREAM,
@@ -41,13 +32,18 @@ from vtapred.evaluation import (
     ROW_MULTI_TASK,
     ROW_WINDOWED,
     _average_ranks,
+    ablation_config,
+    auc,
     build_examples,
     fit_model,
+    make_folds,
+    make_patient_folds,
     write_per_seed_csv,
     write_predictions_csv,
     write_report_csv,
 )
-from vtapred.network import TASKS, TRAIN_DTYPE
+from vtapred.network import TASKS, TRAIN_DTYPE, NetworkConfig, NetworkParams, init_params
+from vtapred.optim import train
 
 QUICK_TRAIN = TrainConfig(epochs=60)
 
@@ -452,6 +448,20 @@ class TestRunAblation:
             run_ablation(controls, patients, CVConfig(k_folds=3), seeds=range(2), jobs=1)
         assert str(caught.value) == (
             f"the grid's AUC needs records of both classes, got {len(controls)} {LABEL_CONTROL}, 0 {LABEL_VTA}")
+
+    def test_undersized_class_rejected_before_any_work(self, prepared_records, monkeypatch):
+        records, patients = prepared_records
+        events = [rec for rec in records if rec.label == LABEL_VTA][:2]
+        controls = [rec for rec in records if rec.label == LABEL_CONTROL][:12]
+        assert (len(events), len(controls)) == (2, 12)
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("the grid extracted features for folds it could not fill")
+
+        monkeypatch.setattr(evaluation, "build_cohort", must_not_run)
+        with pytest.raises(EvaluationError) as caught:
+            run_ablation(events + controls, patients, CVConfig(k_folds=3), seeds=range(2), jobs=1)
+        assert str(caught.value) == f"class {LABEL_VTA} has 2 records but 3 folds were requested"
 
     def test_zero_seeds_rejected(self, prepared_records):
         records, patients = prepared_records

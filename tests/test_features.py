@@ -15,33 +15,12 @@ from oracles import (
     poincare_widths,
     sample_entropy_loops,
 )
-from vtapred import (
-    BASELINE11_NAMES,
-    RECENT_NAMES,
-    VLF_BAND,
-    WINDOWED_NAMES,
-    Cohort,
-    FeatureConfig,
-    FeatureError,
-    PatientMeta,
-    RRRecord,
-    band_power,
-    baseline11,
-    build_cohort,
-    detect_ectopic,
-    extract,
-    feature_names,
-    features,
-    fit_standardizer,
-    sample_entropy,
-    standardize,
-    time_stats,
-    windowed_diff,
-    write_feature_matrix,
-)
-from vtapred.dataset import DEFAULT_MIN_BEATS
+from vtapred import FeatureConfig, FeatureError, build_cohort, detect_ectopic, features
+from vtapred.dataset import DEFAULT_MIN_BEATS, PatientMeta, RRRecord
 from vtapred.features import (
-    FREQ_GRID_STEP_HZ, HF_BAND, LF_BAND, LOMB_BLOCK_VALUES, RECENT_BEATS, _grid_points, _lomb_scargle,
+    BASELINE11_NAMES, FREQ_GRID_STEP_HZ, HF_BAND, LF_BAND, LOMB_BLOCK_VALUES, RECENT_BEATS, RECENT_NAMES, VLF_BAND,
+    WINDOWED_NAMES, Cohort, _grid_points, _lomb_scargle, band_power, baseline11, extract, feature_names,
+    fit_standardizer, sample_entropy, standardize, time_stats, windowed_diff, write_feature_matrix,
 )
 
 
@@ -409,13 +388,16 @@ def _entropy_inputs(rng, n):
 class TestBaseline11:
     def test_names_and_length(self):
         x = np.random.default_rng(0).normal(800.0, 40.0, 120)
-        panel = baseline11(x, beat_times(x))
-        assert tuple(panel) == BASELINE11_NAMES
-        assert len(panel) == 11
+        values = baseline11(x, beat_times(x))
+        assert len(values) == len(BASELINE11_NAMES) == 11
+        assert all(type(value) is float for value in values)
+        panel = dict(zip(BASELINE11_NAMES, values))
+        assert panel["mean_nn"] == float(x.mean())
+        assert panel["sample_entropy"] == sample_entropy(x)
 
     def test_constant_sequence_collapses(self):
         x = np.full(60, 800.0)
-        panel = baseline11(x, beat_times(x))
+        panel = dict(zip(BASELINE11_NAMES, baseline11(x, beat_times(x))))
         assert panel["sdnn"] == 0.0
         assert panel["rmssd"] == 0.0
         assert panel["pnn50"] == 0.0
@@ -427,7 +409,7 @@ class TestBaseline11:
 
     def test_alternating_50ms_steps(self):
         x = np.where(np.arange(40) % 2 == 0, 800.0, 850.0)
-        panel = baseline11(x, beat_times(x))
+        panel = dict(zip(BASELINE11_NAMES, baseline11(x, beat_times(x))))
         assert panel["rmssd"] == pytest.approx(50.0)
         # strict inequality: a 50 ms step is not > 50 ms
         assert panel["pnn50"] == 0.0
@@ -436,7 +418,7 @@ class TestBaseline11:
     def test_sd1_identity_on_random_sequences(self, rng):
         for _ in range(100):
             x = rng.normal(800.0, rng.uniform(5.0, 80.0), rng.integers(10, 200))
-            panel = baseline11(x, beat_times(x))
+            panel = dict(zip(BASELINE11_NAMES, baseline11(x, beat_times(x))))
             diffs = np.diff(x)
             rmssd = np.sqrt(np.mean(diffs**2))
             assert panel["poincare_sd1"] == pytest.approx(rmssd / math.sqrt(2.0), rel=1e-12)
@@ -751,5 +733,5 @@ class TestFeatureConfigValidation:
         recent, recent_s = x[-30:], t[-30:]
         assert values["lf_power"] == band_power(recent_s, recent, (0.04, 0.15))
         assert values["hf_power"] == band_power(recent_s, recent, (0.15, 0.40))
-        panel = baseline11(x, t)
+        panel = dict(zip(BASELINE11_NAMES, baseline11(x, t)))
         assert (panel["lf_power"], panel["hf_power"]) == (band_power(t, x, (0.04, 0.15)), band_power(t, x, (0.15, 0.40)))

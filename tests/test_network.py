@@ -17,36 +17,31 @@ from oracles import (
     max_relative_error,
     stacked_finite_difference_grads,
 )
-from vtapred import (
-    CheckpointError,
-    Cohort,
-    NetworkConfig,
-    NetworkError,
-    NetworkParams,
-    TrainConfig,
-    backward,
-    draw_dropout_masks,
-    fit_standardizer,
-    forward,
-    init_params,
-    load_checkpoint,
-    loss,
-    predict,
-    save_checkpoint,
-    train,
-)
+from vtapred import NetworkError, TrainConfig, predict
 from vtapred.evaluation import build_examples
+from vtapred.features import Cohort, fit_standardizer
 from vtapred.network import (
     CHECKPOINT_DTYPES,
     CHECKPOINT_MAGIC,
     DROPOUT_BLOCK_VALUES,
     TASKS,
+    CheckpointError,
+    NetworkConfig,
+    NetworkParams,
     Workspace,
     active_tasks,
+    backward,
     branch_of,
+    draw_dropout_masks,
     dropout_layout,
+    forward,
+    init_params,
+    load_checkpoint,
+    loss,
+    save_checkpoint,
     tensor_shapes,
 )
+from vtapred.optim import train
 
 
 def small_config(**overrides) -> NetworkConfig:

@@ -7,24 +7,11 @@ import pytest
 
 from batches import at_dtype, make_batch, random_batch
 from oracles import adadelta_scalar_step, train_reference
-from vtapred import (
-    ABLATION_ROWS,
-    AdaDeltaState,
-    Batch,
-    CVConfig,
-    NetworkConfig,
-    NetworkParams,
-    TrainConfig,
-    TrainingError,
-    ablation_config,
-    adadelta_step,
-    clip,
-    init_params,
-    train,
-    write_loss_history,
-)
+from vtapred import CVConfig, TrainConfig, TrainingError
 from vtapred import optim
-from vtapred.network import FlatTensors, forward
+from vtapred.evaluation import ABLATION_ROWS, ablation_config
+from vtapred.network import Batch, FlatTensors, NetworkConfig, NetworkParams, forward, init_params
+from vtapred.optim import AdaDeltaState, adadelta_step, clip, train, write_loss_history
 
 
 def tiny_params(values: dict[str, np.ndarray]) -> NetworkParams:
