@@ -140,16 +140,14 @@ def resolve_settings(args: argparse.Namespace) -> dict:
 
 def _build(cls, settings: dict, **nested):
     """Instantiate a config dataclass from the settings keys of its fields; the others keep their defaults."""
-    return cls(**{f.name: settings[f.name] for f in fields(cls) if f.name in settings}, **nested)
+    try:
+        return cls(**{f.name: settings[f.name] for f in fields(cls) if f.name in settings}, **nested)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def build_configs(settings: dict) -> CVConfig:
-    try:
-        return _build(CVConfig, settings,
-                      features=_build(FeatureConfig, settings),
-                      train=_build(TrainConfig, settings))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    return _build(CVConfig, settings, train=_build(TrainConfig, settings))
 
 
 # The paths each command writes, as {suffix appended to --out: is a directory}.
@@ -191,7 +189,7 @@ def _prepare(args: argparse.Namespace):
         if getattr(args, name) == "":
             raise ConfigError(f"--{name.replace('_', '-')} must not be empty")
     settings = resolve_settings(args)
-    cv = build_configs(settings)
+    features, cv = _build(FeatureConfig, settings), build_configs(settings)
     # a non-positive horizon is the documented no-op, so only NaN and inf are impossible
     if not np.isfinite(settings["horizon_ms"]):
         raise ConfigError(f"horizon_ms must be finite, got {settings['horizon_ms']!r}")
@@ -208,7 +206,7 @@ def _prepare(args: argparse.Namespace):
     )
     if not prepared:
         raise DatasetError("no usable records after the decision boundary")
-    return settings, cv, prepared, patients, paths
+    return settings, features, cv, prepared, patients, paths
 
 
 def dataset_checksum(tachogram_dir, metadata_file) -> str:
@@ -243,15 +241,15 @@ def write_manifest(path, args, settings: dict, seed_list, n_records: int) -> Non
 
 
 def cmd_features(args: argparse.Namespace) -> int:
-    _, cv, records, patients, paths = _prepare(args)
-    write_feature_matrix(paths[""], build_cohort(records, patients, cv.features))
+    _, features, _, records, patients, paths = _prepare(args)
+    write_feature_matrix(paths[""], build_cohort(records, patients, features))
     log.info("wrote %d feature rows to %s", len(records), paths[""])
     return 0
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    settings, cv, records, patients, paths = _prepare(args)
-    cohort = build_cohort(records, patients, cv.features)
+    settings, features, cv, records, patients, paths = _prepare(args)
+    cohort = build_cohort(records, patients, features)
     del records  # the fit reads only the cohort, so the tachograms go before it
     params, history, _ = fit_model(cohort, np.arange(len(cohort)), cv, settings["seed"], fold=0)
     save_checkpoint(paths[""], params, extra={"settings": settings})
@@ -261,7 +259,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_ablate(args: argparse.Namespace) -> int:
-    settings, cv, records, patients, paths = _prepare(args)
+    settings, _, cv, records, patients, paths = _prepare(args)
     seed_list = list(range(settings["seed"], settings["seed"] + settings["seeds"]))
 
     report = run_ablation(records, patients, cv, seeds=seed_list, jobs=settings["jobs"])

@@ -10,7 +10,9 @@ number bit-for-bit, no matter how many worker processes are used.
 from __future__ import annotations
 
 import csv
+import ctypes
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -53,9 +55,8 @@ class EvaluationError(Exception):
 
 @dataclass(frozen=True)
 class CVConfig:
-    """Everything one cross-validated evaluation needs besides the data."""
+    """Everything one cross-validated evaluation needs besides the data and its features."""
 
-    features: FeatureConfig = field(default_factory=FeatureConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
     use_embedding: bool = True
     k_folds: int = 10
@@ -224,10 +225,9 @@ def fit_model(
 def run_cv(cohort: Cohort, config: CVConfig, seed: int) -> np.ndarray:
     """One cross-validated evaluation: the held-out event probability of each cohort row, in row order.
 
-    ``cohort`` must be built with ``config.features``.  Per fold, the
-    standardizers (features and the BMI target) are fitted on the training
-    rows only, a fresh network is initialized and trained, and the held-out
-    rows are scored.
+    Per fold, the standardizers (features and the BMI target) are fitted on
+    the training rows only, a fresh network is initialized and trained, and
+    the held-out rows are scored.
     """
     if not len(cohort):
         raise EvaluationError("no records to evaluate")
@@ -252,8 +252,8 @@ def run_cv(cohort: Cohort, config: CVConfig, seed: int) -> np.ndarray:
     return probs
 
 
-def ablation_config(row: str, base: CVConfig) -> CVConfig:
-    """Resolve one grid row of ``ROW_RECIPES`` into a concrete configuration.
+def ablation_config(row: str, base: CVConfig) -> tuple[FeatureConfig, CVConfig]:
+    """Resolve one grid row of ``ROW_RECIPES`` into its feature config and its CV config.
 
     Without auxiliary targets both auxiliary weights are 0; with them they
     come from ``base.train``.
@@ -261,12 +261,28 @@ def ablation_config(row: str, base: CVConfig) -> CVConfig:
     if row not in ROW_RECIPES:
         raise EvaluationError(f"unknown ablation row {row!r}")
     _, feature_set, windowed, embedding, auxiliary = ROW_RECIPES[row]
-    return replace(
+    return FeatureConfig(feature_set, windowed), replace(
         base,
-        features=FeatureConfig(feature_set, windowed),
         use_embedding=embedding,
         train=base.train if auxiliary else replace(base.train, lam_nyhac=0.0, lam_bmi=0.0),
     )
+
+
+def _one_blas_thread() -> None:
+    """Set the OpenBLAS bundled with numpy to one thread: each pool worker's initializer.
+
+    Every process starts OpenBLAS's default threads, so ``jobs`` workers would
+    crowd the cores with ``jobs`` times that many.  Without that library or
+    its setter, nothing changes.
+    """
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*.so*")):
+        lib = ctypes.CDLL(str(path))
+        for symbol in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
+                       "openblas_set_num_threads"):
+            setter = getattr(lib, symbol, None)
+            if setter is not None:
+                setter(1)
+                return
 
 
 @dataclass(eq=False)
@@ -291,13 +307,15 @@ def run_ablation(
 ) -> EvalReport:
     """Evaluate every grid row over the given sequence of seeds (e.g. ``range(10)``).
 
-    Each row's recipe sets the features and the embedding, so ``base.features``
-    and ``base.use_embedding`` are not read.  One cohort is built per distinct
+    Each row's recipe sets the features and the embedding, so
+    ``base.use_embedding`` is not read.  One cohort is built per distinct
     feature configuration and shared across seeds and workers, after the
     checks that need no features: both classes are present and, unless folds
     are grouped by patient, each class fills every fold.  With
     ``jobs > 1`` the (row, seed) items run in a process pool; results are
-    merged in fixed order, so the output is identical to a serial run.
+    merged in fixed order, so the output is identical to a serial run.  The
+    workers compute with one BLAS thread, which at fold sizes gives the bytes
+    of the default thread count (README, Determinism).
     """
     seed_list = tuple(int(s) for s in seeds)
     if not seed_list:
@@ -312,18 +330,18 @@ def run_ablation(
     configs = {row: ablation_config(row, base) for row in ABLATION_ROWS}
     cohorts = {
         features: build_cohort(records, patients, features)
-        for features in dict.fromkeys(config.features for config in configs.values())
+        for features in dict.fromkeys(features for features, _ in configs.values())
     }
 
     items = [(row, seed) for row in ABLATION_ROWS for seed in seed_list]
-    # run_cv's arguments, one of each per item
-    arguments = ([cohorts[configs[row].features] for row, _ in items], [configs[row] for row, _ in items],
+    # run_cv's arguments, one of each per item; configs[row] is (features, CV config)
+    arguments = ([cohorts[configs[row][0]] for row, _ in items], [configs[row][1] for row, _ in items],
                  [seed for _, seed in items])
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # only pooled runs pay for its import
 
         # the pool starts every worker at once, so it gets no more than there are items
-        with ProcessPoolExecutor(max_workers=min(jobs, len(items))) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(items)), initializer=_one_blas_thread) as pool:
             probs = dict(zip(items, pool.map(run_cv, *arguments)))
     else:
         probs = dict(zip(items, map(run_cv, *arguments)))

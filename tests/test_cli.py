@@ -19,8 +19,8 @@ from vtapred import (
     CVConfig, DatasetError, apply_decision_boundary, load_dataset, metrics, prepare_records, run_ablation,
 )
 from vtapred.cli import (
-    SETTINGS, ConfigError, build_configs, build_parser, dataset_checksum, main, parse_config_file, read_by,
-    resolve_settings,
+    SETTINGS, ConfigError, _build, build_configs, build_parser, dataset_checksum, main, parse_config_file,
+    read_by, resolve_settings,
 )
 from vtapred.evaluation import INIT_STREAM
 from vtapred.features import FeatureConfig
@@ -189,9 +189,11 @@ class TestSettings:
             read = resolve_settings(args)
             assert list(read) == read_by(command)
             assert build_configs(read) == CVConfig()
+            assert _build(FeatureConfig, read) == FeatureConfig()
             settings.update(read)
         assert settings.keys() == SETTINGS.keys()  # every key's default is checked
         assert build_configs(settings) == CVConfig()
+        assert _build(FeatureConfig, settings) == FeatureConfig()
         for (fn, name), key in SIGNATURE_DEFAULTS.items():
             default = inspect.signature(fn).parameters[name].default
             assert default == settings[key], (fn.__name__, name)

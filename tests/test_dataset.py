@@ -312,6 +312,14 @@ class TestTachogramLines:
             assert np.array_equal(fast, expected)
 
 
+class TestRRRecord:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -1.0, 5000.0])
+    def test_interval_outside_the_range_rejected(self, bad):
+        with pytest.raises(DatasetError) as caught:
+            RRRecord("r", [800.0, bad, 800.0], "VTA", "p")
+        assert str(caught.value) == "record 'r': intervals must lie in (0, 5000) ms"
+
+
 class TestDecisionBoundary:
     def test_uniform_600ms_removes_100_beats(self):
         rec = RRRecord("r", np.full(1024, 600.0), "VTA", "p")

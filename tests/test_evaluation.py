@@ -1,7 +1,9 @@
 """Cross-validation, metric, and ablation-grid tests."""
 
 import concurrent.futures
+import importlib
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -302,7 +304,7 @@ class TestFitModel:
 
     @pytest.mark.parametrize("row", ABLATION_ROWS)
     def test_holds_the_active_heads_and_trains_like_the_full_network(self, gaussian200, row):
-        config = ablation_config(row, quick_config(train=TrainConfig(epochs=20)))
+        _, config = ablation_config(row, quick_config(train=TrainConfig(epochs=20)))
         train_idx = np.arange(0, len(gaussian200), 3)
         params, history, standardizers = fit_model(gaussian200, train_idx, config, seed=4, fold=2)
         full, full_history = self.full_heads_twin(gaussian200, train_idx, config, standardizers, 4, 2)
@@ -315,7 +317,7 @@ class TestFitModel:
         assert history == full_history
 
     def test_trains_in_float32(self, gaussian200):
-        config = ablation_config(ROW_MULTI_TASK, quick_config(train=TrainConfig(epochs=3)))
+        _, config = ablation_config(ROW_MULTI_TASK, quick_config(train=TrainConfig(epochs=3)))
         params, history, _ = fit_model(gaussian200, np.arange(len(gaussian200)), config, seed=0, fold=0)
         assert TRAIN_DTYPE is np.float32
         assert params.tensors.flat.dtype == np.float32
@@ -325,7 +327,7 @@ class TestFitModel:
         cohort = replace(gaussian200, y_nyhac=np.full(len(gaussian200), -1))
         train_idx = np.arange(len(cohort))
         for epochs in (0, 15):  # the initialization, then the trained values
-            config = ablation_config(ROW_MULTI_TASK, quick_config(train=TrainConfig(epochs=epochs)))
+            _, config = ablation_config(ROW_MULTI_TASK, quick_config(train=TrainConfig(epochs=epochs)))
             params, _, standardizers = fit_model(cohort, train_idx, config, seed=1, fold=0)
             full, _ = self.full_heads_twin(cohort, train_idx, config, standardizers, 1, 0)
             assert params.config.heads == ("vta", "bmi")
@@ -336,27 +338,27 @@ class TestFitModel:
 
 class TestAblationConfig:
     def test_reference_row_uses_the_legacy_panel(self):
-        cfg = ablation_config(ROW_BASELINE, CVConfig())
-        assert cfg.features.feature_set == "baseline11"
-        assert cfg.features.include_windowed is False
+        features, cfg = ablation_config(ROW_BASELINE, CVConfig())
+        assert features.feature_set == "baseline11"
+        assert features.include_windowed is False
         assert cfg.use_embedding is False
         assert cfg.train.lam_nyhac == 0.0 and cfg.train.lam_bmi == 0.0
 
     def test_windowed_row_switches_feature_family(self):
-        cfg = ablation_config(ROW_WINDOWED, CVConfig())
-        assert cfg.features.feature_set == "recent"
-        assert cfg.features.include_windowed is True
+        features, cfg = ablation_config(ROW_WINDOWED, CVConfig())
+        assert features.feature_set == "recent"
+        assert features.include_windowed is True
         assert cfg.use_embedding is False
         assert cfg.train.lam_nyhac == 0.0
 
     def test_embedding_row_adds_only_the_embedding(self):
-        cfg = ablation_config(ROW_EMBEDDING, CVConfig())
+        _, cfg = ablation_config(ROW_EMBEDDING, CVConfig())
         assert cfg.use_embedding is True
         assert cfg.train.lam_nyhac == 0.0 and cfg.train.lam_bmi == 0.0
 
     def test_final_row_keeps_configured_weights(self):
         base = CVConfig(train=TrainConfig(lam_nyhac=0.8, lam_bmi=1.2))
-        cfg = ablation_config(ROW_MULTI_TASK, base)
+        _, cfg = ablation_config(ROW_MULTI_TASK, base)
         assert cfg.train.lam_nyhac == 0.8
         assert cfg.train.lam_bmi == 1.2
         assert cfg.use_embedding is True
@@ -391,8 +393,8 @@ class TestRunAblation:
         records, patients = prepared_records
         base = CVConfig(train=TrainConfig(epochs=25), k_folds=5)
         report = run_ablation(records, patients, base, seeds=range(1), jobs=1)
-        row_cfg = ablation_config(ROW_MULTI_TASK, base)
-        direct = run_cv(build_cohort(records, patients, row_cfg.features), row_cfg, seed=0)
+        row_features, row_cfg = ablation_config(ROW_MULTI_TASK, base)
+        direct = run_cv(build_cohort(records, patients, row_features), row_cfg, seed=0)
         np.testing.assert_array_equal(report.probs[(ROW_MULTI_TASK, 0)], direct)
         direct_stats = metrics(report.labels, direct, base.threshold)
         for name in ("accuracy", "sensitivity", "specificity", "precision"):
@@ -412,8 +414,8 @@ class TestRunAblation:
         requested = []
 
         class RecordingPool:
-            def __init__(self, max_workers):
-                requested.append(max_workers)
+            def __init__(self, max_workers, initializer):
+                requested.append((max_workers, initializer))
 
             def __enter__(self):
                 return self
@@ -429,11 +431,22 @@ class TestRunAblation:
         serial = run_ablation(records, patients, base, seeds=[0], jobs=1)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         pooled = run_ablation(records, patients, base, seeds=[0], jobs=64)
-        assert requested == [len(ABLATION_ROWS)]
+        assert requested == [(len(ABLATION_ROWS), evaluation._one_blas_thread)]
         for key, probs in serial.probs.items():
             np.testing.assert_array_equal(probs, pooled.probs[key])
         assert serial.means == pooled.means
         assert serial.per_seed == pooled.per_seed
+
+    def test_pool_workers_compute_with_one_blas_thread(self, monkeypatch):
+        # the benchmark's probe of numpy's bundled OpenBLAS is the getter
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+        blas_threads = importlib.import_module("run_bench").blas_threads
+        before = blas_threads()
+        if before is None:
+            pytest.skip("numpy's OpenBLAS does not report its thread count")
+        with concurrent.futures.ProcessPoolExecutor(max_workers=1, initializer=evaluation._one_blas_thread) as pool:
+            assert pool.submit(blas_threads).result() == 1
+        assert blas_threads() == before
 
     def test_single_class_rejected_before_any_work(self, prepared_records, monkeypatch):
         records, patients = prepared_records

@@ -209,7 +209,7 @@ class TestTrainMatchesReference:
     @pytest.mark.parametrize("keep_prob", [0.75, 1.0])
     @pytest.mark.parametrize("row", ABLATION_ROWS)
     def test_bit_identical(self, row, keep_prob):
-        cv = ablation_config(row, CVConfig(train=TrainConfig(epochs=12, keep_prob=keep_prob)))
+        _, cv = ablation_config(row, CVConfig(train=TrainConfig(epochs=12, keep_prob=keep_prob)))
         net = NetworkConfig(num_features=9, num_decades=5, use_embedding=cv.use_embedding)
         rng = np.random.default_rng(31)
         batch = random_batch(rng, net, 40)
@@ -226,7 +226,7 @@ class TestTrainPrecision:
     """A float32 fit follows the float64 fit from the same values: same dropout units, rounding apart."""
 
     def test_float32_history_follows_float64(self):
-        cv = ablation_config("multi_task", CVConfig(train=TrainConfig(epochs=100)))
+        _, cv = ablation_config("multi_task", CVConfig(train=TrainConfig(epochs=100)))
         net = NetworkConfig(num_features=9, num_decades=5, use_embedding=True)
         rng = np.random.default_rng(31)
         batch = random_batch(rng, net, 40)
