@@ -92,7 +92,7 @@ SETTINGS: dict[str, tuple] = {
         (_field_defaults(TrainConfig), ("train", "ablate")),
         (_field_defaults(CVConfig), ("ablate",)),
         ({"use_embedding": CVConfig.use_embedding}, ("train",)),  # ablate's rows set it: replaces the entry above
-        (_param_defaults(prepare_records), ("features", "train", "ablate")),  # horizon_ms, min_beats, truncate_controls
+        (_param_defaults(prepare_records), ("features", "train", "ablate")),  # horizon_ms, min_beats
         ({"seed": 0}, ("train", "ablate")),
         ({"seeds": 10, "jobs": 1}, ("ablate",)),
     )
@@ -198,12 +198,7 @@ def _prepare(args: argparse.Namespace):
             raise ConfigError(f"{key} must be >= {least}, got {settings[key]!r}")
     paths = _check_outputs(args.out, OUTPUTS[args.command])
     records, patients = load_dataset(args.data_dir, args.metadata)
-    prepared = prepare_records(
-        records,
-        horizon_ms=settings["horizon_ms"],
-        min_beats=settings["min_beats"],
-        truncate_controls=settings["truncate_controls"],
-    )
+    prepared = prepare_records(records, horizon_ms=settings["horizon_ms"], min_beats=settings["min_beats"])
     if not prepared:
         raise DatasetError("no usable records after the decision boundary")
     return settings, features, cv, prepared, patients, paths

@@ -129,25 +129,21 @@ def prepare_records(
     records: list[RRRecord],
     horizon_ms: float = DEFAULT_HORIZON_MS,
     min_beats: int = DEFAULT_MIN_BEATS,
-    truncate_controls: bool = True,
 ) -> list[RRRecord]:
     """Apply the decision boundary to each record and drop the unusable ones.
 
-    Controls are truncated identically by default so both classes lose a
-    comparable amount of signal.  Records left with fewer than ``min_beats``
-    intervals (or with nothing at all before the boundary) are excluded with
-    a logged warning rather than failing the whole run.
+    Controls are truncated identically so both classes lose a comparable
+    amount of signal.  Records left with fewer than ``min_beats`` intervals
+    (or with nothing at all before the boundary) are excluded with a logged
+    warning rather than failing the whole run.
     """
     kept = []
     for rec in records:
-        if rec.label == LABEL_CONTROL and not truncate_controls:
-            out = rec
-        else:
-            try:
-                out = apply_decision_boundary(rec, horizon_ms)
-            except UnusableRecordError as exc:
-                log.warning("excluding unusable record: %s", exc)
-                continue
+        try:
+            out = apply_decision_boundary(rec, horizon_ms)
+        except UnusableRecordError as exc:
+            log.warning("excluding unusable record: %s", exc)
+            continue
         if len(out) < min_beats:
             log.warning(
                 "excluding record %r: %d beats remain before the boundary (need %d)",
@@ -210,7 +206,7 @@ def _parse_tachogram_lines(path: Path, lines: list[str]) -> np.ndarray:
             value = parse_number(text)
         except ValueError:
             raise DatasetError(f"{path}, line {lineno}: not a number: {text!r}") from None
-        if not math.isfinite(value) or not (0.0 < value < MAX_INTERVAL_MS):
+        if not 0.0 < value < MAX_INTERVAL_MS:  # also rejects NaN and inf
             raise DatasetError(
                 f"{path}, line {lineno}: interval {text!r} outside (0, {MAX_INTERVAL_MS:g}) ms"
             )

@@ -35,6 +35,8 @@ FOLD_STREAM = 11
 INIT_STREAM = 23
 DROPOUT_STREAM = 37
 
+DECISION_THRESHOLD = 0.5  # a held-out probability at or above it counts as an event
+
 # row -> (label, feature set, windowed trends, age embedding, auxiliary targets);
 # each row adds one step to the one before it.
 ROW_RECIPES = {
@@ -60,12 +62,9 @@ class CVConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
     use_embedding: bool = True
     k_folds: int = 10
-    threshold: float = 0.5
     patient_grouped: bool = False
 
     def __post_init__(self):
-        if not 0.0 <= self.threshold <= 1.0:  # also rejects NaN
-            raise ValueError(f"threshold must be in [0, 1], got {self.threshold!r}")
         if self.k_folds < 2:
             raise ValueError(f"k_folds must be >= 2, got {self.k_folds!r}")
 
@@ -117,8 +116,8 @@ def make_patient_folds(patient_ids, k: int, rng: np.random.Generator) -> list[np
     return [np.array(sorted(f), dtype=int) for f in folds]
 
 
-def metrics(labels, probs, threshold: float = CVConfig.threshold) -> dict[str, float]:
-    """Confusion-matrix metrics at a probability threshold (ties positive).
+def metrics(labels, probs) -> dict[str, float]:
+    """Confusion-matrix metrics at ``DECISION_THRESHOLD`` (ties positive).
 
     Returns accuracy, sensitivity, specificity and precision along with the
     raw counts.  When nothing is predicted positive, precision is 0 and the
@@ -126,7 +125,7 @@ def metrics(labels, probs, threshold: float = CVConfig.threshold) -> dict[str, f
     """
     labels = np.asarray(labels, dtype=int)
     probs = np.asarray(probs, dtype=float)
-    pred = probs >= threshold
+    pred = probs >= DECISION_THRESHOLD
     tp = int(np.sum(pred & (labels == 1)))
     fp = int(np.sum(pred & (labels == 0)))
     tn = int(np.sum(~pred & (labels == 0)))
@@ -353,7 +352,7 @@ def run_ablation(
     for row in ABLATION_ROWS:
         per_seed[row] = {}
         for seed in seed_list:
-            stats = metrics(cohort.y_vta, probs[row, seed], base.threshold)
+            stats = metrics(cohort.y_vta, probs[row, seed])
             stats["auc"] = auc(cohort.y_vta, probs[row, seed])
             per_seed[row][seed] = stats
         means[row] = {

@@ -3,8 +3,8 @@
 AdaDelta keeps two exponential moving averages per parameter (squared
 gradients and squared updates) and needs no hand-tuned step size.  Gradients
 are clipped element-wise before the update so a single wild component cannot
-derail training.  The recipe is fixed: ``ADADELTA_RHO``, ``ADADELTA_EPS`` and
-``CLIP_LIMIT`` below.
+derail training.  The recipe is fixed: ``ADADELTA_RHO``, ``ADADELTA_EPS``,
+``CLIP_LIMIT`` and the dropout keep probability ``KEEP_PROB`` below.
 
 The parameters, the gradients and both accumulators are each one flat
 buffer with the named tensors as views (``network.FlatTensors``), all in the
@@ -38,6 +38,7 @@ from .network import (
 ADADELTA_RHO = 0.95  # decay of both moving averages
 ADADELTA_EPS = 1e-6  # conditioning term inside both square roots
 CLIP_LIMIT = 0.1     # element-wise gradient clip
+KEEP_PROB = 0.75     # dropout keep probability of every masked layer
 
 
 class TrainingError(Exception):
@@ -47,15 +48,12 @@ class TrainingError(Exception):
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 1000
-    keep_prob: float = 0.75
     lam_nyhac: float = 1.0
     lam_bmi: float = 1.0
 
     def __post_init__(self):
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
-        if not 0.0 < self.keep_prob <= 1.0:
-            raise ValueError("keep_prob must be in (0, 1]")
         for name in ("lam_nyhac", "lam_bmi"):
             value = getattr(self, name)
             if not (value >= 0 and math.isfinite(value)):
@@ -134,11 +132,12 @@ def train(
 
     ``batch`` holds every training row, already standardized (as
     ``evaluation.build_examples`` returns it).  Every epoch draws fresh
-    dropout masks (one per row per layer), runs one forward/backward pass
-    over the whole batch, clips the mean-loss gradients, and applies one
-    AdaDelta step.  Params are updated in place and also returned.  The
-    history holds one dict per epoch with the total loss, its ``<task>_loss``
-    part for each of ``network.TASKS``, and the largest post-clip gradient.
+    dropout masks at ``KEEP_PROB`` (one per row per layer), runs one
+    forward/backward pass over the whole batch, clips the mean-loss
+    gradients, and applies one AdaDelta step.  Params are updated in place
+    and also returned.  The history holds one dict per epoch with the total
+    loss, its ``<task>_loss`` part for each of ``network.TASKS``, and the
+    largest post-clip gradient.
 
     Every head of ``params.config.heads`` is computed; a head the loss
     reads that the network does not hold is a ``network.NetworkError``.  The
@@ -158,7 +157,7 @@ def train(
     work = Workspace()
     history: list[dict[str, float]] = []
     for epoch in range(config.epochs):
-        masks = draw_dropout_masks(params.config, len(batch), config.keep_prob, rng, work, dtype)
+        masks = draw_dropout_masks(params.config, len(batch), KEEP_PROB, rng, work, dtype)
         outputs, cache = forward(params, batch.features, batch.decade_index, masks, work)
         total, parts = loss(outputs, batch, config.lam_nyhac, config.lam_bmi)
         if not np.isfinite(total):

@@ -345,11 +345,12 @@ def _reference_epoch(net, t, batch, masks, lam_nyhac, lam_bmi):
     return parts, grads
 
 
-def train_reference(batch, config, net, tensors: dict, rng) -> tuple[dict, list[dict]]:
+def train_reference(batch, config, net, tensors: dict, rng, keep_prob) -> tuple[dict, list[dict]]:
     """Full-batch AdaDelta training, one tensor at a time, every branch every epoch.
 
-    ``config`` is a TrainConfig and ``net`` a NetworkConfig; ``tensors`` are
-    copied, trained and returned with the per-epoch history.
+    ``config`` is a TrainConfig, ``net`` a NetworkConfig and ``keep_prob`` the
+    dropout keep probability; ``tensors`` are copied, trained and returned
+    with the per-epoch history.
     """
     t = {name: np.array(value, dtype=float) for name, value in tensors.items()}
     sq_grad = {name: np.zeros_like(v) for name, v in t.items()}
@@ -357,7 +358,7 @@ def train_reference(batch, config, net, tensors: dict, rng) -> tuple[dict, list[
     rho, eps, lr, limit = 0.95, 1e-6, 1.0, 0.1  # the published recipe, independent of optim
     history = []
     for epoch in range(config.epochs):
-        masks = _reference_masks(net, batch.features.shape[0], config.keep_prob, rng)
+        masks = _reference_masks(net, batch.features.shape[0], keep_prob, rng)
         parts, grads = _reference_epoch(net, t, batch, masks, config.lam_nyhac, config.lam_bmi)
         grads = {name: np.clip(g, -limit, limit) for name, g in grads.items()}
         max_grad = max(float(np.max(np.abs(g))) for g in grads.values())

@@ -16,7 +16,7 @@ import pytest
 
 import vtapred
 from vtapred import (
-    CVConfig, DatasetError, apply_decision_boundary, load_dataset, metrics, prepare_records, run_ablation,
+    CVConfig, DatasetError, TrainConfig, apply_decision_boundary, load_dataset, metrics, prepare_records, run_ablation,
 )
 from vtapred.cli import (
     SETTINGS, ConfigError, _build, build_configs, build_parser, dataset_checksum, main, parse_config_file,
@@ -40,6 +40,13 @@ RECENT_HEADER = (
 FIXED_FEATURE_RECIPE = {
     "recent_beats": "40", "window_beats": "200", "lf_lo": "0.03", "lf_hi": "0.2", "hf_hi": "0.5",
     "ectopic_threshold": "0.3", "ectopic_ref_beats": "8",
+}
+
+# the keys of the paper's fixed protocol, which are constants or always on: key -> (its flag, a file value)
+FIXED_PROTOCOL = {
+    "truncate_controls": (["--no-truncate-controls"], "no"),
+    "keep_prob": (["--keep-prob", "0.5"], "0.5"),
+    "threshold": (["--threshold", "0.25"], "0.25"),
 }
 
 
@@ -128,8 +135,8 @@ class TestFeaturesCommand:
         config = tmp_path / "bad.conf"
         # int() and float() alone read 1_0 as 10 and full-width or Arabic-Indic digits as theirs
         for command, line in (("train", "epochs = soon"), ("train", "epochs = 1_0"),
-                              ("train", "keep_prob = \uff10.\uff15"), ("features", "min_beats = 2_50"),
-                              ("ablate", "k_folds = \u0663"), ("ablate", "threshold = 0.2_5")):
+                              ("train", "lam_nyhac = \uff10.\uff15"), ("features", "min_beats = 2_50"),
+                              ("ablate", "k_folds = \u0663"), ("ablate", "lam_bmi = 0.2_5")):
             config.write_text(line + "\n", encoding="utf-8")
             rc = run(command, "--data-dir", data[0], "--metadata", data[1],
                      "--out", str(tmp_path / "x.csv"), "--config", str(config))
@@ -141,34 +148,12 @@ class TestFeaturesCommand:
                  "--out", str(tmp_path / "x.csv"), "--feature-set", "everything")
         assert rc == 1
 
-    def test_controls_keep_their_tail_when_not_truncated(self, data, tmp_path):
-        truncated = tmp_path / "trunc.csv"
-        full_tail = tmp_path / "full.csv"
-        assert run("features", "--data-dir", data[0], "--metadata", data[1],
-                   "--out", str(truncated)) == 0
-        assert run("features", "--data-dir", data[0], "--metadata", data[1],
-                   "--out", str(full_tail), "--no-truncate-controls") == 0
-
-        def rows_by_label(path):
-            events, controls = {}, {}
-            for line in path.read_text().splitlines()[1:]:
-                rid, label, rest = line.split(",", 2)
-                (events if label == "VTA" else controls)[rid] = rest
-            return events, controls
-
-        ev_a, ctl_a = rows_by_label(truncated)
-        ev_b, ctl_b = rows_by_label(full_tail)
-        assert ev_a == ev_b
-        assert ctl_a != ctl_b
-
 
 # (function, parameter) -> the setting its default stands for
 SIGNATURE_DEFAULTS = {
-    (metrics, "threshold"): "threshold",
     (apply_decision_boundary, "horizon_ms"): "horizon_ms",
     (prepare_records, "horizon_ms"): "horizon_ms",
     (prepare_records, "min_beats"): "min_beats",
-    (prepare_records, "truncate_controls"): "truncate_controls",
 }
 
 # settings that these parameters must be given, because their function cannot see the one default
@@ -205,17 +190,22 @@ class TestSettings:
 
     def test_fixed_optimizer_recipe_is_not_a_setting(self):
         assert not {"lr", "rho", "eps", "clip"} & SETTINGS.keys()
-        assert len(SETTINGS) == 16
+        assert len(SETTINGS) == 13
+
+    def test_fixed_protocol_is_not_a_setting(self):
+        assert not set(FIXED_PROTOCOL) & SETTINGS.keys()
+        assert [f.name for f in fields(TrainConfig)] == ["epochs", "lam_nyhac", "lam_bmi"]
+        assert [f.name for f in fields(CVConfig)] == ["train", "use_embedding", "k_folds", "patient_grouped"]
+        assert list(inspect.signature(prepare_records).parameters) == ["records", "horizon_ms", "min_beats"]
+        assert list(inspect.signature(metrics).parameters) == ["labels", "probs"]
 
     def test_each_command_reads_its_own_keys(self):
-        # 5 + 11 + 13 = 29 settable (command, key) pairs
-        assert read_by("features") == ["feature_set", "include_windowed", "horizon_ms", "min_beats",
-                                       "truncate_controls"]
-        assert set(read_by("train")) == {*read_by("features"), "epochs", "keep_prob", "lam_nyhac", "lam_bmi",
+        # 4 + 9 + 10 = 23 settable (command, key) pairs
+        assert read_by("features") == ["feature_set", "include_windowed", "horizon_ms", "min_beats"]
+        assert set(read_by("train")) == {*read_by("features"), "epochs", "lam_nyhac", "lam_bmi",
                                          "use_embedding", "seed"}
-        assert set(read_by("ablate")) == {"horizon_ms", "min_beats", "truncate_controls", "epochs", "keep_prob",
-                                          "lam_nyhac", "lam_bmi", "k_folds", "threshold", "patient_grouped",
-                                          "seed", "seeds", "jobs"}
+        assert set(read_by("ablate")) == {"horizon_ms", "min_beats", "epochs", "lam_nyhac", "lam_bmi", "k_folds",
+                                          "patient_grouped", "seed", "seeds", "jobs"}
 
     def test_fixed_feature_recipe_is_not_a_setting(self):
         assert [f.name for f in fields(FeatureConfig)] == ["feature_set", "include_windowed"]
@@ -256,14 +246,14 @@ class TestSettings:
 class TestParseConfigFile:
     def test_reads_flat_key_values(self, tmp_path):
         path = tmp_path / "a.conf"
-        path.write_text("# comment\nepochs = 7\nuse_embedding = off\n\nkeep_prob=0.5\n")
+        path.write_text("# comment\nepochs = 7\nuse_embedding = off\n\nlam_nyhac=0.5\n")
         values = parse_config_file(path, "train")
-        assert values == {"epochs": 7, "use_embedding": False, "keep_prob": 0.5}
+        assert values == {"epochs": 7, "use_embedding": False, "lam_nyhac": 0.5}
 
     def test_byte_order_mark_is_dropped(self, tmp_path):
         path = tmp_path / "a.conf"
-        path.write_bytes(b"\xef\xbb\xbfepochs = 7\r\nkeep_prob=0.5\r\n")
-        assert parse_config_file(path, "train") == {"epochs": 7, "keep_prob": 0.5}
+        path.write_bytes(b"\xef\xbb\xbfepochs = 7\r\nlam_nyhac=0.5\r\n")
+        assert parse_config_file(path, "train") == {"epochs": 7, "lam_nyhac": 0.5}
         path.write_bytes(b"\xef\xbb\xbfepochs = 7\n\n# caf\xe9\n")
         with pytest.raises(DatasetError) as info:
             parse_config_file(path, "train")
@@ -278,14 +268,14 @@ class TestParseConfigFile:
 
     def test_ascii_space_around_keys_and_values_is_stripped(self, tmp_path):
         path = tmp_path / "a.conf"
-        path.write_text("\tseeds\t=\t3 \v\n  truncate_controls =  yes\f\n \t \n", encoding="utf-8")
-        assert parse_config_file(path, "ablate") == {"seeds": 3, "truncate_controls": True}
+        path.write_text("\tseeds\t=\t3 \v\n  patient_grouped =  yes\f\n \t \n", encoding="utf-8")
+        assert parse_config_file(path, "ablate") == {"seeds": 3, "patient_grouped": True}
 
-    # str.strip() would read the first three as seeds = 3, truncate_controls = yes and a blank line;
+    # str.strip() would read the first three as seeds = 3, patient_grouped = yes and a blank line;
     # the flag --seeds '3\u00a0' and the tachogram line '800\u00a0' are rejected too
     @pytest.mark.parametrize("line,complaint", [
         ("seeds = 3\u00a0", "bad value for 'seeds': not a number: '3\\xa0'"),
-        ("truncate_controls = yes\u00a0", "bad value for 'truncate_controls': not a boolean: 'yes\\xa0'"),
+        ("patient_grouped = yes\u00a0", "bad value for 'patient_grouped': not a boolean: 'yes\\xa0'"),
         ("\u00a0", "expected 'key = value'"),
         ("seeds\u3000= 3", "unknown key 'seeds\\u3000'"),
     ])
@@ -466,6 +456,27 @@ class TestTopLevel:
                  "--out", str(tmp_path / "x.csv"), flag, "0.5")
         assert rc == 1
 
+    @pytest.mark.parametrize("command, key", [(c, k) for c in COMMANDS for k in FIXED_PROTOCOL])
+    def test_fixed_protocol_has_no_flag(self, data, tmp_path, capsys, command, key):
+        # a missing data dir would fail at load time, so the refusal proves nothing was read
+        rc = run(command, "--data-dir", str(tmp_path / "nowhere"), "--metadata", data[1],
+                 "--out", str(tmp_path / "out"), *FIXED_PROTOCOL[key][0])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"unrecognized arguments: {' '.join(FIXED_PROTOCOL[key][0])}" in err
+        assert "nowhere" not in err
+
+    @pytest.mark.parametrize("command, key", [(c, k) for c in COMMANDS for k in FIXED_PROTOCOL])
+    def test_fixed_protocol_key_in_a_config_file_is_unknown(self, data, tmp_path, capsys, command, key):
+        config = tmp_path / "run.conf"
+        config.write_text(f"{key} = {FIXED_PROTOCOL[key][1]}\n")
+        rc = run(command, "--data-dir", str(tmp_path / "nowhere"), "--metadata", data[1],
+                 "--out", str(tmp_path / "out"), "--config", str(config))
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"{config}, line 1: unknown key {key!r}" in err
+        assert "nowhere" not in err
+
     @pytest.mark.parametrize("key", FIXED_FEATURE_RECIPE)
     def test_fixed_feature_recipe_has_no_flag(self, data, tmp_path, capsys, key):
         flag = "--" + key.replace("_", "-")
@@ -488,9 +499,10 @@ class TestTopLevel:
     @pytest.mark.parametrize("command", COMMANDS)
     def test_exact_flags_still_parse(self, command):
         epochs = [] if command == "features" else ["--epochs", "7"]  # features reads no epochs
+        key = "patient_grouped" if command == "ablate" else "include_windowed"  # a bool the command reads
         args = build_parser().parse_args([command, "--data-dir", "d", "--metadata", "m", "--out", "o",
-                                          *epochs, "--horizon-ms", "5", "--no-truncate-controls"])
-        assert (vars(args).get("epochs"), args.horizon_ms, args.truncate_controls) == (7 if epochs else None, 5.0, False)
+                                          *epochs, "--horizon-ms", "5", "--no-" + key.replace("_", "-")])
+        assert (vars(args).get("epochs"), args.horizon_ms, getattr(args, key)) == (7 if epochs else None, 5.0, False)
 
     def test_missing_required_out_exits_one(self, data):
         assert run("features", "--data-dir", data[0], "--metadata", data[1]) == 1
@@ -646,14 +658,6 @@ class TestTopLevel:
         assert f"--out {out / below}: {out} is not a directory" in err
         assert "nowhere" not in err
         assert out.read_text() == "not a directory\n"
-
-    def test_nan_threshold_exits_one_before_any_fit(self, data, tmp_path, capsys):
-        out = tmp_path / "grid"
-        rc = run("ablate", "--data-dir", data[0], "--metadata", data[1], "--out", str(out),
-                 "--threshold", "nan", "--epochs", "1", "--k-folds", "3", "--seeds", "1")
-        assert rc == 1
-        assert "threshold must be in" in capsys.readouterr().err
-        assert not out.exists()
 
 
 def test_importing_the_cli_loads_no_scipy():

@@ -368,14 +368,6 @@ class TestPrepareRecords:
         assert [r.record_id for r in kept] == ["keep"]
         assert any("drop" in msg for msg in caplog.messages)
 
-    def test_controls_can_skip_truncation(self):
-        control = RRRecord("c", np.full(300, 700.0), "Control", "p1")
-        event = RRRecord("v", np.full(400, 700.0), "VTA", "p2")
-        kept = prepare_records([control, event], min_beats=100, truncate_controls=False)
-        by_id = {r.record_id: r for r in kept}
-        assert len(by_id["c"]) == 300
-        assert len(by_id["v"]) < 400
-
     def test_both_classes_truncated_by_default(self, prepared_records):
         records, _ = prepared_records
         assert records, "fixture dataset should survive preparation"

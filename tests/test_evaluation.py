@@ -103,11 +103,6 @@ class TestMakeFolds:
 
 
 class TestCVConfigValidation:
-    @pytest.mark.parametrize("threshold", [float("nan"), 1.5, -0.1])
-    def test_threshold_outside_the_unit_interval(self, threshold):
-        with pytest.raises(ValueError, match="threshold must be in"):
-            CVConfig(threshold=threshold)
-
     @pytest.mark.parametrize("k_folds", [1, 0])
     def test_fewer_than_two_folds(self, k_folds):
         with pytest.raises(ValueError, match="k_folds must be >= 2"):
@@ -157,6 +152,18 @@ class TestMetrics:
         out = metrics(np.array([1, 0]), np.array([0.5, 0.5]))
         assert out["tp"] == 1 and out["fp"] == 1
         assert out["sensitivity"] == 1.0
+
+    def test_threshold_comes_from_the_module_constant(self, monkeypatch):
+        # the worked example's scores, which a non-default constant splits elsewhere
+        labels = np.array([1] * 10 + [0] * 10)
+        probs = np.array([0.9] * 7 + [0.1] * 3 + [0.2] * 8 + [0.8] * 2)
+        assert evaluation.DECISION_THRESHOLD == 0.5
+        monkeypatch.setattr(evaluation, "DECISION_THRESHOLD", 0.85)
+        out = metrics(labels, probs)
+        assert (out["tp"], out["fn"], out["tn"], out["fp"]) == (7, 3, 10, 0)
+        monkeypatch.setattr(evaluation, "DECISION_THRESHOLD", 0.15)
+        out = metrics(labels, probs)
+        assert (out["tp"], out["fn"], out["tn"], out["fp"]) == (7, 3, 0, 10)
 
     def test_no_positive_predictions_flagged(self):
         out = metrics(np.array([1, 0]), np.array([0.1, 0.2]))
@@ -396,7 +403,7 @@ class TestRunAblation:
         row_features, row_cfg = ablation_config(ROW_MULTI_TASK, base)
         direct = run_cv(build_cohort(records, patients, row_features), row_cfg, seed=0)
         np.testing.assert_array_equal(report.probs[(ROW_MULTI_TASK, 0)], direct)
-        direct_stats = metrics(report.labels, direct, base.threshold)
+        direct_stats = metrics(report.labels, direct)
         for name in ("accuracy", "sensitivity", "specificity", "precision"):
             assert report.means[ROW_MULTI_TASK][name] == pytest.approx(direct_stats[name])
 

@@ -17,7 +17,7 @@ from oracles import (
     max_relative_error,
     stacked_finite_difference_grads,
 )
-from vtapred import NetworkError, TrainConfig, predict
+from vtapred import NetworkError, TrainConfig, optim, predict
 from vtapred.evaluation import build_examples
 from vtapred.features import Cohort, fit_standardizer
 from vtapred.network import (
@@ -410,12 +410,13 @@ class TestBackward:
         assert not grads["embedding"][0].any()
         assert not grads["embedding"][2].any()
 
-    def test_training_leaves_unused_embedding_rows_untouched(self, rng):
+    def test_training_leaves_unused_embedding_rows_untouched(self, rng, monkeypatch):
+        monkeypatch.setattr(optim, "KEEP_PROB", 1.0)
         cfg = small_config()
         params = init_params(cfg, rng)
         before = params.tensors["embedding"].copy()
         batch = make_batch(rng.random((8, 4)), [2] * 8, rng.integers(0, 2, 8))
-        train(batch, TrainConfig(epochs=30, keep_prob=1.0), params, np.random.default_rng(5))
+        train(batch, TrainConfig(epochs=30), params, np.random.default_rng(5))
         after = params.tensors["embedding"]
         np.testing.assert_array_equal(after[0], before[0])
         np.testing.assert_array_equal(after[1], before[1])

@@ -10,7 +10,9 @@ from oracles import adadelta_scalar_step, train_reference
 from vtapred import CVConfig, TrainConfig, TrainingError
 from vtapred import optim
 from vtapred.evaluation import ABLATION_ROWS, ablation_config
-from vtapred.network import Batch, FlatTensors, NetworkConfig, NetworkParams, forward, init_params
+from vtapred.network import (
+    Batch, FlatTensors, NetworkConfig, NetworkParams, draw_dropout_masks, forward, init_params,
+)
 from vtapred.optim import AdaDeltaState, adadelta_step, clip, train, write_loss_history
 
 
@@ -166,11 +168,10 @@ class TestTrain:
         for name, tensor in trained.tensors.items():
             np.testing.assert_array_equal(tensor, before[name])
 
-    def test_loss_decreases_end_to_end(self, rng):
+    def test_loss_decreases_end_to_end(self, rng, monkeypatch):
+        monkeypatch.setattr(optim, "KEEP_PROB", 1.0)
         params = init_params(self._config(), rng)
-        _, history = train(
-            separable_batch(), TrainConfig(epochs=250, keep_prob=1.0), params, rng
-        )
+        _, history = train(separable_batch(), TrainConfig(epochs=250), params, rng)
         assert history[-1]["loss"] < history[0]["loss"]
 
     def test_history_is_finite_and_clipped(self, rng):
@@ -208,16 +209,43 @@ class TestTrainMatchesReference:
 
     @pytest.mark.parametrize("keep_prob", [0.75, 1.0])
     @pytest.mark.parametrize("row", ABLATION_ROWS)
-    def test_bit_identical(self, row, keep_prob):
-        _, cv = ablation_config(row, CVConfig(train=TrainConfig(epochs=12, keep_prob=keep_prob)))
+    def test_bit_identical(self, row, keep_prob, monkeypatch):
+        monkeypatch.setattr(optim, "KEEP_PROB", keep_prob)
+        _, cv = ablation_config(row, CVConfig(train=TrainConfig(epochs=12)))
         net = NetworkConfig(num_features=9, num_decades=5, use_embedding=cv.use_embedding)
         rng = np.random.default_rng(31)
         batch = random_batch(rng, net, 40)
         params = init_params(net, rng)
-        want, want_history = train_reference(batch, cv.train, net, dict(params.tensors), np.random.default_rng(8))
+        want, want_history = train_reference(batch, cv.train, net, dict(params.tensors), np.random.default_rng(8),
+                                             keep_prob)
         got, history = train(batch, cv.train, params, np.random.default_rng(8))
         assert history == want_history
         assert list(got.tensors) == list(want)
+        for name, tensor in want.items():
+            assert np.array_equal(got.tensors[name], tensor), name
+
+    def test_keep_prob_comes_from_the_module_constant(self, monkeypatch):
+        # a non-default constant proves train reads it at call time, not a baked-in literal
+        monkeypatch.setattr(optim, "KEEP_PROB", 1.0)
+        drawn = []
+
+        def spy(config, n, keep_prob, *args):
+            masks = draw_dropout_masks(config, n, keep_prob, *args)
+            drawn.append((keep_prob, masks))
+            return masks
+
+        monkeypatch.setattr(optim, "draw_dropout_masks", spy)
+        cfg = TrainConfig(epochs=8)
+        net = NetworkConfig(num_features=9, num_decades=5, use_embedding=True)
+        rng = np.random.default_rng(31)
+        batch = random_batch(rng, net, 40)
+        params = init_params(net, rng)
+        want, want_history = train_reference(batch, cfg, net, dict(params.tensors), np.random.default_rng(8), 1.0)
+        dropout_rng = np.random.default_rng(8)
+        got, history = train(batch, cfg, params, dropout_rng)
+        assert drawn == [(1.0, None)] * 8  # no masks, and the generator is never drawn from
+        assert dropout_rng.random() == np.random.default_rng(8).random()
+        assert history == want_history
         for name, tensor in want.items():
             assert np.array_equal(got.tensors[name], tensor), name
 
@@ -254,16 +282,14 @@ class TestTrainPrecision:
 class TestTrainConfigValidation:
     def test_defaults_are_the_published_recipe(self):
         cfg = TrainConfig()
-        assert [f.name for f in fields(TrainConfig)] == ["epochs", "keep_prob", "lam_nyhac", "lam_bmi"]
-        assert (cfg.epochs, cfg.keep_prob) == (1000, 0.75)
-        assert (optim.ADADELTA_RHO, optim.ADADELTA_EPS, optim.CLIP_LIMIT) == (0.95, 1e-6, 0.1)
+        assert [f.name for f in fields(TrainConfig)] == ["epochs", "lam_nyhac", "lam_bmi"]
+        assert cfg.epochs == 1000
+        assert (optim.ADADELTA_RHO, optim.ADADELTA_EPS, optim.CLIP_LIMIT, optim.KEEP_PROB) == (0.95, 1e-6, 0.1, 0.75)
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"epochs": -1},
-            {"keep_prob": 0.0},
-            {"keep_prob": 1.5},
         ],
     )
     def test_bad_values_rejected(self, kwargs):
