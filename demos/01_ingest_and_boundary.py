@@ -7,7 +7,7 @@ CLI does, and shows what the 60-second boundary removes from each record.
 import tempfile
 from pathlib import Path
 
-from vtapred import apply_decision_boundary, load_dataset, prepare_records
+from vtapred import load_dataset, prepare_records
 from vtapred.synthetic import write_tachogram_dataset
 
 
@@ -18,15 +18,10 @@ def main() -> None:
 
         print(f"loaded {len(records)} records, {len(patients)} patients")
         print(f"{'record':<8}{'label':<10}{'beats':>7}{'after':>7}{'removed ms':>12}")
-        for rec in records:
-            cut = apply_decision_boundary(rec, horizon_ms=60000.0)
-            print(f"{rec.record_id:<8}{rec.label:<10}{len(rec):>7}{len(cut):>7}"
-                  f"{cut.truncated_ms:>12.0f}")
-
-        # The boundary is idempotent: a second application removes nothing.
-        once = apply_decision_boundary(records[0], horizon_ms=60000.0)
-        twice = apply_decision_boundary(once, horizon_ms=60000.0)
-        print(f"\nidempotent truncation: {len(once)} beats -> {len(twice)} beats")
+        # min_beats=0 keeps every record that has a beat left before the boundary
+        for rec, cut in zip(records, prepare_records(records, horizon_ms=60000.0, min_beats=0), strict=True):
+            removed = rec.intervals_ms[len(cut):].sum()
+            print(f"{rec.record_id:<8}{rec.label:<10}{len(rec):>7}{len(cut):>7}{removed:>12.0f}")
 
         prepared = prepare_records(records, horizon_ms=60000.0, min_beats=250)
         print(f"usable records after the boundary: {len(prepared)} of {len(records)}")

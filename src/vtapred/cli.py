@@ -190,7 +190,7 @@ def _prepare(args: argparse.Namespace):
             raise ConfigError(f"--{name.replace('_', '-')} must not be empty")
     settings = resolve_settings(args)
     features, cv = _build(FeatureConfig, settings), build_configs(settings)
-    # a non-positive horizon is the documented no-op, so only NaN and inf are impossible
+    # a non-positive horizon keeps every beat; NaN and inf would exclude every record
     if not np.isfinite(settings["horizon_ms"]):
         raise ConfigError(f"horizon_ms must be finite, got {settings['horizon_ms']!r}")
     for key, least in (("min_beats", 0), ("seed", 0), ("seeds", 1), ("jobs", 1)):

@@ -43,10 +43,6 @@ class DatasetError(Exception):
     """Malformed tachogram or metadata input."""
 
 
-class UnusableRecordError(DatasetError):
-    """Record left without usable signal once the decision boundary is applied."""
-
-
 def round_to_decade(year: int) -> int:
     """Round a calendar year to the nearest decade, ties upward (1945 -> 1950)."""
     return int(math.floor(year / 10.0 + 0.5)) * 10
@@ -64,18 +60,12 @@ class PatientMeta:
 
 @dataclass(frozen=True, eq=False)
 class RRRecord:
-    """One tachogram: consecutive RR intervals in milliseconds plus its label.
-
-    ``truncated_ms`` tracks how much signal the decision boundary has already
-    removed from the end, which is what makes repeated boundary application a
-    no-op instead of eating another horizon's worth of beats.
-    """
+    """One tachogram: consecutive RR intervals in milliseconds plus its label."""
 
     record_id: str
     intervals_ms: np.ndarray
     label: str
     patient_id: str
-    truncated_ms: float = 0.0
 
     def __post_init__(self):
         arr = np.array(self.intervals_ms, dtype=float)
@@ -96,61 +86,37 @@ class RRRecord:
         return int(self.intervals_ms.size)
 
 
-def apply_decision_boundary(record: RRRecord, horizon_ms: float = DEFAULT_HORIZON_MS) -> RRRecord:
-    """Drop the minimal suffix whose cumulative duration reaches the horizon.
-
-    The removed suffix is the smallest one summing to >= ``horizon_ms``, so
-    every remaining beat ends strictly more than one horizon before the event
-    (or recording end).  A non-positive horizon, or a record that was already
-    truncated at least this far, is returned unchanged.
-
-    Raises UnusableRecordError if nothing would remain.
-    """
-    needed = horizon_ms - record.truncated_ms
-    if needed <= 0:
-        return record
-    tail_sums = np.cumsum(record.intervals_ms[::-1])
-    cut = int(np.searchsorted(tail_sums, needed, side="left")) + 1
-    if cut >= len(record):
-        raise UnusableRecordError(
-            f"record {record.record_id!r}: boundary of {horizon_ms:g} ms leaves no signal"
-        )
-    removed = float(tail_sums[cut - 1])
-    return RRRecord(
-        record.record_id,
-        record.intervals_ms[: len(record) - cut],
-        record.label,
-        record.patient_id,
-        truncated_ms=record.truncated_ms + removed,
-    )
-
-
 def prepare_records(
     records: list[RRRecord],
     horizon_ms: float = DEFAULT_HORIZON_MS,
     min_beats: int = DEFAULT_MIN_BEATS,
 ) -> list[RRRecord]:
-    """Apply the decision boundary to each record and drop the unusable ones.
+    """Cut each record at the decision boundary and drop the ones left too short.
 
-    Controls are truncated identically so both classes lose a comparable
-    amount of signal.  Records left with fewer than ``min_beats`` intervals
-    (or with nothing at all before the boundary) are excluded with a logged
-    warning rather than failing the whole run.
+    The cut removes the minimal suffix whose cumulative duration reaches
+    ``horizon_ms``, so every kept beat ends strictly more than one horizon
+    before the event (or recording end).  Controls are cut identically so
+    both classes lose a comparable amount of signal.  A non-positive horizon
+    returns each record unchanged; a NaN horizon cuts every beat.  Records
+    left with fewer than ``max(min_beats, 1)`` intervals are excluded with a
+    logged warning rather than failing the whole run.
     """
+    least = max(min_beats, 1)
     kept = []
     for rec in records:
-        try:
-            out = apply_decision_boundary(rec, horizon_ms)
-        except UnusableRecordError as exc:
-            log.warning("excluding unusable record: %s", exc)
-            continue
-        if len(out) < min_beats:
+        beats = len(rec)
+        if not horizon_ms <= 0:  # NaN cuts too: it leaves no beat
+            tail_sums = np.cumsum(rec.intervals_ms[::-1])
+            beats -= int(np.searchsorted(tail_sums, horizon_ms, side="left")) + 1
+        if beats < least:
             log.warning(
-                "excluding record %r: %d beats remain before the boundary (need %d)",
-                rec.record_id, len(out), min_beats,
+                "excluding record %r: %d beats remain before the %g ms boundary (need %d)",
+                rec.record_id, max(beats, 0), horizon_ms, least,
             )
             continue
-        kept.append(out)
+        if beats < len(rec):
+            rec = RRRecord(rec.record_id, rec.intervals_ms[:beats], rec.label, rec.patient_id)
+        kept.append(rec)
     return kept
 
 

@@ -309,8 +309,9 @@ def run_ablation(
     Each row's recipe sets the features and the embedding, so
     ``base.use_embedding`` is not read.  One cohort is built per distinct
     feature configuration and shared across seeds and workers, after the
-    checks that need no features: both classes are present and, unless folds
-    are grouped by patient, each class fills every fold.  With
+    checks that need no features: both classes are present and each class
+    fills every fold, or, with folds grouped by patient, every fold gets a
+    patient.  With
     ``jobs > 1`` the (row, seed) items run in a process pool; results are
     merged in fixed order, so the output is identical to a serial run.  The
     workers compute with one BLAS thread, which at fold sizes gives the bytes
@@ -323,9 +324,14 @@ def run_ablation(
     if not all(counts.values()):
         found = ", ".join(f"{count} {label}" for label, count in counts.items())
         raise EvaluationError(f"the grid's AUC needs records of both classes, got {found}")
-    for label, count in counts.items():
-        if count < base.k_folds and not base.patient_grouped:  # grouped folds are dealt by patient
-            raise EvaluationError(f"class {label} has {count} records but {base.k_folds} folds were requested")
+    if base.patient_grouped:  # grouped folds are dealt by patient
+        n_patients = len({rec.patient_id for rec in records})
+        if n_patients < base.k_folds:
+            raise EvaluationError(f"{n_patients} patients cannot fill {base.k_folds} folds")
+    else:
+        for label, count in counts.items():
+            if count < base.k_folds:
+                raise EvaluationError(f"class {label} has {count} records but {base.k_folds} folds were requested")
     configs = {row: ablation_config(row, base) for row in ABLATION_ROWS}
     cohorts = {
         features: build_cohort(records, patients, features)

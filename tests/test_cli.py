@@ -16,7 +16,7 @@ import pytest
 
 import vtapred
 from vtapred import (
-    CVConfig, DatasetError, TrainConfig, apply_decision_boundary, load_dataset, metrics, prepare_records, run_ablation,
+    CVConfig, DatasetError, TrainConfig, load_dataset, metrics, prepare_records, run_ablation,
 )
 from vtapred.cli import (
     SETTINGS, ConfigError, _build, build_configs, build_parser, dataset_checksum, main, parse_config_file,
@@ -151,7 +151,6 @@ class TestFeaturesCommand:
 
 # (function, parameter) -> the setting its default stands for
 SIGNATURE_DEFAULTS = {
-    (apply_decision_boundary, "horizon_ms"): "horizon_ms",
     (prepare_records, "horizon_ms"): "horizon_ms",
     (prepare_records, "min_beats"): "min_beats",
 }
@@ -224,6 +223,13 @@ class TestSettings:
         assert sorted(read_by_key) == sorted(SETTINGS)
         for key, commands in read_by_key.items():  # the "read by" column, in the table's command order
             assert commands == [command for command in COMMANDS if command in SETTINGS[key][2]], key
+
+    def test_readme_settings_counts_match(self):
+        readme = README.read_text(encoding="utf-8")
+        counts = {command: int(n) for n, command in re.findall(r"the (\d+) settings `(\w+)`\s+reads", readme)}
+        assert sorted(counts) == ["ablate", "train"]
+        for command, n in counts.items():
+            assert n == len(read_by(command)), command
 
     def test_readme_command_examples_parse(self):
         readme = README.read_text(encoding="utf-8")
@@ -411,6 +417,7 @@ class TestAblateCommand:
         assert len(manifest["dataset"]["checksum_sha256"]) == 64
         # the settings are echoed once
         assert sorted(manifest) == ["created", "dataset", "seeds", "settings", "tool", "version"]
+        assert sorted(manifest["settings"]) == sorted(read_by("ablate"))
 
     def test_rerun_reproduces_every_artifact(self, ablate_run, data, tmp_path):
         _, first, config = ablate_run

@@ -6,8 +6,6 @@ import pytest
 
 from vtapred import (
     DatasetError,
-    UnusableRecordError,
-    apply_decision_boundary,
     dataset,
     load_dataset,
     prepare_records,
@@ -323,24 +321,19 @@ class TestRRRecord:
 class TestDecisionBoundary:
     def test_uniform_600ms_removes_100_beats(self):
         rec = RRRecord("r", np.full(1024, 600.0), "VTA", "p")
-        out = apply_decision_boundary(rec, 60000.0)
+        [out] = prepare_records([rec], 60000.0, min_beats=0)
         assert len(out) == 924
 
     def test_worked_suffix_example(self):
         rec = RRRecord("r", [1000.0] * 5 + [900.0, 4900.0], "VTA", "p")
         # tail 4900 alone is under a 5000 ms horizon, 900+4900 crosses it
-        out = apply_decision_boundary(rec, 5000.0)
+        [out] = prepare_records([rec], 5000.0, min_beats=0)
         np.testing.assert_array_equal(out.intervals_ms, [1000.0] * 5)
 
     def test_zero_horizon_is_identity(self):
         rec = RRRecord("r", np.full(40, 700.0), "Control", "p")
-        assert apply_decision_boundary(rec, 0.0) is rec
-
-    def test_idempotent(self):
-        rec = RRRecord("r", np.full(300, 700.0), "VTA", "p")
-        once = apply_decision_boundary(rec, 60000.0)
-        twice = apply_decision_boundary(once, 60000.0)
-        np.testing.assert_array_equal(once.intervals_ms, twice.intervals_ms)
+        [out] = prepare_records([rec], 0.0, min_beats=0)
+        assert out is rec
 
     def test_removed_suffix_is_minimal(self, rng):
         for _ in range(50):
@@ -348,15 +341,30 @@ class TestDecisionBoundary:
             intervals = rng.uniform(400.0, 1200.0, size=n)
             rec = RRRecord("r", intervals, "VTA", "p")
             horizon = float(rng.uniform(5000.0, 40000.0))
-            out = apply_decision_boundary(rec, horizon)
+            [out] = prepare_records([rec], horizon, min_beats=0)
             removed = intervals[len(out):]
             assert removed.sum() >= horizon
             assert removed[1:].sum() < horizon
 
-    def test_too_short_record_is_unusable(self):
+    def test_too_short_record_is_unusable(self, caplog):
         rec = RRRecord("r", np.full(10, 600.0), "VTA", "p")
-        with pytest.raises(UnusableRecordError):
-            apply_decision_boundary(rec, 60000.0)
+        with caplog.at_level(logging.WARNING):
+            assert prepare_records([rec], 60000.0, min_beats=0) == []
+        assert len(caplog.messages) == 1 and "'r'" in caplog.messages[0]
+
+    @pytest.mark.parametrize("horizon", [6000.0, 1e9, np.inf])
+    def test_horizon_reaching_the_record_start_excludes_it(self, horizon, caplog):
+        rec = RRRecord("r", np.full(10, 600.0), "VTA", "p")  # 6000 ms in all
+        with caplog.at_level(logging.WARNING):
+            assert prepare_records([rec], horizon, min_beats=0) == []
+        assert caplog.messages == [f"excluding record 'r': 0 beats remain before the {horizon:g} ms boundary (need 1)"]
+
+    def test_nan_horizon_keeps_no_record(self, caplog):
+        # a NaN horizon is not "<= 0", so it cuts rather than keeping the final minute
+        rec = RRRecord("r", np.full(400, 700.0), "VTA", "p")
+        with caplog.at_level(logging.WARNING):
+            assert prepare_records([rec], float("nan"), min_beats=0) == []
+        assert len(caplog.messages) == 1
 
 
 class TestPrepareRecords:
@@ -368,7 +376,13 @@ class TestPrepareRecords:
         assert [r.record_id for r in kept] == ["keep"]
         assert any("drop" in msg for msg in caplog.messages)
 
-    def test_both_classes_truncated_by_default(self, prepared_records):
+    def test_both_classes_truncated_by_default(self, tacho_dataset, prepared_records):
         records, _ = prepared_records
         assert records, "fixture dataset should survive preparation"
-        assert all(r.truncated_ms >= 60000.0 for r in records)
+        raw = {r.record_id: r.intervals_ms for r in load_dataset(*tacho_dataset)[0]}
+        assert {r.label for r in records} == {"VTA", "Control"}
+        for rec in records:
+            full = raw[rec.record_id]
+            assert len(rec) < len(full)
+            np.testing.assert_array_equal(rec.intervals_ms, full[: len(rec)])
+            assert full[len(rec):].sum() >= 60000.0

@@ -19,8 +19,7 @@ import vtapred
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
-EXCEPTIONS = {"DatasetError", "UnusableRecordError", "FeatureError", "NetworkError", "TrainingError",
-              "EvaluationError"}
+EXCEPTIONS = {"DatasetError", "FeatureError", "NetworkError", "TrainingError", "EvaluationError"}
 
 
 def package_imports(source: str) -> set[str]:

@@ -483,6 +483,21 @@ class TestRunAblation:
             run_ablation(events + controls, patients, CVConfig(k_folds=3), seeds=range(2), jobs=1)
         assert str(caught.value) == f"class {LABEL_VTA} has 2 records but 3 folds were requested"
 
+    def test_too_few_patients_rejected_before_any_work(self, prepared_records, monkeypatch):
+        records, patients = prepared_records
+        two = sorted(patients)[:2]
+        records = [replace(rec, patient_id=two[i % 2]) for i, rec in enumerate(records)]
+        assert len(records) == 24 and {rec.label for rec in records} == {LABEL_VTA, LABEL_CONTROL}
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("the grid extracted features for folds it could not fill")
+
+        monkeypatch.setattr(evaluation, "build_cohort", must_not_run)
+        with pytest.raises(EvaluationError) as caught:
+            run_ablation(records, {pid: patients[pid] for pid in two}, CVConfig(k_folds=3, patient_grouped=True),
+                         seeds=range(2), jobs=1)
+        assert str(caught.value) == "2 patients cannot fill 3 folds"
+
     def test_zero_seeds_rejected(self, prepared_records):
         records, patients = prepared_records
         with pytest.raises(EvaluationError, match="at least one seed"):
