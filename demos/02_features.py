@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from vtapred import FeatureConfig, build_cohort, detect_ectopic, load_dataset, prepare_records
+from vtapred import build_cohort, detect_ectopic, load_dataset, prepare_records
 from vtapred.synthetic import write_tachogram_dataset
 
 
@@ -27,8 +27,8 @@ def main() -> None:
         records = prepare_records(records)
 
         # one cohort per feature family: a row per record, a column per feature
-        recent = build_cohort(records, patients, FeatureConfig())
-        panel = build_cohort(records, patients, FeatureConfig(feature_set="baseline11", include_windowed=False))
+        recent = build_cohort(records, patients, "recent")
+        panel = build_cohort(records, patients, "baseline11")
 
         record = records[0]
         print(f"record {record.record_id} ({record.label}, {len(record)} beats kept)\n")

@@ -43,7 +43,7 @@ from .evaluation import (
     write_predictions_csv,
     write_report_csv,
 )
-from .features import FeatureConfig, FeatureError, build_cohort, write_feature_matrix
+from .features import FeatureError, build_cohort, feature_names, write_feature_matrix
 from .network import CheckpointError, save_checkpoint
 from .optim import TrainConfig, TrainingError, write_loss_history
 
@@ -88,7 +88,7 @@ def _parser(default):
 SETTINGS: dict[str, tuple] = {
     key: (_parser(default), default, commands)
     for defaults, commands in (
-        (_field_defaults(FeatureConfig), ("features", "train")),
+        (_param_defaults(build_cohort), ("features", "train")),  # feature_set
         (_field_defaults(TrainConfig), ("train", "ablate")),
         (_field_defaults(CVConfig), ("ablate",)),
         ({"use_embedding": CVConfig.use_embedding}, ("train",)),  # ablate's rows set it: replaces the entry above
@@ -184,12 +184,14 @@ def _check_outputs(out: str, outputs: dict[str, bool]) -> dict[str, Path]:
 
 
 def _prepare(args: argparse.Namespace):
-    """Settings, configs and the paths of ``OUTPUTS``, checked before any data is read, then the records."""
+    """Settings, the CV config and the paths of ``OUTPUTS``, checked before any data is read, then the records."""
     for name in ("data_dir", "metadata", "config", "out"):
         if getattr(args, name) == "":
             raise ConfigError(f"--{name.replace('_', '-')} must not be empty")
     settings = resolve_settings(args)
-    features, cv = _build(FeatureConfig, settings), build_configs(settings)
+    cv = build_configs(settings)
+    if "feature_set" in settings:
+        feature_names(settings["feature_set"])  # an unknown family is rejected here
     # a non-positive horizon keeps every beat; NaN and inf would exclude every record
     if not np.isfinite(settings["horizon_ms"]):
         raise ConfigError(f"horizon_ms must be finite, got {settings['horizon_ms']!r}")
@@ -201,7 +203,7 @@ def _prepare(args: argparse.Namespace):
     prepared = prepare_records(records, horizon_ms=settings["horizon_ms"], min_beats=settings["min_beats"])
     if not prepared:
         raise DatasetError("no usable records after the decision boundary")
-    return settings, features, cv, prepared, patients, paths
+    return settings, cv, prepared, patients, paths
 
 
 def dataset_checksum(tachogram_dir, metadata_file) -> str:
@@ -236,15 +238,15 @@ def write_manifest(path, args, settings: dict, seed_list, n_records: int) -> Non
 
 
 def cmd_features(args: argparse.Namespace) -> int:
-    _, features, _, records, patients, paths = _prepare(args)
-    write_feature_matrix(paths[""], build_cohort(records, patients, features))
+    settings, _, records, patients, paths = _prepare(args)
+    write_feature_matrix(paths[""], build_cohort(records, patients, settings["feature_set"]))
     log.info("wrote %d feature rows to %s", len(records), paths[""])
     return 0
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    settings, features, cv, records, patients, paths = _prepare(args)
-    cohort = build_cohort(records, patients, features)
+    settings, cv, records, patients, paths = _prepare(args)
+    cohort = build_cohort(records, patients, settings["feature_set"])
     del records  # the fit reads only the cohort, so the tachograms go before it
     params, history, _ = fit_model(cohort, np.arange(len(cohort)), cv, settings["seed"], fold=0)
     save_checkpoint(paths[""], params, extra={"settings": settings})
@@ -254,7 +256,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_ablate(args: argparse.Namespace) -> int:
-    settings, _, cv, records, patients, paths = _prepare(args)
+    settings, cv, records, patients, paths = _prepare(args)
     seed_list = list(range(settings["seed"], settings["seed"] + settings["seeds"]))
 
     report = run_ablation(records, patients, cv, seeds=seed_list, jobs=settings["jobs"])

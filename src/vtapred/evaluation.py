@@ -21,7 +21,6 @@ from .features import (
     FEATURE_SET_BASELINE11,
     FEATURE_SET_RECENT,
     Cohort,
-    FeatureConfig,
     build_cohort,
     fit_standardizer,
     standardize,
@@ -37,13 +36,13 @@ DROPOUT_STREAM = 37
 
 DECISION_THRESHOLD = 0.5  # a held-out probability at or above it counts as an event
 
-# row -> (label, feature set, windowed trends, age embedding, auxiliary targets);
-# each row adds one step to the one before it.
+# row -> (label, feature set, age embedding, auxiliary targets); each row adds
+# one step to the one before it, the first by moving to the windowed `recent` family.
 ROW_RECIPES = {
-    "baseline": ("Baseline", FEATURE_SET_BASELINE11, False, False, False),
-    "windowed": ("+ windowed features", FEATURE_SET_RECENT, True, False, False),
-    "age_embedding": ("+ age embedding", FEATURE_SET_RECENT, True, True, False),
-    "multi_task": ("+ multi-task optimization", FEATURE_SET_RECENT, True, True, True),
+    "baseline": ("Baseline", FEATURE_SET_BASELINE11, False, False),
+    "windowed": ("+ windowed features", FEATURE_SET_RECENT, False, False),
+    "age_embedding": ("+ age embedding", FEATURE_SET_RECENT, True, False),
+    "multi_task": ("+ multi-task optimization", FEATURE_SET_RECENT, True, True),
 }
 ABLATION_ROWS = tuple(ROW_RECIPES)
 ROW_BASELINE, ROW_WINDOWED, ROW_EMBEDDING, ROW_MULTI_TASK = ABLATION_ROWS
@@ -221,6 +220,22 @@ def fit_model(
     return params, history, standardizers
 
 
+def _folds(labels, patient_ids, config: CVConfig, seed: int) -> list[np.ndarray]:
+    """The folds ``config`` deals for rows of these class codes and patients, drawn from ``seed``.
+
+    Grouped by patient or stratified by class; a class too small for the
+    folds is named by code and label.
+    """
+    fold_rng = np.random.default_rng([seed, FOLD_STREAM])
+    if config.patient_grouped:
+        return make_patient_folds(patient_ids, config.k_folds, fold_rng)
+    try:
+        return make_folds(labels, config.k_folds, fold_rng)
+    except EvaluationError as exc:
+        codes = ", ".join(f"class {code} is {name}" for code, name in reversed(tuple(enumerate(LABELS))))
+        raise EvaluationError(f"{exc} ({codes})") from None
+
+
 def run_cv(cohort: Cohort, config: CVConfig, seed: int) -> np.ndarray:
     """One cross-validated evaluation: the held-out event probability of each cohort row, in row order.
 
@@ -230,15 +245,7 @@ def run_cv(cohort: Cohort, config: CVConfig, seed: int) -> np.ndarray:
     """
     if not len(cohort):
         raise EvaluationError("no records to evaluate")
-    fold_rng = np.random.default_rng([seed, FOLD_STREAM])
-    if config.patient_grouped:
-        folds = make_patient_folds(cohort.patient_ids, config.k_folds, fold_rng)
-    else:
-        try:
-            folds = make_folds(cohort.y_vta, config.k_folds, fold_rng)
-        except EvaluationError as exc:
-            codes = ", ".join(f"class {code} is {name}" for code, name in reversed(tuple(enumerate(LABELS))))
-            raise EvaluationError(f"{exc} ({codes})") from None
+    folds = _folds(cohort.y_vta, cohort.patient_ids, config, seed)
 
     probs = np.full(len(cohort), np.nan)
     for fold_i, test_idx in enumerate(folds):
@@ -251,16 +258,16 @@ def run_cv(cohort: Cohort, config: CVConfig, seed: int) -> np.ndarray:
     return probs
 
 
-def ablation_config(row: str, base: CVConfig) -> tuple[FeatureConfig, CVConfig]:
-    """Resolve one grid row of ``ROW_RECIPES`` into its feature config and its CV config.
+def ablation_config(row: str, base: CVConfig) -> tuple[str, CVConfig]:
+    """Resolve one grid row of ``ROW_RECIPES`` into its feature set and its CV config.
 
     Without auxiliary targets both auxiliary weights are 0; with them they
     come from ``base.train``.
     """
     if row not in ROW_RECIPES:
         raise EvaluationError(f"unknown ablation row {row!r}")
-    _, feature_set, windowed, embedding, auxiliary = ROW_RECIPES[row]
-    return FeatureConfig(feature_set, windowed), replace(
+    _, feature_set, embedding, auxiliary = ROW_RECIPES[row]
+    return feature_set, replace(
         base,
         use_embedding=embedding,
         train=base.train if auxiliary else replace(base.train, lam_nyhac=0.0, lam_bmi=0.0),
@@ -307,15 +314,15 @@ def run_ablation(
     """Evaluate every grid row over the given sequence of seeds (e.g. ``range(10)``).
 
     Each row's recipe sets the features and the embedding, so
-    ``base.use_embedding`` is not read.  One cohort is built per distinct
-    feature configuration and shared across seeds and workers, after the
-    checks that need no features: both classes are present and each class
-    fills every fold, or, with folds grouped by patient, every fold gets a
-    patient.  With
-    ``jobs > 1`` the (row, seed) items run in a process pool; results are
-    merged in fixed order, so the output is identical to a serial run.  The
-    workers compute with one BLAS thread, which at fold sizes gives the bytes
-    of the default thread count (README, Determinism).
+    ``base.use_embedding`` is not read.  One cohort is built per feature set
+    and shared across seeds and workers, after the checks that need no
+    features: both classes are present, and ``run_cv``'s fold rules hold
+    (each class fills every fold, or, with folds grouped by patient, every
+    fold gets a patient).  With ``jobs > 1`` the (row, seed) items run in a
+    process pool; results are merged in fixed order, so the output is
+    identical to a serial run.  The workers compute with one BLAS thread,
+    which at fold sizes gives the bytes of the default thread count
+    (README, Determinism).
     """
     seed_list = tuple(int(s) for s in seeds)
     if not seed_list:
@@ -324,22 +331,16 @@ def run_ablation(
     if not all(counts.values()):
         found = ", ".join(f"{count} {label}" for label, count in counts.items())
         raise EvaluationError(f"the grid's AUC needs records of both classes, got {found}")
-    if base.patient_grouped:  # grouped folds are dealt by patient
-        n_patients = len({rec.patient_id for rec in records})
-        if n_patients < base.k_folds:
-            raise EvaluationError(f"{n_patients} patients cannot fill {base.k_folds} folds")
-    else:
-        for label, count in counts.items():
-            if count < base.k_folds:
-                raise EvaluationError(f"class {label} has {count} records but {base.k_folds} folds were requested")
+    # the fold counts do not depend on the seed, so one deal checks every run's
+    _folds([LABELS.index(rec.label) for rec in records], [rec.patient_id for rec in records], base, seed_list[0])
     configs = {row: ablation_config(row, base) for row in ABLATION_ROWS}
     cohorts = {
-        features: build_cohort(records, patients, features)
-        for features in dict.fromkeys(features for features, _ in configs.values())
+        feature_set: build_cohort(records, patients, feature_set)
+        for feature_set in dict.fromkeys(feature_set for feature_set, _ in configs.values())
     }
 
     items = [(row, seed) for row in ABLATION_ROWS for seed in seed_list]
-    # run_cv's arguments, one of each per item; configs[row] is (features, CV config)
+    # run_cv's arguments, one of each per item; configs[row] is (feature set, CV config)
     arguments = ([cohorts[configs[row][0]] for row, _ in items], [configs[row][1] for row, _ in items],
                  [seed for _, seed in items])
     if jobs > 1:

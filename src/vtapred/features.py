@@ -3,20 +3,20 @@
 Two feature families are supported:
 
 * ``recent``: statistics of the most recent beats (mean/min/max RR plus
-  low- and high-frequency band power), optionally extended with two windowed
-  trend features that compare the last beats against the ones just before.
+  low- and high-frequency band power) and two windowed trend features that
+  compare the last beats against the ones just before.
 * ``baseline11``: a classic full-sequence panel of eleven time-domain,
   frequency-domain, and nonlinear statistics, used as a reference point.
 
 Ectopic beats are detected with a running-mean rule and removed before any
 statistic other than the windowed ectopic count is computed.
-:func:`extract` computes one feature config's values for a whole record set
-as one matrix, and a :class:`Cohort` aligns the training targets to its rows.
+:func:`extract` computes one family's values for a whole record set as one
+matrix, and a :class:`Cohort` aligns the training targets to its rows.
 
 The recipe is fixed: the constants below give the recent window, the trend
 window, the ectopic rule and the standard LF and HF bands (Task Force of the
-ESC and NASPE, Circulation 93(5), 1996).  A :class:`FeatureConfig` picks
-only the family and whether the windowed trends are added.
+ESC and NASPE, Circulation 93(5), 1996).  The family's name is the only
+choice, and each name gives one matrix.
 
 Band power comes from one Lomb-Scargle kernel that takes a stack of
 equal-length series.  The ``recent`` family's windows all have
@@ -72,22 +72,6 @@ BASELINE11_NAMES = (
 
 class FeatureError(Exception):
     """Input unfit for the requested feature computation."""
-
-
-@dataclass(frozen=True)
-class FeatureConfig:
-    """The two choices the ablation grid varies: the feature family and the windowed trends.
-
-    The defaults give the recent-beat family with its trends.  Everything
-    else about the features is a module constant.
-    """
-
-    feature_set: str = FEATURE_SET_RECENT
-    include_windowed: bool = True
-
-    def __post_init__(self):
-        if self.feature_set not in FEATURE_SETS:
-            raise ValueError(f"feature_set must be one of {FEATURE_SETS}, got {self.feature_set!r}")
 
 
 def detect_ectopic(intervals_ms) -> np.ndarray:
@@ -406,19 +390,20 @@ def baseline11(intervals_ms, times_s) -> tuple[float, ...]:
     )
 
 
-def feature_names(config: FeatureConfig = FeatureConfig()) -> tuple[str, ...]:
-    """Names of the columns that :func:`extract` returns for ``config``, in order."""
-    names = BASELINE11_NAMES if config.feature_set == FEATURE_SET_BASELINE11 else RECENT_NAMES
-    return names + (WINDOWED_NAMES if config.include_windowed else ())
+def feature_names(feature_set: str) -> tuple[str, ...]:
+    """Names of the columns that :func:`extract` returns for the family ``feature_set``, in order."""
+    if feature_set not in FEATURE_SETS:
+        raise FeatureError(f"feature_set must be one of {FEATURE_SETS}, got {feature_set!r}")
+    return BASELINE11_NAMES if feature_set == FEATURE_SET_BASELINE11 else RECENT_NAMES + WINDOWED_NAMES
 
 
-def extract(records, config: FeatureConfig = FeatureConfig()) -> np.ndarray:
-    """Compute the configured feature values for a sequence of truncated records.
+def extract(records, feature_set: str) -> np.ndarray:
+    """Compute the family ``feature_set``'s values for a sequence of truncated records.
 
     Returns a ``(len(records), f)`` array, one row per record in order and
     its columns ordered as :func:`feature_names`; every value is finite.
-    Pure function of (records, config): no caching, no mutation, so results
-    can be computed once and shared across folds and seeds.
+    Pure function of (records, feature_set): no caching, no mutation, so
+    results can be computed once and shared across folds and seeds.
 
     Each record's ectopic mask and windowed trend are computed on their own.
     The ``recent`` family copies each record's last ``RECENT_BEATS`` kept
@@ -426,11 +411,11 @@ def extract(records, config: FeatureConfig = FeatureConfig()) -> np.ndarray:
     arrays (copies, so that no view keeps a whole record alive), then takes
     mean, min, max and both band powers of all rows together: one stacked
     :func:`band_power` call per band.  ``baseline11`` series differ in length,
-    so its panel is computed record by record.
+    so its panel, which has no windowed trend, is computed record by record.
     """
-    names = feature_names(config)
+    names = feature_names(feature_set)
     X = np.empty((len(records), len(names)))
-    recent = config.feature_set == FEATURE_SET_RECENT
+    recent = feature_set == FEATURE_SET_RECENT
     if recent:
         k = RECENT_BEATS
         window_ms, window_s = np.empty((len(records), k)), np.empty((len(records), k))
@@ -445,10 +430,9 @@ def extract(records, config: FeatureConfig = FeatureConfig()) -> np.ndarray:
                 if filtered.size < k:
                     raise FeatureError(f"need at least {k} beats for recent-beat statistics")
                 window_ms[i], window_s[i] = filtered[-k:], times_s[-k:]
+                X[i, len(RECENT_NAMES):] = windowed_diff(raw, mask)
             else:
-                X[i, :len(BASELINE11_NAMES)] = baseline11(filtered, times_s)
-            if config.include_windowed:
-                X[i, -len(WINDOWED_NAMES):] = windowed_diff(raw, mask)
+                X[i] = baseline11(filtered, times_s)
         except FeatureError as exc:
             raise FeatureError(f"record {record.record_id!r}: {exc}") from None
     if recent:
@@ -465,7 +449,7 @@ def extract(records, config: FeatureConfig = FeatureConfig()) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Cohort:
-    """A record set under one feature config: one row per record, in record order.
+    """A record set under one feature family: one row per record, in record order.
 
     ``X`` holds the raw (unstandardized) features; standardizers are fitted
     per fold on training rows.  Unknown metadata is encoded in place:
@@ -494,20 +478,20 @@ class Cohort:
         return len(self.record_ids)
 
 
-def build_cohort(records, patients, config: FeatureConfig = FeatureConfig()) -> Cohort:
+def build_cohort(records, patients, feature_set: str = FEATURE_SET_RECENT) -> Cohort:
     """Extract every record's features once and gather its targets into arrays.
 
     The birth-decade vocabulary is every known decade in ``patients``, so the
     embedding width does not depend on which records survive ingestion.
     """
-    X = extract(records, config)
+    X = extract(records, feature_set)
     vocab = sorted({p.birth_decade for p in patients.values() if p.birth_decade is not None})
     vocab_index = {decade: i for i, decade in enumerate(vocab)}
     num_decades = max(len(vocab), 1)  # also the index of an unknown decade
     metas = [patients[rec.patient_id] for rec in records]
     return Cohort(
         X=X,
-        names=feature_names(config),
+        names=feature_names(feature_set),
         record_ids=tuple(rec.record_id for rec in records),
         patient_ids=tuple(rec.patient_id for rec in records),
         y_vta=np.array([LABELS.index(rec.label) for rec in records], dtype=int),

@@ -22,8 +22,8 @@ from vtapred.cli import (
     SETTINGS, ConfigError, _build, build_configs, build_parser, dataset_checksum, main, parse_config_file,
     read_by, resolve_settings,
 )
-from vtapred.evaluation import INIT_STREAM
-from vtapred.features import FeatureConfig
+from vtapred.evaluation import INIT_STREAM, ROW_BASELINE, ablation_config
+from vtapred.features import build_cohort, extract, feature_names, write_feature_matrix
 from vtapred.network import TRAIN_DTYPE, NetworkConfig, active_tasks, backward, init_params, load_checkpoint, loss
 from vtapred.synthetic import write_tachogram_dataset
 
@@ -47,6 +47,7 @@ FIXED_PROTOCOL = {
     "truncate_controls": (["--no-truncate-controls"], "no"),
     "keep_prob": (["--keep-prob", "0.5"], "0.5"),
     "threshold": (["--threshold", "0.25"], "0.25"),
+    "include_windowed": (["--no-include-windowed"], "no"),  # each family has its one matrix
 }
 
 
@@ -69,14 +70,18 @@ class TestFeaturesCommand:
         assert lines[0] == RECENT_HEADER
         assert len(lines) == 25  # 24 usable records + header
 
-    def test_reference_panel_selectable_by_flag(self, data, tmp_path):
+    def test_reference_panel_selectable_by_flag(self, data, tmp_path, prepared_records):
         out = tmp_path / "panel.csv"
         rc = run("features", "--data-dir", data[0], "--metadata", data[1], "--out", str(out),
-                 "--feature-set", "baseline11", "--no-include-windowed")
+                 "--feature-set", "baseline11")
         assert rc == 0
         header = out.read_text().splitlines()[0]
         assert header.startswith("record_id,label,mean_nn,sdnn,rmssd,pnn50")
         assert len(header.split(",")) == 2 + 11
+        # the grid's baseline row reads the same panel
+        grid_panel = tmp_path / "grid_panel.csv"
+        write_feature_matrix(grid_panel, build_cohort(*prepared_records, ablation_config(ROW_BASELINE, CVConfig())[0]))
+        assert out.read_bytes() == grid_panel.read_bytes()
 
     def test_missing_data_dir_fails_cleanly(self, data, tmp_path, capsys):
         rc = run("features", "--data-dir", str(tmp_path / "nowhere"),
@@ -151,12 +156,15 @@ class TestFeaturesCommand:
 
 # (function, parameter) -> the setting its default stands for
 SIGNATURE_DEFAULTS = {
+    (build_cohort, "feature_set"): "feature_set",
     (prepare_records, "horizon_ms"): "horizon_ms",
     (prepare_records, "min_beats"): "min_beats",
 }
 
 # settings that these parameters must be given, because their function cannot see the one default
 NO_DEFAULTS = {
+    feature_names: ("feature_set",),
+    extract: ("feature_set",),
     active_tasks: ("lam_nyhac", "lam_bmi"),
     loss: ("lam_nyhac", "lam_bmi"),
     backward: ("lam_nyhac", "lam_bmi"),
@@ -173,11 +181,9 @@ class TestSettings:
             read = resolve_settings(args)
             assert list(read) == read_by(command)
             assert build_configs(read) == CVConfig()
-            assert _build(FeatureConfig, read) == FeatureConfig()
             settings.update(read)
         assert settings.keys() == SETTINGS.keys()  # every key's default is checked
         assert build_configs(settings) == CVConfig()
-        assert _build(FeatureConfig, settings) == FeatureConfig()
         for (fn, name), key in SIGNATURE_DEFAULTS.items():
             default = inspect.signature(fn).parameters[name].default
             assert default == settings[key], (fn.__name__, name)
@@ -189,7 +195,7 @@ class TestSettings:
 
     def test_fixed_optimizer_recipe_is_not_a_setting(self):
         assert not {"lr", "rho", "eps", "clip"} & SETTINGS.keys()
-        assert len(SETTINGS) == 13
+        assert len(SETTINGS) == 12
 
     def test_fixed_protocol_is_not_a_setting(self):
         assert not set(FIXED_PROTOCOL) & SETTINGS.keys()
@@ -199,15 +205,15 @@ class TestSettings:
         assert list(inspect.signature(metrics).parameters) == ["labels", "probs"]
 
     def test_each_command_reads_its_own_keys(self):
-        # 4 + 9 + 10 = 23 settable (command, key) pairs
-        assert read_by("features") == ["feature_set", "include_windowed", "horizon_ms", "min_beats"]
+        # 3 + 8 + 10 = 21 settable (command, key) pairs
+        assert read_by("features") == ["feature_set", "horizon_ms", "min_beats"]
         assert set(read_by("train")) == {*read_by("features"), "epochs", "lam_nyhac", "lam_bmi",
                                          "use_embedding", "seed"}
         assert set(read_by("ablate")) == {"horizon_ms", "min_beats", "epochs", "lam_nyhac", "lam_bmi", "k_folds",
                                           "patient_grouped", "seed", "seeds", "jobs"}
 
     def test_fixed_feature_recipe_is_not_a_setting(self):
-        assert [f.name for f in fields(FeatureConfig)] == ["feature_set", "include_windowed"]
+        assert list(inspect.signature(build_cohort).parameters) == ["records", "patients", "feature_set"]
         assert not set(FIXED_FEATURE_RECIPE) & SETTINGS.keys()
 
     def test_readme_settings_table_lists_every_setting(self):
@@ -506,10 +512,13 @@ class TestTopLevel:
     @pytest.mark.parametrize("command", COMMANDS)
     def test_exact_flags_still_parse(self, command):
         epochs = [] if command == "features" else ["--epochs", "7"]  # features reads no epochs
-        key = "patient_grouped" if command == "ablate" else "include_windowed"  # a bool the command reads
+        # a third setting the command reads: features reads no bool
+        key, flag, value = {"features": ("feature_set", ["--feature-set", "baseline11"], "baseline11"),
+                            "train": ("use_embedding", ["--no-use-embedding"], False),
+                            "ablate": ("patient_grouped", ["--no-patient-grouped"], False)}[command]
         args = build_parser().parse_args([command, "--data-dir", "d", "--metadata", "m", "--out", "o",
-                                          *epochs, "--horizon-ms", "5", "--no-" + key.replace("_", "-")])
-        assert (vars(args).get("epochs"), args.horizon_ms, getattr(args, key)) == (7 if epochs else None, 5.0, False)
+                                          *epochs, "--horizon-ms", "5", *flag])
+        assert (vars(args).get("epochs"), args.horizon_ms, getattr(args, key)) == (7 if epochs else None, 5.0, value)
 
     def test_missing_required_out_exits_one(self, data):
         assert run("features", "--data-dir", data[0], "--metadata", data[1]) == 1

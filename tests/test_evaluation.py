@@ -12,7 +12,6 @@ from oracles import roc_auc_trapezoid
 from vtapred import (
     CVConfig,
     EvaluationError,
-    FeatureConfig,
     TrainConfig,
     build_cohort,
     evaluation,
@@ -293,7 +292,7 @@ class TestRunCV:
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(EvaluationError, match="no records"):
-            run_cv(build_cohort([], {}, FeatureConfig()), quick_config(), seed=0)
+            run_cv(build_cohort([], {}), quick_config(), seed=0)
 
 
 class TestFitModel:
@@ -345,16 +344,14 @@ class TestFitModel:
 
 class TestAblationConfig:
     def test_reference_row_uses_the_legacy_panel(self):
-        features, cfg = ablation_config(ROW_BASELINE, CVConfig())
-        assert features.feature_set == "baseline11"
-        assert features.include_windowed is False
+        feature_set, cfg = ablation_config(ROW_BASELINE, CVConfig())
+        assert feature_set == "baseline11"
         assert cfg.use_embedding is False
         assert cfg.train.lam_nyhac == 0.0 and cfg.train.lam_bmi == 0.0
 
     def test_windowed_row_switches_feature_family(self):
-        features, cfg = ablation_config(ROW_WINDOWED, CVConfig())
-        assert features.feature_set == "recent"
-        assert features.include_windowed is True
+        feature_set, cfg = ablation_config(ROW_WINDOWED, CVConfig())
+        assert feature_set == "recent"
         assert cfg.use_embedding is False
         assert cfg.train.lam_nyhac == 0.0
 
@@ -400,8 +397,8 @@ class TestRunAblation:
         records, patients = prepared_records
         base = CVConfig(train=TrainConfig(epochs=25), k_folds=5)
         report = run_ablation(records, patients, base, seeds=range(1), jobs=1)
-        row_features, row_cfg = ablation_config(ROW_MULTI_TASK, base)
-        direct = run_cv(build_cohort(records, patients, row_features), row_cfg, seed=0)
+        feature_set, row_cfg = ablation_config(ROW_MULTI_TASK, base)
+        direct = run_cv(build_cohort(records, patients, feature_set), row_cfg, seed=0)
         np.testing.assert_array_equal(report.probs[(ROW_MULTI_TASK, 0)], direct)
         direct_stats = metrics(report.labels, direct)
         for name in ("accuracy", "sensitivity", "specificity", "precision"):
@@ -481,7 +478,8 @@ class TestRunAblation:
         monkeypatch.setattr(evaluation, "build_cohort", must_not_run)
         with pytest.raises(EvaluationError) as caught:
             run_ablation(events + controls, patients, CVConfig(k_folds=3), seeds=range(2), jobs=1)
-        assert str(caught.value) == f"class {LABEL_VTA} has 2 records but 3 folds were requested"
+        assert str(caught.value) == ("class 1 has 2 records but 3 folds were requested "
+                                     f"(class 1 is {LABEL_VTA}, class 0 is {LABEL_CONTROL})")
 
     def test_too_few_patients_rejected_before_any_work(self, prepared_records, monkeypatch):
         records, patients = prepared_records

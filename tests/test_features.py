@@ -15,11 +15,11 @@ from oracles import (
     poincare_widths,
     sample_entropy_loops,
 )
-from vtapred import FeatureConfig, FeatureError, build_cohort, detect_ectopic, features
+from vtapred import FeatureError, build_cohort, detect_ectopic, features
 from vtapred.dataset import DEFAULT_MIN_BEATS, PatientMeta, RRRecord
 from vtapred.features import (
     BASELINE11_NAMES, FREQ_GRID_STEP_HZ, HF_BAND, LF_BAND, LOMB_BLOCK_VALUES, RECENT_BEATS, RECENT_NAMES, VLF_BAND,
-    WINDOWED_NAMES, Cohort, _grid_points, _lomb_scargle, band_power, baseline11, extract, feature_names,
+    WINDOW_BEATS, WINDOWED_NAMES, Cohort, _grid_points, _lomb_scargle, band_power, baseline11, extract, feature_names,
     fit_standardizer, sample_entropy, standardize, time_stats, windowed_diff, write_feature_matrix,
 )
 
@@ -520,10 +520,9 @@ class TestBaseline11:
 
     def test_panel_holter_length_in_linear_memory(self):
         record = RRRecord("holter", np.random.default_rng(8).normal(800.0, 40.0, 20_000), "Control", "p")
-        cfg = FeatureConfig(feature_set="baseline11", include_windowed=False)
         tracemalloc.start()
         try:
-            values = extract([record], cfg)[0]
+            values = extract([record], "baseline11")[0]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -541,30 +540,23 @@ class TestExtract:
         return RRRecord("rec", rng.normal(800.0, 35.0, n), "VTA", "p")
 
     def test_recent_with_windowed_has_seven_features(self):
-        values = extract([self._record()], FeatureConfig())[0]
-        assert feature_names(FeatureConfig()) == RECENT_NAMES + WINDOWED_NAMES
+        values = extract([self._record()], "recent")[0]
+        assert feature_names("recent") == RECENT_NAMES + WINDOWED_NAMES
         assert values.shape == (7,)
 
-    def test_recent_without_windowed_has_five(self):
-        cfg = FeatureConfig(include_windowed=False)
-        assert feature_names(cfg) == RECENT_NAMES
-        assert extract([self._record()], cfg)[0].shape == (5,)
-
     def test_baseline_panel_has_eleven(self):
-        cfg = FeatureConfig(feature_set="baseline11", include_windowed=False)
-        values = extract([self._record()], cfg)[0]
-        assert feature_names(cfg) == BASELINE11_NAMES
+        values = extract([self._record()], "baseline11")[0]
+        assert feature_names("baseline11") == BASELINE11_NAMES
         assert values.shape == (11,)
 
     def test_pure_function(self):
         rec = self._record()
-        cfg = FeatureConfig()
-        np.testing.assert_array_equal(extract([rec], cfg)[0], extract([rec], cfg)[0])
+        np.testing.assert_array_equal(extract([rec], "recent")[0], extract([rec], "recent")[0])
 
     def test_error_names_the_record(self):
         rec = RRRecord("tiny", np.full(40, 800.0), "Control", "p")
         with pytest.raises(FeatureError, match="record 'tiny'"):
-            extract([rec], FeatureConfig())
+            extract([rec], "recent")
 
     def test_windowed_features_see_raw_sequence(self):
         # an ectopic beat in the recent half must be visible to the count
@@ -572,8 +564,7 @@ class TestExtract:
         x = rng.normal(800.0, 10.0, 300)
         x[-20] = 1500.0
         rec = RRRecord("r", x, "VTA", "p")
-        cfg = FeatureConfig()
-        by_name = dict(zip(feature_names(cfg), extract([rec], cfg)[0]))
+        by_name = dict(zip(feature_names("recent"), extract([rec], "recent")[0]))
         assert by_name["delta_ectopic_count"] >= 1.0
 
     @pytest.mark.parametrize("feature_set", ["recent", "baseline11"])
@@ -583,13 +574,12 @@ class TestExtract:
         x = 800.0 + 40.0 * np.sin(np.arange(300) * 0.9)
         x[-12] = 1400.0
         rec = RRRecord("gap", x, "VTA", "p")
-        cfg = FeatureConfig(feature_set=feature_set, include_windowed=False)
         mask = detect_ectopic(x)
         assert mask.nonzero()[0].tolist() == [x.size - 12]
         kept_s, filtered = beat_times(x)[~mask], x[~mask]
         if feature_set == "recent":
             kept_s, filtered = kept_s[-30:], filtered[-30:]
-        by_name = dict(zip(feature_names(cfg), extract([rec], cfg)[0]))
+        by_name = dict(zip(feature_names(feature_set), extract([rec], feature_set)[0]))
         for name, band in (("lf_power", (0.04, 0.15)), ("hf_power", (0.15, 0.40))):
             assert by_name[name] == pytest.approx(lomb_band_power(kept_s, filtered, band), rel=1e-8)
             gap_closed = lomb_band_power(beat_times(filtered), filtered, band)
@@ -598,12 +588,12 @@ class TestExtract:
     def test_recent_family_holds_its_windows_not_its_records(self):
         # a per-record view of the last beats would keep each record's kept intervals and times
         # alive, 6.7 kB per record here and 13 MB in all
-        n, cfg = 2000, FeatureConfig()
+        n = 2000
         rng = np.random.default_rng(12)
         records = [RRRecord(f"r{i}", rng.normal(800.0, 35.0, 420), "VTA", "p") for i in range(n)]
         tracemalloc.start()
         try:
-            X = extract(records, cfg)
+            X = extract(records, "recent")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -617,7 +607,7 @@ class TestExtract:
     def test_rejects_nan_naming_the_feature(self, monkeypatch):
         monkeypatch.setattr(features, "band_power", lambda *args, **kwargs: float("nan"))
         with pytest.raises(FeatureError, match="record 'rec': non-finite value for feature 'lf_power'"):
-            extract([self._record()], FeatureConfig())
+            extract([self._record()], "recent")
 
 
 class TestBuildCohort:
@@ -632,9 +622,9 @@ class TestBuildCohort:
             "p2": PatientMeta("p2"),
             "p3": PatientMeta("p3", 1970),  # no record, but its decade is in the vocabulary
         }
-        cohort = build_cohort(records, patients, FeatureConfig())
-        np.testing.assert_array_equal(cohort.X, np.stack([extract([rec])[0] for rec in records]))
-        assert cohort.names == feature_names(FeatureConfig())
+        cohort = build_cohort(records, patients, "recent")
+        np.testing.assert_array_equal(cohort.X, np.stack([extract([rec], "recent")[0] for rec in records]))
+        assert cohort.names == feature_names("recent")
         assert cohort.record_ids == ("r1", "r2")
         assert cohort.patient_ids == ("p1", "p2")
         assert cohort.y_vta.tolist() == [1, 0]
@@ -652,9 +642,9 @@ class TestBuildCohort:
         assert cohort.decade_index.tolist() == [1, 1]
 
     def test_empty_record_list(self):
-        cohort = build_cohort([], {}, FeatureConfig(include_windowed=False))
+        cohort = build_cohort([], {})
         assert len(cohort) == 0
-        assert cohort.X.shape == (0, 5)
+        assert cohort.X.shape == (0, 7)
         assert cohort.num_decades == 1
 
 
@@ -718,17 +708,20 @@ class TestFeatureMatrixExport:
             small_cohort(np.empty((0, 1)), ("f1",), ("r1",), [1])
 
 
-class TestFeatureConfigValidation:
-    def test_unknown_feature_set(self):
-        with pytest.raises(ValueError, match="feature_set"):
-            FeatureConfig(feature_set="mystery")
+class TestFeatureSetValidation:
+    @pytest.mark.parametrize("call", [
+        lambda: feature_names("mystery"), lambda: extract([], "mystery"), lambda: build_cohort([], {}, "mystery"),
+    ], ids=["feature_names", "extract", "build_cohort"])
+    def test_unknown_feature_set(self, call):
+        with pytest.raises(FeatureError, match="feature_set must be one of"):
+            call()
 
     def test_band_adjacency_enforced(self):
         # HF starts where LF ends, so no gap can open between the two band columns
         assert LF_BAND[1] == HF_BAND[0]
-        x = 800.0 + 40.0 * np.sin(np.arange(60) * 1.3)
+        x = 800.0 + 40.0 * np.sin(np.arange(WINDOW_BEATS) * 1.3)  # as few beats as the trends take
         record = RRRecord("r0", x, "Control", "p0")
-        values = dict(zip(RECENT_NAMES, extract([record], FeatureConfig(include_windowed=False))[0]))
+        values = dict(zip(RECENT_NAMES, extract([record], "recent")[0]))
         t = beat_times(x)
         recent, recent_s = x[-30:], t[-30:]
         assert values["lf_power"] == band_power(recent_s, recent, (0.04, 0.15))
