@@ -18,12 +18,11 @@ def main() -> None:
 
         print(f"loaded {len(records)} records, {len(patients)} patients")
         print(f"{'record':<8}{'label':<10}{'beats':>7}{'after':>7}{'removed ms':>12}")
-        # min_beats=0 keeps every record that has a beat left before the boundary
-        for rec, cut in zip(records, prepare_records(records, horizon_ms=60000.0, min_beats=0), strict=True):
+        prepared = prepare_records(records, horizon_ms=60000.0)
+        for rec, cut in zip(records, prepared, strict=True):
             removed = rec.intervals_ms[len(cut):].sum()
             print(f"{rec.record_id:<8}{rec.label:<10}{len(rec):>7}{len(cut):>7}{removed:>12.0f}")
 
-        prepared = prepare_records(records, horizon_ms=60000.0, min_beats=250)
         print(f"usable records after the boundary: {len(prepared)} of {len(records)}")
 
 

@@ -91,8 +91,9 @@ SETTINGS: dict[str, tuple] = {
         (_param_defaults(build_cohort), ("features", "train")),  # feature_set
         (_field_defaults(TrainConfig), ("train", "ablate")),
         (_field_defaults(CVConfig), ("ablate",)),
-        ({"use_embedding": CVConfig.use_embedding}, ("train",)),  # ablate's rows set it: replaces the entry above
-        (_param_defaults(prepare_records), ("features", "train", "ablate")),  # horizon_ms, min_beats
+        # ablate's rows set both: replaces the entries above
+        ({"use_embedding": CVConfig.use_embedding, "multi_task": TrainConfig.multi_task}, ("train",)),
+        (_param_defaults(prepare_records), ("features", "train", "ablate")),  # horizon_ms
         ({"seed": 0}, ("train", "ablate")),
         ({"seeds": 10, "jobs": 1}, ("ablate",)),
     )
@@ -195,12 +196,12 @@ def _prepare(args: argparse.Namespace):
     # a non-positive horizon keeps every beat; NaN and inf would exclude every record
     if not np.isfinite(settings["horizon_ms"]):
         raise ConfigError(f"horizon_ms must be finite, got {settings['horizon_ms']!r}")
-    for key, least in (("min_beats", 0), ("seed", 0), ("seeds", 1), ("jobs", 1)):
+    for key, least in (("seed", 0), ("seeds", 1), ("jobs", 1)):
         if key in settings and settings[key] < least:
             raise ConfigError(f"{key} must be >= {least}, got {settings[key]!r}")
     paths = _check_outputs(args.out, OUTPUTS[args.command])
     records, patients = load_dataset(args.data_dir, args.metadata)
-    prepared = prepare_records(records, horizon_ms=settings["horizon_ms"], min_beats=settings["min_beats"])
+    prepared = prepare_records(records, horizon_ms=settings["horizon_ms"])
     if not prepared:
         raise DatasetError("no usable records after the decision boundary")
     return settings, cv, prepared, patients, paths

@@ -29,7 +29,7 @@ METADATA_COLUMNS = ("record_id", "patient_id", "label", "birth_year", "nyhac", "
 
 MAX_INTERVAL_MS = 5000.0
 DEFAULT_HORIZON_MS = 60000.0
-DEFAULT_MIN_BEATS = 250  # >= features.WINDOW_BEATS: a kept record holds its trend window
+MIN_BEATS = 250  # >= features.WINDOW_BEATS: a kept record holds its trend window
 
 BMI_RANGE = (10.0, 100.0)
 NYHAC_CLASSES = (1, 2, 3, 4)
@@ -89,7 +89,6 @@ class RRRecord:
 def prepare_records(
     records: list[RRRecord],
     horizon_ms: float = DEFAULT_HORIZON_MS,
-    min_beats: int = DEFAULT_MIN_BEATS,
 ) -> list[RRRecord]:
     """Cut each record at the decision boundary and drop the ones left too short.
 
@@ -98,20 +97,19 @@ def prepare_records(
     before the event (or recording end).  Controls are cut identically so
     both classes lose a comparable amount of signal.  A non-positive horizon
     returns each record unchanged; a NaN horizon cuts every beat.  Records
-    left with fewer than ``max(min_beats, 1)`` intervals are excluded with a
-    logged warning rather than failing the whole run.
+    left with fewer than ``MIN_BEATS`` intervals are excluded with a logged
+    warning rather than failing the whole run.
     """
-    least = max(min_beats, 1)
     kept = []
     for rec in records:
         beats = len(rec)
         if not horizon_ms <= 0:  # NaN cuts too: it leaves no beat
             tail_sums = np.cumsum(rec.intervals_ms[::-1])
             beats -= int(np.searchsorted(tail_sums, horizon_ms, side="left")) + 1
-        if beats < least:
+        if beats < MIN_BEATS:
             log.warning(
                 "excluding record %r: %d beats remain before the %g ms boundary (need %d)",
-                rec.record_id, max(beats, 0), horizon_ms, least,
+                rec.record_id, max(beats, 0), horizon_ms, MIN_BEATS,
             )
             continue
         if beats < len(rec):

@@ -211,7 +211,7 @@ def fit_model(
         num_features=cohort.X.shape[1],
         num_decades=cohort.num_decades,
         use_embedding=config.use_embedding,
-        heads=active_tasks(batch, config.train.lam_nyhac, config.train.lam_bmi),
+        heads=active_tasks(batch, config.train.aux_weight, config.train.aux_weight),
     )
     initial = init_params(net_config, np.random.default_rng([seed, INIT_STREAM, fold]))
     params = NetworkParams(net_config, {name: value.astype(TRAIN_DTYPE) for name, value in initial.tensors.items()})
@@ -261,8 +261,7 @@ def run_cv(cohort: Cohort, config: CVConfig, seed: int) -> np.ndarray:
 def ablation_config(row: str, base: CVConfig) -> tuple[str, CVConfig]:
     """Resolve one grid row of ``ROW_RECIPES`` into its feature set and its CV config.
 
-    Without auxiliary targets both auxiliary weights are 0; with them they
-    come from ``base.train``.
+    The row's auxiliary targets set ``multi_task``, whatever ``base.train`` says.
     """
     if row not in ROW_RECIPES:
         raise EvaluationError(f"unknown ablation row {row!r}")
@@ -270,7 +269,7 @@ def ablation_config(row: str, base: CVConfig) -> tuple[str, CVConfig]:
     return feature_set, replace(
         base,
         use_embedding=embedding,
-        train=base.train if auxiliary else replace(base.train, lam_nyhac=0.0, lam_bmi=0.0),
+        train=replace(base.train, multi_task=auxiliary),
     )
 
 

@@ -17,7 +17,6 @@ by element in the same operation order as a per-tensor loop.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -39,6 +38,7 @@ ADADELTA_RHO = 0.95  # decay of both moving averages
 ADADELTA_EPS = 1e-6  # conditioning term inside both square roots
 CLIP_LIMIT = 0.1     # element-wise gradient clip
 KEEP_PROB = 0.75     # dropout keep probability of every masked layer
+AUX_WEIGHT = 1.0     # loss weight of each auxiliary head (nyhac, bmi) in a multi-task fit
 
 
 class TrainingError(Exception):
@@ -48,16 +48,16 @@ class TrainingError(Exception):
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 1000
-    lam_nyhac: float = 1.0
-    lam_bmi: float = 1.0
+    multi_task: bool = True  # train the auxiliary heads at AUX_WEIGHT; else the event head alone
 
     def __post_init__(self):
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
-        for name in ("lam_nyhac", "lam_bmi"):
-            value = getattr(self, name)
-            if not (value >= 0 and math.isfinite(value)):
-                raise ValueError(f"{name} must be finite and >= 0")
+
+    @property
+    def aux_weight(self) -> float:
+        """The loss weight of each auxiliary head: ``AUX_WEIGHT``, or 0.0 without multi-task."""
+        return AUX_WEIGHT if self.multi_task else 0.0
 
 
 def clip(gradient: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -133,7 +133,8 @@ def train(
     ``batch`` holds every training row, already standardized (as
     ``evaluation.build_examples`` returns it).  Every epoch draws fresh
     dropout masks at ``KEEP_PROB`` (one per row per layer), runs one
-    forward/backward pass over the whole batch, clips the mean-loss
+    forward/backward pass over the whole batch (each auxiliary head weighted
+    by ``config.aux_weight``, read once per fit), clips the mean-loss
     gradients, and applies one AdaDelta step.  Params are updated in place
     and also returned.  The history holds one dict per epoch with the total
     loss, its ``<task>_loss`` part for each of ``network.TASKS``, and the
@@ -156,13 +157,14 @@ def train(
     g = grads.flat
     work = Workspace()
     history: list[dict[str, float]] = []
+    aux = config.aux_weight
     for epoch in range(config.epochs):
         masks = draw_dropout_masks(params.config, len(batch), KEEP_PROB, rng, work, dtype)
         outputs, cache = forward(params, batch.features, batch.decade_index, masks, work)
-        total, parts = loss(outputs, batch, config.lam_nyhac, config.lam_bmi)
+        total, parts = loss(outputs, batch, aux, aux)
         if not np.isfinite(total):
             raise TrainingError(f"non-finite loss at epoch {epoch}")
-        backward(params, cache, batch, config.lam_nyhac, config.lam_bmi, out=grads)
+        backward(params, cache, batch, aux, aux, out=grads)
         clip(g, out=g)
         # largest |g| without an |g| buffer; exact, as negation is.  0.0 comes
         # first so that an all-zero gradient reads +0.0, as abs() gives

@@ -17,6 +17,8 @@ import math
 
 import numpy as np
 
+from vtapred.optim import AUX_WEIGHT  # a constant of the recipe, not code
+
 
 def modulated_tachogram(freq_hz, n: int = 64, base: float = 800.0, amp: float = 50.0) -> np.ndarray:
     """RR series whose value oscillates at freq_hz in real (cumulative) time."""
@@ -350,16 +352,18 @@ def train_reference(batch, config, net, tensors: dict, rng, keep_prob) -> tuple[
 
     ``config`` is a TrainConfig, ``net`` a NetworkConfig and ``keep_prob`` the
     dropout keep probability; ``tensors`` are copied, trained and returned
-    with the per-epoch history.
+    with the per-epoch history.  Each auxiliary head weighs ``AUX_WEIGHT``
+    when ``config.multi_task`` is set, and nothing otherwise.
     """
     t = {name: np.array(value, dtype=float) for name, value in tensors.items()}
     sq_grad = {name: np.zeros_like(v) for name, v in t.items()}
     sq_delta = {name: np.zeros_like(v) for name, v in t.items()}
     rho, eps, lr, limit = 0.95, 1e-6, 1.0, 0.1  # the published recipe, independent of optim
+    aux = AUX_WEIGHT if config.multi_task else 0.0
     history = []
     for epoch in range(config.epochs):
         masks = _reference_masks(net, batch.features.shape[0], keep_prob, rng)
-        parts, grads = _reference_epoch(net, t, batch, masks, config.lam_nyhac, config.lam_bmi)
+        parts, grads = _reference_epoch(net, t, batch, masks, aux, aux)
         grads = {name: np.clip(g, -limit, limit) for name, g in grads.items()}
         max_grad = max(float(np.max(np.abs(g))) for g in grads.values())
         for name, tensor in t.items():

@@ -22,7 +22,7 @@ from vtapred.cli import (
     SETTINGS, ConfigError, _build, build_configs, build_parser, dataset_checksum, main, parse_config_file,
     read_by, resolve_settings,
 )
-from vtapred.evaluation import INIT_STREAM, ROW_BASELINE, ablation_config
+from vtapred.evaluation import ABLATION_ROWS, INIT_STREAM, ROW_BASELINE, ablation_config, fit_model
 from vtapred.features import build_cohort, extract, feature_names, write_feature_matrix
 from vtapred.network import TRAIN_DTYPE, NetworkConfig, active_tasks, backward, init_params, load_checkpoint, loss
 from vtapred.synthetic import write_tachogram_dataset
@@ -48,6 +48,9 @@ FIXED_PROTOCOL = {
     "keep_prob": (["--keep-prob", "0.5"], "0.5"),
     "threshold": (["--threshold", "0.25"], "0.25"),
     "include_windowed": (["--no-include-windowed"], "no"),  # each family has its one matrix
+    "min_beats": (["--min-beats", "250"], "250"),  # dataset.MIN_BEATS, the windowed features' floor
+    "lam_nyhac": (["--lam-nyhac", "0"], "0"),  # the multi_task switch replaces both weights
+    "lam_bmi": (["--lam-bmi", "0"], "0"),
 }
 
 
@@ -138,10 +141,12 @@ class TestFeaturesCommand:
 
     def test_bad_config_value_rejected(self, data, tmp_path, capsys):
         config = tmp_path / "bad.conf"
-        # int() and float() alone read 1_0 as 10 and full-width or Arabic-Indic digits as theirs
+        # int() and float() alone read 1_0 as 10 and full-width or Arabic-Indic digits as theirs;
+        # a '#' after a value is part of it, not a comment
         for command, line in (("train", "epochs = soon"), ("train", "epochs = 1_0"),
-                              ("train", "lam_nyhac = \uff10.\uff15"), ("features", "min_beats = 2_50"),
-                              ("ablate", "k_folds = \u0663"), ("ablate", "lam_bmi = 0.2_5")):
+                              ("train", "horizon_ms = \uff10.\uff15"), ("features", "horizon_ms = 2_50"),
+                              ("ablate", "k_folds = \u0663"), ("ablate", "horizon_ms = 0.2_5"),
+                              ("train", "epochs = 5  # five")):
             config.write_text(line + "\n", encoding="utf-8")
             rc = run(command, "--data-dir", data[0], "--metadata", data[1],
                      "--out", str(tmp_path / "x.csv"), "--config", str(config))
@@ -158,7 +163,6 @@ class TestFeaturesCommand:
 SIGNATURE_DEFAULTS = {
     (build_cohort, "feature_set"): "feature_set",
     (prepare_records, "horizon_ms"): "horizon_ms",
-    (prepare_records, "min_beats"): "min_beats",
 }
 
 # settings that these parameters must be given, because their function cannot see the one default
@@ -195,22 +199,21 @@ class TestSettings:
 
     def test_fixed_optimizer_recipe_is_not_a_setting(self):
         assert not {"lr", "rho", "eps", "clip"} & SETTINGS.keys()
-        assert len(SETTINGS) == 12
+        assert len(SETTINGS) == 10
 
     def test_fixed_protocol_is_not_a_setting(self):
         assert not set(FIXED_PROTOCOL) & SETTINGS.keys()
-        assert [f.name for f in fields(TrainConfig)] == ["epochs", "lam_nyhac", "lam_bmi"]
+        assert [f.name for f in fields(TrainConfig)] == ["epochs", "multi_task"]
         assert [f.name for f in fields(CVConfig)] == ["train", "use_embedding", "k_folds", "patient_grouped"]
-        assert list(inspect.signature(prepare_records).parameters) == ["records", "horizon_ms", "min_beats"]
+        assert list(inspect.signature(prepare_records).parameters) == ["records", "horizon_ms"]
         assert list(inspect.signature(metrics).parameters) == ["labels", "probs"]
 
     def test_each_command_reads_its_own_keys(self):
-        # 3 + 8 + 10 = 21 settable (command, key) pairs
-        assert read_by("features") == ["feature_set", "horizon_ms", "min_beats"]
-        assert set(read_by("train")) == {*read_by("features"), "epochs", "lam_nyhac", "lam_bmi",
-                                         "use_embedding", "seed"}
-        assert set(read_by("ablate")) == {"horizon_ms", "min_beats", "epochs", "lam_nyhac", "lam_bmi", "k_folds",
-                                          "patient_grouped", "seed", "seeds", "jobs"}
+        # 2 + 6 + 7 = 15 settable (command, key) pairs
+        assert read_by("features") == ["feature_set", "horizon_ms"]
+        assert set(read_by("train")) == {*read_by("features"), "epochs", "multi_task", "use_embedding", "seed"}
+        assert set(read_by("ablate")) == {"horizon_ms", "epochs", "k_folds", "patient_grouped", "seed", "seeds",
+                                          "jobs"}
 
     def test_fixed_feature_recipe_is_not_a_setting(self):
         assert list(inspect.signature(build_cohort).parameters) == ["records", "patients", "feature_set"]
@@ -258,14 +261,14 @@ class TestSettings:
 class TestParseConfigFile:
     def test_reads_flat_key_values(self, tmp_path):
         path = tmp_path / "a.conf"
-        path.write_text("# comment\nepochs = 7\nuse_embedding = off\n\nlam_nyhac=0.5\n")
+        path.write_text("# comment\nepochs = 7\nuse_embedding = off\n\nhorizon_ms=0.5\n")
         values = parse_config_file(path, "train")
-        assert values == {"epochs": 7, "use_embedding": False, "lam_nyhac": 0.5}
+        assert values == {"epochs": 7, "use_embedding": False, "horizon_ms": 0.5}
 
     def test_byte_order_mark_is_dropped(self, tmp_path):
         path = tmp_path / "a.conf"
-        path.write_bytes(b"\xef\xbb\xbfepochs = 7\r\nlam_nyhac=0.5\r\n")
-        assert parse_config_file(path, "train") == {"epochs": 7, "lam_nyhac": 0.5}
+        path.write_bytes(b"\xef\xbb\xbfepochs = 7\r\nhorizon_ms=0.5\r\n")
+        assert parse_config_file(path, "train") == {"epochs": 7, "horizon_ms": 0.5}
         path.write_bytes(b"\xef\xbb\xbfepochs = 7\n\n# caf\xe9\n")
         with pytest.raises(DatasetError) as info:
             parse_config_file(path, "train")
@@ -355,13 +358,30 @@ class TestTrainCommand:
     def test_single_task_zeroes_auxiliary_losses(self, data, tmp_path):
         out = tmp_path / "single.ckpt"
         assert run("train", "--data-dir", data[0], "--metadata", data[1],
-                   "--out", str(out), "--epochs", "10", "--lam-nyhac", "0", "--lam-bmi", "0") == 0
+                   "--out", str(out), "--epochs", "10", "--no-multi-task") == 0
         lines = (tmp_path / "single.ckpt.loss.csv").read_text().splitlines()[1:]
         for line in lines:
             epoch, total, vta, nyhac, bmi = line.split(",")
             assert float(nyhac) == 0.0
             assert float(bmi) == 0.0
             assert float(total) == float(vta)
+
+    @pytest.mark.parametrize("row", ABLATION_ROWS)
+    def test_flags_reproduce_each_grid_row(self, data, tmp_path, prepared_records, row):
+        # train with a row's three flags fits, bit for bit, what fit_model fits for that row on every record
+        feature_set, cv = ablation_config(row, CVConfig(train=TrainConfig(epochs=6)))
+        flags = ["--feature-set", feature_set,
+                 "--use-embedding" if cv.use_embedding else "--no-use-embedding",
+                 "--multi-task" if cv.train.multi_task else "--no-multi-task"]
+        out = tmp_path / "row.ckpt"
+        assert run("train", "--data-dir", data[0], "--metadata", data[1], "--out", str(out),
+                   "--epochs", "6", "--seed", "4", *flags) == 0
+        cohort = build_cohort(*prepared_records, feature_set)
+        want, _, _ = fit_model(cohort, np.arange(len(cohort)), cv, 4, fold=0)
+        got, _ = load_checkpoint(out)
+        assert got.config == want.config
+        assert got.tensors.flat.dtype == want.tensors.flat.dtype
+        assert got.tensors.flat.tobytes() == want.tensors.flat.tobytes()
 
 
 @pytest.fixture(scope="module")
@@ -529,7 +549,7 @@ class TestTopLevel:
     @pytest.mark.parametrize("command, flag, value, message", [
         ("features", "--horizon-ms", "nan", "horizon_ms must be finite"),
         ("features", "--horizon-ms", "inf", "horizon_ms must be finite"),
-        ("features", "--min-beats", "-1", "min_beats must be >= 0"),
+        ("features", "--min-beats", "-1", "unrecognized arguments: --min-beats -1"),
         ("ablate", "--seeds", "0", "seeds must be >= 1"),
         ("ablate", "--seeds", "-2", "seeds must be >= 1"),
         ("ablate", "--jobs", "0", "jobs must be >= 1"),

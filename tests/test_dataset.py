@@ -10,7 +10,7 @@ from vtapred import (
     load_dataset,
     prepare_records,
 )
-from vtapred.dataset import RRRecord, round_to_decade
+from vtapred.dataset import MIN_BEATS, RRRecord, round_to_decade
 
 HEADER = "record_id,patient_id,label,birth_year,nyhac,bmi\n"
 
@@ -321,27 +321,28 @@ class TestRRRecord:
 class TestDecisionBoundary:
     def test_uniform_600ms_removes_100_beats(self):
         rec = RRRecord("r", np.full(1024, 600.0), "VTA", "p")
-        [out] = prepare_records([rec], 60000.0, min_beats=0)
+        [out] = prepare_records([rec], 60000.0)
         assert len(out) == 924
 
     def test_worked_suffix_example(self):
-        rec = RRRecord("r", [1000.0] * 5 + [900.0, 4900.0], "VTA", "p")
+        prefix = [700.0] * 300  # clears the MIN_BEATS floor
+        rec = RRRecord("r", prefix + [1000.0] * 5 + [900.0, 4900.0], "VTA", "p")
         # tail 4900 alone is under a 5000 ms horizon, 900+4900 crosses it
-        [out] = prepare_records([rec], 5000.0, min_beats=0)
-        np.testing.assert_array_equal(out.intervals_ms, [1000.0] * 5)
+        [out] = prepare_records([rec], 5000.0)
+        np.testing.assert_array_equal(out.intervals_ms, prefix + [1000.0] * 5)
 
     def test_zero_horizon_is_identity(self):
-        rec = RRRecord("r", np.full(40, 700.0), "Control", "p")
-        [out] = prepare_records([rec], 0.0, min_beats=0)
+        rec = RRRecord("r", np.full(400, 700.0), "Control", "p")
+        [out] = prepare_records([rec], 0.0)
         assert out is rec
 
     def test_removed_suffix_is_minimal(self, rng):
         for _ in range(50):
-            n = int(rng.integers(150, 400))
+            n = int(rng.integers(400, 650))  # a 40 s horizon cuts at most 100 beats of >= 400 ms
             intervals = rng.uniform(400.0, 1200.0, size=n)
             rec = RRRecord("r", intervals, "VTA", "p")
             horizon = float(rng.uniform(5000.0, 40000.0))
-            [out] = prepare_records([rec], horizon, min_beats=0)
+            [out] = prepare_records([rec], horizon)
             removed = intervals[len(out):]
             assert removed.sum() >= horizon
             assert removed[1:].sum() < horizon
@@ -349,21 +350,21 @@ class TestDecisionBoundary:
     def test_too_short_record_is_unusable(self, caplog):
         rec = RRRecord("r", np.full(10, 600.0), "VTA", "p")
         with caplog.at_level(logging.WARNING):
-            assert prepare_records([rec], 60000.0, min_beats=0) == []
+            assert prepare_records([rec], 60000.0) == []
         assert len(caplog.messages) == 1 and "'r'" in caplog.messages[0]
 
-    @pytest.mark.parametrize("horizon", [6000.0, 1e9, np.inf])
+    @pytest.mark.parametrize("horizon", [180000.0, 1e9, np.inf])
     def test_horizon_reaching_the_record_start_excludes_it(self, horizon, caplog):
-        rec = RRRecord("r", np.full(10, 600.0), "VTA", "p")  # 6000 ms in all
+        rec = RRRecord("r", np.full(300, 600.0), "VTA", "p")  # 180000 ms in all
         with caplog.at_level(logging.WARNING):
-            assert prepare_records([rec], horizon, min_beats=0) == []
-        assert caplog.messages == [f"excluding record 'r': 0 beats remain before the {horizon:g} ms boundary (need 1)"]
+            assert prepare_records([rec], horizon) == []
+        assert caplog.messages == [f"excluding record 'r': 0 beats remain before the {horizon:g} ms boundary (need 250)"]
 
     def test_nan_horizon_keeps_no_record(self, caplog):
         # a NaN horizon is not "<= 0", so it cuts rather than keeping the final minute
         rec = RRRecord("r", np.full(400, 700.0), "VTA", "p")
         with caplog.at_level(logging.WARNING):
-            assert prepare_records([rec], float("nan"), min_beats=0) == []
+            assert prepare_records([rec], float("nan")) == []
         assert len(caplog.messages) == 1
 
 
@@ -372,9 +373,21 @@ class TestPrepareRecords:
         long_rec = RRRecord("keep", np.full(400, 700.0), "VTA", "p1")
         short_rec = RRRecord("drop", np.full(120, 700.0), "VTA", "p2")
         with caplog.at_level(logging.WARNING):
-            kept = prepare_records([long_rec, short_rec], horizon_ms=60000.0, min_beats=250)
+            kept = prepare_records([long_rec, short_rec], horizon_ms=60000.0)
         assert [r.record_id for r in kept] == ["keep"]
         assert any("drop" in msg for msg in caplog.messages)
+
+    def test_floor_keeps_exactly_min_beats(self, caplog):
+        # a 60 s horizon cuts 100 beats of 600 ms, leaving 250 and 249
+        edge = RRRecord("edge", np.full(350, 600.0), "VTA", "p1")
+        under = RRRecord("under", np.full(349, 600.0), "VTA", "p2")
+        assert MIN_BEATS == 250
+        with caplog.at_level(logging.WARNING):
+            kept = prepare_records([edge, under], horizon_ms=60000.0)
+        assert [(r.record_id, len(r)) for r in kept] == [("edge", 250)]
+        assert len(caplog.messages) == 1
+        assert caplog.messages[0].startswith("excluding record 'under': 249 beats remain")
+        assert caplog.messages[0].endswith("(need 250)")
 
     def test_both_classes_truncated_by_default(self, tacho_dataset, prepared_records):
         records, _ = prepared_records

@@ -347,24 +347,24 @@ class TestAblationConfig:
         feature_set, cfg = ablation_config(ROW_BASELINE, CVConfig())
         assert feature_set == "baseline11"
         assert cfg.use_embedding is False
-        assert cfg.train.lam_nyhac == 0.0 and cfg.train.lam_bmi == 0.0
+        assert cfg.train.multi_task is False
 
     def test_windowed_row_switches_feature_family(self):
         feature_set, cfg = ablation_config(ROW_WINDOWED, CVConfig())
         assert feature_set == "recent"
         assert cfg.use_embedding is False
-        assert cfg.train.lam_nyhac == 0.0
+        assert cfg.train.multi_task is False
 
     def test_embedding_row_adds_only_the_embedding(self):
         _, cfg = ablation_config(ROW_EMBEDDING, CVConfig())
         assert cfg.use_embedding is True
-        assert cfg.train.lam_nyhac == 0.0 and cfg.train.lam_bmi == 0.0
+        assert cfg.train.multi_task is False
 
-    def test_final_row_keeps_configured_weights(self):
-        base = CVConfig(train=TrainConfig(lam_nyhac=0.8, lam_bmi=1.2))
+    @pytest.mark.parametrize("multi_task", [True, False])
+    def test_final_row_is_multi_task_whatever_the_base_says(self, multi_task):
+        base = CVConfig(train=TrainConfig(epochs=7, multi_task=multi_task))
         _, cfg = ablation_config(ROW_MULTI_TASK, base)
-        assert cfg.train.lam_nyhac == 0.8
-        assert cfg.train.lam_bmi == 1.2
+        assert cfg.train == TrainConfig(epochs=7, multi_task=True)
         assert cfg.use_embedding is True
 
     def test_unknown_row_rejected(self):

@@ -16,7 +16,7 @@ from oracles import (
     sample_entropy_loops,
 )
 from vtapred import FeatureError, build_cohort, detect_ectopic, features
-from vtapred.dataset import DEFAULT_MIN_BEATS, PatientMeta, RRRecord
+from vtapred.dataset import MIN_BEATS, PatientMeta, RRRecord
 from vtapred.features import (
     BASELINE11_NAMES, FREQ_GRID_STEP_HZ, HF_BAND, LF_BAND, LOMB_BLOCK_VALUES, RECENT_BEATS, RECENT_NAMES, VLF_BAND,
     WINDOW_BEATS, WINDOWED_NAMES, Cohort, _grid_points, _lomb_scargle, band_power, baseline11, extract, feature_names,
@@ -363,9 +363,9 @@ class TestWindowedDiff:
             windowed_diff(np.full(250, 800.0), np.zeros(249, dtype=bool))
 
     def test_window_is_even_and_fits_every_kept_record(self):
-        # the halves split the window evenly, and prepare_records keeps no record shorter than it by default
+        # the halves split the window evenly, and prepare_records keeps no record shorter than it
         assert features.WINDOW_BEATS >= 2 and features.WINDOW_BEATS % 2 == 0
-        assert DEFAULT_MIN_BEATS >= features.WINDOW_BEATS
+        assert MIN_BEATS >= features.WINDOW_BEATS
 
     def test_too_short(self):
         with pytest.raises(FeatureError, match="need at least 250 beats"):
