@@ -292,12 +292,10 @@ def _one_blas_thread() -> None:
 
 @dataclass(eq=False)
 class EvalReport:
-    """The grid's metrics and its held-out probabilities, each run's aligned with ``record_ids``."""
+    """The grid's held-out probabilities, each run's aligned with ``record_ids``; ``score`` gives the metrics."""
 
     rows: tuple[str, ...]
     seeds: tuple[int, ...]
-    per_seed: dict[str, dict[int, dict[str, float]]]
-    means: dict[str, dict[str, float]]
     record_ids: tuple[str, ...]
     labels: np.ndarray  # class codes, indices into dataset.LABELS
     probs: dict[tuple[str, int], np.ndarray]
@@ -353,27 +351,30 @@ def run_ablation(
 
     # every cohort holds the records in the order given, so any one of them names the rows
     cohort = next(iter(cohorts.values()))
-    per_seed: dict[str, dict[int, dict[str, float]]] = {}
-    means: dict[str, dict[str, float]] = {}
-    for row in ABLATION_ROWS:
-        per_seed[row] = {}
-        for seed in seed_list:
-            stats = metrics(cohort.y_vta, probs[row, seed])
-            stats["auc"] = auc(cohort.y_vta, probs[row, seed])
-            per_seed[row][seed] = stats
-        means[row] = {
-            name: float(np.mean([per_seed[row][s][name] for s in seed_list]))
-            for name in METRIC_NAMES
-        }
-    return EvalReport(ABLATION_ROWS, seed_list, per_seed, means, cohort.record_ids, cohort.y_vta, probs)
+    return EvalReport(ABLATION_ROWS, seed_list, cohort.record_ids, cohort.y_vta, probs)
+
+
+def score(report: EvalReport) -> tuple[dict[str, dict[int, dict[str, float]]], dict[str, dict[str, float]]]:
+    """The grid's metrics: (per_seed[row][seed], the seed means[row] of each of ``METRIC_NAMES``)."""
+    per_seed = {
+        row: {seed: {**metrics(report.labels, report.probs[row, seed]),
+                     "auc": auc(report.labels, report.probs[row, seed])} for seed in report.seeds}
+        for row in report.rows
+    }
+    means = {
+        row: {name: float(np.mean([per_seed[row][s][name] for s in report.seeds])) for name in METRIC_NAMES}
+        for row in report.rows
+    }
+    return per_seed, means
 
 
 def format_report_table(report: EvalReport) -> str:
     """Aligned text table of seed-averaged metrics, as percentages."""
     header = ("Configuration", "Accuracy", "Sensitivity", "Specificity", "Precision", "AUC")
     lines = [f"{header[0]:<28}" + "".join(f"{h:>13}" for h in header[1:])]
+    means = score(report)[1]
     for row in report.rows:
-        cells = "".join(f"{100.0 * report.means[row][m]:>13.2f}" for m in METRIC_NAMES)
+        cells = "".join(f"{100.0 * means[row][m]:>13.2f}" for m in METRIC_NAMES)
         lines.append(f"{ROW_LABELS[row]:<28}" + cells)
     return "\n".join(lines) + "\n"
 
@@ -383,8 +384,9 @@ def write_report_csv(path, report: EvalReport) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["configuration", *METRIC_NAMES])
+        means = score(report)[1]
         for row in report.rows:
-            writer.writerow([ROW_LABELS[row], *(f"{100.0 * report.means[row][m]:.2f}" for m in METRIC_NAMES)])
+            writer.writerow([ROW_LABELS[row], *(f"{100.0 * means[row][m]:.2f}" for m in METRIC_NAMES)])
 
 
 def write_per_seed_csv(path, report: EvalReport) -> None:
@@ -392,9 +394,10 @@ def write_per_seed_csv(path, report: EvalReport) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["configuration", "seed", *METRIC_NAMES])
+        per_seed = score(report)[0]
         for row in report.rows:
             for seed in report.seeds:
-                stats = report.per_seed[row][seed]
+                stats = per_seed[row][seed]
                 writer.writerow([ROW_LABELS[row], seed, *(f"{stats[m]:.17g}" for m in METRIC_NAMES)])
 
 

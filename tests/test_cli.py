@@ -22,7 +22,11 @@ from vtapred.cli import (
     SETTINGS, ConfigError, _build, build_configs, build_parser, dataset_checksum, main, parse_config_file,
     read_by, resolve_settings,
 )
-from vtapred.evaluation import ABLATION_ROWS, INIT_STREAM, ROW_BASELINE, ablation_config, fit_model
+from vtapred.dataset import LABELS
+from vtapred.evaluation import (
+    ABLATION_ROWS, INIT_STREAM, ROW_BASELINE, EvalReport, ablation_config, fit_model, format_report_table,
+    write_per_seed_csv, write_report_csv,
+)
 from vtapred.features import build_cohort, extract, feature_names, write_feature_matrix
 from vtapred.network import TRAIN_DTYPE, NetworkConfig, active_tasks, backward, init_params, load_checkpoint, loss
 from vtapred.synthetic import write_tachogram_dataset
@@ -460,6 +464,30 @@ class TestAblateCommand:
         b = json.loads((second / "manifest.json").read_text())
         a.pop("created"), b.pop("created")
         assert a == b
+
+    def test_reports_are_a_function_of_the_predictions(self, data, tmp_path):
+        # two epochs leave the grid unsaturated; at ablate_run's 25 every cell reads 100.00
+        out = tmp_path / "grid"
+        assert run("ablate", "--data-dir", data[0], "--metadata", data[1], "--out", str(out),
+                   "--epochs", "2", "--seeds", "2", "--k-folds", "3") == 0
+        seeds = tuple(json.loads((out / "manifest.json").read_text())["seeds"])
+        # .17g round-trips a float64, so the parsed probabilities are the ones the grid scored
+        probs = {}
+        for row in ABLATION_ROWS:
+            for seed in seeds:
+                rows = read_csv(out / "predictions" / f"{row}_seed{seed}.csv")[1:]
+                probs[row, seed] = np.array([float(prob) for _, _, prob in rows])
+        # every predictions file lists the records in one order, so the last one names them
+        report = EvalReport(ABLATION_ROWS, seeds, tuple(rid for rid, _, _ in rows),
+                            np.array([LABELS.index(label) for _, label, _ in rows]), probs)
+        write_report_csv(tmp_path / "report.csv", report)
+        write_per_seed_csv(tmp_path / "per_seed.csv", report)
+        for name in ("report.csv", "per_seed.csv"):
+            assert (tmp_path / name).read_bytes() == (out / name).read_bytes()
+        assert format_report_table(report).encode() == (out / "report.txt").read_bytes()
+        # a saturated grid, every cell 0 or 100, would hide a scoring that disagrees
+        cells = [float(cell) for line in read_csv(out / "report.csv")[1:] for cell in line[1:]]
+        assert any(0.0 < cell < 100.0 for cell in cells)
 
     def test_seed_is_the_first_of_the_seeds(self, data, tmp_path):
         out = tmp_path / "seed5"
