@@ -25,7 +25,7 @@ from .features import (
     fit_standardizer,
     standardize,
 )
-from .network import TRAIN_DTYPE, Batch, NetworkConfig, NetworkParams, active_tasks, init_params, predict
+from .network import TRAIN_DTYPE, Batch, NetworkConfig, NetworkParams, init_params, objective, predict
 from .optim import TrainConfig, TrainingError, train
 
 # Stream labels mixed into the seed so each consumer of randomness gets an
@@ -120,10 +120,13 @@ def metrics(labels, probs) -> dict[str, float]:
 
     Returns accuracy, sensitivity, specificity and precision along with the
     raw counts.  When nothing is predicted positive, precision is 0 and the
-    ``no_positive_predictions`` flag is set instead of dividing by zero.
+    ``no_positive_predictions`` flag is set instead of dividing by zero.  A
+    NaN probability is an :class:`EvaluationError`, as in :func:`auc`.
     """
     labels = np.asarray(labels, dtype=int)
     probs = np.asarray(probs, dtype=float)
+    if np.isnan(probs).any():
+        raise EvaluationError("metrics need probabilities that are not NaN")
     pred = probs >= DECISION_THRESHOLD
     tp = int(np.sum(pred & (labels == 1)))
     fp = int(np.sum(pred & (labels == 0)))
@@ -194,7 +197,7 @@ def fit_model(
 ) -> tuple[NetworkParams, list[dict[str, float]], tuple]:
     """Fit the standardizers on rows ``train_idx`` and train a fresh network there.
 
-    The network holds the heads its loss reads (``network.active_tasks``)
+    The network holds the heads its loss reads (``network.objective``)
     and trains at ``network.TRAIN_DTYPE``: the float64 initialization is
     rounded to it once.  Initialization and dropout draw from ``seed`` and
     ``fold`` through their stream labels.  Returns (params, history,
@@ -211,7 +214,7 @@ def fit_model(
         num_features=cohort.X.shape[1],
         num_decades=cohort.num_decades,
         use_embedding=config.use_embedding,
-        heads=active_tasks(batch, config.train.aux_weight, config.train.aux_weight),
+        heads=tuple(objective(batch, config.train.aux_weight, config.train.aux_weight)),
     )
     initial = init_params(net_config, np.random.default_rng([seed, INIT_STREAM, fold]))
     params = NetworkParams(net_config, {name: value.astype(TRAIN_DTYPE) for name, value in initial.tensors.items()})

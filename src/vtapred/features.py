@@ -158,13 +158,13 @@ def band_power(times_s, intervals_ms, band: tuple[float, float]):
         raise FeatureError("need at least 2 intervals for band power")
     if t.shape != x.shape:
         raise FeatureError("beat times and intervals must have the same length")
+    n_freqs = _grid_points(lo, hi)
+    if n_freqs < 2:  # the trapezoid of a single point is 0
+        raise FeatureError(f"band ({lo:g}, {hi:g}) holds fewer than 2 points of the {FREQ_GRID_STEP_HZ:g} Hz grid")
     flat = np.ptp(x, axis=-1) == 0
     if flat.all():
         power = np.zeros(x.shape[:-1])
     else:
-        n_freqs = _grid_points(lo, hi)
-        if n_freqs < 2:  # the trapezoid of a single point is 0
-            raise FeatureError(f"band ({lo:g}, {hi:g}) holds fewer than 2 points of the {FREQ_GRID_STEP_HZ:g} Hz grid")
         pgram = _lomb_scargle(t, x - x.mean(axis=-1, keepdims=True), lo, n_freqs)
         power = FREQ_GRID_STEP_HZ * (pgram.sum(axis=-1) - 0.5 * (pgram[..., 0] + pgram[..., -1]))
         power = np.where(flat, 0.0, power)

@@ -15,7 +15,7 @@ precision: forward(), backward() and the dropout masks compute and allocate
 in it.  :func:`init_params` returns float64 values; a fit rounds them once to
 ``TRAIN_DTYPE`` (``evaluation.fit_model``).  A network holds only the heads
 of its config (``NetworkConfig.heads``; a fit gives it the heads its loss
-reads, :func:`active_tasks`).  forward() and backward() walk those heads and write
+reads, :func:`objective`).  forward() and backward() walk those heads and write
 their activations and temporaries into a :class:`Workspace` that a caller can
 keep from one epoch to the next.  The dropout masks are cut from one stream
 of 16-bit lanes of the generator's raw output, four keep decisions per
@@ -205,22 +205,13 @@ class Batch:
         return int(self.features.shape[0])
 
 
-DROPOUT_LAYERS = ("input", "h1") + tuple(f"{t}_{layer}" for t in TASKS for layer in ("h2", "h3"))
-
-
-def branch_of(name: str) -> str | None:
-    """The task whose branch owns a tensor or dropout layer; None when it is shared."""
-    task = name.partition("_")[0]
-    return task if task in TASKS else None
-
-
-def dropout_layout(config: NetworkConfig) -> list[tuple[str, int]]:
+def dropout_layout(config: NetworkConfig) -> list[tuple[str, int, bool]]:
+    """The eight masked layers in lane-stream order: (name, width, held by a network of ``config``)."""
     h1, h2, h3 = config.hidden
-    widths = {"input": config.input_dim, "h1": h1}
+    layout = [("input", config.input_dim, True), ("h1", h1, True)]
     for task in TASKS:
-        widths[f"{task}_h2"] = h2
-        widths[f"{task}_h3"] = h3
-    return [(name, widths[name]) for name in DROPOUT_LAYERS]
+        layout += [(f"{task}_h2", h2, task in config.heads), (f"{task}_h3", h3, task in config.heads)]
+    return layout
 
 
 class Workspace:
@@ -247,30 +238,22 @@ class Workspace:
         return array
 
 
-def _head_target(task: str, batch: Batch, lam_nyhac: float, lam_bmi: float):
-    """One head's term of the loss: (weight, rows that carry its target, targets with 0 where absent).
+def objective(batch: Batch, lam_nyhac: float, lam_bmi: float) -> dict[str, tuple]:
+    """Each head the loss reads, in TASKS order: task -> (weight, rows that carry its target, targets).
 
-    The event head has weight 1 on every row; an auxiliary head has its
-    ``lam`` on the rows whose target is present.  This is the one place that
-    reads the missing-target encoding of :class:`Batch`.
+    The targets are 0 where absent.  The event head, weight 1 on every row,
+    is always read; an auxiliary head when its ``lam`` is nonzero (only then
+    are its rows built) and a row has its target.  Every other head adds
+    exactly zero to the loss and to every gradient.  This is the one place
+    that reads :class:`Batch`'s missing-target encoding.
     """
-    if task == "vta":
-        return 1.0, np.ones(len(batch), dtype=bool), batch.y_vta
-    if task == "nyhac":
+    heads = {"vta": (1.0, np.ones(len(batch), dtype=bool), batch.y_vta)}
+    if lam_nyhac != 0.0:
         present = batch.y_nyhac >= 0
-        return lam_nyhac, present, np.where(present, batch.y_nyhac, 0)
-    return lam_bmi, batch.bmi_mask, batch.y_bmi
-
-
-def active_tasks(batch: Batch, lam_nyhac: float, lam_bmi: float) -> tuple[str, ...]:
-    """The heads the loss reads, in TASKS order.
-
-    A head counts when its weight is nonzero and at least one row of the
-    batch has its target, so the event head always counts.  Every other
-    head adds exactly zero to the loss and to every gradient.
-    """
-    heads = {task: _head_target(task, batch, lam_nyhac, lam_bmi) for task in TASKS}
-    return tuple(task for task, (weight, present, _) in heads.items() if weight != 0.0 and present.any())
+        heads["nyhac"] = (lam_nyhac, present, np.where(present, batch.y_nyhac, 0))
+    if lam_bmi != 0.0:
+        heads["bmi"] = (lam_bmi, batch.bmi_mask, batch.y_bmi)
+    return {task: head for task, head in heads.items() if head[1].any()}
 
 
 def draw_dropout_masks(
@@ -306,13 +289,13 @@ def draw_dropout_masks(
         return None
     work = Workspace() if work is None else work
     layout = dropout_layout(config)
-    width = sum(w for _, w in layout)
+    width = sum(w for _, w, _ in layout)
     rows = max(4, DROPOUT_BLOCK_VALUES // width // 4 * 4)
     threshold = math.ceil(keep_prob * 2**16)  # at least 1 for every keep_prob > 0
     columns: dict[str, slice] = {}
     offset = 0
-    for name, w in layout:
-        if branch_of(name) in (None, *config.heads):
+    for name, w, held in layout:
+        if held:
             columns[name] = slice(offset, offset + w)
         offset += w
     masks = {name: work(f"mask_{name}", (n, cols.stop - cols.start), dtype) for name, cols in columns.items()}
@@ -433,20 +416,20 @@ def loss(
 ) -> tuple[float, dict[str, float]]:
     """Mean multi-task loss over a batch: (total, parts by task, 0.0 for a head it does not read).
 
-    Each head of :func:`active_tasks` adds its weight times its cross entropy
-    (a class head) or squared error (``bmi``), summed over the rows that
-    carry its target and divided by the batch size; each head's rows are
-    summed in float64, whatever the network's dtype.  Only those heads are
-    read from ``outputs``; one that it lacks is a :class:`NetworkError`.
+    Each head of :func:`objective`, built once per call, adds its weight
+    times its cross entropy (a class head) or squared error (``bmi``),
+    summed over the rows that carry its target and divided by the batch
+    size; each head's rows are summed in float64, whatever the network's
+    dtype.  Only those heads are read from ``outputs``; one that it lacks is
+    a :class:`NetworkError`.
     """
     n = len(batch)
-    tasks = active_tasks(batch, lam_nyhac, lam_bmi)
-    missing = [task for task in tasks if task not in outputs and f"{task}_logits" not in outputs]
+    terms = objective(batch, lam_nyhac, lam_bmi)
+    missing = [task for task in terms if task not in outputs and f"{task}_logits" not in outputs]
     if missing:
         raise NetworkError(f"the loss reads the {missing[0]!r} head, which the network does not hold")
     parts = dict.fromkeys(TASKS, 0.0)
-    for task in tasks:
-        weight, present, targets = _head_target(task, batch, lam_nyhac, lam_bmi)
+    for task, (weight, present, targets) in terms.items():
         if task == "bmi":
             rows = (outputs["bmi"] - targets) ** 2
         else:
@@ -456,10 +439,11 @@ def loss(
     return sum(parts.values(), -0.0), parts
 
 
-def _output_delta(task: str, outputs: dict, batch: Batch, lam_nyhac: float, lam_bmi: float) -> np.ndarray:
-    """d(mean loss)/d(head output) of one head; exactly zero for a head the loss does not read."""
-    n = len(batch)
-    weight, present, targets = _head_target(task, batch, lam_nyhac, lam_bmi)
+def _output_delta(task: str, outputs: dict, n: int, term: tuple | None) -> np.ndarray:
+    """d(mean loss)/d(head output) of one head; exactly zero for a head without a term of the loss."""
+    if term is None:
+        return np.zeros((n, TASK_UNITS[task]), outputs["vta_probs"].dtype)
+    weight, present, targets = term
     if task == "bmi":
         err = (outputs["bmi"] - targets) * present
         return (2.0 * weight * err / n)[:, None]
@@ -479,8 +463,9 @@ def backward(
     """Gradients of the mean batch loss for every tensor.
 
     Softmax + cross entropy collapse to (probs - one_hot) at each head.
-    Every head of ``params.config.heads`` is walked; a head the loss does
-    not read gets exactly zero gradient.  The gradients are written into ``out``
+    Every head of ``params.config.heads`` is walked with its term of
+    :func:`objective`, built once per call; a head the loss does not read
+    gets exactly zero gradient.  The gradients are written into ``out``
     (a :class:`FlatTensors` laid out like ``params.tensors``, which
     ``optim.train`` allocates once per fit) or into a new one, and the
     temporaries go to the workspace that forward() used.
@@ -505,11 +490,12 @@ def backward(
     def matmul(name: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return np.matmul(a, b, out=work(name, (a.shape[0], b.shape[1]), dtype))
 
+    terms = objective(batch, lam_nyhac, lam_bmi)
     d_h1d = work("d_h1d", cache["h1d"].shape, dtype)
     d_h1d.fill(0.0)
     for task in cfg.heads:
         c = cache[task]
-        d_out = _output_delta(task, cache["outputs"], batch, lam_nyhac, lam_bmi)
+        d_out = _output_delta(task, cache["outputs"], len(batch), terms.get(task))
         np.matmul(c["h3d"].T, d_out, out=grads[f"{task}_Wout"])
         np.sum(d_out, axis=0, out=grads[f"{task}_bout"])
         d_h3 = masked(f"{task}_h3", matmul("d_h3", d_out, t[f"{task}_Wout"].T))

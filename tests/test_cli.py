@@ -28,7 +28,7 @@ from vtapred.evaluation import (
     write_per_seed_csv, write_report_csv,
 )
 from vtapred.features import build_cohort, extract, feature_names, write_feature_matrix
-from vtapred.network import TRAIN_DTYPE, NetworkConfig, active_tasks, backward, init_params, load_checkpoint, loss
+from vtapred.network import TRAIN_DTYPE, NetworkConfig, backward, init_params, load_checkpoint, loss, objective
 from vtapred.synthetic import write_tachogram_dataset
 
 COMMANDS = ("features", "train", "ablate")
@@ -173,7 +173,7 @@ SIGNATURE_DEFAULTS = {
 NO_DEFAULTS = {
     feature_names: ("feature_set",),
     extract: ("feature_set",),
-    active_tasks: ("lam_nyhac", "lam_bmi"),
+    objective: ("lam_nyhac", "lam_bmi"),
     loss: ("lam_nyhac", "lam_bmi"),
     backward: ("lam_nyhac", "lam_bmi"),
     run_ablation: ("jobs",),

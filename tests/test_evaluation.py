@@ -148,6 +148,10 @@ class TestMetrics:
         for name in ("accuracy", "sensitivity", "specificity", "precision"):
             assert out[name] == 1.0
 
+    def test_nan_probability_rejected(self):
+        with pytest.raises(EvaluationError, match="not NaN"):
+            metrics([0, 1, 1], [float("nan"), 0.9, 0.2])
+
     def test_half_probability_counts_positive(self):
         out = metrics(np.array([1, 0]), np.array([0.5, 0.5]))
         assert out["tp"] == 1 and out["fp"] == 1

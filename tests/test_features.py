@@ -256,6 +256,11 @@ class TestBandPower:
         with pytest.raises(FeatureError, match="fewer than 2 points"):
             band_power(beat_times(x), x, band)
 
+    def test_band_with_fewer_than_two_grid_points_rejected_on_a_flat_series(self):
+        x = np.full(40, 800.0)
+        with pytest.raises(FeatureError, match="fewer than 2 points"):
+            band_power(beat_times(x), x, (0.1, 0.104))
+
     def test_needs_two_beats(self):
         with pytest.raises(FeatureError, match="at least 2 intervals"):
             band_power([0.8], [800.0], (0.04, 0.15))

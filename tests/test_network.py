@@ -17,7 +17,7 @@ from oracles import (
     max_relative_error,
     stacked_finite_difference_grads,
 )
-from vtapred import NetworkError, TrainConfig, optim, predict
+from vtapred import NetworkError, TrainConfig, network, optim, predict
 from vtapred.evaluation import build_examples
 from vtapred.features import Cohort, fit_standardizer
 from vtapred.network import (
@@ -29,15 +29,14 @@ from vtapred.network import (
     NetworkConfig,
     NetworkParams,
     Workspace,
-    active_tasks,
     backward,
-    branch_of,
     draw_dropout_masks,
     dropout_layout,
     forward,
     init_params,
     load_checkpoint,
     loss,
+    objective,
     save_checkpoint,
     tensor_shapes,
 )
@@ -293,10 +292,27 @@ class TestActiveTasks:
         batch = make_batch(rng.random((2, 4)), [0, 1], [1, 0], [nyhac, None], [bmi, None])
         outputs, _ = forward(params, batch.features, batch.decade_index)
         _, parts = loss(outputs, batch, lam_nyhac, lam_bmi)
-        tasks = active_tasks(batch, lam_nyhac, lam_bmi)
+        tasks = tuple(objective(batch, lam_nyhac, lam_bmi))
         assert tasks[0] == "vta"
         for task in ("nyhac", "bmi"):
             assert (task in tasks) == (parts[task] != 0.0)
+
+    def test_zero_weight_leaves_the_targets_unread(self, rng):
+        batch = replace(random_batch(rng, small_config(), 4), y_nyhac=None, y_bmi=None, bmi_mask=None)
+        assert tuple(objective(batch, 0.0, 0.0)) == ("vta",)
+
+    @pytest.mark.parametrize("multi_task", [False, True], ids=["single-task", "multi-task"])
+    def test_an_epoch_builds_the_objective_twice(self, rng, monkeypatch, multi_task):
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return objective(*args)
+
+        monkeypatch.setattr(network, "objective", spy)
+        params = init_params(small_config(), rng)
+        train(random_batch(rng, params.config, 6), TrainConfig(epochs=3, multi_task=multi_task), params, rng)
+        assert len(calls) == 2 * 3  # one in loss and one in backward
 
 
 class TestBackward:
@@ -336,7 +352,7 @@ class TestBackward:
         cfg = small_config()
         params = init_params(cfg, rng)
         batch = random_batch(rng, cfg, 8)
-        assert active_tasks(batch, 0.5, 2.0) == TASKS
+        assert tuple(objective(batch, 0.5, 2.0)) == TASKS
 
         def loss_fn():
             outputs, _ = forward(params, batch.features, batch.decade_index)
@@ -438,12 +454,14 @@ class TestDropoutMasks:
     @pytest.mark.parametrize("chunks", [0.5, 1, 3.25], ids=["under-one-chunk", "one-chunk", "chunks-and-rest"])
     def test_row_chunks_draw_the_whole_block_stream(self, heads, chunks):
         cfg = small_config(heads=heads)
-        rows = DROPOUT_BLOCK_VALUES // sum(width for _, width in dropout_layout(cfg))
+        rows = DROPOUT_BLOCK_VALUES // sum(width for _, width, _ in dropout_layout(cfg))
         n = int(chunks * rows)
         rng, oracle_rng = np.random.default_rng(8), np.random.default_rng(8)
         masks = draw_dropout_masks(cfg, n, 0.75, rng)
         want = _reference_masks(cfg, n, 0.75, oracle_rng)
-        assert list(masks) == [name for name in want if branch_of(name) in (None, *heads)]
+        layout = dropout_layout(cfg)
+        assert [name for name, _, _ in layout] == list(want)
+        assert list(masks) == [name for name, _, held in layout if held]
         for name, mask in masks.items():
             assert mask.tobytes() == want[name].tobytes(), name
         assert rng.random() == oracle_rng.random()
@@ -454,7 +472,7 @@ class TestDropoutMasks:
                                                               "chunk-plus-one", "chunks-and-rest"])
     def test_odd_width_chunks_read_one_whole_draw(self, n):
         cfg = NetworkConfig(num_features=7, num_decades=5, use_embedding=True)
-        assert sum(width for _, width in dropout_layout(cfg)) == 497
+        assert sum(width for _, width, _ in dropout_layout(cfg)) == 497
         rng, oracle_rng = np.random.default_rng(11), np.random.default_rng(11)
         masks = draw_dropout_masks(cfg, n, 0.75, rng)
         want = _reference_masks(cfg, n, 0.75, oracle_rng)
@@ -492,7 +510,7 @@ class TestDropoutMasks:
 
     def test_float32_masks_keep_the_same_units(self):
         cfg = small_config()
-        n = int(3.25 * (DROPOUT_BLOCK_VALUES // sum(width for _, width in dropout_layout(cfg))))
+        n = int(3.25 * (DROPOUT_BLOCK_VALUES // sum(width for _, width, _ in dropout_layout(cfg))))
         rng32, rng64 = np.random.default_rng(3), np.random.default_rng(3)
         masks32 = draw_dropout_masks(cfg, n, 0.75, rng32, Workspace(), np.float32)
         masks64 = draw_dropout_masks(cfg, n, 0.75, rng64, Workspace())
