@@ -139,6 +139,14 @@ def read_text(path: Path) -> str:
         ) from None
 
 
+def write_csv(path, header, rows) -> None:
+    """Write ``header`` and then each of ``rows`` as one UTF-8 CSV line ending in ``\\n``."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def _read_tachogram(path: Path) -> np.ndarray:
     text = read_text(path)
     # split("\n"), not splitlines(): a form feed does not end a line

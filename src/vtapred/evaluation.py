@@ -9,14 +9,13 @@ number bit-for-bit, no matter how many worker processes are used.
 
 from __future__ import annotations
 
-import csv
 import ctypes
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from .dataset import LABELS, PatientMeta, RRRecord
+from .dataset import LABELS, PatientMeta, RRRecord, write_csv
 from .features import (
     FEATURE_SET_BASELINE11,
     FEATURE_SET_RECENT,
@@ -121,9 +120,10 @@ def metrics(labels, probs) -> dict[str, float]:
     Returns accuracy, sensitivity, specificity and precision along with the
     raw counts.  When nothing is predicted positive, precision is 0 and the
     ``no_positive_predictions`` flag is set instead of dividing by zero.  A
-    NaN probability is an :class:`EvaluationError`, as in :func:`auc`.
+    label other than 0 or 1, or a NaN probability, is an
+    :class:`EvaluationError`, as in :func:`auc`.
     """
-    labels = np.asarray(labels, dtype=int)
+    labels = _class_codes(labels, "metrics need")
     probs = np.asarray(probs, dtype=float)
     if np.isnan(probs).any():
         raise EvaluationError("metrics need probabilities that are not NaN")
@@ -146,7 +146,7 @@ def metrics(labels, probs) -> dict[str, float]:
 
 def auc(labels, probs) -> float:
     """Rank-based AUC with ties counted half, equal to the trapezoidal ROC area."""
-    labels = np.asarray(labels, dtype=int)
+    labels = _class_codes(labels, "AUC needs")
     probs = np.asarray(probs, dtype=float)
     n_pos = int(np.sum(labels == 1))
     n_neg = int(np.sum(labels == 0))
@@ -157,6 +157,14 @@ def auc(labels, probs) -> float:
     ranks = _average_ranks(probs)
     u = float(ranks[labels == 1].sum()) - n_pos * (n_pos + 1) / 2.0
     return u / (n_pos * n_neg)
+
+
+def _class_codes(labels, needs: str) -> np.ndarray:
+    """``labels`` as an int array; a label other than 0 or 1 is an error that begins with ``needs``."""
+    codes = np.asarray(labels)
+    if not np.isin(codes, (0, 1)).all():
+        raise EvaluationError(f"{needs} labels that are 0 or 1")
+    return codes.astype(int)
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
@@ -384,30 +392,20 @@ def format_report_table(report: EvalReport) -> str:
 
 def write_report_csv(path, report: EvalReport) -> None:
     """Seed-averaged metrics as CSV percentages with two decimals."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["configuration", *METRIC_NAMES])
-        means = score(report)[1]
-        for row in report.rows:
-            writer.writerow([ROW_LABELS[row], *(f"{100.0 * means[row][m]:.2f}" for m in METRIC_NAMES)])
+    means = score(report)[1]
+    write_csv(path, ["configuration", *METRIC_NAMES],
+              ([ROW_LABELS[row], *(f"{100.0 * means[row][m]:.2f}" for m in METRIC_NAMES)] for row in report.rows))
 
 
 def write_per_seed_csv(path, report: EvalReport) -> None:
     """Raw (unaveraged, unscaled) per-seed metrics as CSV."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["configuration", "seed", *METRIC_NAMES])
-        per_seed = score(report)[0]
-        for row in report.rows:
-            for seed in report.seeds:
-                stats = per_seed[row][seed]
-                writer.writerow([ROW_LABELS[row], seed, *(f"{stats[m]:.17g}" for m in METRIC_NAMES)])
+    per_seed = score(report)[0]
+    write_csv(path, ["configuration", "seed", *METRIC_NAMES],
+              ([ROW_LABELS[row], seed, *(f"{per_seed[row][seed][m]:.17g}" for m in METRIC_NAMES)]
+               for row in report.rows for seed in report.seeds))
 
 
 def write_predictions_csv(path, record_ids, labels, probs) -> None:
     """Pooled per-record predictions: record_id,label,probability; ``labels`` are class codes."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["record_id", "label", "probability"])
-        for rid, label, prob in zip(record_ids, labels, probs):
-            writer.writerow([rid, LABELS[label], f"{prob:.17g}"])
+    write_csv(path, ["record_id", "label", "probability"],
+              ([rid, LABELS[label], f"{prob:.17g}"] for rid, label, prob in zip(record_ids, labels, probs)))

@@ -19,8 +19,9 @@ ESC and NASPE, Circulation 93(5), 1996).  The family's name is the only
 choice, and each name gives one matrix.
 
 Band power comes from one Lomb-Scargle kernel that takes a stack of
-equal-length series.  The ``recent`` family's windows all have
-``RECENT_BEATS`` beats, so each band is one call for the whole record set;
+equal-length series and every band a caller reports.  The ``recent``
+family's windows all have ``RECENT_BEATS`` beats, so both its bands are one
+call for the whole record set, and ``baseline11`` makes one call per record;
 the kernel blocks over series and frequencies so that a block holds at most
 ``LOMB_BLOCK_VALUES`` phasors, and every row of a stack equals the one-series
 call bit for bit.  That equality is why the kernel binds each complex factor
@@ -38,13 +39,12 @@ default block.
 
 from __future__ import annotations
 
-import csv
 from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import LABELS
+from .dataset import LABELS, write_csv
 
 FEATURE_SET_RECENT = "recent"
 FEATURE_SET_BASELINE11 = "baseline11"
@@ -112,85 +112,76 @@ def detect_ectopic(intervals_ms) -> np.ndarray:
     return mask
 
 
-def time_stats(intervals_ms):
-    """(mean, min, max) of the last ``RECENT_BEATS`` intervals.
-
-    The caller is expected to pass an ectopic-filtered sequence; this function
-    only checks that enough beats remain.  A 1-D sequence gives three floats;
-    an (..., n) stack gives three arrays with one value per row.
-    """
-    x = np.asarray(intervals_ms, dtype=float)
-    if x.ndim == 0 or x.shape[-1] < RECENT_BEATS:
-        raise FeatureError(f"need at least {RECENT_BEATS} beats for recent-beat statistics")
-    tail = x[..., -RECENT_BEATS:]
-    stats = tail.mean(axis=-1), tail.min(axis=-1), tail.max(axis=-1)
-    return tuple(float(s) for s in stats) if x.ndim == 1 else stats
-
-
 def _grid_points(lo: float, hi: float) -> int:
     """How many points ``lo + k * FREQ_GRID_STEP_HZ`` (k = 1, 2, ...) lie in ``(lo, hi]``; edges finite."""
     return int(np.floor((hi - lo) / FREQ_GRID_STEP_HZ + 1e-9))
 
 
-def band_power(times_s, intervals_ms, band: tuple[float, float]):
-    """Spectral power of an RR sequence, or of each row of a stack, inside a frequency band.
+def band_power(times_s, intervals_ms, bands) -> np.ndarray:
+    """Spectral power of an RR sequence, or of each row of a stack, inside each of ``bands``.
 
     ``times_s`` holds each beat's time in seconds (the end of its interval)
     and ``intervals_ms`` its interval.  The caller passes the kept beats at
     their own timestamps, so a removed ectopic beat leaves a gap in time, as
     the Lomb-Scargle method expects (Lomb 1976; Clifford & Tarassenko 2005).
-    The periodogram of the mean-subtracted intervals is evaluated on the
-    points ``lo + k * FREQ_GRID_STEP_HZ`` in ``(lo, hi]`` and integrated with
-    the trapezoid rule.  An all-equal sequence has no power anywhere and
-    returns 0.
+    For each ``(lo, hi)`` of ``bands``, the periodogram of the
+    mean-subtracted intervals is evaluated on the points
+    ``lo + k * FREQ_GRID_STEP_HZ`` in ``(lo, hi]`` and integrated with the
+    trapezoid rule.  An all-equal sequence has no power anywhere and gives 0.
 
-    A 1-D sequence gives a float.  An (..., n) stack of equal-length series
-    (times and intervals of one shape) gives an (...,) array whose every
-    value equals, bit for bit, the 1-D call on that row: the whole stack goes
-    through one :func:`_lomb_scargle` call.
+    Returns an ``(..., len(bands))`` array: a 1-D sequence gives one value
+    per band, and an (..., n) stack of equal-length series (times and
+    intervals of one shape) gives one row of them per series.  Every value
+    equals, bit for bit, the call on that series and that band alone: all
+    series and bands go through one :func:`_lomb_scargle` call.
     """
-    lo, hi = band
-    if not (lo < hi and np.isfinite(hi - lo)):
-        raise FeatureError(f"degenerate frequency band ({lo:g}, {hi:g})")
+    grid = []
+    for lo, hi in bands:
+        if not (lo < hi and np.isfinite(hi - lo)):
+            raise FeatureError(f"degenerate frequency band ({lo:g}, {hi:g})")
+        n_freqs = _grid_points(lo, hi)
+        if n_freqs < 2:  # the trapezoid of a single point is 0
+            raise FeatureError(
+                f"band ({lo:g}, {hi:g}) holds fewer than 2 points of the {FREQ_GRID_STEP_HZ:g} Hz grid")
+        grid.append((lo, n_freqs))
     x = np.asarray(intervals_ms, dtype=float)
     t = np.asarray(times_s, dtype=float)
     if x.ndim == 0 or x.shape[-1] < 2:
         raise FeatureError("need at least 2 intervals for band power")
     if t.shape != x.shape:
         raise FeatureError("beat times and intervals must have the same length")
-    n_freqs = _grid_points(lo, hi)
-    if n_freqs < 2:  # the trapezoid of a single point is 0
-        raise FeatureError(f"band ({lo:g}, {hi:g}) holds fewer than 2 points of the {FREQ_GRID_STEP_HZ:g} Hz grid")
     flat = np.ptp(x, axis=-1) == 0
     if flat.all():
-        power = np.zeros(x.shape[:-1])
-    else:
-        pgram = _lomb_scargle(t, x - x.mean(axis=-1, keepdims=True), lo, n_freqs)
-        power = FREQ_GRID_STEP_HZ * (pgram.sum(axis=-1) - 0.5 * (pgram[..., 0] + pgram[..., -1]))
-        power = np.where(flat, 0.0, power)
-    return float(power) if x.ndim == 1 else power
+        return np.zeros(x.shape[:-1] + (len(grid),))
+    pgrams = _lomb_scargle(t, x - x.mean(axis=-1, keepdims=True), grid)
+    power = np.stack([FREQ_GRID_STEP_HZ * (p.sum(axis=-1) - 0.5 * (p[..., 0] + p[..., -1])) for p in pgrams], axis=-1)
+    return np.where(flat[..., None], 0.0, power)
 
 
-def _lomb_scargle(times_s: np.ndarray, centred: np.ndarray, lo_hz: float, n_freqs: int) -> np.ndarray:
-    """Lomb-Scargle power of ``centred`` at ``lo_hz + k * FREQ_GRID_STEP_HZ``, k = 1..n_freqs.
+def _lomb_scargle(times_s: np.ndarray, centred: np.ndarray, grid: list[tuple[float, int]]) -> list[np.ndarray]:
+    """Lomb-Scargle power of ``centred`` at ``lo_hz + k * FREQ_GRID_STEP_HZ``, k = 1..n_freqs, per band.
 
-    Unit weights, no floating mean, power in the classic units
+    ``grid`` holds one ``(lo_hz, n_freqs)`` pair per band, and the result
+    one (..., n_freqs) periodogram per band.  Unit weights, no floating
+    mean, power in the classic units
     ``((sum y cos)^2 / sum cos^2 + (sum y sin)^2 / sum sin^2) / 2`` of the
     phases ``w (t - tau)``; the same as SciPy's ``lombscargle`` up to
     rounding.  ``times_s`` and ``centred`` are one series of n beats or an
-    (..., n) stack of them; the result is (..., n_freqs).
+    (..., n) stack of them.
 
     Each beat's phasor ``exp(i w t)`` is walked along the uniform grid by
-    rotation.  The frequencies go in blocks of at most
+    rotation.  Each band's frequencies go in blocks of at most
     ``LOMB_BLOCK_VALUES // n`` (at least one); each block starts from a
     direct exponential, and its later rows are earlier rows times powers of
     the one-step rotation ``exp(i 2 pi FREQ_GRID_STEP_HZ t)``.  So the
     rounding of the rotation cannot build up past one block, and a series
-    meets the same frequency blocks alone or in a stack.  The series of a
-    stack go in blocks too, as many as keep a block at most
-    ``LOMB_BLOCK_VALUES`` phasors (at least one series).  So besides the
-    result, memory is O(LOMB_BLOCK_VALUES + n) however many series and
-    frequencies there are.
+    meets the same frequency blocks alone, in a stack or beside other bands.
+    The series of a stack go in blocks too, as many as keep the widest
+    frequency block at most ``LOMB_BLOCK_VALUES`` phasors (at least one
+    series); a series block's complex copy and rotation serve every band,
+    and one phasor buffer serves every frequency block.  So besides the
+    result, memory is O(LOMB_BLOCK_VALUES + n) however many series, bands
+    and frequencies there are.
     The tau-shifted sums follow in closed form from the first-pass sums, with
     no second trig pass.
 
@@ -201,22 +192,25 @@ def _lomb_scargle(times_s: np.ndarray, centred: np.ndarray, lo_hz: float, n_freq
     in place, and a complex product computed in place rounds differently.
     """
     n = times_s.shape[-1]
-    width = min(n_freqs, max(1, LOMB_BLOCK_VALUES // n))  # frequencies per block
+    most = max(1, LOMB_BLOCK_VALUES // n)  # frequencies per block
+    pgrams = [np.empty(times_s.shape[:-1] + (n_freqs,)) for _, n_freqs in grid]
+    # every band's frequency blocks: (band start, first grid index, the block's columns of the periodogram)
+    blocks = [(lo_hz, start, pgram.reshape(-1, n_freqs)[:, start:start + most])
+              for (lo_hz, n_freqs), pgram in zip(grid, pgrams) for start in range(0, n_freqs, most)]
+    width = max(columns.shape[1] for *_, columns in blocks)
     height = max(1, LOMB_BLOCK_VALUES // (n * width))  # series per block
     all_times = times_s.reshape(-1, n)
     all_centred = centred.reshape(-1, n)
-    pgram = np.empty((len(all_times), n_freqs))
     phasors = np.empty(width * min(height, len(all_times)) * n, dtype=complex)
     epsneg = np.finfo(np.float64).epsneg
     for first in range(0, len(all_times), height):
         t = all_times[first:first + height]
         y = all_centred[first:first + height, :, None].astype(complex)  # a mixed real-complex matmul skips BLAS
         rotation = np.exp(1j * (2.0 * np.pi * FREQ_GRID_STEP_HZ) * t)
-        rows = pgram[first:first + height]
-        for start in range(0, n_freqs, width):
+        for lo_hz, start, columns in blocks:
             # contiguous and frequency-major, so that the rows a doubling step reads and the rows
             # it writes are disjoint address ranges, which numpy tells apart without a copy
-            block = phasors[:min(width, n_freqs - start) * len(t) * n].reshape(-1, len(t), n)
+            block = phasors[:columns.shape[1] * len(t) * n].reshape(-1, len(t), n)
             np.exp(1j * (2.0 * np.pi * (lo_hz + FREQ_GRID_STEP_HZ * (start + 1))) * t, out=block[0])
             # frequencies [filled, 2 * filled) are [0, filled) rotated by filled grid steps
             turn, filled = rotation, 1
@@ -237,8 +231,8 @@ def _lomb_scargle(times_s: np.ndarray, centred: np.ndarray, lo_hz: float, n_freq
             ss = 1.0 - cc
             cc[cc < epsneg] = epsneg
             ss[ss < epsneg] = epsneg
-            rows[:, start:start + len(block)] = (shifted.real ** 2 / cc + shifted.imag ** 2 / ss) / (2.0 * n)
-    return pgram.reshape(times_s.shape[:-1] + (n_freqs,))
+            columns[first:first + height] = (shifted.real ** 2 / cc + shifted.imag ** 2 / ss) / (2.0 * n)
+    return pgrams
 
 
 def windowed_diff(intervals_ms, ectopic_mask) -> tuple[float, int]:
@@ -374,14 +368,13 @@ def baseline11(intervals_ms, times_s) -> tuple[float, ...]:
     if x.size < 4:
         raise FeatureError("sequence too short for the baseline feature panel")
     diffs = np.diff(x)
-    lf = band_power(times_s, x, LF_BAND)
-    hf = band_power(times_s, x, HF_BAND)
+    vlf, lf, hf = band_power(times_s, x, (VLF_BAND, LF_BAND, HF_BAND)).tolist()
     return (
         float(x.mean()),
         float(np.std(x, ddof=1)),
         float(np.sqrt(np.mean(diffs**2))),
         float(np.mean(np.abs(diffs) > 50.0)),
-        band_power(times_s, x, VLF_BAND),
+        vlf,
         lf,
         hf,
         lf / hf if hf > 0 else 0.0,
@@ -410,8 +403,9 @@ def extract(records, feature_set: str) -> np.ndarray:
     intervals and their times into two ``(len(records), RECENT_BEATS)``
     arrays (copies, so that no view keeps a whole record alive), then takes
     mean, min, max and both band powers of all rows together: one stacked
-    :func:`band_power` call per band.  ``baseline11`` series differ in length,
-    so its panel, which has no windowed trend, is computed record by record.
+    :func:`band_power` call for both bands.  ``baseline11`` series differ in
+    length, so its panel, which has no windowed trend, is computed record by
+    record, with one :func:`band_power` call per record for its three bands.
     """
     names = feature_names(feature_set)
     X = np.empty((len(records), len(names)))
@@ -436,10 +430,10 @@ def extract(records, feature_set: str) -> np.ndarray:
         except FeatureError as exc:
             raise FeatureError(f"record {record.record_id!r}: {exc}") from None
     if recent:
-        mean_rr, min_rr, max_rr = time_stats(window_ms)
-        lf = band_power(window_s, window_ms, LF_BAND)
-        hf = band_power(window_s, window_ms, HF_BAND)
-        X[:, :len(RECENT_NAMES)] = np.column_stack([mean_rr, lf, hf, min_rr, max_rr])
+        X[:, 0] = window_ms.mean(axis=1)
+        X[:, 1:3] = band_power(window_s, window_ms, (LF_BAND, HF_BAND))
+        X[:, 3] = window_ms.min(axis=1)
+        X[:, 4] = window_ms.max(axis=1)
     bad = np.argwhere(~np.isfinite(X))
     if bad.size:
         row, column = bad[0]
@@ -540,8 +534,6 @@ def write_feature_matrix(path, cohort: Cohort) -> None:
     """Write features as CSV: ``record_id,label,<names>``, 6 significant digits."""
     if not len(cohort):
         raise FeatureError("nothing to write")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["record_id", "label", *cohort.names])
-        for rid, y, row in zip(cohort.record_ids, cohort.y_vta, cohort.X):
-            writer.writerow([rid, LABELS[y], *(f"{v:.6g}" for v in row)])
+    rows = zip(cohort.record_ids, cohort.y_vta, cohort.X)
+    write_csv(path, ["record_id", "label", *cohort.names],
+              ([rid, LABELS[y], *(f"{v:.6g}" for v in row)] for rid, y, row in rows))

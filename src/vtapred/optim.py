@@ -16,11 +16,11 @@ by element in the same operation order as a per-tensor loop.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .dataset import write_csv
 from .network import (
     TASKS,
     Batch,
@@ -182,8 +182,5 @@ def train(
 def write_loss_history(path, history: list[dict[str, float]]) -> None:
     """CSV export of the per-epoch losses: epoch, loss, and ``<task>_loss`` for each of ``network.TASKS``."""
     columns = ("loss", *(f"{task}_loss" for task in TASKS))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["epoch", *columns])
-        for row in history:
-            writer.writerow([int(row["epoch"]), *(f"{row[name]:.12g}" for name in columns)])
+    write_csv(path, ["epoch", *columns],
+              ([int(row["epoch"]), *(f"{row[name]:.12g}" for name in columns)] for row in history))

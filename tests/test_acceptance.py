@@ -105,11 +105,11 @@ def test_criterion_3_band_power_location():
     lf_tone = modulated_tachogram(0.10)
     hf_tone = modulated_tachogram(0.30)
     lf_t, hf_t = beat_times(lf_tone), beat_times(hf_tone)
-    lf_ratio = band_power(lf_t, lf_tone, (0.04, 0.15)) / band_power(lf_t, lf_tone, (0.15, 0.40))
-    hf_ratio = band_power(hf_t, hf_tone, (0.15, 0.40)) / band_power(hf_t, hf_tone, (0.04, 0.15))
+    bands = ((0.04, 0.15), (0.15, 0.40))
+    lf_ratio = np.divide(*band_power(lf_t, lf_tone, bands))
+    hf_ratio = np.divide(*band_power(hf_t, hf_tone, bands[::-1]))
     flat = np.full(64, 800.0)
-    flat_lf = band_power(beat_times(flat), flat, (0.04, 0.15))
-    flat_hf = band_power(beat_times(flat), flat, (0.15, 0.40))
+    flat_lf, flat_hf = band_power(beat_times(flat), flat, bands)
     ok = lf_ratio > 10.0 and hf_ratio > 10.0 and flat_lf < 1e-9 and flat_hf < 1e-9
     verdict(3, "band-power location", ok,
             f"LF ratio {lf_ratio:.1f}, HF ratio {hf_ratio:.1f}, constant {flat_lf:.1e}/{flat_hf:.1e}")

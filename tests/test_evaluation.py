@@ -152,6 +152,12 @@ class TestMetrics:
         with pytest.raises(EvaluationError, match="not NaN"):
             metrics([0, 1, 1], [float("nan"), 0.9, 0.2])
 
+    @pytest.mark.parametrize("labels", [[0, 1, 2], [0, 1, -1], [0, 1, 0.5]])
+    def test_label_outside_the_two_classes_rejected(self, labels):
+        # a label of 2 falls in no cell of the confusion matrix: unchecked, accuracy would read 1.0 here
+        with pytest.raises(EvaluationError, match="labels that are 0 or 1"):
+            metrics(labels, [0.1, 0.9, 0.9])
+
     def test_half_probability_counts_positive(self):
         out = metrics(np.array([1, 0]), np.array([0.5, 0.5]))
         assert out["tp"] == 1 and out["fp"] == 1
@@ -222,6 +228,12 @@ class TestAuc:
     def test_nan_probability_rejected(self):
         with pytest.raises(EvaluationError, match="not NaN"):
             auc([1, 0, 1], [0.3, float("nan"), 0.4])
+
+    @pytest.mark.parametrize("labels", [[0, 1, -1], [0, 1, 2], [0, 1, 0.5]])
+    def test_label_outside_the_two_classes_rejected(self, labels):
+        # a label of -1 falls in neither class: unchecked, the rank sum would give an AUC of 2.0 here
+        with pytest.raises(EvaluationError, match="labels that are 0 or 1"):
+            auc(labels, [0.5, 0.9, 0.1])
 
     def test_average_ranks_bit_identical_to_scipy(self, rng, scipy_reference):
         from scipy.stats import rankdata

@@ -1,7 +1,11 @@
 """Feature extraction tests: ectopic filtering, spectra, windows, panels."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +24,7 @@ from vtapred.dataset import MIN_BEATS, PatientMeta, RRRecord
 from vtapred.features import (
     BASELINE11_NAMES, FREQ_GRID_STEP_HZ, HF_BAND, LF_BAND, LOMB_BLOCK_VALUES, RECENT_BEATS, RECENT_NAMES, VLF_BAND,
     WINDOW_BEATS, WINDOWED_NAMES, Cohort, _grid_points, _lomb_scargle, band_power, baseline11, extract, feature_names,
-    fit_standardizer, sample_entropy, standardize, time_stats, windowed_diff, write_feature_matrix,
+    fit_standardizer, sample_entropy, standardize, windowed_diff, write_feature_matrix,
 )
 
 
@@ -105,55 +109,52 @@ class TestDetectEctopic:
         assert not mask[5]
 
 
-class TestTimeStats:
+class TestRecentStats:
+    """mean_rr, min_rr and max_rr: the last RECENT_BEATS kept beats of each record."""
+
+    def _stats(self, records):
+        X = extract(records, "recent")
+        return X[:, [RECENT_NAMES.index(name) for name in ("mean_rr", "min_rr", "max_rr")]]
+
+    def test_only_last_kept_beats_counted(self):
+        x = np.linspace(700.0, 760.0, WINDOW_BEATS + 20)  # a slow ramp that flags no beat
+        x[-5] = 1400.0  # ectopic, so the window reaches one beat further back
+        assert detect_ectopic(x).nonzero()[0].tolist() == [x.size - 5]
+        kept = np.delete(x, x.size - 5)[-RECENT_BEATS:]
+        mean, lo, hi = self._stats([RRRecord("r", x, "VTA", "p")])[0]
+        assert (mean, lo, hi) == (kept.mean(), kept[0], kept[-1])
+
     def test_constant_tail(self):
-        mean, lo, hi = time_stats(np.full(45, 800.0))
-        assert (mean, lo, hi) == (800.0, 800.0, 800.0)
+        x = np.r_[np.linspace(760.0, 800.0, WINDOW_BEATS), np.full(45, 800.0)]
+        assert self._stats([RRRecord("r", x, "VTA", "p")]).tolist() == [[800.0, 800.0, 800.0]]
 
-    def test_alternating_tail(self):
-        x = np.where(np.arange(30) % 2 == 0, 790.0, 810.0)
-        mean, lo, hi = time_stats(x)
-        assert mean == pytest.approx(800.0)
-        assert (lo, hi) == (790.0, 810.0)
-
-    def test_filtering_happens_before_stats(self):
-        x = np.array([800.0] * 5 + [9999.0] + [800.0] * 25)
-        mask = detect_ectopic(x)
-        assert mask.sum() == 1
-        mean, lo, hi = time_stats(x[~mask])
-        assert (mean, lo, hi) == (800.0, 800.0, 800.0)
-
-    def test_only_last_beats_counted(self):
-        x = np.array([600.0] * 10 + [800.0] * 30)
-        assert time_stats(x) == (800.0, 800.0, 800.0)
+    def test_each_row_gets_its_own_records_stats(self, rng):
+        records = [RRRecord(f"r{i}", rng.normal(800.0, 15.0, WINDOW_BEATS + 10 * i), "VTA", "p") for i in range(5)]
+        stacked = self._stats(records)
+        for row, record in zip(stacked, records):
+            tail = record.intervals_ms[~detect_ectopic(record.intervals_ms)][-RECENT_BEATS:]
+            assert_same_bits(row, np.array([tail.mean(), tail.min(), tail.max()]))
+            assert_same_bits(row, self._stats([record])[0])
 
     def test_insufficient_beats(self):
-        with pytest.raises(FeatureError, match="recent-beat statistics"):
-            time_stats(np.full(29, 800.0))
-
-    def test_stack_gives_each_rows_stats(self, rng):
-        x = rng.normal(800.0, 35.0, (5, 40))
-        stats = time_stats(x)
-        for i, row in enumerate(x):
-            assert tuple(column[i] for column in stats) == time_stats(row)
+        record = RRRecord("short", np.full(RECENT_BEATS - 1, 800.0), "VTA", "p")
+        with pytest.raises(FeatureError, match="record 'short': need at least 30 beats for recent-beat statistics"):
+            extract([record], "recent")
 
 
 class TestBandPower:
     def test_constant_sequence_is_exactly_zero(self):
         x = np.full(30, 800.0)
-        assert band_power(beat_times(x), x, (0.04, 0.15)) == 0.0
-        assert band_power(beat_times(x), x, (0.15, 0.40)) == 0.0
+        assert band_power(beat_times(x), x, (LF_BAND, HF_BAND)).tolist() == [0.0, 0.0]
 
     def test_low_frequency_tone_lands_in_lf(self):
         x = modulated_tachogram(0.10)
-        lf = band_power(beat_times(x), x, (0.04, 0.15))
-        hf = band_power(beat_times(x), x, (0.15, 0.40))
+        lf, hf = band_power(beat_times(x), x, (LF_BAND, HF_BAND))
         assert lf > 10.0 * hf
 
     def test_high_frequency_tone_lands_in_hf(self):
         x = modulated_tachogram(0.30)
-        lf = band_power(beat_times(x), x, (0.04, 0.15))
-        hf = band_power(beat_times(x), x, (0.15, 0.40))
+        lf, hf = band_power(beat_times(x), x, (LF_BAND, HF_BAND))
         assert hf > 10.0 * lf
 
     def test_dense_grid_oracle_agrees_on_tone_location(self):
@@ -171,26 +172,25 @@ class TestBandPower:
             assert in_power > 10.0 * out_power
 
     def test_matches_direct_formula_on_shared_grid(self, rng):
+        bands = ((0.04, 0.15), (0.15, 0.40), VLF_BAND)
         for _ in range(8):
             raw = rng.normal(820.0, 45.0, 66)
             kept = np.ones(raw.size, dtype=bool)
             kept[rng.choice(raw.size, 6, replace=False)] = False  # gaps where beats were removed
             t, x = beat_times(raw)[kept], raw[kept]
-            for band in ((0.04, 0.15), (0.15, 0.40), VLF_BAND):
-                got = band_power(t, x, band)
-                want = lomb_band_power(t, x, band)
-                assert got == pytest.approx(want, rel=1e-8)
+            for got, band in zip(band_power(t, x, bands), bands):
+                assert got == pytest.approx(lomb_band_power(t, x, band), rel=1e-8)
 
     def test_vendored_periodogram_matches_the_direct_oracle(self, rng):
         # a block holds 65 frequencies at 1,000 beats and 3 at 20,000, so those grids cross block
         # seams; a day's offset makes every phase large
+        grid = [(0.0, 80), (0.15, 50), (0.095, 1)]
         for n, offset_s in ((2, 0.0), (3, 0.0), (30, 0.0), (250, 0.0), (1000, 0.0),
                             (30, 86_400.0), (1000, 86_400.0), (20_000, 0.0)):
             x = rng.normal(820.0, 45.0, n)
             t = offset_s + beat_times(x)
             y = x - x.mean()
-            for lo, n_freqs in ((0.0, 80), (0.15, 50), (0.095, 1)):
-                got = _lomb_scargle(t, y, lo, n_freqs)
+            for got, (lo, n_freqs) in zip(_lomb_scargle(t, y, grid), grid):
                 want = lomb_periodogram(t, y, lo + FREQ_GRID_STEP_HZ * np.arange(1, n_freqs + 1))
                 assert got.shape == want.shape
                 np.testing.assert_allclose(got, want, rtol=1e-8, atol=1e-10 * float(np.sum(y * y)))
@@ -200,29 +200,29 @@ class TestBandPower:
         from scipy.integrate import trapezoid
         from scipy.signal import lombscargle
 
+        bands = (VLF_BAND, (0.04, 0.15), (0.15, 0.40))
         for i in range(50):
             x = rng.normal(820.0, float(rng.uniform(5.0, 120.0)), int(rng.integers(3, 2000)))
             if i % 3 == 0:
                 x = np.round(x)  # integer-ms recordings
             times_s = beat_times(x) + (86_400.0 if i % 5 == 0 else 0.0)
-            for lo, hi in (VLF_BAND, (0.04, 0.15), (0.15, 0.40)):
+            for got, (lo, hi) in zip(band_power(times_s, x, bands), bands):
                 n_freqs = int(np.floor((hi - lo) / FREQ_GRID_STEP_HZ + 1e-9))
                 freqs = lo + FREQ_GRID_STEP_HZ * np.arange(1, n_freqs + 1)
                 pgram = lombscargle(times_s, x - x.mean(), 2.0 * np.pi * freqs)
-                assert band_power(times_s, x, (lo, hi)) == pytest.approx(float(trapezoid(pgram, freqs)), rel=1e-9)
+                assert got == pytest.approx(float(trapezoid(pgram, freqs)), rel=1e-9)
 
     def test_non_negative(self, rng):
         for _ in range(10):
             x = rng.normal(800.0, 60.0, 50)
-            assert band_power(beat_times(x), x, (0.04, 0.15)) >= 0.0
+            assert band_power(beat_times(x), x, [(0.04, 0.15)])[0] >= 0.0
 
     def test_total_band_dominates_sub_bands(self, rng):
         for _ in range(6):
             x = rng.normal(800.0, 50.0, 100)
-            t = beat_times(x)
-            total = band_power(t, x, (0.003, 0.40))
-            for sub in (VLF_BAND, (0.04, 0.15), (0.15, 0.40)):
-                assert total >= band_power(t, x, sub) * (1.0 - 1e-9)
+            total, *subs = band_power(beat_times(x), x, ((0.003, 0.40), VLF_BAND, (0.04, 0.15), (0.15, 0.40)))
+            for sub in subs:
+                assert total >= sub * (1.0 - 1e-9)
 
     @pytest.mark.parametrize("n, band", [(20_000, (0.15, 0.40)), (30, (0.15, 50.0))])
     def test_memory_does_not_grow_with_beats_times_frequencies(self, n, band):
@@ -232,7 +232,7 @@ class TestBandPower:
         t = beat_times(x)
         tracemalloc.start()
         try:
-            value = band_power(t, x, band)
+            (value,) = band_power(t, x, [band])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -242,33 +242,33 @@ class TestBandPower:
     def test_degenerate_band_rejected(self):
         x = np.full(30, 800.0)
         with pytest.raises(FeatureError, match="degenerate frequency band"):
-            band_power(beat_times(x), x, (0.15, 0.15))
+            band_power(beat_times(x), x, [(0.15, 0.15)])
 
     @pytest.mark.parametrize("band", [(0.15, math.inf), (-math.inf, 0.15)])
     def test_unbounded_band_rejected(self, band):
         x = np.arange(30, dtype=float) + 800.0
         with pytest.raises(FeatureError, match="degenerate frequency band"):
-            band_power(beat_times(x), x, band)
+            band_power(beat_times(x), x, [LF_BAND, band])
 
     @pytest.mark.parametrize("band", [(0.04, 0.044), (0.04, 0.047)])
     def test_band_with_fewer_than_two_grid_points_rejected(self, band):
         x = np.arange(30, dtype=float) + 800.0
         with pytest.raises(FeatureError, match="fewer than 2 points"):
-            band_power(beat_times(x), x, band)
+            band_power(beat_times(x), x, [band, HF_BAND])
 
     def test_band_with_fewer_than_two_grid_points_rejected_on_a_flat_series(self):
         x = np.full(40, 800.0)
         with pytest.raises(FeatureError, match="fewer than 2 points"):
-            band_power(beat_times(x), x, (0.1, 0.104))
+            band_power(beat_times(x), x, [(0.1, 0.104)])
 
     def test_needs_two_beats(self):
         with pytest.raises(FeatureError, match="at least 2 intervals"):
-            band_power([0.8], [800.0], (0.04, 0.15))
+            band_power([0.8], [800.0], [(0.04, 0.15)])
 
     def test_times_and_intervals_must_align(self):
         x = np.arange(30, dtype=float) + 800.0
         with pytest.raises(FeatureError, match="same length"):
-            band_power(beat_times(x)[:-1], x, (0.04, 0.15))
+            band_power(beat_times(x)[:-1], x, [(0.04, 0.15)])
 
     @pytest.mark.parametrize("band", [(0.04, 0.15), (0.15, 0.40)])
     @pytest.mark.parametrize("blocks", ["below one", "one", "several and a remainder"])
@@ -278,46 +278,66 @@ class TestBandPower:
         height = LOMB_BLOCK_VALUES // (n * n_freqs)  # series per block: 99 for LF, 43 for HF
         rows = {"below one": 3, "one": height, "several and a remainder": 3 * height + 5}[blocks]
         t, x = rr_stack(rng, rows, n)
-        assert_same_bits(band_power(t, x, band), np.array([band_power(*row, band) for row in zip(t, x)]))
+        assert_same_bits(band_power(t, x, [band]), np.array([band_power(*row, [band]) for row in zip(t, x)]))
         y = x - x.mean(axis=1, keepdims=True)
-        assert_same_bits(_lomb_scargle(t, y, lo, n_freqs), np.stack([_lomb_scargle(*row, lo, n_freqs) for row in zip(t, y)]))
+        (stacked,) = _lomb_scargle(t, y, [(lo, n_freqs)])
+        assert_same_bits(stacked, np.stack([_lomb_scargle(*row, [(lo, n_freqs)])[0] for row in zip(t, y)]))
 
     def test_stacked_rows_equal_one_row_calls_past_the_in_place_threshold(self, rng):
         # 3 beats over the widest band: a block holds 43 series x 500 frequencies, so each of its
         # complex per-frequency arrays takes 344 kB, past the 256 KiB from which numpy reuses an
         # unnamed temporary in place (and rounds a complex product differently)
-        band = (0.0, 2.5)
+        bands = [(0.0, 2.5)]
         t, x = rr_stack(rng, 2 * (LOMB_BLOCK_VALUES // (3 * 500)) + 7, 3)
-        assert_same_bits(band_power(t, x, band), np.array([band_power(*row, band) for row in zip(t, x)]))
+        assert_same_bits(band_power(t, x, bands), np.array([band_power(*row, bands) for row in zip(t, x)]))
+
+    @pytest.mark.parametrize("bands", [
+        (VLF_BAND, LF_BAND, HF_BAND), (HF_BAND, LF_BAND), (LF_BAND, LF_BAND), ((0.1, 0.2), (0.0, 2.5), VLF_BAND),
+    ], ids=["baseline11", "reversed", "repeated", "past the in-place threshold"])
+    @pytest.mark.parametrize("rows, n", [(None, 30), (None, 4000), (130, 3), (150, 30), (2, 4000)])
+    def test_every_band_equals_its_one_band_call(self, rng, bands, rows, n):
+        # the series block is sized for the widest band, so the narrower bands meet other
+        # series blocks than alone; 130 series of 3 beats over (0, 2.5] Hz take blocks of 43
+        # series x 500 frequencies, past numpy's 256 KiB in-place threshold
+        t, x = rr_stack(rng, rows or 1, n)
+        if rows is None:
+            t, x = t[0], x[0]
+        else:
+            x[1] = 812.3  # a flat row, exactly 0 in every band
+        together = band_power(t, x, bands)
+        assert together.shape == x.shape[:-1] + (len(bands),)
+        assert_same_bits(together, np.stack([band_power(t, x, [band])[..., 0] for band in bands], axis=-1))
+        if rows is not None:
+            assert_same_bits(together, np.array([band_power(*row, bands) for row in zip(t, x)]))
+            assert together[1].tolist() == [0.0] * len(bands)
 
     def test_long_series_in_a_stack_still_take_frequency_blocks(self, rng):
         # 4,000 beats x 50 HF frequencies would be 3.2 MB of phasors at once; a block holds
         # 16 frequencies of one series, and each series meets the same blocks as alone
         t, x = rr_stack(rng, 2, 4000)
-        band = (0.15, 0.40)
+        bands = [(0.15, 0.40)]
         tracemalloc.start()
         try:
-            stacked = band_power(t, x, band)
+            stacked = band_power(t, x, bands)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert_same_bits(stacked, np.array([band_power(*row, band) for row in zip(t, x)]))
+        assert_same_bits(stacked, np.array([band_power(*row, bands) for row in zip(t, x)]))
         assert peak < LOMB_BLOCK_VALUES * 16 + 2**20
 
     def test_flat_row_in_a_stack_is_exactly_zero(self, rng):
         t, x = rr_stack(rng, 4, 30)
         x[2] = 812.3
         assert x[2].mean() != 812.3  # so centring leaves rounding noise that has power
-        for band in ((0.04, 0.15), (0.15, 0.40)):
-            power = band_power(t, x, band)
-            assert power[2] == 0.0
-            assert_same_bits(power, np.array([band_power(*row, band) for row in zip(t, x)]))
+        power = band_power(t, x, ((0.04, 0.15), (0.15, 0.40)))
+        assert power[2].tolist() == [0.0, 0.0]
+        assert_same_bits(power, np.array([band_power(*row, ((0.04, 0.15), (0.15, 0.40))) for row in zip(t, x)]))
 
     @pytest.mark.parametrize("times_shape", [(3, 29), (2, 30), (30,)])
     def test_stacked_times_and_intervals_must_align(self, rng, times_shape):
         x = rng.normal(800.0, 40.0, (3, 30))
         with pytest.raises(FeatureError, match="same length"):
-            band_power(np.ones(times_shape), x, (0.04, 0.15))
+            band_power(np.ones(times_shape), x, [(0.04, 0.15)])
 
 
 class TestWindowedDiff:
@@ -605,14 +625,49 @@ class TestExtract:
         assert X.shape == (n, 7) and np.isfinite(X).all()
         window = n * RECENT_BEATS * 8  # one (n, RECENT_BEATS) float array
         # the intervals and times windows, one phasor block, X, and what band_power holds for the
-        # whole stack: the centred window and the HF band's (n, 50) periodogram
+        # whole stack: the centred window and the HF band's (n, 50) periodogram.  The LF band's
+        # (n, 22) periodogram, held beside it, takes 352 kB of the 1 MiB slack.
         held = 2 * window + LOMB_BLOCK_VALUES * 16 + X.nbytes + window + n * _grid_points(0.15, 0.40) * 8
         assert peak < held + 2**20
+
+    @pytest.mark.parametrize("feature_set, calls", [("recent", 1), ("baseline11", 3)])
+    def test_one_band_power_call_per_record_set_or_panel(self, monkeypatch, feature_set, calls):
+        # the recent windows are one stack; each baseline11 record reports its three bands at once
+        seen = []
+
+        def spy(times_s, intervals_ms, bands):
+            seen.append(tuple(bands))
+            return band_power(times_s, intervals_ms, bands)
+
+        monkeypatch.setattr(features, "band_power", spy)
+        extract([self._record(seed=seed) for seed in range(3)], feature_set)
+        want = (LF_BAND, HF_BAND) if feature_set == "recent" else (VLF_BAND, LF_BAND, HF_BAND)
+        assert seen == [want] * calls
 
     def test_rejects_nan_naming_the_feature(self, monkeypatch):
         monkeypatch.setattr(features, "band_power", lambda *args, **kwargs: float("nan"))
         with pytest.raises(FeatureError, match="record 'rec': non-finite value for feature 'lf_power'"):
             extract([self._record()], "recent")
+
+
+def test_features_do_not_depend_on_the_blas_thread_count(tacho_dataset):
+    # the parent process extracts the features at OpenBLAS's default thread count, and --jobs
+    # workers compute at one thread; both must see the same matrices
+    code = (
+        "import hashlib, sys\n"
+        "from vtapred import load_dataset, prepare_records\n"
+        "from vtapred.features import FEATURE_SETS, extract\n"
+        "records = prepare_records(load_dataset(sys.argv[1], sys.argv[2])[0])\n"
+        "print(hashlib.sha256(b''.join(extract(records, name).tobytes() for name in FEATURE_SETS)).hexdigest())\n"
+    )
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    digests = [
+        subprocess.run([sys.executable, "-c", code, *map(str, tacho_dataset)], env={**env, **threads},
+                       capture_output=True, text=True, timeout=120, check=True).stdout
+        for threads in ({}, {"OPENBLAS_NUM_THREADS": "1"})
+    ]
+    assert len(digests[0]) == 65 and digests[0] == digests[1]
 
 
 class TestBuildCohort:
@@ -729,7 +784,7 @@ class TestFeatureSetValidation:
         values = dict(zip(RECENT_NAMES, extract([record], "recent")[0]))
         t = beat_times(x)
         recent, recent_s = x[-30:], t[-30:]
-        assert values["lf_power"] == band_power(recent_s, recent, (0.04, 0.15))
-        assert values["hf_power"] == band_power(recent_s, recent, (0.15, 0.40))
+        bands = ((0.04, 0.15), (0.15, 0.40))
+        assert [values["lf_power"], values["hf_power"]] == band_power(recent_s, recent, bands).tolist()
         panel = dict(zip(BASELINE11_NAMES, baseline11(x, t)))
-        assert (panel["lf_power"], panel["hf_power"]) == (band_power(t, x, (0.04, 0.15)), band_power(t, x, (0.15, 0.40)))
+        assert [panel["lf_power"], panel["hf_power"]] == band_power(t, x, bands).tolist()
