@@ -10,6 +10,7 @@ number bit-for-bit, no matter how many worker processes are used.
 from __future__ import annotations
 
 import ctypes
+import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -247,25 +248,33 @@ def _folds(labels, patient_ids, config: CVConfig, seed: int) -> list[np.ndarray]
         raise EvaluationError(f"{exc} ({codes})") from None
 
 
+def fit_fold(cohort: Cohort, config: CVConfig, seed: int, fold: int, test_idx) -> np.ndarray:
+    """The held-out event probabilities of rows ``test_idx`` from fold ``fold``'s fit on every other row.
+
+    The standardizers (features and the BMI target) are fitted on the
+    training rows only, and a fresh network is initialized and trained
+    there.  A :class:`TrainingError` names the fold.  Reads only its
+    arguments, so a pool worker can run it.
+    """
+    train_idx = np.setdiff1d(np.arange(len(cohort)), test_idx)
+    try:
+        params, _, standardizers = fit_model(cohort, train_idx, config, seed, fold)
+    except TrainingError as exc:
+        raise TrainingError(f"fold {fold}: {exc}") from None
+    return predict(params, build_examples(cohort, test_idx, *standardizers))
+
+
 def run_cv(cohort: Cohort, config: CVConfig, seed: int) -> np.ndarray:
     """One cross-validated evaluation: the held-out event probability of each cohort row, in row order.
 
-    Per fold, the standardizers (features and the BMI target) are fitted on
-    the training rows only, a fresh network is initialized and trained, and
-    the held-out rows are scored.
+    Deals the folds from ``seed`` and fills each fold's rows with its
+    :func:`fit_fold`.
     """
     if not len(cohort):
         raise EvaluationError("no records to evaluate")
-    folds = _folds(cohort.y_vta, cohort.patient_ids, config, seed)
-
     probs = np.full(len(cohort), np.nan)
-    for fold_i, test_idx in enumerate(folds):
-        train_idx = np.setdiff1d(np.arange(len(cohort)), test_idx)
-        try:
-            params, _, standardizers = fit_model(cohort, train_idx, config, seed, fold_i)
-        except TrainingError as exc:
-            raise TrainingError(f"fold {fold_i}: {exc}") from None
-        probs[test_idx] = predict(params, build_examples(cohort, test_idx, *standardizers))
+    for fold, test_idx in enumerate(_folds(cohort.y_vta, cohort.patient_ids, config, seed)):
+        probs[test_idx] = fit_fold(cohort, config, seed, fold, test_idx)
     return probs
 
 
@@ -322,15 +331,15 @@ def run_ablation(
     """Evaluate every grid row over the given sequence of seeds (e.g. ``range(10)``).
 
     Each row's recipe sets the features and the embedding, so
-    ``base.use_embedding`` is not read.  One cohort is built per feature set
-    and shared across seeds and workers, after the checks that need no
-    features: both classes are present, and ``run_cv``'s fold rules hold
-    (each class fills every fold, or, with folds grouped by patient, every
-    fold gets a patient).  With ``jobs > 1`` the (row, seed) items run in a
-    process pool; results are merged in fixed order, so the output is
-    identical to a serial run.  The workers compute with one BLAS thread,
-    which at fold sizes gives the bytes of the default thread count
-    (README, Determinism).
+    ``base.use_embedding`` is not read.  Before any feature is extracted,
+    both classes must be present and each seed's folds are dealt once, by
+    ``run_cv``'s fold rules; every row shares its seed's deal.  One cohort
+    is built per feature set.  Each (row, seed, fold) item is one
+    :func:`fit_fold`; with ``jobs > 1`` the items run in a process pool of
+    at most ``jobs`` workers and one per CPU.  Results are merged in fixed
+    order, so the output is identical to a serial run.  The workers compute
+    with one BLAS thread, which at fold sizes gives the bytes of the
+    default thread count (README, Determinism).
     """
     seed_list = tuple(int(s) for s in seeds)
     if not seed_list:
@@ -339,29 +348,33 @@ def run_ablation(
     if not all(counts.values()):
         found = ", ".join(f"{count} {label}" for label, count in counts.items())
         raise EvaluationError(f"the grid's AUC needs records of both classes, got {found}")
-    # the fold counts do not depend on the seed, so one deal checks every run's
-    _folds([LABELS.index(rec.label) for rec in records], [rec.patient_id for rec in records], base, seed_list[0])
+    codes = [LABELS.index(rec.label) for rec in records]
+    patient_ids = [rec.patient_id for rec in records]
+    folds = {seed: _folds(codes, patient_ids, base, seed) for seed in seed_list}
     configs = {row: ablation_config(row, base) for row in ABLATION_ROWS}
     cohorts = {
         feature_set: build_cohort(records, patients, feature_set)
         for feature_set in dict.fromkeys(feature_set for feature_set, _ in configs.values())
     }
 
-    items = [(row, seed) for row in ABLATION_ROWS for seed in seed_list]
-    # run_cv's arguments, one of each per item; configs[row] is (feature set, CV config)
-    arguments = ([cohorts[configs[row][0]] for row, _ in items], [configs[row][1] for row, _ in items],
-                 [seed for _, seed in items])
+    items = [(row, seed, fold) for row in ABLATION_ROWS for seed in seed_list for fold in range(base.k_folds)]
+    # fit_fold's arguments as columns, one entry per item; configs[row] is (feature set, CV config)
+    arguments = zip(*((cohorts[configs[row][0]], configs[row][1], seed, fold, folds[seed][fold])
+                      for row, seed, fold in items))
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # only pooled runs pay for its import
 
-        # the pool starts every worker at once, so it gets no more than there are items
-        with ProcessPoolExecutor(max_workers=min(jobs, len(items)), initializer=_one_blas_thread) as pool:
-            probs = dict(zip(items, pool.map(run_cv, *arguments)))
+        # the pool starts every worker at once, so it gets no more than there are items or CPUs
+        with ProcessPoolExecutor(min(jobs, len(items), os.cpu_count() or 1), initializer=_one_blas_thread) as pool:
+            fold_probs = list(pool.map(fit_fold, *arguments))
     else:
-        probs = dict(zip(items, map(run_cv, *arguments)))
+        fold_probs = list(map(fit_fold, *arguments))
 
     # every cohort holds the records in the order given, so any one of them names the rows
     cohort = next(iter(cohorts.values()))
+    probs = {(row, seed): np.full(len(cohort), np.nan) for row in ABLATION_ROWS for seed in seed_list}
+    for (row, seed, fold), held_out in zip(items, fold_probs):
+        probs[row, seed][folds[seed][fold]] = held_out
     return EvalReport(ABLATION_ROWS, seed_list, cohort.record_ids, cohort.y_vta, probs)
 
 

@@ -40,7 +40,9 @@ default block.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -128,6 +130,8 @@ def band_power(times_s, intervals_ms, bands) -> np.ndarray:
     mean-subtracted intervals is evaluated on the points
     ``lo + k * FREQ_GRID_STEP_HZ`` in ``(lo, hi]`` and integrated with the
     trapezoid rule.  An all-equal sequence has no power anywhere and gives 0.
+    ``bands`` other than a non-empty sequence of such pairs of real numbers
+    is a :class:`FeatureError`, on any series.
 
     Returns an ``(..., len(bands))`` array: a 1-D sequence gives one value
     per band, and an (..., n) stack of equal-length series (times and
@@ -135,6 +139,10 @@ def band_power(times_s, intervals_ms, bands) -> np.ndarray:
     equals, bit for bit, the call on that series and that band alone: all
     series and bands go through one :func:`_lomb_scargle` call.
     """
+    if not (isinstance(bands, Sequence) and bands and all(
+            isinstance(band, Sequence) and len(band) == 2 and all(isinstance(edge, Real) for edge in band)
+            for band in bands)):
+        raise FeatureError(f"bands must be a non-empty sequence of (lo, hi) pairs of real numbers, got {bands!r}")
     grid = []
     for lo, hi in bands:
         if not (lo < hi and np.isfinite(hi - lo)):

@@ -33,6 +33,7 @@ import math
 import struct
 from collections.abc import Mapping
 from dataclasses import asdict, dataclass, fields, replace
+from itertools import accumulate
 
 import numpy as np
 
@@ -572,14 +573,19 @@ def load_checkpoint(path) -> tuple[NetworkParams, dict]:
         config = NetworkConfig(**header["network"])
     except (KeyError, ValueError, TypeError, NetworkError) as exc:
         raise CheckpointError(f"{path}: bad checkpoint header: {exc}") from None
-    params = NetworkParams(config, {name: np.zeros(shape, dtype) for name, shape in tensor_shapes(config).items()})
+    # each tensor's end in the payload, in values, as Python integers: the header's
+    # shapes are checked against the payload before anything is allocated for them
+    shapes = tensor_shapes(config)
+    ends = list(accumulate(math.prod(shape) for shape in shapes.values()))
     payload = data[9 + header_len:]
-    nbytes = params.tensors.flat.nbytes
+    nbytes = dtype.itemsize * ends[-1]
     if len(payload) < nbytes:
-        ends = dtype.itemsize * np.cumsum([tensor.size for tensor in params.tensors.values()])
-        name = list(params.tensors)[np.searchsorted(ends, len(payload), side="right")]
+        name = next(name for name, end in zip(shapes, ends) if dtype.itemsize * end > len(payload))
         raise CheckpointError(f"{path}: truncated tensor {name!r}")
     if len(payload) > nbytes:
         raise CheckpointError(f"{path}: {len(payload) - nbytes} trailing bytes")
-    params.tensors.flat[:] = np.frombuffer(payload, dtype=dtype.newbyteorder("<"))
+    values = np.frombuffer(payload, dtype=dtype.newbyteorder("<")).astype(dtype, copy=False)
+    # NetworkParams copies these views of the payload into its one buffer
+    params = NetworkParams(config, {name: part.reshape(shape)
+                                    for (name, shape), part in zip(shapes.items(), np.split(values, ends[:-1]))})
     return params, header

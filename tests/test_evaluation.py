@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import importlib
+import os
 from dataclasses import replace
 from pathlib import Path
 
@@ -45,7 +46,7 @@ from vtapred.evaluation import (
     write_report_csv,
 )
 from vtapred.network import TASKS, TRAIN_DTYPE, NetworkConfig, NetworkParams, init_params
-from vtapred.optim import train
+from vtapred.optim import TrainingError, train
 
 QUICK_TRAIN = TrainConfig(epochs=60)
 
@@ -54,6 +55,44 @@ def quick_config(**overrides) -> CVConfig:
     base = dict(train=QUICK_TRAIN, k_folds=10)
     base.update(overrides)
     return CVConfig(**base)
+
+
+@pytest.fixture()
+def recording_pool(monkeypatch):
+    """Replace the process pool with a stand-in that starts no process and maps serially.
+
+    Returns the list of each pool's (max_workers, initializer).
+    """
+    requested = []
+
+    class RecordingPool:
+        def __init__(self, max_workers, initializer):
+            requested.append((max_workers, initializer))
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    return requested
+
+
+@pytest.fixture()
+def fold_2_fails(monkeypatch):
+    """Make every fit of fold 2 raise the ``TrainingError`` a diverging fit raises; other folds fit as usual."""
+    fit_model = evaluation.fit_model
+
+    def failing_fit_model(cohort, train_idx, config, seed, fold):
+        if fold == 2:
+            raise TrainingError("non-finite loss at epoch 0")
+        return fit_model(cohort, train_idx, config, seed, fold)
+
+    monkeypatch.setattr(evaluation, "fit_model", failing_fit_model)
 
 
 class TestMakeFolds:
@@ -311,6 +350,11 @@ class TestRunCV:
         with pytest.raises(EvaluationError, match="no records"):
             run_cv(build_cohort([], {}), quick_config(), seed=0)
 
+    def test_training_error_names_its_fold(self, gaussian200, fold_2_fails):
+        with pytest.raises(TrainingError) as caught:
+            run_cv(gaussian200, quick_config(train=TrainConfig(epochs=2)), seed=0)
+        assert str(caught.value) == "fold 2: non-finite loss at epoch 0"
+
 
 class TestFitModel:
     """A fit's network holds the heads its loss reads, and nothing else changes."""
@@ -432,31 +476,45 @@ class TestRunAblation:
         for key, probs in serial.probs.items():
             np.testing.assert_array_equal(probs, parallel.probs[key])
 
-    def test_pool_gets_no_more_workers_than_items(self, prepared_records, monkeypatch):
-        # a recording stand-in for the pool: it maps serially and starts no process
-        requested = []
-
-        class RecordingPool:
-            def __init__(self, max_workers, initializer):
-                requested.append((max_workers, initializer))
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
+    def test_pool_gets_no_more_workers_than_items(self, prepared_records, recording_pool):
         records, patients = prepared_records
         base = CVConfig(train=TrainConfig(epochs=10), k_folds=3)
         serial = run_ablation(records, patients, base, seeds=[0], jobs=1)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         pooled = run_ablation(records, patients, base, seeds=[0], jobs=64)
-        assert requested == [(len(ABLATION_ROWS), evaluation._one_blas_thread)]
+        assert recording_pool == [(min(64, len(ABLATION_ROWS) * 3, os.cpu_count() or 1), evaluation._one_blas_thread)]
         for key, probs in serial.probs.items():
             np.testing.assert_array_equal(probs, pooled.probs[key])
+
+    @pytest.mark.parametrize("jobs, cpus, workers", [(64, 5, 5), (3, 5, 3), (64, 100, 12), (64, None, 1)])
+    def test_pool_gets_no_more_workers_than_cpus(self, prepared_records, recording_pool, monkeypatch,
+                                                 jobs, cpus, workers):
+        # the pool is a recording stand-in, so no worker process starts whatever jobs asks for
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        records, patients = prepared_records
+        run_ablation(records, patients, CVConfig(train=TrainConfig(epochs=1), k_folds=3), seeds=[0], jobs=jobs)
+        assert recording_pool == [(workers, evaluation._one_blas_thread)]
+
+    def test_folds_are_dealt_once_per_seed(self, prepared_records, monkeypatch):
+        deals = []
+        deal = evaluation._folds
+
+        def counting_deal(labels, patient_ids, config, seed):
+            deals.append(seed)
+            return deal(labels, patient_ids, config, seed)
+
+        monkeypatch.setattr(evaluation, "_folds", counting_deal)
+        records, patients = prepared_records
+        run_ablation(records, patients, CVConfig(train=TrainConfig(epochs=1), k_folds=3), seeds=[4, 1], jobs=1)
+        assert deals == [4, 1]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_training_error_names_its_fold(self, prepared_records, fold_2_fails, recording_pool, jobs):
+        # jobs=2 goes through the recording pool, which runs fit_fold in this process
+        records, patients = prepared_records
+        with pytest.raises(TrainingError) as caught:
+            run_ablation(records, patients, CVConfig(train=TrainConfig(epochs=2), k_folds=3), seeds=[0], jobs=jobs)
+        assert str(caught.value) == "fold 2: non-finite loss at epoch 0"
+        assert len(recording_pool) == (jobs > 1)
 
     def test_pool_workers_compute_with_one_blas_thread(self, monkeypatch):
         # the benchmark's probe of numpy's bundled OpenBLAS is the getter

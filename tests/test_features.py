@@ -261,6 +261,18 @@ class TestBandPower:
         with pytest.raises(FeatureError, match="fewer than 2 points"):
             band_power(beat_times(x), x, [(0.1, 0.104)])
 
+    @pytest.mark.parametrize("bands", [(0.04, 0.15), [(0.04,)], [(0.04, 0.15, 0.2)], [], [("0.04", "0.15")], None],
+                             ids=["one band unwrapped", "one edge", "three edges", "no band", "text edges", "None"])
+    @pytest.mark.parametrize("flat", [False, True])
+    def test_bands_must_be_pairs_of_real_numbers(self, monkeypatch, bands, flat):
+        def must_not_run(*args):
+            raise AssertionError("band_power computed with bands it could not read")
+
+        monkeypatch.setattr(features, "_lomb_scargle", must_not_run)
+        x = np.full(30, 800.0) if flat else np.arange(30, dtype=float) + 800.0
+        with pytest.raises(FeatureError, match=r"non-empty sequence of \(lo, hi\) pairs of real numbers"):
+            band_power(beat_times(x), x, bands)
+
     def test_needs_two_beats(self):
         with pytest.raises(FeatureError, match="at least 2 intervals"):
             band_power([0.8], [800.0], [(0.04, 0.15)])

@@ -688,6 +688,17 @@ class TestCheckpoint:
                 with pytest.raises(CheckpointError, match=f"truncated tensor '{name}'"):
                     load_checkpoint(path)
 
+    def test_header_shapes_are_checked_against_the_payload_before_allocating(self, rng, tmp_path):
+        # the header asks for a W1 of 10**15 rows, petabytes at either dtype, and the file holds no tensor
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, init_params(small_config(use_embedding=False), rng))
+        rewrite_header(path, lambda header: header["network"].update(num_features=10**15))
+        data = path.read_bytes()
+        (header_len,) = struct.unpack("<I", data[5:9])
+        path.write_bytes(data[:9 + header_len])
+        with pytest.raises(CheckpointError, match="truncated tensor 'W1'"):
+            load_checkpoint(path)
+
     def test_rejects_trailing_bytes(self, rng, tmp_path):
         for dtype in (np.float64, np.float32):
             params = at_dtype(init_params(small_config(), rng), dtype)
