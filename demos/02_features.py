@@ -26,9 +26,10 @@ def main() -> None:
         records, patients = load_dataset(tacho_dir, metadata)
         records = prepare_records(records)
 
-        # one cohort per feature family: a row per record, a column per feature
-        recent = build_cohort(records, patients, "recent")
-        panel = build_cohort(records, patients, "baseline11")
+        # one cohort for both feature families: a row per record, a column per feature,
+        # and one ectopic pass per record; each family's columns are selected by family
+        cohort = build_cohort(records, patients, ["recent", "baseline11"])
+        recent, panel = cohort.family("recent"), cohort.family("baseline11")
 
         record = records[0]
         print(f"record {record.record_id} ({record.label}, {len(record)} beats kept)\n")
@@ -38,7 +39,7 @@ def main() -> None:
         print("\nreference panel:")
         for name, value in zip(panel.names, panel.X[0]):
             print(f"  {name:<22}{value:>12.4f}")
-        print(f"\nfeature matrices: recent {recent.X.shape}, reference panel {panel.X.shape}")
+        print(f"\nfeature matrix {cohort.X.shape}: recent {recent.X.shape}, reference panel {panel.X.shape}")
 
 
 if __name__ == "__main__":

@@ -328,22 +328,24 @@ def run_ablation(
     seeds,
     jobs: int,
 ) -> EvalReport:
-    """Evaluate every grid row over the given sequence of seeds (e.g. ``range(10)``).
+    """Evaluate every grid row over the given sequence of distinct seeds (e.g. ``range(10)``).
 
     Each row's recipe sets the features and the embedding, so
     ``base.use_embedding`` is not read.  Before any feature is extracted,
     both classes must be present and each seed's folds are dealt once, by
     ``run_cv``'s fold rules; every row shares its seed's deal.  One cohort
-    is built per feature set.  Each (row, seed, fold) item is one
-    :func:`fit_fold`; with ``jobs > 1`` the items run in a process pool of
-    at most ``jobs`` workers and one per CPU.  Results are merged in fixed
-    order, so the output is identical to a serial run.  The workers compute
-    with one BLAS thread, which at fold sizes gives the bytes of the
-    default thread count (README, Determinism).
+    holds every row's family, and a row's items get its family's columns.
+    Each (row, seed, fold) item is one :func:`fit_fold`; with ``jobs > 1``
+    the items run in a process pool of at most ``jobs`` workers and one per
+    CPU.  Results are merged in fixed order, so the output is identical to a
+    serial run.  The workers compute with one BLAS thread, which at fold
+    sizes gives the bytes of the default thread count (README, Determinism).
     """
     seed_list = tuple(int(s) for s in seeds)
     if not seed_list:
         raise EvaluationError("need at least one seed")
+    if len(set(seed_list)) < len(seed_list):
+        raise EvaluationError(f"seed {next(s for i, s in enumerate(seed_list) if s in seed_list[:i])} is given twice")
     counts = {label: sum(rec.label == label for rec in records) for label in LABELS}
     if not all(counts.values()):
         found = ", ".join(f"{count} {label}" for label, count in counts.items())
@@ -352,14 +354,11 @@ def run_ablation(
     patient_ids = [rec.patient_id for rec in records]
     folds = {seed: _folds(codes, patient_ids, base, seed) for seed in seed_list}
     configs = {row: ablation_config(row, base) for row in ABLATION_ROWS}
-    cohorts = {
-        feature_set: build_cohort(records, patients, feature_set)
-        for feature_set in dict.fromkeys(feature_set for feature_set, _ in configs.values())
-    }
+    cohort = build_cohort(records, patients, [feature_set for feature_set, _ in configs.values()])
 
     items = [(row, seed, fold) for row in ABLATION_ROWS for seed in seed_list for fold in range(base.k_folds)]
-    # fit_fold's arguments as columns, one entry per item; configs[row] is (feature set, CV config)
-    arguments = zip(*((cohorts[configs[row][0]], configs[row][1], seed, fold, folds[seed][fold])
+    # fit_fold's arguments as columns, one entry per item; an item's cohort has only its row's family's columns
+    arguments = zip(*((cohort.family(configs[row][0]), configs[row][1], seed, fold, folds[seed][fold])
                       for row, seed, fold in items))
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # only pooled runs pay for its import
@@ -370,8 +369,6 @@ def run_ablation(
     else:
         fold_probs = list(map(fit_fold, *arguments))
 
-    # every cohort holds the records in the order given, so any one of them names the rows
-    cohort = next(iter(cohorts.values()))
     probs = {(row, seed): np.full(len(cohort), np.nan) for row in ABLATION_ROWS for seed in seed_list}
     for (row, seed, fold), held_out in zip(items, fold_probs):
         probs[row, seed][folds[seed][fold]] = held_out

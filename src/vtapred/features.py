@@ -9,14 +9,14 @@ Two feature families are supported:
   frequency-domain, and nonlinear statistics, used as a reference point.
 
 Ectopic beats are detected with a running-mean rule and removed before any
-statistic other than the windowed ectopic count is computed.
-:func:`extract` computes one family's values for a whole record set as one
-matrix, and a :class:`Cohort` aligns the training targets to its rows.
+statistic other than the windowed ectopic count is computed, once per record
+for every family that :func:`extract` computes.  A :class:`Cohort` aligns the
+targets to the rows of that one matrix.
 
 The recipe is fixed: the constants below give the recent window, the trend
 window, the ectopic rule and the standard LF and HF bands (Task Force of the
 ESC and NASPE, Circulation 93(5), 1996).  The family's name is the only
-choice, and each name gives one matrix.
+choice, and each name gives one block of columns.
 
 Band power comes from one Lomb-Scargle kernel that takes a stack of
 equal-length series and every band a caller reports.  The ``recent``
@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from numbers import Real
 
 import numpy as np
@@ -398,27 +398,29 @@ def feature_names(feature_set: str) -> tuple[str, ...]:
     return BASELINE11_NAMES if feature_set == FEATURE_SET_BASELINE11 else RECENT_NAMES + WINDOWED_NAMES
 
 
-def extract(records, feature_set: str) -> np.ndarray:
-    """Compute the family ``feature_set``'s values for a sequence of truncated records.
+def _families(feature_set: str | Sequence[str]) -> tuple[str, ...]:
+    """The families of ``feature_set``, one family's name or a sequence of them, in order and each once."""
+    return tuple(dict.fromkeys([feature_set] if isinstance(feature_set, str) else feature_set))
+
+
+def extract(records, feature_set: str | Sequence[str]) -> np.ndarray:
+    """The values of a family, or of a sequence of families, for a sequence of truncated records.
 
     Returns a ``(len(records), f)`` array, one row per record in order and
-    its columns ordered as :func:`feature_names`; every value is finite.
-    Pure function of (records, feature_set): no caching, no mutation, so
-    results can be computed once and shared across folds and seeds.
+    each family's :func:`feature_names` columns in turn, whose bits do not
+    depend on the other families; every value is finite.  A pure function,
+    so results can be computed once and shared across folds and seeds.
 
-    Each record's ectopic mask and windowed trend are computed on their own.
-    The ``recent`` family copies each record's last ``RECENT_BEATS`` kept
+    Each record's ectopic mask and beat times are computed once for every
+    family.  ``recent`` copies each record's last ``RECENT_BEATS`` kept
     intervals and their times into two ``(len(records), RECENT_BEATS)``
     arrays (copies, so that no view keeps a whole record alive), then takes
-    mean, min, max and both band powers of all rows together: one stacked
-    :func:`band_power` call for both bands.  ``baseline11`` series differ in
-    length, so its panel, which has no windowed trend, is computed record by
-    record, with one :func:`band_power` call per record for its three bands.
+    mean, min, max and both band powers of all rows at once, with one
+    :func:`band_power` call; ``baseline11`` makes one call per record.
     """
-    names = feature_names(feature_set)
-    X = np.empty((len(records), len(names)))
-    recent = feature_set == FEATURE_SET_RECENT
-    if recent:
+    blocks = {family: np.empty((len(records), len(feature_names(family)))) for family in _families(feature_set)}
+    recent, panel = blocks.get(FEATURE_SET_RECENT), blocks.get(FEATURE_SET_BASELINE11)
+    if recent is not None:
         k = RECENT_BEATS
         window_ms, window_s = np.empty((len(records), k)), np.empty((len(records), k))
     for i, record in enumerate(records):
@@ -428,35 +430,37 @@ def extract(records, feature_set: str) -> np.ndarray:
             kept = ~mask
             filtered = raw[kept]
             times_s = (np.cumsum(raw) / 1000.0)[kept]  # kept beats at their own times
-            if recent:
+            if recent is not None:
                 if filtered.size < k:
                     raise FeatureError(f"need at least {k} beats for recent-beat statistics")
                 window_ms[i], window_s[i] = filtered[-k:], times_s[-k:]
-                X[i, len(RECENT_NAMES):] = windowed_diff(raw, mask)
-            else:
-                X[i] = baseline11(filtered, times_s)
+                recent[i, len(RECENT_NAMES):] = windowed_diff(raw, mask)
+            if panel is not None:
+                panel[i] = baseline11(filtered, times_s)
         except FeatureError as exc:
             raise FeatureError(f"record {record.record_id!r}: {exc}") from None
-    if recent:
-        X[:, 0] = window_ms.mean(axis=1)
-        X[:, 1:3] = band_power(window_s, window_ms, (LF_BAND, HF_BAND))
-        X[:, 3] = window_ms.min(axis=1)
-        X[:, 4] = window_ms.max(axis=1)
+    if recent is not None:
+        recent[:, 0] = window_ms.mean(axis=1)
+        recent[:, 1:3] = band_power(window_s, window_ms, (LF_BAND, HF_BAND))
+        recent[:, 3] = window_ms.min(axis=1)
+        recent[:, 4] = window_ms.max(axis=1)
+    X = np.concatenate([np.empty((len(records), 0)), *blocks.values()], axis=1)
     bad = np.argwhere(~np.isfinite(X))
     if bad.size:
         row, column = bad[0]
-        raise FeatureError(f"record {records[row].record_id!r}: non-finite value for feature {names[column]!r}")
+        name = sum(map(feature_names, blocks), ())[column]
+        raise FeatureError(f"record {records[row].record_id!r}: non-finite value for feature {name!r}")
     return X
 
 
 @dataclass(frozen=True, eq=False)
 class Cohort:
-    """A record set under one feature family: one row per record, in record order.
+    """A record set under its feature families: one row per record, in record order.
 
-    ``X`` holds the raw (unstandardized) features; standardizers are fitted
-    per fold on training rows.  Unknown metadata is encoded in place:
-    ``y_nyhac`` is -1, ``bmi_mask`` is False (``bmi`` then holds 0), and an
-    unknown birth decade gets the embedding's last row.
+    ``X`` holds the raw (unstandardized) features, ``families``' columns in
+    turn; standardizers are fitted per fold on training rows.  Unknown
+    metadata is encoded in place: ``y_nyhac`` is -1, ``bmi_mask`` is False
+    (``bmi`` then holds 0), and an unknown birth decade gets the embedding's last row.
     """
 
     X: np.ndarray                  # (n, f) raw feature values
@@ -469,6 +473,7 @@ class Cohort:
     y_nyhac: np.ndarray            # (n,) int in {-1 (missing), 0..3}
     bmi: np.ndarray                # (n,) float kg/m^2, 0 where missing
     bmi_mask: np.ndarray           # (n,) bool
+    families: tuple[str, ...] = ()  # the feature families whose columns X holds, in order
 
     def __post_init__(self):
         n = len(self.record_ids)
@@ -479,21 +484,28 @@ class Cohort:
     def __len__(self) -> int:
         return len(self.record_ids)
 
+    def family(self, feature_set: str) -> Cohort:
+        """This cohort with only the columns of the family ``feature_set`` (a view of ``X``) and the same targets."""
+        start = len(sum(map(feature_names, self.families[:self.families.index(feature_set)]), ()))
+        span = slice(start, start + len(feature_names(feature_set)))
+        return replace(self, X=self.X[:, span], names=self.names[span], families=(feature_set,))
 
-def build_cohort(records, patients, feature_set: str = FEATURE_SET_RECENT) -> Cohort:
-    """Extract every record's features once and gather its targets into arrays.
+
+def build_cohort(records, patients, feature_set: str | Sequence[str] = FEATURE_SET_RECENT) -> Cohort:
+    """Extract every record's features once (one family or a sequence of them) and gather its targets into arrays.
 
     The birth-decade vocabulary is every known decade in ``patients``, so the
     embedding width does not depend on which records survive ingestion.
     """
-    X = extract(records, feature_set)
+    families = _families(feature_set)
+    X = extract(records, families)
     vocab = sorted({p.birth_decade for p in patients.values() if p.birth_decade is not None})
     vocab_index = {decade: i for i, decade in enumerate(vocab)}
     num_decades = max(len(vocab), 1)  # also the index of an unknown decade
     metas = [patients[rec.patient_id] for rec in records]
     return Cohort(
         X=X,
-        names=feature_names(feature_set),
+        names=sum(map(feature_names, families), ()),
         record_ids=tuple(rec.record_id for rec in records),
         patient_ids=tuple(rec.patient_id for rec in records),
         y_vta=np.array([LABELS.index(rec.label) for rec in records], dtype=int),
@@ -502,6 +514,7 @@ def build_cohort(records, patients, feature_set: str = FEATURE_SET_RECENT) -> Co
         y_nyhac=np.array([-1 if m.nyhac is None else m.nyhac - 1 for m in metas], dtype=int),
         bmi=np.array([0.0 if m.bmi is None else m.bmi for m in metas], dtype=float),
         bmi_mask=np.array([m.bmi is not None for m in metas], dtype=bool),
+        families=families,
     )
 
 

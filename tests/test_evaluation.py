@@ -45,6 +45,7 @@ from vtapred.evaluation import (
     write_predictions_csv,
     write_report_csv,
 )
+from vtapred.features import feature_names
 from vtapred.network import TASKS, TRAIN_DTYPE, NetworkConfig, NetworkParams, init_params
 from vtapred.optim import TrainingError, train
 
@@ -570,6 +571,39 @@ class TestRunAblation:
             run_ablation(records, {pid: patients[pid] for pid in two}, CVConfig(k_folds=3, patient_grouped=True),
                          seeds=range(2), jobs=1)
         assert str(caught.value) == "2 patients cannot fill 3 folds"
+
+    def test_repeated_seed_rejected_before_any_work(self, prepared_records, monkeypatch):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("the grid extracted features for a seed it would fit twice")
+
+        monkeypatch.setattr(evaluation, "build_cohort", must_not_run)
+        records, patients = prepared_records
+        with pytest.raises(EvaluationError, match="^seed 3 is given twice$"):
+            run_ablation(records, patients, CVConfig(k_folds=3), seeds=[1, 3, 0, 3], jobs=1)
+
+    def test_one_cohort_and_each_item_gets_its_rows_family(self, prepared_records, monkeypatch):
+        built, seen = [], []
+        build = evaluation.build_cohort
+
+        def counting_build(*args):
+            built.append(args[2])
+            return build(*args)
+
+        def capturing_fit(cohort, config, seed, fold, test_idx):
+            seen.append((cohort.names, cohort.families, cohort.X.shape[1], seed, fold))
+            return np.full(len(test_idx), 0.5)
+
+        monkeypatch.setattr(evaluation, "build_cohort", counting_build)
+        monkeypatch.setattr(evaluation, "fit_fold", capturing_fit)
+        records, patients = prepared_records
+        run_ablation(records, patients, CVConfig(train=TrainConfig(epochs=1), k_folds=3), seeds=[2, 0], jobs=1)
+        assert len(built) == 1
+        want = []
+        for row in ABLATION_ROWS:
+            family = ablation_config(row, CVConfig())[0]
+            names = feature_names(family)
+            want += [(names, (family,), len(names), seed, fold) for seed in (2, 0) for fold in range(3)]
+        assert seen == want
 
     def test_zero_seeds_rejected(self, prepared_records):
         records, patients = prepared_records

@@ -22,7 +22,7 @@ from oracles import (
 from vtapred import FeatureError, build_cohort, detect_ectopic, features
 from vtapred.dataset import MIN_BEATS, PatientMeta, RRRecord
 from vtapred.features import (
-    BASELINE11_NAMES, FREQ_GRID_STEP_HZ, HF_BAND, LF_BAND, LOMB_BLOCK_VALUES, RECENT_BEATS, RECENT_NAMES, VLF_BAND,
+    BASELINE11_NAMES, FEATURE_SETS, FREQ_GRID_STEP_HZ, HF_BAND, LF_BAND, LOMB_BLOCK_VALUES, RECENT_BEATS, RECENT_NAMES, VLF_BAND,
     WINDOW_BEATS, WINDOWED_NAMES, Cohort, _grid_points, _lomb_scargle, band_power, baseline11, extract, feature_names,
     fit_standardizer, sample_entropy, standardize, windowed_diff, write_feature_matrix,
 )
@@ -660,6 +660,74 @@ class TestExtract:
         monkeypatch.setattr(features, "band_power", lambda *args, **kwargs: float("nan"))
         with pytest.raises(FeatureError, match="record 'rec': non-finite value for feature 'lf_power'"):
             extract([self._record()], "recent")
+
+
+def flagged_records(count=4):
+    """Records whose every recent window and panel holds flagged beats: premature beats and their pauses."""
+    rng = np.random.default_rng(21)
+    records = []
+    for i in range(count):
+        x = rng.normal(800.0, 25.0, 420)
+        for at in rng.choice(np.arange(10, 410), size=12, replace=False):
+            x[at], x[at + 1] = 450.0, 1150.0
+        x[-8] = 1500.0  # one inside the last RECENT_BEATS kept beats
+        records.append(RRRecord(f"f{i}", x, "VTA" if i % 2 else "Control", "p"))
+    return records
+
+
+class TestBothFamilies:
+    @pytest.mark.parametrize("source", ["conftest", "flagged"])
+    def test_each_block_equals_its_one_family_matrix(self, prepared_records, source):
+        records = prepared_records[0] if source == "conftest" else flagged_records()
+        if source == "flagged":
+            assert all(detect_ectopic(rec.intervals_ms)[-RECENT_BEATS - 8:].any() for rec in records)
+        for families in (FEATURE_SETS, FEATURE_SETS[::-1]):
+            both = extract(records, families)
+            start = 0
+            for family in families:
+                block = both[:, start:start + len(feature_names(family))]
+                assert_same_bits(np.ascontiguousarray(block), extract(records, family))
+                start += block.shape[1]
+            assert both.shape == (len(records), start)
+
+    def test_one_ectopic_pass_per_record(self, monkeypatch):
+        calls = []
+
+        def counting(intervals_ms):
+            calls.append(len(intervals_ms))
+            return detect_ectopic(intervals_ms)
+
+        monkeypatch.setattr(features, "detect_ectopic", counting)
+        records = flagged_records(3)
+        extract(records, FEATURE_SETS)
+        assert calls == [len(rec) for rec in records]
+
+    def test_a_repeated_family_counts_once(self):
+        records = flagged_records(2)
+        assert_same_bits(extract(records, ["recent", "recent"]), extract(records, "recent"))
+
+    def test_cohort_finds_each_family_by_its_columns(self, prepared_records):
+        # lf_power and hf_power name a column of both families
+        records, patients = prepared_records
+        cohort = build_cohort(records, patients, FEATURE_SETS)
+        assert cohort.families == FEATURE_SETS
+        assert cohort.names == feature_names("recent") + feature_names("baseline11")
+        assert cohort.names.count("lf_power") == cohort.names.count("hf_power") == 2
+        for family in FEATURE_SETS:
+            one = build_cohort(records, patients, family)
+            part = cohort.family(family)
+            assert part.families == one.families == (family,)
+            assert part.names == one.names
+            assert_same_bits(np.ascontiguousarray(part.X), one.X)
+            assert np.shares_memory(part.X, cohort.X)  # a view, not a copy
+            for name in ("record_ids", "patient_ids", "num_decades"):
+                assert getattr(part, name) == getattr(one, name)
+            for name in ("y_vta", "decade_index", "y_nyhac", "bmi", "bmi_mask"):
+                assert_same_bits(getattr(part, name), getattr(one, name))
+
+    def test_a_family_the_cohort_lacks_is_an_error(self, prepared_records):
+        with pytest.raises(ValueError):
+            build_cohort(*prepared_records, "recent").family("baseline11")
 
 
 def test_features_do_not_depend_on_the_blas_thread_count(tacho_dataset):
