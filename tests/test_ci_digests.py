@@ -12,7 +12,7 @@ compare_digests = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(compare_digests)
 
 BASE_DIGESTS = {"cv_grid": "a" * 64, "extract_long": "b" * 64, "train_large": "c" * 64}
-OLD_ENTRIES = "PR 1: a change. Digests moved: cv_grid\nFOUND: something\n"
+OLD_ENTRIES = "Entry 1: a change. Digests moved: cv_grid\nFOUND: something\n"
 
 
 def tree(path: Path, digests: dict, changes: str) -> Path:
@@ -39,7 +39,7 @@ def tree(path: Path, digests: dict, changes: str) -> Path:
 ])
 def test_declared_set_must_equal_moved_set(tmp_path, moved, declaration, problems):
     base = tree(tmp_path / "base", BASE_DIGESTS, OLD_ENTRIES)
-    head = tree(tmp_path / "head", {**BASE_DIGESTS, **moved}, OLD_ENTRIES + f"PR 2: this change. {declaration}\n")
+    head = tree(tmp_path / "head", {**BASE_DIGESTS, **moved}, OLD_ENTRIES + f"Entry 2: this change. {declaration}\n")
     found = compare_digests.check(base, head)
     assert len(found) == problems, found
     assert compare_digests.main([str(base), str(head)]) == (1 if problems else 0)
@@ -48,7 +48,7 @@ def test_declared_set_must_equal_moved_set(tmp_path, moved, declaration, problem
 def test_old_declarations_do_not_count(tmp_path):
     # the base's entries already hold a declaration; only the lines the change adds are read
     base = tree(tmp_path / "base", BASE_DIGESTS, OLD_ENTRIES)
-    head = tree(tmp_path / "head", BASE_DIGESTS, OLD_ENTRIES + "PR 2: docs only.\n")
+    head = tree(tmp_path / "head", BASE_DIGESTS, OLD_ENTRIES + "Entry 2: docs only.\n")
     assert compare_digests.check(base, head) == [
         "the new CHANGES.md lines hold 0 'Digests moved:' declarations, not one: "
         "write 'Digests moved: none' or list the workloads whose digests move"]
@@ -57,7 +57,7 @@ def test_old_declarations_do_not_count(tmp_path):
 def test_a_workload_on_one_side_only_moved(tmp_path):
     base = tree(tmp_path / "base", BASE_DIGESTS, OLD_ENTRIES)
     head = tree(tmp_path / "head", {**BASE_DIGESTS, "new_load": "f" * 64},
-                OLD_ENTRIES + "PR 2: Digests moved: new_load\n")
+                OLD_ENTRIES + "Entry 2: Digests moved: new_load\n")
     assert compare_digests.check(base, head) == []
 
 

@@ -22,9 +22,9 @@ from oracles import (
 from vtapred import FeatureError, build_cohort, detect_ectopic, features
 from vtapred.dataset import MIN_BEATS, PatientMeta, RRRecord
 from vtapred.features import (
-    BASELINE11_NAMES, FEATURE_SETS, FREQ_GRID_STEP_HZ, HF_BAND, LF_BAND, LOMB_BLOCK_VALUES, RECENT_BEATS, RECENT_NAMES, VLF_BAND,
-    WINDOW_BEATS, WINDOWED_NAMES, Cohort, _grid_points, _lomb_scargle, band_power, baseline11, extract, feature_names,
-    fit_standardizer, sample_entropy, standardize, windowed_diff, write_feature_matrix,
+    BASELINE11_NAMES, FEATURE_SETS, FREQ_GRID_STEP_HZ, HF_BAND, LF_BAND, LOMB_BLOCK_VALUES, RECENT_BEATS, RECENT_NAMES,
+    VLF_BAND, WINDOW_BEATS, WINDOWED_NAMES, Cohort, _grid_points, _lomb_scargle, band_power, baseline11, extract,
+    feature_names, fit_standardizer, sample_entropy, standardize, windowed_diff, write_feature_matrix,
 )
 
 
