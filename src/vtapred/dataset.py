@@ -79,7 +79,7 @@ class RRRecord:
             )
         if self.label not in LABELS:
             raise DatasetError(f"record {self.record_id!r}: unknown label {self.label!r}")
-        arr.flags.writeable = False  # records are shared read-only across workers
+        arr.flags.writeable = False  # a frozen record's intervals cannot change in place either
         object.__setattr__(self, "intervals_ms", arr)
 
     def __len__(self) -> int:

@@ -56,7 +56,12 @@ class EvaluationError(Exception):
 
 @dataclass(frozen=True)
 class CVConfig:
-    """Everything one cross-validated evaluation needs besides the data and its features."""
+    """Everything one cross-validated evaluation needs besides the data and its features.
+
+    With ``patient_grouped``, :func:`make_folds` deals whole patients,
+    stratified by the classes each patient's records hold; without it, single
+    records, stratified by class.
+    """
 
     train: TrainConfig = field(default_factory=TrainConfig)
     use_embedding: bool = True
@@ -68,51 +73,41 @@ class CVConfig:
             raise ValueError(f"k_folds must be >= 2, got {self.k_folds!r}")
 
 
-def make_folds(labels, k: int, rng: np.random.Generator) -> list[np.ndarray]:
-    """Stratified fold assignment: shuffle within each class, deal round-robin.
+def make_folds(labels, k: int, rng: np.random.Generator, groups=None) -> list[np.ndarray]:
+    """Stratified fold assignment of whole groups: shuffle within each stratum, deal round-robin.
 
-    Returns k sorted index arrays that partition range(len(labels)).  Per
-    class, fold sizes differ by at most one.  Fewer than two folds, or a
-    class with fewer records than folds, is an error.
+    ``groups`` names each record's group (a patient id, say); by default each
+    record is its own group.  All records of a group land in one fold.  A
+    group's stratum is the sorted tuple of the classes its records hold, so a
+    lone record's is its class and an event/control pair's is both.  The
+    strata are visited in sorted order, and each is shuffled and dealt
+    round-robin from fold 0.  Returns k sorted index arrays that partition
+    range(len(labels)).  Per stratum, the group counts of any two folds differ
+    by at most one; with groups of unequal size, record counts can differ by
+    more.  Fewer than two folds, a class with fewer records than folds, or
+    fewer groups than folds is an error.
     """
     labels = np.asarray(labels)
     if k < 2:
         raise EvaluationError("cross-validation needs at least 2 folds")
-    folds: list[list[int]] = [[] for _ in range(k)]
-    for cls in np.unique(labels):
-        idx = np.flatnonzero(labels == cls)
-        if idx.size < k:
-            raise EvaluationError(
-                f"class {cls.item()!r} has {idx.size} records but {k} folds were requested"
-            )
-        rng.shuffle(idx)
-        for j in range(k):
-            folds[j].extend(idx[j::k].tolist())
-    return [np.array(sorted(f), dtype=int) for f in folds]
-
-
-def make_patient_folds(patient_ids, k: int, rng: np.random.Generator) -> list[np.ndarray]:
-    """Grouped folds: all records of a patient land in one fold.
-
-    Patients are shuffled and greedily assigned to the currently smallest
-    fold (by record count), which balances sizes but not class ratios; meant
-    for leakage studies rather than the default protocol.
-    """
-    if k < 2:
-        raise EvaluationError("cross-validation needs at least 2 folds")
-    patient_ids = list(patient_ids)
-    by_patient: dict[str, list[int]] = {}
-    for i, pid in enumerate(patient_ids):
-        by_patient.setdefault(pid, []).append(i)
-    if len(by_patient) < k:
-        raise EvaluationError(f"{len(by_patient)} patients cannot fill {k} folds")
-    order = sorted(by_patient)
-    rng.shuffle(order)
-    folds: list[list[int]] = [[] for _ in range(k)]
-    for pid in order:
-        smallest = min(range(k), key=lambda j: (len(folds[j]), j))
-        folds[smallest].extend(by_patient[pid])
-    return [np.array(sorted(f), dtype=int) for f in folds]
+    groups = np.arange(labels.size) if groups is None else np.asarray(groups)
+    if groups.shape != labels.shape:
+        raise EvaluationError(f"{groups.size} groups given for {labels.size} records")
+    classes, class_of, counts = np.unique(labels, return_inverse=True, return_counts=True)
+    for cls, count in zip(classes, counts):
+        if count < k:
+            raise EvaluationError(f"class {cls.item()!r} has {count} records but {k} folds were requested")
+    names, group_of = np.unique(groups, return_inverse=True)
+    if names.size < k:
+        raise EvaluationError(f"{names.size} patients cannot fill {k} folds")
+    holds = np.zeros((names.size, classes.size), dtype=bool)
+    holds[group_of, class_of] = True  # which classes each group's records hold
+    fold_of = np.empty(names.size, dtype=int)
+    for key in sorted(np.unique(holds, axis=0), key=lambda held: tuple(classes[held].tolist())):
+        stratum = np.flatnonzero((holds == key).all(axis=1))  # its groups in name order
+        rng.shuffle(stratum)
+        fold_of[stratum] = np.arange(stratum.size) % k
+    return [np.flatnonzero(fold_of[group_of] == j) for j in range(k)]
 
 
 def metrics(labels, probs) -> dict[str, float]:
@@ -235,15 +230,15 @@ def fit_model(
 def _folds(labels, patient_ids, config: CVConfig, seed: int) -> list[np.ndarray]:
     """The folds ``config`` deals for rows of these class codes and patients, drawn from ``seed``.
 
-    Grouped by patient or stratified by class; a class too small for the
-    folds is named by code and label.
+    Whole patients are dealt when ``config.patient_grouped`` is set, else
+    single rows; a class too small for the folds is named by code and label.
     """
-    fold_rng = np.random.default_rng([seed, FOLD_STREAM])
-    if config.patient_grouped:
-        return make_patient_folds(patient_ids, config.k_folds, fold_rng)
+    groups = patient_ids if config.patient_grouped else None
     try:
-        return make_folds(labels, config.k_folds, fold_rng)
+        return make_folds(labels, config.k_folds, np.random.default_rng([seed, FOLD_STREAM]), groups)
     except EvaluationError as exc:
+        if not str(exc).startswith("class "):
+            raise  # too few patients: no class to name
         codes = ", ".join(f"class {code} is {name}" for code, name in reversed(tuple(enumerate(LABELS))))
         raise EvaluationError(f"{exc} ({codes})") from None
 

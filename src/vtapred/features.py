@@ -400,7 +400,10 @@ def feature_names(feature_set: str) -> tuple[str, ...]:
 
 def _families(feature_set: str | Sequence[str]) -> tuple[str, ...]:
     """The families of ``feature_set``, one family's name or a sequence of them, in order and each once."""
-    return tuple(dict.fromkeys([feature_set] if isinstance(feature_set, str) else feature_set))
+    families = tuple(dict.fromkeys([feature_set] if isinstance(feature_set, str) else feature_set))
+    if not families:
+        raise FeatureError(f"need at least one feature family of {FEATURE_SETS}")
+    return families
 
 
 def extract(records, feature_set: str | Sequence[str]) -> np.ndarray:
@@ -480,12 +483,16 @@ class Cohort:
         per_row = (self.patient_ids, self.y_vta, self.decade_index, self.y_nyhac, self.bmi, self.bmi_mask)
         if self.X.shape != (n, len(self.names)) or any(len(column) != n for column in per_row):
             raise FeatureError("cohort arrays must be aligned: one row per record, one column per name")
+        if self.families and len(sum(map(feature_names, self.families), ())) != self.X.shape[1]:
+            raise FeatureError(f"the families {self.families} do not hold the {self.X.shape[1]} columns of X")
 
     def __len__(self) -> int:
         return len(self.record_ids)
 
     def family(self, feature_set: str) -> Cohort:
         """This cohort with only the columns of the family ``feature_set`` (a view of ``X``) and the same targets."""
+        if feature_set not in self.families:
+            raise FeatureError(f"the cohort holds no family {feature_set!r}, only {self.families}")
         start = len(sum(map(feature_names, self.families[:self.families.index(feature_set)]), ()))
         span = slice(start, start + len(feature_names(feature_set)))
         return replace(self, X=self.X[:, span], names=self.names[span], families=(feature_set,))

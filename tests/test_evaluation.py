@@ -39,7 +39,6 @@ from vtapred.evaluation import (
     build_examples,
     fit_model,
     make_folds,
-    make_patient_folds,
     score,
     write_per_seed_csv,
     write_predictions_csv,
@@ -141,6 +140,16 @@ class TestMakeFolds:
             for a, b in zip(by_class, by_name, strict=True):
                 np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("k", [2, 3, 10])
+    @pytest.mark.parametrize("n_event, n_control", [(10, 10), (17, 42), (51, 12), (125, 125)])
+    def test_one_record_groups_give_the_record_plan(self, k, n_event, n_control):
+        y = np.random.default_rng(n_control).permutation([1] * n_event + [0] * n_control)
+        for seed in range(4):
+            by_record = make_folds(y, k, np.random.default_rng([seed, FOLD_STREAM]))
+            by_group = make_folds(y, k, np.random.default_rng([seed, FOLD_STREAM]), groups=range(y.size))
+            for a, b in zip(by_record, by_group, strict=True):
+                np.testing.assert_array_equal(a, b)
+
 
 class TestCVConfigValidation:
     @pytest.mark.parametrize("k_folds", [1, 0])
@@ -152,7 +161,7 @@ class TestCVConfigValidation:
 class TestPatientFolds:
     def test_records_of_one_patient_stay_together(self, rng):
         pids = [f"p{i // 3}" for i in range(30)]  # 10 patients x 3 records
-        folds = make_patient_folds(pids, 5, rng)
+        folds = make_folds([i % 2 for i in range(30)], 5, rng, groups=pids)
         for fold in folds:
             fold_pids = {pids[i] for i in fold}
             for pid in fold_pids:
@@ -161,13 +170,49 @@ class TestPatientFolds:
 
     def test_partition_property(self, rng):
         pids = [f"p{i % 7}" for i in range(25)]
-        folds = make_patient_folds(pids, 3, rng)
+        folds = make_folds([i % 2 for i in range(25)], 3, rng, groups=pids)
         merged = np.concatenate(folds)
         assert sorted(merged.tolist()) == list(range(25))
 
     def test_too_few_patients_rejected(self, rng):
-        with pytest.raises(EvaluationError, match="cannot fill"):
-            make_patient_folds(["a", "b"], 3, rng)
+        with pytest.raises(EvaluationError, match="^2 patients cannot fill 3 folds$"):
+            make_folds([0, 1] * 3, 3, rng, groups=["a", "b"] * 3)
+
+    def test_small_class_named_before_too_few_patients(self, rng):
+        with pytest.raises(EvaluationError, match="^class 1 has 2 records but 3 folds were requested$"):
+            make_folds([1, 1, 0, 0, 0, 0], 3, rng, groups=["a", "b"] * 3)
+
+    def test_one_group_per_record(self, rng):
+        with pytest.raises(EvaluationError, match="^5 groups given for 6 records$"):
+            make_folds([0, 1] * 3, 3, rng, groups=["a", "b", "c", "d", "e"])
+
+    @staticmethod
+    def mixed_cohort():
+        """78 patients: 40 with one event/control pair, 20 with two, 10 with one event and 8 with two controls."""
+        labels, pids = [], []
+        for count, held in ((40, [1, 0]), (20, [1, 0, 1, 0]), (10, [1]), (8, [0, 0])):
+            for _ in range(count):
+                pids += [f"p{len(set(pids)):02d}"] * len(held)
+                labels += held
+        return np.array(labels), pids
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_mixed_cohort_deals_each_stratum_evenly(self, seed):
+        labels, pids = self.mixed_cohort()
+        folds = make_folds(labels, 10, np.random.default_rng([seed, FOLD_STREAM]), groups=pids)
+        assert sorted(np.concatenate(folds).tolist()) == list(range(labels.size))
+        fold_of = {}
+        for j, fold in enumerate(folds):
+            for i in fold.tolist():
+                assert fold_of.setdefault(pids[i], j) == j, f"patient {pids[i]} is split across folds"
+        strata = {}
+        for pid in fold_of:
+            held = tuple(sorted({int(labels[i]) for i, p in enumerate(pids) if p == pid}))
+            strata.setdefault(held, []).append(fold_of[pid])
+        assert sorted(strata) == [(0,), (0, 1), (1,)]
+        for held, patient_folds in strata.items():
+            per_fold = np.bincount(patient_folds, minlength=10)
+            assert per_fold.max() - per_fold.min() <= 1, (held, per_fold)
 
 
 class TestMetrics:

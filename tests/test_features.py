@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,7 @@ from vtapred.features import (
     VLF_BAND, WINDOW_BEATS, WINDOWED_NAMES, Cohort, _grid_points, _lomb_scargle, band_power, baseline11, extract,
     feature_names, fit_standardizer, sample_entropy, standardize, windowed_diff, write_feature_matrix,
 )
+from vtapred.synthetic import gaussian_task
 
 
 def rr_stack(rng, rows, n):
@@ -726,8 +728,26 @@ class TestBothFamilies:
                 assert_same_bits(getattr(part, name), getattr(one, name))
 
     def test_a_family_the_cohort_lacks_is_an_error(self, prepared_records):
-        with pytest.raises(ValueError):
+        with pytest.raises(FeatureError, match="^the cohort holds no family 'baseline11', only \\('recent',\\)$"):
             build_cohort(*prepared_records, "recent").family("baseline11")
+
+    def test_a_hand_built_cohort_holds_no_family(self):
+        with pytest.raises(FeatureError, match="holds no family 'recent'"):
+            gaussian_task(20).family("recent")
+
+    @pytest.mark.parametrize("families", [("recent",), ("baseline11",), FEATURE_SETS])
+    def test_families_must_hold_every_column(self, families):
+        cohort = small_cohort(np.zeros((2, 3)), ("a", "b", "c"), ("r1", "r2"), [1, 0])
+        with pytest.raises(FeatureError, match="do not hold the 3 columns of X"):
+            replace(cohort, families=families)
+
+    @pytest.mark.parametrize("families", [[], ()])
+    def test_an_empty_family_list_is_an_error(self, prepared_records, families):
+        records, patients = prepared_records
+        with pytest.raises(FeatureError, match="need at least one feature family"):
+            extract(records, families)
+        with pytest.raises(FeatureError, match="need at least one feature family"):
+            build_cohort(records, patients, families)
 
 
 def test_features_do_not_depend_on_the_blas_thread_count(tacho_dataset):
