@@ -186,19 +186,12 @@ class TestPatientFolds:
         with pytest.raises(EvaluationError, match="^5 groups given for 6 records$"):
             make_folds([0, 1] * 3, 3, rng, groups=["a", "b", "c", "d", "e"])
 
-    @staticmethod
-    def mixed_cohort():
-        """78 patients: 40 with one event/control pair, 20 with two, 10 with one event and 8 with two controls."""
-        labels, pids = [], []
-        for count, held in ((40, [1, 0]), (20, [1, 0, 1, 0]), (10, [1]), (8, [0, 0])):
-            for _ in range(count):
-                pids += [f"p{len(set(pids)):02d}"] * len(held)
-                labels += held
-        return np.array(labels), pids
-
     @pytest.mark.parametrize("seed", range(5))
     def test_mixed_cohort_deals_each_stratum_evenly(self, seed):
-        labels, pids = self.mixed_cohort()
+        # 78 patients: 40 with one event/control pair, 20 with two, 10 with one event and 8 with two controls
+        records = [[1, 0]] * 40 + [[1, 0, 1, 0]] * 20 + [[1]] * 10 + [[0, 0]] * 8
+        labels = np.array([label for held in records for label in held])
+        pids = [f"p{p:02d}" for p, held in enumerate(records) for _ in held]
         folds = make_folds(labels, 10, np.random.default_rng([seed, FOLD_STREAM]), groups=pids)
         assert sorted(np.concatenate(folds).tolist()) == list(range(labels.size))
         fold_of = {}
@@ -206,9 +199,8 @@ class TestPatientFolds:
             for i in fold.tolist():
                 assert fold_of.setdefault(pids[i], j) == j, f"patient {pids[i]} is split across folds"
         strata = {}
-        for pid in fold_of:
-            held = tuple(sorted({int(labels[i]) for i, p in enumerate(pids) if p == pid}))
-            strata.setdefault(held, []).append(fold_of[pid])
+        for p, held in enumerate(records):
+            strata.setdefault(tuple(sorted(set(held))), []).append(fold_of[f"p{p:02d}"])
         assert sorted(strata) == [(0,), (0, 1), (1,)]
         for held, patient_folds in strata.items():
             per_fold = np.bincount(patient_folds, minlength=10)
