@@ -54,6 +54,10 @@ class EvaluationError(Exception):
     """Invalid evaluation setup (bad folds, single-class inputs, ...)."""
 
 
+class FoldClassError(EvaluationError):
+    """A class with fewer records than the folds asked for."""
+
+
 @dataclass(frozen=True)
 class CVConfig:
     """Everything one cross-validated evaluation needs besides the data and its features.
@@ -74,18 +78,20 @@ class CVConfig:
 
 
 def make_folds(labels, k: int, rng: np.random.Generator, groups=None) -> list[np.ndarray]:
-    """Stratified fold assignment of whole groups: shuffle within each stratum, deal round-robin.
+    """Stratified fold assignment of whole groups: shuffle within each stratum, deal to the emptiest fold.
 
     ``groups`` names each record's group (a patient id, say); by default each
     record is its own group.  All records of a group land in one fold.  A
     group's stratum is the sorted tuple of the classes its records hold, so a
     lone record's is its class and an event/control pair's is both.  The
-    strata are visited in sorted order, and each is shuffled and dealt
-    round-robin from fold 0.  Returns k sorted index arrays that partition
-    range(len(labels)).  Per stratum, the group counts of any two folds differ
-    by at most one; with groups of unequal size, record counts can differ by
-    more.  Fewer than two folds, a class with fewer records than folds, or
-    fewer groups than folds is an error.
+    strata are visited in sorted order.  Each is shuffled, its largest groups
+    are moved first (a stable sort), and each group goes to the fold holding
+    the fewest records of that stratum, ties to the lowest fold; one-record
+    groups are thus dealt round-robin from fold 0.  Returns k sorted index
+    arrays that partition range(len(labels)).  Per stratum, the record counts
+    of any two folds differ by at most the stratum's largest group.  Fewer
+    than two folds, a class with fewer records than folds, or fewer groups
+    than folds is an error (:class:`FoldClassError` for the class).
     """
     labels = np.asarray(labels)
     if k < 2:
@@ -96,8 +102,8 @@ def make_folds(labels, k: int, rng: np.random.Generator, groups=None) -> list[np
     classes, class_of, counts = np.unique(labels, return_inverse=True, return_counts=True)
     for cls, count in zip(classes, counts):
         if count < k:
-            raise EvaluationError(f"class {cls.item()!r} has {count} records but {k} folds were requested")
-    names, group_of = np.unique(groups, return_inverse=True)
+            raise FoldClassError(f"class {cls.item()!r} has {count} records but {k} folds were requested")
+    names, group_of, sizes = np.unique(groups, return_inverse=True, return_counts=True)
     if names.size < k:
         raise EvaluationError(f"{names.size} patients cannot fill {k} folds")
     holds = np.zeros((names.size, classes.size), dtype=bool)
@@ -106,7 +112,10 @@ def make_folds(labels, k: int, rng: np.random.Generator, groups=None) -> list[np
     for key in sorted(np.unique(holds, axis=0), key=lambda held: tuple(classes[held].tolist())):
         stratum = np.flatnonzero((holds == key).all(axis=1))  # its groups in name order
         rng.shuffle(stratum)
-        fold_of[stratum] = np.arange(stratum.size) % k
+        filled = np.zeros(k, dtype=int)  # this stratum's records in each fold
+        for group in stratum[np.argsort(-sizes[stratum], kind="stable")]:
+            fold_of[group] = fold = filled.argmin()
+            filled[fold] += sizes[group]
     return [np.flatnonzero(fold_of[group_of] == j) for j in range(k)]
 
 
@@ -236,9 +245,7 @@ def _folds(labels, patient_ids, config: CVConfig, seed: int) -> list[np.ndarray]
     groups = patient_ids if config.patient_grouped else None
     try:
         return make_folds(labels, config.k_folds, np.random.default_rng([seed, FOLD_STREAM]), groups)
-    except EvaluationError as exc:
-        if not str(exc).startswith("class "):
-            raise  # too few patients: no class to name
+    except FoldClassError as exc:
         codes = ", ".join(f"class {code} is {name}" for code, name in reversed(tuple(enumerate(LABELS))))
         raise EvaluationError(f"{exc} ({codes})") from None
 

@@ -483,8 +483,8 @@ class Cohort:
         per_row = (self.patient_ids, self.y_vta, self.decade_index, self.y_nyhac, self.bmi, self.bmi_mask)
         if self.X.shape != (n, len(self.names)) or any(len(column) != n for column in per_row):
             raise FeatureError("cohort arrays must be aligned: one row per record, one column per name")
-        if self.families and len(sum(map(feature_names, self.families), ())) != self.X.shape[1]:
-            raise FeatureError(f"the families {self.families} do not hold the {self.X.shape[1]} columns of X")
+        if self.families and tuple(self.names) != sum(map(feature_names, self.families), ()):
+            raise FeatureError(f"the families {self.families} do not name the {len(self.names)} columns of X")
 
     def __len__(self) -> int:
         return len(self.record_ids)

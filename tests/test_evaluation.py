@@ -186,10 +186,14 @@ class TestPatientFolds:
         with pytest.raises(EvaluationError, match="^5 groups given for 6 records$"):
             make_folds([0, 1] * 3, 3, rng, groups=["a", "b", "c", "d", "e"])
 
+    # 78 patients in each: 135 event/control pairs, as in mvtdb, and a mix of
+    # pairs with event-only and control-only patients
+    PAIRS_ONLY = [[1, 0]] * 42 + [[1, 0] * 2] * 21 + [[1, 0] * 3] * 9 + [[1, 0] * 4] * 6
+    MIXED = [[1, 0]] * 40 + [[1, 0] * 2] * 20 + [[1]] * 10 + [[0, 0]] * 8
+
     @pytest.mark.parametrize("seed", range(5))
-    def test_mixed_cohort_deals_each_stratum_evenly(self, seed):
-        # 78 patients: 40 with one event/control pair, 20 with two, 10 with one event and 8 with two controls
-        records = [[1, 0]] * 40 + [[1, 0, 1, 0]] * 20 + [[1]] * 10 + [[0, 0]] * 8
+    @pytest.mark.parametrize("records", [PAIRS_ONLY, MIXED], ids=["pairs_only", "mixed"])
+    def test_each_stratum_is_dealt_evenly(self, records, seed):
         labels = np.array([label for held in records for label in held])
         pids = [f"p{p:02d}" for p, held in enumerate(records) for _ in held]
         folds = make_folds(labels, 10, np.random.default_rng([seed, FOLD_STREAM]), groups=pids)
@@ -200,11 +204,19 @@ class TestPatientFolds:
                 assert fold_of.setdefault(pids[i], j) == j, f"patient {pids[i]} is split across folds"
         strata = {}
         for p, held in enumerate(records):
-            strata.setdefault(tuple(sorted(set(held))), []).append(fold_of[f"p{p:02d}"])
-        assert sorted(strata) == [(0,), (0, 1), (1,)]
-        for held, patient_folds in strata.items():
-            per_fold = np.bincount(patient_folds, minlength=10)
-            assert per_fold.max() - per_fold.min() <= 1, (held, per_fold)
+            strata.setdefault(tuple(sorted(set(held))), []).append((fold_of[f"p{p:02d}"], len(held)))
+        for held, placed in strata.items():
+            per_fold = np.bincount([j for j, _ in placed], weights=[size for _, size in placed], minlength=10)
+            largest = max(size for _, size in placed)
+            assert per_fold.max() - per_fold.min() <= largest, (held, per_fold)
+
+    def test_pairs_only_folds_are_as_even_as_the_records_allow(self):
+        labels = np.array([label for held in self.PAIRS_ONLY for label in held])
+        pids = [f"p{p:02d}" for p, held in enumerate(self.PAIRS_ONLY) for _ in held]
+        for seed in range(20):
+            folds = make_folds(labels, 10, np.random.default_rng([seed, FOLD_STREAM]), groups=pids)
+            assert {len(fold) for fold in folds} <= {26, 28}, [len(fold) for fold in folds]  # 270 records, pairs
+            assert all(labels[fold].mean() == 0.5 for fold in folds)
 
 
 class TestMetrics:

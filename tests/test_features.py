@@ -738,8 +738,15 @@ class TestBothFamilies:
     @pytest.mark.parametrize("families", [("recent",), ("baseline11",), FEATURE_SETS])
     def test_families_must_hold_every_column(self, families):
         cohort = small_cohort(np.zeros((2, 3)), ("a", "b", "c"), ("r1", "r2"), [1, 0])
-        with pytest.raises(FeatureError, match="do not hold the 3 columns of X"):
+        with pytest.raises(FeatureError, match="do not name the 3 columns of X"):
             replace(cohort, families=families)
+
+    def test_families_must_name_the_columns(self):
+        recent = feature_names("recent")
+        cohort = small_cohort(np.zeros((2, len(recent))), tuple(reversed(recent)), ("r1", "r2"), [1, 0])
+        with pytest.raises(FeatureError, match="do not name the 7 columns of X"):
+            replace(cohort, families=("recent",))
+        assert replace(cohort, names=recent, families=("recent",)).family("recent").names == recent
 
     @pytest.mark.parametrize("families", [[], ()])
     def test_an_empty_family_list_is_an_error(self, prepared_records, families):
