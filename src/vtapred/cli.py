@@ -208,14 +208,23 @@ def _prepare(args: argparse.Namespace):
 
 
 def dataset_checksum(tachogram_dir, metadata_file) -> str:
-    """SHA-256 over the metadata and every file of :func:`tachogram_files`, in its order."""
+    """SHA-256 over the metadata and each name and content of :func:`tachogram_files`, in its order.
+
+    Each part is fed after its length, so no two splits of the same bytes into
+    names and contents give one digest.
+    """
     import hashlib  # only ablate's manifest pays for its import
 
     digest = hashlib.sha256()
-    digest.update(Path(metadata_file).read_bytes())
+
+    def feed(part: bytes) -> None:
+        digest.update(len(part).to_bytes(8, "big"))
+        digest.update(part)
+
+    feed(Path(metadata_file).read_bytes())
     for path in tachogram_files(tachogram_dir):
-        digest.update(path.name.encode("utf-8"))
-        digest.update(path.read_bytes())
+        feed(path.name.encode("utf-8"))
+        feed(path.read_bytes())
     return digest.hexdigest()
 
 

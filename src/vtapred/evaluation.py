@@ -54,17 +54,14 @@ class EvaluationError(Exception):
     """Invalid evaluation setup (bad folds, single-class inputs, ...)."""
 
 
-class FoldClassError(EvaluationError):
-    """A class with fewer records than the folds asked for."""
-
-
 @dataclass(frozen=True)
 class CVConfig:
     """Everything one cross-validated evaluation needs besides the data and its features.
 
     With ``patient_grouped``, :func:`make_folds` deals whole patients,
-    stratified by the classes each patient's records hold; without it, single
-    records, stratified by class.
+    stratified by the classes each patient's records hold, and every fold
+    holds a patient whenever there are at least ``k_folds``; without it,
+    single records, stratified by class.
     """
 
     train: TrainConfig = field(default_factory=TrainConfig)
@@ -80,18 +77,21 @@ class CVConfig:
 def make_folds(labels, k: int, rng: np.random.Generator, groups=None) -> list[np.ndarray]:
     """Stratified fold assignment of whole groups: shuffle within each stratum, deal to the emptiest fold.
 
+    ``labels`` are the records' class names, which the errors quote.
     ``groups`` names each record's group (a patient id, say); by default each
     record is its own group.  All records of a group land in one fold.  A
     group's stratum is the sorted tuple of the classes its records hold, so a
     lone record's is its class and an event/control pair's is both.  The
     strata are visited in sorted order.  Each is shuffled, its largest groups
     are moved first (a stable sort), and each group goes to the fold holding
-    the fewest records of that stratum, ties to the lowest fold; one-record
-    groups are thus dealt round-robin from fold 0.  Returns k sorted index
-    arrays that partition range(len(labels)).  Per stratum, the record counts
-    of any two folds differ by at most the stratum's largest group.  Fewer
-    than two folds, a class with fewer records than folds, or fewer groups
-    than folds is an error (:class:`FoldClassError` for the class).
+    the fewest records of that stratum; among those, a fold holding no record
+    yet comes first, then the lowest fold.  An empty fold always ties at that
+    minimum, so with at least k groups no fold is left empty, and one-record
+    groups are dealt round-robin from fold 0.  Returns k sorted index arrays
+    that partition range(len(labels)).  Per stratum, the record counts of any
+    two folds differ by at most the stratum's largest group.  Fewer than two
+    folds, a class with fewer records than folds, or fewer groups than folds
+    is an :class:`EvaluationError`.
     """
     labels = np.asarray(labels)
     if k < 2:
@@ -102,20 +102,23 @@ def make_folds(labels, k: int, rng: np.random.Generator, groups=None) -> list[np
     classes, class_of, counts = np.unique(labels, return_inverse=True, return_counts=True)
     for cls, count in zip(classes, counts):
         if count < k:
-            raise FoldClassError(f"class {cls.item()!r} has {count} records but {k} folds were requested")
+            raise EvaluationError(f"class {cls.item()!r} has {count} records but {k} folds were requested")
     names, group_of, sizes = np.unique(groups, return_inverse=True, return_counts=True)
     if names.size < k:
         raise EvaluationError(f"{names.size} patients cannot fill {k} folds")
     holds = np.zeros((names.size, classes.size), dtype=bool)
     holds[group_of, class_of] = True  # which classes each group's records hold
     fold_of = np.empty(names.size, dtype=int)
+    total = np.zeros(k, dtype=int)  # every stratum's records in each fold
     for key in sorted(np.unique(holds, axis=0), key=lambda held: tuple(classes[held].tolist())):
         stratum = np.flatnonzero((holds == key).all(axis=1))  # its groups in name order
         rng.shuffle(stratum)
         filled = np.zeros(k, dtype=int)  # this stratum's records in each fold
         for group in stratum[np.argsort(-sizes[stratum], kind="stable")]:
-            fold_of[group] = fold = filled.argmin()
+            # the fewest of this stratum, then an empty fold, then the lowest
+            fold_of[group] = fold = (2 * filled + (total > 0)).argmin()
             filled[fold] += sizes[group]
+            total[fold] += sizes[group]
     return [np.flatnonzero(fold_of[group_of] == j) for j in range(k)]
 
 
@@ -237,17 +240,12 @@ def fit_model(
 
 
 def _folds(labels, patient_ids, config: CVConfig, seed: int) -> list[np.ndarray]:
-    """The folds ``config`` deals for rows of these class codes and patients, drawn from ``seed``.
+    """The folds ``config`` deals for rows of these class names and patients, drawn from ``seed``.
 
-    Whole patients are dealt when ``config.patient_grouped`` is set, else
-    single rows; a class too small for the folds is named by code and label.
+    Whole patients are dealt when ``config.patient_grouped`` is set, else single rows.
     """
     groups = patient_ids if config.patient_grouped else None
-    try:
-        return make_folds(labels, config.k_folds, np.random.default_rng([seed, FOLD_STREAM]), groups)
-    except FoldClassError as exc:
-        codes = ", ".join(f"class {code} is {name}" for code, name in reversed(tuple(enumerate(LABELS))))
-        raise EvaluationError(f"{exc} ({codes})") from None
+    return make_folds(labels, config.k_folds, np.random.default_rng([seed, FOLD_STREAM]), groups)
 
 
 def fit_fold(cohort: Cohort, config: CVConfig, seed: int, fold: int, test_idx) -> np.ndarray:
@@ -275,7 +273,7 @@ def run_cv(cohort: Cohort, config: CVConfig, seed: int) -> np.ndarray:
     if not len(cohort):
         raise EvaluationError("no records to evaluate")
     probs = np.full(len(cohort), np.nan)
-    for fold, test_idx in enumerate(_folds(cohort.y_vta, cohort.patient_ids, config, seed)):
+    for fold, test_idx in enumerate(_folds(np.take(LABELS, cohort.y_vta), cohort.patient_ids, config, seed)):
         probs[test_idx] = fit_fold(cohort, config, seed, fold, test_idx)
     return probs
 
@@ -352,9 +350,9 @@ def run_ablation(
     if not all(counts.values()):
         found = ", ".join(f"{count} {label}" for label, count in counts.items())
         raise EvaluationError(f"the grid's AUC needs records of both classes, got {found}")
-    codes = [LABELS.index(rec.label) for rec in records]
+    labels = [rec.label for rec in records]
     patient_ids = [rec.patient_id for rec in records]
-    folds = {seed: _folds(codes, patient_ids, base, seed) for seed in seed_list}
+    folds = {seed: _folds(labels, patient_ids, base, seed) for seed in seed_list}
     configs = {row: ablation_config(row, base) for row in ABLATION_ROWS}
     cohort = build_cohort(records, patients, [feature_set for feature_set, _ in configs.values()])
 

@@ -489,6 +489,22 @@ class TestAblateCommand:
         cells = [float(cell) for line in read_csv(out / "report.csv")[1:] for cell in line[1:]]
         assert any(0.0 < cell < 100.0 for cell in cells)
 
+    def test_patient_grouped_single_class_patients(self, tmp_path):
+        # 12 patients of two records of one class each, 6 per class, fill all 10 folds
+        tacho_dir, metadata = write_tachogram_dataset(tmp_path, n_event=12, n_control=12, seed=3)
+        with open(metadata, newline="", encoding="utf-8") as fh:
+            header, *rows = csv.reader(fh)
+        rows = [[row[0], f"pat{i // 2:03d}", *rows[i - i % 2][2:]] for i, row in enumerate(rows)]
+        with open(metadata, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows([header, *rows])
+        out = tmp_path / "grouped"
+        assert run("ablate", "--data-dir", str(tacho_dir), "--metadata", str(metadata), "--out", str(out),
+                   "--patient-grouped", "--k-folds", "10", "--epochs", "2", "--seeds", "1") == 0
+        files = sorted((out / "predictions").iterdir())
+        assert len(files) == len(ABLATION_ROWS)
+        for path in files:
+            assert sorted(row[0] for row in read_csv(path)[1:]) == [row[0] for row in rows]
+
     def test_seed_is_the_first_of_the_seeds(self, data, tmp_path):
         out = tmp_path / "seed5"
         assert run("ablate", "--data-dir", data[0], "--metadata", data[1], "--out", str(out),
@@ -818,3 +834,17 @@ class TestDatasetChecksum:
         tachogram = tacho_dir / "r002.txt"
         tachogram.write_bytes(tachogram.read_bytes() + b"800.0\n")
         assert dataset_checksum(tacho_dir, metadata) != before
+
+    def test_name_and_content_boundary_counts(self, tmp_path):
+        # r1.txt holding 1800 and r1.txt1 holding 800 run together into the same bytes, yet load as other records
+        metadata = tmp_path / "metadata.csv"
+        metadata.write_text(f"record_id,patient_id,label,birth_year,nyhac,bmi\nr1,pat1,{LABELS[1]},1950,2,25.0\n")
+        checksums, intervals = [], []
+        for name, content in (("r1.txt", "1800\n"), ("r1.txt1", "800\n")):
+            tacho_dir = tmp_path / name
+            tacho_dir.mkdir()
+            (tacho_dir / name).write_text(content)
+            checksums.append(dataset_checksum(tacho_dir, metadata))
+            intervals.append(load_dataset(tacho_dir, metadata)[0][0].intervals_ms.tolist())
+        assert intervals == [[1800.0], [800.0]]
+        assert checksums[0] != checksums[1]

@@ -21,7 +21,7 @@ from vtapred import (
     run_ablation,
     run_cv,
 )
-from vtapred.dataset import LABEL_CONTROL, LABEL_VTA
+from vtapred.dataset import LABEL_CONTROL, LABEL_VTA, LABELS
 from vtapred.evaluation import (
     ABLATION_ROWS,
     DROPOUT_STREAM,
@@ -49,6 +49,41 @@ from vtapred.network import TASKS, TRAIN_DTYPE, NetworkConfig, NetworkParams, in
 from vtapred.optim import TrainingError, train
 
 QUICK_TRAIN = TrainConfig(epochs=60)
+
+# patients as the class codes of their records, 78 in each: 135 event/control
+# pairs, as in mvtdb, and a mix of pairs with event-only and control-only patients
+PAIRS_ONLY = [[1, 0]] * 42 + [[1, 0] * 2] * 21 + [[1, 0] * 3] * 9 + [[1, 0] * 4] * 6
+MIXED = [[1, 0]] * 40 + [[1, 0] * 2] * 20 + [[1]] * 10 + [[0, 0]] * 8
+
+
+def patient_rows(patients) -> tuple[np.ndarray, list[str]]:
+    """The records of ``patients``, each a list of class codes: (their codes, their patient ids)."""
+    labels = np.array([label for held in patients for label in held])
+    return labels, [f"p{p:02d}" for p, held in enumerate(patients) for _ in held]
+
+
+def assert_grouped_folds(labels, pids, folds, k: int) -> None:
+    """The k folds are non-empty, partition the rows, keep each patient whole and deal each stratum evenly.
+
+    Evenly: per stratum, the record counts of any two folds differ by at most
+    the stratum's largest patient.
+    """
+    assert len(folds) == k and all(fold.size for fold in folds), [fold.size for fold in folds]
+    assert sorted(np.concatenate(folds).tolist()) == list(range(len(labels)))
+    fold_of = {}
+    for j, fold in enumerate(folds):
+        for i in fold.tolist():
+            assert fold_of.setdefault(pids[i], j) == j, f"patient {pids[i]} is split across folds"
+    held_by = {}
+    for pid, label in zip(pids, labels):
+        held_by.setdefault(pid, []).append(label)
+    strata = {}
+    for pid, held in held_by.items():
+        strata.setdefault(tuple(sorted(set(held))), []).append((fold_of[pid], len(held)))
+    for held, placed in strata.items():
+        per_fold = np.bincount([j for j, _ in placed], weights=[size for _, size in placed], minlength=k)
+        largest = max(size for _, size in placed)
+        assert per_fold.max() - per_fold.min() <= largest, (held, per_fold)
 
 
 def quick_config(**overrides) -> CVConfig:
@@ -129,15 +164,22 @@ class TestMakeFolds:
         with pytest.raises(EvaluationError, match="has 3 records but 10 folds"):
             make_folds(labels, 10, rng)
 
-    @pytest.mark.parametrize("n_event, n_control", [(20, 20), (13, 31), (45, 12)])
-    def test_class_column_gives_the_label_string_plan(self, n_event, n_control):
-        # run_cv passes the 0/1 class column; the label strings sort the same way
-        y = np.random.default_rng(n_event).permutation([1] * n_event + [0] * n_control)
-        names = np.where(y == 1, LABEL_VTA, LABEL_CONTROL)
+    # run_cv and run_ablation deal class names; the 0/1 codes sort the same way, so they deal the same folds
+    @pytest.mark.parametrize("patients, grouped", [
+        ([[1]] * 20 + [[0]] * 20, False),
+        ([[1]] * 13 + [[0]] * 31, False),
+        ([[1]] * 45 + [[0]] * 12, False),
+        (PAIRS_ONLY, True),
+    ], ids=["20_20", "13_31", "45_12", "pairs_only"])
+    def test_class_names_give_the_class_code_plan(self, patients, grouped):
+        order = np.random.default_rng(len(patients)).permutation(len(patients))
+        codes, pids = patient_rows([patients[p] for p in order])
+        names = np.take(LABELS, codes)
         for seed in range(5):
-            by_class = make_folds(y, 10, np.random.default_rng([seed, FOLD_STREAM]))
-            by_name = make_folds(names, 10, np.random.default_rng([seed, FOLD_STREAM]))
-            for a, b in zip(by_class, by_name, strict=True):
+            groups = pids if grouped else None
+            by_code = make_folds(codes, 10, np.random.default_rng([seed, FOLD_STREAM]), groups)
+            by_name = make_folds(names, 10, np.random.default_rng([seed, FOLD_STREAM]), groups)
+            for a, b in zip(by_code, by_name, strict=True):
                 np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("k", [2, 3, 10])
@@ -186,33 +228,33 @@ class TestPatientFolds:
         with pytest.raises(EvaluationError, match="^5 groups given for 6 records$"):
             make_folds([0, 1] * 3, 3, rng, groups=["a", "b", "c", "d", "e"])
 
-    # 78 patients in each: 135 event/control pairs, as in mvtdb, and a mix of
-    # pairs with event-only and control-only patients
-    PAIRS_ONLY = [[1, 0]] * 42 + [[1, 0] * 2] * 21 + [[1, 0] * 3] * 9 + [[1, 0] * 4] * 6
-    MIXED = [[1, 0]] * 40 + [[1, 0] * 2] * 20 + [[1]] * 10 + [[0, 0]] * 8
-
     @pytest.mark.parametrize("seed", range(5))
-    @pytest.mark.parametrize("records", [PAIRS_ONLY, MIXED], ids=["pairs_only", "mixed"])
-    def test_each_stratum_is_dealt_evenly(self, records, seed):
-        labels = np.array([label for held in records for label in held])
-        pids = [f"p{p:02d}" for p, held in enumerate(records) for _ in held]
+    @pytest.mark.parametrize("patients", [PAIRS_ONLY, MIXED], ids=["pairs_only", "mixed"])
+    def test_each_stratum_is_dealt_evenly(self, patients, seed):
+        labels, pids = patient_rows(patients)
         folds = make_folds(labels, 10, np.random.default_rng([seed, FOLD_STREAM]), groups=pids)
-        assert sorted(np.concatenate(folds).tolist()) == list(range(labels.size))
-        fold_of = {}
-        for j, fold in enumerate(folds):
-            for i in fold.tolist():
-                assert fold_of.setdefault(pids[i], j) == j, f"patient {pids[i]} is split across folds"
-        strata = {}
-        for p, held in enumerate(records):
-            strata.setdefault(tuple(sorted(set(held))), []).append((fold_of[f"p{p:02d}"], len(held)))
-        for held, placed in strata.items():
-            per_fold = np.bincount([j for j, _ in placed], weights=[size for _, size in placed], minlength=10)
-            largest = max(size for _, size in placed)
-            assert per_fold.max() - per_fold.min() <= largest, (held, per_fold)
+        assert_grouped_folds(labels, pids, folds, 10)
+
+    def test_single_class_patients_fill_every_fold(self, rng):
+        # two control patients, then two event patients: the events go to the fold left empty
+        folds = make_folds([0, 0, 0, 0, 1, 1, 1, 1], 3, rng, groups=list("aabbccdd"))
+        assert_grouped_folds([0, 0, 0, 0, 1, 1, 1, 1], list("aabbccdd"), folds, 3)
+
+    @pytest.mark.parametrize("layout", range(25))
+    def test_random_layouts_with_k_patients_leave_no_fold_empty(self, layout):
+        draw = np.random.default_rng([layout, 2024])
+        k = int(draw.integers(2, 11))
+        while True:  # patients of 0-3 events and 0-3 controls, until at least k patients and k records per class
+            held = [(e, c) for e, c in draw.integers(0, 4, size=(int(draw.integers(k, 3 * k)), 2)).tolist() if e + c]
+            if len(held) >= k and min(sum(e for e, _ in held), sum(c for _, c in held)) >= k:
+                break
+        labels, pids = patient_rows([[1] * e + [0] * c for e, c in held])
+        for seed in range(8):
+            folds = make_folds(labels, k, np.random.default_rng([seed, FOLD_STREAM]), groups=pids)
+            assert_grouped_folds(labels, pids, folds, k)
 
     def test_pairs_only_folds_are_as_even_as_the_records_allow(self):
-        labels = np.array([label for held in self.PAIRS_ONLY for label in held])
-        pids = [f"p{p:02d}" for p, held in enumerate(self.PAIRS_ONLY) for _ in held]
+        labels, pids = patient_rows(PAIRS_ONLY)
         for seed in range(20):
             folds = make_folds(labels, 10, np.random.default_rng([seed, FOLD_STREAM]), groups=pids)
             assert {len(fold) for fold in folds} <= {26, 28}, [len(fold) for fold in folds]  # 270 records, pairs
@@ -387,11 +429,10 @@ class TestRunCV:
         probs = run_cv(gaussian200, config, seed=0)
         assert np.isfinite(probs).all()
 
-    def test_undersized_class_named_by_value_and_label(self, gaussian200):
+    def test_undersized_class_named_by_its_label(self, gaussian200):
         y_vta = np.zeros(len(gaussian200), dtype=int)
         y_vta[[0, 2, 4]] = 1
-        message = ("class 1 has 3 records but 10 folds were requested "
-                   f"(class 1 is {LABEL_VTA}, class 0 is {LABEL_CONTROL})")
+        message = f"class {LABEL_VTA!r} has 3 records but 10 folds were requested"
         with pytest.raises(EvaluationError) as caught:
             run_cv(replace(gaussian200, y_vta=y_vta), quick_config(), seed=0)
         assert str(caught.value) == message
@@ -603,8 +644,7 @@ class TestRunAblation:
         monkeypatch.setattr(evaluation, "build_cohort", must_not_run)
         with pytest.raises(EvaluationError) as caught:
             run_ablation(events + controls, patients, CVConfig(k_folds=3), seeds=range(2), jobs=1)
-        assert str(caught.value) == ("class 1 has 2 records but 3 folds were requested "
-                                     f"(class 1 is {LABEL_VTA}, class 0 is {LABEL_CONTROL})")
+        assert str(caught.value) == f"class {LABEL_VTA!r} has 2 records but 3 folds were requested"
 
     def test_too_few_patients_rejected_before_any_work(self, prepared_records, monkeypatch):
         records, patients = prepared_records
