@@ -109,16 +109,16 @@ def make_folds(labels, k: int, rng: np.random.Generator, groups=None) -> list[np
     holds = np.zeros((names.size, classes.size), dtype=bool)
     holds[group_of, class_of] = True  # which classes each group's records hold
     fold_of = np.empty(names.size, dtype=int)
-    total = np.zeros(k, dtype=int)  # every stratum's records in each fold
+    taken = np.zeros(k, dtype=bool)  # the folds that hold a record of any stratum
     for key in sorted(np.unique(holds, axis=0), key=lambda held: tuple(classes[held].tolist())):
         stratum = np.flatnonzero((holds == key).all(axis=1))  # its groups in name order
         rng.shuffle(stratum)
         filled = np.zeros(k, dtype=int)  # this stratum's records in each fold
         for group in stratum[np.argsort(-sizes[stratum], kind="stable")]:
             # the fewest of this stratum, then an empty fold, then the lowest
-            fold_of[group] = fold = (2 * filled + (total > 0)).argmin()
+            fold_of[group] = fold = (2 * filled + taken).argmin()
             filled[fold] += sizes[group]
-            total[fold] += sizes[group]
+            taken[fold] = True
     return [np.flatnonzero(fold_of[group_of] == j) for j in range(k)]
 
 
