@@ -9,7 +9,7 @@ training accuracy.
 
 import numpy as np
 
-from vtapred import CVConfig, TrainConfig, predict
+from vtapred import CVConfig, predict
 from vtapred.evaluation import build_examples, fit_model
 from vtapred.synthetic import gaussian_task
 
@@ -19,7 +19,7 @@ def main() -> None:
     rows = np.arange(len(cohort))
 
     # standardizers fitted on every row, a fresh network, and its training history
-    config = CVConfig(train=TrainConfig(epochs=300))
+    config = CVConfig(epochs=300)
     params, history, standardizers = fit_model(cohort, rows, config, seed=0, fold=0)
     batch = build_examples(cohort, rows, *standardizers)
 

@@ -11,7 +11,7 @@ import tempfile
 import time
 from pathlib import Path
 
-from vtapred import CVConfig, TrainConfig, format_report_table, load_dataset, prepare_records, run_ablation
+from vtapred import CVConfig, format_report_table, load_dataset, prepare_records, run_ablation
 from vtapred.synthetic import write_tachogram_dataset
 
 
@@ -21,7 +21,7 @@ def main() -> None:
         records, patients = load_dataset(tacho_dir, metadata)
         records = prepare_records(records)
 
-        base = CVConfig(train=TrainConfig(epochs=60), k_folds=5)
+        base = CVConfig(epochs=60, k_folds=5)
         started = time.perf_counter()
         report = run_ablation(records, patients, base, seeds=range(3), jobs=2)
         elapsed = time.perf_counter() - started

@@ -15,14 +15,14 @@ __version__ = "0.1.0"
 from .dataset import DatasetError, load_dataset, prepare_records
 from .features import FeatureError, build_cohort, detect_ectopic
 from .network import NetworkError, predict
-from .optim import TrainConfig, TrainingError
+from .optim import TrainingError
 from .evaluation import CVConfig, EvaluationError, format_report_table, metrics, run_ablation, run_cv
 
 __all__ = [
     "__version__",
     # the pipeline, as README's Library-use block and the demos import it
     "load_dataset", "prepare_records", "build_cohort", "detect_ectopic",
-    "CVConfig", "TrainConfig", "run_cv", "run_ablation", "metrics", "predict", "format_report_table",
+    "CVConfig", "run_cv", "run_ablation", "metrics", "predict", "format_report_table",
     # the exceptions it raises
     "DatasetError", "FeatureError", "NetworkError", "TrainingError", "EvaluationError",
 ]

@@ -16,7 +16,7 @@ import io
 import json
 import logging
 import sys
-from dataclasses import MISSING, fields
+from dataclasses import fields
 from datetime import datetime, timezone
 from functools import partial
 from pathlib import Path
@@ -45,7 +45,7 @@ from .evaluation import (
 )
 from .features import FeatureError, build_cohort, feature_names, write_feature_matrix
 from .network import CheckpointError, save_checkpoint
-from .optim import TrainConfig, TrainingError, write_loss_history
+from .optim import TrainingError, write_loss_history
 
 log = logging.getLogger(__name__)
 
@@ -61,11 +61,6 @@ def _parse_bool(text: str) -> bool:
     if lowered in ("0", "false", "no", "off"):
         return False
     raise ValueError(f"not a boolean: {text!r}")
-
-
-def _field_defaults(cls) -> dict:
-    """Defaults of a config dataclass's scalar fields (the nested configs have none)."""
-    return {f.name: f.default for f in fields(cls) if f.default is not MISSING}
 
 
 def _param_defaults(fn) -> dict:
@@ -89,10 +84,10 @@ SETTINGS: dict[str, tuple] = {
     key: (_parser(default), default, commands)
     for defaults, commands in (
         (_param_defaults(build_cohort), ("features", "train")),  # feature_set
-        (_field_defaults(TrainConfig), ("train", "ablate")),
-        (_field_defaults(CVConfig), ("ablate",)),
-        # ablate's rows set both: replaces the entries above
-        ({"use_embedding": CVConfig.use_embedding, "multi_task": TrainConfig.multi_task}, ("train",)),
+        ({"epochs": CVConfig.epochs}, ("train", "ablate")),
+        # ablate's rows set both
+        ({"multi_task": CVConfig.multi_task, "use_embedding": CVConfig.use_embedding}, ("train",)),
+        ({"k_folds": CVConfig.k_folds, "patient_grouped": CVConfig.patient_grouped}, ("ablate",)),
         (_param_defaults(prepare_records), ("features", "train", "ablate")),  # horizon_ms
         ({"seed": 0}, ("train", "ablate")),
         ({"seeds": 10, "jobs": 1}, ("ablate",)),
@@ -139,16 +134,12 @@ def resolve_settings(args: argparse.Namespace) -> dict:
     return {key: from_file.get(key, SETTINGS[key][1]) if flag is None else flag for key, flag in flags.items()}
 
 
-def _build(cls, settings: dict, **nested):
-    """Instantiate a config dataclass from the settings keys of its fields; the others keep their defaults."""
+def build_configs(settings: dict) -> CVConfig:
+    """The CV config of the settings keys among its fields; the others keep their defaults."""
     try:
-        return cls(**{f.name: settings[f.name] for f in fields(cls) if f.name in settings}, **nested)
+        return CVConfig(**{f.name: settings[f.name] for f in fields(CVConfig) if f.name in settings})
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-
-
-def build_configs(settings: dict) -> CVConfig:
-    return _build(CVConfig, settings, train=_build(TrainConfig, settings))
 
 
 # The paths each command writes, as {suffix appended to --out: is a directory}.

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import ctypes
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +26,7 @@ from .features import (
     standardize,
 )
 from .network import TRAIN_DTYPE, Batch, NetworkConfig, NetworkParams, init_params, objective, predict
-from .optim import TrainConfig, TrainingError, train
+from .optim import AUX_WEIGHT, TrainingError, train
 
 # Stream labels mixed into the seed so each consumer of randomness gets an
 # independent, reproducible generator.
@@ -56,7 +56,7 @@ class EvaluationError(Exception):
 
 @dataclass(frozen=True)
 class CVConfig:
-    """Everything one cross-validated evaluation needs besides the data and its features.
+    """Everything one fit and its cross-validation need besides the data and its features.
 
     With ``patient_grouped``, :func:`make_folds` deals whole patients,
     stratified by the classes each patient's records hold, and every fold
@@ -64,14 +64,22 @@ class CVConfig:
     single records, stratified by class.
     """
 
-    train: TrainConfig = field(default_factory=TrainConfig)
+    epochs: int = 1000
+    multi_task: bool = True  # train the auxiliary heads at AUX_WEIGHT; else the event head alone
     use_embedding: bool = True
     k_folds: int = 10
     patient_grouped: bool = False
 
     def __post_init__(self):
+        if self.epochs < 0:
+            raise ValueError(f"epochs must be >= 0, got {self.epochs!r}")
         if self.k_folds < 2:
             raise ValueError(f"k_folds must be >= 2, got {self.k_folds!r}")
+
+    @property
+    def aux_weight(self) -> float:
+        """The loss weight of each auxiliary head: ``optim.AUX_WEIGHT``, or 0.0 without multi-task."""
+        return AUX_WEIGHT if self.multi_task else 0.0
 
 
 def make_folds(labels, k: int, rng: np.random.Generator, groups=None) -> list[np.ndarray]:
@@ -230,12 +238,11 @@ def fit_model(
         num_features=cohort.X.shape[1],
         num_decades=cohort.num_decades,
         use_embedding=config.use_embedding,
-        heads=tuple(objective(batch, config.train.aux_weight, config.train.aux_weight)),
+        heads=tuple(objective(batch, config.aux_weight, config.aux_weight)),
     )
     initial = init_params(net_config, np.random.default_rng([seed, INIT_STREAM, fold]))
     params = NetworkParams(net_config, {name: value.astype(TRAIN_DTYPE) for name, value in initial.tensors.items()})
-    params, history = train(batch, config.train, params,
-                            np.random.default_rng([seed, DROPOUT_STREAM, fold]))
+    params, history = train(batch, config, params, np.random.default_rng([seed, DROPOUT_STREAM, fold]))
     return params, history, standardizers
 
 
@@ -281,16 +288,13 @@ def run_cv(cohort: Cohort, config: CVConfig, seed: int) -> np.ndarray:
 def ablation_config(row: str, base: CVConfig) -> tuple[str, CVConfig]:
     """Resolve one grid row of ``ROW_RECIPES`` into its feature set and its CV config.
 
-    The row's auxiliary targets set ``multi_task``, whatever ``base.train`` says.
+    The row's embedding and auxiliary targets set ``use_embedding`` and
+    ``multi_task``, whatever ``base`` says.
     """
     if row not in ROW_RECIPES:
         raise EvaluationError(f"unknown ablation row {row!r}")
     _, feature_set, embedding, auxiliary = ROW_RECIPES[row]
-    return feature_set, replace(
-        base,
-        use_embedding=embedding,
-        train=replace(base.train, multi_task=auxiliary),
-    )
+    return feature_set, replace(base, use_embedding=embedding, multi_task=auxiliary)
 
 
 def _one_blas_thread() -> None:
@@ -330,16 +334,17 @@ def run_ablation(
 ) -> EvalReport:
     """Evaluate every grid row over the given sequence of distinct seeds (e.g. ``range(10)``).
 
-    Each row's recipe sets the features and the embedding, so
-    ``base.use_embedding`` is not read.  Before any feature is extracted,
-    both classes must be present and each seed's folds are dealt once, by
-    ``run_cv``'s fold rules; every row shares its seed's deal.  One cohort
-    holds every row's family, and a row's items get its family's columns.
-    Each (row, seed, fold) item is one :func:`fit_fold`; with ``jobs > 1``
-    the items run in a process pool of at most ``jobs`` workers and one per
-    CPU.  Results are merged in fixed order, so the output is identical to a
-    serial run.  The workers compute with one BLAS thread, which at fold
-    sizes gives the bytes of the default thread count (README, Determinism).
+    Each row's recipe sets the features, the embedding and the auxiliary
+    targets, so neither ``base.use_embedding`` nor ``base.multi_task`` is
+    read.  Before any feature is extracted, both classes must be present and
+    each seed's folds are dealt once, by ``run_cv``'s fold rules; every row
+    shares its seed's deal.  One cohort holds every row's family, and a
+    row's items get its family's columns.  Each (row, seed, fold) item is
+    one :func:`fit_fold`; with ``jobs > 1`` the items run in a process pool
+    of at most ``jobs`` workers and one per CPU.  Results are merged in
+    fixed order, so the output is identical to a serial run.  The workers
+    compute with one BLAS thread, which at fold sizes gives the bytes of the
+    default thread count (README, Determinism).
     """
     seed_list = tuple(int(s) for s in seeds)
     if not seed_list:

@@ -16,7 +16,7 @@ by element in the same operation order as a per-tensor loop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -43,21 +43,6 @@ AUX_WEIGHT = 1.0     # loss weight of each auxiliary head (nyhac, bmi) in a mult
 
 class TrainingError(Exception):
     """Numeric failure during optimization (non-finite loss or gradients)."""
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    epochs: int = 1000
-    multi_task: bool = True  # train the auxiliary heads at AUX_WEIGHT; else the event head alone
-
-    def __post_init__(self):
-        if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
-
-    @property
-    def aux_weight(self) -> float:
-        """The loss weight of each auxiliary head: ``AUX_WEIGHT``, or 0.0 without multi-task."""
-        return AUX_WEIGHT if self.multi_task else 0.0
 
 
 def clip(gradient: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -124,18 +109,19 @@ def adadelta_step(
 
 def train(
     batch: Batch,
-    config: TrainConfig,
+    config,
     params: NetworkParams,
     rng: np.random.Generator,
 ) -> tuple[NetworkParams, list[dict[str, float]]]:
     """Full-batch training for ``config.epochs`` epochs.
 
-    ``batch`` holds every training row, already standardized (as
-    ``evaluation.build_examples`` returns it).  Every epoch draws fresh
-    dropout masks at ``KEEP_PROB`` (one per row per layer), runs one
-    forward/backward pass over the whole batch (each auxiliary head weighted
-    by ``config.aux_weight``, read once per fit), clips the mean-loss
-    gradients, and applies one AdaDelta step.  Params are updated in place
+    ``config`` is an ``evaluation.CVConfig``, of which only ``epochs`` and
+    ``aux_weight`` are read.  ``batch`` holds every training row, already
+    standardized (as ``evaluation.build_examples`` returns it).  Every
+    epoch draws fresh dropout masks at ``KEEP_PROB`` (one per row per
+    layer), runs one forward/backward pass over the whole batch (each
+    auxiliary head weighted by ``config.aux_weight``, read once per fit),
+    clips the mean-loss gradients, and applies one AdaDelta step.  Params are updated in place
     and also returned.  The history holds one dict per epoch with the total
     loss, its ``<task>_loss`` part for each of ``network.TASKS``, and the
     largest post-clip gradient.

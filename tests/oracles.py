@@ -350,9 +350,9 @@ def _reference_epoch(net, t, batch, masks, lam_nyhac, lam_bmi):
 def train_reference(batch, config, net, tensors: dict, rng, keep_prob) -> tuple[dict, list[dict]]:
     """Full-batch AdaDelta training, one tensor at a time, every branch every epoch.
 
-    ``config`` is a TrainConfig, ``net`` a NetworkConfig and ``keep_prob`` the
-    dropout keep probability; ``tensors`` are copied, trained and returned
-    with the per-epoch history.  Each auxiliary head weighs ``AUX_WEIGHT``
+    ``config`` is an evaluation.CVConfig, ``net`` a NetworkConfig and
+    ``keep_prob`` the dropout keep probability; ``tensors`` are copied,
+    trained and returned with the per-epoch history.  Each auxiliary head weighs ``AUX_WEIGHT``
     when ``config.multi_task`` is set, and nothing otherwise.
     """
     t = {name: np.array(value, dtype=float) for name, value in tensors.items()}

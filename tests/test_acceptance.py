@@ -23,7 +23,7 @@ from oracles import (
     roc_auc_trapezoid,
     stacked_finite_difference_grads,
 )
-from vtapred import CVConfig, TrainConfig, load_dataset, metrics, predict, prepare_records, run_ablation, run_cv
+from vtapred import CVConfig, load_dataset, metrics, predict, prepare_records, run_ablation, run_cv
 from vtapred.cli import main as cli_main
 from vtapred.evaluation import ABLATION_ROWS, DROPOUT_STREAM, INIT_STREAM, auc, build_examples, score
 from vtapred.features import band_power, fit_standardizer
@@ -162,7 +162,7 @@ def test_criterion_5_separable_task_learnability():
     started = time.perf_counter()
     cohort = gaussian_task(200, seed=11)
     config = CVConfig()  # full defaults: 1000 epochs, dropout, embedding, aux tasks
-    assert config.train.epochs == 1000
+    assert config.epochs == 1000
 
     # training accuracy with the exact single-run recipe
     standardizer = fit_standardizer(cohort.X)
@@ -170,7 +170,7 @@ def test_criterion_5_separable_task_learnability():
     batch = build_examples(cohort, np.arange(len(cohort)), standardizer, bmi_standardizer)
     net_config = NetworkConfig(num_features=7, num_decades=cohort.num_decades, use_embedding=True)
     params = init_params(net_config, np.random.default_rng([0, INIT_STREAM, 0]))
-    train(batch, config.train, params, np.random.default_rng([0, DROPOUT_STREAM, 0]))
+    train(batch, config, params, np.random.default_rng([0, DROPOUT_STREAM, 0]))
     train_acc = float(np.mean((predict(params, batch) >= 0.5).astype(int) == batch.y_vta))
 
     cv_acc = metrics(cohort.y_vta, run_cv(cohort, config, seed=0))["accuracy"]
@@ -186,7 +186,7 @@ def test_criterion_5_separable_task_learnability():
 def test_criterion_6_label_shuffle_null():
     """Shuffled labels must not be learnable: mean AUC near chance."""
     cohort = gaussian_task(200, seed=11)
-    config = CVConfig(train=TrainConfig(epochs=60))
+    config = CVConfig(epochs=60)
     aucs = []
     for seed in range(10):
         perm = np.random.default_rng([seed, 101]).permutation(len(cohort))

@@ -16,10 +16,10 @@ import pytest
 
 import vtapred
 from vtapred import (
-    CVConfig, DatasetError, TrainConfig, load_dataset, metrics, prepare_records, run_ablation,
+    CVConfig, DatasetError, load_dataset, metrics, prepare_records, run_ablation,
 )
 from vtapred.cli import (
-    SETTINGS, ConfigError, _build, build_configs, build_parser, dataset_checksum, main, parse_config_file,
+    SETTINGS, ConfigError, build_configs, build_parser, dataset_checksum, main, parse_config_file,
     read_by, resolve_settings,
 )
 from vtapred.dataset import LABELS
@@ -207,8 +207,8 @@ class TestSettings:
 
     def test_fixed_protocol_is_not_a_setting(self):
         assert not set(FIXED_PROTOCOL) & SETTINGS.keys()
-        assert [f.name for f in fields(TrainConfig)] == ["epochs", "multi_task"]
-        assert [f.name for f in fields(CVConfig)] == ["train", "use_embedding", "k_folds", "patient_grouped"]
+        assert [f.name for f in fields(CVConfig)] == ["epochs", "multi_task", "use_embedding", "k_folds",
+                                                      "patient_grouped"]
         assert list(inspect.signature(prepare_records).parameters) == ["records", "horizon_ms"]
         assert list(inspect.signature(metrics).parameters) == ["labels", "probs"]
 
@@ -373,10 +373,10 @@ class TestTrainCommand:
     @pytest.mark.parametrize("row", ABLATION_ROWS)
     def test_flags_reproduce_each_grid_row(self, data, tmp_path, prepared_records, row):
         # train with a row's three flags fits, bit for bit, what fit_model fits for that row on every record
-        feature_set, cv = ablation_config(row, CVConfig(train=TrainConfig(epochs=6)))
+        feature_set, cv = ablation_config(row, CVConfig(epochs=6))
         flags = ["--feature-set", feature_set,
                  "--use-embedding" if cv.use_embedding else "--no-use-embedding",
-                 "--multi-task" if cv.train.multi_task else "--no-multi-task"]
+                 "--multi-task" if cv.multi_task else "--no-multi-task"]
         out = tmp_path / "row.ckpt"
         assert run("train", "--data-dir", data[0], "--metadata", data[1], "--out", str(out),
                    "--epochs", "6", "--seed", "4", *flags) == 0
@@ -599,6 +599,8 @@ class TestTopLevel:
         ("ablate", "--jobs", "0", "jobs must be >= 1"),
         ("ablate", "--jobs", "-5", "jobs must be >= 1"),
         ("train", "--seed", "-1", "seed must be >= 0"),
+        ("train", "--epochs", "-1", "epochs must be >= 0, got -1"),
+        ("ablate", "--k-folds", "1", "k_folds must be >= 2, got 1"),
         # the bands are constants now, so an impossible band cannot even be asked for
         ("features", "--lf-hi", "0.047", "unrecognized arguments: --lf-hi 0.047"),
         ("features", "--hf-hi", "inf", "unrecognized arguments: --hf-hi inf"),
@@ -610,9 +612,9 @@ class TestTopLevel:
         ("ablate", "--k-folds", "\u0663", "argument --k-folds: invalid int value: '\u0663'"),
         ("features", "--horizon-ms", "60_000", "argument --horizon-ms: invalid float value: '60_000'"),
     ], ids=["nan-horizon", "inf-horizon", "negative-min-beats", "zero-seeds", "negative-seeds",
-            "zero-jobs", "negative-jobs", "negative-seed", "one-point-lf-band", "unbounded-hf-band",
-            "huge-hf-edge", "hf-edge-past-limit", "negative-lf-edge", "full-width-seeds",
-            "arabic-indic-k-folds", "underscored-horizon"])
+            "zero-jobs", "negative-jobs", "negative-seed", "negative-epochs", "one-fold",
+            "one-point-lf-band", "unbounded-hf-band", "huge-hf-edge", "hf-edge-past-limit", "negative-lf-edge",
+            "full-width-seeds", "arabic-indic-k-folds", "underscored-horizon"])
     def test_impossible_ingest_setting_exits_one_before_reading_data(
         self, data, tmp_path, capsys, command, flag, value, message,
     ):

@@ -13,7 +13,6 @@ from oracles import roc_auc_trapezoid
 from vtapred import (
     CVConfig,
     EvaluationError,
-    TrainConfig,
     build_cohort,
     evaluation,
     format_report_table,
@@ -47,8 +46,6 @@ from vtapred.evaluation import (
 from vtapred.features import feature_names
 from vtapred.network import TASKS, TRAIN_DTYPE, NetworkConfig, NetworkParams, init_params
 from vtapred.optim import TrainingError, train
-
-QUICK_TRAIN = TrainConfig(epochs=60)
 
 # patients as the class codes of their records, 78 in each: 135 event/control
 # pairs, as in mvtdb, and a mix of pairs with event-only and control-only patients
@@ -87,7 +84,7 @@ def assert_grouped_folds(labels, pids, folds, k: int) -> None:
 
 
 def quick_config(**overrides) -> CVConfig:
-    base = dict(train=QUICK_TRAIN, k_folds=10)
+    base = dict(epochs=60, k_folds=10)
     base.update(overrides)
     return CVConfig(**base)
 
@@ -443,7 +440,7 @@ class TestRunCV:
 
     def test_training_error_names_its_fold(self, gaussian200, fold_2_fails):
         with pytest.raises(TrainingError) as caught:
-            run_cv(gaussian200, quick_config(train=TrainConfig(epochs=2)), seed=0)
+            run_cv(gaussian200, quick_config(epochs=2), seed=0)
         assert str(caught.value) == "fold 2: non-finite loss at epoch 0"
 
 
@@ -458,11 +455,11 @@ class TestFitModel:
         initial = init_params(net, np.random.default_rng([seed, INIT_STREAM, fold]))
         params = NetworkParams(net, {name: value.astype(TRAIN_DTYPE) for name, value in initial.tensors.items()})
         batch = build_examples(cohort, train_idx, *standardizers)
-        return train(batch, config.train, params, np.random.default_rng([seed, DROPOUT_STREAM, fold]))
+        return train(batch, config, params, np.random.default_rng([seed, DROPOUT_STREAM, fold]))
 
     @pytest.mark.parametrize("row", ABLATION_ROWS)
     def test_holds_the_active_heads_and_trains_like_the_full_network(self, gaussian200, row):
-        _, config = ablation_config(row, quick_config(train=TrainConfig(epochs=20)))
+        _, config = ablation_config(row, quick_config(epochs=20))
         train_idx = np.arange(0, len(gaussian200), 3)
         params, history, standardizers = fit_model(gaussian200, train_idx, config, seed=4, fold=2)
         full, full_history = self.full_heads_twin(gaussian200, train_idx, config, standardizers, 4, 2)
@@ -475,7 +472,7 @@ class TestFitModel:
         assert history == full_history
 
     def test_trains_in_float32(self, gaussian200):
-        _, config = ablation_config(ROW_MULTI_TASK, quick_config(train=TrainConfig(epochs=3)))
+        _, config = ablation_config(ROW_MULTI_TASK, quick_config(epochs=3))
         params, history, _ = fit_model(gaussian200, np.arange(len(gaussian200)), config, seed=0, fold=0)
         assert TRAIN_DTYPE is np.float32
         assert params.tensors.flat.dtype == np.float32
@@ -485,7 +482,7 @@ class TestFitModel:
         cohort = replace(gaussian200, y_nyhac=np.full(len(gaussian200), -1))
         train_idx = np.arange(len(cohort))
         for epochs in (0, 15):  # the initialization, then the trained values
-            _, config = ablation_config(ROW_MULTI_TASK, quick_config(train=TrainConfig(epochs=epochs)))
+            _, config = ablation_config(ROW_MULTI_TASK, quick_config(epochs=epochs))
             params, _, standardizers = fit_model(cohort, train_idx, config, seed=1, fold=0)
             full, _ = self.full_heads_twin(cohort, train_idx, config, standardizers, 1, 0)
             assert params.config.heads == ("vta", "bmi")
@@ -499,25 +496,24 @@ class TestAblationConfig:
         feature_set, cfg = ablation_config(ROW_BASELINE, CVConfig())
         assert feature_set == "baseline11"
         assert cfg.use_embedding is False
-        assert cfg.train.multi_task is False
+        assert cfg.multi_task is False
 
     def test_windowed_row_switches_feature_family(self):
         feature_set, cfg = ablation_config(ROW_WINDOWED, CVConfig())
         assert feature_set == "recent"
         assert cfg.use_embedding is False
-        assert cfg.train.multi_task is False
+        assert cfg.multi_task is False
 
     def test_embedding_row_adds_only_the_embedding(self):
         _, cfg = ablation_config(ROW_EMBEDDING, CVConfig())
         assert cfg.use_embedding is True
-        assert cfg.train.multi_task is False
+        assert cfg.multi_task is False
 
     @pytest.mark.parametrize("multi_task", [True, False])
     def test_final_row_is_multi_task_whatever_the_base_says(self, multi_task):
-        base = CVConfig(train=TrainConfig(epochs=7, multi_task=multi_task))
+        base = CVConfig(epochs=7, multi_task=multi_task)
         _, cfg = ablation_config(ROW_MULTI_TASK, base)
-        assert cfg.train == TrainConfig(epochs=7, multi_task=True)
-        assert cfg.use_embedding is True
+        assert cfg == CVConfig(epochs=7, multi_task=True, use_embedding=True)
 
     def test_unknown_row_rejected(self):
         with pytest.raises(EvaluationError, match="unknown ablation row"):
@@ -527,7 +523,7 @@ class TestAblationConfig:
 @pytest.fixture(scope="module")
 def small_report(prepared_records):
     records, patients = prepared_records
-    base = CVConfig(train=TrainConfig(epochs=25), k_folds=5)
+    base = CVConfig(epochs=25, k_folds=5)
     return run_ablation(records, patients, base, seeds=range(2), jobs=1)
 
 
@@ -549,7 +545,7 @@ class TestRunAblation:
 
     def test_single_seed_report_equals_single_run(self, prepared_records):
         records, patients = prepared_records
-        base = CVConfig(train=TrainConfig(epochs=25), k_folds=5)
+        base = CVConfig(epochs=25, k_folds=5)
         report = run_ablation(records, patients, base, seeds=range(1), jobs=1)
         feature_set, row_cfg = ablation_config(ROW_MULTI_TASK, base)
         direct = run_cv(build_cohort(records, patients, feature_set), row_cfg, seed=0)
@@ -561,7 +557,7 @@ class TestRunAblation:
 
     def test_parallel_equals_serial(self, prepared_records):
         records, patients = prepared_records
-        base = CVConfig(train=TrainConfig(epochs=10), k_folds=3)
+        base = CVConfig(epochs=10, k_folds=3)
         serial = run_ablation(records, patients, base, seeds=range(2), jobs=1)
         parallel = run_ablation(records, patients, base, seeds=range(2), jobs=2)
         for key, probs in serial.probs.items():
@@ -569,7 +565,7 @@ class TestRunAblation:
 
     def test_pool_gets_no_more_workers_than_items(self, prepared_records, recording_pool):
         records, patients = prepared_records
-        base = CVConfig(train=TrainConfig(epochs=10), k_folds=3)
+        base = CVConfig(epochs=10, k_folds=3)
         serial = run_ablation(records, patients, base, seeds=[0], jobs=1)
         pooled = run_ablation(records, patients, base, seeds=[0], jobs=64)
         assert recording_pool == [(min(64, len(ABLATION_ROWS) * 3, os.cpu_count() or 1), evaluation._one_blas_thread)]
@@ -582,7 +578,7 @@ class TestRunAblation:
         # the pool is a recording stand-in, so no worker process starts whatever jobs asks for
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         records, patients = prepared_records
-        run_ablation(records, patients, CVConfig(train=TrainConfig(epochs=1), k_folds=3), seeds=[0], jobs=jobs)
+        run_ablation(records, patients, CVConfig(epochs=1, k_folds=3), seeds=[0], jobs=jobs)
         assert recording_pool == [(workers, evaluation._one_blas_thread)]
 
     def test_folds_are_dealt_once_per_seed(self, prepared_records, monkeypatch):
@@ -595,7 +591,7 @@ class TestRunAblation:
 
         monkeypatch.setattr(evaluation, "_folds", counting_deal)
         records, patients = prepared_records
-        run_ablation(records, patients, CVConfig(train=TrainConfig(epochs=1), k_folds=3), seeds=[4, 1], jobs=1)
+        run_ablation(records, patients, CVConfig(epochs=1, k_folds=3), seeds=[4, 1], jobs=1)
         assert deals == [4, 1]
 
     @pytest.mark.parametrize("jobs", [1, 2])
@@ -603,7 +599,7 @@ class TestRunAblation:
         # jobs=2 goes through the recording pool, which runs fit_fold in this process
         records, patients = prepared_records
         with pytest.raises(TrainingError) as caught:
-            run_ablation(records, patients, CVConfig(train=TrainConfig(epochs=2), k_folds=3), seeds=[0], jobs=jobs)
+            run_ablation(records, patients, CVConfig(epochs=2, k_folds=3), seeds=[0], jobs=jobs)
         assert str(caught.value) == "fold 2: non-finite loss at epoch 0"
         assert len(recording_pool) == (jobs > 1)
 
@@ -685,7 +681,7 @@ class TestRunAblation:
         monkeypatch.setattr(evaluation, "build_cohort", counting_build)
         monkeypatch.setattr(evaluation, "fit_fold", capturing_fit)
         records, patients = prepared_records
-        run_ablation(records, patients, CVConfig(train=TrainConfig(epochs=1), k_folds=3), seeds=[2, 0], jobs=1)
+        run_ablation(records, patients, CVConfig(epochs=1, k_folds=3), seeds=[2, 0], jobs=1)
         assert len(built) == 1
         want = []
         for row in ABLATION_ROWS:

@@ -17,7 +17,7 @@ from oracles import (
     max_relative_error,
     stacked_finite_difference_grads,
 )
-from vtapred import NetworkError, TrainConfig, network, optim, predict
+from vtapred import CVConfig, NetworkError, network, optim, predict
 from vtapred.evaluation import build_examples
 from vtapred.features import Cohort, fit_standardizer
 from vtapred.network import (
@@ -311,7 +311,7 @@ class TestActiveTasks:
 
         monkeypatch.setattr(network, "objective", spy)
         params = init_params(small_config(), rng)
-        train(random_batch(rng, params.config, 6), TrainConfig(epochs=3, multi_task=multi_task), params, rng)
+        train(random_batch(rng, params.config, 6), CVConfig(epochs=3, multi_task=multi_task), params, rng)
         assert len(calls) == 2 * 3  # one in loss and one in backward
 
 
@@ -432,7 +432,7 @@ class TestBackward:
         params = init_params(cfg, rng)
         before = params.tensors["embedding"].copy()
         batch = make_batch(rng.random((8, 4)), [2] * 8, rng.integers(0, 2, 8))
-        train(batch, TrainConfig(epochs=30), params, np.random.default_rng(5))
+        train(batch, CVConfig(epochs=30), params, np.random.default_rng(5))
         after = params.tensors["embedding"]
         np.testing.assert_array_equal(after[0], before[0])
         np.testing.assert_array_equal(after[1], before[1])

@@ -1,13 +1,11 @@
 """Optimizer tests: clipping, the AdaDelta recursion, the training loop."""
 
-from dataclasses import fields
-
 import numpy as np
 import pytest
 
 from batches import at_dtype, make_batch, random_batch
 from oracles import adadelta_scalar_step, train_reference
-from vtapred import CVConfig, TrainConfig, TrainingError
+from vtapred import CVConfig, TrainingError
 from vtapred import optim
 from vtapred.evaluation import ABLATION_ROWS, ablation_config
 from vtapred.network import (
@@ -149,7 +147,7 @@ class TestTrain:
 
     def test_bit_identical_given_same_seed(self):
         batch = separable_batch()
-        cfg = TrainConfig(epochs=40)
+        cfg = CVConfig(epochs=40)
         runs = []
         for _ in range(2):
             params = init_params(self._config(), np.random.default_rng(21))
@@ -163,7 +161,7 @@ class TestTrain:
     def test_zero_epochs_is_identity(self, rng):
         params = init_params(self._config(), rng)
         before = {k: v.copy() for k, v in params.tensors.items()}
-        trained, history = train(separable_batch(), TrainConfig(epochs=0), params, rng)
+        trained, history = train(separable_batch(), CVConfig(epochs=0), params, rng)
         assert history == []
         for name, tensor in trained.tensors.items():
             np.testing.assert_array_equal(tensor, before[name])
@@ -171,12 +169,12 @@ class TestTrain:
     def test_loss_decreases_end_to_end(self, rng, monkeypatch):
         monkeypatch.setattr(optim, "KEEP_PROB", 1.0)
         params = init_params(self._config(), rng)
-        _, history = train(separable_batch(), TrainConfig(epochs=250), params, rng)
+        _, history = train(separable_batch(), CVConfig(epochs=250), params, rng)
         assert history[-1]["loss"] < history[0]["loss"]
 
     def test_history_is_finite_and_clipped(self, rng):
         params = init_params(self._config(), rng)
-        _, history = train(separable_batch(), TrainConfig(epochs=60), params, rng)
+        _, history = train(separable_batch(), CVConfig(epochs=60), params, rng)
         assert len(history) == 60
         for row in history:
             assert np.isfinite(row["loss"])
@@ -187,18 +185,18 @@ class TestTrain:
         params = init_params(self._config(), rng)
         params.tensors["W1"][0, 0] = np.nan
         with pytest.raises(TrainingError, match="non-finite loss at epoch 0"):
-            train(separable_batch(), TrainConfig(epochs=5), params, rng)
+            train(separable_batch(), CVConfig(epochs=5), params, rng)
 
     def test_accepts_prebuilt_batch(self, rng):
         params = init_params(self._config(), rng)
         batch = separable_batch()
-        _, history = train(batch, TrainConfig(epochs=3), params, rng)
+        _, history = train(batch, CVConfig(epochs=3), params, rng)
         assert len(history) == 3
 
     def test_training_accuracy_on_easy_task(self, rng):
         batch = separable_batch(n=80)
         params = init_params(self._config(), rng)
-        train(batch, TrainConfig(epochs=300), params, np.random.default_rng(2))
+        train(batch, CVConfig(epochs=300), params, np.random.default_rng(2))
         outputs, _ = forward(params, batch.features)
         predicted = (outputs["vta_probs"][:, 1] >= 0.5).astype(int)
         assert (predicted == batch.y_vta).mean() >= 0.95
@@ -211,14 +209,14 @@ class TestTrainMatchesReference:
     @pytest.mark.parametrize("row", ABLATION_ROWS)
     def test_bit_identical(self, row, keep_prob, monkeypatch):
         monkeypatch.setattr(optim, "KEEP_PROB", keep_prob)
-        _, cv = ablation_config(row, CVConfig(train=TrainConfig(epochs=12)))
+        _, cv = ablation_config(row, CVConfig(epochs=12))
         net = NetworkConfig(num_features=9, num_decades=5, use_embedding=cv.use_embedding)
         rng = np.random.default_rng(31)
         batch = random_batch(rng, net, 40)
         params = init_params(net, rng)
-        want, want_history = train_reference(batch, cv.train, net, dict(params.tensors), np.random.default_rng(8),
+        want, want_history = train_reference(batch, cv, net, dict(params.tensors), np.random.default_rng(8),
                                              keep_prob)
-        got, history = train(batch, cv.train, params, np.random.default_rng(8))
+        got, history = train(batch, cv, params, np.random.default_rng(8))
         assert history == want_history
         assert list(got.tensors) == list(want)
         for name, tensor in want.items():
@@ -235,7 +233,7 @@ class TestTrainMatchesReference:
             return masks
 
         monkeypatch.setattr(optim, "draw_dropout_masks", spy)
-        cfg = TrainConfig(epochs=8)
+        cfg = CVConfig(epochs=8)
         net = NetworkConfig(num_features=9, num_decades=5, use_embedding=True)
         rng = np.random.default_rng(31)
         batch = random_batch(rng, net, 40)
@@ -254,15 +252,15 @@ class TestTrainPrecision:
     """A float32 fit follows the float64 fit from the same values: same dropout units, rounding apart."""
 
     def test_float32_history_follows_float64(self):
-        _, cv = ablation_config("multi_task", CVConfig(train=TrainConfig(epochs=100)))
+        _, cv = ablation_config("multi_task", CVConfig(epochs=100))
         net = NetworkConfig(num_features=9, num_decades=5, use_embedding=True)
         rng = np.random.default_rng(31)
         batch = random_batch(rng, net, 40)
         start32 = at_dtype(init_params(net, rng), np.float32)
         start64 = at_dtype(start32, np.float64)  # train updates its params in place
         rng32, rng64 = np.random.default_rng(8), np.random.default_rng(8)
-        got, history32 = train(batch, cv.train, start32, rng32)
-        want, history64 = train(batch, cv.train, start64, rng64)
+        got, history32 = train(batch, cv, start32, rng32)
+        want, history64 = train(batch, cv, start64, rng64)
         assert got.tensors.flat.dtype == np.float32 and want.tensors.flat.dtype == np.float64
         assert rng32.random() == rng64.random()
         for column in ("loss", "vta_loss", "nyhac_loss", "bmi_loss"):
@@ -279,14 +277,13 @@ class TestTrainPrecision:
         assert AdaDeltaState(params).sq_grad.flat.dtype == np.float32
 
 
-class TestTrainConfigValidation:
+class TestTrainRecipe:
     def test_defaults_are_the_published_recipe(self):
-        cfg = TrainConfig()
-        assert [f.name for f in fields(TrainConfig)] == ["epochs", "multi_task"]
+        cfg = CVConfig()
         assert cfg.epochs == 1000 and cfg.multi_task is True
         assert (optim.ADADELTA_RHO, optim.ADADELTA_EPS, optim.CLIP_LIMIT, optim.KEEP_PROB) == (0.95, 1e-6, 0.1, 0.75)
         assert optim.AUX_WEIGHT == 1.0
-        assert (cfg.aux_weight, TrainConfig(multi_task=False).aux_weight) == (1.0, 0.0)
+        assert (cfg.aux_weight, CVConfig(multi_task=False).aux_weight) == (1.0, 0.0)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -295,14 +292,14 @@ class TestTrainConfigValidation:
         ],
     )
     def test_bad_values_rejected(self, kwargs):
-        with pytest.raises(ValueError):
-            TrainConfig(**kwargs)
+        with pytest.raises(ValueError, match=r"epochs must be >= 0, got -1"):
+            CVConfig(**kwargs)
 
 
 class TestLossHistoryExport:
     def test_csv_layout(self, tmp_path, rng):
         params = init_params(NetworkConfig(num_features=5, use_embedding=False, hidden=(6, 4, 3)), rng)
-        _, history = train(separable_batch(n=20), TrainConfig(epochs=4), params, rng)
+        _, history = train(separable_batch(n=20), CVConfig(epochs=4), params, rng)
         out = tmp_path / "loss.csv"
         write_loss_history(out, history)
         lines = out.read_text().splitlines()
