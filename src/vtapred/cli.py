@@ -11,7 +11,6 @@ Exit codes: 0 success, 1 data or configuration error, 2 numeric failure.
 from __future__ import annotations
 
 import argparse
-import inspect
 import io
 import json
 import logging
@@ -26,6 +25,7 @@ import numpy as np
 from . import __version__
 from .dataset import (
     ASCII_WHITESPACE,
+    DEFAULT_HORIZON_MS,
     DatasetError,
     load_dataset,
     parse_number,
@@ -43,7 +43,7 @@ from .evaluation import (
     write_predictions_csv,
     write_report_csv,
 )
-from .features import FeatureError, build_cohort, feature_names, write_feature_matrix
+from .features import FEATURE_SET_RECENT, FeatureError, build_cohort, feature_names, write_feature_matrix
 from .network import CheckpointError, save_checkpoint
 from .optim import TrainingError, write_loss_history
 
@@ -63,11 +63,6 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-def _param_defaults(fn) -> dict:
-    """Defaults of a function's parameters that have one."""
-    return {p.name: p.default for p in inspect.signature(fn).parameters.values() if p.default is not p.empty}
-
-
 def _parser(default):
     """A setting's parser, by its default's type: bool first, because bool is a subclass of int."""
     if isinstance(default, (bool, str)):
@@ -83,12 +78,12 @@ def _parser(default):
 SETTINGS: dict[str, tuple] = {
     key: (_parser(default), default, commands)
     for defaults, commands in (
-        (_param_defaults(build_cohort), ("features", "train")),  # feature_set
+        ({"feature_set": FEATURE_SET_RECENT}, ("features", "train")),
         ({"epochs": CVConfig.epochs}, ("train", "ablate")),
         # ablate's rows set both
         ({"multi_task": CVConfig.multi_task, "use_embedding": CVConfig.use_embedding}, ("train",)),
         ({"k_folds": CVConfig.k_folds, "patient_grouped": CVConfig.patient_grouped}, ("ablate",)),
-        (_param_defaults(prepare_records), ("features", "train", "ablate")),  # horizon_ms
+        ({"horizon_ms": DEFAULT_HORIZON_MS}, ("features", "train", "ablate")),
         ({"seed": 0}, ("train", "ablate")),
         ({"seeds": 10, "jobs": 1}, ("ablate",)),
     )

@@ -240,8 +240,7 @@ def fit_model(
         use_embedding=config.use_embedding,
         heads=tuple(objective(batch, config.aux_weight, config.aux_weight)),
     )
-    initial = init_params(net_config, np.random.default_rng([seed, INIT_STREAM, fold]))
-    params = NetworkParams(net_config, {name: value.astype(TRAIN_DTYPE) for name, value in initial.tensors.items()})
+    params = init_params(net_config, np.random.default_rng([seed, INIT_STREAM, fold])).astype(TRAIN_DTYPE)
     params, history = train(batch, config, params, np.random.default_rng([seed, DROPOUT_STREAM, fold]))
     return params, history, standardizers
 
@@ -260,14 +259,14 @@ def fit_fold(cohort: Cohort, config: CVConfig, seed: int, fold: int, test_idx) -
 
     The standardizers (features and the BMI target) are fitted on the
     training rows only, and a fresh network is initialized and trained
-    there.  A :class:`TrainingError` names the fold.  Reads only its
-    arguments, so a pool worker can run it.
+    there.  A :class:`TrainingError` names the seed and the fold.  Reads
+    only its arguments, so a pool worker can run it.
     """
     train_idx = np.setdiff1d(np.arange(len(cohort)), test_idx)
     try:
         params, _, standardizers = fit_model(cohort, train_idx, config, seed, fold)
     except TrainingError as exc:
-        raise TrainingError(f"fold {fold}: {exc}") from None
+        raise TrainingError(f"seed {seed}, fold {fold}: {exc}") from None
     return predict(params, build_examples(cohort, test_idx, *standardizers))
 
 
@@ -344,7 +343,8 @@ def run_ablation(
     of at most ``jobs`` workers and one per CPU.  Results are merged in
     fixed order, so the output is identical to a serial run.  The workers
     compute with one BLAS thread, which at fold sizes gives the bytes of the
-    default thread count (README, Determinism).
+    default thread count (README, Determinism).  A :class:`TrainingError`
+    names the row, seed and fold of the first item in grid order that fails.
     """
     seed_list = tuple(int(s) for s in seeds)
     if not seed_list:
@@ -365,14 +365,24 @@ def run_ablation(
     # fit_fold's arguments as columns, one entry per item; an item's cohort has only its row's family's columns
     arguments = zip(*((cohort.family(configs[row][0]), configs[row][1], seed, fold, folds[seed][fold])
                       for row, seed, fold in items))
+
+    def fit_all(mapper) -> list[np.ndarray]:
+        done = []
+        try:
+            for held_out in mapper(fit_fold, *arguments):
+                done.append(held_out)
+        except TrainingError as exc:  # both mappers yield in item order: the item after the last received failed
+            raise TrainingError(f"row {items[len(done)][0]!r}, {exc}") from None
+        return done
+
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # only pooled runs pay for its import
 
         # the pool starts every worker at once, so it gets no more than there are items or CPUs
         with ProcessPoolExecutor(min(jobs, len(items), os.cpu_count() or 1), initializer=_one_blas_thread) as pool:
-            fold_probs = list(pool.map(fit_fold, *arguments))
+            fold_probs = fit_all(pool.map)
     else:
-        fold_probs = list(map(fit_fold, *arguments))
+        fold_probs = fit_all(map)
 
     probs = {(row, seed): np.full(len(cohort), np.nan) for row in ABLATION_ROWS for seed in seed_list}
     for (row, seed, fold), held_out in zip(items, fold_probs):

@@ -8,12 +8,13 @@ branches of two tanh layers each.  The branches predict the event class
 body-mass index (linear).  Inverted dropout is applied to the input and to
 every hidden layer at training time only.
 
-The parameters live in one flat float32 or float64 buffer with the named
-tensors as views (:class:`FlatTensors`), and backward() writes the gradients
-into a buffer of the same layout.  The buffer's dtype is the network's
-precision: forward(), backward() and the dropout masks compute and allocate
-in it.  :func:`init_params` returns float64 values; a fit rounds them once to
-``TRAIN_DTYPE`` (``evaluation.fit_model``).  A network holds only the heads
+The parameters are one flat float32 or float64 buffer that their config
+lays out, with the named tensors as views (:class:`NetworkParams`), and
+backward() writes the gradients into another buffer of that config.  The
+buffer's dtype is the network's precision: forward(), backward() and the
+dropout masks compute and allocate in it.  :func:`init_params` returns
+float64 values; a fit rounds them once to ``TRAIN_DTYPE`` with
+:meth:`NetworkParams.astype` (``evaluation.fit_model``).  A network holds only the heads
 of its config (``NetworkConfig.heads``; a fit gives it the heads its loss
 reads, :func:`objective`).  forward() and backward() walk those heads and write
 their activations and temporaries into a :class:`Workspace` that a caller can
@@ -112,28 +113,32 @@ def tensor_shapes(config: NetworkConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
-class FlatTensors(Mapping):
-    """Named tensors that are views into one flat buffer, ``flat``.
+class NetworkParams(Mapping):
+    """The network's tensors, in declared order, as named views into one flat buffer, ``flat``.
 
-    Construction copies the given arrays into a fresh buffer in the given
-    order.  The buffer is float32 when every given array is, and float64
-    otherwise.  The mapping itself is read-only; write into a tensor in place
-    (``tensors[name][...] = value``) so that view and buffer stay one datum.
-    A whole-buffer operation on ``flat`` touches every tensor in one pass.
+    ``flat`` is a 1-D float32 or float64 array that holds exactly the values
+    of ``tensor_shapes(config)``, and it is taken as given, not copied;
+    anything else is a :class:`NetworkError`.  The mapping itself is
+    read-only; write into a tensor in place (``params[name][...] = value``)
+    so that view and buffer stay one datum.  A whole-buffer operation on
+    ``flat`` touches every tensor in one pass.  Two parameter sets are equal
+    only when they are the same object.
     """
 
-    def __init__(self, tensors: Mapping[str, np.ndarray]):
-        arrays = {name: np.asarray(value) for name, value in tensors.items()}
-        float32 = bool(arrays) and all(a.dtype == np.float32 for a in arrays.values())
-        self.flat = np.empty(sum(a.size for a in arrays.values()), np.float32 if float32 else np.float64)
-        self.layout = tuple((name, a.shape) for name, a in arrays.items())
-        self._views: dict[str, np.ndarray] = {}
-        offset = 0
-        for name, a in arrays.items():
-            view = self.flat[offset:offset + a.size].reshape(a.shape)
-            view[...] = a
-            self._views[name] = view
-            offset += a.size
+    def __init__(self, config: NetworkConfig, flat: np.ndarray):
+        shapes = tensor_shapes(config)
+        ends = list(accumulate(math.prod(shape) for shape in shapes.values()))  # each tensor's end in ``flat``
+        if not (isinstance(flat, np.ndarray) and flat.ndim == 1 and flat.size == ends[-1]
+                and flat.dtype in (np.float32, np.float64)):
+            got = f"a {flat.dtype} array of shape {flat.shape}" if isinstance(flat, np.ndarray) else type(flat).__name__
+            raise NetworkError(f"parameters of this config are a 1-D float32 or float64 array of {ends[-1]} values, "
+                               f"got {got}")
+        self.config, self.flat = config, flat
+        parts = np.split(flat, ends[:-1])  # views of flat, and so are their reshapes
+        self._views = {name: part.reshape(shape) for (name, shape), part in zip(shapes.items(), parts)}
+
+    __eq__ = object.__eq__  # Mapping's would compare the arrays
+    __hash__ = object.__hash__
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self._views[name]
@@ -144,23 +149,12 @@ class FlatTensors(Mapping):
     def __len__(self) -> int:
         return len(self._views)
 
-    def zeros_like(self) -> "FlatTensors":
-        return FlatTensors({name: np.zeros(shape, self.flat.dtype) for name, shape in self.layout})
+    def zeros_like(self) -> "NetworkParams":
+        return NetworkParams(self.config, np.zeros_like(self.flat))
 
-
-@dataclass(eq=False)
-class NetworkParams:
-    """The network's tensors, in declared order, as one :class:`FlatTensors`.
-
-    ``tensors`` may be given as any mapping of arrays; it is copied into one
-    flat buffer, so every tensor is a view of ``tensors.flat``.
-    """
-
-    config: NetworkConfig
-    tensors: FlatTensors
-
-    def __post_init__(self):
-        self.tensors = FlatTensors(self.tensors)
+    def astype(self, dtype) -> "NetworkParams":
+        """A copy with every value rounded once to ``dtype``."""
+        return NetworkParams(self.config, self.flat.astype(dtype))
 
 
 def init_params(config: NetworkConfig, rng: np.random.Generator) -> NetworkParams:
@@ -179,7 +173,7 @@ def init_params(config: NetworkConfig, rng: np.random.Generator) -> NetworkParam
         else:
             bound = np.sqrt(6.0 / (shape[0] + shape[1]))
             tensors[name] = rng.uniform(-bound, bound, size=shape)
-    return NetworkParams(config, {name: tensors[name] for name in tensor_shapes(config)})
+    return NetworkParams(config, np.concatenate([tensors[name].ravel() for name in tensor_shapes(config)]))
 
 
 @dataclass(eq=False)
@@ -351,8 +345,7 @@ def forward(
         backward() needs.
     """
     cfg = params.config
-    t = params.tensors
-    dtype = t.flat.dtype
+    dtype = params.flat.dtype
     work = Workspace() if work is None else work
     x = np.asarray(features, dtype=dtype)
     if x.ndim != 2 or x.shape[1] != cfg.num_features:
@@ -368,7 +361,7 @@ def forward(
             raise NetworkError(f"decade_index outside [0, {cfg.embedding_rows})")
         x0 = work("x0", (n, cfg.input_dim), dtype)
         x0[:, :cfg.num_features] = x
-        x0[:, cfg.num_features:] = t["embedding"][idx]
+        x0[:, cfg.num_features:] = params["embedding"][idx]
     else:
         idx = None
         x0 = x
@@ -388,18 +381,18 @@ def forward(
         return np.tanh(out, out=out)
 
     x0d = masked("input", x0)
-    h1 = tanh_layer("h1", x0d, t["W1"], t["b1"])
+    h1 = tanh_layer("h1", x0d, params["W1"], params["b1"])
     h1d = masked("h1", h1)
 
     outputs: dict = {}
     cache: dict = {"x0d": x0d, "h1": h1, "h1d": h1d, "masks": masks, "decade_index": idx, "work": work,
                    "outputs": outputs}
     for task in cfg.heads:
-        h2 = tanh_layer(f"{task}_h2", h1d, t[f"{task}_W2"], t[f"{task}_b2"])
+        h2 = tanh_layer(f"{task}_h2", h1d, params[f"{task}_W2"], params[f"{task}_b2"])
         h2d = masked(f"{task}_h2", h2)
-        h3 = tanh_layer(f"{task}_h3", h2d, t[f"{task}_W3"], t[f"{task}_b3"])
+        h3 = tanh_layer(f"{task}_h3", h2d, params[f"{task}_W3"], params[f"{task}_b3"])
         h3d = masked(f"{task}_h3", h3)
-        logits = dense(f"{task}_logits", h3d, t[f"{task}_Wout"], t[f"{task}_bout"])
+        logits = dense(f"{task}_logits", h3d, params[f"{task}_Wout"], params[f"{task}_bout"])
         cache[task] = {"h2": h2, "h2d": h2d, "h3": h3, "h3d": h3d}
         if task == "bmi":
             outputs["bmi"] = logits[:, 0]
@@ -459,23 +452,22 @@ def backward(
     batch: Batch,
     lam_nyhac: float,
     lam_bmi: float,
-    out: FlatTensors | None = None,
-) -> FlatTensors:
+    out: NetworkParams | None = None,
+) -> NetworkParams:
     """Gradients of the mean batch loss for every tensor.
 
     Softmax + cross entropy collapse to (probs - one_hot) at each head.
     Every head of ``params.config.heads`` is walked with its term of
     :func:`objective`, built once per call; a head the loss does not read
     gets exactly zero gradient.  The gradients are written into ``out``
-    (a :class:`FlatTensors` laid out like ``params.tensors``, which
-    ``optim.train`` allocates once per fit) or into a new one, and the
-    temporaries go to the workspace that forward() used.
+    (a :class:`NetworkParams` of ``params.config`` in the dtype of
+    ``params``, which ``optim.train`` allocates once per fit) or into a new
+    one, and the temporaries go to the workspace that forward() used.
     """
     cfg = params.config
-    t = params.tensors
-    dtype = t.flat.dtype
+    dtype = params.flat.dtype
     masks, work = cache["masks"], cache["work"]
-    grads = t.zeros_like() if out is None else out
+    grads = params.zeros_like() if out is None else out
 
     def masked(name: str, value: np.ndarray) -> np.ndarray:
         if masks is not None:
@@ -499,22 +491,22 @@ def backward(
         d_out = _output_delta(task, cache["outputs"], len(batch), terms.get(task))
         np.matmul(c["h3d"].T, d_out, out=grads[f"{task}_Wout"])
         np.sum(d_out, axis=0, out=grads[f"{task}_bout"])
-        d_h3 = masked(f"{task}_h3", matmul("d_h3", d_out, t[f"{task}_Wout"].T))
+        d_h3 = masked(f"{task}_h3", matmul("d_h3", d_out, params[f"{task}_Wout"].T))
         d_z3 = through_tanh("d_z3", d_h3, c["h3"])
         np.matmul(c["h2d"].T, d_z3, out=grads[f"{task}_W3"])
         np.sum(d_z3, axis=0, out=grads[f"{task}_b3"])
-        d_h2 = masked(f"{task}_h2", matmul("d_h2", d_z3, t[f"{task}_W3"].T))
+        d_h2 = masked(f"{task}_h2", matmul("d_h2", d_z3, params[f"{task}_W3"].T))
         d_z2 = through_tanh("d_z2", d_h2, c["h2"])
         np.matmul(cache["h1d"].T, d_z2, out=grads[f"{task}_W2"])
         np.sum(d_z2, axis=0, out=grads[f"{task}_b2"])
-        d_h1d += matmul("d_h1d_part", d_z2, t[f"{task}_W2"].T)
+        d_h1d += matmul("d_h1d_part", d_z2, params[f"{task}_W2"].T)
 
     d_h1 = masked("h1", d_h1d)
     d_z1 = through_tanh("d_h1d_part", d_h1, cache["h1"])  # the head loop is done with that buffer
     np.matmul(cache["x0d"].T, d_z1, out=grads["W1"])
     np.sum(d_z1, axis=0, out=grads["b1"])
     if cfg.use_embedding:
-        d_x0 = masked("input", matmul("d_x0", d_z1, t["W1"].T))
+        d_x0 = masked("input", matmul("d_x0", d_z1, params["W1"].T))
         grads["embedding"].fill(0.0)
         np.add.at(grads["embedding"], cache["decade_index"], d_x0[:, cfg.num_features:])
     return grads
@@ -536,7 +528,7 @@ def save_checkpoint(path, params: NetworkParams, extra: dict | None = None) -> N
     echoes the network config (plus any ``extra`` run settings) so a reader
     can rebuild the shapes.
     """
-    flat = params.tensors.flat
+    flat = params.flat
     header = {"dtype": flat.dtype.name, "network": asdict(params.config)}
     if extra:
         header["extra"] = extra
@@ -584,8 +576,5 @@ def load_checkpoint(path) -> tuple[NetworkParams, dict]:
         raise CheckpointError(f"{path}: truncated tensor {name!r}")
     if len(payload) > nbytes:
         raise CheckpointError(f"{path}: {len(payload) - nbytes} trailing bytes")
-    values = np.frombuffer(payload, dtype=dtype.newbyteorder("<")).astype(dtype, copy=False)
-    # NetworkParams copies these views of the payload into its one buffer
-    params = NetworkParams(config, {name: part.reshape(shape)
-                                    for (name, shape), part in zip(shapes.items(), np.split(values, ends[:-1]))})
+    params = NetworkParams(config, np.frombuffer(payload, dtype=dtype.newbyteorder("<")).astype(dtype))
     return params, header

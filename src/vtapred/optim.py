@@ -7,7 +7,7 @@ derail training.  The recipe is fixed: ``ADADELTA_RHO``, ``ADADELTA_EPS``,
 ``CLIP_LIMIT`` and the dropout keep probability ``KEEP_PROB`` below.
 
 The parameters, the gradients and both accumulators are each one flat
-buffer with the named tensors as views (``network.FlatTensors``), all in the
+buffer that one config lays out (``network.NetworkParams``), all in the
 dtype of the parameter buffer (float32 in a fit, ``network.TRAIN_DTYPE``).
 Clipping, the finite check and the AdaDelta update are therefore one
 vectorised pass each, and the largest gradient one max and one min, element
@@ -24,7 +24,6 @@ from .dataset import write_csv
 from .network import (
     TASKS,
     Batch,
-    FlatTensors,
     NetworkParams,
     Workspace,
     backward,
@@ -53,21 +52,21 @@ def clip(gradient: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 class AdaDeltaState:
     """Moving averages of squared gradients and squared updates, one flat buffer each.
 
-    ``sq_grad`` and ``sq_delta`` are :class:`network.FlatTensors` laid out
-    like the parameters, in their dtype; ``scratch`` holds the two
+    ``sq_grad`` and ``sq_delta`` are :class:`network.NetworkParams` of the
+    parameters' config, in their dtype; ``scratch`` holds the two
     parameter-sized buffers the update works in.
     """
 
     def __init__(self, params: NetworkParams):
-        self.sq_grad = params.tensors.zeros_like()
-        self.sq_delta = params.tensors.zeros_like()
+        self.sq_grad = params.zeros_like()
+        self.sq_delta = params.zeros_like()
         self.scratch = (np.empty_like(self.sq_grad.flat), np.empty_like(self.sq_grad.flat))
 
 
 def adadelta_step(
     state: AdaDeltaState,
     params: NetworkParams,
-    grads: FlatTensors,
+    grads: NetworkParams,
 ) -> None:
     """One in-place AdaDelta update of every parameter, with ``ADADELTA_RHO`` and ``ADADELTA_EPS``.
 
@@ -76,12 +75,12 @@ def adadelta_step(
     accumulate the squared update.  Accumulators stay non-negative by
     construction.  A non-finite gradient is a hard error naming the first
     tensor that holds one, and nothing is updated.  ``grads`` must be a
-    :class:`network.FlatTensors` laid out like ``params.tensors`` and in its
-    dtype (as train's are); any other form is a ``ValueError``.
+    :class:`network.NetworkParams` of ``params.config`` in the dtype of
+    ``params`` (as train's are); any other form is a ``ValueError``.
     """
-    if not (isinstance(grads, FlatTensors) and grads.layout == params.tensors.layout
-            and grads.flat.dtype == params.tensors.flat.dtype):
-        raise ValueError("grads must be a FlatTensors laid out like params.tensors, in its dtype")
+    if not (isinstance(grads, NetworkParams) and grads.config == params.config
+            and grads.flat.dtype == params.flat.dtype):
+        raise ValueError("grads must be a NetworkParams of params.config, in the dtype of params")
     g = grads.flat
     if not np.isfinite(g).all():
         name = next(name for name, value in grads.items() if not np.isfinite(value).all())
@@ -104,7 +103,7 @@ def adadelta_step(
     np.multiply(delta, 1.0 - rho, out=tmp)      # (1 - rho) * delta * delta
     tmp *= delta
     sq_d += tmp
-    params.tensors.flat += delta
+    params.flat += delta
 
 
 def train(
@@ -128,18 +127,18 @@ def train(
 
     Every head of ``params.config.heads`` is computed; a head the loss
     reads that the network does not hold is a ``network.NetworkError``.  The
-    epochs compute in the dtype of ``params.tensors.flat``: the batch's
-    features and BMI targets are cast to it once, and the gradient buffer
+    epochs compute in the dtype of ``params.flat``: the batch's features and
+    BMI targets are cast to it once, and the gradients (of ``params.config``)
     and the activation workspace are allocated once and reused by every
     epoch.  The loss values in the history are float64 either way.
 
     With ``epochs == 0`` the parameters are returned untouched and the
     history is empty.
     """
-    dtype = params.tensors.flat.dtype
+    dtype = params.flat.dtype
     batch = replace(batch, features=np.asarray(batch.features, dtype), y_bmi=np.asarray(batch.y_bmi, dtype))
     state = AdaDeltaState(params)
-    grads = params.tensors.zeros_like()
+    grads = params.zeros_like()
     g = grads.flat
     work = Workspace()
     history: list[dict[str, float]] = []

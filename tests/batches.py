@@ -1,10 +1,10 @@
-"""Hand-built training batches, and parameters at a chosen precision, for the network, optimizer and acceptance tests."""
+"""Hand-built training batches for the network, optimizer and acceptance tests."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from vtapred.network import Batch, NetworkConfig, NetworkParams
+from vtapred.network import Batch, NetworkConfig
 
 
 def make_batch(features, decade_index, y_vta, y_nyhac=None, y_bmi=None) -> Batch:
@@ -39,7 +39,3 @@ def random_batch(rng, config: NetworkConfig, n: int, with_aux: bool = True) -> B
     ]
     return make_batch(*zip(*rows))
 
-
-def at_dtype(params: NetworkParams, dtype) -> NetworkParams:
-    """A copy of ``params`` with every value cast to ``dtype``, as ``evaluation.fit_model`` casts a fit's."""
-    return NetworkParams(params.config, {name: value.astype(dtype) for name, value in params.tensors.items()})

@@ -27,7 +27,7 @@ from vtapred import CVConfig, load_dataset, metrics, predict, prepare_records, r
 from vtapred.cli import main as cli_main
 from vtapred.evaluation import ABLATION_ROWS, DROPOUT_STREAM, INIT_STREAM, auc, build_examples, score
 from vtapred.features import band_power, fit_standardizer
-from vtapred.network import NetworkConfig, NetworkParams, backward, forward, init_params
+from vtapred.network import NetworkConfig, backward, forward, init_params
 from vtapred.optim import AdaDeltaState, adadelta_step, train
 from vtapred.synthetic import gaussian_task
 
@@ -51,7 +51,7 @@ def test_criterion_1_gradient_correctness():
 
     _, cache = forward(params, batch.features, batch.decade_index)
     analytic = backward(params, cache, batch, 1.0, 1.0)
-    numeric = stacked_finite_difference_grads(config, params.tensors, batch, eps=1e-5)
+    numeric = stacked_finite_difference_grads(config, params, batch, eps=1e-5)
     err = max_relative_error(analytic, numeric)
     elapsed = time.perf_counter() - started
     ok = err < 1e-4 and elapsed < 60.0
@@ -61,37 +61,42 @@ def test_criterion_1_gradient_correctness():
 
 
 def test_criterion_2_optimizer_recursion_oracle():
-    """1000 random scalar steps vs the closed-form recursion, plus the worked step."""
+    """1000 random scalar steps vs the closed-form recursion, plus the worked step.
+
+    Each step runs on one value, ``flat[0]``, of a real network's parameters;
+    every other gradient is 0.
+    """
     rng = np.random.default_rng(77)
-    cfg = NetworkConfig(num_features=1, use_embedding=False)
+    zeros = init_params(NetworkConfig(num_features=1, use_embedding=False), np.random.default_rng(0)).zeros_like()
     worst = 0.0
     for _ in range(1000):
         g = float(rng.normal(0.0, 1.0))
         eg2 = float(rng.uniform(0.0, 0.5))
         ed2 = float(rng.uniform(0.0, 0.5))
         x0 = float(rng.normal(0.0, 1.0))
-        params = NetworkParams(cfg, {"w": np.array([x0])})
+        params = zeros.zeros_like()
+        params.flat[0] = x0
         state = AdaDeltaState(params)
-        state.sq_grad["w"][0] = eg2
-        state.sq_delta["w"][0] = ed2
-        grads = params.tensors.zeros_like()
-        grads["w"][0] = g
+        state.sq_grad.flat[0] = eg2
+        state.sq_delta.flat[0] = ed2
+        grads = params.zeros_like()
+        grads.flat[0] = g
         adadelta_step(state, params, grads)
         dx_want, eg2_want, ed2_want = adadelta_scalar_step(g, eg2, ed2)
         for got, want in (
-            (params.tensors["w"][0] - x0, dx_want),
-            (state.sq_grad["w"][0], eg2_want),
-            (state.sq_delta["w"][0], ed2_want),
+            (params.flat[0] - x0, dx_want),
+            (state.sq_grad.flat[0], eg2_want),
+            (state.sq_delta.flat[0], ed2_want),
         ):
             denom = max(abs(got), abs(want), 1e-300)
             worst = max(worst, abs(got - want) / denom)
 
-    params = NetworkParams(cfg, {"w": np.zeros(1)})
+    params = zeros.zeros_like()
     state = AdaDeltaState(params)
-    grads = params.tensors.zeros_like()
-    grads["w"][0] = 0.1
+    grads = params.zeros_like()
+    grads.flat[0] = 0.1
     adadelta_step(state, params, grads)
-    first_step = params.tensors["w"][0]
+    first_step = params.flat[0]
     worked_ok = abs(first_step - (-4.468e-3)) < 5e-7  # 4 significant figures
     ok = worst < 1e-12 and worked_ok
     verdict(2, "optimizer recursion oracle", ok,

@@ -46,4 +46,4 @@ def test_traced_child_runs(command, tacho_dataset, tmp_path):
     assert expected_spans <= {json.loads(line)["name"] for line in spans}
     if command == "train":
         params, header = load_checkpoint(tmp_path / "out")
-        assert params.tensors.flat.dtype == np.float32 and header["dtype"] == "float32"
+        assert params.flat.dtype == np.float32 and header["dtype"] == "float32"

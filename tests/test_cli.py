@@ -345,9 +345,9 @@ class TestTrainCommand:
             np.random.default_rng([5, INIT_STREAM, 0]),
         )
         assert params.config == expected.config
-        assert params.tensors.flat.dtype == TRAIN_DTYPE
-        for name in expected.tensors:  # the fit's precision: the float64 draw rounded once
-            np.testing.assert_array_equal(params.tensors[name], expected.tensors[name].astype(TRAIN_DTYPE))
+        assert params.flat.dtype == TRAIN_DTYPE
+        for name in expected:  # the fit's precision: the float64 draw rounded once
+            np.testing.assert_array_equal(params[name], expected[name].astype(TRAIN_DTYPE))
         assert list(header["extra"]) == ["settings"]
         assert header["extra"]["settings"]["seed"] == 5
 
@@ -384,8 +384,8 @@ class TestTrainCommand:
         want, _, _ = fit_model(cohort, np.arange(len(cohort)), cv, 4, fold=0)
         got, _ = load_checkpoint(out)
         assert got.config == want.config
-        assert got.tensors.flat.dtype == want.tensors.flat.dtype
-        assert got.tensors.flat.tobytes() == want.tensors.flat.tobytes()
+        assert got.flat.dtype == want.flat.dtype
+        assert got.flat.tobytes() == want.flat.tobytes()
 
 
 @pytest.fixture(scope="module")

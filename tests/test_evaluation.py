@@ -44,7 +44,7 @@ from vtapred.evaluation import (
     write_report_csv,
 )
 from vtapred.features import feature_names
-from vtapred.network import TASKS, TRAIN_DTYPE, NetworkConfig, NetworkParams, init_params
+from vtapred.network import TASKS, TRAIN_DTYPE, NetworkConfig, init_params
 from vtapred.optim import TrainingError, train
 
 # patients as the class codes of their records, 78 in each: 135 event/control
@@ -441,7 +441,7 @@ class TestRunCV:
     def test_training_error_names_its_fold(self, gaussian200, fold_2_fails):
         with pytest.raises(TrainingError) as caught:
             run_cv(gaussian200, quick_config(epochs=2), seed=0)
-        assert str(caught.value) == "fold 2: non-finite loss at epoch 0"
+        assert str(caught.value) == "seed 0, fold 2: non-finite loss at epoch 0"
 
 
 class TestFitModel:
@@ -452,8 +452,7 @@ class TestFitModel:
         """The same fit on a network holding all three heads, at the fit's precision."""
         net = NetworkConfig(num_features=cohort.X.shape[1], num_decades=cohort.num_decades,
                             use_embedding=config.use_embedding)
-        initial = init_params(net, np.random.default_rng([seed, INIT_STREAM, fold]))
-        params = NetworkParams(net, {name: value.astype(TRAIN_DTYPE) for name, value in initial.tensors.items()})
+        params = init_params(net, np.random.default_rng([seed, INIT_STREAM, fold])).astype(TRAIN_DTYPE)
         batch = build_examples(cohort, train_idx, *standardizers)
         return train(batch, config, params, np.random.default_rng([seed, DROPOUT_STREAM, fold]))
 
@@ -466,16 +465,16 @@ class TestFitModel:
         heads = TASKS if row == ROW_MULTI_TASK else ("vta",)
         assert params.config.heads == heads
         skipped = tuple(f"{task}_" for task in TASKS if task not in heads)
-        assert list(params.tensors) == [name for name in full.tensors if not name.startswith(skipped)]
-        for name, tensor in params.tensors.items():
-            assert np.array_equal(tensor, full.tensors[name]), name
+        assert list(params) == [name for name in full if not name.startswith(skipped)]
+        for name, tensor in params.items():
+            assert np.array_equal(tensor, full[name]), name
         assert history == full_history
 
     def test_trains_in_float32(self, gaussian200):
         _, config = ablation_config(ROW_MULTI_TASK, quick_config(epochs=3))
         params, history, _ = fit_model(gaussian200, np.arange(len(gaussian200)), config, seed=0, fold=0)
         assert TRAIN_DTYPE is np.float32
-        assert params.tensors.flat.dtype == np.float32
+        assert params.flat.dtype == np.float32
         assert all(type(value) is float for row in history for value in row.values())
 
     def test_cohort_without_functional_class_trains_event_and_bmi_heads(self, gaussian200):
@@ -486,9 +485,9 @@ class TestFitModel:
             params, _, standardizers = fit_model(cohort, train_idx, config, seed=1, fold=0)
             full, _ = self.full_heads_twin(cohort, train_idx, config, standardizers, 1, 0)
             assert params.config.heads == ("vta", "bmi")
-            assert list(params.tensors) == [name for name in full.tensors if not name.startswith("nyhac_")]
-            for name, tensor in params.tensors.items():
-                assert np.array_equal(tensor, full.tensors[name]), (epochs, name)
+            assert list(params) == [name for name in full if not name.startswith("nyhac_")]
+            for name, tensor in params.items():
+                assert np.array_equal(tensor, full[name]), (epochs, name)
 
 
 class TestAblationConfig:
@@ -600,8 +599,24 @@ class TestRunAblation:
         records, patients = prepared_records
         with pytest.raises(TrainingError) as caught:
             run_ablation(records, patients, CVConfig(epochs=2, k_folds=3), seeds=[0], jobs=jobs)
-        assert str(caught.value) == "fold 2: non-finite loss at epoch 0"
+        assert str(caught.value) == "row 'baseline', seed 0, fold 2: non-finite loss at epoch 0"
         assert len(recording_pool) == (jobs > 1)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_training_error_names_the_first_failing_item_in_grid_order(self, prepared_records, recording_pool,
+                                                                        monkeypatch, jobs):
+        fit_model = evaluation.fit_model
+
+        def failing_fit_model(cohort, train_idx, config, seed, fold):
+            if config.use_embedding and seed == 3 and fold >= 1:
+                raise TrainingError("non-finite loss at epoch 0")
+            return fit_model(cohort, train_idx, config, seed, fold)
+
+        monkeypatch.setattr(evaluation, "fit_model", failing_fit_model)
+        records, patients = prepared_records
+        with pytest.raises(TrainingError) as caught:
+            run_ablation(records, patients, CVConfig(epochs=2, k_folds=3), seeds=[0, 3], jobs=jobs)
+        assert str(caught.value) == "row 'age_embedding', seed 3, fold 1: non-finite loss at epoch 0"
 
     def test_pool_workers_compute_with_one_blas_thread(self, monkeypatch):
         # the benchmark's probe of numpy's bundled OpenBLAS is the getter

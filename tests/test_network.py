@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from batches import at_dtype, make_batch, random_batch
+from batches import make_batch, random_batch
 from oracles import (
     _reference_masks,
     finite_difference_grads,
@@ -49,8 +49,12 @@ def small_config(**overrides) -> NetworkConfig:
     return NetworkConfig(**base)
 
 
+def parameter_count(config: NetworkConfig) -> int:
+    return sum(math.prod(shape) for shape in tensor_shapes(config).values())
+
+
 def zero_params(config: NetworkConfig) -> NetworkParams:
-    return NetworkParams(config, {k: np.zeros(s) for k, s in tensor_shapes(config).items()})
+    return NetworkParams(config, np.zeros(parameter_count(config)))
 
 
 def rewrite_header(path, edit) -> None:
@@ -118,7 +122,8 @@ class TestForward:
         cfg = small_config()
         params = init_params(cfg, rng)
         part_cfg = small_config(heads=tasks)
-        part_params = NetworkParams(part_cfg, {name: params.tensors[name] for name in tensor_shapes(part_cfg)})
+        kept = [params[name].ravel() for name in tensor_shapes(part_cfg)]
+        part_params = NetworkParams(part_cfg, np.concatenate(kept))
         x = rng.random((9, 4))
         idx = rng.integers(0, 3, 9)
         masks = draw_dropout_masks(cfg, 9, 0.75, np.random.default_rng(4))
@@ -142,25 +147,25 @@ class TestInit:
         cfg = small_config()
         a = init_params(cfg, np.random.default_rng(7))
         b = init_params(cfg, np.random.default_rng(7))
-        assert a.tensors.keys() == b.tensors.keys()
-        for name in a.tensors:
-            np.testing.assert_array_equal(a.tensors[name], b.tensors[name])
+        assert a.keys() == b.keys()
+        for name in a:
+            np.testing.assert_array_equal(a[name], b[name])
 
     def test_different_seeds_differ(self):
         cfg = small_config()
         a = init_params(cfg, np.random.default_rng(7))
         b = init_params(cfg, np.random.default_rng(8))
-        assert any(not np.array_equal(a.tensors[n], b.tensors[n]) for n in a.tensors)
+        assert any(not np.array_equal(a[n], b[n]) for n in a)
 
     def test_biases_start_at_zero(self, rng):
         params = init_params(small_config(), rng)
-        for name, tensor in params.tensors.items():
+        for name, tensor in params.items():
             if name.endswith(("b1", "b2", "b3", "bout")):
                 assert not tensor.any()
 
     def test_embedding_rows_bounded(self, rng):
         params = init_params(small_config(), rng)
-        emb = params.tensors["embedding"]
+        emb = params["embedding"]
         assert emb.shape == (3, 3)
         assert np.abs(emb).max() <= 0.05
 
@@ -170,22 +175,61 @@ class TestInit:
         for name, shape in tensor_shapes(cfg).items():
             if len(shape) == 2 and name != "embedding":
                 bound = math.sqrt(6.0 / (shape[0] + shape[1]))
-                assert np.abs(params.tensors[name]).max() <= bound
+                assert np.abs(params[name]).max() <= bound
 
     def test_tensors_are_views_of_one_buffer_that_copy_detaches(self, rng):
         params = init_params(small_config(), rng)
-        flat = params.tensors.flat
-        assert flat.size == sum(t.size for t in params.tensors.values())
-        for tensor in params.tensors.values():
+        flat = params.flat
+        assert flat.size == sum(t.size for t in params.values())
+        for tensor in params.values():
             assert np.shares_memory(tensor, flat)
-        params.tensors["W1"][0, 0] = 7.0
+        params["W1"][0, 0] = 7.0
         assert 7.0 in flat
-        twin = NetworkParams(params.config, params.tensors)
-        assert not np.shares_memory(twin.tensors.flat, flat)
-        twin.tensors["W1"][0, 0] = -7.0
-        assert params.tensors["W1"][0, 0] == 7.0
-        for name in params.tensors:
-            assert np.shares_memory(twin.tensors[name], twin.tensors.flat)
+        assert NetworkParams(params.config, flat)["W1"][0, 0] == 7.0  # the buffer is taken, not copied
+        twin = params.astype(flat.dtype)
+        assert not np.shares_memory(twin.flat, flat)
+        twin["W1"][0, 0] = -7.0
+        assert params["W1"][0, 0] == 7.0
+        for name in params:
+            assert np.shares_memory(twin[name], twin.flat)
+
+    @pytest.mark.parametrize("case", ["short", "long", "2-D", "int64", "float16", "big-endian", "list", "tensors",
+                                      "other-tensors"])
+    def test_only_the_config_layout_in_one_float_buffer_is_taken(self, case):
+        cfg = small_config()
+        size = parameter_count(cfg)
+        flat = {
+            "short": np.zeros(size - 1),
+            "long": np.zeros(size + 1),
+            "2-D": np.zeros((1, size)),
+            "int64": np.zeros(size, np.int64),
+            "float16": np.zeros(size, np.float16),
+            "big-endian": np.zeros(size, np.dtype(np.float64).newbyteorder("S")),
+            "list": [0.0] * size,
+            "tensors": dict(zero_params(cfg)),
+            # once accepted, and saved as a file that would not load: "truncated tensor 'W1'"
+            "other-tensors": {"w": np.zeros(1)},
+        }[case]
+        with pytest.raises(NetworkError, match=f"1-D float32 or float64 array of {size} values"):
+            NetworkParams(cfg, flat)
+
+    def test_astype_rounds_each_value_once_into_a_new_buffer(self):
+        values = init_params(small_config(), np.random.default_rng(7))
+        values.flat[:] += 1e-9  # values that float32 does not hold
+        for dtype in (np.float32, np.float64):
+            cast = values.astype(dtype)
+            assert cast.config == values.config and cast.flat.dtype == dtype
+            assert not np.shares_memory(cast.flat, values.flat)
+            for name in values:
+                assert cast[name].dtype == dtype
+                assert np.array_equal(cast[name], values[name].astype(dtype)), (dtype, name)
+        assert not np.array_equal(values.astype(np.float32).flat, values.flat)
+
+    def test_parameter_sets_are_equal_only_to_themselves(self, rng):
+        params = init_params(small_config(), rng)
+        assert params == params and hash(params) == hash(params)
+        assert params != params.astype(params.flat.dtype)
+        assert len({params, params.zeros_like()}) == 2
 
     def test_numpy_integers_are_sizes(self):
         config = small_config(num_features=np.int64(4), num_decades=np.int32(2), use_embedding=np.bool_(True),
@@ -206,10 +250,10 @@ class TestInit:
         full = init_params(small_config(), np.random.default_rng(7))
         for heads in (("vta",), ("vta", "nyhac"), ("vta", "bmi")):
             part = init_params(small_config(heads=heads), np.random.default_rng(7))
-            assert list(part.tensors) == [name for name in full.tensors if not name.startswith(
+            assert list(part) == [name for name in full if not name.startswith(
                 tuple(f"{task}_" for task in TASKS if task not in heads))]
-            for name in part.tensors:
-                assert np.array_equal(part.tensors[name], full.tensors[name]), (heads, name)
+            for name in part:
+                assert np.array_equal(part[name], full[name]), (heads, name)
 
 
 class TestLoss:
@@ -343,7 +387,7 @@ class TestBackward:
 
             _, cache = forward(params, batch.features, batch.decade_index, masks)
             analytic = backward(params, cache, batch, lam_n, lam_b)
-            numeric = finite_difference_grads(loss_fn, params.tensors)
+            numeric = finite_difference_grads(loss_fn, params)
             worst = max(worst, max_relative_error(analytic, numeric))
         assert worst < 1e-4
 
@@ -358,8 +402,8 @@ class TestBackward:
             outputs, _ = forward(params, batch.features, batch.decade_index)
             return loss(outputs, batch, 0.5, 2.0)[0]
 
-        one_entry = finite_difference_grads(loss_fn, params.tensors)
-        stacked = stacked_finite_difference_grads(cfg, params.tensors, batch, 0.5, 2.0, block=7)
+        one_entry = finite_difference_grads(loss_fn, params)
+        stacked = stacked_finite_difference_grads(cfg, params, batch, 0.5, 2.0, block=7)
         assert list(stacked) == list(one_entry)
         assert max_relative_error(stacked, one_entry) < 1e-6
 
@@ -404,11 +448,11 @@ class TestBackward:
         for seed in (2024, 1, 2, 3):
             rng = np.random.default_rng(seed)
             config = NetworkConfig(num_features=7, num_decades=6, use_embedding=True)
-            values = at_dtype(init_params(config, rng), np.float32)
+            values = init_params(config, rng).astype(np.float32)
             batch = random_batch(rng, config, 50)
             grads = {}
-            for params in (values, at_dtype(values, np.float64)):
-                dtype = params.tensors.flat.dtype
+            for params in (values, values.astype(np.float64)):
+                dtype = params.flat.dtype
                 masks = draw_dropout_masks(config, 50, keep_prob, np.random.default_rng(seed), dtype=dtype)
                 _, cache = forward(params, batch.features, batch.decade_index, masks)
                 grads[dtype] = backward(params, cache, batch, 1.0, 1.0).flat
@@ -430,10 +474,10 @@ class TestBackward:
         monkeypatch.setattr(optim, "KEEP_PROB", 1.0)
         cfg = small_config()
         params = init_params(cfg, rng)
-        before = params.tensors["embedding"].copy()
+        before = params["embedding"].copy()
         batch = make_batch(rng.random((8, 4)), [2] * 8, rng.integers(0, 2, 8))
         train(batch, CVConfig(epochs=30), params, np.random.default_rng(5))
-        after = params.tensors["embedding"]
+        after = params["embedding"]
         np.testing.assert_array_equal(after[0], before[0])
         np.testing.assert_array_equal(after[1], before[1])
         assert not np.array_equal(after[2], before[2])
@@ -557,8 +601,8 @@ class TestWorkspace:
         cfg = small_config()
         batch = random_batch(rng, cfg, 6)
         values = init_params(cfg, rng)
-        for params in (at_dtype(values, np.float32), values, at_dtype(values, np.float32)):
-            dtype = params.tensors.flat.dtype
+        for params in (values.astype(np.float32), values, values.astype(np.float32)):
+            dtype = params.flat.dtype
             masks = draw_dropout_masks(cfg, 6, 0.75, np.random.default_rng(1), work, dtype)
             outputs, cache = forward(params, batch.features, batch.decade_index, masks, work)
             grads = backward(params, cache, batch, 1.0, 1.0)
@@ -605,19 +649,28 @@ class TestPredict:
 class TestCheckpoint:
     def test_round_trip_is_exact(self, rng, tmp_path):
         for dtype, heads in itertools.product((np.float64, np.float32), (TASKS, ("vta",), ("vta", "bmi"))):
-            params = at_dtype(init_params(small_config(heads=heads), rng), dtype)
+            params = init_params(small_config(heads=heads), rng).astype(dtype)
             path = tmp_path / "model.ckpt"
             save_checkpoint(path, params, extra={"seed": 7})
             loaded, header = load_checkpoint(path)
             assert loaded.config == params.config
-            assert loaded.tensors.flat.dtype == dtype
+            assert loaded.flat.dtype == dtype
             assert header["dtype"] == np.dtype(dtype).name and header["dtype"] in CHECKPOINT_DTYPES
-            assert path.read_bytes().endswith(params.tensors.flat.astype(np.dtype(dtype).newbyteorder("<")).tobytes())
+            assert path.read_bytes().endswith(params.flat.astype(np.dtype(dtype).newbyteorder("<")).tobytes())
             assert header["network"]["heads"] == list(heads)
-            assert list(loaded.tensors) == list(params.tensors)
-            for name in params.tensors:
-                np.testing.assert_array_equal(loaded.tensors[name], params.tensors[name])
+            assert list(loaded) == list(params)
+            for name in params:
+                np.testing.assert_array_equal(loaded[name], params[name])
             assert header["extra"] == {"seed": 7}
+
+    def test_loaded_buffer_is_a_writable_copy_of_the_payload(self, rng, tmp_path):
+        path = tmp_path / "model.ckpt"
+        for dtype in (np.float64, np.float32):
+            save_checkpoint(path, init_params(small_config(), rng).astype(dtype))
+            loaded, _ = load_checkpoint(path)
+            assert loaded.flat.flags.writeable and loaded.flat.flags.owndata
+            loaded["W1"][0, 0] = 3.0
+            assert 3.0 in loaded.flat
 
     @pytest.mark.parametrize("network", [
         {"num_features": 0},
@@ -679,11 +732,11 @@ class TestCheckpoint:
 
     def test_rejects_truncated_tensors(self, rng, tmp_path):
         for dtype in (np.float64, np.float32):
-            params = at_dtype(init_params(small_config(), rng), dtype)
+            params = init_params(small_config(), rng).astype(dtype)
             path = tmp_path / "model.ckpt"
             save_checkpoint(path, params)
             data = path.read_bytes()
-            for cut, name in ((16, "bmi_Wout"), (3, "bmi_bout"), (params.tensors.flat.nbytes, "embedding")):
+            for cut, name in ((16, "bmi_Wout"), (3, "bmi_bout"), (params.flat.nbytes, "embedding")):
                 path.write_bytes(data[:-cut])
                 with pytest.raises(CheckpointError, match=f"truncated tensor '{name}'"):
                     load_checkpoint(path)
@@ -701,7 +754,7 @@ class TestCheckpoint:
 
     def test_rejects_trailing_bytes(self, rng, tmp_path):
         for dtype in (np.float64, np.float32):
-            params = at_dtype(init_params(small_config(), rng), dtype)
+            params = init_params(small_config(), rng).astype(dtype)
             path = tmp_path / "model.ckpt"
             save_checkpoint(path, params)
             data = path.read_bytes()

@@ -1,28 +1,40 @@
 """Optimizer tests: clipping, the AdaDelta recursion, the training loop."""
 
+import math
+
 import numpy as np
 import pytest
 
-from batches import at_dtype, make_batch, random_batch
+from batches import make_batch, random_batch
 from oracles import adadelta_scalar_step, train_reference
 from vtapred import CVConfig, TrainingError
 from vtapred import optim
 from vtapred.evaluation import ABLATION_ROWS, ablation_config
 from vtapred.network import (
-    Batch, FlatTensors, NetworkConfig, NetworkParams, draw_dropout_masks, forward, init_params,
+    Batch, NetworkConfig, NetworkParams, draw_dropout_masks, forward, init_params, tensor_shapes,
 )
 from vtapred.optim import AdaDeltaState, adadelta_step, clip, train, write_loss_history
 
 
-def tiny_params(values: dict[str, np.ndarray]) -> NetworkParams:
-    """Wrap bare tensors so the optimizer can iterate them."""
-    cfg = NetworkConfig(num_features=1, use_embedding=False)
-    return NetworkParams(cfg, values)
+def zeros_of(config: NetworkConfig) -> NetworkParams:
+    """Parameters of ``config`` that are all 0."""
+    return NetworkParams(config, np.zeros(sum(math.prod(shape) for shape in tensor_shapes(config).values())))
 
 
-def grads_like(params: NetworkParams, **values) -> FlatTensors:
+def tiny_params(b1) -> NetworkParams:
+    """A tiny real network, one shared unit per value of ``b1`` and the event head alone; its other values are 0.
+
+    ``vta_bout``, two values, is its last tensor.
+    """
+    b1 = np.asarray(b1, dtype=float)
+    params = zeros_of(NetworkConfig(num_features=1, use_embedding=False, hidden=(b1.size, 1, 1), heads=("vta",)))
+    params["b1"][...] = b1
+    return params
+
+
+def grads_like(params: NetworkParams, **values) -> NetworkParams:
     """Gradients in the parameters' layout: zero except the named tensors."""
-    grads = params.tensors.zeros_like()
+    grads = params.zeros_like()
     for name, value in values.items():
         grads[name][...] = value
     return grads
@@ -54,84 +66,91 @@ class TestClip:
 
 class TestAdaDeltaStep:
     def test_first_step_worked_value(self):
-        params = tiny_params({"w": np.zeros(1)})
+        params = tiny_params(np.zeros(1))
         state = AdaDeltaState(params)
-        adadelta_step(state, params, grads_like(params, w=[0.1]))
+        adadelta_step(state, params, grads_like(params, b1=[0.1]))
         # E[g2] = 0.05 * 0.01 = 5e-4; dx = -sqrt(1e-6)/sqrt(5.01e-4) * 0.1
-        assert params.tensors["w"][0] == pytest.approx(-4.468e-3, abs=5e-7)
-        assert state.sq_grad["w"][0] == pytest.approx(5e-4, rel=1e-12)
+        assert params["b1"][0] == pytest.approx(-4.468e-3, abs=5e-7)
+        assert state.sq_grad["b1"][0] == pytest.approx(5e-4, rel=1e-12)
 
     def test_matches_scalar_oracle_over_many_steps(self, rng):
-        params = tiny_params({"w": rng.normal(0.0, 1.0, 8)})
+        params = tiny_params(rng.normal(0.0, 1.0, 8))
         state = AdaDeltaState(params)
         eg2 = np.zeros(8)
         ed2 = np.zeros(8)
-        x = params.tensors["w"].copy()
+        x = params["b1"].copy()
         for _ in range(200):
             g = rng.normal(0.0, 0.3, 8)
-            adadelta_step(state, params, grads_like(params, w=g))
+            adadelta_step(state, params, grads_like(params, b1=g))
             for i in range(8):
                 dx, eg2[i], ed2[i] = adadelta_scalar_step(g[i], eg2[i], ed2[i])
                 x[i] += dx
-            np.testing.assert_allclose(params.tensors["w"], x, rtol=1e-12)
-            np.testing.assert_allclose(state.sq_grad["w"], eg2, rtol=1e-12)
-            np.testing.assert_allclose(state.sq_delta["w"], ed2, rtol=1e-12)
+            np.testing.assert_allclose(params["b1"], x, rtol=1e-12)
+            np.testing.assert_allclose(state.sq_grad["b1"], eg2, rtol=1e-12)
+            np.testing.assert_allclose(state.sq_delta["b1"], ed2, rtol=1e-12)
 
     def test_zero_gradient_leaves_params_alone(self, rng):
-        params = tiny_params({"w": rng.normal(0.0, 1.0, 5)})
-        before = params.tensors["w"].copy()
+        params = tiny_params(rng.normal(0.0, 1.0, 5))
+        before = params["b1"].copy()
         state = AdaDeltaState(params)
-        state.sq_grad["w"][:] = 0.25
-        state.sq_delta["w"][:] = 0.04
+        state.sq_grad["b1"][:] = 0.25
+        state.sq_delta["b1"][:] = 0.04
         adadelta_step(state, params, grads_like(params))
-        np.testing.assert_array_equal(params.tensors["w"], before)
+        np.testing.assert_array_equal(params["b1"], before)
         # accumulators decay toward zero by rho
-        np.testing.assert_allclose(state.sq_grad["w"], 0.95 * 0.25, rtol=1e-12)
-        np.testing.assert_allclose(state.sq_delta["w"], 0.95 * 0.04, rtol=1e-12)
+        np.testing.assert_allclose(state.sq_grad["b1"], 0.95 * 0.25, rtol=1e-12)
+        np.testing.assert_allclose(state.sq_delta["b1"], 0.95 * 0.04, rtol=1e-12)
 
     def test_non_finite_gradient_names_the_tensor(self, rng):
-        params = tiny_params({"w": np.zeros(3), "v": np.zeros(2)})
+        params = tiny_params(np.zeros(3))
         state = AdaDeltaState(params)
-        grads = grads_like(params, v=[0.1, np.nan])
-        with pytest.raises(TrainingError, match="non-finite gradient in tensor 'v'"):
+        grads = grads_like(params, vta_bout=[0.1, np.nan])
+        with pytest.raises(TrainingError, match="non-finite gradient in tensor 'vta_bout'"):
             adadelta_step(state, params, grads)
 
     def test_accumulators_stay_non_negative(self, rng):
-        params = tiny_params({"w": np.zeros(6)})
+        params = tiny_params(np.zeros(6))
         state = AdaDeltaState(params)
         for _ in range(50):
-            adadelta_step(state, params, grads_like(params, w=rng.normal(0.0, 1.0, 6)))
-            assert (state.sq_grad["w"] >= 0.0).all()
-            assert (state.sq_delta["w"] >= 0.0).all()
+            adadelta_step(state, params, grads_like(params, b1=rng.normal(0.0, 1.0, 6)))
+            assert (state.sq_grad["b1"] >= 0.0).all()
+            assert (state.sq_delta["b1"] >= 0.0).all()
 
     def test_recipe_comes_from_the_module_constants(self, rng, monkeypatch):
         # non-default constants prove the step reads them at call time, not baked-in literals
         monkeypatch.setattr(optim, "ADADELTA_RHO", 0.9)
         monkeypatch.setattr(optim, "ADADELTA_EPS", 1e-4)
-        params = tiny_params({"w": rng.normal(0.0, 1.0, 4)})
+        params = tiny_params(rng.normal(0.0, 1.0, 4))
         state = AdaDeltaState(params)
-        eg2, ed2, x = np.zeros(4), np.zeros(4), params.tensors["w"].copy()
+        eg2, ed2, x = np.zeros(4), np.zeros(4), params["b1"].copy()
         for _ in range(20):
             g = rng.normal(0.0, 0.3, 4)
-            adadelta_step(state, params, grads_like(params, w=g))
+            adadelta_step(state, params, grads_like(params, b1=g))
             for i in range(4):
                 dx, eg2[i], ed2[i] = adadelta_scalar_step(g[i], eg2[i], ed2[i], rho=0.9, eps=1e-4)
                 x[i] += dx
-            np.testing.assert_allclose(params.tensors["w"], x, rtol=1e-12)
-            np.testing.assert_allclose(state.sq_grad["w"], eg2, rtol=1e-12)
-            np.testing.assert_allclose(state.sq_delta["w"], ed2, rtol=1e-12)
+            np.testing.assert_allclose(params["b1"], x, rtol=1e-12)
+            np.testing.assert_allclose(state.sq_grad["b1"], eg2, rtol=1e-12)
+            np.testing.assert_allclose(state.sq_delta["b1"], ed2, rtol=1e-12)
 
     def test_rejects_a_dict_of_gradients(self):
-        params = tiny_params({"w": np.zeros(2)})
-        with pytest.raises(ValueError, match="laid out like params"):
-            adadelta_step(AdaDeltaState(params), params, {"w": np.zeros(2)})
+        params = tiny_params(np.zeros(2))
+        with pytest.raises(ValueError, match="grads must be a NetworkParams of params.config"):
+            adadelta_step(AdaDeltaState(params), params, dict(params.zeros_like()))
 
-    @pytest.mark.parametrize("layout", [{"w": np.zeros(3)}, {"v": np.zeros(2)}, {"w": np.zeros(2), "v": np.zeros(1)}])
+    # the tiny network has hidden=(2, 1, 1): 13 values
+    @pytest.mark.parametrize("layout", [
+        {"hidden": (3, 1, 1)},
+        {"hidden": (1, 2, 1)},  # as many values, other widths
+        {"hidden": (2, 1, 1), "heads": ("vta", "bmi")},
+        {"hidden": (2, 1, 1), "num_features": 2},
+    ])
     def test_rejects_a_mismatched_layout(self, layout):
-        params = tiny_params({"w": np.zeros(2)})
-        with pytest.raises(ValueError, match="laid out like params"):
-            adadelta_step(AdaDeltaState(params), params, FlatTensors(layout))
-        assert not params.tensors.flat.any()
+        params = tiny_params(np.zeros(2))
+        other = zeros_of(NetworkConfig(**{"num_features": 1, "use_embedding": False, "heads": ("vta",), **layout}))
+        with pytest.raises(ValueError, match="grads must be a NetworkParams of params.config"):
+            adadelta_step(AdaDeltaState(params), params, other)
+        assert not params.flat.any()
 
 
 def separable_batch(n: int = 60, seed: int = 4) -> Batch:
@@ -154,16 +173,16 @@ class TestTrain:
             trained, history = train(batch, cfg, params, np.random.default_rng(9))
             runs.append((trained, history))
         a, b = runs
-        for name in a[0].tensors:
-            np.testing.assert_array_equal(a[0].tensors[name], b[0].tensors[name])
+        for name in a[0]:
+            np.testing.assert_array_equal(a[0][name], b[0][name])
         assert a[1] == b[1]
 
     def test_zero_epochs_is_identity(self, rng):
         params = init_params(self._config(), rng)
-        before = {k: v.copy() for k, v in params.tensors.items()}
+        before = {k: v.copy() for k, v in params.items()}
         trained, history = train(separable_batch(), CVConfig(epochs=0), params, rng)
         assert history == []
-        for name, tensor in trained.tensors.items():
+        for name, tensor in trained.items():
             np.testing.assert_array_equal(tensor, before[name])
 
     def test_loss_decreases_end_to_end(self, rng, monkeypatch):
@@ -183,7 +202,7 @@ class TestTrain:
 
     def test_non_finite_loss_reports_epoch(self, rng):
         params = init_params(self._config(), rng)
-        params.tensors["W1"][0, 0] = np.nan
+        params["W1"][0, 0] = np.nan
         with pytest.raises(TrainingError, match="non-finite loss at epoch 0"):
             train(separable_batch(), CVConfig(epochs=5), params, rng)
 
@@ -214,13 +233,13 @@ class TestTrainMatchesReference:
         rng = np.random.default_rng(31)
         batch = random_batch(rng, net, 40)
         params = init_params(net, rng)
-        want, want_history = train_reference(batch, cv, net, dict(params.tensors), np.random.default_rng(8),
+        want, want_history = train_reference(batch, cv, net, dict(params), np.random.default_rng(8),
                                              keep_prob)
         got, history = train(batch, cv, params, np.random.default_rng(8))
         assert history == want_history
-        assert list(got.tensors) == list(want)
+        assert list(got) == list(want)
         for name, tensor in want.items():
-            assert np.array_equal(got.tensors[name], tensor), name
+            assert np.array_equal(got[name], tensor), name
 
     def test_keep_prob_comes_from_the_module_constant(self, monkeypatch):
         # a non-default constant proves train reads it at call time, not a baked-in literal
@@ -238,14 +257,14 @@ class TestTrainMatchesReference:
         rng = np.random.default_rng(31)
         batch = random_batch(rng, net, 40)
         params = init_params(net, rng)
-        want, want_history = train_reference(batch, cfg, net, dict(params.tensors), np.random.default_rng(8), 1.0)
+        want, want_history = train_reference(batch, cfg, net, dict(params), np.random.default_rng(8), 1.0)
         dropout_rng = np.random.default_rng(8)
         got, history = train(batch, cfg, params, dropout_rng)
         assert drawn == [(1.0, None)] * 8  # no masks, and the generator is never drawn from
         assert dropout_rng.random() == np.random.default_rng(8).random()
         assert history == want_history
         for name, tensor in want.items():
-            assert np.array_equal(got.tensors[name], tensor), name
+            assert np.array_equal(got[name], tensor), name
 
 
 class TestTrainPrecision:
@@ -256,12 +275,12 @@ class TestTrainPrecision:
         net = NetworkConfig(num_features=9, num_decades=5, use_embedding=True)
         rng = np.random.default_rng(31)
         batch = random_batch(rng, net, 40)
-        start32 = at_dtype(init_params(net, rng), np.float32)
-        start64 = at_dtype(start32, np.float64)  # train updates its params in place
+        start32 = init_params(net, rng).astype(np.float32)
+        start64 = start32.astype(np.float64)  # train updates its params in place
         rng32, rng64 = np.random.default_rng(8), np.random.default_rng(8)
         got, history32 = train(batch, cv, start32, rng32)
         want, history64 = train(batch, cv, start64, rng64)
-        assert got.tensors.flat.dtype == np.float32 and want.tensors.flat.dtype == np.float64
+        assert got.flat.dtype == np.float32 and want.flat.dtype == np.float64
         assert rng32.random() == rng64.random()
         for column in ("loss", "vta_loss", "nyhac_loss", "bmi_loss"):
             a = np.array([row[column] for row in history32])
@@ -271,9 +290,9 @@ class TestTrainPrecision:
         np.testing.assert_allclose([row["loss"] for row in history32], [row["loss"] for row in history64], rtol=1e-6)
 
     def test_gradients_in_another_dtype_rejected(self):
-        params = at_dtype(tiny_params({"w": np.zeros(2)}), np.float32)
-        with pytest.raises(ValueError, match="in its dtype"):
-            adadelta_step(AdaDeltaState(params), params, FlatTensors({"w": np.zeros(2)}))
+        params = tiny_params(np.zeros(2)).astype(np.float32)
+        with pytest.raises(ValueError, match="in the dtype of params"):
+            adadelta_step(AdaDeltaState(params), params, params.astype(np.float64))
         assert AdaDeltaState(params).sq_grad.flat.dtype == np.float32
 
 
