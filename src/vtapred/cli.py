@@ -214,7 +214,7 @@ def dataset_checksum(tachogram_dir, metadata_file) -> str:
     return digest.hexdigest()
 
 
-def write_manifest(path, args, settings: dict, seed_list, n_records: int) -> None:
+def write_manifest(path, args, settings: dict, seed_list, n_records: int, checksum: str) -> None:
     manifest = {
         "tool": "vtapred",
         "version": __version__,
@@ -222,7 +222,7 @@ def write_manifest(path, args, settings: dict, seed_list, n_records: int) -> Non
         "dataset": {
             "tachograms": str(args.data_dir),
             "metadata": str(args.metadata),
-            "checksum_sha256": dataset_checksum(args.data_dir, args.metadata),
+            "checksum_sha256": checksum,
             "records_used": n_records,
         },
         "seeds": list(seed_list),
@@ -253,6 +253,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_ablate(args: argparse.Namespace) -> int:
     settings, cv, records, patients, paths = _prepare(args)
+    checksum = dataset_checksum(args.data_dir, args.metadata)  # the bytes the grid reads, not those left after it
     seed_list = list(range(settings["seed"], settings["seed"] + settings["seeds"]))
 
     report = run_ablation(records, patients, cv, seeds=seed_list, jobs=settings["jobs"])
@@ -265,7 +266,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     paths["/predictions"].mkdir(exist_ok=True)
     for (row, seed), probs in report.probs.items():
         write_predictions_csv(paths["/predictions"] / f"{row}_seed{seed}.csv", report.record_ids, report.labels, probs)
-    write_manifest(paths["/manifest.json"], args, settings, seed_list, len(records))
+    write_manifest(paths["/manifest.json"], args, settings, seed_list, len(records), checksum)
     sys.stdout.write(table)
     return 0
 

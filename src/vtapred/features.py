@@ -130,6 +130,9 @@ def band_power(times_s, intervals_ms, bands) -> np.ndarray:
     mean-subtracted intervals is evaluated on the points
     ``lo + k * FREQ_GRID_STEP_HZ`` in ``(lo, hi]`` and integrated with the
     trapezoid rule.  An all-equal sequence has no power anywhere and gives 0.
+    Each series is mean-centred but not detrended, so a slow drift or a rate
+    ramp inside the series (such as the 30 beats of ``RECENT_BEATS``) reads
+    as LF power.
     ``bands`` other than a non-empty sequence of such pairs of real numbers
     is a :class:`FeatureError`, on any series.
 
@@ -159,8 +162,6 @@ def band_power(times_s, intervals_ms, bands) -> np.ndarray:
     if t.shape != x.shape:
         raise FeatureError("beat times and intervals must have the same length")
     flat = np.ptp(x, axis=-1) == 0
-    if flat.all():
-        return np.zeros(x.shape[:-1] + (len(grid),))
     pgrams = _lomb_scargle(t, x - x.mean(axis=-1, keepdims=True), grid)
     power = np.stack([FREQ_GRID_STEP_HZ * (p.sum(axis=-1) - 0.5 * (p[..., 0] + p[..., -1])) for p in pgrams], axis=-1)
     return np.where(flat[..., None], 0.0, power)
@@ -370,6 +371,8 @@ def baseline11(intervals_ms, times_s) -> tuple[float, ...]:
     :func:`band_power`); uses every beat of it rather than only the recent
     window.  pNN50 counts successive differences strictly greater than 50 ms;
     the LF/HF ratio is defined as 0 when there is no HF power at all.
+    RMSSD, pNN50 and SD1/SD2 difference the filtered series, so the beats on
+    either side of a removed beat count as one successive pair.
     """
     x = np.asarray(intervals_ms, dtype=float)
     # sample entropy (m=2) needs 4 beats, SD2 needs 3; 4 covers everything
@@ -447,7 +450,7 @@ def extract(records, feature_set: str | Sequence[str]) -> np.ndarray:
         recent[:, 1:3] = band_power(window_s, window_ms, (LF_BAND, HF_BAND))
         recent[:, 3] = window_ms.min(axis=1)
         recent[:, 4] = window_ms.max(axis=1)
-    X = np.concatenate([np.empty((len(records), 0)), *blocks.values()], axis=1)
+    X = np.concatenate(list(blocks.values()), axis=1)
     bad = np.argwhere(~np.isfinite(X))
     if bad.size:
         row, column = bad[0]

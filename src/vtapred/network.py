@@ -81,6 +81,9 @@ class NetworkConfig:
             raise NetworkError("embed_dim must be >= 1")
         if len(self.hidden) != 3 or any(h < 1 for h in self.hidden):
             raise NetworkError("hidden must be three positive layer widths")
+        # stored as plain Python values, so that save_checkpoint can write the config as JSON
+        for name, kind in (("num_features", int), ("use_embedding", bool), ("num_decades", int), ("embed_dim", int)):
+            object.__setattr__(self, name, kind(getattr(self, name)))
         object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
         object.__setattr__(self, "heads", tuple(self.heads))
         if self.heads[:1] != ("vta",) or self.heads != tuple(t for t in TASKS if t in self.heads):
@@ -134,8 +137,8 @@ class NetworkParams(Mapping):
             raise NetworkError(f"parameters of this config are a 1-D float32 or float64 array of {ends[-1]} values, "
                                f"got {got}")
         self.config, self.flat = config, flat
-        parts = np.split(flat, ends[:-1])  # views of flat, and so are their reshapes
-        self._views = {name: part.reshape(shape) for (name, shape), part in zip(shapes.items(), parts)}
+        self._views = {name: flat[end - math.prod(shape):end].reshape(shape)  # views of flat
+                       for (name, shape), end in zip(shapes.items(), ends)}
 
     __eq__ = object.__eq__  # Mapping's would compare the arrays
     __hash__ = object.__hash__

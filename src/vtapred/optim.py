@@ -92,18 +92,17 @@ def adadelta_step(
     np.multiply(g, 1.0 - rho, out=tmp)          # (1 - rho) * g * g
     tmp *= g
     sq_g += tmp
-    np.add(sq_d, eps, out=delta)                # -(sqrt(sq_d + eps) / sqrt(sq_g + eps)) * g
+    np.add(sq_d, eps, out=delta)                # sqrt(sq_d + eps) / sqrt(sq_g + eps) * g, subtracted below
     np.sqrt(delta, out=delta)
     np.add(sq_g, eps, out=tmp)
     np.sqrt(tmp, out=tmp)
     delta /= tmp
-    np.negative(delta, out=delta)
     delta *= g
     sq_d *= rho
     np.multiply(delta, 1.0 - rho, out=tmp)      # (1 - rho) * delta * delta
     tmp *= delta
     sq_d += tmp
-    params.flat += delta
+    params.flat -= delta
 
 
 def train(

@@ -837,6 +837,23 @@ class TestDatasetChecksum:
         tachogram.write_bytes(tachogram.read_bytes() + b"800.0\n")
         assert dataset_checksum(tacho_dir, metadata) != before
 
+    def test_ablate_manifest_names_the_bytes_the_grid_read(self, tmp_path, monkeypatch):
+        tacho_dir, metadata = write_tachogram_dataset(tmp_path, n_event=4, n_control=4, seed=1)
+        before = dataset_checksum(tacho_dir, metadata)
+        tachogram = tacho_dir / "r002.txt"
+
+        def run_then_edit(*args, **kwargs):  # a tachogram edited while the grid runs
+            report = run_ablation(*args, **kwargs)
+            tachogram.write_bytes(tachogram.read_bytes() + b"800.0\n")
+            return report
+
+        monkeypatch.setattr("vtapred.cli.run_ablation", run_then_edit)
+        out = tmp_path / "grid"
+        assert run("ablate", "--data-dir", str(tacho_dir), "--metadata", str(metadata), "--out", str(out),
+                   "--epochs", "1", "--seeds", "1", "--k-folds", "2") == 0
+        assert dataset_checksum(tacho_dir, metadata) != before
+        assert json.loads((out / "manifest.json").read_text())["dataset"]["checksum_sha256"] == before
+
     def test_name_and_content_boundary_counts(self, tmp_path):
         # r1.txt holding 1800 and r1.txt1 holding 800 run together into the same bytes, yet load as other records
         metadata = tmp_path / "metadata.csv"

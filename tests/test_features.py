@@ -148,6 +148,13 @@ class TestBandPower:
     def test_constant_sequence_is_exactly_zero(self):
         x = np.full(30, 800.0)
         assert band_power(beat_times(x), x, (LF_BAND, HF_BAND)).tolist() == [0.0, 0.0]
+        # 812.3 ms rows keep a residue of about 2e-13 ms after centring; a flat row still gives exactly 0
+        stack = np.full((3, 30), 812.3)
+        times = beat_times(stack.ravel()).reshape(stack.shape)
+        power = band_power(times, stack, (LF_BAND, HF_BAND))
+        assert power.tolist() == [[0.0, 0.0]] * 3
+        for row in range(3):
+            assert power[row].tolist() == band_power(times[row], stack[row], (LF_BAND, HF_BAND)).tolist()
 
     def test_low_frequency_tone_lands_in_lf(self):
         x = modulated_tachogram(0.10)

@@ -5,7 +5,7 @@ import json
 import math
 import struct
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -231,10 +231,17 @@ class TestInit:
         assert params != params.astype(params.flat.dtype)
         assert len({params, params.zeros_like()}) == 2
 
-    def test_numpy_integers_are_sizes(self):
+    def test_numpy_integers_are_sizes(self, tmp_path):
         config = small_config(num_features=np.int64(4), num_decades=np.int32(2), use_embedding=np.bool_(True),
-                              hidden=(np.int64(5), 4, np.int16(3)))
+                              embed_dim=np.int8(3), hidden=(np.int64(5), 4, np.int16(3)))
         assert config == small_config()
+        # stored as plain values, so that the config saves as JSON
+        assert [type(getattr(config, f.name)) for f in fields(config)] == [int, bool, int, int, tuple, tuple]
+        params = init_params(config, np.random.default_rng(7))
+        save_checkpoint(tmp_path / "net.ckpt", params)
+        loaded, _ = load_checkpoint(tmp_path / "net.ckpt")
+        assert loaded.config == config
+        assert loaded.flat.dtype == params.flat.dtype and loaded.flat.tobytes() == params.flat.tobytes()
 
     def test_embedding_needs_vocabulary(self):
         with pytest.raises(NetworkError, match="no decades"):
