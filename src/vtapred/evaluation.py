@@ -136,13 +136,10 @@ def metrics(labels, probs) -> dict[str, float]:
     Returns accuracy, sensitivity, specificity and precision along with the
     raw counts.  When nothing is predicted positive, precision is 0 and the
     ``no_positive_predictions`` flag is set instead of dividing by zero.  A
-    label other than 0 or 1, or a NaN probability, is an
-    :class:`EvaluationError`, as in :func:`auc`.
+    label other than 0 or 1, a NaN probability, or other than one
+    probability per label is an :class:`EvaluationError`, as in :func:`auc`.
     """
-    labels = _class_codes(labels, "metrics need")
-    probs = np.asarray(probs, dtype=float)
-    if np.isnan(probs).any():
-        raise EvaluationError("metrics need probabilities that are not NaN")
+    labels, probs = _scored(labels, probs, "metrics need")
     pred = probs >= DECISION_THRESHOLD
     tp = int(np.sum(pred & (labels == 1)))
     fp = int(np.sum(pred & (labels == 0)))
@@ -162,25 +159,33 @@ def metrics(labels, probs) -> dict[str, float]:
 
 def auc(labels, probs) -> float:
     """Rank-based AUC with ties counted half, equal to the trapezoidal ROC area."""
-    labels = _class_codes(labels, "AUC needs")
-    probs = np.asarray(probs, dtype=float)
+    labels, probs = _scored(labels, probs, "AUC needs")
     n_pos = int(np.sum(labels == 1))
     n_neg = int(np.sum(labels == 0))
     if n_pos == 0 or n_neg == 0:
         raise EvaluationError("AUC needs at least one record of each class")
-    if np.isnan(probs).any():
-        raise EvaluationError("AUC needs probabilities that are not NaN")
     ranks = _average_ranks(probs)
     u = float(ranks[labels == 1].sum()) - n_pos * (n_pos + 1) / 2.0
     return u / (n_pos * n_neg)
 
 
-def _class_codes(labels, needs: str) -> np.ndarray:
-    """``labels`` as an int array; a label other than 0 or 1 is an error that begins with ``needs``."""
+def _scored(labels, probs, needs: str) -> tuple[np.ndarray, np.ndarray]:
+    """``labels`` as an int array and ``probs`` as a float one, of one shape.
+
+    A label other than 0 or 1, a NaN probability, or a count of
+    probabilities other than one per label is an error that begins with
+    ``needs``.
+    """
     codes = np.asarray(labels)
     if not np.isin(codes, (0, 1)).all():
         raise EvaluationError(f"{needs} labels that are 0 or 1")
-    return codes.astype(int)
+    probs = np.asarray(probs, dtype=float)
+    if probs.shape != codes.shape:
+        raise EvaluationError(f"{needs} one probability per label, got {codes.size} labels "
+                              f"and {probs.size} probabilities")
+    if np.isnan(probs).any():
+        raise EvaluationError(f"{needs} probabilities that are not NaN")
+    return codes.astype(int), probs
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:

@@ -18,11 +18,14 @@ float64 values; a fit rounds them once to ``TRAIN_DTYPE`` with
 of its config (``NetworkConfig.heads``; a fit gives it the heads its loss
 reads, :func:`objective`).  forward() and backward() walk those heads and write
 their activations and temporaries into a :class:`Workspace` that a caller can
-keep from one epoch to the next.  The dropout masks are cut from one stream
-of 16-bit lanes of the generator's raw output, four keep decisions per
-64-bit word, drawn in row chunks that read the same stream as one whole
-draw (:func:`draw_dropout_masks`); so a training epoch holds the masks, the
-activations and the gradients, and no (batch × every layer width) block.
+keep from one epoch to the next.  The dropout masks are boolean keep
+decisions cut from one stream of 16-bit lanes of the generator's raw
+output, four per 64-bit word, drawn in row chunks that read the same stream
+as one whole draw (:func:`draw_dropout_masks`).  The dropped branch
+activations live in one scratch array per layer width, which backward()
+refills from the cached activations.  So a training epoch holds one byte
+per mask unit, each activation once, and the gradients, and no
+(batch × every layer width) block.
 
 Everything here is plain numpy; training lives in ``optim``.
 """
@@ -220,10 +223,11 @@ class Workspace:
     fresh Workspace allocates exactly what one call needs; one that the caller
     keeps (``optim.train`` keeps one per fit) makes later calls with the same
     batch size write into the same memory.  What one training epoch keeps
-    here grows with the batch only through the masks, the activations and
-    the backward temporaries; the random lanes behind the masks are drawn
-    one chunk of at most ``DROPOUT_BLOCK_VALUES`` lanes (or four rows) at a
-    time.
+    here grows with the batch only through the boolean masks (one byte per
+    unit), the activations (each held once, beside the dropped input and
+    shared layer and one dropped scratch per branch layer width) and the
+    backward temporaries; the random lanes behind the masks are drawn one
+    chunk of at most ``DROPOUT_BLOCK_VALUES`` lanes (or four rows) at a time.
     """
 
     def __init__(self):
@@ -254,23 +258,39 @@ def objective(batch: Batch, lam_nyhac: float, lam_bmi: float) -> dict[str, tuple
     return {task: head for task, head in heads.items() if head[1].any()}
 
 
+class DropoutMasks(dict):
+    """Boolean keep masks by layer name, and ``scale``, the inverse keep probability.
+
+    :meth:`apply` gives a kept unit ``fl(h * scale)`` and a dropped one
+    ``±0``, the products with an inverted-dropout mask of 0 and ``scale``.
+    """
+
+    def __init__(self, masks: dict[str, np.ndarray], scale: float):
+        super().__init__(masks)
+        self.scale = scale
+
+    def apply(self, name: str, value: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``value * scale * mask`` of layer ``name``, in that order, into ``out`` (which may be ``value``)."""
+        np.multiply(value, self.scale, out=out)
+        return np.multiply(out, self[name], out=out)
+
+
 def draw_dropout_masks(
     config: NetworkConfig,
     n: int,
     keep_prob: float,
     rng: np.random.Generator,
     work: Workspace | None = None,
-    dtype=np.float64,
-) -> dict[str, np.ndarray] | None:
-    """Fresh inverted-dropout masks for a batch: entries are 0 or 1/keep_prob, in ``dtype``.
+) -> DropoutMasks | None:
+    """Fresh inverted-dropout masks for a batch: boolean keep decisions, with ``scale = 1 / keep_prob``.
 
     One mask row per example per layer; with keep_prob == 1 no masking is
     needed and None is returned.  Behind the masks is one (n, width of all
     eight layers) block of 16-bit lanes, taken in row-major order from the
     raw 64-bit outputs of ``rng.bit_generator`` read as little-endian uint16,
     four keep decisions per output.  So the stream depends neither on
-    ``config.heads`` nor on ``dtype`` nor on the platform, and masks of
-    either dtype drawn from one seed keep the same units.  A unit is kept
+    ``config.heads`` nor on the platform, and networks of either dtype
+    trained from one seed drop the same units.  A unit is kept
     when its lane is below ``ceil(keep_prob * 2**16)``: the keep probability
     is keep_prob rounded up to a step of 2**-16, exact for 0.75.  The block
     is never held whole: it is drawn in chunks of a multiple of four rows, at
@@ -278,8 +298,8 @@ def draw_dropout_masks(
     every chunk but the last ends on a whole output and the chunks read the
     same stream as one whole draw; the lanes past the last row are dropped.
     Each chunk is compared straight into the masks.  Only the masks of the
-    shared layers and of those heads' branches are built, each C-contiguous,
-    in ``work`` when one is given.
+    shared layers and of those heads' branches are built, each a C-contiguous
+    bool array, in ``work`` when one is given.
     """
     if not 0.0 < keep_prob <= 1.0:
         raise NetworkError("keep_prob must be in (0, 1]")
@@ -296,16 +316,14 @@ def draw_dropout_masks(
         if held:
             columns[name] = slice(offset, offset + w)
         offset += w
-    masks = {name: work(f"mask_{name}", (n, cols.stop - cols.start), dtype) for name, cols in columns.items()}
+    masks = DropoutMasks({name: work(f"mask_{name}", (n, cols.stop - cols.start), bool)
+                          for name, cols in columns.items()}, 1.0 / keep_prob)
     for start in range(0, n, rows):
         count = min(rows, n - start)
         words = rng.bit_generator.random_raw(-(-count * width // 4))
         lanes = words.astype("<u8", copy=False).view("<u2")[:count * width].reshape(count, width)
         for name, cols in columns.items():
             np.less(lanes[:, cols], threshold, out=masks[name][start:start + count])
-    scale = 1.0 / keep_prob  # keep * fl(1/p) equals the division keep / p exactly
-    for mask in masks.values():
-        mask *= scale
     return masks
 
 
@@ -324,7 +342,7 @@ def forward(
     params: NetworkParams,
     features,
     decade_index=None,
-    masks: dict[str, np.ndarray] | None = None,
+    masks: DropoutMasks | None = None,
     work: Workspace | None = None,
 ) -> tuple[dict, dict]:
     """Run the network on a batch, through every head it holds.
@@ -345,7 +363,11 @@ def forward(
         (outputs, cache) where outputs has ``vta_probs`` and ``vta_logits``,
         ``nyhac_probs`` and ``nyhac_logits``, and ``bmi`` for the heads of
         ``params.config.heads``, and cache holds them and the activations
-        backward() needs.
+        backward() needs: each layer's output, and the dropped input and
+        shared layer.  Each head writes its dropped activations into the
+        one scratch array of their width.
+
+    A batch of zero rows is a :class:`NetworkError`, as for :class:`Batch`.
     """
     cfg = params.config
     dtype = params.flat.dtype
@@ -354,6 +376,8 @@ def forward(
     if x.ndim != 2 or x.shape[1] != cfg.num_features:
         raise NetworkError(f"expected {cfg.num_features} features per row of a 2-D matrix, got {x.shape}")
     n = x.shape[0]
+    if n == 0:
+        raise NetworkError("cannot run the network on zero examples")
     if cfg.use_embedding:
         if decade_index is None:
             raise NetworkError("decade_index is required when the embedding is enabled")
@@ -369,10 +393,10 @@ def forward(
         idx = None
         x0 = x
 
-    def masked(name: str, value: np.ndarray) -> np.ndarray:
+    def masked(name: str, value: np.ndarray, slot: str) -> np.ndarray:
         if masks is None:
             return value
-        return np.multiply(value, masks[name], out=work(f"{name}_dropped", value.shape, dtype))
+        return masks.apply(name, value, work(slot, value.shape, dtype))
 
     def dense(name: str, inputs: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
         out = np.matmul(inputs, weights, out=work(name, (n, weights.shape[1]), dtype))
@@ -383,20 +407,20 @@ def forward(
         out = dense(name, inputs, weights, bias)
         return np.tanh(out, out=out)
 
-    x0d = masked("input", x0)
+    x0d = masked("input", x0, "x0d")
     h1 = tanh_layer("h1", x0d, params["W1"], params["b1"])
-    h1d = masked("h1", h1)
+    h1d = masked("h1", h1, "h1d")
 
     outputs: dict = {}
     cache: dict = {"x0d": x0d, "h1": h1, "h1d": h1d, "masks": masks, "decade_index": idx, "work": work,
                    "outputs": outputs}
     for task in cfg.heads:
         h2 = tanh_layer(f"{task}_h2", h1d, params[f"{task}_W2"], params[f"{task}_b2"])
-        h2d = masked(f"{task}_h2", h2)
+        h2d = masked(f"{task}_h2", h2, "h2d")
         h3 = tanh_layer(f"{task}_h3", h2d, params[f"{task}_W3"], params[f"{task}_b3"])
-        h3d = masked(f"{task}_h3", h3)
+        h3d = masked(f"{task}_h3", h3, "h3d")
         logits = dense(f"{task}_logits", h3d, params[f"{task}_Wout"], params[f"{task}_bout"])
-        cache[task] = {"h2": h2, "h2d": h2d, "h3": h3, "h3d": h3d}
+        cache[task] = {"h2": h2, "h3": h3}
         if task == "bmi":
             outputs["bmi"] = logits[:, 0]
         else:
@@ -465,17 +489,21 @@ def backward(
     gets exactly zero gradient.  The gradients are written into ``out``
     (a :class:`NetworkParams` of ``params.config`` in the dtype of
     ``params``, which ``optim.train`` allocates once per fit) or into a new
-    one, and the temporaries go to the workspace that forward() used.
+    one, and the temporaries go to the workspace that forward() used.  Each
+    head's dropped activations are recomputed from its cached ones, as
+    forward() computed them, into the same scratch arrays, which then take
+    that head's ``d_z3`` and ``d_z2``; the cache itself is only read.
     """
     cfg = params.config
     dtype = params.flat.dtype
     masks, work = cache["masks"], cache["work"]
     grads = params.zeros_like() if out is None else out
 
-    def masked(name: str, value: np.ndarray) -> np.ndarray:
-        if masks is not None:
-            value *= masks[name]
-        return value
+    def masked(name: str, value: np.ndarray, slot: str | None = None) -> np.ndarray:
+        """``value`` through the dropout of layer ``name``: into the workspace array ``slot``, or in place."""
+        if masks is None:
+            return value
+        return masks.apply(name, value, value if slot is None else work(slot, value.shape, dtype))
 
     def through_tanh(name: str, d_h: np.ndarray, h: np.ndarray) -> np.ndarray:
         """d_h * (1 - h**2), into the workspace array ``name``."""
@@ -492,14 +520,14 @@ def backward(
     for task in cfg.heads:
         c = cache[task]
         d_out = _output_delta(task, cache["outputs"], len(batch), terms.get(task))
-        np.matmul(c["h3d"].T, d_out, out=grads[f"{task}_Wout"])
+        np.matmul(masked(f"{task}_h3", c["h3"], "h3d").T, d_out, out=grads[f"{task}_Wout"])
         np.sum(d_out, axis=0, out=grads[f"{task}_bout"])
         d_h3 = masked(f"{task}_h3", matmul("d_h3", d_out, params[f"{task}_Wout"].T))
-        d_z3 = through_tanh("d_z3", d_h3, c["h3"])
-        np.matmul(c["h2d"].T, d_z3, out=grads[f"{task}_W3"])
+        d_z3 = through_tanh("h3d", d_h3, c["h3"])  # the dropped h3 was last read above
+        np.matmul(masked(f"{task}_h2", c["h2"], "h2d").T, d_z3, out=grads[f"{task}_W3"])
         np.sum(d_z3, axis=0, out=grads[f"{task}_b3"])
         d_h2 = masked(f"{task}_h2", matmul("d_h2", d_z3, params[f"{task}_W3"].T))
-        d_z2 = through_tanh("d_z2", d_h2, c["h2"])
+        d_z2 = through_tanh("h2d", d_h2, c["h2"])  # and the dropped h2 here
         np.matmul(cache["h1d"].T, d_z2, out=grads[f"{task}_W2"])
         np.sum(d_z2, axis=0, out=grads[f"{task}_b2"])
         d_h1d += matmul("d_h1d_part", d_z2, params[f"{task}_W2"].T)

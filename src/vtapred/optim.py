@@ -143,7 +143,7 @@ def train(
     history: list[dict[str, float]] = []
     aux = config.aux_weight
     for epoch in range(config.epochs):
-        masks = draw_dropout_masks(params.config, len(batch), KEEP_PROB, rng, work, dtype)
+        masks = draw_dropout_masks(params.config, len(batch), KEEP_PROB, rng, work)
         outputs, cache = forward(params, batch.features, batch.decade_index, masks, work)
         total, parts = loss(outputs, batch, aux, aux)
         if not np.isfinite(total):

@@ -255,7 +255,7 @@ def max_relative_error(analytic: dict, numeric: dict, floor: float = 1e-5) -> fl
 
 
 def _reference_masks(net, n, keep_prob, rng):
-    """All eight inverted-dropout masks, cut in layer order from one block of 16-bit lanes.
+    """All eight boolean keep masks, cut in layer order from one block of 16-bit lanes.
 
     The lanes are one whole draw of raw 64-bit generator outputs, each read as
     four little-endian uint16 values; a unit is kept when its lane is below
@@ -273,7 +273,7 @@ def _reference_masks(net, n, keep_prob, rng):
     keep = lanes < math.ceil(keep_prob * 65536)
     masks, offset = {}, 0
     for name, width in widths:
-        masks[name] = keep[:, offset:offset + width] / keep_prob
+        masks[name] = keep[:, offset:offset + width]
         offset += width
     return masks
 
@@ -362,7 +362,8 @@ def train_reference(batch, config, net, tensors: dict, rng, keep_prob) -> tuple[
     aux = AUX_WEIGHT if config.multi_task else 0.0
     history = []
     for epoch in range(config.epochs):
-        masks = _reference_masks(net, batch.features.shape[0], keep_prob, rng)
+        keep = _reference_masks(net, batch.features.shape[0], keep_prob, rng)
+        masks = None if keep is None else {name: k / keep_prob for name, k in keep.items()}  # inverted dropout
         parts, grads = _reference_epoch(net, t, batch, masks, aux, aux)
         grads = {name: np.clip(g, -limit, limit) for name, g in grads.items()}
         max_grad = max(float(np.max(np.abs(g))) for g in grads.values())

@@ -286,6 +286,12 @@ class TestMetrics:
         with pytest.raises(EvaluationError, match="labels that are 0 or 1"):
             metrics(labels, [0.1, 0.9, 0.9])
 
+    @pytest.mark.parametrize("probs", [[0.9], [0.9, 0.1, 0.2, 0.7]], ids=["fewer", "more"])
+    def test_one_probability_per_label_required(self, probs):
+        # unchecked, one probability broadcast over three labels read accuracy 2/3
+        with pytest.raises(EvaluationError, match=f"3 labels and {len(probs)} probabilities"):
+            metrics([0, 1, 1], probs)
+
     def test_half_probability_counts_positive(self):
         out = metrics(np.array([1, 0]), np.array([0.5, 0.5]))
         assert out["tp"] == 1 and out["fp"] == 1
@@ -356,6 +362,12 @@ class TestAuc:
     def test_nan_probability_rejected(self):
         with pytest.raises(EvaluationError, match="not NaN"):
             auc([1, 0, 1], [0.3, float("nan"), 0.4])
+
+    @pytest.mark.parametrize("probs", [[0.9], [0.9, 0.1, 0.2, 0.7]], ids=["fewer", "more"])
+    def test_one_probability_per_label_required(self, probs):
+        # unchecked, fewer probabilities raised a bare IndexError from the ranks
+        with pytest.raises(EvaluationError, match=f"3 labels and {len(probs)} probabilities"):
+            auc([0, 1, 1], probs)
 
     @pytest.mark.parametrize("labels", [[0, 1, -1], [0, 1, 2], [0, 1, 0.5]])
     def test_label_outside_the_two_classes_rejected(self, labels):

@@ -26,6 +26,7 @@ from vtapred.network import (
     DROPOUT_BLOCK_VALUES,
     TASKS,
     CheckpointError,
+    DropoutMasks,
     NetworkConfig,
     NetworkParams,
     Workspace,
@@ -110,6 +111,13 @@ class TestForward:
         params = init_params(small_config(), rng)
         with pytest.raises(NetworkError, match="decade_index outside"):
             forward(params, np.zeros((1, 4)), decade_index=np.array([3]))
+
+    @pytest.mark.parametrize("use_embedding", [True, False], ids=["embedding", "no-embedding"])
+    def test_zero_rows_rejected(self, rng, use_embedding):
+        cfg = small_config(use_embedding=use_embedding, num_decades=2 if use_embedding else 0)
+        params = init_params(cfg, rng)
+        with pytest.raises(NetworkError, match="zero examples"):
+            forward(params, np.zeros((0, 4)), np.zeros(0, dtype=int))
 
     def test_decade_batch_length_checked(self, rng):
         params = init_params(small_config(), rng)
@@ -420,7 +428,7 @@ class TestBackward:
         batch = random_batch(rng, cfg, 3)
         masks = draw_dropout_masks(cfg, 3, 0.75, rng)
         j = 2
-        masks["input"][:, j] = 0.0
+        masks["input"][:, j] = False
         _, cache = forward(params, batch.features, batch.decade_index, masks)
         grads = backward(params, cache, batch, 1.0, 1.0)
         assert not grads["W1"][j, :].any()
@@ -460,7 +468,7 @@ class TestBackward:
             grads = {}
             for params in (values, values.astype(np.float64)):
                 dtype = params.flat.dtype
-                masks = draw_dropout_masks(config, 50, keep_prob, np.random.default_rng(seed), dtype=dtype)
+                masks = draw_dropout_masks(config, 50, keep_prob, np.random.default_rng(seed))
                 _, cache = forward(params, batch.features, batch.decade_index, masks)
                 grads[dtype] = backward(params, cache, batch, 1.0, 1.0).flat
             got, want = grads[np.dtype(np.float32)], grads[np.dtype(np.float64)]
@@ -541,10 +549,10 @@ class TestDropoutMasks:
         assert decisions > 10**6
         assert abs(kept / decisions - p) < 5 * math.sqrt(p * (1 - p) / decisions)
 
-    def test_tiny_keep_prob_gives_zero_or_its_inverse(self, rng):
+    def test_tiny_keep_prob_scales_by_its_inverse(self, rng):
         masks = draw_dropout_masks(small_config(), 50, 1e-7, rng)
-        for mask in masks.values():
-            assert set(np.unique(mask).tolist()) <= {0.0, 1e7}
+        assert masks.scale == 1.0 / 1e-7
+        assert {mask.dtype for mask in masks.values()} == {np.dtype(bool)}
 
     def test_draw_holds_no_block_beside_the_masks(self):
         cfg = NetworkConfig(num_features=26, num_decades=5, use_embedding=True)
@@ -556,28 +564,31 @@ class TestDropoutMasks:
         finally:
             tracemalloc.stop()
         mask_bytes = sum(mask.nbytes for mask in masks.values())
-        assert mask_bytes == n * 516 * 8
+        assert mask_bytes == n * 516  # one byte per keep decision
         assert peak < mask_bytes + 2 * 2**20
 
-    def test_float32_masks_keep_the_same_units(self):
-        cfg = small_config()
-        n = int(3.25 * (DROPOUT_BLOCK_VALUES // sum(width for _, width, _ in dropout_layout(cfg))))
-        rng32, rng64 = np.random.default_rng(3), np.random.default_rng(3)
-        masks32 = draw_dropout_masks(cfg, n, 0.75, rng32, Workspace(), np.float32)
-        masks64 = draw_dropout_masks(cfg, n, 0.75, rng64, Workspace())
-        assert list(masks32) == list(masks64)
-        for name, mask in masks32.items():
-            assert mask.dtype == np.float32 and masks64[name].dtype == np.float64
-            assert np.array_equal(mask != 0, masks64[name] != 0), name
-            assert np.array_equal(mask, masks64[name].astype(np.float32)), name
-        assert rng32.random() == rng64.random()
+    @pytest.mark.parametrize("keep_prob", [0.75, 0.6])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_apply_gives_the_bytes_of_a_float_mask(self, rng, dtype, keep_prob):
+        # scale first, keep mask second: fl(h * scale) where kept and h * 0 (its sign kept) where
+        # dropped, byte for byte the product with an inverted-dropout mask of 0 and 1/keep_prob
+        masks = draw_dropout_masks(small_config(), 50, keep_prob, rng)
+        for name, keep in masks.items():
+            value = rng.standard_normal(keep.shape).astype(dtype)
+            value[0] = -0.0
+            float_mask = keep.astype(dtype)
+            float_mask *= 1.0 / keep_prob
+            want = value * float_mask
+            got = masks.apply(name, value, np.empty_like(value))
+            assert got.dtype == dtype and got.tobytes() == want.tobytes(), name
+            assert masks.apply(name, value, value) is value and value.tobytes() == want.tobytes(), name
 
-    def test_mask_values_are_zero_or_inverse_keep(self, rng):
+    def test_masks_are_keep_decisions_with_the_inverse_keep_scale(self, rng):
         masks = draw_dropout_masks(small_config(), 50, 0.75, rng)
+        assert isinstance(masks, DropoutMasks) and masks.scale == 1.0 / 0.75
         assert set(masks) == {"input", "h1", "vta_h2", "vta_h3", "nyhac_h2", "nyhac_h3", "bmi_h2", "bmi_h3"}
         for name, mask in masks.items():
-            values = np.unique(mask)
-            assert set(values.tolist()) <= {0.0, 1.0 / 0.75}
+            assert mask.dtype == bool and mask.any() and not mask.all(), name
 
     def test_mask_shapes_follow_layout(self, rng):
         cfg = small_config()
@@ -610,12 +621,12 @@ class TestWorkspace:
         values = init_params(cfg, rng)
         for params in (values.astype(np.float32), values, values.astype(np.float32)):
             dtype = params.flat.dtype
-            masks = draw_dropout_masks(cfg, 6, 0.75, np.random.default_rng(1), work, dtype)
+            masks = draw_dropout_masks(cfg, 6, 0.75, np.random.default_rng(1), work)
             outputs, cache = forward(params, batch.features, batch.decade_index, masks, work)
             grads = backward(params, cache, batch, 1.0, 1.0)
-            assert {a.dtype for a in (*masks.values(), *outputs.values(), grads.flat)} == {dtype}
+            assert {a.dtype for a in (*outputs.values(), grads.flat)} == {dtype}
             _, fresh = forward(params, batch.features, batch.decade_index,
-                               {name: mask.copy() for name, mask in masks.items()})
+                               DropoutMasks({name: mask.copy() for name, mask in masks.items()}, masks.scale))
             assert grads.flat.tobytes() == backward(params, fresh, batch, 1.0, 1.0).flat.tobytes()
 
 

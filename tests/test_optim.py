@@ -1,6 +1,7 @@
 """Optimizer tests: clipping, the AdaDelta recursion, the training loop."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from vtapred import CVConfig, TrainingError
 from vtapred import optim
 from vtapred.evaluation import ABLATION_ROWS, ablation_config
 from vtapred.network import (
-    Batch, NetworkConfig, NetworkParams, draw_dropout_masks, forward, init_params, tensor_shapes,
+    TASK_UNITS, Batch, NetworkConfig, NetworkParams, draw_dropout_masks, dropout_layout, forward, init_params,
+    tensor_shapes,
 )
 from vtapred.optim import AdaDeltaState, adadelta_step, clip, train, write_loss_history
 
@@ -294,6 +296,32 @@ class TestTrainPrecision:
         with pytest.raises(ValueError, match="in the dtype of params"):
             adadelta_step(AdaDeltaState(params), params, params.astype(np.float64))
         assert AdaDeltaState(params).sq_grad.flat.dtype == np.float32
+
+
+class TestTrainMemory:
+    def test_an_epoch_holds_each_activation_once(self):
+        # the full three-head network on 2,000 float32 rows: the traced peak of two epochs is the
+        # layout's bytes plus 1 MiB for the cast features, the chunk of raw lanes and the small
+        # per-head temporaries; a float mask, or a dropped copy of every layer, breaks it
+        net = NetworkConfig(num_features=26, num_decades=5, use_embedding=True)
+        n, itemsize = 2000, np.dtype(np.float32).itemsize
+        batch = random_batch(np.random.default_rng(2), net, n)
+        params = init_params(net, np.random.default_rng(3)).astype(np.float32)
+        (h1, h2, h3), d = net.hidden, net.input_dim
+        mask_units = sum(width for _, width, _ in dropout_layout(net))
+        activations = d + h1 + sum(h2 + h3 + TASK_UNITS[task] for task in net.heads)  # each layer once
+        dropped = d + h1 + h2 + h3  # the cached input and shared layer, one scratch per branch width
+        backward_temporaries = 2 * h1 + h2 + h3 + d  # d_h1d and one head's part of it, d_h2, d_h3, d_x0
+        parameter_buffers = 5 * params.flat.nbytes  # gradients, two accumulators, two update scratches
+        bound = (n * mask_units + itemsize * n * (activations + dropped + backward_temporaries)
+                 + parameter_buffers + 2**20)
+        tracemalloc.start()
+        try:
+            train(batch, CVConfig(epochs=2, multi_task=True), params, np.random.default_rng(4))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, (peak, bound)
 
 
 class TestTrainRecipe:
